@@ -57,8 +57,8 @@ class SeededRng:
     """Seeded random source with independent, replayable substreams.
 
     A (seed, stream) pair fully determines the sample sequence. Gaussian
-    variates are produced by a fixed Box-Muller transform of the underlying
-    uniform stream (interleaved cos/sin halves), so that a draw of n values
+    variates are produced by :func:`box_muller` on the underlying uniform
+    stream (interleaved cos/sin halves), so that a draw of n values
     is always a prefix of a longer draw from the same state. Each call to
     :meth:`standard_normal` consumes ``2 * ceil(n / 2)`` uniform doubles.
     """
@@ -79,20 +79,33 @@ class SeededRng:
         n = int(n)
         if n < 1:
             raise ContractViolation(f"sample count must be >= 1, got {n}")
-        m = (n + 1) // 2
-        u = self._gen.random(2 * m)
-        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(ang)
-        z[1::2] = r * np.sin(ang)
-        return z[:n]
+        return box_muller(self._gen.random(2 * ((n + 1) // 2)))[:n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n uniforms."""
         return np.argsort(self.uniform(n), kind="stable")
+
+
+def box_muller(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals from uniforms on [0, 1), pairwise along the last axis.
+
+    Each pair (u[2k], u[2k+1]) gives z[2k] = r cos(a) and z[2k+1] = r sin(a)
+    with r = sqrt(-2 log(1 - u[2k])) and a = 2 pi u[2k+1]; the last axis must
+    have even length. A row of a stacked draw maps to exactly the bits that
+    :meth:`SeededRng.standard_normal` gives for that row's stream, because
+    log, cos and sin always see contiguous inputs. ``out`` may be ``u``
+    itself: every uniform is read before the first normal is written.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim < 1 or u.shape[-1] % 2:
+        raise ContractViolation(f"Box-Muller wants an even-length last axis, got {u.shape}")
+    if out is None:
+        out = np.empty_like(u)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))  # 1 - u in (0, 1]: keeps log() finite
+    ang = 2.0 * np.pi * u[..., 1::2]
+    np.multiply(r, np.cos(ang), out=out[..., 0::2])
+    np.multiply(r, np.sin(ang), out=out[..., 1::2])
+    return out
 
 
 def substream(seed: int, *parts: int) -> SeededRng:

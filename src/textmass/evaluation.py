@@ -1,12 +1,17 @@
 """Retrieval evaluation in both directions plus diagnostic reports.
 
 Inference mirrors training's text-conditioned fusion: each (query,
-candidate) pair gets its own fused video embedding and its own radius, and
-with sampling enabled the pair score is the best cosine over M stochastic
-text samples drawn from a substream keyed by (seed, query id, candidate id).
-Ranks use strictly-greater counting with index tie-break. Reports are
-emitted as UTF-8 CSV with 6-decimal numbers so identical seeds give
-byte-identical files.
+candidate) pair gets its own fused video embedding and its own radius.
+Scoring runs one query at a time over all of its candidates in one numpy
+pass. Without sampling a pair scores the clipped cosine of the text with
+the fused video. With sampling it scores the best cosine over M stochastic
+text samples, whose noise is drawn from a substream keyed by (seed, query
+id, candidate id); each query's draws are stacked into one buffer and
+turned into pools together, bit for bit as the per-pair
+``select_best_sample`` would draw and score them. Ranks use
+strictly-greater counting with index tie-break. Reports are emitted as
+UTF-8 CSV with 6-decimal numbers so identical seeds give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,22 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, NORM_GUARD, substream
+from .core import ContractViolation, NORM_GUARD, box_muller, substream
 from .encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
-from .mass import SamplingConfig, select_best_sample
+# select_best_sample is the per-pair reference that _score_query batches; it
+# stays bound here so tools that wrap this module's names (perfbench) find it
+from .mass import SamplingConfig, pool_similarities, select_best_sample  # noqa: F401
 from .model import ModelParameters
 
 # substream purpose for per-pair inference sampling
 _STREAM_EVAL = 301
-
-_SINGLE_TRIAL = SamplingConfig(trials=1)
-
-
-class _ZeroNoise:
-    """Noise source that collapses t + R*eps to t exactly."""
-
-    def standard_normal(self, n: int) -> np.ndarray:
-        return np.zeros(int(n))
 
 
 @dataclass
@@ -126,6 +124,50 @@ def _radius_for_query(
     return np.exp(mean)[:, None] * np.ones(params.dim)
 
 
+def _uniform_width(trials: int, dim: int) -> int:
+    """Uniforms one pair's pool consumes: 2 * ceil(M * d / 2)."""
+    return 2 * ((trials * dim + 1) // 2)
+
+
+def _score_query(
+    t: np.ndarray,
+    fused: np.ndarray,
+    radius_grid: np.ndarray | None,
+    trials: int,
+    seed: int,
+    query_id: int,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scores (C,) of one query against all of its candidates.
+
+    Without a radius grid the pool is t alone. With one, candidate c's pool
+    is t + R_c * eps on substream (seed, _STREAM_EVAL, query_id, c): the
+    uniforms of every candidate are stacked into scratch, (C, 2*ceil(M*d/2)),
+    turned into normals and then into pools in place, so scratch may be
+    reused across queries. Raises ContractViolation on a non-finite score.
+    """
+    if radius_grid is None:
+        scores = pool_similarities(t[None, None, :], fused)[:, 0]
+    else:
+        c_count, d = fused.shape
+        width = _uniform_width(trials, d)
+        if scratch is None:
+            scratch = np.empty((c_count, width))
+        for c in range(c_count):
+            scratch[c] = substream(seed, _STREAM_EVAL, query_id, c).uniform(width)
+        box_muller(scratch, out=scratch)
+        pool = scratch[:, : trials * d].reshape(c_count, trials, d)
+        np.multiply(radius_grid[:, None, :], pool, out=pool)
+        pool += t
+        scores = pool_similarities(pool, fused).max(axis=-1)
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise ContractViolation(
+            f"query {query_id}: {bad} of {scores.size} pair scores are non-finite"
+        )
+    return scores
+
+
 def inference_similarity_matrix(
     texts: np.ndarray,
     videos: np.ndarray,
@@ -134,10 +176,12 @@ def inference_similarity_matrix(
     use_sampling: bool,
     seed: int,
 ) -> np.ndarray:
-    """(Q, C) pair scores; best-of-M per pair when sampling. The deterministic
-    path scores each pair as a zero-radius, zero-noise best-of-one, which is
-    the plain clipped cosine computed with the exact op sequence of the
-    sampled path, so a collapsed sampler reproduces it bit for bit."""
+    """(Q, C) pair scores, one query's row at a time.
+
+    Without sampling each score is the clipped cosine of the text embedding
+    with the pair's fused video. With sampling it is the best of M mass
+    samples per pair, equal bit for bit to select_best_sample on the pair's
+    substream. Raises ContractViolation if any score is non-finite."""
     texts = np.asarray(texts, dtype=np.float64)
     videos = np.asarray(videos, dtype=np.float64)
     if texts.ndim != 2 or videos.ndim != 3:
@@ -150,21 +194,15 @@ def inference_similarity_matrix(
     values = frame_emb @ params.fusion.value_map.T
 
     q_count, c_count = text_emb.shape[0], frame_emb.shape[0]
-    zero_radius = np.zeros(params.dim)
+    scratch = None
+    if use_sampling:
+        scratch = np.empty((c_count, _uniform_width(cfg.trials, params.dim)))
     sims = np.empty((q_count, c_count))
     for q in range(q_count):
         t = text_emb[q]
         fused = _fused_for_query(t, keys, values, params)
-        if not use_sampling:
-            for c in range(c_count):
-                _, best = select_best_sample(t, zero_radius, fused[c], _SINGLE_TRIAL, _ZeroNoise())
-                sims[q, c] = best
-            continue
-        radius_grid = _radius_for_query(t, frame_emb, params)
-        for c in range(c_count):
-            rng = substream(seed, _STREAM_EVAL, q, c)
-            _, best = select_best_sample(t, radius_grid[c], fused[c], cfg, rng)
-            sims[q, c] = best
+        radius_grid = _radius_for_query(t, frame_emb, params) if use_sampling else None
+        sims[q] = _score_query(t, fused, radius_grid, cfg.trials, seed, q, scratch)
     return sims
 
 
@@ -178,11 +216,15 @@ def rank_metrics(
     """1-based rank of each query's relevant candidate plus R@K/MdR/MnR.
 
     rank = 1 + #(strictly greater) + #(equal at an earlier index), so ties
-    resolve deterministically by candidate index.
+    resolve deterministically by candidate index. Non-finite scores have no
+    rank and raise ContractViolation.
     """
     sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] < 1 or sims.shape[1] < 1:
         raise ContractViolation("similarity matrix must be non-empty and 2-D")
+    bad = int(np.count_nonzero(~np.isfinite(sims)))
+    if bad:
+        raise ContractViolation(f"{bad} of {sims.size} similarity scores are non-finite")
     relevant = np.asarray(relevant_index, dtype=np.int64)
     if relevant.shape != (sims.shape[0],):
         raise ContractViolation("one relevant index per query row")
@@ -239,20 +281,17 @@ def radius_dynamics_report(
     values = frame_emb @ params.fusion.value_map.T
     fused = _fused_for_query(text_emb, keys, values, params)
     radius_grid = _radius_for_query(text_emb, frame_emb, params)
-    rows = []
-    for c in range(candidate_videos.shape[0]):
-        rng = substream(seed, _STREAM_EVAL, query_id, c)
-        _, best = select_best_sample(text_emb, radius_grid[c], fused[c], cfg, rng)
-        rows.append(
-            RadiusRow(
-                query_id=query_id,
-                candidate_id=c,
-                relevant=(c == relevant_index),
-                l1_radius=float(np.abs(radius_grid[c]).sum()),
-                best_similarity=best,
-            )
+    best = _score_query(text_emb, fused, radius_grid, cfg.trials, seed, query_id)
+    return [
+        RadiusRow(
+            query_id=query_id,
+            candidate_id=c,
+            relevant=(c == relevant_index),
+            l1_radius=float(np.abs(radius_grid[c]).sum()),
+            best_similarity=float(best[c]),
         )
-    return rows
+        for c in range(candidate_videos.shape[0])
+    ]
 
 
 def _per_pair_ce(sims: np.ndarray, lam: float) -> np.ndarray:

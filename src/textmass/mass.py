@@ -61,14 +61,13 @@ def init_radius(variant: str, dim: int, frame_count: int) -> RadiusParameters:
 
 @dataclass
 class SamplingConfig:
-    """Best-of-M inference settings; train_samples is the per-text draw count."""
+    """Best-of-M inference settings: trials is the pool size M per pair."""
 
     trials: int = 20
-    train_samples: int = 1
 
     def __post_init__(self):
-        if self.trials < 1 or self.train_samples < 1:
-            raise ContractViolation("sampling trial counts must be >= 1")
+        if self.trials < 1:
+            raise ContractViolation("sampling trial count must be >= 1")
 
 
 def frame_similarities(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -129,6 +128,21 @@ def support_text(t: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return t + (delta / dist) * r
 
 
+def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Clipped cosine of every pool sample with its target: (..., M, d) pool
+    and (..., d) target give (..., M) scores.
+
+    Every reduction, ||v|| included, is a sum along the last axis of one
+    row, so a sample's score does not depend on how many pairs or samples
+    are stacked beside it: batched scoring equals per-pair scoring bit for
+    bit, and pools for smaller M are prefixes of pools for larger M.
+    """
+    v = v[..., None, :]
+    dots = np.sum(pool * v, axis=-1)
+    denom = np.sqrt(np.sum(pool * pool, axis=-1)) * np.sqrt(np.sum(v * v, axis=-1)) + NORM_GUARD
+    return np.clip(dots / denom, -1.0, 1.0)
+
+
 def select_best_sample(
     t: np.ndarray,
     r: np.ndarray,
@@ -148,10 +162,6 @@ def select_best_sample(
     d = t.shape[0]
     eps = rng.standard_normal(cfg.trials * d).reshape(cfg.trials, d)
     samples = t[None, :] + r[None, :] * eps
-    # per-row reductions: each sample's score must not depend on the pool
-    # size, or prefix pools would stop nesting bitwise
-    dots = np.sum(samples * v[None, :], axis=1)
-    denom = np.sqrt(np.sum(samples * samples, axis=1)) * np.linalg.norm(v) + NORM_GUARD
-    sims = np.clip(dots / denom, -1.0, 1.0)
+    sims = pool_similarities(samples, v)
     best = int(np.argmax(sims))  # argmax returns the first maximal index
     return samples[best], float(sims[best])

@@ -10,8 +10,9 @@ of the configuration, so identical configurations produce byte-identical run
 directories apart from that log. Grid cells are independent of one another
 and run sequentially; the tables are assembled in a fixed row order.
 
-Exit codes: 0 success, 1 contract violation (including usage errors),
-2 I/O or file-format failure.
+Exit codes: 0 success, 1 contract violation (including usage errors and
+non-finite scores) or training divergence, 2 I/O or file-format failure. A
+failure after the run directory exists is also recorded in its run.log.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, OracleFailure, substream
+from .core import ContractViolation, OracleFailure, substream
 from .dataset import CorpusArrays, SyntheticSpec, generate, read_corpus, split_arrays, write_corpus
 from .evaluation import (
     RetrievalMetrics,
@@ -42,6 +43,7 @@ from .mass import RADIUS_VARIANTS, SamplingConfig
 from .objectives import PairBatch, draw_noise, gradient_check
 from .trainer import (
     TrainingConfig,
+    TrainingDivergence,
     init_model_from_config,
     load_checkpoint,
     save_checkpoint,
@@ -583,8 +585,20 @@ def _resolved_run(ns: argparse.Namespace) -> RunConfig:
     return run
 
 
+def _fail(log: RunLog | None, code: int, exc: Exception, usage: str = "") -> int:
+    sys.stderr.write(usage)
+    sys.stderr.write(f"error: {exc}\n")
+    if log is not None:
+        try:
+            log.note(f"failed with exit code {code}: {exc}")
+        except OSError:
+            pass
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    log = None
     try:
         ns = parser.parse_args(argv)
         if ns.command is None:
@@ -600,15 +614,11 @@ def main(argv=None) -> int:
         log.note(f"{ns.command} finished with exit code {code}")
         return code
     except (ContractViolation, OracleFailure) as exc:
-        sys.stderr.write(parser.format_usage())
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _fail(log, 1, exc, parser.format_usage())
+    except TrainingDivergence as exc:
+        return _fail(log, 1, exc)
+    except OSError as exc:  # FormatError is an IOError
+        return _fail(log, 2, exc)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textmass.core import (
     ContractViolation,
     OracleFailure,
     SeededRng,
+    box_muller,
     cosine_similarity,
     finite_diff_gradient,
     sample_gaussian,
@@ -145,6 +146,32 @@ class TestSeededRng:
         a = substream(11, 4, 5).standard_normal(8)
         b = SeededRng(11, stream_key(4, 5)).standard_normal(8)
         assert np.array_equal(a, b)
+
+
+class TestBoxMuller:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        stream=st.integers(min_value=0, max_value=2**64 - 1),
+        rows=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=700),
+        in_place=st.booleans(),
+    )
+    @example(seed=0, stream=0, rows=3, n=1, in_place=False)
+    @example(seed=0, stream=0, rows=3, n=7, in_place=True)
+    @example(seed=0, stream=0, rows=3, n=640, in_place=False)
+    @example(seed=0, stream=0, rows=3, n=641, in_place=True)
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_per_stream_draws(self, seed, stream, rows, n, in_place):
+        width = 2 * ((n + 1) // 2)
+        streams = [(stream + k) % 2**64 for k in range(rows)]
+        u = np.stack([SeededRng(seed, s).uniform(width) for s in streams])
+        z = box_muller(u, out=u if in_place else None)
+        for k, s in enumerate(streams):
+            assert np.array_equal(z[k, :n], SeededRng(seed, s).standard_normal(n))
+
+    def test_odd_width_rejected(self):
+        with pytest.raises(ContractViolation):
+            box_muller(np.zeros((2, 5)))
 
 
 class TestFiniteDiffGradient:

@@ -93,6 +93,15 @@ class TestRankMetrics:
         assert np.array_equal(base, warped)
         assert np.array_equal(base, affine)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        sims = np.eye(4)
+        sims[2, 1] = bad
+        with pytest.raises(ContractViolation, match="1 of 16"):
+            rank_metrics(sims, np.arange(4))
+        with pytest.raises(ContractViolation, match="non-finite"):
+            video_to_text_metrics(sims, np.arange(4))
+
     def test_relevant_index_validation(self):
         with pytest.raises(ContractViolation):
             rank_metrics(np.eye(3), np.array([0, 1, 3]))
@@ -133,8 +142,39 @@ class TestVideoToText:
 
 
 class _ZeroRng:
+    """All-zero uniforms, which Box-Muller maps to exactly-zero normals."""
+
+    def uniform(self, n):
+        return np.zeros(n)
+
+
+class _ZeroNormals:
+    """Noise source that collapses t + R*eps to t in select_best_sample."""
+
     def standard_normal(self, n):
         return np.zeros(n)
+
+
+def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
+    """Reference for the batched matrix: one select_best_sample call per
+    pair, on the same embeddings, fused videos and radii inference uses."""
+    text_emb = evaluation._embed_texts(texts, params)
+    frame_emb = evaluation._embed_frames(videos, params)
+    keys = frame_emb @ params.fusion.key_map.T
+    values = frame_emb @ params.fusion.value_map.T
+    sims = np.empty((texts.shape[0], videos.shape[0]))
+    for q, t in enumerate(text_emb):
+        fused = evaluation._fused_for_query(t, keys, values, params)
+        radius_grid = evaluation._radius_for_query(t, frame_emb, params)
+        for c in range(videos.shape[0]):
+            if use_sampling:
+                rng = substream(seed, EVAL_STREAM, q, c)
+                _, sims[q, c] = select_best_sample(t, radius_grid[c], fused[c], cfg, rng)
+            else:
+                _, sims[q, c] = select_best_sample(
+                    t, np.zeros(t.size), fused[c], SamplingConfig(trials=1), _ZeroNormals()
+                )
+    return sims
 
 
 class TestInferenceMatrix:
@@ -170,8 +210,36 @@ class TestInferenceMatrix:
                 texts, videos, params, SamplingConfig(trials=m), True, seed=13
             )
             if previous is not None:
-                assert np.all(sims >= previous - 1e-15)
+                assert np.all(sims >= previous)
             previous = sims
+
+    @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
+    @pytest.mark.parametrize("trials", [1, 5, 20])
+    @pytest.mark.parametrize("use_sampling", [False, True])
+    def test_batched_equals_per_pair_select_best_sample(self, variant, trials, use_sampling):
+        # d = 7 makes M*d odd at M = 1 and 5: a pair's last uniform goes unused
+        params = make_params(d=7, variant=variant, seed=14)
+        texts, videos = make_pool(q=3, candidates=5, seed=14)
+        cfg = SamplingConfig(trials=trials)
+        got = inference_similarity_matrix(texts, videos, params, cfg, use_sampling, seed=41)
+        want = per_pair_scores(texts, videos, params, cfg, use_sampling, seed=41)
+        assert np.array_equal(got, want)
+
+    def test_overflowing_radius_is_rejected(self):
+        # exp(S @ W) overflows where the frame similarities sum above ~0.7;
+        # here that turns 3 of the 64 pair scores (queries 1, 4 and 7) into NaN
+        params = make_params(seed=16)
+        params.radius.weights[:] = 1000.0
+        texts, videos = make_pool(q=8, candidates=8, seed=16)
+        cfg = SamplingConfig(trials=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation, match="query 1: 1 of 8 pair scores"):
+                inference_similarity_matrix(texts, videos, params, cfg, True, 3)
+            with pytest.raises(ContractViolation, match="non-finite"):
+                radius_dynamics_report(texts[1], videos, params, 1, cfg, 3, query_id=1)
+        # the deterministic path does not use the radius and stays finite
+        det = inference_similarity_matrix(texts, videos, params, SamplingConfig(), False, 3)
+        assert np.all(np.isfinite(det))
 
     def test_deterministic_across_runs(self):
         params = make_params(seed=7)

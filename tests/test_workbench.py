@@ -1,10 +1,12 @@
 """CLI contract: exit codes, run directory shape, grid row counts, config
 round trips, and byte-level determinism."""
 
+import numpy as np
 import pytest
 
 from textmass.core import ContractViolation
 from textmass.dataset import read_corpus
+from textmass.trainer import load_checkpoint, save_checkpoint
 from textmass.workbench import (
     ALPHA_GRID,
     RunConfig,
@@ -168,6 +170,32 @@ class TestTrainEval:
     def test_eval_requires_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 1
+
+    def test_divergence_exits_one_and_is_logged(self, tmp_path, capsys):
+        config = write_config(tmp_path, lr_head=1e6)
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        log = (out / "run.log").read_text().splitlines()
+        assert "failed with exit code 1: non-finite" in log[-1]
+        assert not (out / "checkpoint.tmck").exists()
+
+    def test_non_finite_scores_exit_one_and_are_logged(self, tmp_path):
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+        state, tc = load_checkpoint(run / "checkpoint.tmck")
+        state.params.radius.weights[:] = 1000.0
+        save_checkpoint(tmp_path / "overflow.tmck", state, tc)
+        eval_config = write_config(
+            tmp_path, name="eval.txt", checkpoint=str(tmp_path / "overflow.tmck")
+        )
+        out = tmp_path / "eval"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["eval", "--config", str(eval_config), "--out", str(out)]) == 1
+        assert "pair scores are non-finite" in (out / "run.log").read_text()
+        assert not (out / "metrics.csv").exists()
 
     def test_corrupt_checkpoint_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.tmck"
