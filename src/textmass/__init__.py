@@ -8,165 +8,28 @@ scores each (query, candidate) pair by the best of M samples. Everything runs
 on numpy float64 with hand-written gradients and fully seeded randomness.
 """
 
-from .core import (
-    ContractViolation,
-    FormatError,
-    OracleFailure,
-    SeededRng,
-    cosine_similarity,
-    finite_diff_gradient,
-    substream,
-)
-from .dataset import (
-    CorpusArrays,
-    PairRecord,
-    SyntheticSpec,
-    generate,
-    read_corpus,
-    read_embeddings,
-    split_arrays,
-    write_corpus,
-    write_embeddings,
-)
-from .encoders import (
-    EncoderStack,
-    FusionParameters,
-    encode_frames,
-    encode_text,
-    fuse,
-    init_encoder_stack,
-    init_fusion,
-    sample_frame_indices,
-)
-from .evaluation import (
-    AlignmentRow,
-    RadiusRow,
-    RetrievalMetrics,
-    alignment_report,
-    inference_similarity_matrix,
-    radius_dynamics_report,
-    rank_metrics,
-    video_to_text_metrics,
-    write_alignment_report,
-    write_metrics_csv,
-    write_radius_report,
-)
-from .mass import (
-    DegenerateGeometryError,
-    RADIUS_VARIANTS,
-    RadiusParameters,
-    SamplingConfig,
-    frame_similarities,
-    init_radius,
-    radius,
-    sample_text_mass,
-    select_best_sample,
-    support_text,
-)
-from .model import (
-    MODES,
-    ModelParameters,
-    init_model,
-    trainable_names,
-)
-from .objectives import (
-    LossBreakdown,
-    PairBatch,
-    backward_batch,
-    forward_batch,
-    gradient_check,
-    mode_weights,
-    stochastic_loss,
-    support_loss,
-    symmetric_ce,
-    total_loss,
-)
-from .trainer import (
-    TrainingConfig,
-    TrainingDivergence,
-    TrainResult,
-    TrainState,
-    adamw_step,
-    load_checkpoint,
-    lr_at,
-    save_checkpoint,
-    train,
-)
-from .workbench import RunConfig, main, parse_run_config, run_config_to_text
+from .core import ContractViolation, DegenerateGeometryError, FormatError, OracleFailure
+from .dataset import SyntheticSpec, generate, split_arrays
+from .evaluation import inference_similarity_matrix, rank_metrics
+from .mass import SamplingConfig
+from .trainer import TrainingConfig, TrainingDivergence, train
+from .workbench import RunConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentRow",
     "ContractViolation",
-    "CorpusArrays",
     "DegenerateGeometryError",
-    "EncoderStack",
     "FormatError",
-    "FusionParameters",
-    "LossBreakdown",
-    "MODES",
-    "ModelParameters",
     "OracleFailure",
-    "PairBatch",
-    "PairRecord",
-    "RADIUS_VARIANTS",
-    "RadiusParameters",
-    "RadiusRow",
-    "RetrievalMetrics",
     "RunConfig",
     "SamplingConfig",
-    "SeededRng",
     "SyntheticSpec",
-    "TrainResult",
-    "TrainState",
     "TrainingConfig",
     "TrainingDivergence",
-    "adamw_step",
-    "alignment_report",
-    "backward_batch",
-    "cosine_similarity",
-    "encode_frames",
-    "encode_text",
-    "finite_diff_gradient",
-    "forward_batch",
-    "frame_similarities",
-    "fuse",
     "generate",
-    "gradient_check",
     "inference_similarity_matrix",
-    "init_encoder_stack",
-    "init_fusion",
-    "init_model",
-    "init_radius",
-    "load_checkpoint",
-    "lr_at",
-    "main",
-    "mode_weights",
-    "parse_run_config",
-    "radius",
-    "radius_dynamics_report",
     "rank_metrics",
-    "read_corpus",
-    "read_embeddings",
-    "run_config_to_text",
-    "sample_frame_indices",
-    "sample_text_mass",
-    "save_checkpoint",
-    "select_best_sample",
     "split_arrays",
-    "stochastic_loss",
-    "substream",
-    "support_loss",
-    "support_text",
-    "symmetric_ce",
-    "total_loss",
     "train",
-    "trainable_names",
-    "video_to_text_metrics",
-    "write_alignment_report",
-    "write_corpus",
-    "write_embeddings",
-    "write_metrics_csv",
-    "write_radius_report",
 ]

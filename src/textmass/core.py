@@ -113,13 +113,6 @@ def substream(seed: int, *parts: int) -> SeededRng:
     return SeededRng(seed, stream_key(*parts))
 
 
-def sample_gaussian(rng: SeededRng, d: int) -> np.ndarray:
-    """d-dimensional standard-normal vector; advances the rng state."""
-    if d < 1:
-        raise ContractViolation(f"dimension must be >= 1, got {d}")
-    return rng.standard_normal(d)
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between a and b, clamped to [-1, 1].
 

@@ -4,13 +4,13 @@ The encoder towers are frozen random linear projections (a desk-scale stand-in
 for large pretrained backbones) followed by optional trainable adapters that
 start at identity, with L2 normalization on every output embedding. Fusion is
 single-head scaled-dot-product attention pooling over frame embeddings,
-conditioned on the text embedding, with an output projection and optional
-dropout on the pooled coordinates during training.
+conditioned on the text embedding, with an output projection. Training
+dropout is applied to the batched fusion grid (objectives.dropout_grid_mask).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class FusionParameters:
     key_map: np.ndarray
     value_map: np.ndarray
     output_map: np.ndarray
-    dropout_rate: float = 0.3
 
 
 def init_encoder_stack(d: int, c: int, rng: SeededRng, adapters_enabled: bool = True) -> EncoderStack:
@@ -67,13 +66,12 @@ def init_encoder_stack(d: int, c: int, rng: SeededRng, adapters_enabled: bool = 
     )
 
 
-def init_fusion(d: int, dropout_rate: float = 0.3) -> FusionParameters:
+def init_fusion(d: int) -> FusionParameters:
     return FusionParameters(
         query_map=np.eye(d),
         key_map=np.eye(d),
         value_map=np.eye(d),
         output_map=np.eye(d),
-        dropout_rate=dropout_rate,
     )
 
 
@@ -120,18 +118,11 @@ def encode_frames(frames: np.ndarray, count: int, stack: EncoderStack) -> np.nda
     return np.stack([_encode_frame(frames[i], stack) for i in idx])
 
 
-def fuse(
-    frames: np.ndarray,
-    t: np.ndarray,
-    p: FusionParameters,
-    training: bool = False,
-    rng: SeededRng | None = None,
-) -> np.ndarray:
+def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
     """Pool frame embeddings (T', d) into one video embedding conditioned on t.
 
     w = softmax_i <Q t, K f_i> / sqrt(d); pooled = sum_i w_i (V f_i);
-    output = normalize(O pooled). Dropout hits the pooled coordinates only
-    when training is true (rng required in that case).
+    output = normalize(O pooled).
     """
     frames = np.asarray(frames, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -145,10 +136,4 @@ def fuse(
     e = np.exp(logits - m)
     w = e / e.sum()
     pooled = (frames @ p.value_map.T).T @ w
-    if training:
-        if rng is None:
-            raise ContractViolation("training-mode fusion requires an rng for dropout")
-        if p.dropout_rate > 0.0:
-            keep = (rng.uniform(d) >= p.dropout_rate).astype(np.float64)
-            pooled = pooled * keep / (1.0 - p.dropout_rate)
     return _normalize(p.output_map @ pooled)

@@ -53,7 +53,6 @@ def init_model(
     frame_count: int,
     radius_variant: str = "linear",
     seed: int = 0,
-    dropout_rate: float = 0.3,
     adapters_enabled: bool = True,
 ) -> ModelParameters:
     """Fresh model: frozen projections seeded from `seed`, identity adapters
@@ -61,7 +60,7 @@ def init_model(
     stack = init_encoder_stack(d, c, substream(seed, _STREAM_INIT_ENCODERS), adapters_enabled)
     return ModelParameters(
         stack=stack,
-        fusion=init_fusion(d, dropout_rate),
+        fusion=init_fusion(d),
         radius=init_radius(radius_variant, d, frame_count),
         log_lambda=LOG_LAMBDA_INIT,
         frame_count=frame_count,

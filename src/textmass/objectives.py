@@ -504,7 +504,7 @@ def backward_batch(cache: ForwardCache) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers over the batch pipeline
+# noise and dropout draws for the batch pipeline
 
 
 def draw_noise(rng: SeededRng, samples: int, n: int, d: int) -> np.ndarray:
@@ -523,44 +523,6 @@ def dropout_grid_mask(rng: SeededRng, n: int, d: int, rate: float) -> np.ndarray
         raise ContractViolation("dropout rate must stay below 1")
     keep = rng.uniform(n * n * d).reshape(n, n, d) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def total_loss(
-    batch: PairBatch,
-    params: ModelParameters,
-    mode: str = "t-mass",
-    alpha: float = DEFAULT_ALPHA,
-    noise_rng: SeededRng | None = None,
-    samples: int = 1,
-) -> LossBreakdown:
-    """Evaluation-style loss (no dropout), drawing noise when the mode
-    needs it."""
-    eps = None
-    if mode != "baseline":
-        if noise_rng is None:
-            raise ContractViolation("stochastic modes need a noise stream")
-        eps = draw_noise(noise_rng, samples, batch.size, params.dim)
-    breakdown, _ = forward_batch(batch, params, mode, alpha, eps=eps)
-    return breakdown
-
-
-def stochastic_loss(
-    batch: PairBatch,
-    params: ModelParameters,
-    noise_rng: SeededRng,
-    samples: int = 1,
-) -> float:
-    """Symmetric CE with radius-scaled noise applied to the text side."""
-    breakdown = total_loss(batch, params, "t-mass", 0.0, noise_rng, samples)
-    return breakdown.l_s
-
-
-def support_loss(batch: PairBatch, params: ModelParameters, noise_rng: SeededRng) -> float:
-    """Symmetric CE with support texts (shell points aimed at the paired
-    video) on the text side. Raises DegenerateGeometryError when every pair
-    has coincident embeddings."""
-    breakdown = total_loss(batch, params, "t-mass", 1.0, noise_rng, 1)
-    return breakdown.l_sup
 
 
 # ---------------------------------------------------------------------------

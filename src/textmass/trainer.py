@@ -11,12 +11,14 @@ text, and the (seed, global step) pair that fixes the stream positions.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ContractViolation, FormatError, substream
+from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
     ModelParameters,
@@ -28,7 +30,6 @@ from .model import (
     trainable_names,
 )
 from .objectives import (
-    LossBreakdown,
     PairBatch,
     backward_batch,
     draw_noise,
@@ -55,7 +56,8 @@ _STREAM_DROPOUT = 203
 
 @dataclass
 class TrainingConfig:
-    """Flat run configuration; every field round-trips through config text."""
+    """Model, objective and optimizer settings: exactly the keys a
+    checkpoint stores. Every field round-trips through config text."""
 
     dim: int = 32
     concept_dim: int = 16
@@ -90,49 +92,60 @@ class TrainingConfig:
             raise ContractViolation("seed must be nonnegative")
         if self.dim < 1 or self.concept_dim < 1 or self.frame_count < 1 or self.trials < 1:
             raise ContractViolation("model sizes and trial count must be positive")
+        if self.radius_variant not in RADIUS_VARIANTS:
+            raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
 
 
-def config_to_text(config: TrainingConfig) -> str:
-    """Flat `key = value` lines, sorted by key."""
-    fields = dataclasses.asdict(config)
+def _parse_value(raw: str, default):
+    """raw read as the type of the field's default value; ValueError when
+    it is malformed."""
+    if isinstance(default, bool):
+        if raw not in ("true", "false"):
+            raise ValueError(raw)
+        return raw == "true"
+    if isinstance(default, tuple):
+        return tuple(int(p) for p in raw.split(",") if p.strip())
+    if isinstance(default, (int, float)):
+        return type(default)(raw)
+    return raw
+
+
+def config_to_text(config) -> str:
+    """Flat `key = value` lines of a flat config dataclass, sorted by key;
+    parse_config_text inverts."""
     lines = []
-    for key in sorted(fields):
-        value = fields[key]
+    for key in sorted(f.name for f in dataclasses.fields(config)):
+        value = getattr(config, key)
         if isinstance(value, bool):
             value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}\n")
     return "".join(lines)
 
 
-def parse_config_text(text: str, base: TrainingConfig | None = None) -> TrainingConfig:
+def parse_config_text(text: str, base: TrainingConfig = TrainingConfig()) -> TrainingConfig:
     """Parse `key = value` lines (# comments, blank lines allowed) on top of
-    defaults. Unknown keys are rejected."""
-    values = dataclasses.asdict(base) if base is not None else {}
-    types = {f.name: f.type for f in dataclasses.fields(TrainingConfig)}
-    defaults = TrainingConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    base and build a config of base's type. Unknown keys and malformed
+    values raise ContractViolation naming the line."""
+    fields = dataclasses.fields(base)
+    defaults = {f.name: f.default for f in fields}
+    values = {f.name: getattr(base, f.name) for f in fields}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
             continue
-        if "=" not in line:
+        if "=" not in body:
             raise ContractViolation(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not hasattr(defaults, key):
+        key, _, raw = body.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in values:
             raise ContractViolation(f"config line {lineno}: unknown key {key!r}")
-        current = getattr(defaults, key)
-        if isinstance(current, bool):
-            if value not in ("true", "false"):
-                raise ContractViolation(f"config line {lineno}: {key} wants true or false")
-            values[key] = value == "true"
-        elif isinstance(current, int):
-            values[key] = int(value)
-        elif isinstance(current, float):
-            values[key] = float(value)
-        else:
-            values[key] = value
-    return TrainingConfig(**values)
+        try:
+            values[key] = _parse_value(raw, defaults[key])
+        except ValueError:
+            raise ContractViolation(f"config line {lineno}: bad value {raw!r} for {key}") from None
+    return type(base)(**values)
 
 
 def init_model_from_config(config: TrainingConfig) -> ModelParameters:
@@ -142,7 +155,6 @@ def init_model_from_config(config: TrainingConfig) -> ModelParameters:
         config.frame_count,
         radius_variant=config.radius_variant,
         seed=config.seed,
-        dropout_rate=config.dropout_rate,
         adapters_enabled=config.adapters_enabled,
     )
     if config.radius_variant == "scalar":
@@ -356,18 +368,27 @@ class _Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
+    def text(self, size: int, what: str) -> str:
+        start = self.pos
+        try:
+            return self.take(size, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} at byte {start} is not UTF-8") from None
+
 
 def _unpack_array_table(reader: _Reader) -> dict:
     count = reader.u32("array count")
     entries = {}
     for _ in range(count):
-        name_len = reader.u32("name length")
-        name = reader.take(name_len, "name").decode("utf-8")
+        name = reader.text(reader.u32("name length"), "name")
+        rank_at = reader.pos
         ndim = reader.u32("rank")
         shape = tuple(reader.u32("dimension") for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = reader.take(8 * size, f"data for {name}")
-        entries[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        data = reader.take(8 * math.prod(shape), f"data for {name}")
+        try:
+            entries[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise FormatError(f"rank {ndim} of {name!r} at byte {rank_at} is out of range") from None
     return entries
 
 
@@ -398,6 +419,8 @@ def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
+    """Inverse of save_checkpoint. A malformed file, its config text
+    included, raises FormatError."""
     with open(path, "rb") as handle:
         reader = _Reader(handle.read())
     magic = reader.take(4, "magic")
@@ -409,7 +432,12 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     arrays = _unpack_array_table(reader)
     opt_entries = _unpack_array_table(reader)
     config_len = reader.u32("config length")
-    config = parse_config_text(reader.take(config_len, "config text").decode("utf-8"))
+    config_at = reader.pos
+    config_text = reader.text(config_len, "config text")
+    try:
+        config = parse_config_text(config_text)
+    except ContractViolation as exc:
+        raise FormatError(f"config text at byte {config_at}: {exc}") from None
     seed = reader.u64("seed")
     global_step = reader.u64("global step")
     if reader.pos != len(reader.blob):
@@ -422,13 +450,12 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
         if name not in arrays:
             raise FormatError(f"checkpoint missing parameter {name!r}")
         stored = arrays.pop(name)
-        if name in ("proj_text", "proj_frame"):
-            if stored.shape != get_param(params, name).shape:
-                raise FormatError(f"shape mismatch for {name!r}")
-            if name == "proj_text":
-                params.stack.proj_text = stored
-            else:
-                params.stack.proj_frame = stored
+        if stored.shape != get_param(params, name).shape:
+            raise FormatError(f"shape mismatch for {name!r}")
+        if name == "proj_text":
+            params.stack.proj_text = stored
+        elif name == "proj_frame":
+            params.stack.proj_frame = stored
         else:
             set_param(params, name, stored)
     if arrays:
@@ -437,13 +464,18 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     optimizer = init_optimizer(params, config.mode)
     if "step" not in opt_entries:
         raise FormatError("checkpoint missing optimizer step")
-    optimizer.step = int(opt_entries.pop("step"))
+    step = opt_entries.pop("step")
+    if step.shape != () or not np.isfinite(step):
+        raise FormatError("checkpoint optimizer step is not a finite scalar")
+    optimizer.step = int(step)
     for name in optimizer.first_moment:
-        try:
-            optimizer.first_moment[name] = opt_entries.pop(f"m.{name}")
-            optimizer.second_moment[name] = opt_entries.pop(f"v.{name}")
-        except KeyError as missing:
-            raise FormatError(f"checkpoint missing optimizer entry {missing.args[0]!r}") from None
+        for key, moments in ((f"m.{name}", optimizer.first_moment), (f"v.{name}", optimizer.second_moment)):
+            if key not in opt_entries:
+                raise FormatError(f"checkpoint missing optimizer entry {key!r}")
+            stored = opt_entries.pop(key)
+            if stored.shape != moments[name].shape:
+                raise FormatError(f"shape mismatch for {key!r}")
+            moments[name] = stored
     if opt_entries:
         raise FormatError(f"checkpoint has unknown optimizer entry {sorted(opt_entries)[0]!r}")
     return TrainState(params=params, optimizer=optimizer, global_step=global_step), config

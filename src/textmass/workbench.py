@@ -39,13 +39,15 @@ from .evaluation import (
     write_metrics_csv,
     write_radius_report,
 )
-from .mass import RADIUS_VARIANTS, SamplingConfig
+from .mass import SamplingConfig
 from .objectives import PairBatch, draw_noise, gradient_check
 from .trainer import (
     TrainingConfig,
     TrainingDivergence,
+    config_to_text,
     init_model_from_config,
     load_checkpoint,
+    parse_config_text,
     save_checkpoint,
     train,
 )
@@ -60,31 +62,11 @@ _STREAM_CHECK_NOISE = 502
 
 
 @dataclass
-class RunConfig:
-    """Every knob of a run as one flat `key = value` file: model and
-    objective settings, synthetic corpus settings, and orchestration keys
-    (seed list for grids, sampling toggle, input paths)."""
+class RunConfig(TrainingConfig):
+    """Every knob of a run as one flat `key = value` file: the TrainingConfig
+    keys (what a checkpoint stores), synthetic corpus keys, and
+    orchestration keys (seed list for grids, sampling toggle, input paths)."""
 
-    # model and objective (mirrors TrainingConfig)
-    dim: int = 32
-    concept_dim: int = 16
-    frame_count: int = 8
-    radius_variant: str = "linear"
-    radius_trainable: bool = True
-    theta_init: float = 0.0
-    adapters_enabled: bool = True
-    mode: str = "t-mass"
-    alpha: float = 1.2
-    batch_size: int = 32
-    epochs: int = 5
-    lr_head: float = 1e-5
-    lr_adapter: float = 1e-6
-    weight_decay: float = 0.2
-    warmup_fraction: float = 0.1
-    dropout_rate: float = 0.3
-    train_samples: int = 1
-    trials: int = 20
-    seed: int = 0
     # synthetic corpus (mirrors SyntheticSpec; data_seed keeps the corpus
     # fixed while training seeds vary)
     pairs: int = 640
@@ -100,18 +82,17 @@ class RunConfig:
     checkpoint: str = ""
 
     def __post_init__(self):
+        super().__post_init__()
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ContractViolation("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ContractViolation("seeds must be nonnegative")
-        if self.radius_variant not in RADIUS_VARIANTS:
-            raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
-        # constructing the derived configs runs their validation
-        self.training_config()
+        # constructing the spec runs its validation
         self.synthetic_spec()
 
     def training_config(self) -> TrainingConfig:
+        """The TrainingConfig keys alone, as a checkpoint stores them."""
         kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(TrainingConfig)}
         return TrainingConfig(**kwargs)
 
@@ -125,61 +106,6 @@ class RunConfig:
             distractors=self.distractors,
             seed=self.data_seed,
         )
-
-
-def run_config_to_text(config: RunConfig) -> str:
-    """Flat `key = value` lines, sorted by key; parse_run_config inverts."""
-    lines = []
-    for key in sorted(f.name for f in dataclasses.fields(RunConfig)):
-        value = getattr(config, key)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}\n")
-    return "".join(lines)
-
-
-def _coerce(key: str, raw: str, current):
-    if isinstance(current, bool):
-        if raw in ("true", "false"):
-            return raw == "true"
-        raise ContractViolation(f"config key {key!r} wants true or false, got {raw!r}")
-    if isinstance(current, tuple):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ContractViolation(f"config key {key!r} wants comma-separated integers")
-    if isinstance(current, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ContractViolation(f"config key {key!r} wants an integer, got {raw!r}")
-    if isinstance(current, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ContractViolation(f"config key {key!r} wants a number, got {raw!r}")
-    return raw
-
-
-def parse_run_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse `key = value` lines (# comments, blank lines allowed) on top of
-    defaults. Unknown keys are rejected."""
-    values = dataclasses.asdict(base if base is not None else RunConfig())
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ContractViolation(f"config line {lineno}: expected key = value")
-        key, _, raw = body.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in values:
-            raise ContractViolation(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw, values[key])
-    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -495,22 +421,21 @@ def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
 
 
 def _cmd_gradcheck(run: RunConfig, out: Path | None, log: RunLog | None) -> int:
-    tc = run.training_config()
     rng = substream(run.seed, _STREAM_CHECK_DATA)
     n = 4
-    texts = rng.standard_normal(n * tc.concept_dim).reshape(n, tc.concept_dim)
-    videos = rng.standard_normal(n * run.raw_frames * tc.concept_dim).reshape(
-        n, run.raw_frames, tc.concept_dim
+    texts = rng.standard_normal(n * run.concept_dim).reshape(n, run.concept_dim)
+    videos = rng.standard_normal(n * run.raw_frames * run.concept_dim).reshape(
+        n, run.raw_frames, run.concept_dim
     )
     batch = PairBatch(text=texts, videos=videos)
-    params = init_model_from_config(tc)
+    params = init_model_from_config(run)
     eps = None
-    if tc.mode != "baseline":
+    if run.mode != "baseline":
         eps = draw_noise(
-            substream(run.seed, _STREAM_CHECK_NOISE), tc.train_samples, n, tc.dim
+            substream(run.seed, _STREAM_CHECK_NOISE), run.train_samples, n, run.dim
         )
     # dropout off so the loss is a deterministic function of the parameters
-    result = gradient_check(params, batch, tc.mode, tc.alpha, eps, None)
+    result = gradient_check(params, batch, run.mode, run.alpha, eps, None)
     summary = (
         f"gradcheck: {result.checked} partials, max relative error {result.worst_rel:.3e}, "
         f"max absolute error {result.worst_abs:.3e}"
@@ -567,7 +492,7 @@ def _build_parser() -> _Parser:
 def _resolved_run(ns: argparse.Namespace) -> RunConfig:
     run = RunConfig()
     if ns.config:
-        run = parse_run_config(Path(ns.config).read_text(encoding="utf-8"))
+        run = parse_config_text(Path(ns.config).read_text(encoding="utf-8"), run)
     overrides = {}
     if ns.seed is not None:
         overrides["seed"] = ns.seed
@@ -607,7 +532,7 @@ def main(argv=None) -> int:
         if ns.command == "gradcheck" and ns.out is None:
             return _cmd_gradcheck(run, None, None)
         out = _create_run_dir(ns.out)
-        (out / "config.txt").write_text(run_config_to_text(run), encoding="utf-8")
+        (out / "config.txt").write_text(config_to_text(run), encoding="utf-8")
         log = RunLog(out / "run.log")
         log.note(f"{ns.command} starting")
         code = _IMPLS[ns.command](run, out, log)

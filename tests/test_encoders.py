@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from textmass.core import ContractViolation, SeededRng, substream
+from textmass.core import ContractViolation, substream
 from textmass.encoders import (
     EncoderStack,
     FusionParameters,
@@ -119,8 +119,8 @@ class TestFuse:
         np.testing.assert_allclose(fuse(self.frames, self.t, self.p), expect, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
-        a = fuse(self.frames, self.t, self.p, training=False)
-        b = fuse(self.frames, self.t, self.p, training=False)
+        a = fuse(self.frames, self.t, self.p)
+        b = fuse(self.frames, self.t, self.p)
         assert np.array_equal(a, b)
 
     def test_unit_norm(self):
@@ -134,17 +134,6 @@ class TestFuse:
             fuse(self.frames[perm], self.t, self.p),
             atol=1e-12,
         )
-
-    def test_training_dropout_needs_rng(self):
-        with pytest.raises(ContractViolation):
-            fuse(self.frames, self.t, self.p, training=True)
-
-    def test_training_dropout_seeded(self):
-        a = fuse(self.frames, self.t, self.p, training=True, rng=SeededRng(5, 1))
-        b = fuse(self.frames, self.t, self.p, training=True, rng=SeededRng(5, 1))
-        c = fuse(self.frames, self.t, self.p, training=True, rng=SeededRng(5, 2))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
 
 class TestReproducibility:

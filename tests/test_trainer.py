@@ -1,8 +1,13 @@
-"""Optimizer arithmetic against hand-stepped oracles, schedule shape, and
-bit-exact determinism of training, checkpointing, and resume."""
+"""Optimizer arithmetic against hand-stepped oracles, schedule shape,
+bit-exact determinism of training, checkpointing, and resume, the config
+codec, and checkpoint corruption."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textmass.core import ContractViolation, FormatError, substream
 from textmass.model import flatten_params, get_param, trainable_names
@@ -203,29 +208,105 @@ class TestTrainLoop:
             train(text, videos, config, resume=partial.state)
 
 
-class TestConfigText:
+# config text of TrainingConfig(), exactly the bytes a checkpoint stores
+TRAINING_DEFAULT_TEXT = (
+    "adapters_enabled = true\n"
+    "alpha = 1.2\n"
+    "batch_size = 32\n"
+    "concept_dim = 16\n"
+    "dim = 32\n"
+    "dropout_rate = 0.3\n"
+    "epochs = 5\n"
+    "frame_count = 8\n"
+    "lr_adapter = 1e-06\n"
+    "lr_head = 1e-05\n"
+    "mode = t-mass\n"
+    "radius_trainable = true\n"
+    "radius_variant = linear\n"
+    "seed = 0\n"
+    "theta_init = 0.0\n"
+    "train_samples = 1\n"
+    "trials = 20\n"
+    "warmup_fraction = 0.1\n"
+    "weight_decay = 0.2\n"
+)
+
+
+class ConfigCodecSuite:
+    """The config codec against one flat config dataclass; each subclass
+    names the dataclass, the bytes its defaults serialize to, and extra
+    non-default values for the round trip."""
+
+    config_type = None
+    default_text = None
+    varied = {}
+
+    def parse(self, text):
+        return parse_config_text(text, self.config_type())
+
+    def test_default_bytes_pinned(self):
+        assert config_to_text(self.config_type()) == self.default_text
+        assert self.parse(self.default_text) == self.config_type()
+
     def test_round_trip(self):
-        config = tiny_config(radius_variant="scalar", theta_init=1.0, radius_trainable=False)
-        assert parse_config_text(config_to_text(config)) == config
+        config = self.config_type(
+            dim=8, radius_variant="scalar", theta_init=1.0, radius_trainable=False, **self.varied
+        )
+        text = config_to_text(config)
+        again = self.parse(text)
+        assert type(again) is self.config_type
+        assert again == config
+        assert config_to_text(again) == text
 
     def test_comments_and_blanks(self):
-        config = parse_config_text("# a comment\n\nalpha = 0.5  # inline\nmode = baseline\n")
+        config = self.parse("# a comment\n\nalpha = 0.5  # inline\nmode = baseline\n")
         assert config.alpha == 0.5
         assert config.mode == "baseline"
 
+    def test_comments_and_blanks_ignored(self):
+        base = self.config_type(seed=9)
+        assert parse_config_text("# note\n\n   \n# seed = 4\n", base) == base
+
     def test_unknown_key_rejected(self):
-        with pytest.raises(ContractViolation):
-            parse_config_text("learning_rate = 3\n")
+        with pytest.raises(ContractViolation, match="line 2: unknown key 'warp_factor'"):
+            self.parse("seed = 1\nwarp_factor = 9\n")
+
+    def test_missing_equals_rejected(self):
+        with pytest.raises(ContractViolation, match="line 1"):
+            self.parse("just words")
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(ContractViolation):
-            parse_config_text("adapters_enabled = yes\n")
+        for raw in ("yes", "True", "1", ""):
+            with pytest.raises(ContractViolation, match="line 1.*adapters_enabled"):
+                self.parse(f"adapters_enabled = {raw}\n")
+
+    def test_bad_values_name_the_key(self):
+        # every int, float and integer-list field refuses a non-number
+        numeric = [
+            f.name for f in dataclasses.fields(self.config_type)
+            if isinstance(f.default, (int, float, tuple)) and not isinstance(f.default, bool)
+        ]
+        assert "epochs" in numeric and "alpha" in numeric
+        for key in numeric:
+            with pytest.raises(ContractViolation, match=f"line 2: bad value 'x1' for {key}"):
+                self.parse(f"seed = 1\n{key} = x1\n")
+        with pytest.raises(ContractViolation, match="epochs"):
+            self.parse("epochs = 2.5\n")
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ContractViolation):
-            parse_config_text("mode = nonsense\n")
-        with pytest.raises(ContractViolation):
-            parse_config_text("dropout_rate = 1.0\n")
+        with pytest.raises(ContractViolation, match="mode"):
+            self.parse("mode = nonsense\n")
+        with pytest.raises(ContractViolation, match="dropout"):
+            self.parse("dropout_rate = 1.0\n")
+        with pytest.raises(ContractViolation, match="radius variant"):
+            self.parse("radius_variant = cubic\n")
+        with pytest.raises(ContractViolation, match="radius variant"):
+            self.config_type(radius_variant="cubic")
+
+
+class TestConfigText(ConfigCodecSuite):
+    config_type = TrainingConfig
+    default_text = TRAINING_DEFAULT_TEXT
 
 
 class TestCheckpoint:
@@ -300,6 +381,65 @@ class TestCheckpoint:
         save_checkpoint(path, result.state, config)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A d = 4 checkpoint after one epoch, so the optimizer step is 1."""
+    text, videos = tiny_data(pairs=6, c=4, t_raw=3)
+    config = tiny_config(dim=4, concept_dim=4, frame_count=2, epochs=1)
+    path = tmp_path_factory.mktemp("corrupt") / "small.tmck"
+    save_checkpoint(path, train(text, videos, config).state, config)
+    return path
+
+
+class TestCorruptCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_loads_or_is_format_error(self, small_checkpoint, data):
+        blob = small_checkpoint.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            bit = data.draw(st.integers(0, 7), label="bit")
+            corrupt = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :]
+        path = small_checkpoint.with_name("corrupt.tmck")
+        path.write_bytes(corrupt)
+        try:
+            load_checkpoint(path)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            (b"epochs = 1\n", b"epochs = x\n"),
+            (b"mode = t-mass\n", b"mode = t-mas\xff\n"),
+            (b"radius_variant = linear\n", b"radius_variant = cubicc\n"),
+        ],
+        ids=["non-numeric", "not-utf8", "unknown-variant"],
+    )
+    def test_bad_config_text_names_its_offset(self, small_checkpoint, tmp_path, line, bad):
+        blob = small_checkpoint.read_bytes()
+        assert blob.count(line) == 1 and len(bad) == len(line)
+        path = tmp_path / "bad.tmck"
+        path.write_bytes(blob.replace(line, bad))
+        start = blob.index(b"adapters_enabled = ")
+        with pytest.raises(FormatError, match=f"config text at byte {start}"):
+            load_checkpoint(path)
+
+    def test_out_of_range_rank_is_format_error(self, small_checkpoint, tmp_path):
+        # first table entry: u32 count, u32 name length, name, then its rank
+        blob = bytearray(small_checkpoint.read_bytes())
+        rank_at = 12 + 4 + len(b"proj_text")
+        assert blob[rank_at : rank_at + 4] == (2).to_bytes(4, "little")
+        blob[rank_at : rank_at + 4] = (65).to_bytes(4, "little")
+        blob[rank_at + 4 : rank_at + 8] = bytes(4)  # a zero dimension keeps the data empty
+        path = tmp_path / "bad.tmck"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"rank 65 of 'proj_text' at byte {rank_at}"):
             load_checkpoint(path)
 
 

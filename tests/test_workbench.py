@@ -6,16 +6,22 @@ import pytest
 
 from textmass.core import ContractViolation
 from textmass.dataset import read_corpus
-from textmass.trainer import load_checkpoint, save_checkpoint
+from textmass.trainer import (
+    TrainingConfig,
+    config_to_text,
+    load_checkpoint,
+    parse_config_text,
+    save_checkpoint,
+)
 from textmass.workbench import (
     ALPHA_GRID,
     RunConfig,
     TABLE_HEADER,
     TRIALS_GRID,
     main,
-    parse_run_config,
-    run_config_to_text,
 )
+
+from test_trainer import TRAINING_DEFAULT_TEXT, ConfigCodecSuite
 
 TINY = {
     "dim": 8,
@@ -46,31 +52,95 @@ def table_rows(path):
     return [line.split(",") for line in lines[1:]]
 
 
-class TestRunConfigText:
-    def test_round_trip(self):
-        config = RunConfig(dim=8, seeds=(3, 5), sampling=False, data="corpus/dir")
-        again = parse_run_config(run_config_to_text(config))
-        assert again == config
+# config.txt bytes for RunConfig() and for TINY
+RUN_DEFAULT_TEXT = (
+    "adapters_enabled = true\n"
+    "alpha = 1.2\n"
+    "batch_size = 32\n"
+    "checkpoint = \n"
+    "concept_dim = 16\n"
+    "coverage = 0.4\n"
+    "data = \n"
+    "data_seed = 0\n"
+    "dim = 32\n"
+    "distractors = 2\n"
+    "dropout_rate = 0.3\n"
+    "epochs = 5\n"
+    "frame_count = 8\n"
+    "lr_adapter = 1e-06\n"
+    "lr_head = 1e-05\n"
+    "mode = t-mass\n"
+    "noise_sigma = 0.1\n"
+    "pairs = 640\n"
+    "radius_trainable = true\n"
+    "radius_variant = linear\n"
+    "raw_frames = 16\n"
+    "sampling = true\n"
+    "seed = 0\n"
+    "seeds = 0,1,2\n"
+    "theta_init = 0.0\n"
+    "train_samples = 1\n"
+    "trials = 20\n"
+    "warmup_fraction = 0.1\n"
+    "weight_decay = 0.2\n"
+)
+TINY_TEXT = (
+    "adapters_enabled = true\n"
+    "alpha = 1.2\n"
+    "batch_size = 8\n"
+    "checkpoint = \n"
+    "concept_dim = 6\n"
+    "coverage = 0.4\n"
+    "data = \n"
+    "data_seed = 0\n"
+    "dim = 8\n"
+    "distractors = 2\n"
+    "dropout_rate = 0.1\n"
+    "epochs = 1\n"
+    "frame_count = 3\n"
+    "lr_adapter = 0.0005\n"
+    "lr_head = 0.005\n"
+    "mode = t-mass\n"
+    "noise_sigma = 0.1\n"
+    "pairs = 40\n"
+    "radius_trainable = true\n"
+    "radius_variant = linear\n"
+    "raw_frames = 4\n"
+    "sampling = true\n"
+    "seed = 0\n"
+    "seeds = 0,1\n"
+    "theta_init = 0.0\n"
+    "train_samples = 1\n"
+    "trials = 3\n"
+    "warmup_fraction = 0.1\n"
+    "weight_decay = 0.2\n"
+)
 
-    def test_comments_and_blanks_ignored(self):
-        config = parse_run_config("# note\n\nseed = 9  # inline\n")
-        assert config.seed == 9
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ContractViolation):
-            parse_run_config("warp_factor = 9")
+@pytest.fixture(autouse=True)
+def echoed_configs_round_trip(tmp_path):
+    """Every config.txt a test's runs write parses back to the same bytes."""
+    yield
+    for path in tmp_path.rglob("config.txt"):
+        text = path.read_text(encoding="utf-8")
+        assert config_to_text(parse_config_text(text, RunConfig())) == text, path
 
-    def test_bad_values_name_the_key(self):
-        with pytest.raises(ContractViolation, match="sampling"):
-            parse_run_config("sampling = maybe")
-        with pytest.raises(ContractViolation, match="epochs"):
-            parse_run_config("epochs = three")
-        with pytest.raises(ContractViolation, match="seeds"):
-            parse_run_config("seeds = 1,two")
 
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ContractViolation, match="line 1"):
-            parse_run_config("just words")
+class TestRunConfigText(ConfigCodecSuite):
+    config_type = RunConfig
+    default_text = RUN_DEFAULT_TEXT
+    varied = {"seeds": (3, 5), "sampling": False, "data": "corpus/dir", "pairs": 64}
+
+    def test_checkpoint_keeps_the_training_keys(self):
+        projected = RunConfig(dim=8, seeds=(3, 5), data="corpus/dir").training_config()
+        assert type(projected) is TrainingConfig
+        assert projected == TrainingConfig(dim=8)
+        assert config_to_text(RunConfig().training_config()) == TRAINING_DEFAULT_TEXT
+
+    def test_tiny_config_bytes_pinned(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        assert (out / "config.txt").read_text(encoding="utf-8") == TINY_TEXT
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
@@ -79,6 +149,8 @@ class TestRunConfigText:
             RunConfig(seeds=(0, -1))
         with pytest.raises(ContractViolation):
             RunConfig(radius_variant="cubic")
+        with pytest.raises(ContractViolation):
+            RunConfig(coverage=0.0)
 
 
 class TestDispatch:
@@ -202,6 +274,22 @@ class TestTrainEval:
         bad.write_bytes(b"XXXX")
         config = write_config(tmp_path, checkpoint=str(bad))
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    def test_non_numeric_checkpoint_config_exits_two_and_is_logged(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+        blob = (run / "checkpoint.tmck").read_bytes()
+        assert blob.count(b"\nepochs = 1\n") == 1
+        bad = tmp_path / "bad.tmck"
+        bad.write_bytes(blob.replace(b"\nepochs = 1\n", b"\nepochs = x\n"))
+        eval_config = write_config(tmp_path, name="eval.txt", checkpoint=str(bad))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(eval_config), "--out", str(out)]) == 2
+        assert "bad value 'x' for epochs" in capsys.readouterr().err
+        log = (out / "run.log").read_text().splitlines()
+        assert "failed with exit code 2: config text at byte" in log[-1]
+        assert not (out / "metrics.csv").exists()
 
 
 class TestGrids:
