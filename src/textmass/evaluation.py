@@ -260,6 +260,21 @@ def video_to_text_metrics(sims: np.ndarray, relevant_index: np.ndarray) -> Retri
 # diagnostic reports
 
 
+def _radius_rows(
+    query_id: int, relevant_index: int, radius_grid: np.ndarray, best: np.ndarray
+) -> list[RadiusRow]:
+    return [
+        RadiusRow(
+            query_id=query_id,
+            candidate_id=c,
+            relevant=(c == relevant_index),
+            l1_radius=float(np.abs(radius_grid[c]).sum()),
+            best_similarity=float(best[c]),
+        )
+        for c in range(radius_grid.shape[0])
+    ]
+
+
 def radius_dynamics_report(
     query_text: np.ndarray,
     candidate_videos: np.ndarray,
@@ -282,16 +297,26 @@ def radius_dynamics_report(
     fused = _fused_for_query(text_emb, keys, values, params)
     radius_grid = _radius_for_query(text_emb, frame_emb, params)
     best = _score_query(text_emb, fused, radius_grid, cfg.trials, seed, query_id)
-    return [
-        RadiusRow(
-            query_id=query_id,
-            candidate_id=c,
-            relevant=(c == relevant_index),
-            l1_radius=float(np.abs(radius_grid[c]).sum()),
-            best_similarity=float(best[c]),
-        )
-        for c in range(candidate_videos.shape[0])
-    ]
+    return _radius_rows(query_id, relevant_index, radius_grid, best)
+
+
+def pool_radius_report(
+    texts: np.ndarray, videos: np.ndarray, params: ModelParameters, sampled: np.ndarray
+) -> list[RadiusRow]:
+    """radius_dynamics_report of every query of an aligned pool (query q's
+    relevant candidate is q), taking each best-of-M similarity from
+    sampled, the pool's (Q, C) inference matrix with sampling, instead of
+    scoring the pairs again."""
+    texts = np.asarray(texts, dtype=np.float64)
+    videos = np.asarray(videos, dtype=np.float64)
+    if sampled.shape != (texts.shape[0], videos.shape[0]):
+        raise ContractViolation("sampled matrix does not match the pool")
+    text_emb = _embed_texts(texts, params)
+    frame_emb = _embed_frames(videos, params)
+    rows = []
+    for q, t in enumerate(text_emb):
+        rows.extend(_radius_rows(q, q, _radius_for_query(t, frame_emb, params), sampled[q]))
+    return rows
 
 
 def _per_pair_ce(sims: np.ndarray, lam: float) -> np.ndarray:
@@ -300,6 +325,29 @@ def _per_pair_ce(sims: np.ndarray, lam: float) -> np.ndarray:
     shift = logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
     return lse - np.diagonal(logits)
+
+
+def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[AlignmentRow]:
+    """The alignment report of an aligned pool from its deterministic and
+    best-of-M (Q, Q) inference matrices under logit scale lam."""
+    if det.shape != stoch.shape or det.shape[0] != det.shape[1]:
+        raise ContractViolation("alignment report wants an aligned text-video pool")
+    ce_det = _per_pair_ce(det, lam)
+    ce_stoch = _per_pair_ce(stoch, lam)
+    n = det.shape[0]
+    off_diag = ~np.eye(n, dtype=bool)
+    rows = []
+    for q in range(n):
+        rows.append(
+            AlignmentRow(
+                query_id=q,
+                max_irrelevant_sim_det=float(det[q, off_diag[q]].max()),
+                max_irrelevant_sim_stoch=float(stoch[q, off_diag[q]].max()),
+                ce_det=float(ce_det[q]),
+                ce_stoch=float(ce_stoch[q]),
+            )
+        )
+    return rows
 
 
 def alignment_report(
@@ -318,23 +366,7 @@ def alignment_report(
         raise ContractViolation("alignment report wants an aligned text-video pool")
     det = inference_similarity_matrix(texts, videos, params, cfg, False, seed)
     stoch = inference_similarity_matrix(texts, videos, params, cfg, True, seed)
-    lam = params.logit_scale()
-    ce_det = _per_pair_ce(det, lam)
-    ce_stoch = _per_pair_ce(stoch, lam)
-    n = det.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
-    rows = []
-    for q in range(n):
-        rows.append(
-            AlignmentRow(
-                query_id=q,
-                max_irrelevant_sim_det=float(det[q, off_diag[q]].max()),
-                max_irrelevant_sim_stoch=float(stoch[q, off_diag[q]].max()),
-                ce_det=float(ce_det[q]),
-                ce_stoch=float(ce_stoch[q]),
-            )
-        )
-    return rows
+    return alignment_rows(det, stoch, params.logit_scale())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ Loss modes
 l_ce on the deterministic embeddings is always computed and reported for
 diagnostics; in "t-mass" mode it receives no gradient. Video embeddings are
 text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
-entry (i, j) is video j pooled under text i's attention.
+entry (i, j) is video j pooled under text i's attention. The S noise samples
+of a batch form one (S, N, d) stack, and every contraction over the grid is
+a (batched) matmul.
 """
 
 from __future__ import annotations
@@ -87,38 +89,42 @@ def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
 
 
 def _ce_terms(sims: np.ndarray, lam: float):
-    """Row and column InfoNCE terms for one similarity matrix.
+    """Row and column InfoNCE terms for each matrix of a (..., N, N) stack;
+    rows are texts, columns videos.
 
-    Returns (l_t2v, l_v2t, p_row, p_col) where p_row / p_col are the softmax
-    tables reused by the backward pass.
+    Returns (l_t2v, l_v2t, p_row, p_col): the terms have the leading shape
+    (0-d for one matrix) and p_row / p_col are the softmax tables reused by
+    the backward pass.
     """
     logits = lam * sims
-    row_shift = logits - logits.max(axis=1, keepdims=True)
-    exp_row = np.exp(row_shift)
-    p_row = exp_row / exp_row.sum(axis=1, keepdims=True)
-    lse_row = np.log(exp_row.sum(axis=1)) + logits.max(axis=1)
-    col_shift = logits - logits.max(axis=0, keepdims=True)
-    exp_col = np.exp(col_shift)
-    p_col = exp_col / exp_col.sum(axis=0, keepdims=True)
-    lse_col = np.log(exp_col.sum(axis=0)) + logits.max(axis=0)
-    diag = np.diagonal(logits)
-    l_t2v = float(np.mean(lse_row - diag))
-    l_v2t = float(np.mean(lse_col - diag))
+    row_max = logits.max(axis=-1)
+    exp_row = np.exp(logits - row_max[..., None])
+    row_sum = exp_row.sum(axis=-1)
+    p_row = exp_row / row_sum[..., None]
+    col_max = logits.max(axis=-2)
+    exp_col = np.exp(logits - col_max[..., None, :])
+    col_sum = exp_col.sum(axis=-2)
+    p_col = exp_col / col_sum[..., None, :]
+    diag = np.diagonal(logits, axis1=-2, axis2=-1)
+    l_t2v = np.mean(np.log(row_sum) + row_max - diag, axis=-1)
+    l_v2t = np.mean(np.log(col_sum) + col_max - diag, axis=-1)
     return l_t2v, l_v2t, p_row, p_col
 
 
 def _ce_backward(sims: np.ndarray, lam: float, p_row: np.ndarray, p_col: np.ndarray, upstream: float):
-    """Gradients of upstream * l_ce where l_ce = (l_t2v + l_v2t) / 2.
+    """Gradients of upstream * l_ce where l_ce = (l_t2v + l_v2t) / 2, for
+    each matrix of a (..., N, N) stack.
 
-    Returns (d_sims, d_lam); d_lam is the derivative with respect to the
-    unclamped scale value.
+    Returns (d_sims, d_lam); d_lam has the leading shape and is the
+    derivative with respect to the unclamped scale value.
     """
-    n = sims.shape[0]
-    coeff = upstream * lam / (2.0 * n)
-    d_sims = coeff * (p_row + p_col)
+    n = sims.shape[-1]
+    p_sum = p_row + p_col
+    d_sims = (upstream * lam / (2.0 * n)) * p_sum
     idx = np.arange(n)
-    d_sims[idx, idx] -= upstream * lam / n
-    d_lam = (np.sum((p_row + p_col) * sims) - 2.0 * np.trace(sims)) * upstream / (2.0 * n)
+    d_sims[..., idx, idx] -= upstream * lam / n
+    trace = np.trace(sims, axis1=-2, axis2=-1)
+    d_lam = (np.sum(p_sum * sims, axis=(-2, -1)) - 2.0 * trace) * upstream / (2.0 * n)
     return d_sims, d_lam
 
 
@@ -132,6 +138,7 @@ def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, flo
         raise ContractViolation("empty similarity matrix")
     lam = float(min(np.exp(log_lambda), LAMBDA_MAX))
     l_t2v, l_v2t, _, _ = _ce_terms(sims, lam)
+    l_t2v, l_v2t = float(l_t2v), float(l_v2t)
     return l_t2v, l_v2t, 0.5 * (l_t2v + l_v2t)
 
 
@@ -139,27 +146,29 @@ def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, flo
 # cosine grids: rows against per-row stacks of vectors
 
 
-def _cos_grid(rows: np.ndarray, stack: np.ndarray):
-    """Cosines between rows[i] and stack[i, j] for every i, j.
+def _cos_grid(rows: np.ndarray, stack: np.ndarray, stack_norms: np.ndarray):
+    """Cosines between rows[s, i] and stack[i, j] for every s, i, j.
 
-    rows: (m, d); stack: (m, n, d). Returns (sims, row_norms, stack_norms).
-    Values are not clamped; callers stay inside (-1, 1) up to roundoff.
+    rows: (S, m, d), S samples of m rows; stack: (m, n, d) with its norms
+    (m, n). Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values
+    are not clamped; callers stay inside (-1, 1) up to roundoff.
     """
-    dots = np.einsum("id,ijd->ij", rows, stack)
-    row_norms = np.linalg.norm(rows, axis=1)
-    stack_norms = np.linalg.norm(stack, axis=2)
-    sims = dots / (row_norms[:, None] * stack_norms + NORM_GUARD)
-    return sims, row_norms, stack_norms
+    # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
+    dots = np.matmul(stack, rows.transpose(1, 2, 0)).transpose(2, 0, 1)
+    row_norms = np.linalg.norm(rows, axis=-1)
+    sims = dots / (row_norms[..., None] * stack_norms + NORM_GUARD)
+    return sims, row_norms
 
 
 def _cos_grid_backward(d_sims, rows, stack, sims, row_norms, stack_norms):
-    """Backward of `_cos_grid`; returns (d_rows, d_stack)."""
-    denom = row_norms[:, None] * stack_norms + NORM_GUARD
+    """Backward of `_cos_grid`; returns d_rows (S, m, d) and d_stack
+    (m, n, d) summed over the samples."""
+    denom = row_norms[..., None] * stack_norms + NORM_GUARD
     lead = d_sims / denom
-    d_rows = np.einsum("ij,ijd->id", lead, stack)
-    d_rows -= rows * np.sum(d_sims * sims * stack_norms / (row_norms[:, None] * denom), axis=1)[:, None]
-    d_stack = lead[:, :, None] * rows[:, None, :]
-    d_stack -= (d_sims * sims * row_norms[:, None] / (stack_norms * denom))[:, :, None] * stack
+    d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
+    d_rows -= rows * np.sum(d_sims * sims * stack_norms / (row_norms[..., None] * denom), axis=-1)[..., None]
+    d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
+    d_stack -= np.sum(d_sims * sims * row_norms[..., None] / (stack_norms * denom), axis=0)[..., None] * stack
     return d_rows, d_stack
 
 
@@ -199,14 +208,15 @@ class ForwardCache:
     fused_pre: np.ndarray = None
     fused_norms: np.ndarray = None
     fused: np.ndarray = None
+    fused_unit_norms: np.ndarray = None
     lam: float = 0.0
     lam_clamped: bool = False
     ce_grid: tuple = None
-    s_grids: list = None
+    s_grids: tuple = None
     frame_sims: tuple = None
     sbar: np.ndarray = None
     radius_grid: np.ndarray = None
-    stochastic: list = None
+    stochastic: np.ndarray = None
     valid: np.ndarray = None
     support_dist: np.ndarray = None
     support_dir: np.ndarray = None
@@ -267,13 +277,15 @@ def forward_batch(
 
     # text-conditioned fusion over the full (text, video) grid
     fusion = params.fusion
+    frames = raw_frames.shape[1]
     attn_q = text_emb @ fusion.query_map.T
     attn_k = frame_emb @ fusion.key_map.T
     attn_v = frame_emb @ fusion.value_map.T
-    logits = np.einsum("id,jld->ijl", attn_q, attn_k) / np.sqrt(d)
+    logits = (attn_q @ attn_k.reshape(n * frames, d).T).reshape(n, n, frames) / np.sqrt(d)
     shifted = np.exp(logits - logits.max(axis=2, keepdims=True))
     attn_w = shifted / shifted.sum(axis=2, keepdims=True)
-    pooled = np.einsum("ijl,jld->ijd", attn_w, attn_v)
+    # pooled[i, j] = attn_w[i, j] @ attn_v[j]: one product per video j
+    pooled = np.matmul(attn_w.transpose(1, 0, 2), attn_v).transpose(1, 0, 2)
     if drop_mask is not None:
         if drop_mask.shape != (n, n, d):
             raise ContractViolation("dropout mask shape mismatch")
@@ -285,21 +297,25 @@ def forward_batch(
     if np.any(fused_norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
     fused = fused_pre / fused_norms[..., None]
+    # the cosine grids below all measure against fused; norm it once
+    fused_unit_norms = np.linalg.norm(fused, axis=2)
 
     cache.attn_q, cache.attn_k, cache.attn_v, cache.attn_w = attn_q, attn_k, attn_v, attn_w
     cache.pooled, cache.pooled_dropped = pooled, pooled_dropped
     cache.drop_mask = drop_mask
     cache.fused_pre, cache.fused_norms, cache.fused = fused_pre, fused_norms, fused
+    cache.fused_unit_norms = fused_unit_norms
 
     lam_raw = np.exp(params.log_lambda)
     cache.lam_clamped = bool(lam_raw > LAMBDA_MAX)
     lam = float(min(lam_raw, LAMBDA_MAX))
     cache.lam = lam
 
-    ce_sims, ce_rn, ce_sn = _cos_grid(text_emb, fused)
-    l_t2v, l_v2t, p_row, p_col = _ce_terms(ce_sims, lam)
+    ce_sims, ce_rn = _cos_grid(text_emb[None], fused, fused_unit_norms)
+    l_t2v, l_v2t, p_row, p_col = _ce_terms(ce_sims[0], lam)
+    l_t2v, l_v2t = float(l_t2v), float(l_v2t)
     l_ce = 0.5 * (l_t2v + l_v2t)
-    cache.ce_grid = (ce_sims, ce_rn, ce_sn, p_row, p_col)
+    cache.ce_grid = (ce_sims[0], ce_rn[0], p_row, p_col)
 
     l_s = None
     l_sup = None
@@ -313,7 +329,9 @@ def forward_batch(
             raise ContractViolation("noise shape mismatch")
         cache.eps = eps
 
-        sims_f, nt, nf = _cos_grid(text_emb, frame_emb)
+        nf = np.linalg.norm(frame_emb, axis=2)
+        sims_f, nt = _cos_grid(text_emb[None], frame_emb, nf)
+        sims_f, nt = sims_f[0], nt[0]
         cache.frame_sims = (sims_f, nt, nf)
         rparams = params.radius
         if rparams.variant == "linear":
@@ -326,18 +344,13 @@ def forward_batch(
         cache.sbar = sbar
         cache.radius_grid = radius_grid
 
-        samples = eps.shape[0]
-        s_terms = []
-        cache.s_grids = []
-        cache.stochastic = []
-        for k in range(samples):
-            shifted_text = text_emb + radius_grid * eps[k]
-            s_sims, s_rn, s_sn = _cos_grid(shifted_text, fused)
-            s_t2v, s_v2t, s_prow, s_pcol = _ce_terms(s_sims, lam)
-            s_terms.append(0.5 * (s_t2v + s_v2t))
-            cache.stochastic.append(shifted_text)
-            cache.s_grids.append((s_sims, s_rn, s_sn, s_prow, s_pcol))
-        l_s = float(np.mean(s_terms))
+        # all S samples t + R * eps_s as one (S, N, d) stack
+        stochastic = text_emb + radius_grid * eps
+        s_sims, s_rn = _cos_grid(stochastic, fused, fused_unit_norms)
+        s_t2v, s_v2t, s_prow, s_pcol = _ce_terms(s_sims, lam)
+        l_s = float(np.mean(0.5 * (s_t2v + s_v2t)))
+        cache.stochastic = stochastic
+        cache.s_grids = (s_sims, s_rn, s_prow, s_pcol)
 
         fused_diag = fused[np.arange(n), np.arange(n)]
         delta = fused_diag - text_emb
@@ -352,11 +365,11 @@ def forward_batch(
         cache.support_dist = dist[vidx]
         cache.support_dir = direction
         cache.support_rows = support_rows
-        sub = fused[np.ix_(vidx, vidx)]
-        sup_sims, sup_rn, sup_sn = _cos_grid(support_rows, sub)
-        sup_t2v, sup_v2t, sup_prow, sup_pcol = _ce_terms(sup_sims, lam)
-        l_sup = 0.5 * (sup_t2v + sup_v2t)
-        cache.sup_grid = (sup_sims, sup_rn, sup_sn, sup_prow, sup_pcol)
+        sub = np.ix_(vidx, vidx)
+        sup_sims, sup_rn = _cos_grid(support_rows[None], fused[sub], fused_unit_norms[sub])
+        sup_t2v, sup_v2t, sup_prow, sup_pcol = _ce_terms(sup_sims[0], lam)
+        l_sup = 0.5 * (float(sup_t2v) + float(sup_v2t))
+        cache.sup_grid = (sup_sims[0], sup_rn[0], sup_prow, sup_pcol)
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
     l_total = w_ce * l_ce
@@ -405,38 +418,38 @@ def backward_batch(cache: ForwardCache) -> dict[str, np.ndarray]:
     d_radius = np.zeros_like(cache.radius_grid) if cache.radius_grid is not None else None
     d_lam_total = 0.0
 
+    fused_sn = cache.fused_unit_norms
     if w_ce != 0.0:
-        ce_sims, ce_rn, ce_sn, p_row, p_col = cache.ce_grid
+        ce_sims, ce_rn, p_row, p_col = cache.ce_grid
         d_sims, d_lam = _ce_backward(ce_sims, lam, p_row, p_col, w_ce)
         d_lam_total += d_lam
-        d_rows, d_stack = _cos_grid_backward(d_sims, text_emb, fused, ce_sims, ce_rn, ce_sn)
-        d_text += d_rows
+        d_rows, d_stack = _cos_grid_backward(
+            d_sims[None], text_emb[None], fused, ce_sims[None], ce_rn[None], fused_sn
+        )
+        d_text += d_rows[0]
         d_fused += d_stack
 
     if mode != "baseline" and w_s != 0.0:
-        samples = len(cache.s_grids)
-        for k in range(samples):
-            s_sims, s_rn, s_sn, s_prow, s_pcol = cache.s_grids[k]
-            shifted_text = cache.stochastic[k]
-            d_sims, d_lam = _ce_backward(s_sims, lam, s_prow, s_pcol, w_s / samples)
-            d_lam_total += d_lam
-            d_rows, d_stack = _cos_grid_backward(d_sims, shifted_text, fused, s_sims, s_rn, s_sn)
-            d_fused += d_stack
-            d_text += d_rows
-            d_radius += cache.eps[k] * d_rows
+        s_sims, s_rn, s_prow, s_pcol = cache.s_grids
+        d_sims, d_lam = _ce_backward(s_sims, lam, s_prow, s_pcol, w_s / s_sims.shape[0])
+        d_lam_total += np.sum(d_lam)
+        d_rows, d_stack = _cos_grid_backward(d_sims, cache.stochastic, fused, s_sims, s_rn, fused_sn)
+        d_fused += d_stack
+        d_text += d_rows.sum(axis=0)
+        d_radius += (cache.eps * d_rows).sum(axis=0)
 
     if mode != "baseline" and w_sup != 0.0:
-        sup_sims, sup_rn, sup_sn, sup_prow, sup_pcol = cache.sup_grid
+        sup_sims, sup_rn, sup_prow, sup_pcol = cache.sup_grid
         vidx = np.flatnonzero(cache.valid)
-        sub = fused[np.ix_(vidx, vidx)]
+        sub = np.ix_(vidx, vidx)
         d_sims, d_lam = _ce_backward(sup_sims, lam, sup_prow, sup_pcol, w_sup)
         d_lam_total += d_lam
         d_rows, d_stack = _cos_grid_backward(
-            d_sims, cache.support_rows, sub, sup_sims, sup_rn, sup_sn
+            d_sims[None], cache.support_rows[None], fused[sub], sup_sims[None], sup_rn[None],
+            fused_sn[sub],
         )
-        acc = np.zeros_like(d_fused)
-        acc[np.ix_(vidx, vidx)] = d_stack
-        d_fused += acc
+        d_rows = d_rows[0]
+        d_fused[sub] += d_stack
         # support row: t + direction * R with direction = (v - t) / ||v - t||
         d_text[vidx] += d_rows
         d_radius[vidx] += cache.support_dir * d_rows
@@ -464,37 +477,44 @@ def backward_batch(cache: ForwardCache) -> dict[str, np.ndarray]:
             else:
                 d_sbar = np.exp(cache.sbar) * row_sum
             d_sims_f = np.repeat(d_sbar[:, None], sims_f.shape[1], axis=1) / sims_f.shape[1]
-        d_rows, d_stack = _cos_grid_backward(d_sims_f, text_emb, frame_emb, sims_f, nt, nf)
-        d_text += d_rows
+        d_rows, d_stack = _cos_grid_backward(
+            d_sims_f[None], text_emb[None], frame_emb, sims_f[None], nt[None], nf
+        )
+        d_text += d_rows[0]
         d_frames += d_stack
 
-    # fusion grid backward
+    # fusion grid backward: every contraction is a (batched) matmul
     fusion = params.fusion
+    frames = frame_emb.shape[1]
     d_pre_fused = _normalize_backward(fused, cache.fused_norms, d_fused)
-    grads["fusion_out"] += np.einsum("ijd,ije->de", d_pre_fused, cache.pooled_dropped)
+    grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ cache.pooled_dropped.reshape(-1, d)
     d_pooled = d_pre_fused @ fusion.output_map
     if cache.drop_mask is not None:
         d_pooled = d_pooled * cache.drop_mask
-    d_w = np.einsum("ijd,jld->ijl", d_pooled, cache.attn_v)
-    d_v = np.einsum("ijl,ijd->jld", cache.attn_w, d_pooled)
+    # per video j: d_w[:, j] = d_pooled[:, j] @ v_j.T and d_v[j] = w[:, j].T @ d_pooled[:, j]
+    d_pooled_j = d_pooled.transpose(1, 0, 2)
+    d_w = np.matmul(d_pooled_j, cache.attn_v.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_v = np.matmul(cache.attn_w.transpose(1, 2, 0), d_pooled_j)
     inner_w = np.sum(cache.attn_w * d_w, axis=2, keepdims=True)
-    d_logits = cache.attn_w * (d_w - inner_w)
+    d_logits = (cache.attn_w * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
-    d_q = np.einsum("ijl,jld->id", d_logits, cache.attn_k) * scale
-    d_k = np.einsum("ijl,id->jld", d_logits, cache.attn_q) * scale
+    d_q = (d_logits @ cache.attn_k.reshape(n * frames, d)) * scale
+    d_k = (d_logits.T @ cache.attn_q) * scale
     grads["fusion_query"] += d_q.T @ text_emb
     d_text += d_q @ fusion.query_map
-    grads["fusion_key"] += np.einsum("jld,jle->de", d_k, frame_emb)
-    d_frames += d_k @ fusion.key_map
-    grads["fusion_value"] += np.einsum("jld,jle->de", d_v, frame_emb)
-    d_frames += d_v @ fusion.value_map
+    frame_rows = frame_emb.reshape(n * frames, d)
+    grads["fusion_key"] += d_k.T @ frame_rows
+    d_frames += (d_k @ fusion.key_map).reshape(n, frames, d)
+    d_v = d_v.reshape(n * frames, d)
+    grads["fusion_value"] += d_v.T @ frame_rows
+    d_frames += (d_v @ fusion.value_map).reshape(n, frames, d)
 
     # encoder backward; projections are frozen, adapters may be absent
     stack = params.stack
     d_pre_frame = _normalize_backward(frame_emb, cache.frame_norms, d_frames)
     d_pre_text = _normalize_backward(text_emb, cache.text_norms, d_text)
     if stack.adapters_enabled:
-        grads["adapter_frame"] += np.einsum("jld,jle->de", d_pre_frame, cache.pf)
+        grads["adapter_frame"] += d_pre_frame.reshape(-1, d).T @ cache.pf.reshape(-1, d)
         grads["adapter_text"] += d_pre_text.T @ cache.pt
 
     if not cache.lam_clamped:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -80,6 +81,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_text_value(f.name, getattr(self, f.name))
         if self.mode not in MODES:
             raise ContractViolation(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.epochs < 0 or self.train_samples < 1:
@@ -94,6 +97,14 @@ class TrainingConfig:
             raise ContractViolation("model sizes and trial count must be positive")
         if self.radius_variant not in RADIUS_VARIANTS:
             raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
+
+
+def _check_text_value(key: str, value) -> None:
+    """Config text is one `key = value` line per key and cuts a value at its
+    first `#`, so a str value holding `#` or a line break would not read
+    back as written."""
+    if isinstance(value, str) and any(ch in value for ch in "#\n\r"):
+        raise ContractViolation(f"config value {key} = {value!r} holds '#' or a line break")
 
 
 def _parse_value(raw: str, default):
@@ -120,6 +131,7 @@ def config_to_text(config) -> str:
             value = "true" if value else "false"
         elif isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
+        _check_text_value(key, value)
         lines.append(f"{key} = {value}\n")
     return "".join(lines)
 
@@ -393,6 +405,8 @@ def _unpack_array_table(reader: _Reader) -> dict:
 
 
 def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
+    """Write state and config to path atomically: a reader sees the old
+    file or the complete new one, never a partial write."""
     params = state.params
     arrays = {name: get_param(params, name) for name in all_array_names(params)}
     opt = {}
@@ -414,8 +428,17 @@ def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
             struct.pack("<Q", state.global_step),
         ]
     )
-    with open(path, "wb") as handle:
-        handle.write(blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
@@ -452,6 +475,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
         stored = arrays.pop(name)
         if stored.shape != get_param(params, name).shape:
             raise FormatError(f"shape mismatch for {name!r}")
+        if not np.all(np.isfinite(stored)):
+            raise FormatError(f"parameter {name!r} holds non-finite values")
         if name == "proj_text":
             params.stack.proj_text = stored
         elif name == "proj_frame":
@@ -475,6 +500,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
             stored = opt_entries.pop(key)
             if stored.shape != moments[name].shape:
                 raise FormatError(f"shape mismatch for {key!r}")
+            if not np.all(np.isfinite(stored)):
+                raise FormatError(f"optimizer entry {key!r} holds non-finite values")
             moments[name] = stored
     if opt_entries:
         raise FormatError(f"checkpoint has unknown optimizer entry {sorted(opt_entries)[0]!r}")

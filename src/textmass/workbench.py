@@ -30,9 +30,9 @@ from .core import ContractViolation, OracleFailure, substream
 from .dataset import CorpusArrays, SyntheticSpec, generate, read_corpus, split_arrays, write_corpus
 from .evaluation import (
     RetrievalMetrics,
-    alignment_report,
+    alignment_rows,
     inference_similarity_matrix,
-    radius_dynamics_report,
+    pool_radius_report,
     rank_metrics,
     video_to_text_metrics,
     write_alignment_report,
@@ -162,6 +162,11 @@ def _test_metrics(
         corpus.test_text, corpus.test_videos, params, SamplingConfig(trials=trials),
         use_sampling, seed,
     )
+    return _pool_metrics(sims)
+
+
+def _pool_metrics(sims: np.ndarray) -> tuple[RetrievalMetrics, RetrievalMetrics]:
+    """Both directions' metrics of an aligned test pool's (Q, Q) scores."""
     relevant = np.arange(sims.shape[0])
     _, t2v = rank_metrics(sims, relevant)
     return t2v, video_to_text_metrics(sims, relevant)
@@ -382,37 +387,28 @@ def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
     params = state.params
     cfg = SamplingConfig(trials=run.trials)
 
-    t2v, v2t = _test_metrics(corpus, params, run.sampling, run.trials, run.seed)
-    write_metrics_csv(out / "metrics.csv", [t2v, v2t])
-
-    radius_rows = []
-    for q in range(corpus.test_text.shape[0]):
-        radius_rows.extend(
-            radius_dynamics_report(
-                corpus.test_text[q], corpus.test_videos, params, q, cfg, run.seed,
-                query_id=q,
-            )
-        )
+    # one deterministic and one best-of-M pass over the test pool feed all
+    # three reports
+    pool = (corpus.test_text, corpus.test_videos, params, cfg)
+    det = inference_similarity_matrix(*pool, False, run.seed)
+    stoch = inference_similarity_matrix(*pool, True, run.seed)
+    write_metrics_csv(out / "metrics.csv", list(_pool_metrics(stoch if run.sampling else det)))
+    radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
     write_radius_report(out / "radius_report.csv", radius_rows)
-
-    alignment_rows = alignment_report(corpus.test_text, corpus.test_videos, params, cfg, run.seed)
-    write_alignment_report(out / "alignment_report.csv", alignment_rows)
+    alignment = alignment_rows(det, stoch, params.logit_scale())
+    write_alignment_report(out / "alignment_report.csv", alignment)
 
     # qualitative observations, logged rather than gated
-    queries = corpus.test_text.shape[0]
-    smallest = 0
-    for q in range(queries):
-        mine = [r for r in radius_rows if r.query_id == q]
-        rel = next(r.l1_radius for r in mine if r.relevant)
-        others = [r.l1_radius for r in mine if not r.relevant]
-        if others and rel < min(others):
-            smallest += 1
+    queries = det.shape[0]
+    l1 = np.array([r.l1_radius for r in radius_rows]).reshape(queries, queries)
+    others = np.where(np.eye(queries, dtype=bool), np.inf, l1).min(axis=1)
+    smallest = int(np.count_nonzero(np.diagonal(l1) < others)) if queries > 1 else 0
     log.note(
         f"relevant candidate carries the smallest radius mass for {smallest}/{queries} "
         f"queries ({100.0 * smallest / queries:.1f}%)"
     )
-    d_sim = float(np.mean([r.max_irrelevant_sim_stoch - r.max_irrelevant_sim_det for r in alignment_rows]))
-    d_ce = float(np.mean([r.ce_stoch - r.ce_det for r in alignment_rows]))
+    d_sim = float(np.mean([r.max_irrelevant_sim_stoch - r.max_irrelevant_sim_det for r in alignment]))
+    d_ce = float(np.mean([r.ce_stoch - r.ce_det for r in alignment]))
     log.note(
         f"best-of-{run.trials} selection shifts max irrelevant similarity by {d_sim:+.4f} "
         f"and per-pair ce by {d_ce:+.4f} on average"

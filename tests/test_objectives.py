@@ -3,12 +3,14 @@ the hand-written backward pass against central finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from textmass.core import ContractViolation, DegenerateGeometryError, SeededRng, substream
-from textmass.encoders import encode_frames, encode_text, fuse
-from textmass.mass import frame_similarities, radius, support_text
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, substream
+from textmass.encoders import encode_frames, encode_text, fuse, sample_frame_indices
+from textmass.mass import DEGENERATE_DISTANCE, frame_similarities, radius, support_text
 from textmass.model import (
-    ModelParameters,
+    LAMBDA_MAX,
     flatten_grads,
     flatten_params,
     get_param,
@@ -383,3 +385,243 @@ class TestParameterPlumbing:
         theta = get_param(params, "radius_theta")
         assert theta.shape == ()
         assert isinstance(params.radius.theta, float)
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference of the batched forward/backward pass
+#
+# A plain transcription of the objective with one Python iteration per noise
+# sample and every contraction written as an einsum. forward_batch and
+# backward_batch stack the samples and contract with matmul instead, so the
+# two may differ only by roundoff.
+
+
+def _ref_cos_grid(rows, stack):
+    dots = np.einsum("id,ijd->ij", rows, stack)
+    rn = np.linalg.norm(rows, axis=1)
+    sn = np.linalg.norm(stack, axis=2)
+    return dots / (rn[:, None] * sn + NORM_GUARD), rn, sn
+
+
+def _ref_cos_grid_backward(d_sims, rows, stack, sims, rn, sn):
+    denom = rn[:, None] * sn + NORM_GUARD
+    lead = d_sims / denom
+    d_rows = np.einsum("ij,ijd->id", lead, stack)
+    d_rows -= rows * np.sum(d_sims * sims * sn / (rn[:, None] * denom), axis=1)[:, None]
+    d_stack = lead[:, :, None] * rows[:, None, :]
+    d_stack -= (d_sims * sims * rn[:, None] / (sn * denom))[:, :, None] * stack
+    return d_rows, d_stack
+
+
+def _ref_ce(sims, lam):
+    """(l_ce, d_sims, d_lam) of one matrix; d_* are for upstream 1."""
+    n = sims.shape[0]
+    logits = lam * sims
+    p_row = np.exp(logits - logits.max(axis=1, keepdims=True))
+    lse_row = np.log(p_row.sum(axis=1)) + logits.max(axis=1)
+    p_row /= p_row.sum(axis=1, keepdims=True)
+    p_col = np.exp(logits - logits.max(axis=0, keepdims=True))
+    lse_col = np.log(p_col.sum(axis=0)) + logits.max(axis=0)
+    p_col /= p_col.sum(axis=0, keepdims=True)
+    l_ce = 0.5 * (np.mean(lse_row - np.diagonal(logits)) + np.mean(lse_col - np.diagonal(logits)))
+    d_sims = lam / (2.0 * n) * (p_row + p_col) - lam / n * np.eye(n)
+    d_lam = (np.sum((p_row + p_col) * sims) - 2.0 * np.trace(sims)) / (2.0 * n)
+    return l_ce, d_sims, d_lam
+
+
+def _ref_normalize(x):
+    norms = np.linalg.norm(x, axis=-1)
+    unit = x / norms[..., None]
+
+    def back(d_unit):
+        inner = np.sum(unit * d_unit, axis=-1, keepdims=True)
+        return (d_unit - unit * inner) / norms[..., None]
+
+    return unit, back
+
+
+def reference_objective(batch, params, mode, alpha, eps, drop_mask):
+    """(losses, per-sample l_s terms, grads) with one loop pass per sample."""
+    w_ce, w_s, w_sup = mode_weights(mode, alpha)
+    stack, fusion, rp = params.stack, params.fusion, params.radius
+    d = params.dim
+    n = batch.size
+    idx = sample_frame_indices(batch.videos.shape[1], params.frame_count)
+    pt = batch.text @ stack.proj_text.T
+    pf = batch.videos[:, idx, :] @ stack.proj_frame.T
+    a_text = stack.adapter_text if stack.adapters_enabled else np.eye(d)
+    a_frame = stack.adapter_frame if stack.adapters_enabled else np.eye(d)
+    text, text_back = _ref_normalize(pt @ a_text.T)
+    frames, frame_back = _ref_normalize(pf @ a_frame.T)
+
+    q, k, v = text @ fusion.query_map.T, frames @ fusion.key_map.T, frames @ fusion.value_map.T
+    logits = np.einsum("id,jld->ijl", q, k) / np.sqrt(d)
+    w = np.exp(logits - logits.max(axis=2, keepdims=True))
+    w /= w.sum(axis=2, keepdims=True)
+    pooled = np.einsum("ijl,jld->ijd", w, v)
+    mask = np.ones_like(pooled) if drop_mask is None else drop_mask
+    fused, fused_back = _ref_normalize((pooled * mask) @ fusion.output_map.T)
+    lam = min(np.exp(params.log_lambda), LAMBDA_MAX)
+
+    d_text, d_frames, d_fused = np.zeros_like(text), np.zeros_like(frames), np.zeros_like(fused)
+    d_lam = 0.0
+    grads = {}
+
+    sims, rn, sn = _ref_cos_grid(text, fused)
+    l_ce, g_sims, g_lam = _ref_ce(sims, lam)
+    d_rows, d_stack = _ref_cos_grid_backward(w_ce * g_sims, text, fused, sims, rn, sn)
+    d_text += d_rows
+    d_fused += d_stack
+    d_lam += w_ce * g_lam
+    terms, l_sup = [], None
+    if mode != "baseline":
+        sims_f, nt, nf = _ref_cos_grid(text, frames)
+        if rp.variant == "linear":
+            r = np.exp(sims_f @ rp.weights)
+        else:
+            scale = rp.theta if rp.variant == "scalar" else 1.0
+            r = np.exp(scale * sims_f.mean(axis=1))[:, None] * np.ones(d)
+        d_r = np.zeros_like(r)
+        for eps_k in eps:
+            shifted = text + r * eps_k
+            sims, rn, sn = _ref_cos_grid(shifted, fused)
+            term, g_sims, g_lam = _ref_ce(sims, lam)
+            terms.append(term)
+            up = w_s / len(eps)
+            d_rows, d_stack = _ref_cos_grid_backward(up * g_sims, shifted, fused, sims, rn, sn)
+            d_text += d_rows
+            d_r += eps_k * d_rows
+            d_fused += d_stack
+            d_lam += up * g_lam
+
+        vidx = np.flatnonzero(np.linalg.norm(fused[np.arange(n), np.arange(n)] - text, axis=1)
+                              > DEGENERATE_DISTANCE)
+        delta = fused[vidx, vidx] - text[vidx]
+        dist = np.linalg.norm(delta, axis=1)
+        direction = delta / dist[:, None]
+        rows = text[vidx] + direction * r[vidx]
+        sub = fused[np.ix_(vidx, vidx)]
+        sims, rn, sn = _ref_cos_grid(rows, sub)
+        l_sup, g_sims, g_lam = _ref_ce(sims, lam)
+        d_rows, d_stack = _ref_cos_grid_backward(w_sup * g_sims, rows, sub, sims, rn, sn)
+        d_lam += w_sup * g_lam
+        for a, i in enumerate(vidx):
+            d_fused[i, vidx] += d_stack[a]
+        d_text[vidx] += d_rows
+        d_r[vidx] += direction * d_rows
+        d_dir = r[vidx] * d_rows
+        d_delta = (d_dir - direction * np.sum(direction * d_dir, axis=1, keepdims=True)) / dist[:, None]
+        d_fused[vidx, vidx] += d_delta
+        d_text[vidx] -= d_delta
+
+        if rp.variant == "linear":
+            d_pre = d_r * r
+            grads["radius_weights"] = sims_f.T @ d_pre
+            d_sims_f = d_pre @ rp.weights.T
+        else:
+            expo = np.exp(scale * sims_f.mean(axis=1))
+            grads["radius_theta"] = np.sum(sims_f.mean(axis=1) * expo * d_r.sum(axis=1))
+            d_sims_f = np.repeat((scale * expo * d_r.sum(axis=1))[:, None], nf.shape[1], axis=1)
+            d_sims_f /= nf.shape[1]
+        d_rows, d_stack = _ref_cos_grid_backward(d_sims_f, text, frames, sims_f, nt, nf)
+        d_text += d_rows
+        d_frames += d_stack
+
+    d_pre_fused = fused_back(d_fused)
+    grads["fusion_out"] = np.einsum("ijd,ije->de", d_pre_fused, pooled * mask)
+    d_pooled = (d_pre_fused @ fusion.output_map) * mask
+    d_w = np.einsum("ijd,jld->ijl", d_pooled, v)
+    d_v = np.einsum("ijl,ijd->jld", w, d_pooled)
+    d_logits = w * (d_w - np.sum(w * d_w, axis=2, keepdims=True)) / np.sqrt(d)
+    d_q = np.einsum("ijl,jld->id", d_logits, k)
+    d_k = np.einsum("ijl,id->jld", d_logits, q)
+    grads["fusion_query"] = d_q.T @ text
+    grads["fusion_key"] = np.einsum("jld,jle->de", d_k, frames)
+    grads["fusion_value"] = np.einsum("jld,jle->de", d_v, frames)
+    d_text += d_q @ fusion.query_map
+    d_frames += d_k @ fusion.key_map + d_v @ fusion.value_map
+    grads["adapter_text"] = text_back(d_text).T @ pt
+    grads["adapter_frame"] = np.einsum("jld,jle->de", frame_back(d_frames), pf)
+    grads["log_lambda"] = 0.0 if np.exp(params.log_lambda) > LAMBDA_MAX else d_lam * lam
+
+    l_s = float(np.mean(terms)) if terms else None
+    total = w_ce * l_ce + (w_s * l_s if terms else 0.0) + (w_sup * l_sup if terms else 0.0)
+    losses = {"l_ce": l_ce, "l_s": l_s, "l_sup": l_sup, "l_total": total}
+    names = trainable_names(params, mode)
+    return losses, terms, {name: np.asarray(grads[name]) for name in names}
+
+
+def assert_close(actual, expected, what):
+    err = np.abs(np.asarray(actual, dtype=np.float64) - expected)
+    ok = (err <= 1e-14) | (err <= 1e-12 * np.abs(expected))
+    assert np.all(ok), f"{what}: worst error {err.max():.3e}"
+
+
+def degenerate_first_pair(params, batch, drop_mask):
+    """Make pair 0's fused video equal its text: identity projections and
+    value/output maps, one adapter for both towers, every frame of video 0
+    equal to text 0, and dropout kept on the (0, 0) cell."""
+    d = params.dim
+    params.stack.proj_text = np.eye(d)
+    params.stack.proj_frame = np.eye(d)
+    params.stack.adapter_frame = params.stack.adapter_text.copy()
+    params.fusion.value_map = np.eye(d)
+    params.fusion.output_map = np.eye(d)
+    batch.videos[0] = batch.text[0]
+    if drop_mask is not None:
+        drop_mask[0, 0] = 1.0
+
+
+class TestBatchedMatchesPerSampleReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.sampled_from([1, 3, 16]),
+        variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
+        mode=st.sampled_from(["t-mass", "ablation-ce-plus-s", "baseline"]),
+        adapters=st.booleans(),
+        dropout=st.booleans(),
+        degenerate=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_losses_and_gradients(self, samples, variant, mode, adapters, dropout, degenerate, seed):
+        d, n = 6, 4
+        params = init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters)
+        randomize(params, seed=seed)
+        batch = make_batch(n, d, 5, seed=seed)
+        mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
+        # a cell dropped in every dimension fuses to a zero vector, which
+        # forward_batch rejects
+        assume(mask is None or mask.any(axis=2).all())
+        if degenerate:
+            degenerate_first_pair(params, batch, mask)
+        eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)
+
+        breakdown, cache = forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
+        grads = backward_batch(cache)
+        losses, terms, ref_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
+
+        if degenerate and mode != "baseline":
+            assert not cache.valid[0] and cache.valid[1:].all()
+        for key, ref in losses.items():
+            if ref is None:
+                assert getattr(breakdown, key) is None
+            else:
+                assert_close(getattr(breakdown, key), ref, key)
+        assert list(grads) == list(ref_grads)
+        for name, ref in ref_grads.items():
+            assert_close(grads[name], ref, name)
+
+        if mode != "baseline":
+            first = max(1, samples // 2)
+            prefix, _ = forward_batch(batch, params, mode, 1.2, eps=eps[:first], drop_mask=mask)
+            assert_close(prefix.l_s, np.mean(terms[:first]), "l_s of a sample prefix")
+
+    def test_stacked_cache_indexes_samples(self):
+        params = randomize(make_model())
+        batch = make_batch(3, 6, 5, seed=5)
+        eps = draw_noise(substream(5, 7011), 4, 3, 8)
+        _, cache = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        assert cache.stochastic.shape == (4, 3, 8)
+        assert cache.s_grids[0].shape == (4, 3, 3)
+        for k in range(4):
+            assert np.array_equal(cache.stochastic[k], cache.text_emb + cache.radius_grid * eps[k])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textmass import trainer
 from textmass.core import ContractViolation, FormatError, substream
 from textmass.model import flatten_params, get_param, trainable_names
 from textmass.trainer import (
@@ -382,6 +383,70 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        state.params.fusion.output_map[1, 2] = value
+        path = tmp_path / "state.tmck"
+        save_checkpoint(path, state, config)
+        with pytest.raises(FormatError, match="parameter 'fusion_out'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_non_finite_optimizer_moment_rejected(self, tmp_path, value):
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        state.optimizer.second_moment["fusion_key"][0, 0] = value
+        path = tmp_path / "state.tmck"
+        save_checkpoint(path, state, config)
+        with pytest.raises(FormatError, match="optimizer entry 'v.fusion_key'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-old", "fresh"])
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        path = tmp_path / "state.tmck"
+        if existing:
+            save_checkpoint(path, train(text, videos, config, stop_after_epochs=0).state, config)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        real_open = open
+
+        class HalfWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, blob):
+                self.handle.write(blob[: len(blob) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(trainer, "open", lambda *a: HalfWrite(real_open(*a)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, state, config)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_save_bytes_do_not_depend_on_a_previous_file(self, tmp_path):
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        fresh, over = tmp_path / "fresh.tmck", tmp_path / "over.tmck"
+        save_checkpoint(fresh, state, config)
+        over.write_bytes(b"stale" * 10_000)
+        save_checkpoint(over, state, config)
+        assert over.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.tmck", "over.tmck"]
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,10 @@ round trips, and byte-level determinism."""
 import numpy as np
 import pytest
 
+from textmass import evaluation
 from textmass.core import ContractViolation
-from textmass.dataset import read_corpus
+from textmass.dataset import generate, read_corpus, split_arrays
+from textmass.mass import SamplingConfig
 from textmass.trainer import (
     TrainingConfig,
     config_to_text,
@@ -151,6 +153,16 @@ class TestRunConfigText(ConfigCodecSuite):
             RunConfig(radius_variant="cubic")
         with pytest.raises(ContractViolation):
             RunConfig(coverage=0.0)
+
+    @pytest.mark.parametrize("char", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
+    def test_path_that_would_not_read_back_rejected(self, char):
+        # "data = runs/#3" would parse back as "runs/"
+        with pytest.raises(ContractViolation, match="data"):
+            RunConfig(data=f"runs/{char}3")
+        config = RunConfig()
+        config.checkpoint = f"runs/{char}3/checkpoint.tmck"
+        with pytest.raises(ContractViolation, match="checkpoint"):
+            config_to_text(config)
 
 
 class TestDispatch:
@@ -365,6 +377,60 @@ class TestAnalyze:
         log = (out / "run.log").read_text()
         assert "smallest radius mass" in log
         assert "shifts max irrelevant similarity" in log
+
+    @pytest.mark.parametrize("sampling", ["true", "false"])
+    def test_one_pass_per_mode_gives_the_per_report_bytes(self, tmp_path, monkeypatch, sampling):
+        config = write_config(tmp_path, sampling=sampling)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+        checkpoint = run / "checkpoint.tmck"
+        analyze_config = write_config(
+            tmp_path, name="analyze.txt", checkpoint=str(checkpoint), sampling=sampling
+        )
+        scored = []
+        score_query = evaluation._score_query
+
+        def counting(t, fused, radius_grid, *rest):
+            scored.append(radius_grid is not None)
+            return score_query(t, fused, radius_grid, *rest)
+
+        monkeypatch.setattr(evaluation, "_score_query", counting)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", str(analyze_config), "--out", str(out)]) == 0
+        # 8 test queries: one deterministic and one sampled pass
+        assert sorted(scored) == [False] * 8 + [True] * 8
+        monkeypatch.undo()
+
+        # each report scored on its own, as the public per-report functions do
+        cfg = parse_config_text(analyze_config.read_text(encoding="utf-8"), RunConfig())
+        params = load_checkpoint(checkpoint)[0].params
+        pool = split_arrays(generate(cfg.synthetic_spec()))
+        texts, videos = pool.test_text, pool.test_videos
+        trials = SamplingConfig(trials=cfg.trials)
+        sims = evaluation.inference_similarity_matrix(
+            texts, videos, params, trials, cfg.sampling, cfg.seed
+        )
+        relevant = np.arange(len(texts))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        evaluation.write_metrics_csv(
+            expected / "metrics.csv",
+            [evaluation.rank_metrics(sims, relevant)[1],
+             evaluation.video_to_text_metrics(sims, relevant)],
+        )
+        evaluation.write_radius_report(expected / "radius_report.csv", [
+            row
+            for q in range(len(texts))
+            for row in evaluation.radius_dynamics_report(
+                texts[q], videos, params, q, trials, cfg.seed, query_id=q
+            )
+        ])
+        evaluation.write_alignment_report(
+            expected / "alignment_report.csv",
+            evaluation.alignment_report(texts, videos, params, trials, cfg.seed),
+        )
+        for name in ("metrics.csv", "radius_report.csv", "alignment_report.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 class TestGradcheck:
