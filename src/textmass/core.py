@@ -43,14 +43,17 @@ def stream_key(*parts: int) -> int:
     """
     h = 0
     for p in parts:
-        h = (h ^ (int(p) & _U64)) & _U64
-        # splitmix64 finalizer
-        h = (h + 0x9E3779B97F4A7C15) & _U64
-        z = h
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        h = z ^ (z >> 31)
+        h = _fold_part(h, int(p) & _U64)
     return h
+
+
+def _fold_part(h, p):
+    """One step of stream_key: fold part p into key h with the splitmix64
+    finalizer. h and p are ints below 2**64 or uint64 arrays."""
+    h = ((h ^ p) + 0x9E3779B97F4A7C15) & _U64
+    z = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
 
 
 class SeededRng:
@@ -111,6 +114,99 @@ def box_muller(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def substream(seed: int, *parts: int) -> SeededRng:
     """Rng on the substream keyed by the given id tuple."""
     return SeededRng(seed, stream_key(*parts))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 LCG multiplier; tests/test_core.py checks stacked_uniforms
+# against SeededRng row by row, so a change on numpy's side fails there.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_WORDS = 4
+_U32 = (1 << 32) - 1
+_U128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_states(seed: int, streams: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of SeededRng(seed, s) for every u64 stream s.
+
+    SeedSequence([seed, s]) splits each int into u32 words, low word first
+    (0 as one zero word), and hashes them into a pool of 4 words; the seed
+    always leads and zero padding equals a short entropy list, so a stream
+    is always its two words. Each row is then seeded as pcg64_srandom_r
+    does from the pool's first 4 generated u64 words.
+    """
+    seed_words = [seed & _U32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(streams.shape, w, dtype=np.uint32) for w in seed_words]
+    entropy += [(streams & _U32).astype(np.uint32), (streams >> 32).astype(np.uint32)]
+    entropy += [np.zeros(streams.shape, dtype=np.uint32)] * (_POOL_WORDS - len(entropy))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst]
+                mixed -= np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _U32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    w0, w1, w2, w3 = (words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4))
+
+    states = []
+    for a, b, c, d in zip(w0.tolist(), w1.tolist(), w2.tolist(), w3.tolist()):
+        inc = (((c << 64) | d) << 1 | 1) & _U128
+        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _U128, inc))
+    return states
+
+
+def stacked_uniforms(
+    seed: int, parts: tuple[int, ...], count: int, width: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(count, width) uniforms whose row c is, bit for bit,
+    substream(seed, *parts, c).uniform(width).
+
+    The stream keys and seed hashes of all rows are computed in one
+    vectorised pass, and every row is drawn on one reused generator set to
+    that row's PCG64 state, instead of building count generators. ``out``
+    must be a C-contiguous (count, width) float64 array.
+    """
+    count, width = int(count), int(width)
+    if out is None:
+        out = np.empty((count, width))
+    if out.shape != (count, width) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractViolation(f"uniform buffer must be C-contiguous float64 ({count}, {width})")
+    keys = np.full(count, stream_key(*parts), dtype=np.uint64)
+    streams = _fold_part(keys, np.arange(count, dtype=np.uint64))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(out, _pcg64_states(int(seed) & _U64, streams)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(out=row)
+    return out
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

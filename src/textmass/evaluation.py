@@ -6,12 +6,12 @@ Scoring runs one query at a time over all of its candidates in one numpy
 pass. Without sampling a pair scores the clipped cosine of the text with
 the fused video. With sampling it scores the best cosine over M stochastic
 text samples, whose noise is drawn from a substream keyed by (seed, query
-id, candidate id); each query's draws are stacked into one buffer and
-turned into pools together, bit for bit as the per-pair
-``select_best_sample`` would draw and score them. Ranks use
-strictly-greater counting with index tie-break. Reports are emitted as
-UTF-8 CSV with 6-decimal numbers so identical seeds give byte-identical
-files.
+id, candidate id); each query's draws are seeded in one vectorised pass
+(``core.stacked_uniforms``), stacked into one buffer and turned into pools
+together, bit for bit as the per-pair ``select_best_sample`` would draw and
+score them. Ranks use strictly-greater counting with index tie-break.
+Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, NORM_GUARD, box_muller, substream
+from .core import ContractViolation, NORM_GUARD, box_muller, stacked_uniforms
+# substream and select_best_sample are the per-pair reference that
+# _score_query batches; they stay bound here, unused, because the traced
+# benchmark (perfbench/worker.py) wraps these module attributes by name
+from .core import substream  # noqa: F401
 from .encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
-# select_best_sample is the per-pair reference that _score_query batches; it
-# stays bound here so tools that wrap this module's names (perfbench) find it
 from .mass import SamplingConfig, pool_similarities, select_best_sample  # noqa: F401
 from .model import ModelParameters
 
@@ -138,34 +140,70 @@ def _score_query(
     query_id: int,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scores (C,) of one query against all of its candidates.
+    """Per-sample scores (C, M) of one query against all of its candidates.
 
-    Without a radius grid the pool is t alone. With one, candidate c's pool
-    is t + R_c * eps on substream (seed, _STREAM_EVAL, query_id, c): the
-    uniforms of every candidate are stacked into scratch, (C, 2*ceil(M*d/2)),
-    turned into normals and then into pools in place, so scratch may be
-    reused across queries. Raises ContractViolation on a non-finite score.
+    Without a radius grid the pool is t alone and M is 1. With one,
+    candidate c's pool is t + R_c * eps on substream (seed, _STREAM_EVAL,
+    query_id, c): the uniforms of every candidate are drawn into scratch,
+    (C, 2*ceil(M*d/2)), by one stacked_uniforms call, turned into normals
+    and then into pools in place, so scratch may be reused across queries.
+    A pair's best of its first m samples is the max of row prefix [:m].
+    Raises ContractViolation if a pair has a non-finite score.
     """
     if radius_grid is None:
-        scores = pool_similarities(t[None, None, :], fused)[:, 0]
+        scores = pool_similarities(t[None, None, :], fused)
     else:
         c_count, d = fused.shape
         width = _uniform_width(trials, d)
-        if scratch is None:
-            scratch = np.empty((c_count, width))
-        for c in range(c_count):
-            scratch[c] = substream(seed, _STREAM_EVAL, query_id, c).uniform(width)
+        scratch = stacked_uniforms(seed, (_STREAM_EVAL, query_id), c_count, width, scratch)
         box_muller(scratch, out=scratch)
         pool = scratch[:, : trials * d].reshape(c_count, trials, d)
         np.multiply(radius_grid[:, None, :], pool, out=pool)
         pool += t
-        scores = pool_similarities(pool, fused).max(axis=-1)
-    bad = int(np.count_nonzero(~np.isfinite(scores)))
+        scores = pool_similarities(pool, fused)
+    bad = int(np.count_nonzero(~np.isfinite(scores).all(axis=-1)))
     if bad:
         raise ContractViolation(
-            f"query {query_id}: {bad} of {scores.size} pair scores are non-finite"
+            f"query {query_id}: {bad} of {scores.shape[0]} pair scores are non-finite"
         )
     return scores
+
+
+def _best_of_prefixes(
+    texts: np.ndarray,
+    videos: np.ndarray,
+    params: ModelParameters,
+    trial_counts: tuple[int, ...],
+    use_sampling: bool,
+    seed: int,
+) -> dict[int, np.ndarray]:
+    """(Q, C) best-of-m matrix for every m in trial_counts, one query's row
+    at a time, from one pass at the largest m. Without sampling every pool
+    is the text alone, so every matrix is the deterministic one."""
+    texts = np.asarray(texts, dtype=np.float64)
+    videos = np.asarray(videos, dtype=np.float64)
+    if texts.ndim != 2 or videos.ndim != 3:
+        raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
+    if texts.shape[1] != videos.shape[2]:
+        raise ContractViolation("text and frame feature widths disagree")
+    text_emb = _embed_texts(texts, params)
+    frame_emb = _embed_frames(videos, params)
+    keys = frame_emb @ params.fusion.key_map.T
+    values = frame_emb @ params.fusion.value_map.T
+
+    q_count, c_count = text_emb.shape[0], frame_emb.shape[0]
+    trials = max(trial_counts)
+    scratch = None
+    if use_sampling:
+        scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
+    mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
+    for q, t in enumerate(text_emb):
+        fused = _fused_for_query(t, keys, values, params)
+        radius_grid = _radius_for_query(t, frame_emb, params) if use_sampling else None
+        scores = _score_query(t, fused, radius_grid, trials, seed, q, scratch)
+        for m, sims in mats.items():
+            sims[q] = scores[:, :m].max(axis=-1)
+    return mats
 
 
 def inference_similarity_matrix(
@@ -182,28 +220,24 @@ def inference_similarity_matrix(
     with the pair's fused video. With sampling it is the best of M mass
     samples per pair, equal bit for bit to select_best_sample on the pair's
     substream. Raises ContractViolation if any score is non-finite."""
-    texts = np.asarray(texts, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
-    if texts.ndim != 2 or videos.ndim != 3:
-        raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
-    if texts.shape[1] != videos.shape[2]:
-        raise ContractViolation("text and frame feature widths disagree")
-    text_emb = _embed_texts(texts, params)
-    frame_emb = _embed_frames(videos, params)
-    keys = frame_emb @ params.fusion.key_map.T
-    values = frame_emb @ params.fusion.value_map.T
+    return _best_of_prefixes(texts, videos, params, (cfg.trials,), use_sampling, seed)[cfg.trials]
 
-    q_count, c_count = text_emb.shape[0], frame_emb.shape[0]
-    scratch = None
-    if use_sampling:
-        scratch = np.empty((c_count, _uniform_width(cfg.trials, params.dim)))
-    sims = np.empty((q_count, c_count))
-    for q in range(q_count):
-        t = text_emb[q]
-        fused = _fused_for_query(t, keys, values, params)
-        radius_grid = _radius_for_query(t, frame_emb, params) if use_sampling else None
-        sims[q] = _score_query(t, fused, radius_grid, cfg.trials, seed, q, scratch)
-    return sims
+
+def nested_trial_matrices(
+    texts: np.ndarray,
+    videos: np.ndarray,
+    params: ModelParameters,
+    trial_counts: tuple[int, ...],
+    seed: int,
+) -> dict[int, np.ndarray]:
+    """Best-of-M (Q, C) matrices for every M in trial_counts from one
+    sampled pass at the largest M.
+
+    A pair's pool for a smaller M is a prefix of its pool for the largest,
+    and every sample is scored on its own row, so each matrix equals
+    inference_similarity_matrix with sampling at that M bit for bit."""
+    counts = tuple(SamplingConfig(trials=m).trials for m in trial_counts)
+    return _best_of_prefixes(texts, videos, params, counts, True, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +330,7 @@ def radius_dynamics_report(
     values = frame_emb @ params.fusion.value_map.T
     fused = _fused_for_query(text_emb, keys, values, params)
     radius_grid = _radius_for_query(text_emb, frame_emb, params)
-    best = _score_query(text_emb, fused, radius_grid, cfg.trials, seed, query_id)
+    best = _score_query(text_emb, fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
     return _radius_rows(query_id, relevant_index, radius_grid, best)
 
 

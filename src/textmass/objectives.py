@@ -536,12 +536,17 @@ def draw_noise(rng: SeededRng, samples: int, n: int, d: int) -> np.ndarray:
 
 
 def dropout_grid_mask(rng: SeededRng, n: int, d: int, rate: float) -> np.ndarray | None:
-    """Inverted-dropout mask for the pooled (N, N, d) fusion grid."""
+    """Inverted-dropout mask for the pooled (N, N, d) fusion grid.
+
+    An (i, j) cell whose d uniforms all fall below the rate is kept whole
+    instead of dropped whole, since a zero fused vector has no direction;
+    every other cell is masked entry by entry as drawn."""
     if rate <= 0.0:
         return None
     if rate >= 1.0:
         raise ContractViolation("dropout rate must stay below 1")
     keep = rng.uniform(n * n * d).reshape(n, n, d) >= rate
+    keep |= ~keep.any(axis=2, keepdims=True)
     return keep.astype(np.float64) / (1.0 - rate)
 
 

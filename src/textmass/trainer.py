@@ -492,6 +492,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     step = opt_entries.pop("step")
     if step.shape != () or not np.isfinite(step):
         raise FormatError("checkpoint optimizer step is not a finite scalar")
+    if step < 0 or step != np.floor(step):
+        raise FormatError(f"checkpoint optimizer step {float(step)!r} is not a count")
     optimizer.step = int(step)
     for name in optimizer.first_moment:
         for key, moments in ((f"m.{name}", optimizer.first_moment), (f"v.{name}", optimizer.second_moment)):

@@ -32,6 +32,7 @@ from .evaluation import (
     RetrievalMetrics,
     alignment_rows,
     inference_similarity_matrix,
+    nested_trial_matrices,
     pool_radius_report,
     rank_metrics,
     video_to_text_metrics,
@@ -256,7 +257,8 @@ def trials_sweep(
     run: RunConfig, corpus: CorpusArrays, log: RunLog
 ) -> list[tuple[str, str, RetrievalMetrics]]:
     """One training run per seed, evaluated without sampling and at each
-    trial count; nested sample pools make scores non-decreasing in M."""
+    trial count; nested sample pools make scores non-decreasing in M, and
+    one pass at the largest M scores every trial count."""
     base = run.training_config()
     if base.mode == "baseline":
         raise ContractViolation("config key 'mode' must be stochastic for sweep-trials")
@@ -268,8 +270,11 @@ def trials_sweep(
         params = result.state.params
         t2v, _ = _test_metrics(corpus, params, False, 1, seed)
         by_label["trials-off"].append(t2v)
+        nested = nested_trial_matrices(
+            corpus.test_text, corpus.test_videos, params, TRIALS_GRID, seed
+        )
         for m in TRIALS_GRID:
-            t2v, _ = _test_metrics(corpus, params, True, m, seed)
+            t2v, _ = _pool_metrics(nested[m])
             by_label[f"trials-{m}"].append(t2v)
         log.note(f"seed {seed}: evaluated trial grid off,{','.join(map(str, TRIALS_GRID))}")
     rows = []

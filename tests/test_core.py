@@ -11,9 +11,28 @@ from textmass.core import (
     cosine_similarity,
     finite_diff_gradient,
     softmax,
+    stacked_uniforms,
     stream_key,
     substream,
 )
+
+_U64 = 2**64 - 1
+
+
+def _unmix(z: int) -> int:
+    """Inverse of stream_key's splitmix64 finalizer."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & _U64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _U64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def part_for_stream(stream: int) -> int:
+    """The part p with stream_key(p, 0) == stream."""
+    golden = 0x9E3779B97F4A7C15
+    return (_unmix((_unmix(stream) - golden) & _U64) - golden) & _U64
+
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=8
@@ -145,6 +164,50 @@ class TestSeededRng:
         a = substream(11, 4, 5).standard_normal(8)
         b = SeededRng(11, stream_key(4, 5)).standard_normal(8)
         assert np.array_equal(a, b)
+
+
+class TestStackedUniforms:
+    """stacked_uniforms re-implements numpy's SeedSequence hash and PCG64
+    seeding, whose constants are numpy internals: these tests are the
+    guard that fails before any sampled score drifts."""
+
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]), st.integers(0, _U64)),
+        parts=st.lists(st.integers(0, _U64), max_size=3),
+        low_stream=st.none() | st.integers(0, 2**32 - 1),
+        count=st.integers(1, 5),
+        width=st.integers(1, 700),
+    )
+    @example(seed=0, parts=[301, 0], low_stream=None, count=3, width=640)
+    @example(seed=0, parts=[], low_stream=0, count=2, width=7)
+    @example(seed=2**32, parts=[], low_stream=5, count=2, width=700)
+    @example(seed=2**32, parts=[], low_stream=2**32 - 1, count=1, width=1)
+    @example(seed=_U64, parts=[_U64], low_stream=None, count=4, width=699)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_seeded_rng(self, seed, parts, low_stream, count, width):
+        if low_stream is not None:
+            # row 0's stream id fits in one u32 word
+            parts = [part_for_stream(low_stream)]
+            assert stream_key(*parts, 0) == low_stream
+        got = stacked_uniforms(seed, tuple(parts), count, width)
+        assert got.shape == (count, width)
+        for c in range(count):
+            want = SeededRng(seed, stream_key(*parts, c)).uniform(width)
+            assert np.array_equal(got[c], want)
+
+    def test_fills_and_returns_out(self):
+        out = np.full((3, 8), np.nan)
+        assert stacked_uniforms(4, (2,), 3, 8, out) is out
+        assert np.array_equal(out[2], substream(4, 2, 2).uniform(8))
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((3, 9)), np.empty((3, 8), dtype=np.float32), np.empty((8, 3)).T],
+        ids=["shape", "dtype", "strides"],
+    )
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ContractViolation):
+            stacked_uniforms(4, (2,), 3, 8, out)
 
 
 class TestBoxMuller:

@@ -141,11 +141,10 @@ class TestVideoToText:
         assert np.all(ranks == 1) and metrics.r1 == 100.0
 
 
-class _ZeroRng:
+def _zero_uniforms(seed, parts, count, width, out):
     """All-zero uniforms, which Box-Muller maps to exactly-zero normals."""
-
-    def uniform(self, n):
-        return np.zeros(n)
+    out[:] = 0.0
+    return out
 
 
 class _ZeroNormals:
@@ -182,7 +181,7 @@ class TestInferenceMatrix:
         params = make_params()
         texts, videos = make_pool(seed=4)
         det = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), False, 7)
-        monkeypatch.setattr(evaluation, "substream", lambda seed, *parts: _ZeroRng())
+        monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
         stoch = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), True, 7)
         assert np.array_equal(det, stoch)
 
@@ -212,6 +211,27 @@ class TestInferenceMatrix:
             if previous is not None:
                 assert np.all(sims >= previous)
             previous = sims
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+    def test_nested_trial_matrices_equal_separate_passes(self, seed):
+        # d = 7 makes M*d odd at M = 5: that pool ends one uniform early
+        params = make_params(d=7, seed=15)
+        texts, videos = make_pool(q=3, candidates=6, seed=15)
+        nested = evaluation.nested_trial_matrices(texts, videos, params, (5, 10, 20), seed)
+        assert sorted(nested) == [5, 10, 20]
+        for m, sims in nested.items():
+            cfg = SamplingConfig(trials=m)
+            assert np.array_equal(
+                sims, inference_similarity_matrix(texts, videos, params, cfg, True, seed)
+            )
+        cfg = SamplingConfig(trials=20)
+        assert np.array_equal(nested[20], per_pair_scores(texts, videos, params, cfg, True, seed))
+
+    def test_nested_trial_matrices_reject_zero_trials(self):
+        params = make_params()
+        texts, videos = make_pool()
+        with pytest.raises(ContractViolation):
+            evaluation.nested_trial_matrices(texts, videos, params, (5, 0), 0)
 
     @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
     @pytest.mark.parametrize("trials", [1, 5, 20])
@@ -298,7 +318,7 @@ class TestAlignmentReport:
         # R*eps = 0 collapses every sample to t; det and stoch columns agree
         params = make_params(seed=11)
         texts, videos = make_pool(q=4, candidates=4, seed=11)
-        monkeypatch.setattr(evaluation, "substream", lambda seed, *parts: _ZeroRng())
+        monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
         rows = alignment_report(texts, videos, params, SamplingConfig(trials=3), 29)
         for row in rows:
             assert abs(row.max_irrelevant_sim_det - row.max_irrelevant_sim_stoch) <= 1e-9

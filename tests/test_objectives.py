@@ -3,7 +3,7 @@ the hand-written backward pass against central finite differences."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, substream
@@ -241,6 +241,25 @@ class TestNoiseHelpers:
         assert mask.shape == (4, 4, 8)
         scaled = 1.0 / 0.75
         assert set(np.unique(mask)) <= {0.0, scaled}
+
+    def test_dropout_mask_never_drops_a_whole_cell(self):
+        # at rate 0.9 with d = 1, 14 of the 16 cells draw a drop; each is
+        # kept instead
+        rate = 0.9
+        uniforms = substream(6, 7006).uniform(16).reshape(4, 4, 1)
+        assert np.count_nonzero(uniforms < rate) == 14
+        mask = dropout_grid_mask(substream(6, 7006), 4, 1, rate)
+        assert np.count_nonzero(mask == 0.0) == 0
+        assert np.array_equal(mask, np.full((4, 4, 1), 1.0 / (1.0 - rate)))
+
+    def test_dropout_mask_keeps_partial_cells_as_drawn(self):
+        rate = 0.5
+        uniforms = substream(6, 7007).uniform(4 * 4 * 3).reshape(4, 4, 3)
+        mask = dropout_grid_mask(substream(6, 7007), 4, 3, rate)
+        whole = (uniforms < rate).all(axis=2)
+        assert whole.any() and not whole.all()
+        assert np.array_equal(mask[~whole] == 0.0, uniforms[~whole] < rate)
+        assert np.all(mask[whole] == 1.0 / (1.0 - rate))
 
     def test_dropout_mask_off(self):
         assert dropout_grid_mask(substream(6, 7005), 4, 8, 0.0) is None
@@ -589,9 +608,6 @@ class TestBatchedMatchesPerSampleReference:
         randomize(params, seed=seed)
         batch = make_batch(n, d, 5, seed=seed)
         mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
-        # a cell dropped in every dimension fuses to a zero vector, which
-        # forward_batch rejects
-        assume(mask is None or mask.any(axis=2).all())
         if degenerate:
             degenerate_first_pair(params, batch, mask)
         eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)

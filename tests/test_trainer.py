@@ -406,6 +406,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="optimizer entry 'v.fusion_key'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("step", [-1.0, 0.5], ids=["negative", "fractional"])
+    def test_impossible_optimizer_step_rejected(self, tmp_path, step):
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        state.optimizer.step = step
+        path = tmp_path / "state.tmck"
+        save_checkpoint(path, state, config)
+        with pytest.raises(FormatError, match="optimizer step .* is not a count"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("existing", [True, False], ids=["over-old", "fresh"])
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
         text, videos = tiny_data()

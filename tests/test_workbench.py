@@ -4,7 +4,7 @@ round trips, and byte-level determinism."""
 import numpy as np
 import pytest
 
-from textmass import evaluation
+from textmass import evaluation, workbench
 from textmass.core import ContractViolation
 from textmass.dataset import generate, read_corpus, split_arrays
 from textmass.mass import SamplingConfig
@@ -334,6 +334,35 @@ class TestGrids:
         assert len(rows) == 4 * 2 + 4
         expected = ["trials-off"] + [f"trials-{m}" for m in TRIALS_GRID]
         assert [row[0] for row in rows[::2][:4]] == expected  # label-major blocks
+
+    def test_sweep_trials_scores_nested_m_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        trials = []
+        score_query = evaluation._score_query
+
+        def counting(t, fused, radius_grid, m, *rest):
+            trials.append(0 if radius_grid is None else m)
+            return score_query(t, fused, radius_grid, m, *rest)
+
+        monkeypatch.setattr(evaluation, "_score_query", counting)
+        once = tmp_path / "once"
+        assert main(["sweep-trials", "--config", str(config), "--out", str(once)]) == 0
+        # 2 seeds x 8 test queries: one deterministic and one best-of-20 pass
+        assert sorted(trials) == [0] * 16 + [max(TRIALS_GRID)] * 16
+        monkeypatch.undo()
+
+        def separate(texts, videos, params, counts, seed):
+            return {
+                m: evaluation.inference_similarity_matrix(
+                    texts, videos, params, SamplingConfig(trials=m), True, seed
+                )
+                for m in counts
+            }
+
+        monkeypatch.setattr(workbench, "nested_trial_matrices", separate)
+        per_m = tmp_path / "per-m"
+        assert main(["sweep-trials", "--config", str(config), "--out", str(per_m)]) == 0
+        assert (once / "metrics.csv").read_bytes() == (per_m / "metrics.csv").read_bytes()
 
     def test_sweep_trials_rejects_baseline_mode(self, tmp_path):
         config = write_config(tmp_path, mode="baseline")
