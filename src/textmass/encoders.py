@@ -6,6 +6,10 @@ start at identity, with L2 normalization on every output embedding. Fusion is
 single-head scaled-dot-product attention pooling over frame embeddings,
 conditioned on the text embedding, with an output projection. Training
 dropout is applied to the batched fusion grid (objectives.dropout_grid_mask).
+
+The batched stages `encode_batch` and `fuse_batch` run in training and
+inference alike and return what their backward (in objectives) replays;
+`encode_text`, `encode_frames` and `fuse` are their per-vector oracle.
 """
 
 from __future__ import annotations
@@ -137,3 +141,84 @@ def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
     w = e / e.sum()
     pooled = (frames @ p.value_map.T).T @ w
     return _normalize(p.output_map @ pooled)
+
+
+# ---------------------------------------------------------------------------
+# batched stages
+
+
+@dataclass
+class Encoded:
+    """One tower's batch: projected = x @ proj.T (the adapter's input), the
+    lengths before normalization, and the unit embeddings."""
+
+    projected: np.ndarray
+    norms: np.ndarray
+    emb: np.ndarray
+
+
+def encode_batch(x: np.ndarray, stack: EncoderStack, tower: str) -> Encoded:
+    """Raw features (..., c) through the "text" or "frame" tower to unit
+    embeddings (..., d): texts (n, c) and frames (n, T', c) alike."""
+    projected = x @ getattr(stack, f"proj_{tower}").T
+    pre = projected @ getattr(stack, f"adapter_{tower}").T if stack.adapters_enabled else projected
+    norms = np.linalg.norm(pre, axis=-1)
+    if np.any(norms <= ZERO_NORM_THRESHOLD):
+        raise ContractViolation(f"{tower} embedding collapsed to zero norm")
+    return Encoded(projected, norms, pre / norms[..., None])
+
+
+def encode_video_batch(videos: np.ndarray, count: int, stack: EncoderStack) -> Encoded:
+    """Raw videos (n, T, c) to embeddings (n, count, d) of sampled frames."""
+    return encode_batch(videos[:, sample_frame_indices(videos.shape[1], count)], stack, "frame")
+
+
+@dataclass
+class VideoKeys:
+    """Key and value projections (n, T', d) of a video set's frames."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+
+def video_keys(frames: np.ndarray, p: FusionParameters) -> VideoKeys:
+    return VideoKeys(frames @ p.key_map.T, frames @ p.value_map.T)
+
+
+@dataclass
+class Fused:
+    """An (m, n) fusion grid: queries (m, d), attention weights (m, n, T'),
+    the dropout mask or None, the pooled grid after the mask, and the
+    lengths before normalization of the unit fused embeddings (m, n, d)."""
+
+    queries: np.ndarray
+    weights: np.ndarray
+    mask: np.ndarray | None
+    pooled: np.ndarray
+    norms: np.ndarray
+    fused: np.ndarray
+
+
+def fuse_batch(
+    texts: np.ndarray, kv: VideoKeys, p: FusionParameters, drop_mask: np.ndarray | None = None
+) -> Fused:
+    """`fuse` of every video j under every text i of an (m, d) block, as
+    (batched) matmuls; drop_mask is an optional (m, n, d) inverted-dropout
+    mask on the pooled grid."""
+    m, d = texts.shape
+    n, frames = kv.keys.shape[:2]
+    queries = texts @ p.query_map.T
+    logits = (queries @ kv.keys.reshape(n * frames, d).T).reshape(m, n, frames) / np.sqrt(d)
+    shifted = np.exp(logits - logits.max(axis=2, keepdims=True))
+    weights = shifted / shifted.sum(axis=2, keepdims=True)
+    # pooled[i, j] = weights[i, j] @ values[j]: one product per video j
+    pooled = np.matmul(weights.transpose(1, 0, 2), kv.values).transpose(1, 0, 2)
+    if drop_mask is not None:
+        if drop_mask.shape != (m, n, d):
+            raise ContractViolation("dropout mask shape mismatch")
+        pooled = pooled * drop_mask
+    pre = pooled @ p.output_map.T
+    norms = np.linalg.norm(pre, axis=2)
+    if np.any(norms <= ZERO_NORM_THRESHOLD):
+        raise ContractViolation("fused video embedding collapsed to zero norm")
+    return Fused(queries, weights, drop_mask, pooled, norms, pre / norms[..., None])

@@ -1,15 +1,16 @@
 """Retrieval evaluation in both directions plus diagnostic reports.
 
-Inference mirrors training's text-conditioned fusion: each (query,
-candidate) pair gets its own fused video embedding and its own radius.
-Scoring runs one query at a time over all of its candidates in one numpy
-pass. Without sampling a pair scores the clipped cosine of the text with
-the fused video. With sampling it scores the best cosine over M stochastic
-text samples, whose noise is drawn from a substream keyed by (seed, query
-id, candidate id); each query's draws are seeded in one vectorised pass
-(``core.stacked_uniforms``), stacked into one buffer and turned into pools
-together, bit for bit as the per-pair ``select_best_sample`` would draw and
-score them. Ranks use strictly-greater counting with index tie-break.
+Inference runs training's encode, fuse and radius stages on one-query
+blocks: each (query, candidate) pair gets its own fused video embedding and
+its own radius. Scoring runs one query at a time over all of its candidates
+in one numpy pass. Without sampling a pair scores the clipped cosine of the
+text with the fused video. With sampling it scores the best cosine over M
+stochastic text samples, whose noise is drawn from a substream keyed by
+(seed, query id, candidate id); each query's draws are seeded in one
+vectorised pass (``core.stacked_uniforms``), stacked into one buffer and
+turned into pools together, bit for bit as the per-pair
+``select_best_sample`` would draw and score them. Ranks use strictly-greater
+counting with index tie-break.
 Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
 give byte-identical files.
 """
@@ -21,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, NORM_GUARD, box_muller, stacked_uniforms
+from .core import ContractViolation, box_muller, stacked_uniforms
 # substream and select_best_sample are the per-pair reference that
 # _score_query batches; they stay bound here, unused, because the traced
 # benchmark (perfbench/worker.py) wraps these module attributes by name
 from .core import substream  # noqa: F401
-from .encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
-from .mass import SamplingConfig, pool_similarities, select_best_sample  # noqa: F401
+from .encoders import VideoKeys, encode_batch, encode_video_batch, fuse_batch, video_keys
+from .mass import SamplingConfig, pool_similarities, radius_batch, select_best_sample  # noqa: F401
 from .model import ModelParameters
 
 # substream purpose for per-pair inference sampling
@@ -63,67 +64,30 @@ class AlignmentRow:
 
 
 # ---------------------------------------------------------------------------
-# embedding helpers shared by the inference paths
+# one query at a time through training's stages
 
 
-def _embed_texts(texts: np.ndarray, params: ModelParameters) -> np.ndarray:
-    stack = params.stack
-    pre = texts @ stack.proj_text.T
-    if stack.adapters_enabled:
-        pre = pre @ stack.adapter_text.T
-    norms = np.linalg.norm(pre, axis=1)
-    if np.any(norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("text embedding collapsed to zero norm")
-    return pre / norms[:, None]
+def _embed_pool(
+    texts: np.ndarray, videos: np.ndarray, params: ModelParameters
+) -> tuple[np.ndarray, np.ndarray, VideoKeys]:
+    """Encode a pool once: texts (Q, c) as one-text blocks (Q, 1, d), each its
+    own (1, c) product whatever Q is, and frames (C, T', d) with their keys."""
+    blocks = encode_batch(texts[:, None, :], params.stack, "text").emb
+    frames = encode_video_batch(videos, params.frame_count, params.stack).emb
+    return blocks, frames, video_keys(frames, params.fusion)
 
 
-def _embed_frames(videos: np.ndarray, params: ModelParameters) -> np.ndarray:
-    idx = sample_frame_indices(videos.shape[1], params.frame_count)
-    stack = params.stack
-    pre = videos[:, idx, :] @ stack.proj_frame.T
-    if stack.adapters_enabled:
-        pre = pre @ stack.adapter_frame.T
-    norms = np.linalg.norm(pre, axis=2)
-    if np.any(norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("frame embedding collapsed to zero norm")
-    return pre / norms[..., None]
-
-
-def _fused_for_query(
-    text_vec: np.ndarray, keys: np.ndarray, values: np.ndarray, params: ModelParameters
-) -> np.ndarray:
-    """Fuse every candidate's frames under one text's attention.
-
-    keys / values: (C, T', d) premultiplied frame embeddings.
-    """
-    d = params.dim
-    query = params.fusion.query_map @ text_vec
-    logits = np.einsum("cld,d->cl", keys, query) / np.sqrt(d)
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
-    pooled = np.einsum("cl,cld->cd", weights, values)
-    out = pooled @ params.fusion.output_map.T
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("fused video embedding collapsed to zero norm")
-    return out / norms[:, None]
-
-
-def _radius_for_query(
-    text_vec: np.ndarray, frame_emb: np.ndarray, params: ModelParameters
-) -> np.ndarray:
-    """Per-candidate radius vectors (C, d) for one text."""
-    norms = np.linalg.norm(frame_emb, axis=2)
-    sims = np.einsum("cld,d->cl", frame_emb, text_vec) / (
-        np.linalg.norm(text_vec) * norms + NORM_GUARD
-    )
-    rparams = params.radius
-    if rparams.variant == "linear":
-        return np.exp(sims @ rparams.weights)
-    mean = sims.mean(axis=1)
-    if rparams.variant == "scalar":
-        return np.exp(rparams.theta * mean)[:, None] * np.ones(params.dim)
-    return np.exp(mean)[:, None] * np.ones(params.dim)
+def _query_stages(
+    t: np.ndarray, frames: np.ndarray, keys: VideoKeys, params: ModelParameters, with_radius: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One query's (1, d) text block through training's fuse and radius
+    stages: (t (d,), fused candidates (C, d), radii (C, d) or None). Reports
+    and matrices all take query q's row from here, so they agree bit for bit."""
+    fused = fuse_batch(t, keys, params.fusion).fused[0]
+    radius_grid = None
+    if with_radius:
+        radius_grid = radius_batch(np.broadcast_to(t, fused.shape), frames, params.radius).radius
+    return t[0], fused, radius_grid
 
 
 def _uniform_width(trials: int, dim: int) -> int:
@@ -186,20 +150,15 @@ def _best_of_prefixes(
         raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
     if texts.shape[1] != videos.shape[2]:
         raise ContractViolation("text and frame feature widths disagree")
-    text_emb = _embed_texts(texts, params)
-    frame_emb = _embed_frames(videos, params)
-    keys = frame_emb @ params.fusion.key_map.T
-    values = frame_emb @ params.fusion.value_map.T
-
-    q_count, c_count = text_emb.shape[0], frame_emb.shape[0]
+    blocks, frames, keys = _embed_pool(texts, videos, params)
+    q_count, c_count = texts.shape[0], videos.shape[0]
     trials = max(trial_counts)
     scratch = None
     if use_sampling:
         scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
-    for q, t in enumerate(text_emb):
-        fused = _fused_for_query(t, keys, values, params)
-        radius_grid = _radius_for_query(t, frame_emb, params) if use_sampling else None
+    for q, block in enumerate(blocks):
+        t, fused, radius_grid = _query_stages(block, frames, keys, params, use_sampling)
         scores = _score_query(t, fused, radius_grid, trials, seed, q, scratch)
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
@@ -324,13 +283,9 @@ def radius_dynamics_report(
     candidate_videos = np.asarray(candidate_videos, dtype=np.float64)
     if not 0 <= relevant_index < candidate_videos.shape[0]:
         raise ContractViolation("relevant index outside the candidate pool")
-    text_emb = _embed_texts(query_text[None, :], params)[0]
-    frame_emb = _embed_frames(candidate_videos, params)
-    keys = frame_emb @ params.fusion.key_map.T
-    values = frame_emb @ params.fusion.value_map.T
-    fused = _fused_for_query(text_emb, keys, values, params)
-    radius_grid = _radius_for_query(text_emb, frame_emb, params)
-    best = _score_query(text_emb, fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
+    blocks, frames, keys = _embed_pool(query_text[None, :], candidate_videos, params)
+    t, fused, radius_grid = _query_stages(blocks[0], frames, keys, params, True)
+    best = _score_query(t, fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
     return _radius_rows(query_id, relevant_index, radius_grid, best)
 
 
@@ -343,13 +298,15 @@ def pool_radius_report(
     scoring the pairs again."""
     texts = np.asarray(texts, dtype=np.float64)
     videos = np.asarray(videos, dtype=np.float64)
+    if texts.shape[0] != videos.shape[0]:
+        raise ContractViolation("pool radius report wants an aligned text-video pool")
     if sampled.shape != (texts.shape[0], videos.shape[0]):
         raise ContractViolation("sampled matrix does not match the pool")
-    text_emb = _embed_texts(texts, params)
-    frame_emb = _embed_frames(videos, params)
+    blocks, frames, keys = _embed_pool(texts, videos, params)
     rows = []
-    for q, t in enumerate(text_emb):
-        rows.extend(_radius_rows(q, q, _radius_for_query(t, frame_emb, params), sampled[q]))
+    for q, block in enumerate(blocks):
+        radius_grid = _query_stages(block, frames, keys, params, True)[2]
+        rows.extend(_radius_rows(q, q, radius_grid, sampled[q]))
     return rows
 
 

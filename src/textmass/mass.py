@@ -7,7 +7,8 @@ cosine similarities between t and the candidate video's frame embeddings,
 through one of three variants (fixed mean, learnable scalar, linear map).
 The support vector t_sup marks the point of the mass surface along the
 direction from t toward the fused video embedding; inference draws M samples
-per pair and keeps the one most similar to the video.
+per pair and keeps the one most similar to the video. Training and inference
+both run the batched radius stage `radius_batch`; `radius` is its oracle.
 """
 
 from __future__ import annotations
@@ -100,6 +101,44 @@ def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
             f"similarity length {s.size} does not match radius weights rows {params.weights.shape[0]}"
         )
     return np.exp(s @ params.weights)
+
+
+def cos_grid(rows: np.ndarray, stack: np.ndarray, stack_norms: np.ndarray):
+    """Cosines between rows[s, i] and stack[i, j] for every s, i, j.
+
+    rows: (S, m, d), S samples of m rows; stack: (m, n, d) with its norms
+    (m, n). Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values
+    are not clamped; callers stay inside (-1, 1) up to roundoff.
+    """
+    # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
+    dots = np.matmul(stack, rows.transpose(1, 2, 0)).transpose(2, 0, 1)
+    row_norms = np.linalg.norm(rows, axis=-1)
+    sims = dots / (row_norms[..., None] * stack_norms + NORM_GUARD)
+    return sims, row_norms
+
+
+@dataclass
+class Radii:
+    """Radius stage of n aligned (text, frames) pairs: text-frame cosines
+    (n, T') with the norms they divide by, and the radii (n, d)."""
+
+    sims: np.ndarray
+    text_norms: np.ndarray
+    frame_norms: np.ndarray
+    radius: np.ndarray
+
+
+def radius_batch(texts: np.ndarray, frames: np.ndarray, params: RadiusParameters) -> Radii:
+    """`radius(frame_similarities(t, f), params)` for every aligned pair of
+    texts (n, d) and frame embeddings (n, T', d)."""
+    frame_norms = np.linalg.norm(frames, axis=2)
+    sims, text_norms = cos_grid(texts[None], frames, frame_norms)
+    sims, text_norms = sims[0], text_norms[0]
+    if params.variant == "linear":
+        return Radii(sims, text_norms, frame_norms, np.exp(sims @ params.weights))
+    mean = sims.mean(axis=1)
+    expo = np.exp(params.theta * mean) if params.variant == "scalar" else np.exp(mean)
+    return Radii(sims, text_norms, frame_norms, expo[:, None] * np.ones(params.dim))
 
 
 def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:

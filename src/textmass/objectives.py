@@ -17,7 +17,9 @@ diagnostics; in "t-mass" mode it receives no gradient. Video embeddings are
 text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
 entry (i, j) is video j pooled under text i's attention. The S noise samples
 of a batch form one (S, N, d) stack, and every contraction over the grid is
-a (batched) matmul.
+a (batched) matmul. The encode, fuse and radius stages are the batched
+functions of `encoders` and `mass` that inference runs too; each stage's
+backward lives here.
 """
 
 from __future__ import annotations
@@ -27,8 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, SeededRng
-from .encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
-from .mass import DEGENERATE_DISTANCE
+from .encoders import (
+    Encoded,
+    Fused,
+    VideoKeys,
+    encode_batch,
+    encode_video_batch,
+    fuse_batch,
+    video_keys,
+)
+from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch
 from .model import LAMBDA_MAX, MODES, ModelParameters, get_param, trainable_names
 
 DEFAULT_ALPHA = 1.2
@@ -70,7 +80,6 @@ class LossBreakdown:
     l_s: float | None
     l_sup: float | None
     l_total: float
-    alpha: float
 
 
 def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
@@ -143,25 +152,11 @@ def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, flo
 
 
 # ---------------------------------------------------------------------------
-# cosine grids: rows against per-row stacks of vectors
-
-
-def _cos_grid(rows: np.ndarray, stack: np.ndarray, stack_norms: np.ndarray):
-    """Cosines between rows[s, i] and stack[i, j] for every s, i, j.
-
-    rows: (S, m, d), S samples of m rows; stack: (m, n, d) with its norms
-    (m, n). Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values
-    are not clamped; callers stay inside (-1, 1) up to roundoff.
-    """
-    # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
-    dots = np.matmul(stack, rows.transpose(1, 2, 0)).transpose(2, 0, 1)
-    row_norms = np.linalg.norm(rows, axis=-1)
-    sims = dots / (row_norms[..., None] * stack_norms + NORM_GUARD)
-    return sims, row_norms
+# cosine grids under the symmetric CE
 
 
 def _cos_grid_backward(d_sims, rows, stack, sims, row_norms, stack_norms):
-    """Backward of `_cos_grid`; returns d_rows (S, m, d) and d_stack
+    """Backward of `mass.cos_grid`; returns d_rows (S, m, d) and d_stack
     (m, n, d) summed over the samples."""
     denom = row_norms[..., None] * stack_norms + NORM_GUARD
     lead = d_sims / denom
@@ -170,6 +165,34 @@ def _cos_grid_backward(d_sims, rows, stack, sims, row_norms, stack_norms):
     d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
     d_stack -= np.sum(d_sims * sims * row_norms[..., None] / (stack_norms * denom), axis=0)[..., None] * stack
     return d_rows, d_stack
+
+
+@dataclass
+class CETerm:
+    """A symmetric-CE term: rows (S, m, d) scored against a per-row stack,
+    their cosines (S, m, n) and norms (S, m), and `_ce_terms`' softmaxes."""
+
+    rows: np.ndarray
+    sims: np.ndarray
+    row_norms: np.ndarray
+    p_row: np.ndarray
+    p_col: np.ndarray
+
+
+def _ce_term(rows, stack, stack_norms, lam):
+    """Per-sample (l_t2v, l_v2t), each (S,), and the term's record."""
+    sims, row_norms = cos_grid(rows, stack, stack_norms)
+    l_t2v, l_v2t, p_row, p_col = _ce_terms(sims, lam)
+    return l_t2v, l_v2t, CETerm(rows, sims, row_norms, p_row, p_col)
+
+
+def _ce_term_backward(term: CETerm, stack, stack_norms, lam: float, upstream: float):
+    """(d_rows, d_stack, d_lam) of upstream times the term's per-sample CE."""
+    d_sims, d_lam = _ce_backward(term.sims, lam, term.p_row, term.p_col, upstream)
+    d_rows, d_stack = _cos_grid_backward(
+        d_sims, term.rows, stack, term.sims, term.row_norms, stack_norms
+    )
+    return d_rows, d_stack, d_lam
 
 
 def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
@@ -183,45 +206,34 @@ def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray)
 
 
 @dataclass
-class ForwardCache:
-    """Every intermediate the backward pass replays. Internal."""
+class Support:
+    """Support rows t + direction * R of the non-degenerate pairs vidx, with
+    direction = (v - t) / dist, and their CE term."""
 
-    params: ModelParameters = None
-    mode: str = ""
-    alpha: float = 0.0
-    eps: np.ndarray = None
-    drop_mask: np.ndarray = None
-    raw_text: np.ndarray = None
-    raw_frames: np.ndarray = None
-    pt: np.ndarray = None
-    pf: np.ndarray = None
-    text_norms: np.ndarray = None
-    frame_norms: np.ndarray = None
-    text_emb: np.ndarray = None
-    frame_emb: np.ndarray = None
-    attn_q: np.ndarray = None
-    attn_k: np.ndarray = None
-    attn_v: np.ndarray = None
-    attn_w: np.ndarray = None
-    pooled: np.ndarray = None
-    pooled_dropped: np.ndarray = None
-    fused_pre: np.ndarray = None
-    fused_norms: np.ndarray = None
-    fused: np.ndarray = None
-    fused_unit_norms: np.ndarray = None
-    lam: float = 0.0
-    lam_clamped: bool = False
-    ce_grid: tuple = None
-    s_grids: tuple = None
-    frame_sims: tuple = None
-    sbar: np.ndarray = None
-    radius_grid: np.ndarray = None
-    stochastic: np.ndarray = None
-    valid: np.ndarray = None
-    support_dist: np.ndarray = None
-    support_dir: np.ndarray = None
-    support_rows: np.ndarray = None
-    sup_grid: tuple = None
+    vidx: np.ndarray
+    direction: np.ndarray
+    dist: np.ndarray
+    ce: CETerm
+
+
+@dataclass
+class BatchTape:
+    """What backward_batch replays of one forward_batch call: the stage and
+    loss-term records; the stochastic-mode fields are None in baseline mode."""
+
+    params: ModelParameters
+    mode: str
+    alpha: float
+    text: Encoded
+    frames: Encoded
+    keys: VideoKeys
+    fusion: Fused
+    fused_norms: np.ndarray
+    ce: CETerm
+    eps: np.ndarray | None = None
+    radii: Radii | None = None
+    stochastic: CETerm | None = None
+    support: Support | None = None
 
 
 def forward_batch(
@@ -231,7 +243,7 @@ def forward_batch(
     alpha: float = DEFAULT_ALPHA,
     eps: np.ndarray | None = None,
     drop_mask: np.ndarray | None = None,
-) -> tuple[LossBreakdown, ForwardCache]:
+) -> tuple[LossBreakdown, BatchTape]:
     """One batch through encoders, fusion, radius, sampling, and losses.
 
     eps: (samples, N, d) standard-normal draws; required outside baseline
@@ -250,75 +262,22 @@ def forward_batch(
     if batch.text.shape[1] != params.concept_dim:
         raise ContractViolation("batch feature width does not match model")
 
-    cache = ForwardCache(params=params, mode=mode, alpha=float(alpha))
-    cache.raw_text = batch.text
-    idx = sample_frame_indices(batch.videos.shape[1], params.frame_count)
-    raw_frames = batch.videos[:, idx, :]
-    cache.raw_frames = raw_frames
-
-    stack = params.stack
-    pt = batch.text @ stack.proj_text.T
-    pre_text = pt @ stack.adapter_text.T if stack.adapters_enabled else pt
-    text_norms = np.linalg.norm(pre_text, axis=1)
-    if np.any(text_norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("text embedding collapsed to zero norm")
-    text_emb = pre_text / text_norms[:, None]
-
-    pf = raw_frames @ stack.proj_frame.T
-    pre_frame = pf @ stack.adapter_frame.T if stack.adapters_enabled else pf
-    frame_norms = np.linalg.norm(pre_frame, axis=2)
-    if np.any(frame_norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("frame embedding collapsed to zero norm")
-    frame_emb = pre_frame / frame_norms[..., None]
-
-    cache.pt, cache.pf = pt, pf
-    cache.text_norms, cache.frame_norms = text_norms, frame_norms
-    cache.text_emb, cache.frame_emb = text_emb, frame_emb
-
+    text = encode_batch(batch.text, params.stack, "text")
+    frames = encode_video_batch(batch.videos, params.frame_count, params.stack)
+    keys = video_keys(frames.emb, params.fusion)
     # text-conditioned fusion over the full (text, video) grid
-    fusion = params.fusion
-    frames = raw_frames.shape[1]
-    attn_q = text_emb @ fusion.query_map.T
-    attn_k = frame_emb @ fusion.key_map.T
-    attn_v = frame_emb @ fusion.value_map.T
-    logits = (attn_q @ attn_k.reshape(n * frames, d).T).reshape(n, n, frames) / np.sqrt(d)
-    shifted = np.exp(logits - logits.max(axis=2, keepdims=True))
-    attn_w = shifted / shifted.sum(axis=2, keepdims=True)
-    # pooled[i, j] = attn_w[i, j] @ attn_v[j]: one product per video j
-    pooled = np.matmul(attn_w.transpose(1, 0, 2), attn_v).transpose(1, 0, 2)
-    if drop_mask is not None:
-        if drop_mask.shape != (n, n, d):
-            raise ContractViolation("dropout mask shape mismatch")
-        pooled_dropped = pooled * drop_mask
-    else:
-        pooled_dropped = pooled
-    fused_pre = pooled_dropped @ fusion.output_map.T
-    fused_norms = np.linalg.norm(fused_pre, axis=2)
-    if np.any(fused_norms <= ZERO_NORM_THRESHOLD):
-        raise ContractViolation("fused video embedding collapsed to zero norm")
-    fused = fused_pre / fused_norms[..., None]
+    fusion = fuse_batch(text.emb, keys, params.fusion, drop_mask)
+    fused = fusion.fused
     # the cosine grids below all measure against fused; norm it once
-    fused_unit_norms = np.linalg.norm(fused, axis=2)
+    fused_norms = np.linalg.norm(fused, axis=2)
+    lam = params.logit_scale()
 
-    cache.attn_q, cache.attn_k, cache.attn_v, cache.attn_w = attn_q, attn_k, attn_v, attn_w
-    cache.pooled, cache.pooled_dropped = pooled, pooled_dropped
-    cache.drop_mask = drop_mask
-    cache.fused_pre, cache.fused_norms, cache.fused = fused_pre, fused_norms, fused
-    cache.fused_unit_norms = fused_unit_norms
-
-    lam_raw = np.exp(params.log_lambda)
-    cache.lam_clamped = bool(lam_raw > LAMBDA_MAX)
-    lam = float(min(lam_raw, LAMBDA_MAX))
-    cache.lam = lam
-
-    ce_sims, ce_rn = _cos_grid(text_emb[None], fused, fused_unit_norms)
-    l_t2v, l_v2t, p_row, p_col = _ce_terms(ce_sims[0], lam)
-    l_t2v, l_v2t = float(l_t2v), float(l_v2t)
+    t2v, v2t, ce = _ce_term(text.emb[None], fused, fused_norms, lam)
+    l_t2v, l_v2t = float(t2v[0]), float(v2t[0])
     l_ce = 0.5 * (l_t2v + l_v2t)
-    cache.ce_grid = (ce_sims[0], ce_rn[0], p_row, p_col)
+    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, fused_norms, ce)
 
-    l_s = None
-    l_sup = None
+    l_s = l_sup = None
     if mode != "baseline":
         if eps is None:
             raise ContractViolation("stochastic modes need noise draws")
@@ -327,49 +286,26 @@ def forward_batch(
             eps = eps[None, :, :]
         if eps.shape[1:] != (n, d):
             raise ContractViolation("noise shape mismatch")
-        cache.eps = eps
-
-        nf = np.linalg.norm(frame_emb, axis=2)
-        sims_f, nt = _cos_grid(text_emb[None], frame_emb, nf)
-        sims_f, nt = sims_f[0], nt[0]
-        cache.frame_sims = (sims_f, nt, nf)
-        rparams = params.radius
-        if rparams.variant == "linear":
-            radius_grid = np.exp(sims_f @ rparams.weights)
-            sbar = None
-        else:
-            sbar = sims_f.mean(axis=1)
-            radius_grid = np.exp(rparams.theta * sbar)[:, None] * np.ones(d) \
-                if rparams.variant == "scalar" else np.exp(sbar)[:, None] * np.ones(d)
-        cache.sbar = sbar
-        cache.radius_grid = radius_grid
+        tape.eps = eps
+        tape.radii = radii = radius_batch(text.emb, frames.emb, params.radius)
 
         # all S samples t + R * eps_s as one (S, N, d) stack
-        stochastic = text_emb + radius_grid * eps
-        s_sims, s_rn = _cos_grid(stochastic, fused, fused_unit_norms)
-        s_t2v, s_v2t, s_prow, s_pcol = _ce_terms(s_sims, lam)
+        s_t2v, s_v2t, tape.stochastic = _ce_term(
+            text.emb + radii.radius * eps, fused, fused_norms, lam
+        )
         l_s = float(np.mean(0.5 * (s_t2v + s_v2t)))
-        cache.stochastic = stochastic
-        cache.s_grids = (s_sims, s_rn, s_prow, s_pcol)
 
-        fused_diag = fused[np.arange(n), np.arange(n)]
-        delta = fused_diag - text_emb
+        delta = fused[np.arange(n), np.arange(n)] - text.emb
         dist = np.linalg.norm(delta, axis=1)
-        valid = dist > DEGENERATE_DISTANCE
-        if not np.any(valid):
+        vidx = np.flatnonzero(dist > DEGENERATE_DISTANCE)
+        if vidx.size == 0:
             raise DegenerateGeometryError("every pair has video == text embedding")
-        cache.valid = valid
-        vidx = np.flatnonzero(valid)
         direction = delta[vidx] / dist[vidx, None]
-        support_rows = text_emb[vidx] + direction * radius_grid[vidx]
-        cache.support_dist = dist[vidx]
-        cache.support_dir = direction
-        cache.support_rows = support_rows
+        support_rows = text.emb[vidx] + direction * radii.radius[vidx]
         sub = np.ix_(vidx, vidx)
-        sup_sims, sup_rn = _cos_grid(support_rows[None], fused[sub], fused_unit_norms[sub])
-        sup_t2v, sup_v2t, sup_prow, sup_pcol = _ce_terms(sup_sims[0], lam)
-        l_sup = 0.5 * (float(sup_t2v) + float(sup_v2t))
-        cache.sup_grid = (sup_sims[0], sup_rn[0], sup_prow, sup_pcol)
+        sup_t2v, sup_v2t, sup_ce = _ce_term(support_rows[None], fused[sub], fused_norms[sub], lam)
+        l_sup = 0.5 * (float(sup_t2v[0]) + float(sup_v2t[0]))
+        tape.support = Support(vidx, direction, dist[vidx], sup_ce)
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
     l_total = w_ce * l_ce
@@ -377,129 +313,118 @@ def forward_batch(
         l_total = l_total + w_s * l_s
     if l_sup is not None:
         l_total = l_total + w_sup * l_sup
-
-    breakdown = LossBreakdown(
-        l_t2v=l_t2v,
-        l_v2t=l_v2t,
-        l_ce=l_ce,
-        l_s=l_s,
-        l_sup=l_sup,
-        l_total=float(l_total),
-        alpha=float(alpha),
-    )
-    return breakdown, cache
+    return LossBreakdown(l_t2v, l_v2t, l_ce, l_s, l_sup, float(l_total)), tape
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def backward_batch(cache: ForwardCache) -> dict[str, np.ndarray]:
+def _adapter_backward(enc: Encoded, d_emb: np.ndarray) -> np.ndarray:
+    """Adapter gradient of one tower; its projection is frozen."""
+    d = enc.emb.shape[-1]
+    d_pre = _normalize_backward(enc.emb, enc.norms, d_emb)
+    return d_pre.reshape(-1, d).T @ enc.projected.reshape(-1, d)
+
+
+def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     """Gradients of l_total with respect to every trainable parameter.
 
-    Returns a dict keyed by the canonical trainable names for the cached
+    Returns a dict keyed by the canonical trainable names for the taped
     mode. Terms whose mode weight is zero contribute exactly nothing.
     """
-    params = cache.params
-    mode = cache.mode
-    w_ce, w_s, w_sup = mode_weights(mode, cache.alpha)
-    names = trainable_names(params, mode)
+    params = tape.params
+    w_ce, w_s, w_sup = mode_weights(tape.mode, tape.alpha)
+    names = trainable_names(params, tape.mode)
     grads = {name: np.zeros_like(get_param(params, name)) for name in names}
+    lam = params.logit_scale()
 
-    text_emb = cache.text_emb
-    frame_emb = cache.frame_emb
-    fused = cache.fused
+    text_emb = tape.text.emb
+    frame_emb = tape.frames.emb
+    fused = tape.fusion.fused
+    fused_sn = tape.fused_norms
+    radii = tape.radii
     n, d = text_emb.shape
-    lam = cache.lam
-
     d_text = np.zeros_like(text_emb)
     d_frames = np.zeros_like(frame_emb)
     d_fused = np.zeros_like(fused)
-    d_radius = np.zeros_like(cache.radius_grid) if cache.radius_grid is not None else None
+    d_radius = np.zeros_like(radii.radius) if radii is not None else None
     d_lam_total = 0.0
 
-    fused_sn = cache.fused_unit_norms
     if w_ce != 0.0:
-        ce_sims, ce_rn, p_row, p_col = cache.ce_grid
-        d_sims, d_lam = _ce_backward(ce_sims, lam, p_row, p_col, w_ce)
-        d_lam_total += d_lam
-        d_rows, d_stack = _cos_grid_backward(
-            d_sims[None], text_emb[None], fused, ce_sims[None], ce_rn[None], fused_sn
-        )
+        d_rows, d_stack, d_lam = _ce_term_backward(tape.ce, fused, fused_sn, lam, w_ce)
+        d_lam_total += d_lam[0]
         d_text += d_rows[0]
         d_fused += d_stack
 
-    if mode != "baseline" and w_s != 0.0:
-        s_sims, s_rn, s_prow, s_pcol = cache.s_grids
-        d_sims, d_lam = _ce_backward(s_sims, lam, s_prow, s_pcol, w_s / s_sims.shape[0])
+    if tape.stochastic is not None and w_s != 0.0:
+        upstream = w_s / tape.eps.shape[0]
+        d_rows, d_stack, d_lam = _ce_term_backward(tape.stochastic, fused, fused_sn, lam, upstream)
         d_lam_total += np.sum(d_lam)
-        d_rows, d_stack = _cos_grid_backward(d_sims, cache.stochastic, fused, s_sims, s_rn, fused_sn)
         d_fused += d_stack
         d_text += d_rows.sum(axis=0)
-        d_radius += (cache.eps * d_rows).sum(axis=0)
+        d_radius += (tape.eps * d_rows).sum(axis=0)
 
-    if mode != "baseline" and w_sup != 0.0:
-        sup_sims, sup_rn, sup_prow, sup_pcol = cache.sup_grid
-        vidx = np.flatnonzero(cache.valid)
+    if tape.support is not None and w_sup != 0.0:
+        sup = tape.support
+        vidx = sup.vidx
         sub = np.ix_(vidx, vidx)
-        d_sims, d_lam = _ce_backward(sup_sims, lam, sup_prow, sup_pcol, w_sup)
-        d_lam_total += d_lam
-        d_rows, d_stack = _cos_grid_backward(
-            d_sims[None], cache.support_rows[None], fused[sub], sup_sims[None], sup_rn[None],
-            fused_sn[sub],
-        )
+        d_rows, d_stack, d_lam = _ce_term_backward(sup.ce, fused[sub], fused_sn[sub], lam, w_sup)
+        d_lam_total += d_lam[0]
         d_rows = d_rows[0]
         d_fused[sub] += d_stack
         # support row: t + direction * R with direction = (v - t) / ||v - t||
         d_text[vidx] += d_rows
-        d_radius[vidx] += cache.support_dir * d_rows
-        d_dir = cache.radius_grid[vidx] * d_rows
-        inner = np.sum(cache.support_dir * d_dir, axis=1, keepdims=True)
-        d_delta = (d_dir - cache.support_dir * inner) / cache.support_dist[:, None]
+        d_radius[vidx] += sup.direction * d_rows
+        d_dir = radii.radius[vidx] * d_rows
+        inner = np.sum(sup.direction * d_dir, axis=1, keepdims=True)
+        d_delta = (d_dir - sup.direction * inner) / sup.dist[:, None]
         d_fused[vidx, vidx] += d_delta
         d_text[vidx] -= d_delta
 
     if d_radius is not None and (w_s != 0.0 or w_sup != 0.0):
-        sims_f, nt, nf = cache.frame_sims
         rparams = params.radius
         if rparams.variant == "linear":
-            d_pre = d_radius * cache.radius_grid
+            d_pre = d_radius * radii.radius
             if "radius_weights" in grads:
-                grads["radius_weights"] += sims_f.T @ d_pre
+                grads["radius_weights"] += radii.sims.T @ d_pre
             d_sims_f = d_pre @ rparams.weights.T
         else:
+            # the radius is exp(theta * mean) (theta = 1 for fixed-mean) in every coordinate
+            expo = radii.radius[:, 0]
             row_sum = d_radius.sum(axis=1)
             if rparams.variant == "scalar":
-                expo = np.exp(rparams.theta * cache.sbar)
-                d_sbar = rparams.theta * expo * row_sum
+                d_mean = rparams.theta * expo * row_sum
                 if "radius_theta" in grads:
-                    grads["radius_theta"] += np.sum(cache.sbar * expo * row_sum)
+                    grads["radius_theta"] += np.sum(radii.sims.mean(axis=1) * expo * row_sum)
             else:
-                d_sbar = np.exp(cache.sbar) * row_sum
-            d_sims_f = np.repeat(d_sbar[:, None], sims_f.shape[1], axis=1) / sims_f.shape[1]
+                d_mean = expo * row_sum
+            frames = radii.sims.shape[1]
+            d_sims_f = np.repeat(d_mean[:, None], frames, axis=1) / frames
         d_rows, d_stack = _cos_grid_backward(
-            d_sims_f[None], text_emb[None], frame_emb, sims_f[None], nt[None], nf
+            d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None],
+            radii.frame_norms,
         )
         d_text += d_rows[0]
         d_frames += d_stack
 
     # fusion grid backward: every contraction is a (batched) matmul
-    fusion = params.fusion
+    fusion, f, kv = params.fusion, tape.fusion, tape.keys
     frames = frame_emb.shape[1]
-    d_pre_fused = _normalize_backward(fused, cache.fused_norms, d_fused)
-    grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ cache.pooled_dropped.reshape(-1, d)
+    d_pre_fused = _normalize_backward(fused, f.norms, d_fused)
+    grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ f.pooled.reshape(-1, d)
     d_pooled = d_pre_fused @ fusion.output_map
-    if cache.drop_mask is not None:
-        d_pooled = d_pooled * cache.drop_mask
+    if f.mask is not None:
+        d_pooled = d_pooled * f.mask
     # per video j: d_w[:, j] = d_pooled[:, j] @ v_j.T and d_v[j] = w[:, j].T @ d_pooled[:, j]
     d_pooled_j = d_pooled.transpose(1, 0, 2)
-    d_w = np.matmul(d_pooled_j, cache.attn_v.transpose(0, 2, 1)).transpose(1, 0, 2)
-    d_v = np.matmul(cache.attn_w.transpose(1, 2, 0), d_pooled_j)
-    inner_w = np.sum(cache.attn_w * d_w, axis=2, keepdims=True)
-    d_logits = (cache.attn_w * (d_w - inner_w)).reshape(n, n * frames)
+    d_w = np.matmul(d_pooled_j, kv.values.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_v = np.matmul(f.weights.transpose(1, 2, 0), d_pooled_j)
+    inner_w = np.sum(f.weights * d_w, axis=2, keepdims=True)
+    d_logits = (f.weights * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
-    d_q = (d_logits @ cache.attn_k.reshape(n * frames, d)) * scale
-    d_k = (d_logits.T @ cache.attn_q) * scale
+    d_q = (d_logits @ kv.keys.reshape(n * frames, d)) * scale
+    d_k = (d_logits.T @ f.queries) * scale
     grads["fusion_query"] += d_q.T @ text_emb
     d_text += d_q @ fusion.query_map
     frame_rows = frame_emb.reshape(n * frames, d)
@@ -509,17 +434,11 @@ def backward_batch(cache: ForwardCache) -> dict[str, np.ndarray]:
     grads["fusion_value"] += d_v.T @ frame_rows
     d_frames += (d_v @ fusion.value_map).reshape(n, frames, d)
 
-    # encoder backward; projections are frozen, adapters may be absent
-    stack = params.stack
-    d_pre_frame = _normalize_backward(frame_emb, cache.frame_norms, d_frames)
-    d_pre_text = _normalize_backward(text_emb, cache.text_norms, d_text)
-    if stack.adapters_enabled:
-        grads["adapter_frame"] += d_pre_frame.reshape(-1, d).T @ cache.pf.reshape(-1, d)
-        grads["adapter_text"] += d_pre_text.T @ cache.pt
-
-    if not cache.lam_clamped:
+    if params.stack.adapters_enabled:
+        grads["adapter_frame"] += _adapter_backward(tape.frames, d_frames)
+        grads["adapter_text"] += _adapter_backward(tape.text, d_text)
+    if not np.exp(params.log_lambda) > LAMBDA_MAX:  # no gradient through the clamp
         grads["log_lambda"] = grads["log_lambda"] + d_lam_total * lam
-
     return grads
 
 

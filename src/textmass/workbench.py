@@ -98,15 +98,10 @@ class RunConfig(TrainingConfig):
         return TrainingConfig(**kwargs)
 
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            pairs=self.pairs,
-            concept_dim=self.concept_dim,
-            raw_frames=self.raw_frames,
-            coverage=self.coverage,
-            noise_sigma=self.noise_sigma,
-            distractors=self.distractors,
-            seed=self.data_seed,
-        )
+        """The corpus keys as a SyntheticSpec; its seed is data_seed."""
+        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(SyntheticSpec)
+                  if f.name != "seed"}
+        return SyntheticSpec(seed=self.data_seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------

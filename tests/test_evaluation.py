@@ -15,6 +15,7 @@ from textmass.evaluation import (
     RetrievalMetrics,
     alignment_report,
     inference_similarity_matrix,
+    pool_radius_report,
     radius_dynamics_report,
     rank_metrics,
     video_to_text_metrics,
@@ -143,6 +144,8 @@ class TestVideoToText:
 
 def _zero_uniforms(seed, parts, count, width, out):
     """All-zero uniforms, which Box-Muller maps to exactly-zero normals."""
+    if out is None:
+        out = np.empty((count, width))
     out[:] = 0.0
     return out
 
@@ -157,14 +160,10 @@ class _ZeroNormals:
 def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     """Reference for the batched matrix: one select_best_sample call per
     pair, on the same embeddings, fused videos and radii inference uses."""
-    text_emb = evaluation._embed_texts(texts, params)
-    frame_emb = evaluation._embed_frames(videos, params)
-    keys = frame_emb @ params.fusion.key_map.T
-    values = frame_emb @ params.fusion.value_map.T
+    blocks, frames, keys = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
-    for q, t in enumerate(text_emb):
-        fused = evaluation._fused_for_query(t, keys, values, params)
-        radius_grid = evaluation._radius_for_query(t, frame_emb, params)
+    for q, block in enumerate(blocks):
+        t, fused, radius_grid = evaluation._query_stages(block, frames, keys, params, True)
         for c in range(videos.shape[0]):
             if use_sampling:
                 rng = substream(seed, EVAL_STREAM, q, c)
@@ -311,6 +310,31 @@ class TestRadiusReport:
         texts, videos = make_pool()
         with pytest.raises(ContractViolation):
             radius_dynamics_report(texts[0], videos, params, 9, SamplingConfig(trials=2), 0)
+
+    @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
+    @pytest.mark.parametrize("use_sampling", [False, True])
+    @pytest.mark.parametrize("pool_seed", [21, 22, 23])
+    def test_report_equals_matrix_row(self, monkeypatch, variant, use_sampling, pool_seed):
+        # a deterministic row is the sampled report with all-zero noise at M = 1
+        params = make_params(variant=variant, seed=pool_seed)
+        texts, videos = make_pool(q=5, candidates=5, seed=pool_seed)
+        cfg = SamplingConfig(trials=6 if use_sampling else 1)
+        sims = inference_similarity_matrix(texts, videos, params, cfg, use_sampling, 43)
+        if not use_sampling:
+            monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
+        rows = []
+        for q in range(5):
+            report = radius_dynamics_report(texts[q], videos, params, q, cfg, 43, query_id=q)
+            assert np.array_equal([r.best_similarity for r in report], sims[q])
+            rows.extend(report)
+        assert pool_radius_report(texts, videos, params, sims) == rows
+
+    def test_pool_report_wants_an_aligned_pool(self):
+        params = make_params()
+        texts, videos = make_pool(q=5, candidates=3)
+        sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(2), True, 0)
+        with pytest.raises(ContractViolation, match="aligned"):
+            pool_radius_report(texts, videos, params, sampled)
 
 
 class TestAlignmentReport:

@@ -106,57 +106,58 @@ class TestForwardAgainstModuleOps:
         self.params = randomize(make_model(d=8, c=6, frames=3, variant="linear"))
         self.batch = make_batch(n=3, c=6, t_raw=5, seed=1)
         self.eps = draw_noise(substream(1, 7004), 1, 3, 8)
-        self.breakdown, self.cache = forward_batch(
+        self.breakdown, self.tape = forward_batch(
             self.batch, self.params, "t-mass", 1.2, eps=self.eps
         )
+        self.text_emb = self.tape.text.emb
+        self.frame_emb = self.tape.frames.emb
+        self.fused = self.tape.fusion.fused
+        self.radius = self.tape.radii.radius
 
     def test_text_embeddings(self):
         for i in range(3):
             oracle = encode_text(self.batch.text[i], self.params.stack)
-            assert np.allclose(self.cache.text_emb[i], oracle, atol=1e-12)
+            assert np.allclose(self.text_emb[i], oracle, atol=1e-12)
 
     def test_frame_embeddings(self):
         for i in range(3):
             oracle = encode_frames(self.batch.videos[i], 3, self.params.stack)
-            assert np.allclose(self.cache.frame_emb[i], oracle, atol=1e-12)
+            assert np.allclose(self.frame_emb[i], oracle, atol=1e-12)
 
     def test_fused_grid(self):
         for i in range(3):
             for j in range(3):
-                oracle = fuse(self.cache.frame_emb[j], self.cache.text_emb[i], self.params.fusion)
-                assert np.allclose(self.cache.fused[i, j], oracle, atol=1e-12)
+                oracle = fuse(self.frame_emb[j], self.text_emb[i], self.params.fusion)
+                assert np.allclose(self.fused[i, j], oracle, atol=1e-12)
 
     def test_frame_similarities_and_radius(self):
-        sims_f = self.cache.frame_sims[0]
+        sims_f = self.tape.radii.sims
         for i in range(3):
-            oracle = frame_similarities(self.cache.text_emb[i], self.cache.frame_emb[i])
+            oracle = frame_similarities(self.text_emb[i], self.frame_emb[i])
             assert np.allclose(sims_f[i], oracle, atol=1e-12)
-            assert np.allclose(
-                self.cache.radius_grid[i], radius(oracle, self.params.radius), atol=1e-12
-            )
+            assert np.allclose(self.radius[i], radius(oracle, self.params.radius), atol=1e-12)
 
     def test_shifted_text_is_reparameterized_sample(self):
-        expected = self.cache.text_emb + self.cache.radius_grid * self.eps[0]
-        assert np.array_equal(self.cache.stochastic[0], expected)
+        expected = self.text_emb + self.radius * self.eps[0]
+        assert np.array_equal(self.tape.stochastic.rows[0], expected)
 
     def test_support_rows(self):
-        for pos, i in enumerate(np.flatnonzero(self.cache.valid)):
-            oracle = support_text(
-                self.cache.text_emb[i], self.cache.fused[i, i], self.cache.radius_grid[i]
-            )
-            assert np.allclose(self.cache.support_rows[pos], oracle, atol=1e-12)
+        support = self.tape.support
+        for pos, i in enumerate(support.vidx):
+            oracle = support_text(self.text_emb[i], self.fused[i, i], self.radius[i])
+            assert np.allclose(support.ce.rows[0, pos], oracle, atol=1e-12)
 
     def test_ce_grid_matches_cosine(self):
         from textmass.core import cosine_similarity
 
-        ce_sims = self.cache.ce_grid[0]
+        ce_sims = self.tape.ce.sims[0]
         for i in range(3):
             for j in range(3):
-                oracle = cosine_similarity(self.cache.text_emb[i], self.cache.fused[i, j])
+                oracle = cosine_similarity(self.text_emb[i], self.fused[i, j])
                 assert abs(ce_sims[i, j] - oracle) <= 1e-12
 
     def test_diagnostic_ce_matches_public_op(self):
-        ce_sims = self.cache.ce_grid[0]
+        ce_sims = self.tape.ce.sims[0]
         l_t2v, l_v2t, l_ce = symmetric_ce(ce_sims, self.params.log_lambda)
         assert abs(self.breakdown.l_ce - l_ce) <= 1e-12
         assert abs(self.breakdown.l_t2v - l_t2v) <= 1e-12
@@ -188,10 +189,10 @@ class TestModeArithmetic:
     def test_baseline_total_is_deterministic_ce(self):
         params = randomize(make_model())
         batch = make_batch(3, 6, 5, seed=2)
-        b, cache = forward_batch(batch, params, "baseline")
+        b, tape = forward_batch(batch, params, "baseline")
         assert b.l_total == b.l_ce
         assert b.l_s is None and b.l_sup is None
-        assert cache.radius_grid is None and cache.eps is None
+        assert tape.radii is None and tape.eps is None
 
     def test_ce_plus_s_total(self):
         params = randomize(make_model())
@@ -335,8 +336,8 @@ class TestGradients:
         params.log_lambda = float(np.log(500.0))
         batch = make_batch(3, 6, 5, seed=10)
         eps = draw_noise(substream(15, 7008), 1, 3, 8)
-        _, cache = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
-        grads = backward_batch(cache)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        grads = backward_batch(tape)
         assert float(grads["log_lambda"]) == 0.0
         result = gradient_check(params, batch, "t-mass", 1.2, eps)
         assert result.passed, result.failures[:5]
@@ -355,10 +356,10 @@ class TestGradients:
         batch = make_batch(4, 6, 5, seed=12)
         eps = draw_noise(substream(17, 7008), 1, 4, 8)
         names = trainable_names(params, "t-mass")
-        _, cache1 = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
-        _, cache2 = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
-        g1 = flatten_grads(backward_batch(cache1), names)
-        g2 = flatten_grads(backward_batch(cache2), names)
+        _, tape1 = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        _, tape2 = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        g1 = flatten_grads(backward_batch(tape1), names)
+        g2 = flatten_grads(backward_batch(tape2), names)
         assert np.array_equal(g1, g2)
 
 
@@ -612,12 +613,12 @@ class TestBatchedMatchesPerSampleReference:
             degenerate_first_pair(params, batch, mask)
         eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)
 
-        breakdown, cache = forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
-        grads = backward_batch(cache)
+        breakdown, tape = forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
+        grads = backward_batch(tape)
         losses, terms, ref_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
 
         if degenerate and mode != "baseline":
-            assert not cache.valid[0] and cache.valid[1:].all()
+            assert list(tape.support.vidx) == list(range(1, n))
         for key, ref in losses.items():
             if ref is None:
                 assert getattr(breakdown, key) is None
@@ -636,8 +637,9 @@ class TestBatchedMatchesPerSampleReference:
         params = randomize(make_model())
         batch = make_batch(3, 6, 5, seed=5)
         eps = draw_noise(substream(5, 7011), 4, 3, 8)
-        _, cache = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
-        assert cache.stochastic.shape == (4, 3, 8)
-        assert cache.s_grids[0].shape == (4, 3, 3)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        assert tape.stochastic.rows.shape == (4, 3, 8)
+        assert tape.stochastic.sims.shape == (4, 3, 3)
         for k in range(4):
-            assert np.array_equal(cache.stochastic[k], cache.text_emb + cache.radius_grid * eps[k])
+            expected = tape.text.emb + tape.radii.radius * eps[k]
+            assert np.array_equal(tape.stochastic.rows[k], expected)

@@ -1,12 +1,18 @@
 """CLI contract: exit codes, run directory shape, grid row counts, config
 round trips, and byte-level determinism."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from textmass import evaluation, workbench
 from textmass.core import ContractViolation
-from textmass.dataset import generate, read_corpus, split_arrays
+from textmass.dataset import SyntheticSpec, generate, read_corpus, split_arrays
 from textmass.mass import SamplingConfig
 from textmass.trainer import (
     TrainingConfig,
@@ -144,6 +150,16 @@ class TestRunConfigText(ConfigCodecSuite):
         assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
         assert (out / "config.txt").read_text(encoding="utf-8") == TINY_TEXT
 
+    def test_synthetic_spec_takes_the_corpus_keys(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(SyntheticSpec):
+            if f.name != "seed":
+                assert defaults[f.name] == f.default, f.name
+        spec = RunConfig(pairs=64, concept_dim=8, noise_sigma=0.3, data_seed=7, seed=3)
+        assert spec.synthetic_spec() == SyntheticSpec(
+            pairs=64, concept_dim=8, noise_sigma=0.3, seed=7
+        )
+
     def test_validation(self):
         with pytest.raises(ContractViolation):
             RunConfig(seeds=())
@@ -187,6 +203,17 @@ class TestDispatch:
         config = write_config(tmp_path)
         assert main(["train", "--config", str(config), "--radius", "cubic",
                      "--out", str(tmp_path / "run")]) == 1
+
+    def test_python_dash_m_textmass_is_clean(self):
+        src = str(Path(workbench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "textmass", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "usage:" in done.stdout
 
     def test_existing_run_dir_refused(self, tmp_path):
         config = write_config(tmp_path)
