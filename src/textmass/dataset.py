@@ -29,6 +29,7 @@ DISTRACTOR_POOL_FACTOR = 4
 EMBEDDING_MAGIC = b"TMEB"
 EMBEDDING_VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+MANIFEST_HEADER = ["pair_id", "split", "text_file_offset", "video_file_offset"]
 
 # substream purposes for data generation
 _STREAM_POOL = 401
@@ -223,7 +224,7 @@ def write_corpus(directory, records: list[PairRecord]) -> None:
     frames = records[0].video.shape[0]
     with open(directory / "manifest.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["pair_id", "split", "text_file_offset", "video_file_offset"])
+        writer.writerow(MANIFEST_HEADER)
         for i, record in enumerate(records):
             writer.writerow(
                 [
@@ -245,7 +246,7 @@ def read_corpus(directory) -> list[PairRecord]:
     with open(manifest_path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["pair_id", "split", "text_file_offset", "video_file_offset"]:
+        if header != MANIFEST_HEADER:
             raise FormatError("manifest header mismatch")
         rows = list(reader)
     if len(rows) != len(texts) or len(rows) != len(videos):
@@ -255,13 +256,17 @@ def read_corpus(directory) -> list[PairRecord]:
         )
     records = []
     for i, row in enumerate(rows):
-        pair_id, split = int(row[0]), row[1]
+        if len(row) != len(MANIFEST_HEADER):
+            raise FormatError(f"manifest row {i}: {len(row)} fields, expected {len(MANIFEST_HEADER)}")
+        try:
+            pair_id, offsets = int(row[0]), (int(row[2]), int(row[3]))
+        except ValueError:
+            raise FormatError(f"manifest row {i}: pair id or offset is not an integer") from None
+        split = row[1]
         if split not in ("train", "test"):
             raise FormatError(f"manifest row {i}: unknown split {split!r}")
         dim = texts[i].shape[0]
-        if int(row[2]) != item_offset(i, 1, dim) or int(row[3]) != item_offset(
-            i, videos[i].shape[0], dim
-        ):
+        if offsets != (item_offset(i, 1, dim), item_offset(i, videos[i].shape[0], dim)):
             raise FormatError(f"manifest row {i}: offset disagrees with file layout")
         records.append(PairRecord(pair_id=pair_id, text=texts[i], video=videos[i], split=split))
     return records

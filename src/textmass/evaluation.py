@@ -17,7 +17,7 @@ give byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,27 +67,36 @@ class AlignmentRow:
 # one query at a time through training's stages
 
 
-def _embed_pool(
-    texts: np.ndarray, videos: np.ndarray, params: ModelParameters
-) -> tuple[np.ndarray, np.ndarray, VideoKeys]:
-    """Encode a pool once: texts (Q, c) as one-text blocks (Q, 1, d), each its
-    own (1, c) product whatever Q is, and frames (C, T', d) with their keys."""
+@dataclass
+class _Pool:
+    """A pool encoded once: texts as one-text blocks (Q, 1, d), each its own
+    (1, c) product whatever Q is, and frames (C, T', d) with their norms and
+    fusion keys."""
+
+    blocks: np.ndarray
+    frames: np.ndarray
+    frame_norms: np.ndarray
+    keys: VideoKeys
+
+
+def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) -> _Pool:
     blocks = encode_batch(texts[:, None, :], params.stack, "text").emb
     frames = encode_video_batch(videos, params.frame_count, params.stack).emb
-    return blocks, frames, video_keys(frames, params.fusion)
+    return _Pool(blocks, frames, np.linalg.norm(frames, axis=2), video_keys(frames, params.fusion))
 
 
-def _query_stages(
-    t: np.ndarray, frames: np.ndarray, keys: VideoKeys, params: ModelParameters, with_radius: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One query's (1, d) text block through training's fuse and radius
-    stages: (t (d,), fused candidates (C, d), radii (C, d) or None). Reports
-    and matrices all take query q's row from here, so they agree bit for bit."""
-    fused = fuse_batch(t, keys, params.fusion).fused[0]
-    radius_grid = None
-    if with_radius:
-        radius_grid = radius_batch(np.broadcast_to(t, fused.shape), frames, params.radius).radius
-    return t[0], fused, radius_grid
+def _fuse_query(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
+    """One query's (1, d) text block through training's fuse stage: its
+    fused candidates (C, d). Matrices and reports take query q's row from
+    here and from _query_radii, so they agree bit for bit."""
+    return fuse_batch(block, pool.keys, params.fusion).fused[0]
+
+
+def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
+    """One query's (1, d) text block through the radius stage, broadcast
+    over the candidates: its radii (C, d)."""
+    texts = np.broadcast_to(block, (pool.frames.shape[0], block.shape[1]))
+    return radius_batch(texts, pool.frames, pool.frame_norms, params.radius).radius
 
 
 def _uniform_width(trials: int, dim: int) -> int:
@@ -150,16 +159,17 @@ def _best_of_prefixes(
         raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
     if texts.shape[1] != videos.shape[2]:
         raise ContractViolation("text and frame feature widths disagree")
-    blocks, frames, keys = _embed_pool(texts, videos, params)
+    pool = _embed_pool(texts, videos, params)
     q_count, c_count = texts.shape[0], videos.shape[0]
     trials = max(trial_counts)
     scratch = None
     if use_sampling:
         scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
-    for q, block in enumerate(blocks):
-        t, fused, radius_grid = _query_stages(block, frames, keys, params, use_sampling)
-        scores = _score_query(t, fused, radius_grid, trials, seed, q, scratch)
+    for q, block in enumerate(pool.blocks):
+        fused = _fuse_query(block, pool, params)
+        radius_grid = _query_radii(block, pool, params) if use_sampling else None
+        scores = _score_query(block[0], fused, radius_grid, trials, seed, q, scratch)
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
     return mats
@@ -283,9 +293,11 @@ def radius_dynamics_report(
     candidate_videos = np.asarray(candidate_videos, dtype=np.float64)
     if not 0 <= relevant_index < candidate_videos.shape[0]:
         raise ContractViolation("relevant index outside the candidate pool")
-    blocks, frames, keys = _embed_pool(query_text[None, :], candidate_videos, params)
-    t, fused, radius_grid = _query_stages(blocks[0], frames, keys, params, True)
-    best = _score_query(t, fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
+    pool = _embed_pool(query_text[None, :], candidate_videos, params)
+    block = pool.blocks[0]
+    radius_grid = _query_radii(block, pool, params)
+    fused = _fuse_query(block, pool, params)
+    best = _score_query(block[0], fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
     return _radius_rows(query_id, relevant_index, radius_grid, best)
 
 
@@ -302,11 +314,10 @@ def pool_radius_report(
         raise ContractViolation("pool radius report wants an aligned text-video pool")
     if sampled.shape != (texts.shape[0], videos.shape[0]):
         raise ContractViolation("sampled matrix does not match the pool")
-    blocks, frames, keys = _embed_pool(texts, videos, params)
+    pool = _embed_pool(texts, videos, params)
     rows = []
-    for q, block in enumerate(blocks):
-        radius_grid = _query_stages(block, frames, keys, params, True)[2]
-        rows.extend(_radius_rows(q, q, radius_grid, sampled[q]))
+    for q, block in enumerate(pool.blocks):
+        rows.extend(_radius_rows(q, q, _query_radii(block, pool, params), sampled[q]))
     return rows
 
 
@@ -325,20 +336,17 @@ def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[Align
         raise ContractViolation("alignment report wants an aligned text-video pool")
     ce_det = _per_pair_ce(det, lam)
     ce_stoch = _per_pair_ce(stoch, lam)
-    n = det.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
-    rows = []
-    for q in range(n):
-        rows.append(
-            AlignmentRow(
-                query_id=q,
-                max_irrelevant_sim_det=float(det[q, off_diag[q]].max()),
-                max_irrelevant_sim_stoch=float(stoch[q, off_diag[q]].max()),
-                ce_det=float(ce_det[q]),
-                ce_stoch=float(ce_stoch[q]),
-            )
+    off_diag = ~np.eye(det.shape[0], dtype=bool)
+    return [
+        AlignmentRow(
+            query_id=q,
+            max_irrelevant_sim_det=float(det[q, off_diag[q]].max()),
+            max_irrelevant_sim_stoch=float(stoch[q, off_diag[q]].max()),
+            ce_det=float(ce_det[q]),
+            ce_stoch=float(ce_stoch[q]),
         )
-    return rows
+        for q in range(det.shape[0])
+    ]
 
 
 def alignment_report(
@@ -361,37 +369,31 @@ def alignment_report(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (fixed schemas, 6 decimal places)
+# CSV emission: one row writer, a row dataclass per schema
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def write_csv_rows(path, row_type, rows: list) -> None:
+    """Write dataclass rows as UTF-8 CSV under a header of row_type's field
+    names: floats with 6 decimals, bools as 0/1, anything else as str."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_metrics_csv(path, metrics: list[RetrievalMetrics]) -> None:
-    lines = ["direction,r1,r5,r10,mdr,mnr"]
-    for m in metrics:
-        lines.append(
-            f"{m.direction},{m.r1:.6f},{m.r5:.6f},{m.r10:.6f},{m.mdr:.6f},{m.mnr:.6f}"
-        )
-    _write_lines(path, lines)
+    write_csv_rows(path, RetrievalMetrics, metrics)
 
 
 def write_radius_report(path, rows: list[RadiusRow]) -> None:
-    lines = ["query_id,candidate_id,relevant,l1_radius,best_similarity"]
-    for r in rows:
-        lines.append(
-            f"{r.query_id},{r.candidate_id},{int(r.relevant)},"
-            f"{r.l1_radius:.6f},{r.best_similarity:.6f}"
-        )
-    _write_lines(path, lines)
+    write_csv_rows(path, RadiusRow, rows)
 
 
 def write_alignment_report(path, rows: list[AlignmentRow]) -> None:
-    lines = ["query_id,max_irrelevant_sim_det,max_irrelevant_sim_stoch,ce_det,ce_stoch"]
-    for r in rows:
-        lines.append(
-            f"{r.query_id},{r.max_irrelevant_sim_det:.6f},{r.max_irrelevant_sim_stoch:.6f},"
-            f"{r.ce_det:.6f},{r.ce_stoch:.6f}"
-        )
-    _write_lines(path, lines)
+    write_csv_rows(path, AlignmentRow, rows)

@@ -128,10 +128,12 @@ class Radii:
     radius: np.ndarray
 
 
-def radius_batch(texts: np.ndarray, frames: np.ndarray, params: RadiusParameters) -> Radii:
+def radius_batch(
+    texts: np.ndarray, frames: np.ndarray, frame_norms: np.ndarray, params: RadiusParameters
+) -> Radii:
     """`radius(frame_similarities(t, f), params)` for every aligned pair of
-    texts (n, d) and frame embeddings (n, T', d)."""
-    frame_norms = np.linalg.norm(frames, axis=2)
+    texts (n, d) and frame embeddings (n, T', d), whose norms
+    `np.linalg.norm(frames, axis=2)` the caller computes once per pool."""
     sims, text_norms = cos_grid(texts[None], frames, frame_norms)
     sims, text_norms = sims[0], text_norms[0]
     if params.variant == "linear":

@@ -1,15 +1,18 @@
 """Trainable model state: encoders, fusion, radius module, and logit scale.
 
-Parameters live in their owning dataclasses; this module provides the single
-canonical ordering used by the optimizer, gradient containers, flattening for
-finite-difference checks, and checkpoint serialization. Two parameter groups
-exist: "backbone-adapter" (the encoder adapters, trained at the lower rate)
-and "head" (fusion, radius, logit scale).
+Parameters live in their owning dataclasses. The PARAMETERS table names
+each array once, with where it lives and its optimizer group, and its order
+is the canonical order of the optimizer, gradient containers, flattening for
+finite-difference checks, and checkpoint serialization; every accessor here
+reads it. Two parameter groups exist: "backbone-adapter" (the encoder
+adapters, trained at the lower rate) and "head" (fusion, radius, logit
+scale); the frozen projections belong to neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,98 +70,93 @@ def init_model(
     )
 
 
+class Slot(NamedTuple):
+    owner: str | None  # model component holding the array; None: the model itself
+    attr: str
+    group: str | None  # optimizer group; None: frozen
+    variant: str | None = None  # the one radius variant that holds it; None: every model
+
+
+_ADAPTER, _HEAD = "backbone-adapter", "head"
+
+# Every parameter array, in the canonical order of the optimizer, gradient
+# containers, flat vectors and checkpoints.
+PARAMETERS = {
+    "proj_text": Slot("stack", "proj_text", None),
+    "proj_frame": Slot("stack", "proj_frame", None),
+    "adapter_text": Slot("stack", "adapter_text", _ADAPTER),
+    "adapter_frame": Slot("stack", "adapter_frame", _ADAPTER),
+    "fusion_query": Slot("fusion", "query_map", _HEAD),
+    "fusion_key": Slot("fusion", "key_map", _HEAD),
+    "fusion_value": Slot("fusion", "value_map", _HEAD),
+    "fusion_out": Slot("fusion", "output_map", _HEAD),
+    "radius_theta": Slot("radius", "theta", _HEAD, "scalar"),
+    "radius_weights": Slot("radius", "weights", _HEAD, "linear"),
+    "log_lambda": Slot(None, "log_lambda", _HEAD),
+}
+
+
+def _slot(name: str) -> Slot:
+    if name not in PARAMETERS:
+        raise ContractViolation(f"unknown parameter {name!r}")
+    return PARAMETERS[name]
+
+
+def _owner(params: ModelParameters, slot: Slot):
+    return params if slot.owner is None else getattr(params, slot.owner)
+
+
+def all_array_names(params: ModelParameters) -> list[str]:
+    """Every parameter array including frozen ones, for serialization."""
+    return [n for n, s in PARAMETERS.items() if s.variant in (None, params.radius.variant)]
+
+
 def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
     """Canonical ordering of trainable parameters for the given objective mode.
 
     Baseline mode never touches the radius module, so its parameters are
     absent; fixed-mean has no radius parameters at all; a frozen radius
-    (trainable=False) is likewise excluded.
+    (trainable=False) is likewise excluded, and so are disabled adapters.
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
-    names = []
-    if params.stack.adapters_enabled:
-        names += ["adapter_text", "adapter_frame"]
-    names += ["fusion_query", "fusion_key", "fusion_value", "fusion_out"]
-    if mode != "baseline" and params.radius.trainable:
-        if params.radius.variant == "scalar":
-            names.append("radius_theta")
-        elif params.radius.variant == "linear":
-            names.append("radius_weights")
-    names.append("log_lambda")
-    return names
-
-
-def all_array_names(params: ModelParameters) -> list[str]:
-    """Every parameter array including frozen ones, for serialization."""
-    names = [
-        "proj_text",
-        "proj_frame",
-        "adapter_text",
-        "adapter_frame",
-        "fusion_query",
-        "fusion_key",
-        "fusion_value",
-        "fusion_out",
+    radius_trains = mode != "baseline" and params.radius.trainable
+    return [
+        n
+        for n in all_array_names(params)
+        if PARAMETERS[n].group is not None
+        and (PARAMETERS[n].group != _ADAPTER or params.stack.adapters_enabled)
+        and (PARAMETERS[n].owner != "radius" or radius_trains)
     ]
-    if params.radius.variant == "scalar":
-        names.append("radius_theta")
-    elif params.radius.variant == "linear":
-        names.append("radius_weights")
-    names.append("log_lambda")
-    return names
 
 
-def parameter_group(name: str) -> str:
-    return "backbone-adapter" if name.startswith("adapter_") else "head"
+def parameter_group(name: str) -> str | None:
+    """Optimizer group of a parameter; None for a frozen one."""
+    return _slot(name).group
 
 
 def get_param(params: ModelParameters, name: str) -> np.ndarray:
     """Parameter value as a float64 array (shape () for scalars)."""
-    table = {
-        "proj_text": params.stack.proj_text,
-        "proj_frame": params.stack.proj_frame,
-        "adapter_text": params.stack.adapter_text,
-        "adapter_frame": params.stack.adapter_frame,
-        "fusion_query": params.fusion.query_map,
-        "fusion_key": params.fusion.key_map,
-        "fusion_value": params.fusion.value_map,
-        "fusion_out": params.fusion.output_map,
-        "radius_theta": params.radius.theta,
-        "radius_weights": params.radius.weights,
-        "log_lambda": params.log_lambda,
-    }
-    if name not in table:
-        raise ContractViolation(f"unknown parameter {name!r}")
-    return np.asarray(table[name], dtype=np.float64)
+    slot = _slot(name)
+    return np.asarray(getattr(_owner(params, slot), slot.attr), dtype=np.float64)
+
+
+def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
+    """Assign any parameter, frozen ones included, as when a model is
+    rebuilt from stored arrays; a scalar is stored as a float."""
+    slot = _slot(name)
+    owner = _owner(params, slot)
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != np.shape(getattr(owner, slot.attr)):
+        raise ContractViolation(f"shape mismatch assigning {name!r}")
+    setattr(owner, slot.attr, float(value) if value.ndim == 0 else value)
 
 
 def set_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != get_param(params, name).shape:
-        raise ContractViolation(f"shape mismatch assigning {name!r}")
-    if name == "adapter_text":
-        params.stack.adapter_text = value
-    elif name == "adapter_frame":
-        params.stack.adapter_frame = value
-    elif name == "fusion_query":
-        params.fusion.query_map = value
-    elif name == "fusion_key":
-        params.fusion.key_map = value
-    elif name == "fusion_value":
-        params.fusion.value_map = value
-    elif name == "fusion_out":
-        params.fusion.output_map = value
-    elif name == "radius_theta":
-        params.radius.theta = float(value)
-    elif name == "radius_weights":
-        params.radius.weights = value
-    elif name == "log_lambda":
-        params.log_lambda = float(value)
-    elif name in ("proj_text", "proj_frame"):
+    """Assign a trainable parameter; a frozen one is refused."""
+    if _slot(name).group is None:
         raise ContractViolation(f"parameter {name!r} is frozen")
-    else:
-        raise ContractViolation(f"unknown parameter {name!r}")
+    restore_param(params, name, value)
 
 
 def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
@@ -168,10 +166,9 @@ def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
 def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray) -> None:
     pos = 0
     for n in names:
-        shape = get_param(params, n).shape
-        size = int(np.prod(shape)) if shape else 1
-        set_param(params, n, flat[pos : pos + size].reshape(shape))
-        pos += size
+        old = get_param(params, n)
+        set_param(params, n, flat[pos : pos + old.size].reshape(old.shape))
+        pos += old.size
     if pos != flat.size:
         raise ContractViolation("flat parameter vector length mismatch")
 

@@ -287,7 +287,8 @@ def forward_batch(
         if eps.shape[1:] != (n, d):
             raise ContractViolation("noise shape mismatch")
         tape.eps = eps
-        tape.radii = radii = radius_batch(text.emb, frames.emb, params.radius)
+        frame_norms = np.linalg.norm(frames.emb, axis=2)
+        tape.radii = radii = radius_batch(text.emb, frames.emb, frame_norms, params.radius)
 
         # all S samples t + R * eps_s as one (S, N, d) stack
         s_t2v, s_v2t, tape.stochastic = _ce_term(
@@ -529,11 +530,8 @@ def gradient_check(
     ok = np.where(magnitude < small_grad, abs_err <= abs_tol, rel_err <= rel_tol)
     failures = []
     for i in np.flatnonzero(~ok):
-        owner = names[int(np.searchsorted(bounds, i, side="right")) - 1]
-        failures.append(
-            f"{owner}[{i - bounds[np.searchsorted(bounds, i, side='right') - 1]}]: "
-            f"analytic={analytic[i]:.3e} numeric={numeric[i]:.3e}"
-        )
+        k = int(np.searchsorted(bounds, i, side="right")) - 1
+        failures.append(f"{names[k]}[{i - bounds[k]}]: analytic={analytic[i]:.3e} numeric={numeric[i]:.3e}")
     large = magnitude >= small_grad
     worst_rel = float(rel_err[large].max()) if np.any(large) else 0.0
     return GradientCheckResult(

@@ -27,6 +27,7 @@ from .model import (
     get_param,
     init_model,
     parameter_group,
+    restore_param,
     set_param,
     trainable_names,
 )
@@ -409,11 +410,8 @@ def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
     file or the complete new one, never a partial write."""
     params = state.params
     arrays = {name: get_param(params, name) for name in all_array_names(params)}
-    opt = {}
-    for name, value in state.optimizer.first_moment.items():
-        opt[f"m.{name}"] = value
-    for name, value in state.optimizer.second_moment.items():
-        opt[f"v.{name}"] = value
+    moments = (("m", state.optimizer.first_moment), ("v", state.optimizer.second_moment))
+    opt = {f"{tag}.{name}": value for tag, table in moments for name, value in table.items()}
     opt["step"] = np.float64(state.optimizer.step)
     config_blob = config_to_text(config).encode("utf-8")
     blob = b"".join(
@@ -439,6 +437,25 @@ def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _checked_entries(entries: dict, shapes: dict, what: str) -> dict:
+    """The stored arrays named in shapes, in its order, each present, of
+    its expected shape and finite; no other name may be stored. what names
+    the kind of entry in the FormatError."""
+    checked = {}
+    for key, shape in shapes.items():
+        if key not in entries:
+            raise FormatError(f"checkpoint missing {what} {key!r}")
+        stored = entries.pop(key)
+        if stored.shape != shape:
+            raise FormatError(f"shape mismatch for {key!r}")
+        if not np.all(np.isfinite(stored)):
+            raise FormatError(f"{what} {key!r} holds non-finite values")
+        checked[key] = stored
+    if entries:
+        raise FormatError(f"checkpoint has unknown {what} {sorted(entries)[0]!r}")
+    return checked
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
@@ -469,22 +486,9 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
         raise FormatError("seed record disagrees with config")
 
     params = init_model_from_config(config)
-    for name in all_array_names(params):
-        if name not in arrays:
-            raise FormatError(f"checkpoint missing parameter {name!r}")
-        stored = arrays.pop(name)
-        if stored.shape != get_param(params, name).shape:
-            raise FormatError(f"shape mismatch for {name!r}")
-        if not np.all(np.isfinite(stored)):
-            raise FormatError(f"parameter {name!r} holds non-finite values")
-        if name == "proj_text":
-            params.stack.proj_text = stored
-        elif name == "proj_frame":
-            params.stack.proj_frame = stored
-        else:
-            set_param(params, name, stored)
-    if arrays:
-        raise FormatError(f"checkpoint has unknown parameter {sorted(arrays)[0]!r}")
+    shapes = {name: get_param(params, name).shape for name in all_array_names(params)}
+    for name, stored in _checked_entries(arrays, shapes, "parameter").items():
+        restore_param(params, name, stored)
 
     optimizer = init_optimizer(params, config.mode)
     if "step" not in opt_entries:
@@ -495,16 +499,9 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     if step < 0 or step != np.floor(step):
         raise FormatError(f"checkpoint optimizer step {float(step)!r} is not a count")
     optimizer.step = int(step)
-    for name in optimizer.first_moment:
-        for key, moments in ((f"m.{name}", optimizer.first_moment), (f"v.{name}", optimizer.second_moment)):
-            if key not in opt_entries:
-                raise FormatError(f"checkpoint missing optimizer entry {key!r}")
-            stored = opt_entries.pop(key)
-            if stored.shape != moments[name].shape:
-                raise FormatError(f"shape mismatch for {key!r}")
-            if not np.all(np.isfinite(stored)):
-                raise FormatError(f"optimizer entry {key!r} holds non-finite values")
-            moments[name] = stored
-    if opt_entries:
-        raise FormatError(f"checkpoint has unknown optimizer entry {sorted(opt_entries)[0]!r}")
+    first, second = optimizer.first_moment, optimizer.second_moment
+    shapes = {f"{tag}.{name}": zeros.shape for name, zeros in first.items() for tag in "mv"}
+    stored = _checked_entries(opt_entries, shapes, "optimizer entry")
+    for name in first:
+        first[name], second[name] = stored[f"m.{name}"], stored[f"v.{name}"]
     return TrainState(params=params, optimizer=optimizer, global_step=global_step), config

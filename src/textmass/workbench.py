@@ -22,6 +22,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .evaluation import (
     rank_metrics,
     video_to_text_metrics,
     write_alignment_report,
+    write_csv_rows,
     write_metrics_csv,
     write_radius_report,
 )
@@ -55,7 +57,15 @@ from .trainer import (
 
 TRIALS_GRID = (5, 10, 20)
 ALPHA_GRID = (0.5, 0.8, 1.0, 1.2, 1.5)
-TABLE_HEADER = "config,seed,direction,r1,r5,r10,mdr,mnr"
+
+# CSV rows of the grid tables and train_log.csv: leading columns, then the
+# columns of a RetrievalMetrics row
+_SCORES = tuple(f.name for f in dataclasses.fields(RetrievalMetrics) if f.name != "direction")
+TableRow = dataclasses.make_dataclass(
+    "TableRow", ["config", "seed", *(f.name for f in dataclasses.fields(RetrievalMetrics))]
+)
+EpochRow = dataclasses.make_dataclass("EpochRow", ["epoch", "mean_loss", *_SCORES])
+TABLE_HEADER = ",".join(f.name for f in dataclasses.fields(TableRow))
 
 # substream purposes for the gradcheck fixture
 _STREAM_CHECK_DATA = 501
@@ -148,11 +158,7 @@ def _corpus(run: RunConfig, log: RunLog) -> CorpusArrays:
 
 
 def _test_metrics(
-    corpus: CorpusArrays,
-    params,
-    use_sampling: bool,
-    trials: int,
-    seed: int,
+    corpus: CorpusArrays, params, use_sampling: bool, trials: int, seed: int
 ) -> tuple[RetrievalMetrics, RetrievalMetrics]:
     sims = inference_similarity_matrix(
         corpus.test_text, corpus.test_videos, params, SamplingConfig(trials=trials),
@@ -169,24 +175,14 @@ def _pool_metrics(sims: np.ndarray) -> tuple[RetrievalMetrics, RetrievalMetrics]
 
 
 def _median_metrics(cells: list[RetrievalMetrics]) -> RetrievalMetrics:
-    return RetrievalMetrics(
-        direction="text-to-video",
-        r1=float(np.median([m.r1 for m in cells])),
-        r5=float(np.median([m.r5 for m in cells])),
-        r10=float(np.median([m.r10 for m in cells])),
-        mdr=float(np.median([m.mdr for m in cells])),
-        mnr=float(np.median([m.mnr for m in cells])),
-    )
+    medians = {name: float(np.median([getattr(m, name) for m in cells])) for name in _SCORES}
+    return RetrievalMetrics(direction="text-to-video", **medians)
 
 
-def _write_table(path, rows: list[tuple[str, str, RetrievalMetrics]]) -> None:
-    lines = [TABLE_HEADER]
-    for label, seed, m in rows:
-        lines.append(
-            f"{label},{seed},{m.direction},{m.r1:.6f},{m.r5:.6f},{m.r10:.6f},"
-            f"{m.mdr:.6f},{m.mnr:.6f}"
-        )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _sampling_for(run: RunConfig, mode: str) -> bool:
+    """Whether a model trained in mode is scored with sampling: a baseline
+    model never trained its radius, so it is scored deterministically."""
+    return run.sampling and mode != "baseline"
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +315,13 @@ def _cmd_train(run: RunConfig, out: Path, log: RunLog) -> int:
     result = train(corpus.train_text, corpus.train_videos, tc, epoch_callback=on_epoch)
     save_checkpoint(out / "checkpoint.tmck", result.state, tc)
 
-    lines = ["epoch,mean_loss,r1,r5,r10,mdr,mnr"]
-    for epoch, (mean_loss, m) in enumerate(zip(result.epoch_means, validation)):
-        lines.append(
-            f"{epoch},{mean_loss:.6f},{m.r1:.6f},{m.r5:.6f},{m.r10:.6f},"
-            f"{m.mdr:.6f},{m.mnr:.6f}"
-        )
-    (out / "train_log.csv").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    epochs = [
+        EpochRow(epoch, mean_loss, **{name: getattr(m, name) for name in _SCORES})
+        for epoch, (mean_loss, m) in enumerate(zip(result.epoch_means, validation))
+    ]
+    write_csv_rows(out / "train_log.csv", EpochRow, epochs)
 
-    use_sampling = run.sampling and tc.mode != "baseline"
+    use_sampling = _sampling_for(run, tc.mode)
     t2v, v2t = _test_metrics(corpus, result.state.params, use_sampling, run.trials, tc.seed)
     write_metrics_csv(out / "metrics.csv", [t2v, v2t])
     log.note(f"final test r1 {t2v.r1:.2f} (sampling={'on' if use_sampling else 'off'})")
@@ -346,37 +338,27 @@ def _cmd_eval(run: RunConfig, out: Path, log: RunLog) -> int:
             f"checkpoint expects concept width {tc.concept_dim} but the corpus "
             f"has width {corpus.test_text.shape[1]}"
         )
-    t2v, v2t = _test_metrics(corpus, state.params, run.sampling, run.trials, run.seed)
+    use_sampling = _sampling_for(run, tc.mode)
+    t2v, v2t = _test_metrics(corpus, state.params, use_sampling, run.trials, run.seed)
     write_metrics_csv(out / "metrics.csv", [t2v, v2t])
     log.note(
         f"evaluated {run.checkpoint} at step {state.global_step}: test r1 {t2v.r1:.2f} "
-        f"(sampling={'on' if run.sampling else 'off'}, trials={run.trials})"
+        f"(sampling={'on' if use_sampling else 'off'}, trials={run.trials})"
     )
     return 0
 
 
-def _cmd_ablate_radius(run: RunConfig, out: Path, log: RunLog) -> int:
-    corpus = _corpus(run, log)
-    _write_table(out / "metrics.csv", ablation_matrix(run, RADIUS_GRID, corpus, log))
-    return 0
+def _table_command(grid_rows):
+    """A grid command: grid_rows(run, corpus=..., log=...) gives the
+    (config, seed, metrics) rows of its metrics.csv table."""
 
+    def command(run: RunConfig, out: Path, log: RunLog) -> int:
+        rows = grid_rows(run, corpus=_corpus(run, log), log=log)
+        table = [TableRow(label, seed, **dataclasses.asdict(m)) for label, seed, m in rows]
+        write_csv_rows(out / "metrics.csv", TableRow, table)
+        return 0
 
-def _cmd_ablate_loss(run: RunConfig, out: Path, log: RunLog) -> int:
-    corpus = _corpus(run, log)
-    _write_table(out / "metrics.csv", ablation_matrix(run, LOSS_GRID, corpus, log))
-    return 0
-
-
-def _cmd_sweep_trials(run: RunConfig, out: Path, log: RunLog) -> int:
-    corpus = _corpus(run, log)
-    _write_table(out / "metrics.csv", trials_sweep(run, corpus, log))
-    return 0
-
-
-def _cmd_sweep_alpha(run: RunConfig, out: Path, log: RunLog) -> int:
-    corpus = _corpus(run, log)
-    _write_table(out / "metrics.csv", alpha_sweep(run, corpus, log))
-    return 0
+    return command
 
 
 def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
@@ -392,7 +374,8 @@ def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
     pool = (corpus.test_text, corpus.test_videos, params, cfg)
     det = inference_similarity_matrix(*pool, False, run.seed)
     stoch = inference_similarity_matrix(*pool, True, run.seed)
-    write_metrics_csv(out / "metrics.csv", list(_pool_metrics(stoch if run.sampling else det)))
+    scored = stoch if _sampling_for(run, tc.mode) else det
+    write_metrics_csv(out / "metrics.csv", list(_pool_metrics(scored)))
     radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
     write_radius_report(out / "radius_report.csv", radius_rows)
     alignment = alignment_rows(det, stoch, params.logit_scale())
@@ -461,10 +444,10 @@ _IMPLS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "ablate-radius": _cmd_ablate_radius,
-    "ablate-loss": _cmd_ablate_loss,
-    "sweep-trials": _cmd_sweep_trials,
-    "sweep-alpha": _cmd_sweep_alpha,
+    "ablate-radius": _table_command(partial(ablation_matrix, grid=RADIUS_GRID)),
+    "ablate-loss": _table_command(partial(ablation_matrix, grid=LOSS_GRID)),
+    "sweep-trials": _table_command(trials_sweep),
+    "sweep-alpha": _table_command(alpha_sweep),
     "analyze": _cmd_analyze,
     "gradcheck": _cmd_gradcheck,
 }
@@ -493,14 +476,9 @@ def _resolved_run(ns: argparse.Namespace) -> RunConfig:
     if ns.seed is not None:
         overrides["seed"] = ns.seed
         overrides["seeds"] = (ns.seed,)
-    if ns.mode is not None:
-        overrides["mode"] = ns.mode
-    if ns.trials is not None:
-        overrides["trials"] = ns.trials
-    if ns.alpha is not None:
-        overrides["alpha"] = ns.alpha
-    if ns.radius is not None:
-        overrides["radius_variant"] = ns.radius
+    for flag, key in (("mode", "mode"), ("trials", "trials"), ("alpha", "alpha"), ("radius", "radius_variant")):
+        if getattr(ns, flag) is not None:
+            overrides[key] = getattr(ns, flag)
     if overrides:
         run = dataclasses.replace(run, **overrides)
     return run

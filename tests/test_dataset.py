@@ -1,6 +1,8 @@
 """Synthetic corpus semantics (coverage, redundancy, determinism) and the
 embedding file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,29 @@ class TestCorpusDirectory:
         manifest = (target / "manifest.csv").read_text().splitlines()
         (target / "manifest.csv").write_text("\n".join(manifest[:-1]) + "\n")
         with pytest.raises(FormatError, match="manifest lists"):
+            read_corpus(target)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,train", "manifest row 1: 2 fields, expected 4"),
+            ("1,train,44,68,0", "manifest row 1: 5 fields, expected 4"),
+            ("", "manifest row 1: 0 fields, expected 4"),
+            ("x,train,44,68", "manifest row 1: pair id or offset is not an integer"),
+            ("1,train,4.5,68", "manifest row 1: pair id or offset is not an integer"),
+            ("1,train,44,", "manifest row 1: pair id or offset is not an integer"),
+        ],
+        ids=["short", "long", "blank", "id", "text-offset", "video-offset"],
+    )
+    def test_malformed_manifest_row_is_format_error(self, tmp_path, row, message):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))
+        target = tmp_path / "corpus"
+        write_corpus(target, records)
+        lines = (target / "manifest.csv").read_text().splitlines()
+        assert lines[0] == "pair_id,split,text_file_offset,video_file_offset"
+        lines[2] = row
+        (target / "manifest.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(message)):
             read_corpus(target)
 
     def test_missing_manifest(self, tmp_path):

@@ -1,6 +1,8 @@
 """Rank metrics against a sort-based oracle, inference against per-item op
 recomputation, and report schemas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,10 +162,11 @@ class _ZeroNormals:
 def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     """Reference for the batched matrix: one select_best_sample call per
     pair, on the same embeddings, fused videos and radii inference uses."""
-    blocks, frames, keys = evaluation._embed_pool(texts, videos, params)
+    pool = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
-    for q, block in enumerate(blocks):
-        t, fused, radius_grid = evaluation._query_stages(block, frames, keys, params, True)
+    for q, block in enumerate(pool.blocks):
+        t, fused = block[0], evaluation._fuse_query(block, pool, params)
+        radius_grid = evaluation._query_radii(block, pool, params)
         for c in range(videos.shape[0]):
             if use_sampling:
                 rng = substream(seed, EVAL_STREAM, q, c)
@@ -404,6 +407,22 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "query_id,max_irrelevant_sim_det,max_irrelevant_sim_stoch,ce_det,ce_stoch"
         assert lines[1] == "3,0.250000,0.500000,1.000000,0.750000"
+
+    def test_row_writer_formats_by_value_type(self, tmp_path):
+        @dataclasses.dataclass
+        class Row:
+            name: str
+            count: int
+            flag: bool
+            score: float
+
+        path = tmp_path / "rows.csv"
+        evaluation.write_csv_rows(
+            path, Row, [Row("a", 3, np.True_, 0.1234567), Row("b", 0, False, np.float64(2))]
+        )
+        assert path.read_bytes() == b"name,count,flag,score\na,3,1,0.123457\nb,0,0,2.000000\n"
+        evaluation.write_csv_rows(path, Row, [])
+        assert path.read_bytes() == b"name,count,flag,score\n"
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         params = make_params(seed=13)

@@ -1,0 +1,130 @@
+"""The parameter layout: which arrays exist, which train, in what order,
+and how they are read and assigned."""
+
+import numpy as np
+import pytest
+
+from textmass.core import ContractViolation
+from textmass.model import (
+    MODES,
+    all_array_names,
+    get_param,
+    init_model,
+    parameter_group,
+    restore_param,
+    set_param,
+    trainable_names,
+)
+
+ENCODERS = ["adapter_text", "adapter_frame"]
+FUSION = ["fusion_query", "fusion_key", "fusion_value", "fusion_out"]
+
+
+def make_model(variant="linear", adapters=True, radius_trainable=True):
+    params = init_model(8, 6, 3, radius_variant=variant, seed=0, adapters_enabled=adapters)
+    params.radius.trainable = radius_trainable
+    return params
+
+
+@pytest.mark.parametrize(
+    "variant, expected",
+    [
+        ("fixed-mean", ["proj_text", "proj_frame", "adapter_text", "adapter_frame",
+                        "fusion_query", "fusion_key", "fusion_value", "fusion_out",
+                        "log_lambda"]),
+        ("scalar", ["proj_text", "proj_frame", "adapter_text", "adapter_frame",
+                    "fusion_query", "fusion_key", "fusion_value", "fusion_out",
+                    "radius_theta", "log_lambda"]),
+        ("linear", ["proj_text", "proj_frame", "adapter_text", "adapter_frame",
+                    "fusion_query", "fusion_key", "fusion_value", "fusion_out",
+                    "radius_weights", "log_lambda"]),
+    ],
+)
+def test_all_array_names_per_variant(variant, expected):
+    assert all_array_names(make_model(variant)) == expected
+
+
+# (mode, adapters enabled, radius trainable) -> trainable names of a linear model
+TRAINABLE_LINEAR = {
+    ("t-mass", True, True): ENCODERS + FUSION + ["radius_weights", "log_lambda"],
+    ("t-mass", True, False): ENCODERS + FUSION + ["log_lambda"],
+    ("t-mass", False, True): FUSION + ["radius_weights", "log_lambda"],
+    ("t-mass", False, False): FUSION + ["log_lambda"],
+    ("baseline", True, True): ENCODERS + FUSION + ["log_lambda"],
+    ("baseline", True, False): ENCODERS + FUSION + ["log_lambda"],
+    ("baseline", False, True): FUSION + ["log_lambda"],
+    ("baseline", False, False): FUSION + ["log_lambda"],
+    ("ablation-ce-plus-s", True, True): ENCODERS + FUSION + ["radius_weights", "log_lambda"],
+    ("ablation-ce-plus-s", True, False): ENCODERS + FUSION + ["log_lambda"],
+    ("ablation-ce-plus-s", False, True): FUSION + ["radius_weights", "log_lambda"],
+    ("ablation-ce-plus-s", False, False): FUSION + ["log_lambda"],
+}
+
+
+def test_trainable_table_covers_every_mode():
+    assert {mode for mode, _, _ in TRAINABLE_LINEAR} == set(MODES)
+
+
+@pytest.mark.parametrize("key", sorted(TRAINABLE_LINEAR), ids=str)
+def test_trainable_names_per_mode_adapters_and_radius(key):
+    mode, adapters, radius_trainable = key
+    params = make_model("linear", adapters, radius_trainable)
+    assert trainable_names(params, mode) == TRAINABLE_LINEAR[key]
+
+
+@pytest.mark.parametrize(
+    "variant, radius", [("fixed-mean", []), ("scalar", ["radius_theta"]), ("linear", ["radius_weights"])]
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_trainable_radius_entry_per_variant(variant, radius, mode):
+    expected = ENCODERS + FUSION + (radius if mode != "baseline" else []) + ["log_lambda"]
+    assert trainable_names(make_model(variant), mode) == expected
+
+
+def test_unknown_mode_and_name_are_refused():
+    params = make_model()
+    with pytest.raises(ContractViolation, match="unknown training mode"):
+        trainable_names(params, "t-mas")
+    for call in (lambda: get_param(params, "radius"), lambda: set_param(params, "radius", 0.0),
+                 lambda: restore_param(params, "radius", 0.0), lambda: parameter_group("radius")):
+        with pytest.raises(ContractViolation, match="unknown parameter 'radius'"):
+            call()
+
+
+def test_groups_follow_the_table():
+    params = make_model()
+    groups = {name: parameter_group(name) for name in all_array_names(params)}
+    assert groups == {
+        "proj_text": None, "proj_frame": None,
+        "adapter_text": "backbone-adapter", "adapter_frame": "backbone-adapter",
+        "fusion_query": "head", "fusion_key": "head", "fusion_value": "head",
+        "fusion_out": "head", "radius_weights": "head", "log_lambda": "head",
+    }
+
+
+def test_get_param_reads_the_owning_component():
+    params = make_model()
+    assert np.array_equal(get_param(params, "proj_frame"), params.stack.proj_frame)
+    assert np.array_equal(get_param(params, "fusion_out"), params.fusion.output_map)
+    assert np.array_equal(get_param(params, "radius_weights"), params.radius.weights)
+    assert get_param(params, "log_lambda").shape == ()
+    assert float(get_param(params, "log_lambda")) == params.log_lambda
+
+
+def test_set_param_refuses_frozen_and_misshapen_values():
+    params = make_model()
+    with pytest.raises(ContractViolation, match="parameter 'proj_frame' is frozen"):
+        set_param(params, "proj_frame", params.stack.proj_frame)
+    with pytest.raises(ContractViolation, match="shape mismatch assigning 'fusion_key'"):
+        set_param(params, "fusion_key", np.eye(7))
+
+
+def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
+    params = make_model("scalar")
+    frame = np.full((8, 6), 0.5)
+    restore_param(params, "proj_frame", frame)
+    assert np.array_equal(params.stack.proj_frame, frame)
+    set_param(params, "radius_theta", np.array(0.25))
+    set_param(params, "log_lambda", np.array(1.5))
+    assert type(params.radius.theta) is float and params.radius.theta == 0.25
+    assert type(params.log_lambda) is float and params.log_lambda == 1.5

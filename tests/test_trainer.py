@@ -3,6 +3,8 @@ bit-exact determinism of training, checkpointing, and resume, the config
 codec, and checkpoint corruption."""
 
 import dataclasses
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from textmass import trainer
 from textmass.core import ContractViolation, FormatError, substream
-from textmass.model import flatten_params, get_param, trainable_names
+from textmass.model import all_array_names, flatten_params, get_param, trainable_names
 from textmass.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -458,6 +460,98 @@ class TestCheckpoint:
         save_checkpoint(over, state, config)
         assert over.read_bytes() == fresh.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.tmck", "over.tmck"]
+
+
+def write_raw_checkpoint(path, arrays, opt, config, global_step):
+    """A version-1 checkpoint holding exactly the given array tables."""
+    config_blob = config_to_text(config).encode("utf-8")
+    path.write_bytes(b"".join([
+        trainer.CHECKPOINT_MAGIC,
+        struct.pack("<I", trainer.CHECKPOINT_VERSION),
+        trainer._pack_array_table(arrays),
+        trainer._pack_array_table(opt),
+        struct.pack("<I", len(config_blob)),
+        config_blob,
+        struct.pack("<QQ", config.seed, global_step),
+    ]))
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("adapters", [True, False], ids=["adapters", "no-adapters"])
+    @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
+    def test_round_trip_keeps_every_array(self, tmp_path, variant, adapters):
+        text, videos = tiny_data()
+        config = tiny_config(radius_variant=variant, adapters_enabled=adapters, theta_init=0.3)
+        state = train(text, videos, config, stop_after_epochs=1).state
+        path = tmp_path / "state.tmck"
+        save_checkpoint(path, state, config)
+        loaded, _ = load_checkpoint(path)
+        names = all_array_names(state.params)
+        assert all_array_names(loaded.params) == names
+        assert "proj_frame" in names
+        for name in names:
+            assert np.array_equal(get_param(loaded.params, name), get_param(state.params, name)), name
+        assert list(loaded.optimizer.first_moment) == trainable_names(state.params, config.mode)
+        for name, moment in state.optimizer.first_moment.items():
+            assert np.array_equal(loaded.optimizer.first_moment[name], moment), name
+            assert np.array_equal(loaded.optimizer.second_moment[name], state.optimizer.second_moment[name])
+        save_checkpoint(tmp_path / "again.tmck", loaded, config)
+        assert (tmp_path / "again.tmck").read_bytes() == path.read_bytes()
+
+    @pytest.fixture
+    def tables(self):
+        """The parameter and optimizer tables of a trained linear model."""
+        text, videos = tiny_data()
+        config = tiny_config()
+        state = train(text, videos, config, stop_after_epochs=1).state
+        arrays = {name: get_param(state.params, name) for name in all_array_names(state.params)}
+        opt = {f"m.{n}": m for n, m in state.optimizer.first_moment.items()}
+        opt.update({f"v.{n}": v for n, v in state.optimizer.second_moment.items()})
+        opt["step"] = np.float64(state.optimizer.step)
+        return arrays, opt, config, state.global_step
+
+    def test_untouched_tables_load(self, tmp_path, tables):
+        write_raw_checkpoint(tmp_path / "ok.tmck", *tables)
+        load_checkpoint(tmp_path / "ok.tmck")
+
+    def test_missing_parameter(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        del arrays["proj_frame"]
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match=re.escape("checkpoint missing parameter 'proj_frame'")):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_unknown_parameter(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        arrays["radius_theta"] = np.float64(0.0)
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match=re.escape("checkpoint has unknown parameter 'radius_theta'")):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_wrong_shaped_parameter(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        arrays["proj_text"] = arrays["proj_text"].T
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match=re.escape("shape mismatch for 'proj_text'")):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_wrong_shaped_moment(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        opt["v.radius_weights"] = opt["v.radius_weights"][:, :-1]
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match=re.escape("shape mismatch for 'v.radius_weights'")):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_missing_and_unknown_moments(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        missing = {k: v for k, v in opt.items() if k != "m.log_lambda"}
+        write_raw_checkpoint(tmp_path / "missing.tmck", arrays, missing, config, step)
+        with pytest.raises(FormatError, match=re.escape("checkpoint missing optimizer entry 'm.log_lambda'")):
+            load_checkpoint(tmp_path / "missing.tmck")
+        write_raw_checkpoint(tmp_path / "extra.tmck", arrays, {**opt, "m.proj_text": arrays["proj_text"]},
+                             config, step)
+        with pytest.raises(FormatError, match=re.escape("checkpoint has unknown optimizer entry 'm.proj_text'")):
+            load_checkpoint(tmp_path / "extra.tmck")
 
 
 @pytest.fixture(scope="module")

@@ -234,6 +234,23 @@ class TestGenData:
 
 
 class TestTrainEval:
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,train", "2 fields, expected 4"), ("x,train,44,68", "not an integer")],
+        ids=["short-row", "non-integer"],
+    )
+    def test_malformed_manifest_exits_two_and_is_logged(self, tmp_path, row, message):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        lines[2] = row
+        (corpus / "manifest.csv").write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, name="train.txt", data=str(corpus))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert "failed with exit code 2: manifest row 1: " in last and message in last
+
     def test_train_artifacts(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -267,16 +284,30 @@ class TestTrainEval:
         assert (first / "checkpoint.tmck").read_bytes() == (second / "checkpoint.tmck").read_bytes()
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
-    def test_eval_matches_train_final_metrics(self, tmp_path):
-        config = write_config(tmp_path)
+    @staticmethod
+    def check_scoring_matches_train(tmp_path, mode):
+        # the scoring config leaves mode at its default: eval and analyze
+        # take it from the checkpoint, and a baseline model is never scored
+        # through the radius it did not train
+        config = write_config(tmp_path, mode=mode)
         run = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(run)]) == 0
         eval_config = write_config(
             tmp_path, name="eval.txt", checkpoint=str(run / "checkpoint.tmck")
         )
-        out = tmp_path / "eval"
-        assert main(["eval", "--config", str(eval_config), "--out", str(out)]) == 0
-        assert (out / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes()
+        sampling = "sampling=off" if mode == "baseline" else "sampling=on"
+        assert sampling in (run / "run.log").read_text()
+        for command in ("eval", "analyze"):
+            out = tmp_path / command
+            assert main([command, "--config", str(eval_config), "--out", str(out)]) == 0
+            assert (out / "metrics.csv").read_bytes() == (run / "metrics.csv").read_bytes(), command
+        assert sampling in (tmp_path / "eval" / "run.log").read_text()
+
+    def test_eval_matches_train_final_metrics(self, tmp_path):
+        self.check_scoring_matches_train(tmp_path, "t-mass")
+
+    def test_eval_matches_train_final_metrics_of_a_baseline_checkpoint(self, tmp_path):
+        self.check_scoring_matches_train(tmp_path, "baseline")
 
     def test_eval_requires_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
