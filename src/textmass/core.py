@@ -233,24 +233,36 @@ def softmax(logits: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return e / e.sum()
 
 
+# Coordinates whose +h and -h points one call of the oracle's callback
+# evaluates together (the last block may hold fewer).
+FD_BLOCK = 16
+
+
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h.
 
-    f must be deterministic; every evaluation is checked for finiteness.
-    This routine stays independent of any analytic backward pass it verifies.
+    f maps a (P, *x.shape) stack of points to their P values. The oracle
+    hands it the points x + h e_i, then x - h e_i, of FD_BLOCK coordinates
+    at a time, so one coordinate is the P = 2 case of the same call. f must
+    be deterministic; every value is checked for finiteness. This routine
+    stays independent of any analytic backward pass it verifies.
     """
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
         raise ContractViolation(f"step size must be positive, got {h}")
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[i] += h
-        xm.flat[i] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleFailure(f"non-finite evaluation at coordinate {i}")
-        grad.flat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    grad = np.zeros(x.size)
+    for start in range(0, x.size, FD_BLOCK):
+        coords = np.arange(start, min(start + FD_BLOCK, x.size))
+        b = coords.size
+        points = np.tile(x.ravel(), (2 * b, 1))
+        points[np.arange(b), coords] += h
+        points[np.arange(b, 2 * b), coords] -= h
+        values = np.asarray(f(points.reshape((2 * b,) + x.shape)), dtype=np.float64)
+        if values.shape != (2 * b,):
+            raise ContractViolation(f"callback gave {values.shape} values for {2 * b} points")
+        fp, fm = values[:b], values[b:]
+        bad = ~(np.isfinite(fp) & np.isfinite(fm))
+        if np.any(bad):
+            raise OracleFailure(f"non-finite evaluation at coordinate {coords[bad][0]}")
+        grad[coords] = (fp - fm) / (2.0 * h)
+    return grad.reshape(x.shape)

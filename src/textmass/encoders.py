@@ -9,7 +9,10 @@ dropout is applied to the batched fusion grid (objectives.dropout_grid_mask).
 
 The batched stages `encode_batch` and `fuse_batch` run in training and
 inference alike and return what their backward (in objectives) replays;
-`encode_text`, `encode_frames` and `fuse` are their per-vector oracle.
+`encode_text`, `encode_frames` and `fuse` are their per-vector oracle. A
+trainable map may be a (k, d, d) stack of parameter copies
+(model.parameter_copies); every output it reaches then gains a leading
+copy axis of length k.
 """
 
 from __future__ import annotations
@@ -147,6 +150,15 @@ def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
 # batched stages
 
 
+def _transposed(p: np.ndarray, rank: int) -> np.ndarray:
+    """p.T as the right operand of x @ p.T, x of `rank` axes without
+    copies; a (k, d, d) stack of copies is shaped (k, 1, .., 1, d, d) so
+    that its copies lead the product whether or not x has copies too."""
+    if p.ndim == 2:
+        return p.T
+    return p.reshape(p.shape[:1] + (1,) * (rank - 2) + p.shape[1:]).swapaxes(-1, -2)
+
+
 @dataclass
 class Encoded:
     """One tower's batch: projected = x @ proj.T (the adapter's input), the
@@ -161,7 +173,10 @@ def encode_batch(x: np.ndarray, stack: EncoderStack, tower: str) -> Encoded:
     """Raw features (..., c) through the "text" or "frame" tower to unit
     embeddings (..., d): texts (n, c) and frames (n, T', c) alike."""
     projected = x @ getattr(stack, f"proj_{tower}").T
-    pre = projected @ getattr(stack, f"adapter_{tower}").T if stack.adapters_enabled else projected
+    if stack.adapters_enabled:
+        pre = projected @ _transposed(getattr(stack, f"adapter_{tower}"), projected.ndim)
+    else:
+        pre = projected
     norms = np.linalg.norm(pre, axis=-1)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation(f"{tower} embedding collapsed to zero norm")
@@ -182,7 +197,7 @@ class VideoKeys:
 
 
 def video_keys(frames: np.ndarray, p: FusionParameters) -> VideoKeys:
-    return VideoKeys(frames @ p.key_map.T, frames @ p.value_map.T)
+    return VideoKeys(frames @ _transposed(p.key_map, 3), frames @ _transposed(p.value_map, 3))
 
 
 @dataclass
@@ -204,21 +219,23 @@ def fuse_batch(
 ) -> Fused:
     """`fuse` of every video j under every text i of an (m, d) block, as
     (batched) matmuls; drop_mask is an optional (m, n, d) inverted-dropout
-    mask on the pooled grid."""
-    m, d = texts.shape
-    n, frames = kv.keys.shape[:2]
-    queries = texts @ p.query_map.T
-    logits = (queries @ kv.keys.reshape(n * frames, d).T).reshape(m, n, frames) / np.sqrt(d)
-    shifted = np.exp(logits - logits.max(axis=2, keepdims=True))
-    weights = shifted / shifted.sum(axis=2, keepdims=True)
+    mask on the pooled grid. Texts, keys and maps may carry copies."""
+    m, d = texts.shape[-2:]
+    n, frames = kv.keys.shape[-3:-1]
+    queries = texts @ _transposed(p.query_map, 2)
+    keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d)).swapaxes(-1, -2)
+    logits = queries @ keys
+    logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = shifted / shifted.sum(axis=-1, keepdims=True)
     # pooled[i, j] = weights[i, j] @ values[j]: one product per video j
-    pooled = np.matmul(weights.transpose(1, 0, 2), kv.values).transpose(1, 0, 2)
+    pooled = np.matmul(weights.swapaxes(-3, -2), kv.values).swapaxes(-3, -2)
     if drop_mask is not None:
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")
         pooled = pooled * drop_mask
-    pre = pooled @ p.output_map.T
-    norms = np.linalg.norm(pre, axis=2)
+    pre = pooled @ _transposed(p.output_map, 3)
+    norms = np.linalg.norm(pre, axis=-1)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
     return Fused(queries, weights, drop_mask, pooled, norms, pre / norms[..., None])

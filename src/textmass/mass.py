@@ -37,6 +37,7 @@ class RadiusParameters:
     variant: one of fixed-mean / scalar / linear.
     theta:   learnable scalar (scalar variant), 0 at init so R starts at 1.
     weights: (T', d) learnable matrix (linear variant), zeros at init.
+             Parameter copies make theta (k,) and weights (k, T', d).
     dim:     embedding dimension d of the produced radius vector.
     trainable: scalar/linear parameters receive gradients only when true;
                used to freeze theta for variant-equivalence checks.
@@ -108,12 +109,15 @@ def cos_grid(rows: np.ndarray, stack: np.ndarray, stack_norms: np.ndarray):
 
     rows: (S, m, d), S samples of m rows; stack: (m, n, d) with its norms
     (m, n). Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values
-    are not clamped; callers stay inside (-1, 1) up to roundoff.
+    are not clamped; callers stay inside (-1, 1) up to roundoff. Either
+    side may lead with a copy axis, which the results then lead with too.
     """
     # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
-    dots = np.matmul(stack, rows.transpose(1, 2, 0)).transpose(2, 0, 1)
+    lead = range(rows.ndim - 3)
+    dots = np.matmul(stack, rows.transpose(*lead, -2, -1, -3))
+    dots = dots.transpose(*range(dots.ndim - 3), -1, -3, -2)
     row_norms = np.linalg.norm(rows, axis=-1)
-    sims = dots / (row_norms[..., None] * stack_norms + NORM_GUARD)
+    sims = dots / (row_norms[..., None] * stack_norms[..., None, :, :] + NORM_GUARD)
     return sims, row_norms
 
 
@@ -133,14 +137,19 @@ def radius_batch(
 ) -> Radii:
     """`radius(frame_similarities(t, f), params)` for every aligned pair of
     texts (n, d) and frame embeddings (n, T', d), whose norms
-    `np.linalg.norm(frames, axis=2)` the caller computes once per pool."""
-    sims, text_norms = cos_grid(texts[None], frames, frame_norms)
-    sims, text_norms = sims[0], text_norms[0]
+    `np.linalg.norm(frames, axis=-1)` the caller computes once per pool.
+    Inputs, weights (k, T', d) and theta (k,) may carry k copies."""
+    sims, text_norms = cos_grid(texts[..., None, :, :], frames, frame_norms)
+    sims, text_norms = sims[..., 0, :, :], text_norms[..., 0, :]
     if params.variant == "linear":
         return Radii(sims, text_norms, frame_norms, np.exp(sims @ params.weights))
-    mean = sims.mean(axis=1)
-    expo = np.exp(params.theta * mean) if params.variant == "scalar" else np.exp(mean)
-    return Radii(sims, text_norms, frame_norms, expo[:, None] * np.ones(params.dim))
+    mean = sims.mean(axis=-1)
+    if params.variant == "scalar":
+        theta = params.theta if np.ndim(params.theta) == 0 else params.theta[:, None]
+        expo = np.exp(theta * mean)
+    else:
+        expo = np.exp(mean)
+    return Radii(sims, text_norms, frame_norms, expo[..., None] * np.ones(params.dim))
 
 
 def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:

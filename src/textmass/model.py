@@ -11,6 +11,7 @@ scale); the frozen projections belong to neither.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,8 @@ class ModelParameters:
     radius: RadiusParameters
     log_lambda: float
     frame_count: int
+    # k when some trainable arrays are stacks of k copies (parameter_copies)
+    copies: int | None = None
 
     @property
     def dim(self) -> int:
@@ -45,9 +48,10 @@ class ModelParameters:
     def concept_dim(self) -> int:
         return self.stack.concept_dim
 
-    def logit_scale(self) -> float:
-        """lambda = exp(log_lambda), clamped to LAMBDA_MAX."""
-        return float(min(np.exp(self.log_lambda), LAMBDA_MAX))
+    def logit_scale(self) -> float | np.ndarray:
+        """lambda = exp(log_lambda), clamped to LAMBDA_MAX; (k,) for k copies."""
+        lam = np.minimum(np.exp(self.log_lambda), LAMBDA_MAX)
+        return float(lam) if lam.ndim == 0 else lam
 
 
 def init_model(
@@ -171,6 +175,27 @@ def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray
         pos += old.size
     if pos != flat.size:
         raise ContractViolation("flat parameter vector length mismatch")
+
+
+def parameter_copies(params: ModelParameters, names: list[str], points: np.ndarray) -> ModelParameters:
+    """A model beside params for a (k, size) stack of flat vectors over
+    names: each named array that some row moves becomes the (k, *shape)
+    stack of its rows' values, and every other array is params' own,
+    shared. params itself is never written."""
+    k = points.shape[0]
+    parts = {owner: dataclasses.replace(getattr(params, owner)) for owner in ("stack", "fusion", "radius")}
+    copies = dataclasses.replace(params, copies=k, **parts)
+    pos = 0
+    for n in names:
+        old = get_param(params, n)
+        rows = points[:, pos : pos + old.size]
+        if np.any(rows != old.ravel()):
+            slot = PARAMETERS[n]
+            setattr(_owner(copies, slot), slot.attr, rows.reshape((k,) + old.shape))
+        pos += old.size
+    if pos != points.shape[1]:
+        raise ContractViolation("flat parameter vector length mismatch")
+    return copies
 
 
 def flatten_grads(grads: dict[str, np.ndarray], names: list[str]) -> np.ndarray:

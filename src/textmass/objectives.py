@@ -25,6 +25,7 @@ backward lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,16 @@ from .encoders import (
     video_keys,
 )
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch
-from .model import LAMBDA_MAX, MODES, ModelParameters, get_param, trainable_names
+from .model import (
+    LAMBDA_MAX,
+    MODES,
+    ModelParameters,
+    flatten_grads,
+    flatten_params,
+    get_param,
+    parameter_copies,
+    trainable_names,
+)
 
 DEFAULT_ALPHA = 1.2
 
@@ -72,14 +82,15 @@ class PairBatch:
 
 @dataclass
 class LossBreakdown:
-    """Per-term losses and the weighted total for one batch."""
+    """Per-term losses and the weighted total for one batch; with k
+    parameter copies each is a (k,) array of one value per copy."""
 
-    l_t2v: float
-    l_v2t: float
-    l_ce: float
-    l_s: float | None
-    l_sup: float | None
-    l_total: float
+    l_t2v: float | np.ndarray
+    l_v2t: float | np.ndarray
+    l_ce: float | np.ndarray
+    l_s: float | np.ndarray | None
+    l_sup: float | np.ndarray | None
+    l_total: float | np.ndarray
 
 
 def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
@@ -97,15 +108,16 @@ def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
 # symmetric cross-entropy
 
 
-def _ce_terms(sims: np.ndarray, lam: float):
+def _ce_terms(sims: np.ndarray, lam: float | np.ndarray):
     """Row and column InfoNCE terms for each matrix of a (..., N, N) stack;
-    rows are texts, columns videos.
+    rows are texts, columns videos. lam is a scale, or a (k,) scale per
+    copy of a (k, S, N, N) stack.
 
     Returns (l_t2v, l_v2t, p_row, p_col): the terms have the leading shape
     (0-d for one matrix) and p_row / p_col are the softmax tables reused by
     the backward pass.
     """
-    logits = lam * sims
+    logits = (lam if isinstance(lam, float) else lam[:, None, None, None]) * sims
     row_max = logits.max(axis=-1)
     exp_row = np.exp(logits - row_max[..., None])
     row_sum = exp_row.sum(axis=-1)
@@ -219,7 +231,10 @@ class Support:
 @dataclass
 class BatchTape:
     """What backward_batch replays of one forward_batch call: the stage and
-    loss-term records; the stochastic-mode fields are None in baseline mode."""
+    loss-term records; the stochastic-mode fields are None in baseline mode.
+    With parameter copies, each record the copies reach leads with the copy
+    axis and support is None (each distinct support set among the copies
+    has its own term); backward_batch refuses such a tape."""
 
     params: ModelParameters
     mode: str
@@ -250,6 +265,8 @@ def forward_batch(
     mode. Multiple sample slices average their stochastic CE terms.
     drop_mask: optional (N, N, d) inverted-dropout mask (zeros and
     1 / keep-probability), applied to the pooled fusion grid.
+    With k parameter copies (model.parameter_copies) every loss is a (k,)
+    array whose entry c equals the loss of copy c alone.
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
@@ -269,11 +286,12 @@ def forward_batch(
     fusion = fuse_batch(text.emb, keys, params.fusion, drop_mask)
     fused = fusion.fused
     # the cosine grids below all measure against fused; norm it once
-    fused_norms = np.linalg.norm(fused, axis=2)
+    fused_norms = np.linalg.norm(fused, axis=-1)
     lam = params.logit_scale()
+    lead = () if params.copies is None else (params.copies,)
 
-    t2v, v2t, ce = _ce_term(text.emb[None], fused, fused_norms, lam)
-    l_t2v, l_v2t = float(t2v[0]), float(v2t[0])
+    t2v, v2t, ce = _ce_term(text.emb[..., None, :, :], fused, fused_norms, lam)
+    l_t2v, l_v2t = t2v[..., 0], v2t[..., 0]
     l_ce = 0.5 * (l_t2v + l_v2t)
     tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, fused_norms, ce)
 
@@ -287,26 +305,32 @@ def forward_batch(
         if eps.shape[1:] != (n, d):
             raise ContractViolation("noise shape mismatch")
         tape.eps = eps
-        frame_norms = np.linalg.norm(frames.emb, axis=2)
+        frame_norms = np.linalg.norm(frames.emb, axis=-1)
         tape.radii = radii = radius_batch(text.emb, frames.emb, frame_norms, params.radius)
 
         # all S samples t + R * eps_s as one (S, N, d) stack
         s_t2v, s_v2t, tape.stochastic = _ce_term(
-            text.emb + radii.radius * eps, fused, fused_norms, lam
+            text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps, fused, fused_norms, lam
         )
-        l_s = float(np.mean(0.5 * (s_t2v + s_v2t)))
+        l_s = np.mean(0.5 * (s_t2v + s_v2t), axis=-1)
 
-        delta = fused[np.arange(n), np.arange(n)] - text.emb
-        dist = np.linalg.norm(delta, axis=1)
-        vidx = np.flatnonzero(dist > DEGENERATE_DISTANCE)
-        if vidx.size == 0:
-            raise DegenerateGeometryError("every pair has video == text embedding")
-        direction = delta[vidx] / dist[vidx, None]
-        support_rows = text.emb[vidx] + direction * radii.radius[vidx]
-        sub = np.ix_(vidx, vidx)
-        sup_t2v, sup_v2t, sup_ce = _ce_term(support_rows[None], fused[sub], fused_norms[sub], lam)
-        l_sup = 0.5 * (float(sup_t2v[0]) + float(sup_v2t[0]))
-        tape.support = Support(vidx, direction, dist[vidx], sup_ce)
+        delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
+        dist = np.linalg.norm(delta, axis=-1)
+        l_sup = np.empty(lead)
+        for copies, vidx in _support_sets(dist > DEGENERATE_DISTANCE):
+            pick = partial(_pick, copies)
+            direction = pick(delta, 2)[..., vidx, :] / pick(dist, 1)[..., vidx, None]
+            support_rows = pick(text.emb, 2)[..., vidx, :] + direction * pick(radii.radius, 2)[..., vidx, :]
+            sub = (..., vidx[:, None], vidx)
+            sup_t2v, sup_v2t, sup_ce = _ce_term(
+                support_rows[..., None, :, :],
+                pick(fused, 3)[sub + (slice(None),)],
+                pick(fused_norms, 2)[sub],
+                pick(lam, 0),
+            )
+            l_sup[copies] = 0.5 * (sup_t2v[..., 0] + sup_v2t[..., 0])
+        if params.copies is None:
+            tape.support = Support(vidx, direction, dist[vidx], sup_ce)
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
     l_total = w_ce * l_ce
@@ -314,7 +338,34 @@ def forward_batch(
         l_total = l_total + w_s * l_s
     if l_sup is not None:
         l_total = l_total + w_sup * l_sup
-    return LossBreakdown(l_t2v, l_v2t, l_ce, l_s, l_sup, float(l_total)), tape
+    terms = [l_t2v, l_v2t, l_ce, l_s, l_sup, l_total]
+    return LossBreakdown(*(None if t is None else _per_copy(t, lead) for t in terms)), tape
+
+
+def _support_sets(keep: np.ndarray) -> list:
+    """(copies, vidx) for each distinct non-degenerate set vidx of a (n,)
+    or per-copy (k, n) mask; copies is ... when every copy shares the set."""
+    rows = keep.reshape(-1, keep.shape[-1])
+    if len(rows) == 1 or (rows == rows[0]).all():
+        groups = [(..., rows[0])]
+    else:
+        sets, which = np.unique(rows, axis=0, return_inverse=True)
+        groups = [(np.flatnonzero(which.ravel() == g), s) for g, s in enumerate(sets)]
+    for _, s in groups:
+        if not s.any():
+            raise DegenerateGeometryError("every pair has video == text embedding")
+    return [(copies, np.flatnonzero(s)) for copies, s in groups]
+
+
+def _pick(copies, x, rank: int):
+    """The given copies of x, an array of `rank` axes that may lead with a
+    copy axis; without one, x is shared by every copy."""
+    return x if copies is ... or np.ndim(x) == rank else x[copies]
+
+
+def _per_copy(value, lead: tuple):
+    """A loss as a float, or as a (k,) array of one value per copy."""
+    return float(value) if lead == () else np.broadcast_to(value, lead).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +386,8 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     mode. Terms whose mode weight is zero contribute exactly nothing.
     """
     params = tape.params
+    if params.copies is not None:
+        raise ContractViolation("backward_batch wants a tape without parameter copies")
     w_ce, w_s, w_sup = mode_weights(tape.mode, tape.alpha)
     names = trainable_names(params, tape.mode)
     grads = {name: np.zeros_like(get_param(params, name)) for name in names}
@@ -501,26 +554,23 @@ def gradient_check(
 
     Every trainable parameter for the mode is flattened into one vector;
     noise and dropout are held fixed so the loss is deterministic in the
-    parameters. Entries with |gradient| < small_grad must agree within
+    parameters. The oracle's points are evaluated as parameter copies
+    beside params, one forward pass per block, so params is never written. Entries with |gradient| < small_grad must agree within
     abs_tol, everything else within rel_tol relative error.
     """
+    # looked up at call time, so that a probe rebinding core.finite_diff_gradient sees it
     from .core import finite_diff_gradient
-    from .model import flatten_grads, flatten_params, unflatten_params
 
     names = trainable_names(params, mode)
-    x0 = flatten_params(params, names)
-    try:
-        _, cache = forward_batch(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
-        analytic = flatten_grads(backward_batch(cache), names)
+    _, tape = forward_batch(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
+    analytic = flatten_grads(backward_batch(tape), names)
 
-        def loss_at(flat: np.ndarray) -> float:
-            unflatten_params(params, names, flat)
-            breakdown, _ = forward_batch(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
-            return breakdown.l_total
+    def losses_at(points: np.ndarray) -> np.ndarray:
+        copies = parameter_copies(params, names, points)
+        breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
+        return breakdown.l_total
 
-        numeric = finite_diff_gradient(loss_at, x0, h=h)
-    finally:
-        unflatten_params(params, names, x0)
+    numeric = finite_diff_gradient(losses_at, flatten_params(params, names), h=h)
 
     sizes = [get_param(params, name).size for name in names]
     bounds = np.cumsum([0] + sizes)

@@ -189,12 +189,13 @@ def _sampling_for(run: RunConfig, mode: str) -> bool:
 # grid runners
 
 
-def _train_cell(tc: TrainingConfig, corpus: CorpusArrays) -> tuple:
+def _train_cell(run: RunConfig, tc: TrainingConfig, corpus: CorpusArrays) -> tuple:
+    """Train one grid cell and score its test pool, sampling as `train` does."""
     result = train(corpus.train_text, corpus.train_videos, tc)
     params = result.state.params
-    use_sampling = tc.mode != "baseline"
+    use_sampling = _sampling_for(run, tc.mode)
     t2v, _ = _test_metrics(corpus, params, use_sampling, tc.trials, tc.seed)
-    return params, t2v
+    return params, t2v, use_sampling
 
 
 def ablation_matrix(
@@ -216,14 +217,15 @@ def ablation_matrix(
         cells = []
         for seed in run.seeds:
             tc = dataclasses.replace(base, seed=seed, **merged)
-            _, t2v = _train_cell(tc, corpus)
+            _, t2v, use_sampling = _train_cell(run, tc, corpus)
+            sampling = f"sampling={'on' if use_sampling else 'off'}"
             if tc.mode == "baseline":
                 log.note(
                     f"{label} seed {seed}: mode=baseline, radius parameters "
-                    "stay at initialization and sampling is disabled"
+                    f"stay at initialization, {sampling}"
                 )
             else:
-                log.note(f"{label} seed {seed}: mode={tc.mode} r1={t2v.r1:.2f}")
+                log.note(f"{label} seed {seed}: mode={tc.mode} r1={t2v.r1:.2f} {sampling}")
             rows.append((label, str(seed), t2v))
             cells.append(t2v)
         medians.append((label, "median", _median_metrics(cells)))

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textmass.core import (
+    FD_BLOCK,
     ContractViolation,
     OracleFailure,
     SeededRng,
@@ -236,13 +237,29 @@ class TestBoxMuller:
             box_muller(np.zeros((2, 5)))
 
 
+def _recording(f):
+    """f, recording the stack of points of every call."""
+    calls = []
+
+    def wrapped(points):
+        calls.append(points.copy())
+        return f(points)
+
+    return wrapped, calls
+
+
+def _cubic(points):
+    """sum_i c_i x_i^3 per point, c_i = i + 1."""
+    return np.sum(np.arange(1, points.shape[1] + 1) * points**3, axis=1)
+
+
 class TestFiniteDiffGradient:
     def test_quadratic(self):
-        g = finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([3.0]))
+        g = finite_diff_gradient(lambda xs: xs[:, 0] ** 2, np.array([3.0]))
         assert abs(g[0] - 6.0) <= 1e-6
 
     def test_constant(self):
-        g = finite_diff_gradient(lambda x: 4.25, np.ones(5))
+        g = finite_diff_gradient(lambda xs: np.full(len(xs), 4.25), np.ones(5))
         np.testing.assert_allclose(g, 0.0, atol=1e-8)
 
     def test_quadratic_form_matches_2Ax(self):
@@ -250,13 +267,61 @@ class TestFiniteDiffGradient:
         m = rng.normal(size=(4, 4))
         a = 0.5 * (m + m.T)
         x = rng.normal(size=4)
-        g = finite_diff_gradient(lambda v: float(v @ a @ v), x)
+        g = finite_diff_gradient(lambda vs: np.sum((vs @ a) * vs, axis=1), x)
         np.testing.assert_allclose(g, 2.0 * a @ x, atol=1e-5)
 
     def test_nonfinite_reported(self):
-        with pytest.raises(OracleFailure), np.errstate(invalid="ignore"):
-            finite_diff_gradient(lambda x: float(np.log(x[0])), np.array([0.0]), h=1.0)
+        with pytest.raises(OracleFailure, match="^non-finite evaluation at coordinate 0$"), \
+                np.errstate(invalid="ignore"):
+            finite_diff_gradient(lambda xs: np.log(xs[:, 0]), np.array([0.0]), h=1.0)
+
+    def test_nonfinite_in_a_later_block_names_its_coordinate(self):
+        bad = FD_BLOCK + 2
+        x = np.ones(FD_BLOCK + 5)
+        x[bad] = 0.0
+        with pytest.raises(OracleFailure, match=f"^non-finite evaluation at coordinate {bad}$"), \
+                np.errstate(invalid="ignore"):
+            finite_diff_gradient(lambda xs: np.sum(np.log(xs + 0.5), axis=1), x, h=1.0)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ContractViolation):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(2), h=0.0)
+            finite_diff_gradient(lambda xs: np.zeros(len(xs)), np.zeros(2), h=0.0)
+
+    def test_callback_must_give_one_value_per_point(self):
+        with pytest.raises(ContractViolation):
+            finite_diff_gradient(lambda xs: np.zeros(1), np.zeros(3))
+
+    def test_single_coordinate_is_one_call_of_two_points(self):
+        f, calls = _recording(_cubic)
+        g = finite_diff_gradient(f, np.array([0.5]), h=1e-4)
+        assert [c.shape for c in calls] == [(2, 1)]
+        assert calls[0][0, 0] == 0.5 + 1e-4 and calls[0][1, 0] == 0.5 - 1e-4
+        assert abs(g[0] - 0.75) <= 1e-7
+
+    def test_ragged_last_block_matches_per_coordinate_differences(self):
+        n = 2 * FD_BLOCK + 3
+        x = substream(3, 7100).standard_normal(n)
+        f, calls = _recording(_cubic)
+        g = finite_diff_gradient(f, x, h=1e-4)
+        assert [c.shape for c in calls] == [(2 * FD_BLOCK, n)] * 2 + [(6, n)]
+        # the points are x +- h e_i built one coordinate at a time, and each
+        # partial is their difference quotient, bit for bit
+        points = np.concatenate([np.concatenate([c[: len(c) // 2], c[len(c) // 2 :]], axis=1)
+                                 for c in calls]).reshape(n, 2, n)
+        expected = np.empty(n)
+        for i in range(n):
+            xp, xm = x.copy(), x.copy()
+            xp.flat[i] += 1e-4
+            xm.flat[i] -= 1e-4
+            assert np.array_equal(points[i, 0], xp) and np.array_equal(points[i, 1], xm)
+            fp, fm = _cubic(xp[None])[0], _cubic(xm[None])[0]
+            expected[i] = (fp - fm) / (2.0 * 1e-4)
+        assert np.array_equal(g, expected)
+        # the central difference of c x^3 errs by c h^2
+        np.testing.assert_allclose(g, 3.0 * np.arange(1, n + 1) * x**2, rtol=0, atol=n * 1e-8 * 1.01)
+
+    def test_gradient_keeps_the_shape_of_x(self):
+        x = np.arange(6.0).reshape(2, 3)
+        g = finite_diff_gradient(lambda xs: np.sum(xs**2, axis=(1, 2)), x)
+        assert g.shape == (2, 3)
+        np.testing.assert_allclose(g, 2.0 * x, atol=1e-6)

@@ -1,20 +1,26 @@
 """Objective forward values against closed forms and per-item oracles, and
 the hand-written backward pass against central finite differences."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, substream
+from textmass import objectives
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import encode_frames, encode_text, fuse, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE, frame_similarities, radius, support_text
 from textmass.model import (
     LAMBDA_MAX,
+    PARAMETERS,
+    all_array_names,
     flatten_grads,
     flatten_params,
     get_param,
     init_model,
+    parameter_copies,
     trainable_names,
     unflatten_params,
 )
@@ -643,3 +649,225 @@ class TestBatchedMatchesPerSampleReference:
         for k in range(4):
             expected = tape.text.emb + tape.radii.radius * eps[k]
             assert np.array_equal(tape.stochastic.rows[k], expected)
+
+
+# ---------------------------------------------------------------------------
+# parameter copies: one forward pass scores a block of parameter vectors
+
+
+LOSS_FIELDS = ("l_t2v", "l_v2t", "l_ce", "l_s", "l_sup", "l_total")
+
+
+def one_at_a_time(params, names, points, batch, mode, eps, mask):
+    """forward_batch's losses for each flat vector of points, on a model of its own."""
+    out = []
+    for row in points:
+        single = copy.deepcopy(params)
+        unflatten_params(single, names, row)
+        out.append(forward_batch(batch, single, mode, 1.2, eps=eps, drop_mask=mask))
+    return out
+
+
+def assert_copies_match(blocked, singles, copies):
+    for field in LOSS_FIELDS:
+        value = getattr(blocked, field)
+        if getattr(singles[0][0], field) is None:
+            assert value is None, field
+            continue
+        assert isinstance(value, np.ndarray) and value.shape == (copies,), field
+        expected = np.array([getattr(b, field) for b, _ in singles])
+        err = np.abs(value - expected)
+        assert np.all(err <= 1e-13 * np.abs(expected)), f"{field}: worst error {err.max():.3e}"
+
+
+class TestParameterCopies:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
+        mode=st.sampled_from(["t-mass", "ablation-ce-plus-s", "baseline"]),
+        samples=st.sampled_from([1, 4]),
+        adapters=st.booleans(),
+        dropout=st.booleans(),
+        frozen_radius=st.booleans(),
+        degenerate=st.booleans(),
+        copies=st.integers(1, 5),
+        moved=st.integers(1, 2**8 - 1),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_losses_equal_one_at_a_time(
+        self, variant, mode, samples, adapters, dropout, frozen_radius, degenerate, copies, moved, seed
+    ):
+        d, n = 6, 4
+        params = init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters)
+        randomize(params, seed=seed)
+        params.radius.trainable = not frozen_radius
+        batch = make_batch(n, d, 5, seed=seed)
+        mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
+        if degenerate:
+            degenerate_first_pair(params, batch, mask)
+        eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)
+        names = trainable_names(params, mode)
+        x0 = flatten_params(params, names)
+        bounds = np.cumsum([0] + [get_param(params, name).size for name in names])
+        # copy 0 stays at x0 (with a degenerate pair 0, the others may not be)
+        points = np.tile(x0, (copies, 1))
+        rng = substream(seed, 7012)
+        for a, name in enumerate(names):
+            if copies > 1 and moved >> a & 1:
+                lo, hi = bounds[a], bounds[a + 1]
+                points[1:, lo:hi] += 1e-3 * rng.standard_normal((copies - 1) * (hi - lo)).reshape(-1, hi - lo)
+
+        blocked, tape = forward_batch(
+            batch, parameter_copies(params, names, points), mode, 1.2, eps=eps, drop_mask=mask
+        )
+        assert_copies_match(blocked, one_at_a_time(params, names, points, batch, mode, eps, mask), copies)
+        with pytest.raises(ContractViolation):
+            backward_batch(tape)
+
+    def test_copies_that_disagree_on_the_support_set(self):
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, "linear", seed=4), seed=4)
+        batch = make_batch(n, d, 5, seed=4)
+        degenerate_first_pair(params, batch, None)
+        eps = draw_noise(substream(4, 7011), 4, n, d)
+        names = trainable_names(params, "t-mass")
+        x0 = flatten_params(params, names)
+        points = np.tile(x0, (3, 1))
+        start = sum(get_param(params, name).size for name in names[: names.index("fusion_out")])
+        points[1, start] += 1e-2  # moves fused video 0 off text 0
+        points[2, start + 1] -= 1e-2
+        singles = one_at_a_time(params, names, points, batch, "t-mass", eps, None)
+        assert [list(tape.support.vidx) for _, tape in singles] == [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+        blocked, _ = forward_batch(batch, parameter_copies(params, names, points), "t-mass", 1.2, eps=eps)
+        assert_copies_match(blocked, singles, 3)
+
+    def test_one_copy_equals_the_plain_forward_bit_for_bit(self):
+        params = randomize(make_model(variant="scalar"), seed=41)
+        batch = make_batch(4, 6, 5, seed=41)
+        eps = draw_noise(substream(41, 7008), 2, 4, 8)
+        names = trainable_names(params, "t-mass")
+        plain, _ = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        x0 = flatten_params(params, names)[None]
+        shared = parameter_copies(params, names, x0)  # nothing moves: every array is shared
+        stacked = parameter_copies(params, names, x0)
+        for name in names:  # every trainable array as a stack of one copy
+            slot = PARAMETERS[name]
+            owner = stacked if slot.owner is None else getattr(stacked, slot.owner)
+            setattr(owner, slot.attr, get_param(params, name)[None].copy())
+        for copies in (shared, stacked):
+            blocked, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps)
+            for field in LOSS_FIELDS:
+                assert np.array_equal(getattr(blocked, field), [getattr(plain, field)]), field
+
+    def test_copies_share_unmoved_arrays_and_leave_params_alone(self):
+        params = randomize(make_model(), seed=42)
+        names = trainable_names(params, "t-mass")
+        before = {name: get_param(params, name).copy() for name in all_array_names(params)}
+        points = np.tile(flatten_params(params, names), (4, 1))
+        points[:, -1] += np.arange(4)  # log_lambda only
+        copies = parameter_copies(params, names, points)
+        assert copies.copies == 4 and params.copies is None
+        assert copies.log_lambda.shape == (4,)
+        assert copies.fusion.output_map is params.fusion.output_map
+        assert copies.stack is not params.stack and copies.radius is not params.radius
+        for name, value in before.items():
+            assert np.array_equal(get_param(params, name), value), name
+        assert isinstance(params.log_lambda, float)
+
+
+def _flat_offset(params, mode, name):
+    names = trainable_names(params, mode)
+    return sum(get_param(params, n).size for n in names[: names.index(name)])
+
+
+class TestOracleCatchesBrokenBackward:
+    @pytest.mark.parametrize(
+        "variant,name,entry",
+        [("linear", "fusion_out", 0), ("linear", "radius_weights", 5), ("scalar", "radius_theta", 0),
+         ("linear", "log_lambda", 0), ("linear", "adapter_frame", 17)],
+    )
+    def test_one_wrong_entry_is_named(self, monkeypatch, variant, name, entry):
+        params = randomize(make_model(variant=variant, seed=3), seed=31)
+        batch = make_batch(4, 6, 5, seed=6)
+        eps = draw_noise(substream(8, 7008), 1, 4, 8)
+        assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
+        real = objectives.backward_batch
+
+        def broken(tape):
+            grads = real(tape)
+            grads[name] = np.array(grads[name], dtype=np.float64)
+            grads[name].flat[entry] += 1e-3
+            return grads
+
+        monkeypatch.setattr(objectives, "backward_batch", broken)
+        result = gradient_check(params, batch, "t-mass", 1.2, eps)
+        assert not result.passed
+        assert len(result.failures) == 1 and result.failures[0].startswith(f"{name}[{entry}]: ")
+
+    def test_a_non_finite_copy_names_its_coordinate(self, monkeypatch):
+        params = randomize(make_model(), seed=43)
+        batch = make_batch(3, 6, 5, seed=13)
+        eps = draw_noise(substream(18, 7008), 1, 3, 8)
+        target = params.fusion.output_map[2, 3]
+        coordinate = _flat_offset(params, "t-mass", "fusion_out") + 2 * 8 + 3
+        real = objectives.forward_batch
+
+        def poisoned(batch, params, *args, **kwargs):
+            breakdown, tape = real(batch, params, *args, **kwargs)
+            if params.copies is not None and params.fusion.output_map.ndim == 3:
+                breakdown.l_total[params.fusion.output_map[:, 2, 3] < target] = np.nan
+            return breakdown, tape
+
+        monkeypatch.setattr(objectives, "forward_batch", poisoned)
+        with pytest.raises(OracleFailure, match=f"^non-finite evaluation at coordinate {coordinate}$"):
+            gradient_check(params, batch, "t-mass", 1.2, eps)
+
+
+class TestGradientCheckLeavesParamsAlone:
+    def test_a_failing_second_block_leaves_params_unchanged(self, monkeypatch):
+        params = randomize(make_model(), seed=44)
+        batch = make_batch(3, 6, 5, seed=14)
+        eps = draw_noise(substream(19, 7008), 1, 3, 8)
+        before = copy.deepcopy(params)
+        real = objectives.forward_batch
+        blocks = []
+
+        def failing(batch, params, *args, **kwargs):
+            if params.copies is not None:
+                blocks.append(params.copies)
+                if len(blocks) == 2:
+                    raise RuntimeError("second block fails")
+            return real(batch, params, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "forward_batch", failing)
+        with pytest.raises(RuntimeError, match="second block fails"):
+            gradient_check(params, batch, "t-mass", 1.2, eps)
+        assert len(blocks) == 2
+        for name in all_array_names(params):
+            assert np.array_equal(get_param(params, name), get_param(before, name)), name
+        assert params.copies is None and isinstance(params.log_lambda, float)
+
+    def test_params_never_alias_the_copy_buffers(self, monkeypatch):
+        params = randomize(make_model(), seed=45)
+        batch = make_batch(3, 6, 5, seed=15)
+        eps = draw_noise(substream(20, 7008), 1, 3, 8)
+        names = all_array_names(params)
+        arrays = {name: get_param(params, name) for name in names}
+        real = objectives.forward_batch
+        buffers = []
+
+        def recording(batch, model, *args, **kwargs):
+            if model.copies is not None:
+                buffers.extend(
+                    value for name in names
+                    if np.ndim(value := get_param(model, name)) > np.ndim(arrays[name])
+                )
+            return real(batch, model, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "forward_batch", recording)
+        assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
+        assert buffers
+        for name in names:
+            now = get_param(params, name)
+            assert np.array_equal(now, arrays[name]), name
+            assert not any(np.shares_memory(now, buffer) for buffer in buffers), name

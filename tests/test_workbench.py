@@ -376,6 +376,23 @@ class TestGrids:
         log = (out / "run.log").read_text()
         assert "mode=baseline" in log
 
+    def test_grid_cells_honour_sampling_off(self, tmp_path):
+        config = write_config(tmp_path, sampling="false")
+        out = tmp_path / "ablate"
+        assert main(["ablate-loss", "--config", str(config), "--out", str(out)]) == 0
+        run = parse_config_text(config.read_text(), RunConfig())
+        corpus = split_arrays(generate(run.synthetic_spec()))
+        rows = {(row[0], row[1]): row for row in table_rows(out / "metrics.csv")}
+        for label, overrides in workbench.LOSS_GRID:
+            for seed in run.seeds:
+                tc = dataclasses.replace(run.training_config(), seed=seed, **overrides)
+                params = workbench.train(corpus.train_text, corpus.train_videos, tc).state.params
+                t2v, _ = workbench._test_metrics(corpus, params, False, 1, seed)
+                assert rows[label, str(seed)][3] == f"{t2v.r1:.6f}", (label, seed)
+        log = (out / "run.log").read_text()
+        assert log.count("sampling=off") == len(workbench.LOSS_GRID) * len(run.seeds)
+        assert "sampling=on" not in log
+
     def test_ablate_loss_table(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "ablate"
