@@ -223,6 +223,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, s)))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: `np.linalg.norm(x, axis=-1)` bit
+    for bit, without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def softmax(logits: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Probability vector softmax(scale * logits), max-subtracted for stability."""
     x = np.asarray(logits, dtype=np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, SeededRng
+from .core import ContractViolation, SeededRng, row_norms
 
 # An embedding whose pre-normalization length falls below this is rejected.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -177,7 +177,7 @@ def encode_batch(x: np.ndarray, stack: EncoderStack, tower: str) -> Encoded:
         pre = projected @ _transposed(getattr(stack, f"adapter_{tower}"), projected.ndim)
     else:
         pre = projected
-    norms = np.linalg.norm(pre, axis=-1)
+    norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation(f"{tower} embedding collapsed to zero norm")
     return Encoded(projected, norms, pre / norms[..., None])
@@ -229,13 +229,13 @@ def fuse_batch(
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = shifted / shifted.sum(axis=-1, keepdims=True)
     # pooled[i, j] = weights[i, j] @ values[j]: one product per video j
-    pooled = np.matmul(weights.swapaxes(-3, -2), kv.values).swapaxes(-3, -2)
+    pooled = np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), kv.values).swapaxes(-3, -2))
     if drop_mask is not None:
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")
         pooled = pooled * drop_mask
     pre = pooled @ _transposed(p.output_map, 3)
-    norms = np.linalg.norm(pre, axis=-1)
+    norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
     return Fused(queries, weights, drop_mask, pooled, norms, pre / norms[..., None])

@@ -70,19 +70,18 @@ class AlignmentRow:
 @dataclass
 class _Pool:
     """A pool encoded once: texts as one-text blocks (Q, 1, d), each its own
-    (1, c) product whatever Q is, and frames (C, T', d) with their norms and
-    fusion keys."""
+    (1, c) product whatever Q is, and frames (C, T', d) with their fusion
+    keys."""
 
     blocks: np.ndarray
     frames: np.ndarray
-    frame_norms: np.ndarray
     keys: VideoKeys
 
 
 def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) -> _Pool:
     blocks = encode_batch(texts[:, None, :], params.stack, "text").emb
     frames = encode_video_batch(videos, params.frame_count, params.stack).emb
-    return _Pool(blocks, frames, np.linalg.norm(frames, axis=2), video_keys(frames, params.fusion))
+    return _Pool(blocks, frames, video_keys(frames, params.fusion))
 
 
 def _fuse_query(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
@@ -96,7 +95,7 @@ def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.
     """One query's (1, d) text block through the radius stage, broadcast
     over the candidates: its radii (C, d)."""
     texts = np.broadcast_to(block, (pool.frames.shape[0], block.shape[1]))
-    return radius_batch(texts, pool.frames, pool.frame_norms, params.radius).radius
+    return radius_batch(texts, pool.frames, params.radius).radius
 
 
 def _uniform_width(trials: int, dim: int) -> int:

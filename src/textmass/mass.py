@@ -22,6 +22,7 @@ from .core import (
     ContractViolation,
     DegenerateGeometryError,
     SeededRng,
+    row_norms,
 )
 
 RADIUS_VARIANTS = ("fixed-mean", "scalar", "linear")
@@ -104,52 +105,49 @@ def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
     return np.exp(s @ params.weights)
 
 
-def cos_grid(rows: np.ndarray, stack: np.ndarray, stack_norms: np.ndarray):
+def cos_grid(rows: np.ndarray, stack: np.ndarray):
     """Cosines between rows[s, i] and stack[i, j] for every s, i, j.
 
-    rows: (S, m, d), S samples of m rows; stack: (m, n, d) with its norms
-    (m, n). Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values
-    are not clamped; callers stay inside (-1, 1) up to roundoff. Either
-    side may lead with a copy axis, which the results then lead with too.
+    rows: (S, m, d), S samples of m rows; stack: (m, n, d) of unit vectors.
+    The dots divide by the row norms alone, so the stack must already be
+    unit length, as `fuse_batch` and `encode_batch` leave their outputs.
+    Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values are not
+    clamped; callers stay inside (-1, 1) up to roundoff. Either side may
+    lead with a copy axis, which the results then lead with too.
     """
     # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
     lead = range(rows.ndim - 3)
     dots = np.matmul(stack, rows.transpose(*lead, -2, -1, -3))
     dots = dots.transpose(*range(dots.ndim - 3), -1, -3, -2)
-    row_norms = np.linalg.norm(rows, axis=-1)
-    sims = dots / (row_norms[..., None] * stack_norms[..., None, :, :] + NORM_GUARD)
-    return sims, row_norms
+    norms = row_norms(rows)
+    return dots / (norms[..., None] + NORM_GUARD), norms
 
 
 @dataclass
 class Radii:
     """Radius stage of n aligned (text, frames) pairs: text-frame cosines
-    (n, T') with the norms they divide by, and the radii (n, d)."""
+    (n, T') with the text norms they divide by, and the radii (n, d)."""
 
     sims: np.ndarray
     text_norms: np.ndarray
-    frame_norms: np.ndarray
     radius: np.ndarray
 
 
-def radius_batch(
-    texts: np.ndarray, frames: np.ndarray, frame_norms: np.ndarray, params: RadiusParameters
-) -> Radii:
+def radius_batch(texts: np.ndarray, frames: np.ndarray, params: RadiusParameters) -> Radii:
     """`radius(frame_similarities(t, f), params)` for every aligned pair of
-    texts (n, d) and frame embeddings (n, T', d), whose norms
-    `np.linalg.norm(frames, axis=-1)` the caller computes once per pool.
-    Inputs, weights (k, T', d) and theta (k,) may carry k copies."""
-    sims, text_norms = cos_grid(texts[..., None, :, :], frames, frame_norms)
+    texts (n, d) and unit frame embeddings (n, T', d). Inputs, weights
+    (k, T', d) and theta (k,) may carry k copies."""
+    sims, text_norms = cos_grid(texts[..., None, :, :], frames)
     sims, text_norms = sims[..., 0, :, :], text_norms[..., 0, :]
     if params.variant == "linear":
-        return Radii(sims, text_norms, frame_norms, np.exp(sims @ params.weights))
+        return Radii(sims, text_norms, np.exp(sims @ params.weights))
     mean = sims.mean(axis=-1)
     if params.variant == "scalar":
         theta = params.theta if np.ndim(params.theta) == 0 else params.theta[:, None]
         expo = np.exp(theta * mean)
     else:
         expo = np.exp(mean)
-    return Radii(sims, text_norms, frame_norms, expo[..., None] * np.ones(params.dim))
+    return Radii(sims, text_norms, expo[..., None] * np.ones(params.dim))
 
 
 def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:

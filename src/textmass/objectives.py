@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, SeededRng
+from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, SeededRng, row_norms
 from .encoders import (
     Encoded,
     Fused,
@@ -109,26 +109,30 @@ def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
 
 
 def _ce_terms(sims: np.ndarray, lam: float | np.ndarray):
-    """Row and column InfoNCE terms for each matrix of a (..., N, N) stack;
-    rows are texts, columns videos. lam is a scale, or a (k,) scale per
-    copy of a (k, S, N, N) stack.
+    """Row and column InfoNCE terms for each matrix of a (..., N, N) stack
+    of cosines; rows are texts, columns videos. lam is a scale, or a (k,)
+    scale per copy of a (k, S, N, N) stack.
+
+    Each matrix is shifted once, by its largest logit, and its row and
+    column softmaxes share one exponential. That is exact for cosines:
+    every logit lies within LAMBDA_MAX of 0, so no term falls below
+    exp(-2 * LAMBDA_MAX). `symmetric_ce`, which takes any matrix, keeps
+    a shift per row and per column.
 
     Returns (l_t2v, l_v2t, p_row, p_col): the terms have the leading shape
     (0-d for one matrix) and p_row / p_col are the softmax tables reused by
     the backward pass.
     """
     logits = (lam if isinstance(lam, float) else lam[:, None, None, None]) * sims
-    row_max = logits.max(axis=-1)
-    exp_row = np.exp(logits - row_max[..., None])
-    row_sum = exp_row.sum(axis=-1)
-    p_row = exp_row / row_sum[..., None]
-    col_max = logits.max(axis=-2)
-    exp_col = np.exp(logits - col_max[..., None, :])
-    col_sum = exp_col.sum(axis=-2)
-    p_col = exp_col / col_sum[..., None, :]
-    diag = np.diagonal(logits, axis1=-2, axis2=-1)
-    l_t2v = np.mean(np.log(row_sum) + row_max - diag, axis=-1)
-    l_v2t = np.mean(np.log(col_sum) + col_max - diag, axis=-1)
+    shift = logits.max(axis=(-2, -1), keepdims=True)
+    exp = np.exp(logits - shift)
+    row_sum = exp.sum(axis=-1)
+    col_sum = exp.sum(axis=-2)
+    p_row = exp / row_sum[..., None]
+    p_col = exp / col_sum[..., None, :]
+    diag = np.diagonal(logits, axis1=-2, axis2=-1) - shift[..., 0]
+    l_t2v = np.mean(np.log(row_sum) - diag, axis=-1)
+    l_v2t = np.mean(np.log(col_sum) - diag, axis=-1)
     return l_t2v, l_v2t, p_row, p_col
 
 
@@ -151,15 +155,24 @@ def _ce_backward(sims: np.ndarray, lam: float, p_row: np.ndarray, p_col: np.ndar
 
 def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, float]:
     """(l_t2v, l_v2t, l_ce) for a square similarity matrix under the clamped
-    logit scale lambda = min(exp(log_lambda), LAMBDA_MAX)."""
+    logit scale lambda = min(exp(log_lambda), LAMBDA_MAX).
+
+    Any matrix is accepted, so each row and each column is shifted by its
+    own maximum; this closed form is the oracle of `_ce_terms`."""
     sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
         raise ContractViolation("similarity matrix must be square")
     if sims.shape[0] == 0:
         raise ContractViolation("empty similarity matrix")
     lam = float(min(np.exp(log_lambda), LAMBDA_MAX))
-    l_t2v, l_v2t, _, _ = _ce_terms(sims, lam)
-    l_t2v, l_v2t = float(l_t2v), float(l_v2t)
+    logits = lam * sims
+    diag = np.diagonal(logits)
+    row_max = logits.max(axis=1)
+    col_max = logits.max(axis=0)
+    row_lse = np.log(np.exp(logits - row_max[:, None]).sum(axis=1)) + row_max
+    col_lse = np.log(np.exp(logits - col_max[None, :]).sum(axis=0)) + col_max
+    l_t2v = float(np.mean(row_lse - diag))
+    l_v2t = float(np.mean(col_lse - diag))
     return l_t2v, l_v2t, 0.5 * (l_t2v + l_v2t)
 
 
@@ -167,22 +180,23 @@ def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, flo
 # cosine grids under the symmetric CE
 
 
-def _cos_grid_backward(d_sims, rows, stack, sims, row_norms, stack_norms):
+def _cos_grid_backward(d_sims, rows, stack, sims, norms):
     """Backward of `mass.cos_grid`; returns d_rows (S, m, d) and d_stack
-    (m, n, d) summed over the samples."""
-    denom = row_norms[..., None] * stack_norms + NORM_GUARD
-    lead = d_sims / denom
+    (m, n, d) summed over the samples. The stack is unit length, so d_stack
+    leaves out the radial part that its normalisation's backward projects
+    out anyway."""
+    lead = d_sims / (norms + NORM_GUARD)[..., None]
     d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
-    d_rows -= rows * np.sum(d_sims * sims * stack_norms / (row_norms[..., None] * denom), axis=-1)[..., None]
+    d_rows -= rows * (np.sum(lead * sims, axis=-1) / norms)[..., None]
     d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
-    d_stack -= np.sum(d_sims * sims * row_norms[..., None] / (stack_norms * denom), axis=0)[..., None] * stack
     return d_rows, d_stack
 
 
 @dataclass
 class CETerm:
-    """A symmetric-CE term: rows (S, m, d) scored against a per-row stack,
-    their cosines (S, m, n) and norms (S, m), and `_ce_terms`' softmaxes."""
+    """A symmetric-CE term: rows (S, m, d) scored against a per-row unit
+    stack, their cosines (S, m, n) and norms (S, m), and `_ce_terms`'
+    softmaxes."""
 
     rows: np.ndarray
     sims: np.ndarray
@@ -191,19 +205,17 @@ class CETerm:
     p_col: np.ndarray
 
 
-def _ce_term(rows, stack, stack_norms, lam):
+def _ce_term(rows, stack, lam):
     """Per-sample (l_t2v, l_v2t), each (S,), and the term's record."""
-    sims, row_norms = cos_grid(rows, stack, stack_norms)
+    sims, norms = cos_grid(rows, stack)
     l_t2v, l_v2t, p_row, p_col = _ce_terms(sims, lam)
-    return l_t2v, l_v2t, CETerm(rows, sims, row_norms, p_row, p_col)
+    return l_t2v, l_v2t, CETerm(rows, sims, norms, p_row, p_col)
 
 
-def _ce_term_backward(term: CETerm, stack, stack_norms, lam: float, upstream: float):
+def _ce_term_backward(term: CETerm, stack, lam: float, upstream: float):
     """(d_rows, d_stack, d_lam) of upstream times the term's per-sample CE."""
     d_sims, d_lam = _ce_backward(term.sims, lam, term.p_row, term.p_col, upstream)
-    d_rows, d_stack = _cos_grid_backward(
-        d_sims, term.rows, stack, term.sims, term.row_norms, stack_norms
-    )
+    d_rows, d_stack = _cos_grid_backward(d_sims, term.rows, stack, term.sims, term.row_norms)
     return d_rows, d_stack, d_lam
 
 
@@ -243,7 +255,6 @@ class BatchTape:
     frames: Encoded
     keys: VideoKeys
     fusion: Fused
-    fused_norms: np.ndarray
     ce: CETerm
     eps: np.ndarray | None = None
     radii: Radii | None = None
@@ -285,15 +296,13 @@ def forward_batch(
     # text-conditioned fusion over the full (text, video) grid
     fusion = fuse_batch(text.emb, keys, params.fusion, drop_mask)
     fused = fusion.fused
-    # the cosine grids below all measure against fused; norm it once
-    fused_norms = np.linalg.norm(fused, axis=-1)
     lam = params.logit_scale()
     lead = () if params.copies is None else (params.copies,)
 
-    t2v, v2t, ce = _ce_term(text.emb[..., None, :, :], fused, fused_norms, lam)
+    t2v, v2t, ce = _ce_term(text.emb[..., None, :, :], fused, lam)
     l_t2v, l_v2t = t2v[..., 0], v2t[..., 0]
     l_ce = 0.5 * (l_t2v + l_v2t)
-    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, fused_norms, ce)
+    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, ce)
 
     l_s = l_sup = None
     if mode != "baseline":
@@ -305,32 +314,30 @@ def forward_batch(
         if eps.shape[1:] != (n, d):
             raise ContractViolation("noise shape mismatch")
         tape.eps = eps
-        frame_norms = np.linalg.norm(frames.emb, axis=-1)
-        tape.radii = radii = radius_batch(text.emb, frames.emb, frame_norms, params.radius)
+        tape.radii = radii = radius_batch(text.emb, frames.emb, params.radius)
 
         # all S samples t + R * eps_s as one (S, N, d) stack
         s_t2v, s_v2t, tape.stochastic = _ce_term(
-            text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps, fused, fused_norms, lam
+            text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps, fused, lam
         )
         l_s = np.mean(0.5 * (s_t2v + s_v2t), axis=-1)
 
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
-        dist = np.linalg.norm(delta, axis=-1)
+        dist = row_norms(delta)
         l_sup = np.empty(lead)
         for copies, vidx in _support_sets(dist > DEGENERATE_DISTANCE):
             pick = partial(_pick, copies)
-            direction = pick(delta, 2)[..., vidx, :] / pick(dist, 1)[..., vidx, None]
-            support_rows = pick(text.emb, 2)[..., vidx, :] + direction * pick(radii.radius, 2)[..., vidx, :]
-            sub = (..., vidx[:, None], vidx)
+            kept, block = _support_index(vidx, n)
+            direction = pick(delta, 2)[..., kept, :] / pick(dist, 1)[..., kept, None]
+            support_rows = pick(text.emb, 2)[..., kept, :] + direction * pick(radii.radius, 2)[..., kept, :]
             sup_t2v, sup_v2t, sup_ce = _ce_term(
                 support_rows[..., None, :, :],
-                pick(fused, 3)[sub + (slice(None),)],
-                pick(fused_norms, 2)[sub],
+                pick(fused, 3)[(...,) + block + (slice(None),)],
                 pick(lam, 0),
             )
             l_sup[copies] = 0.5 * (sup_t2v[..., 0] + sup_v2t[..., 0])
         if params.copies is None:
-            tape.support = Support(vidx, direction, dist[vidx], sup_ce)
+            tape.support = Support(vidx, direction, dist[kept], sup_ce)
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
     l_total = w_ce * l_ce
@@ -355,6 +362,15 @@ def _support_sets(keep: np.ndarray) -> list:
         if not s.any():
             raise DegenerateGeometryError("every pair has video == text embedding")
     return [(copies, np.flatnonzero(s)) for copies, s in groups]
+
+
+def _support_index(vidx: np.ndarray, n: int) -> tuple:
+    """(kept, block): the index of the kept pairs vidx among n, and of
+    their (kept, kept) block of an (n, n) grid; plain slices, which copy
+    nothing, when every pair is kept."""
+    if vidx.size == n:
+        return slice(None), (slice(None), slice(None))
+    return vidx, np.ix_(vidx, vidx)
 
 
 def _pick(copies, x, rank: int):
@@ -396,7 +412,6 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     text_emb = tape.text.emb
     frame_emb = tape.frames.emb
     fused = tape.fusion.fused
-    fused_sn = tape.fused_norms
     radii = tape.radii
     n, d = text_emb.shape
     d_text = np.zeros_like(text_emb)
@@ -406,14 +421,14 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     d_lam_total = 0.0
 
     if w_ce != 0.0:
-        d_rows, d_stack, d_lam = _ce_term_backward(tape.ce, fused, fused_sn, lam, w_ce)
+        d_rows, d_stack, d_lam = _ce_term_backward(tape.ce, fused, lam, w_ce)
         d_lam_total += d_lam[0]
         d_text += d_rows[0]
         d_fused += d_stack
 
     if tape.stochastic is not None and w_s != 0.0:
         upstream = w_s / tape.eps.shape[0]
-        d_rows, d_stack, d_lam = _ce_term_backward(tape.stochastic, fused, fused_sn, lam, upstream)
+        d_rows, d_stack, d_lam = _ce_term_backward(tape.stochastic, fused, lam, upstream)
         d_lam_total += np.sum(d_lam)
         d_fused += d_stack
         d_text += d_rows.sum(axis=0)
@@ -422,19 +437,19 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     if tape.support is not None and w_sup != 0.0:
         sup = tape.support
         vidx = sup.vidx
-        sub = np.ix_(vidx, vidx)
-        d_rows, d_stack, d_lam = _ce_term_backward(sup.ce, fused[sub], fused_sn[sub], lam, w_sup)
+        kept, block = _support_index(vidx, n)
+        d_rows, d_stack, d_lam = _ce_term_backward(sup.ce, fused[block], lam, w_sup)
         d_lam_total += d_lam[0]
         d_rows = d_rows[0]
-        d_fused[sub] += d_stack
+        d_fused[block] += d_stack
         # support row: t + direction * R with direction = (v - t) / ||v - t||
-        d_text[vidx] += d_rows
-        d_radius[vidx] += sup.direction * d_rows
-        d_dir = radii.radius[vidx] * d_rows
+        d_text[kept] += d_rows
+        d_radius[kept] += sup.direction * d_rows
+        d_dir = radii.radius[kept] * d_rows
         inner = np.sum(sup.direction * d_dir, axis=1, keepdims=True)
         d_delta = (d_dir - sup.direction * inner) / sup.dist[:, None]
         d_fused[vidx, vidx] += d_delta
-        d_text[vidx] -= d_delta
+        d_text[kept] -= d_delta
 
     if d_radius is not None and (w_s != 0.0 or w_sup != 0.0):
         rparams = params.radius
@@ -456,8 +471,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
             frames = radii.sims.shape[1]
             d_sims_f = np.repeat(d_mean[:, None], frames, axis=1) / frames
         d_rows, d_stack = _cos_grid_backward(
-            d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None],
-            radii.frame_norms,
+            d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None]
         )
         d_text += d_rows[0]
         d_frames += d_stack

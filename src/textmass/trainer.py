@@ -24,6 +24,8 @@ from .model import (
     MODES,
     ModelParameters,
     all_array_names,
+    flatten_grads,
+    flatten_params,
     get_param,
     init_model,
     parameter_group,
@@ -83,7 +85,13 @@ class TrainingConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            _check_text_value(f.name, getattr(self, f.name))
+            value = getattr(self, f.name)
+            _check_text_value(f.name, value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractViolation(f"config value {f.name} = {value!r} is not finite")
+        for key in ("alpha", "lr_head", "lr_adapter", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ContractViolation(f"config value {key} = {getattr(self, key)!r} is negative")
         if self.mode not in MODES:
             raise ContractViolation(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.epochs < 0 or self.train_samples < 1:
@@ -217,25 +225,38 @@ def adamw_step(
     lr_by_group: dict,
     weight_decay: float,
 ) -> None:
-    """One decoupled-weight-decay Adam update; decay skips the logit scale."""
-    for name in state.first_moment:
-        if not np.all(np.isfinite(np.asarray(grads[name]))):
-            raise TrainingDivergence(
-                f"non-finite gradient for {name!r} at optimizer step {state.step + 1}"
-            )
+    """One decoupled-weight-decay Adam update; decay skips the logit scale.
+
+    The update runs once over the trainable arrays concatenated in the
+    optimizer's order, with a learning rate and a decay per element, and
+    then writes each array back. A non-finite gradient is refused, naming
+    its array, before anything is written."""
+    names = list(state.first_moment)
+    shapes = [state.first_moment[name].shape for name in names]
+    sizes = [state.first_moment[name].size for name in names]
+    ends = np.cumsum(sizes)
+    g = flatten_grads(grads, names)
+    if not np.all(np.isfinite(g)):
+        bad = int(np.searchsorted(ends, np.argmin(np.isfinite(g)), side="right"))
+        raise TrainingDivergence(
+            f"non-finite gradient for {names[bad]!r} at optimizer step {state.step + 1}"
+        )
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name in state.first_moment:
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.first_moment[name] = ADAM_BETA1 * state.first_moment[name] + (1.0 - ADAM_BETA1) * g
-        v = state.second_moment[name] = ADAM_BETA2 * state.second_moment[name] + (1.0 - ADAM_BETA2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        lr = lr_by_group[parameter_group(name)]
-        p = get_param(params, name)
-        decay = 0.0 if name == "log_lambda" else weight_decay
-        set_param(params, name, p - lr * update - lr * decay * p)
+    lr = np.repeat([lr_by_group[parameter_group(name)] for name in names], sizes)
+    decay = np.repeat([0.0 if name == "log_lambda" else weight_decay for name in names], sizes)
+    m = ADAM_BETA1 * flatten_grads(state.first_moment, names) + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * flatten_grads(state.second_moment, names) + (1.0 - ADAM_BETA2) * g * g
+    update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    p = flatten_params(params, names)
+    p = p - lr * update - lr * decay * p
+    for name, shape, end, size in zip(names, shapes, ends, sizes):
+        part = slice(end - size, end)
+        state.first_moment[name] = m[part].reshape(shape)
+        state.second_moment[name] = v[part].reshape(shape)
+        set_param(params, name, p[part].reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +335,14 @@ def train(
                     batch.size,
                     config.dim,
                 )
-            mask = dropout_grid_mask(
-                substream(config.seed, _STREAM_DROPOUT, state.global_step),
-                batch.size,
-                config.dim,
-                config.dropout_rate,
-            )
+            mask = None
+            if config.dropout_rate > 0.0:
+                mask = dropout_grid_mask(
+                    substream(config.seed, _STREAM_DROPOUT, state.global_step),
+                    batch.size,
+                    config.dim,
+                    config.dropout_rate,
+                )
             breakdown, cache = forward_batch(
                 batch, state.params, config.mode, config.alpha, eps=eps, drop_mask=mask
             )

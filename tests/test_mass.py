@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from textmass.core import ContractViolation, DegenerateGeometryError, SeededRng, cosine_similarity
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng, cosine_similarity
 from textmass.mass import (
     RadiusParameters,
     SamplingConfig,
+    cos_grid,
     frame_similarities,
     init_radius,
     radius,
@@ -32,6 +33,22 @@ class TestFrameSimilarities:
         s = frame_similarities(t, frames)
         for i in range(5):
             assert abs(s[i] - cosine_similarity(t, frames[i])) <= 1e-12
+
+
+class TestCosGrid:
+    @pytest.mark.parametrize("samples", [1, 4])
+    def test_unit_stack_matches_the_norm_divided_formula(self, samples):
+        rng = np.random.default_rng(5 + samples)
+        m, n, d = 5, 7, 9
+        stack = rng.normal(size=(m, n, d))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        rows = rng.normal(size=(samples, m, d))
+        sims, norms = cos_grid(rows, stack)
+        dots = np.einsum("smd,mnd->smn", rows, stack)
+        rn = np.linalg.norm(rows, axis=-1)
+        old = dots / (rn[..., None] * np.linalg.norm(stack, axis=-1) + NORM_GUARD)
+        assert np.max(np.abs(sims - old)) <= 1e-15
+        assert np.array_equal(norms, rn)
 
 
 class TestRadius:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from textmass import objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import encode_frames, encode_text, fuse, sample_frame_indices
-from textmass.mass import DEGENERATE_DISTANCE, frame_similarities, radius, support_text
+from textmass.mass import DEGENERATE_DISTANCE, cos_grid, frame_similarities, radius, support_text
 from textmass.model import (
     LAMBDA_MAX,
     PARAMETERS,
@@ -103,6 +103,41 @@ class TestSymmetricCE:
         at_clamp = symmetric_ce(sims, np.log(100.0))[2]
         beyond = symmetric_ce(sims, np.log(1000.0))[2]
         assert at_clamp == beyond
+
+    def test_wide_spread_matrix_stays_finite(self):
+        # logits 1000 apart: a one-shift kernel loses row 1 to underflow
+        sims = np.array([[0.0, 10.0], [-10.0, 0.0]])
+        assert symmetric_ce(sims, np.log(100.0)) == (500.0, 500.0, 500.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l_t2v, _, _, _ = objectives._ce_terms(sims, 100.0)
+        assert l_t2v == -np.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.sampled_from([1, 4]),
+        n=st.integers(1, 12),
+        d=st.integers(2, 8),
+        log_lambda=st.floats(-3.0, np.log(1000.0)),
+        align=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_shift_kernel_matches_the_oracle_on_cosine_grids(
+        self, samples, n, d, log_lambda, align, seed
+    ):
+        rng = substream(seed, 7013)
+        stack = rng.standard_normal(n * n * d).reshape(n, n, d)
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        rows = rng.standard_normal(samples * n * d).reshape(samples, n, d)
+        rows += align * stack[np.arange(n), np.arange(n)]
+        sims, _ = cos_grid(rows, stack)
+        lam = min(np.exp(log_lambda), LAMBDA_MAX)
+        l_t2v, l_v2t, _, _ = objectives._ce_terms(sims, float(lam))
+        for k in range(samples):
+            ref_t2v, ref_v2t, _ = symmetric_ce(sims[k], log_lambda)
+            # a loss below 1 is a difference of logits of up to LAMBDA_MAX,
+            # so its roundoff is absolute: relative to max(|loss|, 1)
+            for got, ref in ((l_t2v[k], ref_t2v), (l_v2t[k], ref_v2t)):
+                assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), (got, ref)
 
 
 class TestForwardAgainstModuleOps:
@@ -289,6 +324,53 @@ class TestDegenerateSupport:
             forward_batch(batch, params, "t-mass", 1.2, eps=eps)
 
 
+class TestUnitStacks:
+    """cos_grid divides by the row norms alone, so every stack it scores
+    against must be unit length."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mode=st.sampled_from(["t-mass", "baseline"]),
+        adapters=st.booleans(),
+        copies=st.integers(2, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fused_grid_and_frames_have_unit_rows(self, mode, adapters, copies, seed):
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, "linear", seed=seed, adapters_enabled=adapters), seed=seed)
+        batch = make_batch(n, d, 5, seed=seed)
+        mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3)
+        eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), 2, n, d)
+        names = trainable_names(params, mode)
+        points = np.tile(flatten_params(params, names), (copies, 1))
+        points[1:] += 1e-2 * substream(seed, 7012).standard_normal((copies - 1) * points.shape[1]).reshape(
+            copies - 1, -1
+        )
+        _, tape = forward_batch(
+            batch, parameter_copies(params, names, points), mode, 1.2, eps=eps, drop_mask=mask
+        )
+        assert tape.fusion.fused.shape == (copies, n, n, d)
+        for unit in (tape.fusion.fused, tape.frames.emb):
+            assert np.all(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= 1e-14)
+
+    def test_all_kept_support_slices_equal_the_ix_reference_bit_for_bit(self, monkeypatch):
+        params = randomize(make_model(), seed=45)
+        batch = make_batch(4, 6, 5, seed=15)
+        eps = draw_noise(substream(20, 7008), 3, 4, 8)
+        mask = dropout_grid_mask(substream(20, 7010), 4, 8, 0.3)
+        fast, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps, drop_mask=mask)
+        assert list(tape.support.vidx) == [0, 1, 2, 3]
+        fast_grads = backward_batch(tape)
+        monkeypatch.setattr(objectives, "_support_index", lambda vidx, n: (vidx, np.ix_(vidx, vidx)))
+        ref, ref_tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps, drop_mask=mask)
+        ref_grads = backward_batch(ref_tape)
+        for field in LOSS_FIELDS:
+            assert getattr(fast, field) == getattr(ref, field), field
+        assert np.array_equal(tape.support.ce.rows, ref_tape.support.ce.rows)
+        for name, value in ref_grads.items():
+            assert np.array_equal(fast_grads[name], value), name
+
+
 GRAD_CONFIGS = [
     ("t-mass", "linear", 1.2, False),
     ("t-mass", "scalar", 1.2, False),
@@ -417,9 +499,11 @@ class TestParameterPlumbing:
 # per-sample reference of the batched forward/backward pass
 #
 # A plain transcription of the objective with one Python iteration per noise
-# sample and every contraction written as an einsum. forward_batch and
-# backward_batch stack the samples and contract with matmul instead, so the
-# two may differ only by roundoff.
+# sample and every contraction written as an einsum. It divides every cosine
+# by both norms and shifts each softmax row and column by its own maximum.
+# forward_batch and backward_batch stack the samples, contract with matmul,
+# use that the fused grid and the frames are unit length and shift each CE
+# matrix once, so the two may differ only by roundoff.
 
 
 def _ref_cos_grid(rows, stack):

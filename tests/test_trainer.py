@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from textmass import trainer
 from textmass.core import ContractViolation, FormatError, substream
-from textmass.model import all_array_names, flatten_params, get_param, trainable_names
+from textmass.model import (
+    all_array_names,
+    flatten_params,
+    get_param,
+    parameter_group,
+    set_param,
+    trainable_names,
+)
 from textmass.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -88,6 +95,23 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def per_name_adamw(params, grads, state, lr_by_group, weight_decay):
+    """The update one array at a time: the reference for adamw_step's one
+    pass over the concatenated vector."""
+    state.step += 1
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
+    for name in state.first_moment:
+        g = np.asarray(grads[name], dtype=np.float64)
+        m = state.first_moment[name] = ADAM_BETA1 * state.first_moment[name] + (1.0 - ADAM_BETA1) * g
+        v = state.second_moment[name] = ADAM_BETA2 * state.second_moment[name] + (1.0 - ADAM_BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        lr = lr_by_group[parameter_group(name)]
+        p = get_param(params, name)
+        decay = 0.0 if name == "log_lambda" else weight_decay
+        set_param(params, name, p - lr * update - lr * decay * p)
+
+
 class TestAdamW:
     def test_single_step_matches_hand_oracle(self):
         config = tiny_config()
@@ -149,6 +173,37 @@ class TestAdamW:
         # every other head parameter shrank
         assert np.all(np.abs(get_param(params, "fusion_query")) < 1.0 + 1e-12)
         assert not np.allclose(get_param(params, "fusion_query"), np.eye(8))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
+        adapters=st.booleans(),
+        steps=st.integers(1, 4),
+        lr_head=st.floats(1e-5, 1.0),
+        lr_adapter=st.floats(0.0, 1.0),
+        weight_decay=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_flat_pass_bit_equal_to_the_per_name_reference(
+        self, variant, adapters, steps, lr_head, lr_adapter, weight_decay, seed
+    ):
+        config = tiny_config(radius_variant=variant, adapters_enabled=adapters)
+        flat, ref = (init_model_from_config(config) for _ in range(2))
+        flat_state, ref_state = init_optimizer(flat, config.mode), init_optimizer(ref, config.mode)
+        rng = substream(seed, 8004)
+        for step in range(steps):
+            grads = {n: rng.standard_normal(m.size).reshape(m.shape)
+                     for n, m in flat_state.first_moment.items()}
+            lrs = {"head": lr_head / (step + 1), "backbone-adapter": lr_adapter}
+            adamw_step(flat, grads, flat_state, lrs, weight_decay)
+            per_name_adamw(ref, grads, ref_state, lrs, weight_decay)
+        assert flat_state.step == ref_state.step == steps
+        for name in all_array_names(ref):
+            assert np.array_equal(get_param(flat, name), get_param(ref, name)), name
+        for name in ref_state.first_moment:
+            assert np.array_equal(flat_state.first_moment[name], ref_state.first_moment[name]), name
+            assert np.array_equal(flat_state.second_moment[name], ref_state.second_moment[name]), name
+        assert isinstance(flat.log_lambda, float)
 
 
 class TestTrainLoop:
@@ -295,6 +350,17 @@ class ConfigCodecSuite:
                 self.parse(f"seed = 1\n{key} = x1\n")
         with pytest.raises(ContractViolation, match="epochs"):
             self.parse("epochs = 2.5\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", -1.0), ("alpha", float("nan")), ("lr_head", float("inf")),
+         ("weight_decay", -0.5), ("theta_init", float("nan")), ("lr_adapter", -1.0)],
+    )
+    def test_non_finite_or_negative_values_name_the_key(self, key, value):
+        with pytest.raises(ContractViolation, match=f"config value {key} = "):
+            self.config_type(**{key: value})
+        with pytest.raises(ContractViolation, match=f"config value {key} = "):
+            self.parse(f"{key} = {value}\n")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ContractViolation, match="mode"):
@@ -588,8 +654,10 @@ class TestCorruptCheckpoint:
             (b"epochs = 1\n", b"epochs = x\n"),
             (b"mode = t-mass\n", b"mode = t-mas\xff\n"),
             (b"radius_variant = linear\n", b"radius_variant = cubicc\n"),
+            (b"alpha = 1.2\n", b"alpha = nan\n"),
+            (b"weight_decay = 0.1\n", b"weight_decay = -.1\n"),
         ],
-        ids=["non-numeric", "not-utf8", "unknown-variant"],
+        ids=["non-numeric", "not-utf8", "unknown-variant", "non-finite", "negative"],
     )
     def test_bad_config_text_names_its_offset(self, small_checkpoint, tmp_path, line, bad):
         blob = small_checkpoint.read_bytes()
@@ -630,12 +698,29 @@ class TestSpecEdgeCases:
         )
 
     def test_non_finite_gradient_aborts(self):
+        """A bad entry in any array is named, and nothing is written."""
         from textmass.trainer import TrainingDivergence
 
         config = tiny_config()
-        params = init_model_from_config(config)
-        state = init_optimizer(params, config.mode)
-        grads = {n: np.zeros_like(get_param(params, n)) for n in state.first_moment}
-        grads["fusion_query"] = np.full_like(grads["fusion_query"], np.nan)
-        with pytest.raises(TrainingDivergence, match="step 1"):
-            adamw_step(params, grads, state, {"head": 1e-3, "backbone-adapter": 1e-4}, 0.0)
+        lrs = {"head": 1e-3, "backbone-adapter": 1e-4}
+        for name, entry, bad in [("adapter_text", 0, np.nan), ("fusion_query", 7, np.inf),
+                                 ("radius_weights", 23, -np.inf), ("log_lambda", 0, np.nan)]:
+            params = init_model_from_config(config)
+            state = init_optimizer(params, config.mode)
+            rng = substream(42, 8003)
+            grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in state.first_moment.items()}
+            adamw_step(params, grads, state, lrs, 0.1)
+            arrays = all_array_names(params)
+            before = {n: get_param(params, n).copy() for n in arrays}
+            moments = [{n: m.copy() for n, m in table.items()}
+                       for table in (state.first_moment, state.second_moment)]
+            grads[name].flat[entry] = bad
+            with pytest.raises(TrainingDivergence, match=f"^non-finite gradient for '{name}' at optimizer step 2$"):
+                adamw_step(params, grads, state, lrs, 0.1)
+            assert state.step == 1
+            for n in arrays:
+                assert np.array_equal(get_param(params, n), before[n]), n
+            for table, saved in zip((state.first_moment, state.second_moment), moments):
+                assert list(table) == list(saved)
+                for n, m in saved.items():
+                    assert np.array_equal(table[n], m), n

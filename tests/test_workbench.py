@@ -215,6 +215,21 @@ class TestDispatch:
         assert done.stderr == ""
         assert "usage:" in done.stdout
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [({"alpha": "nan"}, []), ({"lr_head": "inf"}, []), ({"weight_decay": -0.5}, []),
+         ({"lr_adapter": -1.0}, []), ({}, ["--alpha", "-1"])],
+        ids=["nan-alpha", "inf-lr-head", "negative-decay", "negative-lr-adapter", "negative-alpha-flag"],
+    )
+    def test_non_finite_or_negative_config_exits_one_without_a_run_dir(
+        self, tmp_path, capsys, extra, flags
+    ):
+        config = write_config(tmp_path, **extra)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), *flags, "--out", str(out)]) == 1
+        assert "error: config value " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_existing_run_dir_refused(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
