@@ -241,34 +241,39 @@ def softmax(logits: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 # Coordinates whose +h and -h points one call of the oracle's callback
 # evaluates together (the last block may hold fewer).
-FD_BLOCK = 16
+FD_BLOCK = 32
 
 
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h.
 
-    f maps a (P, *x.shape) stack of points to their P values. The oracle
-    hands it the points x + h e_i, then x - h e_i, of FD_BLOCK coordinates
-    at a time, so one coordinate is the P = 2 case of the same call. f must
-    be deterministic; every value is checked for finiteness. This routine
-    stays independent of any analytic backward pass it verifies.
+    The oracle walks the flat coordinates of x in blocks of FD_BLOCK (the
+    last may hold fewer). For a block of b coordinates from flat index start
+    it calls f(start, span), where span is the (2b, b) stack of what the
+    block's 2b points hold at those coordinates: x[start:start+b] with +h
+    on the diagonal of rows 0..b-1 and -h on the diagonal of rows b..2b-1.
+    Every other coordinate of every point is x's own. f gives the 2b
+    values, so one coordinate is the b = 1 case of the same call. f must be
+    deterministic; every value is checked for finiteness. This routine stays
+    independent of any analytic backward pass it verifies.
     """
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
         raise ContractViolation(f"step size must be positive, got {h}")
+    flat = x.ravel()
     grad = np.zeros(x.size)
     for start in range(0, x.size, FD_BLOCK):
-        coords = np.arange(start, min(start + FD_BLOCK, x.size))
-        b = coords.size
-        points = np.tile(x.ravel(), (2 * b, 1))
-        points[np.arange(b), coords] += h
-        points[np.arange(b, 2 * b), coords] -= h
-        values = np.asarray(f(points.reshape((2 * b,) + x.shape)), dtype=np.float64)
+        b = min(FD_BLOCK, x.size - start)
+        span = np.tile(flat[start : start + b], (2, b, 1))
+        diagonal = np.arange(b)
+        span[0, diagonal, diagonal] += h
+        span[1, diagonal, diagonal] -= h
+        values = np.asarray(f(start, span.reshape(2 * b, b)), dtype=np.float64)
         if values.shape != (2 * b,):
             raise ContractViolation(f"callback gave {values.shape} values for {2 * b} points")
         fp, fm = values[:b], values[b:]
         bad = ~(np.isfinite(fp) & np.isfinite(fm))
         if np.any(bad):
-            raise OracleFailure(f"non-finite evaluation at coordinate {coords[bad][0]}")
-        grad[coords] = (fp - fm) / (2.0 * h)
+            raise OracleFailure(f"non-finite evaluation at coordinate {start + np.flatnonzero(bad)[0]}")
+        grad[start : start + b] = (fp - fm) / (2.0 * h)
     return grad.reshape(x.shape)

@@ -15,6 +15,7 @@ CSV mapping pair ids to byte offsets.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,7 +188,8 @@ def item_offset(index: int, rows: int, dim: int) -> int:
 
 
 def read_embeddings(path) -> list:
-    """Items as float64 arrays; single-row items come back as vectors."""
+    """Items as float64 arrays; single-row items come back as vectors. A
+    NaN or infinite value is a FormatError naming its byte offset."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise FormatError(f"embedding file truncated at byte {len(blob)} in header")
@@ -200,13 +202,12 @@ def read_embeddings(path) -> list:
     if len(blob) != expected:
         where = min(len(blob), expected)
         raise FormatError(f"embedding file length mismatch at byte {where}")
-    items = []
-    for i in range(count):
-        start = item_offset(i, rows, dim)
-        flat = np.frombuffer(blob, dtype="<f4", count=rows * dim, offset=start)
-        arr = flat.astype(np.float64).reshape(rows, dim)
-        items.append(arr[0] if rows == 1 else arr)
-    return items
+    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise FormatError(f"non-finite embedding value at byte {_HEADER.size + 4 * int(bad[0])}")
+    items = data.astype(np.float64).reshape(count, rows, dim)
+    return [item[0] if rows == 1 else item for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +244,18 @@ def read_corpus(directory) -> list[PairRecord]:
     manifest_path = directory / "manifest.csv"
     if not manifest_path.exists():
         raise FormatError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, newline="") as handle:
-        reader = csv.reader(handle)
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest is not UTF-8 at byte {exc.start}") from None
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise FormatError("manifest header mismatch")
         rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"manifest is not valid CSV: {exc}") from None
     if len(rows) != len(texts) or len(rows) != len(videos):
         raise FormatError(
             f"manifest lists {len(rows)} pairs but files hold {len(texts)} texts "

@@ -177,24 +177,30 @@ def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray
         raise ContractViolation("flat parameter vector length mismatch")
 
 
-def parameter_copies(params: ModelParameters, names: list[str], points: np.ndarray) -> ModelParameters:
-    """A model beside params for a (k, size) stack of flat vectors over
-    names: each named array that some row moves becomes the (k, *shape)
-    stack of its rows' values, and every other array is params' own,
-    shared. params itself is never written."""
-    k = points.shape[0]
+def parameter_copies(
+    params: ModelParameters, names: list[str], span: np.ndarray, offset: int = 0
+) -> ModelParameters:
+    """A model beside params for k parameter vectors over names that differ
+    from params' flat vector (flatten_params order) only at the coordinates
+    [offset, offset + w), which the (k, w) span holds. Each named array the
+    span overlaps becomes the (k, *shape) stack of its values with the
+    overlapped coordinates taken from the span; every other array is params'
+    own, shared. params itself is never written."""
+    k, width = span.shape
     parts = {owner: dataclasses.replace(getattr(params, owner)) for owner in ("stack", "fusion", "radius")}
     copies = dataclasses.replace(params, copies=k, **parts)
     pos = 0
     for n in names:
         old = get_param(params, n)
-        rows = points[:, pos : pos + old.size]
-        if np.any(rows != old.ravel()):
+        lo, hi = max(offset, pos), min(offset + width, pos + old.size)
+        if lo < hi:
+            rows = np.tile(old.ravel(), (k, 1))
+            rows[:, lo - pos : hi - pos] = span[:, lo - offset : hi - offset]
             slot = PARAMETERS[n]
             setattr(_owner(copies, slot), slot.attr, rows.reshape((k,) + old.shape))
         pos += old.size
-    if pos != points.shape[1]:
-        raise ContractViolation("flat parameter vector length mismatch")
+    if offset < 0 or offset + width > pos:
+        raise ContractViolation("parameter span reaches outside the flat parameter vector")
     return copies
 
 

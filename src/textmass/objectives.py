@@ -568,9 +568,11 @@ def gradient_check(
 
     Every trainable parameter for the mode is flattened into one vector;
     noise and dropout are held fixed so the loss is deterministic in the
-    parameters. The oracle's points are evaluated as parameter copies
-    beside params, one forward pass per block, so params is never written. Entries with |gradient| < small_grad must agree within
-    abs_tol, everything else within rel_tol relative error.
+    parameters. Each block of the oracle's points is evaluated as parameter
+    copies of the arrays its span overlaps, beside params, in one forward
+    pass, so params is never written. Entries with |gradient| < small_grad
+    must agree within abs_tol, everything else within rel_tol relative
+    error.
     """
     # looked up at call time, so that a probe rebinding core.finite_diff_gradient sees it
     from .core import finite_diff_gradient
@@ -579,8 +581,8 @@ def gradient_check(
     _, tape = forward_batch(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
     analytic = flatten_grads(backward_batch(tape), names)
 
-    def losses_at(points: np.ndarray) -> np.ndarray:
-        copies = parameter_copies(params, names, points)
+    def losses_at(start: int, span: np.ndarray) -> np.ndarray:
+        copies = parameter_copies(params, names, span, start)
         breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
         return breakdown.l_total
 

@@ -237,15 +237,27 @@ class TestBoxMuller:
             box_muller(np.zeros((2, 5)))
 
 
-def _recording(f):
-    """f, recording the stack of points of every call."""
+def _on_points(f, x):
+    """A span callback for finite_diff_gradient at x that rebuilds each
+    block's full points, a (2b, *x.shape) stack, from (start, span) and
+    hands them to f; it records every call's start, span and points."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
     calls = []
 
-    def wrapped(points):
-        calls.append(points.copy())
-        return f(points)
+    def callback(start, span):
+        points = np.tile(flat, (len(span), 1))
+        points[:, start : start + span.shape[1]] = span
+        calls.append((start, span.copy(), points))
+        return f(points.reshape((len(span),) + np.shape(x)))
 
-    return wrapped, calls
+    return callback, calls
+
+
+def _fd(f, x, h=1e-4):
+    """finite_diff_gradient of f, a function of a stack of full points, and
+    the calls of its callback."""
+    callback, calls = _on_points(f, x)
+    return finite_diff_gradient(callback, x, h=h), calls
 
 
 def _cubic(points):
@@ -255,11 +267,11 @@ def _cubic(points):
 
 class TestFiniteDiffGradient:
     def test_quadratic(self):
-        g = finite_diff_gradient(lambda xs: xs[:, 0] ** 2, np.array([3.0]))
+        g, _ = _fd(lambda xs: xs[:, 0] ** 2, np.array([3.0]))
         assert abs(g[0] - 6.0) <= 1e-6
 
     def test_constant(self):
-        g = finite_diff_gradient(lambda xs: np.full(len(xs), 4.25), np.ones(5))
+        g, _ = _fd(lambda xs: np.full(len(xs), 4.25), np.ones(5))
         np.testing.assert_allclose(g, 0.0, atol=1e-8)
 
     def test_quadratic_form_matches_2Ax(self):
@@ -267,13 +279,13 @@ class TestFiniteDiffGradient:
         m = rng.normal(size=(4, 4))
         a = 0.5 * (m + m.T)
         x = rng.normal(size=4)
-        g = finite_diff_gradient(lambda vs: np.sum((vs @ a) * vs, axis=1), x)
+        g, _ = _fd(lambda vs: np.sum((vs @ a) * vs, axis=1), x)
         np.testing.assert_allclose(g, 2.0 * a @ x, atol=1e-5)
 
     def test_nonfinite_reported(self):
         with pytest.raises(OracleFailure, match="^non-finite evaluation at coordinate 0$"), \
                 np.errstate(invalid="ignore"):
-            finite_diff_gradient(lambda xs: np.log(xs[:, 0]), np.array([0.0]), h=1.0)
+            _fd(lambda xs: np.log(xs[:, 0]), np.array([0.0]), h=1.0)
 
     def test_nonfinite_in_a_later_block_names_its_coordinate(self):
         bad = FD_BLOCK + 2
@@ -281,33 +293,34 @@ class TestFiniteDiffGradient:
         x[bad] = 0.0
         with pytest.raises(OracleFailure, match=f"^non-finite evaluation at coordinate {bad}$"), \
                 np.errstate(invalid="ignore"):
-            finite_diff_gradient(lambda xs: np.sum(np.log(xs + 0.5), axis=1), x, h=1.0)
+            _fd(lambda xs: np.sum(np.log(xs + 0.5), axis=1), x, h=1.0)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ContractViolation):
-            finite_diff_gradient(lambda xs: np.zeros(len(xs)), np.zeros(2), h=0.0)
+            finite_diff_gradient(lambda start, span: np.zeros(len(span)), np.zeros(2), h=0.0)
 
     def test_callback_must_give_one_value_per_point(self):
         with pytest.raises(ContractViolation):
-            finite_diff_gradient(lambda xs: np.zeros(1), np.zeros(3))
+            finite_diff_gradient(lambda start, span: np.zeros(1), np.zeros(3))
 
     def test_single_coordinate_is_one_call_of_two_points(self):
-        f, calls = _recording(_cubic)
-        g = finite_diff_gradient(f, np.array([0.5]), h=1e-4)
-        assert [c.shape for c in calls] == [(2, 1)]
-        assert calls[0][0, 0] == 0.5 + 1e-4 and calls[0][1, 0] == 0.5 - 1e-4
+        g, calls = _fd(_cubic, np.array([0.5]), h=1e-4)
+        assert [(start, span.shape) for start, span, _ in calls] == [(0, (2, 1))]
+        span = calls[0][1]
+        assert span[0, 0] == 0.5 + 1e-4 and span[1, 0] == 0.5 - 1e-4
         assert abs(g[0] - 0.75) <= 1e-7
 
     def test_ragged_last_block_matches_per_coordinate_differences(self):
         n = 2 * FD_BLOCK + 3
         x = substream(3, 7100).standard_normal(n)
-        f, calls = _recording(_cubic)
-        g = finite_diff_gradient(f, x, h=1e-4)
-        assert [c.shape for c in calls] == [(2 * FD_BLOCK, n)] * 2 + [(6, n)]
+        g, calls = _fd(_cubic, x, h=1e-4)
+        assert [(start, span.shape) for start, span, _ in calls] == [
+            (0, (2 * FD_BLOCK, FD_BLOCK)), (FD_BLOCK, (2 * FD_BLOCK, FD_BLOCK)), (2 * FD_BLOCK, (6, 3))
+        ]
         # the points are x +- h e_i built one coordinate at a time, and each
         # partial is their difference quotient, bit for bit
         points = np.concatenate([np.concatenate([c[: len(c) // 2], c[len(c) // 2 :]], axis=1)
-                                 for c in calls]).reshape(n, 2, n)
+                                 for _, _, c in calls]).reshape(n, 2, n)
         expected = np.empty(n)
         for i in range(n):
             xp, xm = x.copy(), x.copy()
@@ -322,6 +335,6 @@ class TestFiniteDiffGradient:
 
     def test_gradient_keeps_the_shape_of_x(self):
         x = np.arange(6.0).reshape(2, 3)
-        g = finite_diff_gradient(lambda xs: np.sum(xs**2, axis=(1, 2)), x)
+        g, _ = _fd(lambda xs: np.sum(xs**2, axis=(1, 2)), x)
         assert g.shape == (2, 3)
         np.testing.assert_allclose(g, 2.0 * x, atol=1e-6)

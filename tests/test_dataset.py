@@ -178,6 +178,19 @@ class TestEmbeddingFiles:
         with pytest.raises(FormatError, match=f"byte {len(blob) - 5}"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_byte(self, tmp_path, value):
+        path = tmp_path / "frames.tmeb"
+        write_embeddings(path, [np.ones((2, 3)), np.ones((2, 3))])
+        blob = bytearray(path.read_bytes())
+        # item 1, row 0, coordinate 2; a second bad value later does not matter
+        first = item_offset(1, 2, 3) + 2 * 4
+        blob[first : first + 4] = np.float32(value).tobytes()
+        blob[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^non-finite embedding value at byte {first}$"):
+            read_embeddings(path)
+
     def test_item_offsets(self):
         assert item_offset(0, 1, 16) == 20
         assert item_offset(3, 8, 16) == 20 + 3 * 8 * 16 * 4
@@ -236,6 +249,27 @@ class TestCorpusDirectory:
         write_corpus(target, records)
         (target / "manifest.csv").unlink()
         with pytest.raises(FormatError, match="missing manifest"):
+            read_corpus(target)
+
+    def test_non_utf8_manifest_names_the_byte(self, tmp_path):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))
+        target = tmp_path / "corpus"
+        write_corpus(target, records)
+        blob = bytearray((target / "manifest.csv").read_bytes())
+        where = blob.index(b"train")
+        blob[where] = 0xFF
+        (target / "manifest.csv").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^manifest is not UTF-8 at byte {where}$"):
+            read_corpus(target)
+
+    def test_oversized_manifest_field_is_format_error(self, tmp_path):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))
+        target = tmp_path / "corpus"
+        write_corpus(target, records)
+        lines = (target / "manifest.csv").read_text().splitlines()
+        lines[2] = "1," + "t" * 200_000 + ",44,68"
+        (target / "manifest.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="^manifest is not valid CSV: field larger than field limit"):
             read_corpus(target)
 
     def test_split_arrays_requires_both_splits(self):

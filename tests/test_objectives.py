@@ -2,13 +2,14 @@
 the hand-written backward pass against central finite differences."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textmass import objectives
+from textmass import core, objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import encode_frames, encode_text, fuse, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE, cos_grid, frame_similarities, radius, support_text
@@ -801,8 +802,11 @@ class TestParameterCopies:
                 lo, hi = bounds[a], bounds[a + 1]
                 points[1:, lo:hi] += 1e-3 * rng.standard_normal((copies - 1) * (hi - lo)).reshape(-1, hi - lo)
 
+        # the span runs from the first moved array to the last; arrays outside it stay shared
+        moved_arrays = [a for a in range(len(names)) if copies > 1 and moved >> a & 1]
+        lo, hi = (bounds[moved_arrays[0]], bounds[moved_arrays[-1] + 1]) if moved_arrays else (0, 0)
         blocked, tape = forward_batch(
-            batch, parameter_copies(params, names, points), mode, 1.2, eps=eps, drop_mask=mask
+            batch, parameter_copies(params, names, points[:, lo:hi], lo), mode, 1.2, eps=eps, drop_mask=mask
         )
         assert_copies_match(blocked, one_at_a_time(params, names, points, batch, mode, eps, mask), copies)
         with pytest.raises(ContractViolation):
@@ -832,7 +836,7 @@ class TestParameterCopies:
         names = trainable_names(params, "t-mass")
         plain, _ = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
         x0 = flatten_params(params, names)[None]
-        shared = parameter_copies(params, names, x0)  # nothing moves: every array is shared
+        shared = parameter_copies(params, names, x0[:, :0])  # an empty span: every array is shared
         stacked = parameter_copies(params, names, x0)
         for name in names:  # every trainable array as a stack of one copy
             slot = PARAMETERS[name]
@@ -847,9 +851,10 @@ class TestParameterCopies:
         params = randomize(make_model(), seed=42)
         names = trainable_names(params, "t-mass")
         before = {name: get_param(params, name).copy() for name in all_array_names(params)}
-        points = np.tile(flatten_params(params, names), (4, 1))
-        points[:, -1] += np.arange(4)  # log_lambda only
-        copies = parameter_copies(params, names, points)
+        x0 = flatten_params(params, names)
+        assert names[-1] == "log_lambda"
+        span = x0[-1:] + np.arange(4.0)[:, None]  # log_lambda only
+        copies = parameter_copies(params, names, span, x0.size - 1)
         assert copies.copies == 4 and params.copies is None
         assert copies.log_lambda.shape == (4,)
         assert copies.fusion.output_map is params.fusion.output_map
@@ -857,6 +862,137 @@ class TestParameterCopies:
         for name, value in before.items():
             assert np.array_equal(get_param(params, name), value), name
         assert isinstance(params.log_lambda, float)
+
+
+def _moved_copies(params, names, points):
+    """Reference copies for a full (k, n) stack of flat vectors: each array
+    that some row moves, found by comparing every column with params, gets
+    a copy axis."""
+    k = points.shape[0]
+    parts = {owner: dataclasses.replace(getattr(params, owner)) for owner in ("stack", "fusion", "radius")}
+    copies = dataclasses.replace(params, copies=k, **parts)
+    pos = 0
+    for name in names:
+        old = get_param(params, name)
+        rows = points[:, pos : pos + old.size]
+        if np.any(rows != old.ravel()):
+            slot = PARAMETERS[name]
+            owner = copies if slot.owner is None else getattr(copies, slot.owner)
+            setattr(owner, slot.attr, rows.reshape((k,) + old.shape))
+        pos += old.size
+    return copies
+
+
+def _full_stack_gradient(params, names, batch, mode, alpha, eps, mask, block, h=1e-4):
+    """Reference numeric gradient: each block a (2b, n) stack of flat points
+    x +- h e_i, scored as _moved_copies."""
+    x = flatten_params(params, names)
+    grad = np.zeros(x.size)
+    for start in range(0, x.size, block):
+        coords = np.arange(start, min(start + block, x.size))
+        b = coords.size
+        points = np.tile(x, (2 * b, 1))
+        points[np.arange(b), coords] += h
+        points[np.arange(b, 2 * b), coords] -= h
+        breakdown, _ = forward_batch(batch, _moved_copies(params, names, points), mode, alpha, eps=eps,
+                                     drop_mask=mask)
+        grad[coords] = (breakdown.l_total[:b] - breakdown.l_total[b:]) / (2.0 * h)
+    return grad
+
+
+def _numeric_gradient(params, batch, mode, alpha, eps, mask, block):
+    """The numeric gradient gradient_check compares against, at oracle block
+    size block, and the check's result."""
+    seen = []
+    real = core.finite_diff_gradient
+
+    def recording(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "FD_BLOCK", block)
+        mp.setattr(core, "finite_diff_gradient", recording)
+        result = gradient_check(params, batch, mode, alpha, eps, drop_mask=mask)
+    assert len(seen) == 1 and result.checked == seen[0].size
+    return seen[0], result
+
+
+class TestSpanOracleMatchesTheFullStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
+        mode=st.sampled_from(["t-mass", "ablation-ce-plus-s", "baseline"]),
+        adapters=st.booleans(),
+        dropout=st.booleans(),
+        block=st.sampled_from([core.FD_BLOCK, 7, 13, 19, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    # fusion_value[31]'s gradient, 1.146e-3, fails rel_tol by a hair at the parent too
+    @example(variant="scalar", mode="t-mass", adapters=True, dropout=False, block=32, seed=2**16)
+    def test_numeric_gradient_equals_the_full_stack_formula(self, variant, mode, adapters, dropout, block, seed):
+        # d = 6: adapters and fusion maps hold 36 values and linear radius
+        # weights 18, so most blocks straddle an array boundary
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters), seed=seed)
+        batch = make_batch(n, d, 5, seed=seed)
+        mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
+        eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), 2, n, d)
+        names = trainable_names(params, mode)
+        numeric, result = _numeric_gradient(params, batch, mode, 1.2, eps, mask, block)
+        assert np.array_equal(numeric, _full_stack_gradient(params, names, batch, mode, 1.2, eps, mask, block))
+        # random draws may sit on the rel_tol / small_grad seam, so the
+        # verdict is pinned to the numeric gradient, not to passing
+        analytic = flatten_grads(backward_batch(forward_batch(batch, params, mode, 1.2, eps=eps,
+                                                              drop_mask=mask)[1]), names)
+        reference = gradient_check(params, batch, mode, 1.2, eps, drop_mask=mask)
+        assert result == reference
+        abs_err = np.abs(analytic - numeric)
+        assert result.worst_abs == (float(abs_err.max()) if abs_err.size else 0.0)
+
+    def test_criterion_one_fixture_across_radius_weights_and_log_lambda(self):
+        # criterion 1's shape: radius_weights (4 frames x d = 16, 64 values)
+        # ends one coordinate before log_lambda, the last flat coordinate
+        params = randomize(init_model(16, 8, 4, "linear", seed=2), seed=2)
+        batch = make_batch(4, 8, 6, seed=2)
+        eps = draw_noise(substream(2, 7011), 1, 4, 16)
+        names = trainable_names(params, "t-mass")
+        assert names[-2:] == ["radius_weights", "log_lambda"]
+        assert get_param(params, "radius_weights").size == 64
+        for block in (core.FD_BLOCK, 24):  # 24: the block [1584, 1601) straddles the two
+            numeric, result = _numeric_gradient(params, batch, "t-mass", 1.2, eps, None, block)
+            assert result.passed, result.failures[:5]
+            expected = _full_stack_gradient(params, names, batch, "t-mass", 1.2, eps, None, block)
+            assert np.array_equal(numeric, expected), block
+
+    # span [first + i, last + j), counted from the arrays' first flat coordinates at d = 6
+    @pytest.mark.parametrize("first,i,last,j", [("radius_weights", 15, "log_lambda", 1),
+                                                ("adapter_text", 33, "fusion_query", 2),
+                                                ("fusion_key", 2, "fusion_key", 9)])
+    def test_a_span_copies_exactly_the_arrays_it_overlaps(self, first, i, last, j):
+        params = randomize(init_model(6, 6, 3, "linear", seed=5), seed=5)
+        names = trainable_names(params, "t-mass")
+        x0 = flatten_params(params, names)
+        bounds = np.cumsum([0] + [get_param(params, name).size for name in names])
+        lo, hi = bounds[names.index(first)] + i, bounds[names.index(last)] + j
+        points = np.tile(x0, (4, 1))
+        points[:, lo:hi] += 1e-3 * substream(5, 7013).standard_normal(4 * (hi - lo)).reshape(4, -1)
+        spanned = parameter_copies(params, names, points[:, lo:hi], lo)
+        scanned = _moved_copies(params, names, points)
+        for name in all_array_names(params):
+            value, expected = get_param(spanned, name), get_param(scanned, name)
+            assert value.shape == expected.shape and np.array_equal(value, expected), name
+            overlaps = name in names and bounds[names.index(name)] < hi and lo < bounds[names.index(name) + 1]
+            assert (value.ndim > get_param(params, name).ndim) == overlaps, name
+            if not overlaps and value.ndim:  # an array outside the span is params' own object
+                assert value is get_param(params, name), name
+
+    @pytest.mark.parametrize("offset,width", [(-1, 2), (0, 10_000), (5, 10_000)])
+    def test_a_span_outside_the_vector_is_refused(self, offset, width):
+        params = make_model()
+        names = trainable_names(params, "t-mass")
+        with pytest.raises(ContractViolation, match="outside the flat parameter vector"):
+            parameter_copies(params, names, np.zeros((2, width)), offset)
 
 
 def _flat_offset(params, mode, name):

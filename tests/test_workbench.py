@@ -2,17 +2,21 @@
 round trips, and byte-level determinism."""
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textmass import evaluation, workbench
-from textmass.core import ContractViolation
-from textmass.dataset import SyntheticSpec, generate, read_corpus, split_arrays
+from textmass.core import ContractViolation, FormatError
+from textmass.dataset import SyntheticSpec, generate, item_offset, read_corpus, split_arrays, write_corpus
 from textmass.mass import SamplingConfig
 from textmass.trainer import (
     TrainingConfig,
@@ -266,6 +270,33 @@ class TestTrainEval:
         last = (out / "run.log").read_text().splitlines()[-1]
         assert "failed with exit code 2: manifest row 1: " in last and message in last
 
+    def test_non_utf8_manifest_exits_two_and_is_logged(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        blob = bytearray((corpus / "manifest.csv").read_bytes())
+        where = blob.index(b"test")
+        blob[where] = 0xFF
+        (corpus / "manifest.csv").write_bytes(bytes(blob))
+        config = write_config(tmp_path, name="train.txt", data=str(corpus))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"failed with exit code 2: manifest is not UTF-8 at byte {where}")
+
+    @pytest.mark.parametrize("name", ["texts.tmeb", "videos.tmeb"])
+    def test_non_finite_embedding_exits_two_and_is_logged(self, tmp_path, name):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        blob = bytearray((corpus / name).read_bytes())
+        where = item_offset(5, 1, TINY["concept_dim"]) + 8
+        blob[where : where + 4] = np.float32(np.nan).tobytes()
+        (corpus / name).write_bytes(bytes(blob))
+        config = write_config(tmp_path, name="train.txt", data=str(corpus))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"failed with exit code 2: non-finite embedding value at byte {where}")
+
     def test_train_artifacts(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -375,6 +406,51 @@ class TestTrainEval:
         log = (out / "run.log").read_text().splitlines()
         assert "failed with exit code 2: config text at byte" in log[-1]
         assert not (out / "metrics.csv").exists()
+
+
+@functools.cache
+def _pristine_corpus() -> dict:
+    """The bytes of a 10-pair corpus directory at TINY's concept width."""
+    spec = SyntheticSpec(pairs=10, concept_dim=TINY["concept_dim"], raw_frames=TINY["raw_frames"], seed=4)
+    with tempfile.TemporaryDirectory() as scratch:
+        write_corpus(Path(scratch), generate(spec))
+        return {path.name: path.read_bytes() for path in Path(scratch).iterdir()}
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(["texts.tmeb", "videos.tmeb", "manifest.csv"]),
+        damage=st.sampled_from(["truncate", "flip"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        bit=st.integers(0, 7),
+    )
+    @example(name="manifest.csv", damage="flip", where=0.5, bit=7)  # a byte >= 0x80: not UTF-8
+    @example(name="texts.tmeb", damage="flip", where=0.05, bit=0)  # inside the header
+    @example(name="videos.tmeb", damage="truncate", where=0.01, bit=0)  # inside the header
+    def test_a_damaged_corpus_loads_finite_or_exits_two(self, name, damage, where, bit):
+        files = dict(_pristine_corpus())
+        blob = bytearray(files[name])
+        at = int(where * len(blob))
+        if damage == "truncate":
+            del blob[at:]
+        else:
+            blob[at] ^= 1 << bit
+        files[name] = bytes(blob)
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            for file, content in files.items():
+                (scratch / file).write_bytes(content)
+            try:
+                records = read_corpus(scratch)
+            except FormatError:
+                expected = 2
+            else:
+                expected = 0
+                for record in records:
+                    assert np.all(np.isfinite(record.text)) and np.all(np.isfinite(record.video))
+            config = write_config(scratch, name="train.txt", data=str(scratch))
+            assert main(["train", "--config", str(config), "--out", str(scratch / "run")]) == expected
 
 
 class TestGrids:
