@@ -1,8 +1,9 @@
 """Deterministic numeric primitives shared by every stage of the pipeline.
 
-Everything here is pure and reentrant: cosine similarity, a numerically safe
-softmax, seeded Gaussian sampling with independent substreams, and a central
-finite-difference gradient oracle used to verify hand-written backward passes.
+Everything here is pure and reentrant: cosine similarity, seeded Gaussian
+sampling with independent substreams, and a central finite-difference
+gradient oracle used to verify hand-written backward passes. The one file
+writer, :func:`atomic_write`, is shared by every artifact the package writes.
 
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
 which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
@@ -10,6 +11,8 @@ independent substreams and identical (seed, stream) pairs replay bit-exactly.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -109,6 +112,23 @@ def box_muller(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.multiply(r, np.cos(ang), out=out[..., 0::2])
     np.multiply(r, np.sin(ang), out=out[..., 1::2])
     return out
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path atomically: it goes to path + ".tmp", is fsynced
+    and renamed over path, so a reader sees the old file or the complete
+    new one, never a partial write. A failed write removes the temp file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def substream(seed: int, *parts: int) -> SeededRng:
@@ -227,16 +247,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: `np.linalg.norm(x, axis=-1)` bit
     for bit, without its per-call dispatch."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
-def softmax(logits: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Probability vector softmax(scale * logits), max-subtracted for stability."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractViolation("softmax requires a non-empty 1-d logit vector")
-    z = scale * x
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 # Coordinates whose +h and -h points one call of the oracle's callback

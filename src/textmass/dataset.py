@@ -262,6 +262,7 @@ def read_corpus(directory) -> list[PairRecord]:
             f"and {len(videos)} videos"
         )
     records = []
+    first_row = {}
     for i, row in enumerate(rows):
         if len(row) != len(MANIFEST_HEADER):
             raise FormatError(f"manifest row {i}: {len(row)} fields, expected {len(MANIFEST_HEADER)}")
@@ -269,6 +270,9 @@ def read_corpus(directory) -> list[PairRecord]:
             pair_id, offsets = int(row[0]), (int(row[2]), int(row[3]))
         except ValueError:
             raise FormatError(f"manifest row {i}: pair id or offset is not an integer") from None
+        if pair_id in first_row:
+            raise FormatError(f"manifest row {i}: pair id {pair_id} repeats row {first_row[pair_id]}")
+        first_row[pair_id] = i
         split = row[1]
         if split not in ("train", "test"):
             raise FormatError(f"manifest row {i}: unknown split {split!r}")

@@ -18,11 +18,10 @@ give byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, box_muller, stacked_uniforms
+from .core import ContractViolation, atomic_write, box_muller, stacked_uniforms
 # substream and select_best_sample are the per-pair reference that
 # _score_query batches; they stay bound here, unused, because the traced
 # benchmark (perfbench/worker.py) wraps these module attributes by name
@@ -86,14 +85,15 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
 
 def _fuse_query(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
     """One query's (1, d) text block through training's fuse stage: its
-    fused candidates (C, d). Matrices and reports take query q's row from
-    here and from _query_radii, so they agree bit for bit."""
+    fused candidates (C, d)."""
     return fuse_batch(block, pool.keys, params.fusion).fused[0]
 
 
 def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
     """One query's (1, d) text block through the radius stage, broadcast
-    over the candidates: its radii (C, d)."""
+    over the candidates: its radii (C, d). The sampled matrix and
+    pool_radius_report both take query q's radii from here, so the report
+    shows the radii its scores were drawn with."""
     texts = np.broadcast_to(block, (pool.frames.shape[0], block.shape[1]))
     return radius_batch(texts, pool.frames, params.radius).radius
 
@@ -110,7 +110,7 @@ def _score_query(
     trials: int,
     seed: int,
     query_id: int,
-    scratch: np.ndarray | None = None,
+    scratch: np.ndarray | None,
 ) -> np.ndarray:
     """Per-sample scores (C, M) of one query against all of its candidates.
 
@@ -262,14 +262,12 @@ def video_to_text_metrics(sims: np.ndarray, relevant_index: np.ndarray) -> Retri
 # diagnostic reports
 
 
-def _radius_rows(
-    query_id: int, relevant_index: int, radius_grid: np.ndarray, best: np.ndarray
-) -> list[RadiusRow]:
+def _radius_rows(query_id: int, radius_grid: np.ndarray, best: np.ndarray) -> list[RadiusRow]:
     return [
         RadiusRow(
             query_id=query_id,
             candidate_id=c,
-            relevant=(c == relevant_index),
+            relevant=(c == query_id),
             l1_radius=float(np.abs(radius_grid[c]).sum()),
             best_similarity=float(best[c]),
         )
@@ -277,34 +275,12 @@ def _radius_rows(
     ]
 
 
-def radius_dynamics_report(
-    query_text: np.ndarray,
-    candidate_videos: np.ndarray,
-    params: ModelParameters,
-    relevant_index: int,
-    cfg: SamplingConfig,
-    seed: int,
-    query_id: int = 0,
-) -> list[RadiusRow]:
-    """Per-candidate L1 radius mass and best-of-M similarity for one query,
-    using the same substreams as the inference matrix."""
-    query_text = np.asarray(query_text, dtype=np.float64)
-    candidate_videos = np.asarray(candidate_videos, dtype=np.float64)
-    if not 0 <= relevant_index < candidate_videos.shape[0]:
-        raise ContractViolation("relevant index outside the candidate pool")
-    pool = _embed_pool(query_text[None, :], candidate_videos, params)
-    block = pool.blocks[0]
-    radius_grid = _query_radii(block, pool, params)
-    fused = _fuse_query(block, pool, params)
-    best = _score_query(block[0], fused, radius_grid, cfg.trials, seed, query_id).max(axis=-1)
-    return _radius_rows(query_id, relevant_index, radius_grid, best)
-
-
 def pool_radius_report(
     texts: np.ndarray, videos: np.ndarray, params: ModelParameters, sampled: np.ndarray
 ) -> list[RadiusRow]:
-    """radius_dynamics_report of every query of an aligned pool (query q's
-    relevant candidate is q), taking each best-of-M similarity from
+    """Per-candidate L1 radius mass and best-of-M similarity for every query
+    of an aligned pool (query q's relevant candidate is q). The radii come
+    from inference's radius stage; each best-of-M similarity is taken from
     sampled, the pool's (Q, C) inference matrix with sampling, instead of
     scoring the pairs again."""
     texts = np.asarray(texts, dtype=np.float64)
@@ -316,7 +292,7 @@ def pool_radius_report(
     pool = _embed_pool(texts, videos, params)
     rows = []
     for q, block in enumerate(pool.blocks):
-        rows.extend(_radius_rows(q, q, _query_radii(block, pool, params), sampled[q]))
+        rows.extend(_radius_rows(q, _query_radii(block, pool, params), sampled[q]))
     return rows
 
 
@@ -348,25 +324,6 @@ def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[Align
     ]
 
 
-def alignment_report(
-    texts: np.ndarray,
-    videos: np.ndarray,
-    params: ModelParameters,
-    cfg: SamplingConfig,
-    seed: int,
-) -> list[AlignmentRow]:
-    """Per query: maximum similarity to irrelevant candidates and per-pair
-    CE term, under the deterministic text and under best-of-M selection.
-    Wants an aligned pool (query q's relevant candidate is q)."""
-    texts = np.asarray(texts, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
-    if texts.shape[0] != videos.shape[0]:
-        raise ContractViolation("alignment report wants an aligned text-video pool")
-    det = inference_similarity_matrix(texts, videos, params, cfg, False, seed)
-    stoch = inference_similarity_matrix(texts, videos, params, cfg, True, seed)
-    return alignment_rows(det, stoch, params.logit_scale())
-
-
 # ---------------------------------------------------------------------------
 # CSV emission: one row writer, a row dataclass per schema
 
@@ -378,21 +335,11 @@ def _csv_cell(value) -> str:
 
 
 def write_csv_rows(path, row_type, rows: list) -> None:
-    """Write dataclass rows as UTF-8 CSV under a header of row_type's field
-    names: floats with 6 decimals, bools as 0/1, anything else as str."""
+    """Write dataclass rows atomically as UTF-8 CSV under a header of
+    row_type's field names: floats with 6 decimals, bools as 0/1, anything
+    else as str."""
     names = [f.name for f in fields(row_type)]
     lines = [",".join(names)]
     lines += [",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
-
-def write_metrics_csv(path, metrics: list[RetrievalMetrics]) -> None:
-    write_csv_rows(path, RetrievalMetrics, metrics)
-
-
-def write_radius_report(path, rows: list[RadiusRow]) -> None:
-    write_csv_rows(path, RadiusRow, rows)
-
-
-def write_alignment_report(path, rows: list[AlignmentRow]) -> None:
-    write_csv_rows(path, AlignmentRow, rows)

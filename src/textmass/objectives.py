@@ -53,6 +53,13 @@ from .model import (
 
 DEFAULT_ALPHA = 1.2
 
+# gradient_check: the oracle's step, the relative tolerance, and the
+# absolute tolerance that replaces it below the small-gradient threshold
+CHECK_STEP = 1e-4
+CHECK_REL_TOL = 1e-4
+CHECK_ABS_TOL = 1e-6
+CHECK_SMALL_GRAD = 1e-3
+
 
 @dataclass
 class PairBatch:
@@ -309,10 +316,8 @@ def forward_batch(
         if eps is None:
             raise ContractViolation("stochastic modes need noise draws")
         eps = np.asarray(eps, dtype=np.float64)
-        if eps.ndim == 2:
-            eps = eps[None, :, :]
-        if eps.shape[1:] != (n, d):
-            raise ContractViolation("noise shape mismatch")
+        if eps.ndim != 3 or eps.shape[1:] != (n, d):
+            raise ContractViolation(f"noise must be (samples, {n}, {d}), got {eps.shape}")
         tape.eps = eps
         tape.radii = radii = radius_batch(text.emb, frames.emb, params.radius)
 
@@ -559,10 +564,6 @@ def gradient_check(
     alpha: float,
     eps: np.ndarray | None,
     drop_mask: np.ndarray | None = None,
-    h: float = 1e-4,
-    rel_tol: float = 1e-4,
-    abs_tol: float = 1e-6,
-    small_grad: float = 1e-3,
 ) -> GradientCheckResult:
     """Compare the hand-written backward pass against central differences.
 
@@ -570,9 +571,9 @@ def gradient_check(
     noise and dropout are held fixed so the loss is deterministic in the
     parameters. Each block of the oracle's points is evaluated as parameter
     copies of the arrays its span overlaps, beside params, in one forward
-    pass, so params is never written. Entries with |gradient| < small_grad
-    must agree within abs_tol, everything else within rel_tol relative
-    error.
+    pass, so params is never written. Entries with |gradient| below
+    CHECK_SMALL_GRAD must agree within CHECK_ABS_TOL, everything else within
+    CHECK_REL_TOL relative error.
     """
     # looked up at call time, so that a probe rebinding core.finite_diff_gradient sees it
     from .core import finite_diff_gradient
@@ -586,19 +587,19 @@ def gradient_check(
         breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
         return breakdown.l_total
 
-    numeric = finite_diff_gradient(losses_at, flatten_params(params, names), h=h)
+    numeric = finite_diff_gradient(losses_at, flatten_params(params, names), h=CHECK_STEP)
 
     sizes = [get_param(params, name).size for name in names]
     bounds = np.cumsum([0] + sizes)
     abs_err = np.abs(analytic - numeric)
     magnitude = np.maximum(np.abs(analytic), np.abs(numeric))
     rel_err = abs_err / np.maximum(magnitude, 1e-300)
-    ok = np.where(magnitude < small_grad, abs_err <= abs_tol, rel_err <= rel_tol)
+    ok = np.where(magnitude < CHECK_SMALL_GRAD, abs_err <= CHECK_ABS_TOL, rel_err <= CHECK_REL_TOL)
     failures = []
     for i in np.flatnonzero(~ok):
         k = int(np.searchsorted(bounds, i, side="right")) - 1
         failures.append(f"{names[k]}[{i - bounds[k]}]: analytic={analytic[i]:.3e} numeric={numeric[i]:.3e}")
-    large = magnitude >= small_grad
+    large = magnitude >= CHECK_SMALL_GRAD
     worst_rel = float(rel_err[large].max()) if np.any(large) else 0.0
     return GradientCheckResult(
         passed=bool(np.all(ok)),

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, substream
+from .core import ContractViolation, FormatError, atomic_write, substream
 from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
@@ -449,17 +448,7 @@ def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
             struct.pack("<Q", state.global_step),
         ]
     )
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 def _checked_entries(entries: dict, shapes: dict, what: str) -> dict:

@@ -27,9 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, OracleFailure, substream
+from .core import ContractViolation, OracleFailure, atomic_write, substream
 from .dataset import CorpusArrays, SyntheticSpec, generate, read_corpus, split_arrays, write_corpus
 from .evaluation import (
+    AlignmentRow,
+    RadiusRow,
     RetrievalMetrics,
     alignment_rows,
     inference_similarity_matrix,
@@ -37,10 +39,7 @@ from .evaluation import (
     pool_radius_report,
     rank_metrics,
     video_to_text_metrics,
-    write_alignment_report,
     write_csv_rows,
-    write_metrics_csv,
-    write_radius_report,
 )
 from .mass import SamplingConfig
 from .objectives import PairBatch, draw_noise, gradient_check
@@ -56,7 +55,6 @@ from .trainer import (
 )
 
 TRIALS_GRID = (5, 10, 20)
-ALPHA_GRID = (0.5, 0.8, 1.0, 1.2, 1.5)
 
 # CSV rows of the grid tables and train_log.csv: leading columns, then the
 # columns of a RetrievalMetrics row
@@ -65,7 +63,6 @@ TableRow = dataclasses.make_dataclass(
     "TableRow", ["config", "seed", *(f.name for f in dataclasses.fields(RetrievalMetrics))]
 )
 EpochRow = dataclasses.make_dataclass("EpochRow", ["epoch", "mean_loss", *_SCORES])
-TABLE_HEADER = ",".join(f.name for f in dataclasses.fields(TableRow))
 
 # substream purposes for the gradcheck fixture
 _STREAM_CHECK_DATA = 501
@@ -245,6 +242,9 @@ LOSS_GRID = (
     ("l-s-plus-l-sup", {"mode": "t-mass"}),
 )
 
+# full training per support-loss weight
+ALPHA_GRID = tuple((f"alpha-{a}", {"mode": "t-mass", "alpha": a}) for a in (0.5, 0.8, 1.0, 1.2, 1.5))
+
 
 def trials_sweep(
     run: RunConfig, corpus: CorpusArrays, log: RunLog
@@ -275,14 +275,6 @@ def trials_sweep(
         for seed, m in zip(run.seeds, by_label[label]):
             rows.append((label, str(seed), m))
     return rows + [(label, "median", _median_metrics(by_label[label])) for label in labels]
-
-
-def alpha_sweep(
-    run: RunConfig, corpus: CorpusArrays, log: RunLog
-) -> list[tuple[str, str, RetrievalMetrics]]:
-    """Full training per support-loss weight per seed."""
-    grid = tuple((f"alpha-{a}", {"mode": "t-mass", "alpha": a}) for a in ALPHA_GRID)
-    return ablation_matrix(run, grid, corpus, log)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +317,17 @@ def _cmd_train(run: RunConfig, out: Path, log: RunLog) -> int:
 
     use_sampling = _sampling_for(run, tc.mode)
     t2v, v2t = _test_metrics(corpus, result.state.params, use_sampling, run.trials, tc.seed)
-    write_metrics_csv(out / "metrics.csv", [t2v, v2t])
+    write_csv_rows(out / "metrics.csv", RetrievalMetrics, [t2v, v2t])
     log.note(f"final test r1 {t2v.r1:.2f} (sampling={'on' if use_sampling else 'off'})")
     return 0
 
 
-def _cmd_eval(run: RunConfig, out: Path, log: RunLog) -> int:
+def _checkpoint_corpus(run: RunConfig, log: RunLog, command: str) -> tuple:
+    """(state, config, corpus) of a command that scores a checkpoint: the
+    checkpoint key is required and the corpus must have the checkpoint's
+    concept width."""
     if not run.checkpoint:
-        raise ContractViolation("config key 'checkpoint' is required for eval")
+        raise ContractViolation(f"config key 'checkpoint' is required for {command}")
     state, tc = load_checkpoint(run.checkpoint)
     corpus = _corpus(run, log)
     if tc.concept_dim != corpus.test_text.shape[1]:
@@ -340,9 +335,14 @@ def _cmd_eval(run: RunConfig, out: Path, log: RunLog) -> int:
             f"checkpoint expects concept width {tc.concept_dim} but the corpus "
             f"has width {corpus.test_text.shape[1]}"
         )
+    return state, tc, corpus
+
+
+def _cmd_eval(run: RunConfig, out: Path, log: RunLog) -> int:
+    state, tc, corpus = _checkpoint_corpus(run, log, "eval")
     use_sampling = _sampling_for(run, tc.mode)
     t2v, v2t = _test_metrics(corpus, state.params, use_sampling, run.trials, run.seed)
-    write_metrics_csv(out / "metrics.csv", [t2v, v2t])
+    write_csv_rows(out / "metrics.csv", RetrievalMetrics, [t2v, v2t])
     log.note(
         f"evaluated {run.checkpoint} at step {state.global_step}: test r1 {t2v.r1:.2f} "
         f"(sampling={'on' if use_sampling else 'off'}, trials={run.trials})"
@@ -364,10 +364,7 @@ def _table_command(grid_rows):
 
 
 def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
-    if not run.checkpoint:
-        raise ContractViolation("config key 'checkpoint' is required for analyze")
-    state, tc = load_checkpoint(run.checkpoint)
-    corpus = _corpus(run, log)
+    state, tc, corpus = _checkpoint_corpus(run, log, "analyze")
     params = state.params
     cfg = SamplingConfig(trials=run.trials)
 
@@ -377,11 +374,11 @@ def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
     det = inference_similarity_matrix(*pool, False, run.seed)
     stoch = inference_similarity_matrix(*pool, True, run.seed)
     scored = stoch if _sampling_for(run, tc.mode) else det
-    write_metrics_csv(out / "metrics.csv", list(_pool_metrics(scored)))
+    write_csv_rows(out / "metrics.csv", RetrievalMetrics, list(_pool_metrics(scored)))
     radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
-    write_radius_report(out / "radius_report.csv", radius_rows)
+    write_csv_rows(out / "radius_report.csv", RadiusRow, radius_rows)
     alignment = alignment_rows(det, stoch, params.logit_scale())
-    write_alignment_report(out / "alignment_report.csv", alignment)
+    write_csv_rows(out / "alignment_report.csv", AlignmentRow, alignment)
 
     # qualitative observations, logged rather than gated
     queries = det.shape[0]
@@ -449,7 +446,7 @@ _IMPLS = {
     "ablate-radius": _table_command(partial(ablation_matrix, grid=RADIUS_GRID)),
     "ablate-loss": _table_command(partial(ablation_matrix, grid=LOSS_GRID)),
     "sweep-trials": _table_command(trials_sweep),
-    "sweep-alpha": _table_command(alpha_sweep),
+    "sweep-alpha": _table_command(partial(ablation_matrix, grid=ALPHA_GRID)),
     "analyze": _cmd_analyze,
     "gradcheck": _cmd_gradcheck,
 }
@@ -508,7 +505,7 @@ def main(argv=None) -> int:
         if ns.command == "gradcheck" and ns.out is None:
             return _cmd_gradcheck(run, None, None)
         out = _create_run_dir(ns.out)
-        (out / "config.txt").write_text(config_to_text(run), encoding="utf-8")
+        atomic_write(out / "config.txt", config_to_text(run).encode("utf-8"))
         log = RunLog(out / "run.log")
         log.note(f"{ns.command} starting")
         code = _IMPLS[ns.command](run, out, log)

@@ -18,11 +18,12 @@ from textmass.core import ContractViolation, substream
 from textmass.dataset import SyntheticSpec, generate, split_arrays
 from textmass.encoders import encode_frames, encode_text, fuse
 from textmass.evaluation import (
-    alignment_report,
+    RetrievalMetrics,
+    alignment_rows,
     inference_similarity_matrix,
-    radius_dynamics_report,
+    pool_radius_report,
     rank_metrics,
-    write_metrics_csv,
+    write_csv_rows,
 )
 from textmass.mass import (
     RADIUS_VARIANTS,
@@ -299,8 +300,8 @@ def test_criterion_08_ablation_consistency(corpus, tmp_path):
         )
         rows.append(rank_metrics(sims, np.arange(corpus.test_text.shape[0]))[1])
     a, b = tmp_path / "fm.csv", tmp_path / "sc.csv"
-    write_metrics_csv(a, [rows[0]])
-    write_metrics_csv(b, [rows[1]])
+    write_csv_rows(a, RetrievalMetrics, [rows[0]])
+    write_csv_rows(b, RetrievalMetrics, [rows[1]])
     assert a.read_bytes() == b.read_bytes()
 
     cfg = tmp_path / "ablate.cfg"
@@ -376,13 +377,18 @@ def test_criterion_10_analysis_reports(tmp_path):
     queries = corpus.test_text.shape[0]
     cfg5 = SamplingConfig(trials=5)
 
+    det = inference_similarity_matrix(corpus.test_text, corpus.test_videos,
+                                      params, cfg5, False, 0)
+    stoch = inference_similarity_matrix(corpus.test_text, corpus.test_videos,
+                                        params, cfg5, True, 0)
+
     radius_lines = (report / "radius_report.csv").read_text(encoding="utf-8").splitlines()
     assert radius_lines[0] == "query_id,candidate_id,relevant,l1_radius,best_similarity"
     assert len(radius_lines) == 1 + queries * queries
+    radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
     worst = 0.0
     for q in range(3):
-        rows = radius_dynamics_report(corpus.test_text[q], corpus.test_videos,
-                                      params, q, cfg5, 0, query_id=q)
+        rows = radius_rows[q * queries : (q + 1) * queries]
         t = encode_text(corpus.test_text[q], params.stack)
         for c, row in enumerate(rows):
             frames = encode_frames(corpus.test_videos[c], params.frame_count, params.stack)
@@ -400,11 +406,7 @@ def test_criterion_10_analysis_reports(tmp_path):
     assert align_lines[0] == ("query_id,max_irrelevant_sim_det,"
                               "max_irrelevant_sim_stoch,ce_det,ce_stoch")
     assert len(align_lines) == 1 + queries
-    align_rows = alignment_report(corpus.test_text, corpus.test_videos, params, cfg5, 0)
-    det = inference_similarity_matrix(corpus.test_text, corpus.test_videos,
-                                      params, cfg5, False, 0)
-    stoch = inference_similarity_matrix(corpus.test_text, corpus.test_videos,
-                                        params, cfg5, True, 0)
+    align_rows = alignment_rows(det, stoch, params.logit_scale())
     lam = min(math.exp(params.log_lambda), LAMBDA_MAX)
     for q, row in enumerate(align_rows):
         worst = max(

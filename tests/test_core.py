@@ -11,7 +11,6 @@ from textmass.core import (
     box_muller,
     cosine_similarity,
     finite_diff_gradient,
-    softmax,
     stacked_uniforms,
     stream_key,
     substream,
@@ -84,38 +83,6 @@ class TestCosineSimilarity:
         for _ in range(100):
             a, b = rng.normal(size=5), rng.normal(size=5)
             assert -1.0 <= cosine_similarity(a, b) <= 1.0
-
-
-class TestSoftmax:
-    def test_uniform_logits(self):
-        for c in (-3.0, 0.0, 17.5):
-            np.testing.assert_allclose(softmax(np.full(3, c)), 1.0 / 3.0, atol=1e-12)
-
-    def test_analytic_two_class(self):
-        p = softmax(np.array([0.0, np.log(2.0)]))
-        np.testing.assert_allclose(p, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-
-    def test_overflow_safe(self):
-        p = softmax(np.array([1000.0, 0.0]))
-        assert np.all(np.isfinite(p))
-        assert p[0] > 1.0 - 1e-12 and p[1] < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            softmax(np.array([]))
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_probability_vector(self, logits):
-        p = softmax(np.array(logits))
-        assert np.all(p >= 0)
-        assert abs(p.sum() - 1.0) <= 1e-12
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=10))
-    @settings(max_examples=100, deadline=None)
-    def test_shift_invariant(self, logits):
-        x = np.array(logits)
-        np.testing.assert_allclose(softmax(x), softmax(x + 11.25), atol=1e-12)
 
 
 class TestSeededRng:

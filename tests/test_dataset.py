@@ -229,8 +229,9 @@ class TestCorpusDirectory:
             ("x,train,44,68", "manifest row 1: pair id or offset is not an integer"),
             ("1,train,4.5,68", "manifest row 1: pair id or offset is not an integer"),
             ("1,train,44,", "manifest row 1: pair id or offset is not an integer"),
+            ("0,train,44,68", "manifest row 1: pair id 0 repeats row 0"),
         ],
-        ids=["short", "long", "blank", "id", "text-offset", "video-offset"],
+        ids=["short", "long", "blank", "id", "text-offset", "video-offset", "repeated-id"],
     )
     def test_malformed_manifest_row_is_format_error(self, tmp_path, row, message):
         records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))

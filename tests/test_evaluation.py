@@ -2,6 +2,7 @@
 recomputation, and report schemas."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,15 +16,12 @@ from textmass.evaluation import (
     AlignmentRow,
     RadiusRow,
     RetrievalMetrics,
-    alignment_report,
+    alignment_rows,
     inference_similarity_matrix,
     pool_radius_report,
-    radius_dynamics_report,
     rank_metrics,
     video_to_text_metrics,
-    write_alignment_report,
-    write_metrics_csv,
-    write_radius_report,
+    write_csv_rows,
 )
 
 EVAL_STREAM = evaluation._STREAM_EVAL
@@ -257,8 +255,6 @@ class TestInferenceMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ContractViolation, match="query 1: 1 of 8 pair scores"):
                 inference_similarity_matrix(texts, videos, params, cfg, True, 3)
-            with pytest.raises(ContractViolation, match="non-finite"):
-                radius_dynamics_report(texts[1], videos, params, 1, cfg, 3, query_id=1)
         # the deterministic path does not use the radius and stays finite
         det = inference_similarity_matrix(texts, videos, params, SamplingConfig(), False, 3)
         assert np.all(np.isfinite(det))
@@ -279,19 +275,33 @@ class TestInferenceMatrix:
             )
 
 
+def radius_oracle(texts, videos, params):
+    """L1 radius mass of every (query, candidate) pair from the per-vector
+    encode and radius functions."""
+    l1 = np.empty((texts.shape[0], videos.shape[0]))
+    for q in range(texts.shape[0]):
+        t = encode_text(texts[q], params.stack)
+        for c in range(videos.shape[0]):
+            frames = encode_frames(videos[c], params.frame_count, params.stack)
+            l1[q, c] = np.abs(radius(frame_similarities(t, frames), params.radius)).sum()
+    return l1
+
+
 class TestRadiusReport:
     def test_zero_weights_give_unit_radius_everywhere(self):
         params = init_model(8, 6, 3, radius_variant="linear", seed=8)
         texts, videos = make_pool(seed=8)
-        rows = radius_dynamics_report(texts[0], videos, params, 1, SamplingConfig(trials=2), 19)
+        sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 19)
+        rows = pool_radius_report(texts, videos, params, sampled)
         assert all(r.l1_radius == 8.0 for r in rows)
-        assert [r.relevant for r in rows] == [False, True, False, False]
+        assert [r.relevant for r in rows[4:8]] == [False, True, False, False]
 
     def test_scalar_zero_theta_identical_radii(self):
         params = make_params(variant="scalar", seed=9)
         params.radius.theta = 0.0
         texts, videos = make_pool(seed=9)
-        rows = radius_dynamics_report(texts[0], videos, params, 0, SamplingConfig(trials=2), 19)
+        sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 19)
+        rows = pool_radius_report(texts, videos, params, sampled)
         values = {r.l1_radius for r in rows}
         assert len(values) == 1
 
@@ -299,38 +309,32 @@ class TestRadiusReport:
         params = make_params(seed=10)
         texts, videos = make_pool(seed=10)
         cfg = SamplingConfig(trials=4)
-        rows = radius_dynamics_report(texts[2], videos, params, 3, cfg, 23, query_id=2)
-        t = encode_text(texts[2], params.stack)
         sims = inference_similarity_matrix(texts, videos, params, cfg, True, 23)
+        rows = pool_radius_report(texts, videos, params, sims)
+        l1 = radius_oracle(texts, videos, params)
+        assert len(rows) == 16
         for row in rows:
-            frames = encode_frames(videos[row.candidate_id], params.frame_count, params.stack)
-            r = radius(frame_similarities(t, frames), params.radius)
-            assert abs(row.l1_radius - np.abs(r).sum()) <= 1e-9
-            assert abs(row.best_similarity - sims[2, row.candidate_id]) <= 1e-9
-
-    def test_relevant_index_validated(self):
-        params = make_params()
-        texts, videos = make_pool()
-        with pytest.raises(ContractViolation):
-            radius_dynamics_report(texts[0], videos, params, 9, SamplingConfig(trials=2), 0)
+            q, c = row.query_id, row.candidate_id
+            assert row.relevant == (q == c)
+            assert abs(row.l1_radius - l1[q, c]) <= 1e-9
+            assert abs(row.best_similarity - sims[q, c]) <= 1e-9
 
     @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
     @pytest.mark.parametrize("use_sampling", [False, True])
     @pytest.mark.parametrize("pool_seed", [21, 22, 23])
-    def test_report_equals_matrix_row(self, monkeypatch, variant, use_sampling, pool_seed):
-        # a deterministic row is the sampled report with all-zero noise at M = 1
+    def test_report_equals_matrix_row(self, variant, use_sampling, pool_seed):
+        # every row against the per-pair oracles: the radius from the
+        # per-vector functions and the score from select_best_sample
         params = make_params(variant=variant, seed=pool_seed)
         texts, videos = make_pool(q=5, candidates=5, seed=pool_seed)
         cfg = SamplingConfig(trials=6 if use_sampling else 1)
         sims = inference_similarity_matrix(texts, videos, params, cfg, use_sampling, 43)
-        if not use_sampling:
-            monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
-        rows = []
-        for q in range(5):
-            report = radius_dynamics_report(texts[q], videos, params, q, cfg, 43, query_id=q)
-            assert np.array_equal([r.best_similarity for r in report], sims[q])
-            rows.extend(report)
-        assert pool_radius_report(texts, videos, params, sims) == rows
+        rows = pool_radius_report(texts, videos, params, sims)
+        want = per_pair_scores(texts, videos, params, cfg, use_sampling, 43)
+        l1 = radius_oracle(texts, videos, params)
+        assert [(r.query_id, r.candidate_id) for r in rows] == [(q, c) for q in range(5) for c in range(5)]
+        assert np.array_equal(np.array([r.best_similarity for r in rows]).reshape(5, 5), want)
+        assert np.abs(np.array([r.l1_radius for r in rows]).reshape(5, 5) - l1).max() <= 1e-9
 
     def test_pool_report_wants_an_aligned_pool(self):
         params = make_params()
@@ -340,13 +344,21 @@ class TestRadiusReport:
             pool_radius_report(texts, videos, params, sampled)
 
 
+def alignment_of(texts, videos, params, cfg, seed):
+    """The alignment rows analyze writes: both passes over the pool, then
+    alignment_rows under the model's logit scale."""
+    det = inference_similarity_matrix(texts, videos, params, cfg, False, seed)
+    stoch = inference_similarity_matrix(texts, videos, params, cfg, True, seed)
+    return alignment_rows(det, stoch, params.logit_scale())
+
+
 class TestAlignmentReport:
     def test_collapsed_mass_makes_columns_identical(self, monkeypatch):
         # R*eps = 0 collapses every sample to t; det and stoch columns agree
         params = make_params(seed=11)
         texts, videos = make_pool(q=4, candidates=4, seed=11)
         monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
-        rows = alignment_report(texts, videos, params, SamplingConfig(trials=3), 29)
+        rows = alignment_of(texts, videos, params, SamplingConfig(trials=3), 29)
         for row in rows:
             assert abs(row.max_irrelevant_sim_det - row.max_irrelevant_sim_stoch) <= 1e-9
             assert abs(row.ce_det - row.ce_stoch) <= 1e-9
@@ -355,9 +367,9 @@ class TestAlignmentReport:
         params = make_params(seed=12)
         texts, videos = make_pool(q=4, candidates=4, seed=12)
         cfg = SamplingConfig(trials=3)
-        rows = alignment_report(texts, videos, params, cfg, 31)
-        det = inference_similarity_matrix(texts, videos, params, cfg, False, 31)
-        stoch = inference_similarity_matrix(texts, videos, params, cfg, True, 31)
+        rows = alignment_of(texts, videos, params, cfg, 31)
+        det = per_pair_scores(texts, videos, params, cfg, False, 31)
+        stoch = per_pair_scores(texts, videos, params, cfg, True, 31)
         lam = params.logit_scale()
         for row in rows:
             q = row.query_id
@@ -372,18 +384,18 @@ class TestAlignmentReport:
             assert abs(row.ce_det - expected_ce) <= 1e-9
 
     def test_requires_aligned_pool(self):
-        params = make_params()
         with pytest.raises(ContractViolation):
-            alignment_report(
-                np.zeros((3, 6)), np.zeros((4, 5, 6)), params, SamplingConfig(trials=2), 0
-            )
+            alignment_rows(np.zeros((3, 4)), np.zeros((3, 4)), 10.0)
+        with pytest.raises(ContractViolation):
+            alignment_rows(np.zeros((3, 3)), np.zeros((4, 4)), 10.0)
 
 
 class TestCsvWriters:
     def test_metrics_csv(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(
+        write_csv_rows(
             path,
+            RetrievalMetrics,
             [
                 RetrievalMetrics("text-to-video", 50.0, 75.0, 100.0, 1.5, 2.25),
                 RetrievalMetrics("video-to-text", 25.0, 50.0, 75.0, 2.0, 3.5),
@@ -396,14 +408,14 @@ class TestCsvWriters:
 
     def test_radius_csv(self, tmp_path):
         path = tmp_path / "radius.csv"
-        write_radius_report(path, [RadiusRow(0, 1, True, 8.0, 0.51234567)])
+        write_csv_rows(path, RadiusRow, [RadiusRow(0, 1, True, 8.0, 0.51234567)])
         lines = path.read_text().splitlines()
         assert lines[0] == "query_id,candidate_id,relevant,l1_radius,best_similarity"
         assert lines[1] == "0,1,1,8.000000,0.512346"
 
     def test_alignment_csv(self, tmp_path):
         path = tmp_path / "alignment.csv"
-        write_alignment_report(path, [AlignmentRow(3, 0.25, 0.5, 1.0, 0.75)])
+        write_csv_rows(path, AlignmentRow, [AlignmentRow(3, 0.25, 0.5, 1.0, 0.75)])
         lines = path.read_text().splitlines()
         assert lines[0] == "query_id,max_irrelevant_sim_det,max_irrelevant_sim_stoch,ce_det,ce_stoch"
         assert lines[1] == "3,0.250000,0.500000,1.000000,0.750000"
@@ -430,8 +442,23 @@ class TestCsvWriters:
         cfg = SamplingConfig(trials=3)
         paths = []
         for tag in ("a", "b"):
-            rows = alignment_report(texts, videos, params, cfg, 37)
+            rows = alignment_of(texts, videos, params, cfg, 37)
             path = tmp_path / f"{tag}.csv"
-            write_alignment_report(path, rows)
+            write_csv_rows(path, AlignmentRow, rows)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-old", "fresh"])
+    def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "metrics.csv"
+        if existing:
+            write_csv_rows(path, RadiusRow, [RadiusRow(0, 0, True, 1.0, 0.5)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv_rows(path, RadiusRow, [RadiusRow(1, 1, True, 2.0, 0.25)])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

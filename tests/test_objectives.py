@@ -271,6 +271,10 @@ class TestModeArithmetic:
         batch = make_batch(3, 6, 5)
         with pytest.raises(ContractViolation):
             forward_batch(batch, params, "t-mass", 1.2, eps=None)
+        # one (N, d) slice is not promoted to a sample stack
+        eps = draw_noise(substream(9, 7004), 1, 3, 8)
+        with pytest.raises(ContractViolation, match="noise must be"):
+            forward_batch(batch, params, "t-mass", 1.2, eps=eps[0])
 
 
 class TestNoiseHelpers:

@@ -1,0 +1,118 @@
+"""Source hygiene of src/textmass: no import goes unused and no top-level
+function goes unreferenced. No linter ships with the project, so both
+checks read the modules with `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "textmass"
+MODULES = sorted(SRC.glob("*.py"))
+
+# Top-level functions that nothing in src calls but that stay: the
+# per-vector oracles the tests compare the batched stages against.
+ORACLES = {
+    "encode_text",
+    "encode_frames",
+    "fuse",
+    "frame_similarities",
+    "radius",
+    "sample_text_mass",
+    "support_text",
+    "select_best_sample",
+    "cosine_similarity",
+    "symmetric_ce",
+    "unflatten_params",
+    "nested_trial_matrices",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a bare name or as the base of an
+    attribute chain."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """`line: name` of each import binding the module never reads, skipping
+    `from __future__` and lines marked `# noqa: F401`."""
+    tree = _tree(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    used = _loaded_names(tree) | _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        marked = any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1))
+        if marked:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{path.name}:{node.lineno}: {bound}")
+    return unused
+
+
+def unreferenced_functions(paths: list[Path]) -> list[str]:
+    """`module.function` of each top-level function that no src module
+    reads, imports or exports by name."""
+    trees = {path: _tree(path) for path in paths}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _loaded_names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in referenced
+        and node.name not in ORACLES
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_every_top_level_function_is_referenced():
+    assert unreferenced_functions(MODULES) == []
+
+
+def test_checks_catch_what_they_look_for(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from json import dumps, loads\n"
+        "def used():\n"
+        "    return loads('1')\n"
+        "def orphan():\n"
+        "    return used()\n"
+        "def encode_text():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["sample.py:2: os", "sample.py:4: dumps"]
+    assert unreferenced_functions([module]) == ["sample.orphan"]

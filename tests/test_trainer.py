@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textmass import trainer
+from textmass import core, trainer
 from textmass.core import ContractViolation, FormatError, substream
 from textmass.model import (
     all_array_names,
@@ -511,7 +511,7 @@ class TestCheckpoint:
                 self.handle.write(blob[: len(blob) // 2])
                 raise OSError("disk full")
 
-        monkeypatch.setattr(trainer, "open", lambda *a: HalfWrite(real_open(*a)), raising=False)
+        monkeypatch.setattr(core, "open", lambda *a: HalfWrite(real_open(*a)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, state, config)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

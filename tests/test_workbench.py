@@ -25,13 +25,7 @@ from textmass.trainer import (
     parse_config_text,
     save_checkpoint,
 )
-from textmass.workbench import (
-    ALPHA_GRID,
-    RunConfig,
-    TABLE_HEADER,
-    TRIALS_GRID,
-    main,
-)
+from textmass.workbench import RunConfig, TRIALS_GRID, main
 
 from test_trainer import TRAINING_DEFAULT_TEXT, ConfigCodecSuite
 
@@ -60,7 +54,7 @@ def write_config(tmp_path, name="run.txt", **extra):
 
 def table_rows(path):
     lines = path.read_text().splitlines()
-    assert lines[0] == TABLE_HEADER
+    assert lines[0] == "config,seed,direction,r1,r5,r10,mdr,mnr"
     return [line.split(",") for line in lines[1:]]
 
 
@@ -269,6 +263,19 @@ class TestTrainEval:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 2
         last = (out / "run.log").read_text().splitlines()[-1]
         assert "failed with exit code 2: manifest row 1: " in last and message in last
+
+    def test_repeated_pair_id_exits_two_and_is_logged(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        assert lines[3].startswith("2,")
+        lines[3] = "1" + lines[3][1:]
+        (corpus / "manifest.csv").write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, name="train.txt", data=str(corpus))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith("failed with exit code 2: manifest row 2: pair id 1 repeats row 1")
 
     def test_non_utf8_manifest_exits_two_and_is_logged(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -541,7 +548,7 @@ class TestGrids:
         assert main(["sweep-alpha", "--config", str(config), "--out", str(out)]) == 0
         rows = table_rows(out / "metrics.csv")
         assert len(rows) == 5 * 1 + 5
-        assert {row[0] for row in rows} == {f"alpha-{a}" for a in ALPHA_GRID}
+        assert {row[0] for row in rows} == {f"alpha-{a}" for a in (0.5, 0.8, 1.0, 1.2, 1.5)}
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         config = write_config(tmp_path, seeds="0")
@@ -573,6 +580,21 @@ class TestAnalyze:
         assert "smallest radius mass" in log
         assert "shifts max irrelevant similarity" in log
 
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_checkpoint_width_mismatch_exits_one_and_is_logged(self, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(run)]) == 0
+        config = write_config(
+            tmp_path, name="wide.txt", checkpoint=str(run / "checkpoint.tmck"), concept_dim=8
+        )
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        message = "checkpoint expects concept width 6 but the corpus has width 8"
+        assert message in capsys.readouterr().err
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"failed with exit code 1: {message}")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "run.log"]
+
     @pytest.mark.parametrize("sampling", ["true", "false"])
     def test_one_pass_per_mode_gives_the_per_report_bytes(self, tmp_path, monkeypatch, sampling):
         config = write_config(tmp_path, sampling=sampling)
@@ -596,33 +618,37 @@ class TestAnalyze:
         assert sorted(scored) == [False] * 8 + [True] * 8
         monkeypatch.undo()
 
-        # each report scored on its own, as the public per-report functions do
+        # each report from matrices scored on their own passes
         cfg = parse_config_text(analyze_config.read_text(encoding="utf-8"), RunConfig())
         params = load_checkpoint(checkpoint)[0].params
         pool = split_arrays(generate(cfg.synthetic_spec()))
         texts, videos = pool.test_text, pool.test_videos
         trials = SamplingConfig(trials=cfg.trials)
-        sims = evaluation.inference_similarity_matrix(
-            texts, videos, params, trials, cfg.sampling, cfg.seed
-        )
+
+        def scores(use_sampling):
+            return evaluation.inference_similarity_matrix(
+                texts, videos, params, trials, use_sampling, cfg.seed
+            )
+
+        sims = scores(cfg.sampling)
         relevant = np.arange(len(texts))
         expected = tmp_path / "expected"
         expected.mkdir()
-        evaluation.write_metrics_csv(
+        evaluation.write_csv_rows(
             expected / "metrics.csv",
+            evaluation.RetrievalMetrics,
             [evaluation.rank_metrics(sims, relevant)[1],
              evaluation.video_to_text_metrics(sims, relevant)],
         )
-        evaluation.write_radius_report(expected / "radius_report.csv", [
-            row
-            for q in range(len(texts))
-            for row in evaluation.radius_dynamics_report(
-                texts[q], videos, params, q, trials, cfg.seed, query_id=q
-            )
-        ])
-        evaluation.write_alignment_report(
+        evaluation.write_csv_rows(
+            expected / "radius_report.csv",
+            evaluation.RadiusRow,
+            evaluation.pool_radius_report(texts, videos, params, scores(True)),
+        )
+        evaluation.write_csv_rows(
             expected / "alignment_report.csv",
-            evaluation.alignment_report(texts, videos, params, trials, cfg.seed),
+            evaluation.AlignmentRow,
+            evaluation.alignment_rows(scores(False), scores(True), params.logit_scale()),
         )
         for name in ("metrics.csv", "radius_report.csv", "alignment_report.csv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
