@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, substream
+from .core import ContractViolation, FormatError, atomic_write, substream
 
 TEST_FRACTION = 0.2
 DISTRACTOR_POOL_FACTOR = 4
@@ -159,11 +159,10 @@ def split_arrays(records: list[PairRecord]) -> CorpusArrays:
 
 def write_embeddings(path, items: list) -> None:
     """Write homogeneous vectors or per-item row sets as single-precision
-    row-major data behind a fixed header."""
+    row-major data behind a fixed header, atomically."""
     arrays = [np.asarray(item, dtype=np.float64) for item in items]
     if not arrays:
-        blob = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, 0, 0, 0)
-        Path(path).write_bytes(blob)
+        atomic_write(path, _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, 0, 0, 0))
         return
     shaped = []
     for arr in arrays:
@@ -179,7 +178,7 @@ def write_embeddings(path, items: list) -> None:
     parts = [_HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, len(shaped), rows, dim)]
     for arr in shaped:
         parts.append(arr.astype("<f4").tobytes(order="C"))
-    Path(path).write_bytes(b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def item_offset(index: int, rows: int, dim: int) -> int:
@@ -215,6 +214,8 @@ def read_embeddings(path) -> list:
 
 
 def write_corpus(directory, records: list[PairRecord]) -> None:
+    """Write the records as texts.tmeb, videos.tmeb and manifest.csv, each
+    file atomically."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if not records:
@@ -223,18 +224,12 @@ def write_corpus(directory, records: list[PairRecord]) -> None:
     write_embeddings(directory / "videos.tmeb", [r.video for r in records])
     dim = records[0].text.shape[0]
     frames = records[0].video.shape[0]
-    with open(directory / "manifest.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MANIFEST_HEADER)
-        for i, record in enumerate(records):
-            writer.writerow(
-                [
-                    record.pair_id,
-                    record.split,
-                    item_offset(i, 1, dim),
-                    item_offset(i, frames, dim),
-                ]
-            )
+    manifest = io.StringIO(newline="")
+    writer = csv.writer(manifest)
+    writer.writerow(MANIFEST_HEADER)
+    for i, record in enumerate(records):
+        writer.writerow([record.pair_id, record.split, item_offset(i, 1, dim), item_offset(i, frames, dim)])
+    atomic_write(directory / "manifest.csv", manifest.getvalue().encode("utf-8"))
 
 
 def read_corpus(directory) -> list[PairRecord]:

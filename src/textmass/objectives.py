@@ -15,9 +15,10 @@ Loss modes
 l_ce on the deterministic embeddings is always computed and reported for
 diagnostics; in "t-mass" mode it receives no gradient. Video embeddings are
 text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
-entry (i, j) is video j pooled under text i's attention. The S noise samples
-of a batch form one (S, N, d) stack, and every contraction over the grid is
-a (batched) matmul. The encode, fuse and radius stages are the batched
+entry (i, j) is video j pooled under text i's attention. The deterministic
+texts, the S noise samples and the support texts of a batch form one
+(S + 2, N, d) stack scored by one CE pass, and every contraction over the
+grid is a (batched) matmul. The encode, fuse and radius stages are the batched
 functions of `encoders` and `mass` that inference runs too; each stage's
 backward lives here.
 """
@@ -25,7 +26,6 @@ backward lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -115,16 +115,22 @@ def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
 # symmetric cross-entropy
 
 
-def _ce_terms(sims: np.ndarray, lam: float | np.ndarray):
+def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None):
     """Row and column InfoNCE terms for each matrix of a (..., N, N) stack
     of cosines; rows are texts, columns videos. lam is a scale, or a (k,)
-    scale per copy of a (k, S, N, N) stack.
+    scale per copy of a (k, M, N, N) stack.
 
     Each matrix is shifted once, by its largest logit, and its row and
     column softmaxes share one exponential. That is exact for cosines:
     every logit lies within LAMBDA_MAX of 0, so no term falls below
     exp(-2 * LAMBDA_MAX). `symmetric_ce`, which takes any matrix, keeps
     a shift per row and per column.
+
+    keep: None, or a boolean mask of the pairs each matrix scores, shaped
+    (..., N) to broadcast against the stack's (..., N) matrix axes. A
+    matrix is then scored on its kept block alone: the exponentials off it
+    are zeroed, masked rows and columns get a unit sum, and the terms
+    average over the kept pairs.
 
     Returns (l_t2v, l_v2t, p_row, p_col): the terms have the leading shape
     (0-d for one matrix) and p_row / p_col are the softmax tables reused by
@@ -133,29 +139,42 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray):
     logits = (lam if isinstance(lam, float) else lam[:, None, None, None]) * sims
     shift = logits.max(axis=(-2, -1), keepdims=True)
     exp = np.exp(logits - shift)
-    row_sum = exp.sum(axis=-1)
-    col_sum = exp.sum(axis=-2)
+    if keep is None:
+        row_sum, col_sum = exp.sum(axis=-1), exp.sum(axis=-2)
+    else:
+        exp *= keep[..., :, None] & keep[..., None, :]
+        # a masked row or column sums to 1: its softmax is 0 and its log 0
+        row_sum, col_sum = exp.sum(axis=-1) + ~keep, exp.sum(axis=-2) + ~keep
     p_row = exp / row_sum[..., None]
     p_col = exp / col_sum[..., None, :]
     diag = np.diagonal(logits, axis1=-2, axis2=-1) - shift[..., 0]
-    l_t2v = np.mean(np.log(row_sum) - diag, axis=-1)
-    l_v2t = np.mean(np.log(col_sum) - diag, axis=-1)
-    return l_t2v, l_v2t, p_row, p_col
+    row_terms = np.log(row_sum) - diag
+    col_terms = np.log(col_sum) - diag
+    if keep is None:
+        return np.mean(row_terms, axis=-1), np.mean(col_terms, axis=-1), p_row, p_col
+    count = keep.sum(axis=-1)
+    return np.sum(row_terms * keep, axis=-1) / count, np.sum(col_terms * keep, axis=-1) / count, p_row, p_col
 
 
-def _ce_backward(sims: np.ndarray, lam: float, p_row: np.ndarray, p_col: np.ndarray, upstream: float):
-    """Gradients of upstream * l_ce where l_ce = (l_t2v + l_v2t) / 2, for
-    each matrix of a (..., N, N) stack.
+def _ce_backward(sims, lam: float, p_row, p_col, upstream: np.ndarray, keep: np.ndarray | None):
+    """Gradients of sum_m upstream[m] * l_ce[m], where l_ce = (l_t2v +
+    l_v2t) / 2, over the matrices m of an (M, N, N) stack; keep is the mask
+    `_ce_terms` scored the stack under.
 
-    Returns (d_sims, d_lam); d_lam has the leading shape and is the
-    derivative with respect to the unclamped scale value.
+    Returns (d_sims, d_lam); d_lam is (M,), one derivative per matrix with
+    respect to the unclamped scale value.
     """
-    n = sims.shape[-1]
+    idx = np.arange(sims.shape[-1])
+    n = sims.shape[-1] if keep is None else keep.sum(axis=-1)
     p_sum = p_row + p_col
-    d_sims = (upstream * lam / (2.0 * n)) * p_sum
-    idx = np.arange(n)
-    d_sims[..., idx, idx] -= upstream * lam / n
-    trace = np.trace(sims, axis1=-2, axis2=-1)
+    d_sims = (upstream * lam / (2.0 * n))[..., None, None] * p_sum
+    on_diag = (upstream * lam / n)[..., None]
+    if keep is None:
+        d_sims[..., idx, idx] -= on_diag
+        trace = np.trace(sims, axis1=-2, axis2=-1)
+    else:
+        d_sims[..., idx, idx] -= on_diag * keep
+        trace = np.sum(np.diagonal(sims, axis1=-2, axis2=-1) * keep, axis=-1)
     d_lam = (np.sum(p_sum * sims, axis=(-2, -1)) - 2.0 * trace) * upstream / (2.0 * n)
     return d_sims, d_lam
 
@@ -201,29 +220,16 @@ def _cos_grid_backward(d_sims, rows, stack, sims, norms):
 
 @dataclass
 class CETerm:
-    """A symmetric-CE term: rows (S, m, d) scored against a per-row unit
-    stack, their cosines (S, m, n) and norms (S, m), and `_ce_terms`'
-    softmaxes."""
+    """The symmetric-CE stack: rows (M, N, d) scored against the fused grid,
+    their cosines (M, N, N) and norms (M, N), `_ce_terms`' softmaxes, and
+    the mask they were scored under (None when every pair is kept)."""
 
     rows: np.ndarray
     sims: np.ndarray
     row_norms: np.ndarray
     p_row: np.ndarray
     p_col: np.ndarray
-
-
-def _ce_term(rows, stack, lam):
-    """Per-sample (l_t2v, l_v2t), each (S,), and the term's record."""
-    sims, norms = cos_grid(rows, stack)
-    l_t2v, l_v2t, p_row, p_col = _ce_terms(sims, lam)
-    return l_t2v, l_v2t, CETerm(rows, sims, norms, p_row, p_col)
-
-
-def _ce_term_backward(term: CETerm, stack, lam: float, upstream: float):
-    """(d_rows, d_stack, d_lam) of upstream times the term's per-sample CE."""
-    d_sims, d_lam = _ce_backward(term.sims, lam, term.p_row, term.p_col, upstream)
-    d_rows, d_stack = _cos_grid_backward(d_sims, term.rows, stack, term.sims, term.row_norms)
-    return d_rows, d_stack, d_lam
+    keep: np.ndarray | None
 
 
 def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
@@ -238,22 +244,23 @@ def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray)
 
 @dataclass
 class Support:
-    """Support rows t + direction * R of the non-degenerate pairs vidx, with
-    direction = (v - t) / dist, and their CE term."""
+    """Support rows t + direction * R with direction = (v - t) / dist for
+    each pair; keep marks the pairs with a direction, and a degenerate pair
+    (||v - t|| at most DEGENERATE_DISTANCE) has direction 0 and dist 1."""
 
-    vidx: np.ndarray
+    keep: np.ndarray
     direction: np.ndarray
     dist: np.ndarray
-    ce: CETerm
 
 
 @dataclass
 class BatchTape:
-    """What backward_batch replays of one forward_batch call: the stage and
-    loss-term records; the stochastic-mode fields are None in baseline mode.
-    With parameter copies, each record the copies reach leads with the copy
-    axis and support is None (each distinct support set among the copies
-    has its own term); backward_batch refuses such a tape."""
+    """What backward_batch replays of one forward_batch call: the stage
+    records and the CE stack, whose matrices are the deterministic texts,
+    then in the stochastic modes the S samples and the support texts; the
+    stochastic-mode fields are None in baseline mode. With parameter
+    copies, each record the copies reach leads with the copy axis, and
+    backward_batch refuses the tape."""
 
     params: ModelParameters
     mode: str
@@ -263,10 +270,9 @@ class BatchTape:
     keys: VideoKeys
     fusion: Fused
     ce: CETerm
-    eps: np.ndarray | None = None
-    radii: Radii | None = None
-    stochastic: CETerm | None = None
-    support: Support | None = None
+    eps: np.ndarray | None
+    radii: Radii | None
+    support: Support | None
 
 
 def forward_batch(
@@ -306,43 +312,44 @@ def forward_batch(
     lam = params.logit_scale()
     lead = () if params.copies is None else (params.copies,)
 
-    t2v, v2t, ce = _ce_term(text.emb[..., None, :, :], fused, lam)
-    l_t2v, l_v2t = t2v[..., 0], v2t[..., 0]
-    l_ce = 0.5 * (l_t2v + l_v2t)
-    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, ce)
-
-    l_s = l_sup = None
+    rows = text.emb[..., None, :, :]
+    radii = support = keep = None
     if mode != "baseline":
         if eps is None:
             raise ContractViolation("stochastic modes need noise draws")
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim != 3 or eps.shape[1:] != (n, d):
             raise ContractViolation(f"noise must be (samples, {n}, {d}), got {eps.shape}")
-        tape.eps = eps
-        tape.radii = radii = radius_batch(text.emb, frames.emb, params.radius)
-
-        # all S samples t + R * eps_s as one (S, N, d) stack
-        s_t2v, s_v2t, tape.stochastic = _ce_term(
-            text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps, fused, lam
-        )
-        l_s = np.mean(0.5 * (s_t2v + s_v2t), axis=-1)
-
+        radii = radius_batch(text.emb, frames.emb, params.radius)
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
         dist = row_norms(delta)
-        l_sup = np.empty(lead)
-        for copies, vidx in _support_sets(dist > DEGENERATE_DISTANCE):
-            pick = partial(_pick, copies)
-            kept, block = _support_index(vidx, n)
-            direction = pick(delta, 2)[..., kept, :] / pick(dist, 1)[..., kept, None]
-            support_rows = pick(text.emb, 2)[..., kept, :] + direction * pick(radii.radius, 2)[..., kept, :]
-            sup_t2v, sup_v2t, sup_ce = _ce_term(
-                support_rows[..., None, :, :],
-                pick(fused, 3)[(...,) + block + (slice(None),)],
-                pick(lam, 0),
-            )
-            l_sup[copies] = 0.5 * (sup_t2v[..., 0] + sup_v2t[..., 0])
-        if params.copies is None:
-            tape.support = Support(vidx, direction, dist[kept], sup_ce)
+        kept = dist > DEGENERATE_DISTANCE
+        if not kept.any(axis=-1).all():
+            raise DegenerateGeometryError("every pair has video == text embedding")
+        if not kept.all():
+            # a degenerate pair has direction 0 and dist 1, and is masked out of the support CE
+            dist = np.where(kept, dist, 1.0)
+            delta = delta * kept[..., None]
+            keep = np.ones(kept.shape[:-1] + (len(eps) + 2, n), dtype=bool)
+            keep[..., -1, :] = kept
+        support = Support(kept, delta / dist[..., None], dist)
+        support_rows = text.emb + support.direction * radii.radius
+        # one (S + 2, N, d) stack: t, the S samples t + R * eps_s, the support rows
+        rows = np.empty(support_rows.shape[:-2] + (len(eps) + 2, n, d))
+        rows[..., 0, :, :] = text.emb
+        rows[..., 1:-1, :, :] = text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps
+        rows[..., -1, :, :] = support_rows
+
+    sims, norms = cos_grid(rows, fused)
+    t2v, v2t, p_row, p_col = _ce_terms(sims, lam, keep)
+    ce = CETerm(rows, sims, norms, p_row, p_col, keep)
+    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, ce, eps, radii, support)
+    per_matrix = 0.5 * (t2v + v2t)
+    l_t2v, l_v2t, l_ce = t2v[..., 0], v2t[..., 0], per_matrix[..., 0]
+    l_s = l_sup = None
+    if mode != "baseline":
+        l_s = np.mean(per_matrix[..., 1:-1], axis=-1)
+        l_sup = per_matrix[..., -1]
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
     l_total = w_ce * l_ce
@@ -352,36 +359,6 @@ def forward_batch(
         l_total = l_total + w_sup * l_sup
     terms = [l_t2v, l_v2t, l_ce, l_s, l_sup, l_total]
     return LossBreakdown(*(None if t is None else _per_copy(t, lead) for t in terms)), tape
-
-
-def _support_sets(keep: np.ndarray) -> list:
-    """(copies, vidx) for each distinct non-degenerate set vidx of a (n,)
-    or per-copy (k, n) mask; copies is ... when every copy shares the set."""
-    rows = keep.reshape(-1, keep.shape[-1])
-    if len(rows) == 1 or (rows == rows[0]).all():
-        groups = [(..., rows[0])]
-    else:
-        sets, which = np.unique(rows, axis=0, return_inverse=True)
-        groups = [(np.flatnonzero(which.ravel() == g), s) for g, s in enumerate(sets)]
-    for _, s in groups:
-        if not s.any():
-            raise DegenerateGeometryError("every pair has video == text embedding")
-    return [(copies, np.flatnonzero(s)) for copies, s in groups]
-
-
-def _support_index(vidx: np.ndarray, n: int) -> tuple:
-    """(kept, block): the index of the kept pairs vidx among n, and of
-    their (kept, kept) block of an (n, n) grid; plain slices, which copy
-    nothing, when every pair is kept."""
-    if vidx.size == n:
-        return slice(None), (slice(None), slice(None))
-    return vidx, np.ix_(vidx, vidx)
-
-
-def _pick(copies, x, rank: int):
-    """The given copies of x, an array of `rank` axes that may lead with a
-    copy axis; without one, x is shared by every copy."""
-    return x if copies is ... or np.ndim(x) == rank else x[copies]
 
 
 def _per_copy(value, lead: tuple):
@@ -404,7 +381,8 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     """Gradients of l_total with respect to every trainable parameter.
 
     Returns a dict keyed by the canonical trainable names for the taped
-    mode. Terms whose mode weight is zero contribute exactly nothing.
+    mode. A term whose mode weight is zero enters the CE backward with a
+    zero upstream weight, so it contributes zeros.
     """
     params = tape.params
     if params.copies is not None:
@@ -419,44 +397,30 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     fused = tape.fusion.fused
     radii = tape.radii
     n, d = text_emb.shape
-    d_text = np.zeros_like(text_emb)
     d_frames = np.zeros_like(frame_emb)
-    d_fused = np.zeros_like(fused)
-    d_radius = np.zeros_like(radii.radius) if radii is not None else None
-    d_lam_total = 0.0
 
-    if w_ce != 0.0:
-        d_rows, d_stack, d_lam = _ce_term_backward(tape.ce, fused, lam, w_ce)
-        d_lam_total += d_lam[0]
-        d_text += d_rows[0]
-        d_fused += d_stack
+    # one weight per CE matrix: t, then the S samples and the support rows
+    weights = [w_ce]
+    if radii is not None:
+        samples = tape.eps.shape[0]
+        weights += [w_s / samples] * samples + [w_sup]
+    ce = tape.ce
+    d_sims, d_lam = _ce_backward(ce.sims, lam, ce.p_row, ce.p_col, np.array(weights), ce.keep)
+    d_rows, d_fused = _cos_grid_backward(d_sims, ce.rows, fused, ce.sims, ce.row_norms)
+    # every row of the stack is t plus a shift
+    d_text = d_rows.sum(axis=0)
 
-    if tape.stochastic is not None and w_s != 0.0:
-        upstream = w_s / tape.eps.shape[0]
-        d_rows, d_stack, d_lam = _ce_term_backward(tape.stochastic, fused, lam, upstream)
-        d_lam_total += np.sum(d_lam)
-        d_fused += d_stack
-        d_text += d_rows.sum(axis=0)
-        d_radius += (tape.eps * d_rows).sum(axis=0)
-
-    if tape.support is not None and w_sup != 0.0:
+    if radii is not None:
         sup = tape.support
-        vidx = sup.vidx
-        kept, block = _support_index(vidx, n)
-        d_rows, d_stack, d_lam = _ce_term_backward(sup.ce, fused[block], lam, w_sup)
-        d_lam_total += d_lam[0]
-        d_rows = d_rows[0]
-        d_fused[block] += d_stack
+        d_sup = d_rows[-1]
+        d_radius = (tape.eps * d_rows[1:-1]).sum(axis=0) + sup.direction * d_sup
         # support row: t + direction * R with direction = (v - t) / ||v - t||
-        d_text[kept] += d_rows
-        d_radius[kept] += sup.direction * d_rows
-        d_dir = radii.radius[kept] * d_rows
+        d_dir = radii.radius * d_sup
         inner = np.sum(sup.direction * d_dir, axis=1, keepdims=True)
         d_delta = (d_dir - sup.direction * inner) / sup.dist[:, None]
-        d_fused[vidx, vidx] += d_delta
-        d_text[kept] -= d_delta
+        d_fused[np.arange(n), np.arange(n)] += d_delta
+        d_text -= d_delta
 
-    if d_radius is not None and (w_s != 0.0 or w_sup != 0.0):
         rparams = params.radius
         if rparams.variant == "linear":
             d_pre = d_radius * radii.radius
@@ -511,7 +475,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         grads["adapter_frame"] += _adapter_backward(tape.frames, d_frames)
         grads["adapter_text"] += _adapter_backward(tape.text, d_text)
     if not np.exp(params.log_lambda) > LAMBDA_MAX:  # no gradient through the clamp
-        grads["log_lambda"] = grads["log_lambda"] + d_lam_total * lam
+        grads["log_lambda"] = grads["log_lambda"] + np.sum(d_lam) * lam
     return grads
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from textmass import evaluation
-from textmass.core import ContractViolation, substream
+from textmass.core import substream
 from textmass.dataset import SyntheticSpec, generate, split_arrays
 from textmass.encoders import encode_frames, encode_text, fuse
 from textmass.evaluation import (

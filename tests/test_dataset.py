@@ -1,6 +1,7 @@
 """Synthetic corpus semantics (coverage, redundancy, determinism) and the
 embedding file format."""
 
+import os
 import re
 
 import numpy as np
@@ -196,7 +197,42 @@ class TestEmbeddingFiles:
         assert item_offset(3, 8, 16) == 20 + 3 * 8 * 16 * 4
 
 
+CORPUS_FILES = ("texts.tmeb", "videos.tmeb", "manifest.csv")
+
+
 class TestCorpusDirectory:
+    @pytest.mark.parametrize("failing", range(len(CORPUS_FILES)), ids=CORPUS_FILES)
+    def test_failed_write_leaves_no_partial_file_and_no_temp(self, tmp_path, monkeypatch, failing):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))
+        write_corpus(tmp_path / "whole", records)
+        whole = {p.name: p.read_bytes() for p in (tmp_path / "whole").iterdir()}
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if len(synced) == failing:
+                raise OSError("disk full")
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        target = tmp_path / "corpus"
+        with pytest.raises(OSError, match="disk full"):
+            write_corpus(target, records)
+        # the files written before the failure are whole; nothing else is left
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == {
+            name: whole[name] for name in CORPUS_FILES[:failing]
+        }
+
+    def test_failed_empty_embedding_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_embeddings(tmp_path / "empty.tmeb", [])
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip(self, tmp_path):
         records = generate(SyntheticSpec(pairs=10, concept_dim=6, raw_frames=3, seed=4))
         write_corpus(tmp_path / "corpus", records)

@@ -3,8 +3,6 @@ import pytest
 
 from textmass.core import ContractViolation, substream
 from textmass.encoders import (
-    EncoderStack,
-    FusionParameters,
     encode_frames,
     encode_text,
     fuse,

@@ -110,7 +110,7 @@ class TestSymmetricCE:
         sims = np.array([[0.0, 10.0], [-10.0, 0.0]])
         assert symmetric_ce(sims, np.log(100.0)) == (500.0, 500.0, 500.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            l_t2v, _, _, _ = objectives._ce_terms(sims, 100.0)
+            l_t2v, _, _, _ = objectives._ce_terms(sims, 100.0, None)
         assert l_t2v == -np.inf
 
     @settings(max_examples=200, deadline=None)
@@ -132,7 +132,7 @@ class TestSymmetricCE:
         rows += align * stack[np.arange(n), np.arange(n)]
         sims, _ = cos_grid(rows, stack)
         lam = min(np.exp(log_lambda), LAMBDA_MAX)
-        l_t2v, l_v2t, _, _ = objectives._ce_terms(sims, float(lam))
+        l_t2v, l_v2t, _, _ = objectives._ce_terms(sims, float(lam), None)
         for k in range(samples):
             ref_t2v, ref_v2t, _ = symmetric_ce(sims[k], log_lambda)
             # a loss below 1 is a difference of logits of up to LAMBDA_MAX,
@@ -181,13 +181,12 @@ class TestForwardAgainstModuleOps:
 
     def test_shifted_text_is_reparameterized_sample(self):
         expected = self.text_emb + self.radius * self.eps[0]
-        assert np.array_equal(self.tape.stochastic.rows[0], expected)
+        assert np.array_equal(self.tape.ce.rows[1], expected)
 
     def test_support_rows(self):
-        support = self.tape.support
-        for pos, i in enumerate(support.vidx):
+        for i in np.flatnonzero(self.tape.support.keep):
             oracle = support_text(self.text_emb[i], self.fused[i, i], self.radius[i])
-            assert np.allclose(support.ce.rows[0, pos], oracle, atol=1e-12)
+            assert np.allclose(self.tape.ce.rows[-1, i], oracle, atol=1e-12)
 
     def test_ce_grid_matches_cosine(self):
         from textmass.core import cosine_similarity
@@ -358,22 +357,60 @@ class TestUnitStacks:
         for unit in (tape.fusion.fused, tape.frames.emb):
             assert np.all(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= 1e-14)
 
-    def test_all_kept_support_slices_equal_the_ix_reference_bit_for_bit(self, monkeypatch):
-        params = randomize(make_model(), seed=45)
-        batch = make_batch(4, 6, 5, seed=15)
-        eps = draw_noise(substream(20, 7008), 3, 4, 8)
-        mask = dropout_grid_mask(substream(20, 7010), 4, 8, 0.3)
-        fast, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps, drop_mask=mask)
-        assert list(tape.support.vidx) == [0, 1, 2, 3]
-        fast_grads = backward_batch(tape)
-        monkeypatch.setattr(objectives, "_support_index", lambda vidx, n: (vidx, np.ix_(vidx, vidx)))
-        ref, ref_tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps, drop_mask=mask)
-        ref_grads = backward_batch(ref_tape)
-        for field in LOSS_FIELDS:
-            assert getattr(fast, field) == getattr(ref, field), field
-        assert np.array_equal(tape.support.ce.rows, ref_tape.support.ce.rows)
-        for name, value in ref_grads.items():
-            assert np.array_equal(fast_grads[name], value), name
+
+
+class TestMaskedCE:
+    """`_ce_terms` under a keep mask scores each matrix on its kept block."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        copies=st.sampled_from([0, 3]),
+        samples=st.sampled_from([1, 4]),
+        n=st.integers(2, 10),
+        d=st.integers(2, 8),
+        log_lambda=st.floats(-3.0, np.log(1000.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_masked_terms_equal_the_oracle_on_the_kept_block(self, copies, samples, n, d, log_lambda, seed):
+        rng = substream(seed, 7014)
+        lead = (copies,) if copies else ()
+        stack = rng.standard_normal(n * n * d).reshape(n, n, d)
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        rows = rng.standard_normal(max(copies, 1) * samples * n * d).reshape(lead + (samples, n, d))
+        sims, _ = cos_grid(rows, stack)
+        # one mask row per copy, broadcast over the matrices; each keeps pair 0
+        keep = rng.uniform(max(copies, 1) * n).reshape(lead + (1, n)) < 0.6
+        keep[..., 0] = True
+        lam = min(np.exp(log_lambda), LAMBDA_MAX)
+        scale = float(lam) if not copies else np.full(copies, lam)
+        l_t2v, l_v2t, p_row, p_col = objectives._ce_terms(sims, scale, keep)
+        for c in np.ndindex(*lead):
+            kept = np.flatnonzero(keep[c][0])
+            off = np.ones((n, n), dtype=bool)
+            off[np.ix_(kept, kept)] = False
+            for k in range(samples):
+                ref_t2v, ref_v2t, _ = symmetric_ce(sims[c][k][np.ix_(kept, kept)], log_lambda)
+                for got, ref in ((l_t2v[c][k], ref_t2v), (l_v2t[c][k], ref_v2t)):
+                    assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), (got, ref)
+                assert np.all(p_row[c][k][off] == 0.0) and np.all(p_col[c][k][off] == 0.0)
+
+    def test_an_all_true_mask_equals_no_mask_bit_for_bit(self):
+        rng = substream(5, 7015)
+        n, d, samples = 12, 6, 4
+        stack = rng.standard_normal(n * n * d).reshape(n, n, d)
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        rows = rng.standard_normal(samples * n * d).reshape(samples, n, d)
+        sims, _ = cos_grid(rows, stack)
+        upstream = np.array([0.0, 0.25, 0.25, 1.2])
+        keep = np.ones((samples, n), dtype=bool)
+        plain = objectives._ce_terms(sims, 7.5, None)
+        masked = objectives._ce_terms(sims, 7.5, keep)
+        for got, want in zip(masked, plain):
+            assert np.array_equal(got, want)
+        plain_back = objectives._ce_backward(sims, 7.5, plain[2], plain[3], upstream, None)
+        masked_back = objectives._ce_backward(sims, 7.5, masked[2], masked[3], upstream, keep)
+        for got, want in zip(masked_back, plain_back):
+            assert np.array_equal(got, want)
 
 
 GRAD_CONFIGS = [
@@ -713,7 +750,7 @@ class TestBatchedMatchesPerSampleReference:
         losses, terms, ref_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
 
         if degenerate and mode != "baseline":
-            assert list(tape.support.vidx) == list(range(1, n))
+            assert list(np.flatnonzero(tape.support.keep)) == list(range(1, n))
         for key, ref in losses.items():
             if ref is None:
                 assert getattr(breakdown, key) is None
@@ -733,11 +770,12 @@ class TestBatchedMatchesPerSampleReference:
         batch = make_batch(3, 6, 5, seed=5)
         eps = draw_noise(substream(5, 7011), 4, 3, 8)
         _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
-        assert tape.stochastic.rows.shape == (4, 3, 8)
-        assert tape.stochastic.sims.shape == (4, 3, 3)
+        # t, the 4 samples and the support rows
+        assert tape.ce.rows.shape == (6, 3, 8)
+        assert tape.ce.sims.shape == (6, 3, 3)
         for k in range(4):
             expected = tape.text.emb + tape.radii.radius * eps[k]
-            assert np.array_equal(tape.stochastic.rows[k], expected)
+            assert np.array_equal(tape.ce.rows[1 + k], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +867,7 @@ class TestParameterCopies:
         points[1, start] += 1e-2  # moves fused video 0 off text 0
         points[2, start + 1] -= 1e-2
         singles = one_at_a_time(params, names, points, batch, "t-mass", eps, None)
-        assert [list(tape.support.vidx) for _, tape in singles] == [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+        assert [list(np.flatnonzero(tape.support.keep)) for _, tape in singles] == [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
         blocked, _ = forward_batch(batch, parameter_copies(params, names, points), "t-mass", 1.2, eps=eps)
         assert_copies_match(blocked, singles, 3)
 

@@ -1,6 +1,6 @@
-"""Source hygiene of src/textmass: no import goes unused and no top-level
-function goes unreferenced. No linter ships with the project, so both
-checks read the modules with `ast`."""
+"""Source hygiene: no import in src/textmass or tests goes unused, and no
+top-level function of src/textmass goes unreferenced. No linter ships with
+the project, so both checks read the modules with `ast`."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "textmass"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # Top-level functions that nothing in src calls but that stay: the
 # per-vector oracles the tests compare the batched stages against.
@@ -20,11 +21,9 @@ ORACLES = {
     "radius",
     "sample_text_mass",
     "support_text",
-    "select_best_sample",
     "cosine_similarity",
     "symmetric_ce",
     "unflatten_params",
-    "nested_trial_matrices",
 }
 
 
@@ -44,8 +43,9 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def _loaded_names(tree: ast.Module) -> set[str]:
     """Every name the module reads, as a bare name or as the base of an
-    attribute chain."""
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attribute chain; an assigned name, such as a dataclass field, is not
+    read."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -70,16 +70,20 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name the module reads, imports or exports."""
+    names = _loaded_names(tree) | _exported(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def unreferenced_functions(paths: list[Path]) -> list[str]:
-    """`module.function` of each top-level function that no src module
-    reads, imports or exports by name."""
+    """`module.function` of each top-level function outside ORACLES that no
+    module of paths reads, imports or exports by name."""
     trees = {path: _tree(path) for path in paths}
-    referenced = set()
-    for tree in trees.values():
-        referenced |= _loaded_names(tree) | _exported(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+    referenced = set().union(*map(_referenced, trees.values()))
     return [
         f"{path.stem}.{node.name}"
         for path, tree in trees.items()
@@ -90,13 +94,21 @@ def unreferenced_functions(paths: list[Path]) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
 
 
 def test_every_top_level_function_is_referenced():
     assert unreferenced_functions(MODULES) == []
+
+
+def test_every_oracle_is_a_top_level_function_nothing_in_src_references():
+    trees = [_tree(path) for path in MODULES]
+    defined = {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    referenced = set().union(*map(_referenced, trees))
+    assert sorted(ORACLES - defined) == []
+    assert sorted(ORACLES & referenced) == []
 
 
 def test_checks_catch_what_they_look_for(tmp_path):

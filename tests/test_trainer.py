@@ -25,7 +25,6 @@ from textmass.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    OptimizerState,
     TrainingConfig,
     adamw_step,
     config_to_text,
