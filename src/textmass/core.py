@@ -229,20 +229,6 @@ def stacked_uniforms(
     return out
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between a and b, clamped to [-1, 1].
-
-    Denominator carries a 1e-12 guard so degenerate zero vectors do not
-    divide by zero (they return 0 instead of NaN).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ContractViolation(f"dimension mismatch: {a.shape} vs {b.shape}")
-    s = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b) + NORM_GUARD))
-    return float(min(1.0, max(-1.0, s)))
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: `np.linalg.norm(x, axis=-1)` bit
     for bit, without its per-call dispatch."""

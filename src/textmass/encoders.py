@@ -9,10 +9,10 @@ dropout is applied to the batched fusion grid (objectives.dropout_grid_mask).
 
 The batched stages `encode_batch` and `fuse_batch` run in training and
 inference alike and return what their backward (in objectives) replays;
-`encode_text`, `encode_frames` and `fuse` are their per-vector oracle. A
-trainable map may be a (k, d, d) stack of parameter copies
-(model.parameter_copies); every output it reaches then gains a leading
-copy axis of length k.
+`encode_text`, `encode_frames` and `fuse` in `tests/oracle.py` are their
+per-vector oracle. A trainable map may be a (k, d, d) stack of parameter
+copies (model.parameter_copies); every output it reaches then gains a
+leading copy axis of length k.
 """
 
 from __future__ import annotations
@@ -82,68 +82,11 @@ def init_fusion(d: int) -> FusionParameters:
     )
 
 
-def _normalize(x: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(x)
-    if n <= ZERO_NORM_THRESHOLD:
-        raise ContractViolation("embedding norm guard hit (zero or near-zero vector)")
-    return x / n
-
-
-def encode_text(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
-    """Text feature vector (c,) -> unit-norm embedding (d,)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (stack.concept_dim,):
-        raise ContractViolation(
-            f"text features shape {features.shape} does not match concept dim {stack.concept_dim}"
-        )
-    y = stack.proj_text @ features
-    if stack.adapters_enabled:
-        y = stack.adapter_text @ y
-    return _normalize(y)
-
-
-def _encode_frame(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
-    y = stack.proj_frame @ features
-    if stack.adapters_enabled:
-        y = stack.adapter_frame @ y
-    return _normalize(y)
-
-
 def sample_frame_indices(total: int, count: int) -> np.ndarray:
     """Uniform-by-index frame sampling: floor(k * T / T') for k = 0..T'-1."""
     if count < 1 or total < count:
         raise ContractViolation(f"cannot sample {count} frames from {total}")
     return (np.arange(count) * total) // count
-
-
-def encode_frames(frames: np.ndarray, count: int, stack: EncoderStack) -> np.ndarray:
-    """Raw frames (T, c) -> (count, d) unit-norm embeddings of uniformly sampled frames."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != stack.concept_dim:
-        raise ContractViolation(f"frame array shape {frames.shape} invalid")
-    idx = sample_frame_indices(frames.shape[0], count)
-    return np.stack([_encode_frame(frames[i], stack) for i in idx])
-
-
-def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
-    """Pool frame embeddings (T', d) into one video embedding conditioned on t.
-
-    w = softmax_i <Q t, K f_i> / sqrt(d); pooled = sum_i w_i (V f_i);
-    output = normalize(O pooled).
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    d = t.shape[0]
-    if frames.ndim != 2 or frames.shape[1] != d:
-        raise ContractViolation(f"frames shape {frames.shape} does not match text dim {d}")
-    q = p.query_map @ t
-    keys = frames @ p.key_map.T
-    logits = keys @ q / np.sqrt(d)
-    m = logits.max()
-    e = np.exp(logits - m)
-    w = e / e.sum()
-    pooled = (frames @ p.value_map.T).T @ w
-    return _normalize(p.output_map @ pooled)
 
 
 # ---------------------------------------------------------------------------

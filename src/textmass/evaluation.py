@@ -83,12 +83,6 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
     return _Pool(blocks, frames, video_keys(frames, params.fusion))
 
 
-def _fuse_query(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
-    """One query's (1, d) text block through training's fuse stage: its
-    fused candidates (C, d)."""
-    return fuse_batch(block, pool.keys, params.fusion).fused[0]
-
-
 def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
     """One query's (1, d) text block through the radius stage, broadcast
     over the candidates: its radii (C, d). The sampled matrix and
@@ -166,7 +160,7 @@ def _best_of_prefixes(
         scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
     for q, block in enumerate(pool.blocks):
-        fused = _fuse_query(block, pool, params)
+        fused = fuse_batch(block, pool.keys, params.fusion).fused[0]
         radius_grid = _query_radii(block, pool, params) if use_sampling else None
         scores = _score_query(block[0], fused, radius_grid, trials, seed, q, scratch)
         for m, sims in mats.items():

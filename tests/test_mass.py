@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng, cosine_similarity
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng
 from textmass.mass import (
+    RADIUS_VARIANTS,
     RadiusParameters,
     SamplingConfig,
     cos_grid,
-    frame_similarities,
     init_radius,
-    radius,
-    sample_text_mass,
+    radius_batch,
     select_best_sample,
-    support_text,
 )
+
+from oracle import cosine_similarity, frame_similarities, radius, sample_text_mass, support_text
 
 
 class TestFrameSimilarities:
@@ -96,6 +98,61 @@ class TestRadius:
     def test_unknown_variant(self):
         with pytest.raises(ContractViolation):
             RadiusParameters(variant="cubic", dim=4)
+
+
+def _radius_pool(seed, copies, n, frames, d):
+    """Texts (n, d), unit frames (n, T', d), and theta and linear weights
+    with a leading axis of k copies, or none when copies is None."""
+    rng = np.random.default_rng(seed)
+    texts = rng.normal(size=(n, d))
+    unit = rng.normal(size=(n, frames, d))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    lead = () if copies is None else (copies,)
+    theta = rng.uniform(-2.0, 2.0, size=lead)
+    weights = 0.3 * rng.normal(size=lead + (frames, d))
+    return texts, unit, (float(theta) if copies is None else theta), weights
+
+
+class TestRadiusBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from(RADIUS_VARIANTS),
+        copies=st.sampled_from([None, 1, 3]),
+        n=st.integers(1, 4),
+        frames=st.integers(1, 6),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_per_vector_oracle(self, variant, copies, n, frames, d, seed):
+        if variant == "fixed-mean":
+            copies = None  # it has no parameter to copy
+        texts, unit, theta, weights = _radius_pool(seed, copies, n, frames, d)
+        params = RadiusParameters(variant, d, theta, weights if variant == "linear" else None)
+        got = radius_batch(texts, unit, params).radius
+        lead = () if copies is None else (copies,)
+        assert got.shape == lead + (n, d)
+        for c in range(copies or 1):
+            one = params if copies is None else RadiusParameters(
+                variant, d, float(theta[c]), weights[c] if variant == "linear" else None
+            )
+            expect = np.stack([radius(frame_similarities(texts[i], unit[i]), one) for i in range(n)])
+            row = got if copies is None else got[c]
+            assert np.max(np.abs(row - expect)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        copies=st.sampled_from([None, 1, 3]),
+        n=st.integers(1, 4),
+        frames=st.integers(1, 6),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fixed_mean_equals_scalar_theta_one_bit_for_bit(self, copies, n, frames, d, seed):
+        texts, unit, _, _ = _radius_pool(seed, copies, n, frames, d)
+        theta = 1.0 if copies is None else np.ones(copies)
+        fixed = radius_batch(texts, unit, RadiusParameters("fixed-mean", d)).radius
+        scalar = radius_batch(texts, unit, RadiusParameters("scalar", d, theta)).radius
+        assert np.array_equal(np.broadcast_to(fixed, scalar.shape), scalar)
 
 
 class TestSampleTextMass:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from textmass import core, objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
-from textmass.encoders import encode_frames, encode_text, fuse, sample_frame_indices
-from textmass.mass import DEGENERATE_DISTANCE, cos_grid, frame_similarities, radius, support_text
+from textmass.encoders import sample_frame_indices
+from textmass.mass import DEGENERATE_DISTANCE, cos_grid
 from textmass.model import (
     LAMBDA_MAX,
     PARAMETERS,
@@ -23,7 +23,6 @@ from textmass.model import (
     init_model,
     parameter_copies,
     trainable_names,
-    unflatten_params,
 )
 from textmass.objectives import (
     PairBatch,
@@ -33,7 +32,18 @@ from textmass.objectives import (
     forward_batch,
     gradient_check,
     mode_weights,
+)
+
+from oracle import (
+    cosine_similarity,
+    encode_frames,
+    encode_text,
+    frame_similarities,
+    fuse,
+    radius,
+    support_text,
     symmetric_ce,
+    unflatten_params,
 )
 
 
@@ -189,8 +199,6 @@ class TestForwardAgainstModuleOps:
             assert np.allclose(self.tape.ce.rows[-1, i], oracle, atol=1e-12)
 
     def test_ce_grid_matches_cosine(self):
-        from textmass.core import cosine_similarity
-
         ce_sims = self.tape.ce.sims[0]
         for i in range(3):
             for j in range(3):

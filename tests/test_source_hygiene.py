@@ -11,22 +11,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "textmass"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
-# Top-level functions that nothing in src calls but that stay: the
-# per-vector oracles the tests compare the batched stages against.
-ORACLES = {
-    "encode_text",
-    "encode_frames",
-    "fuse",
-    "frame_similarities",
-    "radius",
-    "sample_text_mass",
-    "support_text",
-    "cosine_similarity",
-    "symmetric_ce",
-    "unflatten_params",
-}
-
-
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -80,17 +64,15 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 
 def unreferenced_functions(paths: list[Path]) -> list[str]:
-    """`module.function` of each top-level function outside ORACLES that no
-    module of paths reads, imports or exports by name."""
+    """`module.function` of each top-level function that no module of paths
+    reads, imports or exports by name."""
     trees = {path: _tree(path) for path in paths}
     referenced = set().union(*map(_referenced, trees.values()))
     return [
         f"{path.stem}.{node.name}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name not in referenced
-        and node.name not in ORACLES
+        if isinstance(node, ast.FunctionDef) and node.name not in referenced
     ]
 
 
@@ -101,14 +83,6 @@ def test_every_import_is_used(path):
 
 def test_every_top_level_function_is_referenced():
     assert unreferenced_functions(MODULES) == []
-
-
-def test_every_oracle_is_a_top_level_function_nothing_in_src_references():
-    trees = [_tree(path) for path in MODULES]
-    defined = {node.name for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
-    referenced = set().union(*map(_referenced, trees))
-    assert sorted(ORACLES - defined) == []
-    assert sorted(ORACLES & referenced) == []
 
 
 def test_checks_catch_what_they_look_for(tmp_path):
@@ -127,4 +101,4 @@ def test_checks_catch_what_they_look_for(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["sample.py:2: os", "sample.py:4: dumps"]
-    assert unreferenced_functions([module]) == ["sample.orphan"]
+    assert unreferenced_functions([module]) == ["sample.orphan", "sample.encode_text"]

@@ -579,6 +579,13 @@ class TestCheckpointLayout:
         write_raw_checkpoint(tmp_path / "ok.tmck", *tables)
         load_checkpoint(tmp_path / "ok.tmck")
 
+    def test_global_step_other_than_the_optimizer_step(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        assert opt["step"] == step
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step + 1)
+        with pytest.raises(FormatError, match=f"optimizer step {step} differs from global step {step + 1}"):
+            load_checkpoint(tmp_path / "bad.tmck")
+
     def test_missing_parameter(self, tmp_path, tables):
         arrays, opt, config, step = tables
         del arrays["proj_frame"]
