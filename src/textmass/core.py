@@ -1,9 +1,10 @@
 """Deterministic numeric primitives shared by every stage of the pipeline.
 
-Everything here is pure and reentrant: cosine similarity, seeded Gaussian
-sampling with independent substreams, and a central finite-difference
-gradient oracle used to verify hand-written backward passes. The one file
-writer, :func:`atomic_write`, is shared by every artifact the package writes.
+Everything here is pure and reentrant: seeded Gaussian sampling with
+independent substreams (Box-Muller from one tangent per pair), and a central
+finite-difference gradient oracle used to verify hand-written backward
+passes. The one file writer, :func:`atomic_write`, is shared by every
+artifact the package writes.
 
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
 which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
@@ -64,7 +65,7 @@ class SeededRng:
 
     A (seed, stream) pair fully determines the sample sequence. Gaussian
     variates are produced by :func:`box_muller` on the underlying uniform
-    stream (interleaved cos/sin halves), so that a draw of n values
+    stream (interleaved r cos a, r sin a halves), so that a draw of n values
     is always a prefix of a longer draw from the same state. Each call to
     :meth:`standard_normal` consumes ``2 * ceil(n / 2)`` uniform doubles.
     """
@@ -97,20 +98,32 @@ def box_muller(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Each pair (u[2k], u[2k+1]) gives z[2k] = r cos(a) and z[2k+1] = r sin(a)
     with r = sqrt(-2 log(1 - u[2k])) and a = 2 pi u[2k+1]; the last axis must
-    have even length. A row of a stacked draw maps to exactly the bits that
-    :meth:`SeededRng.standard_normal` gives for that row's stream, because
-    log, cos and sin always see contiguous inputs. ``out`` may be ``u``
-    itself: every uniform is read before the first normal is written.
+    have even length. Both come from one SIMD tangent of the half angle
+    pi u[2k+1] (exactly half of the computed a, as float(2 pi) = 2 float(pi)):
+    with t = tan(pi u[2k+1]) and w = 2r / (1 + t^2), z[2k] = w - r and
+    z[2k+1] = t w, within a few ulps of r of the cos/sin form. A row of a
+    stacked draw maps to exactly the bits that :meth:`SeededRng.standard_normal`
+    gives for that row's stream, because log and tan run in place on fresh
+    contiguous temporaries. ``out`` may be ``u`` itself: every uniform is
+    read before the first normal is written.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 1 or u.shape[-1] % 2:
         raise ContractViolation(f"Box-Muller wants an even-length last axis, got {u.shape}")
     if out is None:
         out = np.empty_like(u)
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))  # 1 - u in (0, 1]: keeps log() finite
-    ang = 2.0 * np.pi * u[..., 1::2]
-    np.multiply(r, np.cos(ang), out=out[..., 0::2])
-    np.multiply(r, np.sin(ang), out=out[..., 1::2])
+    r = 1.0 - u[..., 0::2]  # in (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = np.pi * u[..., 1::2]
+    np.tan(t, out=t)  # finite: no double is pi/2
+    w = t * t
+    w += 1.0
+    np.divide(r, w, out=w)
+    w += w
+    np.multiply(t, w, out=out[..., 1::2])
+    np.subtract(w, r, out=out[..., 0::2])
     return out
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, substream
+from .core import ContractViolation, FormatError, atomic_write, box_muller, substream
 
 TEST_FRACTION = 0.2
 DISTRACTOR_POOL_FACTOR = 4
@@ -102,21 +102,24 @@ def generate(spec: SyntheticSpec) -> list[PairRecord]:
         pool = raw.reshape(pool_size, c)
         pool = pool / np.linalg.norm(pool, axis=1)[:, None]
 
+    # A pair's stream holds z's normals, then per frame its distractor
+    # uniforms and its noise normals; one draw gives them all.
+    wz = 2 * ((c + 1) // 2)
+    wd = 2 * spec.distractors
+    wn = wz if spec.noise_sigma > 0.0 else 0
     test_start = spec.pairs - int(spec.pairs * TEST_FRACTION)
     records = []
     for pid in range(spec.pairs):
-        rng = substream(spec.seed, _STREAM_PAIR, pid)
-        z = _unit(rng.standard_normal(c))
-        frames = np.empty((spec.raw_frames, c))
-        for f in range(spec.raw_frames):
-            frame = z.copy()
-            if spec.distractors > 0:
-                u = rng.uniform(2 * spec.distractors)
-                idx = (u[0::2] * pool.shape[0]).astype(np.int64)
-                frame = frame + (u[1::2, None] * pool[idx]).sum(axis=0)
-            if spec.noise_sigma > 0.0:
-                frame = frame + spec.noise_sigma * rng.standard_normal(c)
-            frames[f] = _unit(frame)
+        u = substream(spec.seed, _STREAM_PAIR, pid).uniform(wz + spec.raw_frames * (wd + wn))
+        z = _unit(box_muller(u[:wz])[:c])
+        per_frame = u[wz:].reshape(spec.raw_frames, wd + wn)
+        frames = np.broadcast_to(z, (spec.raw_frames, c))
+        if wd:
+            idx = (per_frame[:, 0:wd:2] * pool.shape[0]).astype(np.int64)
+            frames = frames + (per_frame[:, 1:wd:2, None] * pool[idx]).sum(axis=1)
+        if wn:
+            frames = frames + spec.noise_sigma * box_muller(per_frame[:, wd:])[:, :c]
+        frames = np.stack([_unit(frame) for frame in frames])
         keep = np.argsort(-np.abs(z), kind="stable")[:count]
         text = np.zeros(c)
         text[keep] = z[keep]

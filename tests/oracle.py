@@ -6,15 +6,27 @@ stage in the plainest numpy, independently of the batched code in
 `encoders.encode_batch` and `fuse_batch`; `frame_similarities` and `radius`
 of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
 `objectives.forward_batch` stacks; `cosine_similarity` of `mass.cos_grid`;
-`symmetric_ce` of `objectives._ce_terms`; and `unflatten_params` is the
-inverse of `model.flatten_params`. Nothing in `textmass` imports them.
+`symmetric_ce` of `objectives._ce_terms`; `box_muller_trig` bounds
+`core.box_muller`, the cos/sin form it replaces; `generate` draws each
+corpus pair call by call, as `dataset.generate` did before it drew a pair's
+uniforms at once; and `unflatten_params` is the inverse of
+`model.flatten_params`. Nothing in `textmass` imports them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng
+from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng, substream
+from textmass.dataset import (
+    _STREAM_PAIR,
+    _STREAM_POOL,
+    DISTRACTOR_POOL_FACTOR,
+    TEST_FRACTION,
+    PairRecord,
+    SyntheticSpec,
+    _unit,
+)
 from textmass.encoders import ZERO_NORM_THRESHOLD, EncoderStack, FusionParameters, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE, RadiusParameters
 from textmass.model import LAMBDA_MAX, ModelParameters, get_param, set_param
@@ -160,6 +172,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, s)))
 
 
+def box_muller_trig(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms on [0, 1), pairwise along the last
+    axis: z[2k] = r cos(a), z[2k+1] = r sin(a), r = sqrt(-2 log(1 - u[2k])),
+    a = 2 pi u[2k+1]."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty_like(u)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    ang = 2.0 * np.pi * u[..., 1::2]
+    np.multiply(r, np.cos(ang), out=out[..., 0::2])
+    np.multiply(r, np.sin(ang), out=out[..., 1::2])
+    return out
+
+
 def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, float]:
     """(l_t2v, l_v2t, l_ce) for a square similarity matrix under the clamped
     logit scale lambda = min(exp(log_lambda), LAMBDA_MAX).
@@ -191,3 +216,43 @@ def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray
         pos += old.size
     if pos != flat.size:
         raise ContractViolation("flat parameter vector length mismatch")
+
+
+# ---------------------------------------------------------------------------
+# dataset
+
+
+def generate(spec: SyntheticSpec) -> list[PairRecord]:
+    """Deterministic pair list; the last TEST_FRACTION of ids is the test
+    split."""
+    c = spec.concept_dim
+    count = spec.mask_count
+    pool = None
+    if spec.distractors > 0:
+        pool_size = DISTRACTOR_POOL_FACTOR * c
+        raw = substream(spec.seed, _STREAM_POOL).standard_normal(pool_size * c)
+        pool = raw.reshape(pool_size, c)
+        pool = pool / np.linalg.norm(pool, axis=1)[:, None]
+
+    test_start = spec.pairs - int(spec.pairs * TEST_FRACTION)
+    records = []
+    for pid in range(spec.pairs):
+        rng = substream(spec.seed, _STREAM_PAIR, pid)
+        z = _unit(rng.standard_normal(c))
+        frames = np.empty((spec.raw_frames, c))
+        for f in range(spec.raw_frames):
+            frame = z.copy()
+            if spec.distractors > 0:
+                u = rng.uniform(2 * spec.distractors)
+                idx = (u[0::2] * pool.shape[0]).astype(np.int64)
+                frame = frame + (u[1::2, None] * pool[idx]).sum(axis=0)
+            if spec.noise_sigma > 0.0:
+                frame = frame + spec.noise_sigma * rng.standard_normal(c)
+            frames[f] = _unit(frame)
+        keep = np.argsort(-np.abs(z), kind="stable")[:count]
+        text = np.zeros(c)
+        text[keep] = z[keep]
+        text = _unit(text)
+        split = "test" if pid >= test_start else "train"
+        records.append(PairRecord(pair_id=pid, text=text, video=frames, split=split))
+    return records

@@ -15,7 +15,7 @@ from textmass.core import (
     substream,
 )
 
-from oracle import cosine_similarity
+from oracle import box_muller_trig, cosine_similarity
 
 _U64 = 2**64 - 1
 
@@ -203,6 +203,64 @@ class TestBoxMuller:
     def test_odd_width_rejected(self):
         with pytest.raises(ContractViolation):
             box_muller(np.zeros((2, 5)))
+
+
+_BELOW_ONE = 1.0 - 2.0**-53  # largest double below 1
+
+
+class TestBoxMullerTangent:
+    """box_muller takes cos and sin of the angle from one tangent of its
+    half; each normal stays within 4 eps r of the cos/sin form, and numpy's
+    SIMD tan gives the same bits whatever the layout of the uniforms."""
+
+    @given(
+        radius_u=st.floats(0.0, _BELOW_ONE),
+        angle_u=st.floats(0.0, _BELOW_ONE),
+    )
+    @example(radius_u=0.3, angle_u=0.0)
+    @example(radius_u=0.3, angle_u=0.25)
+    @example(radius_u=0.3, angle_u=0.5 - 2.0**-54)
+    @example(radius_u=0.3, angle_u=0.5)
+    @example(radius_u=0.3, angle_u=0.75)
+    @example(radius_u=0.3, angle_u=_BELOW_ONE)
+    @example(radius_u=0.0, angle_u=0.6)
+    @example(radius_u=_BELOW_ONE, angle_u=0.6)
+    @example(radius_u=_BELOW_ONE, angle_u=0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_within_four_eps_r_of_cos_sin(self, radius_u, angle_u):
+        u = np.array([radius_u, angle_u])
+        got, want = box_muller(u), box_muller_trig(u)
+        r = np.sqrt(-2.0 * np.log(1.0 - radius_u))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(np.float64).eps * r)
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 4000))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_pairs_within_four_eps_r_of_cos_sin(self, seed, n):
+        u = SeededRng(seed, 0).uniform(2 * n)
+        got, want = box_muller(u), box_muller_trig(u)
+        r = np.repeat(np.sqrt(-2.0 * np.log(1.0 - u[0::2])), 2)
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(np.float64).eps * r)
+
+    @pytest.mark.parametrize("width", [2, 8, 34, 640, 642])
+    def test_every_layout_gives_the_contiguous_bits(self, width):
+        u = SeededRng(7, width).uniform(5 * width).reshape(5, width)
+        want = box_muller(u)
+        strided = np.zeros((10, width))
+        strided[::2] = u
+        wide = np.zeros((5, width + 6))
+        wide[:, 3 : width + 3] = u
+        in_place = u.copy()
+        layouts = {
+            "strided rows": box_muller(strided[::2]),
+            "column slice": box_muller(wide[:, 3 : width + 3]),
+            "transposed copy": box_muller(u.T.copy().T),
+            "in place": box_muller(in_place, out=in_place),
+        }
+        for name, got in layouts.items():
+            assert np.array_equal(got, want), name
+        for k in range(5):
+            assert np.array_equal(box_muller(u[k].copy()), want[k]), f"1-D row {k}"
 
 
 def _on_points(f, x):

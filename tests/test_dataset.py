@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textmass.core import ContractViolation, FormatError
 from textmass.dataset import (
@@ -19,6 +21,8 @@ from textmass.dataset import (
     write_corpus,
     write_embeddings,
 )
+
+from oracle import generate as generate_per_call
 
 
 def paired_cosines(records):
@@ -104,6 +108,36 @@ class TestGenerate:
             )
             averages.append(paired_cosines(generate(spec)).mean())
         assert averages[0] > averages[1] > averages[2]
+
+    @given(
+        concept_dim=st.integers(2, 9),
+        distractors=st.integers(0, 3),
+        noise_sigma=st.sampled_from([0.0, 0.1, 0.7]),
+        raw_frames=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @example(concept_dim=16, distractors=2, noise_sigma=0.1, raw_frames=16, seed=0)
+    @example(concept_dim=7, distractors=3, noise_sigma=0.1, raw_frames=3, seed=1)
+    @example(concept_dim=5, distractors=0, noise_sigma=0.1, raw_frames=2, seed=2)
+    @example(concept_dim=6, distractors=2, noise_sigma=0.0, raw_frames=4, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_one_draw_per_pair_equals_per_call_draws(
+        self, concept_dim, distractors, noise_sigma, raw_frames, seed
+    ):
+        spec = SyntheticSpec(
+            pairs=5,
+            concept_dim=concept_dim,
+            raw_frames=raw_frames,
+            coverage=0.5,
+            noise_sigma=noise_sigma,
+            distractors=distractors,
+            seed=seed,
+        )
+        got, want = generate(spec), generate_per_call(spec)
+        assert [(r.pair_id, r.split) for r in got] == [(r.pair_id, r.split) for r in want]
+        for a, b in zip(got, want):
+            assert a.text.tobytes() == b.text.tobytes()
+            assert a.video.tobytes() == b.video.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ContractViolation):
