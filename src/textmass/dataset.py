@@ -175,6 +175,8 @@ def write_embeddings(path, items: list) -> None:
             raise ContractViolation("embedding items must be vectors or row sets")
         shaped.append(arr)
     rows, dim = shaped[0].shape
+    if rows == 0 or dim == 0:
+        raise ContractViolation("embedding items need at least one row and one value per row")
     for arr in shaped:
         if arr.shape != (rows, dim):
             raise ContractViolation("embedding items must share one shape")
@@ -190,8 +192,14 @@ def item_offset(index: int, rows: int, dim: int) -> int:
 
 
 def read_embeddings(path) -> list:
-    """Items as float64 arrays; single-row items come back as vectors. A
-    NaN or infinite value is a FormatError naming its byte offset."""
+    """Items as float64 arrays; single-row items come back as vectors."""
+    items = _read_items(path)
+    return [item[0] if items.shape[1] == 1 else item for item in items]
+
+
+def _read_items(path) -> np.ndarray:
+    """The (count, rows, dim) float64 items of an embedding file. A NaN or
+    infinite value is a FormatError naming its byte offset."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise FormatError(f"embedding file truncated at byte {len(blob)} in header")
@@ -200,6 +208,8 @@ def read_embeddings(path) -> list:
         raise FormatError(f"bad embedding magic at byte 0: {magic!r}")
     if version != EMBEDDING_VERSION:
         raise FormatError(f"unsupported embedding version {version} at byte 4")
+    if count and not (rows and dim):
+        raise FormatError(f"embedding header at byte 8 declares {count} items of {rows} x {dim} values")
     expected = _HEADER.size + count * rows * dim * 4
     if len(blob) != expected:
         where = min(len(blob), expected)
@@ -208,8 +218,7 @@ def read_embeddings(path) -> list:
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise FormatError(f"non-finite embedding value at byte {_HEADER.size + 4 * int(bad[0])}")
-    items = data.astype(np.float64).reshape(count, rows, dim)
-    return [item[0] if rows == 1 else item for item in items]
+    return data.astype(np.float64).reshape(count, rows, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +247,7 @@ def write_corpus(directory, records: list[PairRecord]) -> None:
 def read_corpus(directory) -> list[PairRecord]:
     directory = Path(directory)
     texts = read_embeddings(directory / "texts.tmeb")
-    videos = read_embeddings(directory / "videos.tmeb")
+    videos = _read_items(directory / "videos.tmeb")
     manifest_path = directory / "manifest.csv"
     if not manifest_path.exists():
         raise FormatError(f"missing manifest: {manifest_path}")
@@ -259,6 +268,11 @@ def read_corpus(directory) -> list[PairRecord]:
             f"manifest lists {len(rows)} pairs but files hold {len(texts)} texts "
             f"and {len(videos)} videos"
         )
+    if texts and texts[0].shape != videos.shape[2:]:
+        raise FormatError(
+            f"texts.tmeb holds items of shape {texts[0].shape} and videos.tmeb frames of width "
+            f"{videos.shape[2]}; a corpus wants each text one vector as wide as a frame"
+        )
     records = []
     first_row = {}
     for i, row in enumerate(rows):
@@ -274,8 +288,7 @@ def read_corpus(directory) -> list[PairRecord]:
         split = row[1]
         if split not in ("train", "test"):
             raise FormatError(f"manifest row {i}: unknown split {split!r}")
-        dim = texts[i].shape[0]
-        if offsets != (item_offset(i, 1, dim), item_offset(i, videos[i].shape[0], dim)):
+        if offsets != (item_offset(i, 1, videos.shape[2]), item_offset(i, *videos.shape[1:])):
             raise FormatError(f"manifest row {i}: offset disagrees with file layout")
         records.append(PairRecord(pair_id=pair_id, text=texts[i], video=videos[i], split=split))
     return records

@@ -78,9 +78,9 @@ class _Pool:
 
 
 def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) -> _Pool:
-    blocks = encode_batch(texts[:, None, :], params.stack, "text").emb
-    frames = encode_video_batch(videos, params.frame_count, params.stack).emb
-    return _Pool(blocks, frames, video_keys(frames, params.fusion))
+    blocks = encode_batch(texts[:, None, :], params, "text").emb
+    frames = encode_video_batch(videos, params).emb
+    return _Pool(blocks, frames, video_keys(frames, params))
 
 
 def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
@@ -89,7 +89,7 @@ def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.
     pool_radius_report both take query q's radii from here, so the report
     shows the radii its scores were drawn with."""
     texts = np.broadcast_to(block, (pool.frames.shape[0], block.shape[1]))
-    return radius_batch(texts, pool.frames, params.radius).radius
+    return radius_batch(texts, pool.frames, params).radius
 
 
 def _uniform_width(trials: int, dim: int) -> int:
@@ -160,7 +160,7 @@ def _best_of_prefixes(
         scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
     for q, block in enumerate(pool.blocks):
-        fused = fuse_batch(block, pool.keys, params.fusion).fused[0]
+        fused = fuse_batch(block, pool.keys, params).fused[0]
         radius_grid = _query_radii(block, pool, params) if use_sampling else None
         scores = _score_query(block[0], fused, radius_grid, trials, seed, q, scratch)
         for m, sims in mats.items():

@@ -6,7 +6,8 @@ sets the per-coordinate scale. R is similarity-aware: it is derived from the
 cosine similarities between t and the candidate video's frame embeddings,
 through one of three variants (fixed mean, learnable scalar, linear map).
 Every variant is R = exp(S @ W) for the (T', d) map W of `radius_map`: the
-linear weights, or 1/T' (fixed mean) or theta/T' (scalar) in every entry.
+model's radius_weights, or 1/T' (fixed mean) or radius_theta/T' (scalar) in
+every entry.
 The support vector t_sup marks the point of the mass surface along the
 direction from t toward the fused video embedding; inference draws M samples
 per pair and keeps the one most similar to the video. Training and inference
@@ -17,6 +18,7 @@ both run the batched radius stage `radius_batch`; the per-vector `radius` of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,41 +29,13 @@ from .core import (
     row_norms,
 )
 
+if TYPE_CHECKING:  # model.py imports RADIUS_VARIANTS from here
+    from .model import ModelParameters
+
 RADIUS_VARIANTS = ("fixed-mean", "scalar", "linear")
 
 # Distance below which v and t are treated as coincident (no support direction).
 DEGENERATE_DISTANCE = 1e-9
-
-
-@dataclass
-class RadiusParameters:
-    """Parameters of the similarity-aware radius module.
-
-    variant: one of fixed-mean / scalar / linear.
-    theta:   learnable scalar (scalar variant), 0 at init so R starts at 1.
-    weights: (T', d) learnable matrix (linear variant), zeros at init.
-             Parameter copies make theta (k,) and weights (k, T', d).
-    dim:     embedding dimension d of the produced radius vector.
-    trainable: scalar/linear parameters receive gradients only when true;
-               used to freeze theta for variant-equivalence checks.
-    """
-
-    variant: str
-    dim: int
-    theta: float = 0.0
-    weights: np.ndarray | None = None
-    trainable: bool = True
-
-    def __post_init__(self):
-        if self.variant not in RADIUS_VARIANTS:
-            raise ContractViolation(f"unknown radius variant {self.variant!r}")
-        if self.variant == "linear" and self.weights is None:
-            raise ContractViolation("linear radius variant requires a weight matrix")
-
-
-def init_radius(variant: str, dim: int, frame_count: int) -> RadiusParameters:
-    weights = np.zeros((frame_count, dim)) if variant == "linear" else None
-    return RadiusParameters(variant=variant, dim=dim, theta=0.0, weights=weights)
 
 
 @dataclass
@@ -103,25 +77,25 @@ class Radii:
     radius: np.ndarray
 
 
-def radius_map(params: RadiusParameters, frames: int) -> np.ndarray:
+def radius_map(model: ModelParameters, frames: int) -> np.ndarray:
     """The map W of R = exp(S @ W) over T' = frames similarities: the
     linear weights, or 1/T' (fixed-mean) or theta/T' (scalar) in all of
     its (T', d) entries. Weights (k, T', d) or theta (k,) with copies give
     (k, T', d)."""
-    if params.variant == "linear":
-        return params.weights
-    scale = 1.0 if params.variant == "fixed-mean" else np.asarray(params.theta)
-    return np.multiply.outer(scale / frames, np.ones((frames, params.dim)))
+    if model.radius_variant == "linear":
+        return model.radius_weights
+    scale = 1.0 if model.radius_variant == "fixed-mean" else np.asarray(model.radius_theta)
+    return np.multiply.outer(scale / frames, np.ones((frames, model.dim)))
 
 
-def radius_batch(texts: np.ndarray, frames: np.ndarray, params: RadiusParameters) -> Radii:
+def radius_batch(texts: np.ndarray, frames: np.ndarray, model: ModelParameters) -> Radii:
     """The radii exp(S @ W) of every aligned pair of texts (n, d) and unit
     frame embeddings (n, T', d), S its text-frame cosines and W the
     `radius_map`. Inputs, weights (k, T', d) and theta (k,) may carry k
     copies."""
     sims, text_norms = cos_grid(texts[..., None, :, :], frames)
     sims, text_norms = sims[..., 0, :, :], text_norms[..., 0, :]
-    return Radii(sims, text_norms, np.exp(sims @ radius_map(params, sims.shape[-1])))
+    return Radii(sims, text_norms, np.exp(sims @ radius_map(model, sims.shape[-1])))
 
 
 def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:

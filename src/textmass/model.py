@@ -1,12 +1,14 @@
 """Trainable model state: encoders, fusion, radius module, and logit scale.
 
-Parameters live in their owning dataclasses. The PARAMETERS table names
-each array once, with where it lives and its optimizer group, and its order
-is the canonical order of the optimizer, gradient containers, flattening for
-finite-difference checks, and checkpoint serialization; every accessor here
-reads it. Two parameter groups exist: "backbone-adapter" (the encoder
-adapters, trained at the lower rate) and "head" (fusion, radius, logit
-scale); the frozen projections belong to neither.
+ModelParameters holds every parameter array as a field named by its
+checkpoint name, beside the settings that fix which arrays exist and train.
+The PARAMETERS table gives each name its optimizer group and, for a radius
+array, the one variant that holds it; its order is the canonical order of
+the optimizer, gradient containers, flattening for finite-difference
+checks, and checkpoint serialization. Two parameter groups exist:
+"backbone-adapter" (the encoder adapters, trained at the lower rate) and
+"head" (fusion, radius, logit scale); the frozen projections belong to
+neither.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ContractViolation, substream
-from .encoders import EncoderStack, FusionParameters, init_encoder_stack, init_fusion
-from .mass import RadiusParameters, init_radius
+from .mass import RADIUS_VARIANTS
 
 MODES = ("t-mass", "baseline", "ablation-ce-plus-s")
 
@@ -32,21 +33,41 @@ _STREAM_INIT_ENCODERS = 101
 
 @dataclass
 class ModelParameters:
-    stack: EncoderStack
-    fusion: FusionParameters
-    radius: RadiusParameters
-    log_lambda: float
+    """Every array under its PARAMETERS name: frozen (d, c) projections,
+    (d, d) adapters and fusion maps, the scalar variant's theta, the linear
+    variant's (T', d) weights (None for the others) and the logit scale's
+    log; then the settings that fix which of them exist and train."""
+
+    proj_text: np.ndarray
+    proj_frame: np.ndarray
+    adapter_text: np.ndarray
+    adapter_frame: np.ndarray
+    fusion_query: np.ndarray
+    fusion_key: np.ndarray
+    fusion_value: np.ndarray
+    fusion_out: np.ndarray
+    radius_theta: float | np.ndarray
+    radius_weights: np.ndarray | None
+    log_lambda: float | np.ndarray
+    radius_variant: str
     frame_count: int
-    # k when some trainable arrays are stacks of k copies (parameter_copies)
+    adapters_enabled: bool = True
+    radius_trainable: bool = True
     copies: int | None = None
+
+    def __post_init__(self):
+        if self.radius_variant not in RADIUS_VARIANTS:
+            raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
+        if self.radius_variant == "linear" and self.radius_weights is None:
+            raise ContractViolation("linear radius variant requires a weight matrix")
 
     @property
     def dim(self) -> int:
-        return self.stack.dim
+        return self.proj_text.shape[0]
 
     @property
     def concept_dim(self) -> int:
-        return self.stack.concept_dim
+        return self.proj_text.shape[1]
 
     def logit_scale(self) -> float | np.ndarray:
         """lambda = exp(log_lambda), clamped to LAMBDA_MAX; (k,) for k copies."""
@@ -62,21 +83,27 @@ def init_model(
     seed: int = 0,
     adapters_enabled: bool = True,
 ) -> ModelParameters:
-    """Fresh model: frozen projections seeded from `seed`, identity adapters
-    and fusion maps, zero radius parameters (R starts at all-ones)."""
-    stack = init_encoder_stack(d, c, substream(seed, _STREAM_INIT_ENCODERS), adapters_enabled)
+    """Fresh model: frozen projections with i.i.d. N(0, 1/c) entries seeded
+    from `seed`, identity adapters and fusion maps, zero radius parameters
+    (R starts at all-ones)."""
+    rng = substream(seed, _STREAM_INIT_ENCODERS)
+    proj_text = rng.standard_normal(d * c).reshape(d, c) / np.sqrt(c)
+    proj_frame = rng.standard_normal(d * c).reshape(d, c) / np.sqrt(c)
+    maps = ("adapter_text", "adapter_frame", "fusion_query", "fusion_key", "fusion_value", "fusion_out")
     return ModelParameters(
-        stack=stack,
-        fusion=init_fusion(d),
-        radius=init_radius(radius_variant, d, frame_count),
+        proj_text=proj_text,
+        proj_frame=proj_frame,
+        **{name: np.eye(d) for name in maps},
+        radius_theta=0.0,
+        radius_weights=np.zeros((frame_count, d)) if radius_variant == "linear" else None,
         log_lambda=LOG_LAMBDA_INIT,
+        radius_variant=radius_variant,
         frame_count=frame_count,
+        adapters_enabled=adapters_enabled,
     )
 
 
 class Slot(NamedTuple):
-    owner: str | None  # model component holding the array; None: the model itself
-    attr: str
     group: str | None  # optimizer group; None: frozen
     variant: str | None = None  # the one radius variant that holds it; None: every model
 
@@ -86,17 +113,17 @@ _ADAPTER, _HEAD = "backbone-adapter", "head"
 # Every parameter array, in the canonical order of the optimizer, gradient
 # containers, flat vectors and checkpoints.
 PARAMETERS = {
-    "proj_text": Slot("stack", "proj_text", None),
-    "proj_frame": Slot("stack", "proj_frame", None),
-    "adapter_text": Slot("stack", "adapter_text", _ADAPTER),
-    "adapter_frame": Slot("stack", "adapter_frame", _ADAPTER),
-    "fusion_query": Slot("fusion", "query_map", _HEAD),
-    "fusion_key": Slot("fusion", "key_map", _HEAD),
-    "fusion_value": Slot("fusion", "value_map", _HEAD),
-    "fusion_out": Slot("fusion", "output_map", _HEAD),
-    "radius_theta": Slot("radius", "theta", _HEAD, "scalar"),
-    "radius_weights": Slot("radius", "weights", _HEAD, "linear"),
-    "log_lambda": Slot(None, "log_lambda", _HEAD),
+    "proj_text": Slot(None),
+    "proj_frame": Slot(None),
+    "adapter_text": Slot(_ADAPTER),
+    "adapter_frame": Slot(_ADAPTER),
+    "fusion_query": Slot(_HEAD),
+    "fusion_key": Slot(_HEAD),
+    "fusion_value": Slot(_HEAD),
+    "fusion_out": Slot(_HEAD),
+    "radius_theta": Slot(_HEAD, "scalar"),
+    "radius_weights": Slot(_HEAD, "linear"),
+    "log_lambda": Slot(_HEAD),
 }
 
 
@@ -106,13 +133,9 @@ def _slot(name: str) -> Slot:
     return PARAMETERS[name]
 
 
-def _owner(params: ModelParameters, slot: Slot):
-    return params if slot.owner is None else getattr(params, slot.owner)
-
-
 def all_array_names(params: ModelParameters) -> list[str]:
     """Every parameter array including frozen ones, for serialization."""
-    return [n for n, s in PARAMETERS.items() if s.variant in (None, params.radius.variant)]
+    return [n for n, s in PARAMETERS.items() if s.variant in (None, params.radius_variant)]
 
 
 def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
@@ -124,13 +147,13 @@ def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
-    radius_trains = mode != "baseline" and params.radius.trainable
+    radius_trains = mode != "baseline" and params.radius_trainable
     return [
         n
         for n in all_array_names(params)
         if PARAMETERS[n].group is not None
-        and (PARAMETERS[n].group != _ADAPTER or params.stack.adapters_enabled)
-        and (PARAMETERS[n].owner != "radius" or radius_trains)
+        and (PARAMETERS[n].group != _ADAPTER or params.adapters_enabled)
+        and (PARAMETERS[n].variant is None or radius_trains)
     ]
 
 
@@ -141,19 +164,17 @@ def parameter_group(name: str) -> str | None:
 
 def get_param(params: ModelParameters, name: str) -> np.ndarray:
     """Parameter value as a float64 array (shape () for scalars)."""
-    slot = _slot(name)
-    return np.asarray(getattr(_owner(params, slot), slot.attr), dtype=np.float64)
+    _slot(name)
+    return np.asarray(getattr(params, name), dtype=np.float64)
 
 
 def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
     """Assign any parameter, frozen ones included, as when a model is
     rebuilt from stored arrays; a scalar is stored as a float."""
-    slot = _slot(name)
-    owner = _owner(params, slot)
     value = np.asarray(value, dtype=np.float64)
-    if value.shape != np.shape(getattr(owner, slot.attr)):
+    if value.shape != get_param(params, name).shape:
         raise ContractViolation(f"shape mismatch assigning {name!r}")
-    setattr(owner, slot.attr, float(value) if value.ndim == 0 else value)
+    setattr(params, name, float(value) if value.ndim == 0 else value)
 
 
 def set_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
@@ -177,8 +198,7 @@ def parameter_copies(
     overlapped coordinates taken from the span; every other array is params'
     own, shared. params itself is never written."""
     k, width = span.shape
-    parts = {owner: dataclasses.replace(getattr(params, owner)) for owner in ("stack", "fusion", "radius")}
-    copies = dataclasses.replace(params, copies=k, **parts)
+    copies = dataclasses.replace(params, copies=k)
     pos = 0
     for n in names:
         old = get_param(params, n)
@@ -186,8 +206,7 @@ def parameter_copies(
         if lo < hi:
             rows = np.tile(old.ravel(), (k, 1))
             rows[:, lo - pos : hi - pos] = span[:, lo - offset : hi - offset]
-            slot = PARAMETERS[n]
-            setattr(_owner(copies, slot), slot.attr, rows.reshape((k,) + old.shape))
+            setattr(copies, n, rows.reshape((k,) + old.shape))
         pos += old.size
     if offset < 0 or offset + width > pos:
         raise ContractViolation("parameter span reaches outside the flat parameter vector")

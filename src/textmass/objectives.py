@@ -280,11 +280,11 @@ def forward_batch(
     if batch.text.shape[1] != params.concept_dim:
         raise ContractViolation("batch feature width does not match model")
 
-    text = encode_batch(batch.text, params.stack, "text")
-    frames = encode_video_batch(batch.videos, params.frame_count, params.stack)
-    keys = video_keys(frames.emb, params.fusion)
+    text = encode_batch(batch.text, params, "text")
+    frames = encode_video_batch(batch.videos, params)
+    keys = video_keys(frames.emb, params)
     # text-conditioned fusion over the full (text, video) grid
-    fusion = fuse_batch(text.emb, keys, params.fusion, drop_mask)
+    fusion = fuse_batch(text.emb, keys, params, drop_mask)
     fused = fusion.fused
     lam = params.logit_scale()
     lead = () if params.copies is None else (params.copies,)
@@ -297,7 +297,7 @@ def forward_batch(
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim != 3 or eps.shape[1:] != (n, d):
             raise ContractViolation(f"noise must be (samples, {n}, {d}), got {eps.shape}")
-        radii = radius_batch(text.emb, frames.emb, params.radius)
+        radii = radius_batch(text.emb, frames.emb, params)
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
         dist = row_norms(delta)
         kept = dist > DEGENERATE_DISTANCE
@@ -406,7 +406,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
             grads["radius_weights"] += d_map
         if "radius_theta" in grads:
             grads["radius_theta"] += np.sum(d_map) / frames
-        d_sims_f = d_pre @ radius_map(params.radius, frames).T
+        d_sims_f = d_pre @ radius_map(params, frames).T
         d_rows, d_stack = _cos_grid_backward(
             d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None]
         )
@@ -414,10 +414,10 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_frames += d_stack
 
     # fusion grid backward: every contraction is a (batched) matmul
-    fusion, f, kv = params.fusion, tape.fusion, tape.keys
+    f, kv = tape.fusion, tape.keys
     d_pre_fused = _normalize_backward(fused, f.norms, d_fused)
     grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ f.pooled.reshape(-1, d)
-    d_pooled = d_pre_fused @ fusion.output_map
+    d_pooled = d_pre_fused @ params.fusion_out
     if f.mask is not None:
         d_pooled = d_pooled * f.mask
     # per video j: d_w[:, j] = d_pooled[:, j] @ v_j.T and d_v[j] = w[:, j].T @ d_pooled[:, j]
@@ -430,15 +430,15 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     d_q = (d_logits @ kv.keys.reshape(n * frames, d)) * scale
     d_k = (d_logits.T @ f.queries) * scale
     grads["fusion_query"] += d_q.T @ text_emb
-    d_text += d_q @ fusion.query_map
+    d_text += d_q @ params.fusion_query
     frame_rows = frame_emb.reshape(n * frames, d)
     grads["fusion_key"] += d_k.T @ frame_rows
-    d_frames += (d_k @ fusion.key_map).reshape(n, frames, d)
+    d_frames += (d_k @ params.fusion_key).reshape(n, frames, d)
     d_v = d_v.reshape(n * frames, d)
     grads["fusion_value"] += d_v.T @ frame_rows
-    d_frames += (d_v @ fusion.value_map).reshape(n, frames, d)
+    d_frames += (d_v @ params.fusion_value).reshape(n, frames, d)
 
-    if params.stack.adapters_enabled:
+    if params.adapters_enabled:
         grads["adapter_frame"] += _adapter_backward(tape.frames, d_frames)
         grads["adapter_text"] += _adapter_backward(tape.text, d_text)
     if not np.exp(params.log_lambda) > LAMBDA_MAX:  # no gradient through the clamp

@@ -178,8 +178,8 @@ def init_model_from_config(config: TrainingConfig) -> ModelParameters:
         adapters_enabled=config.adapters_enabled,
     )
     if config.radius_variant == "scalar":
-        params.radius.theta = float(config.theta_init)
-    params.radius.trainable = config.radius_trainable
+        params.radius_theta = float(config.theta_init)
+    params.radius_trainable = config.radius_trainable
     return params
 
 

@@ -10,7 +10,9 @@ of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
 `core.box_muller`, the cos/sin form it replaces; `generate` draws each
 corpus pair call by call, as `dataset.generate` did before it drew a pair's
 uniforms at once; and `unflatten_params` is the inverse of
-`model.flatten_params`. Nothing in `textmass` imports them.
+`model.flatten_params`. The encoder, fusion and radius oracles take the
+model (`model.ModelParameters`) and read its arrays by their checkpoint
+names. Nothing in `textmass` imports them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from textmass.dataset import (
     SyntheticSpec,
     _unit,
 )
-from textmass.encoders import ZERO_NORM_THRESHOLD, EncoderStack, FusionParameters, sample_frame_indices
-from textmass.mass import DEGENERATE_DISTANCE, RadiusParameters
+from textmass.encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
+from textmass.mass import DEGENERATE_DISTANCE
 from textmass.model import LAMBDA_MAX, ModelParameters, get_param, set_param
 
 # ---------------------------------------------------------------------------
@@ -42,36 +44,36 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / n
 
 
-def encode_text(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
+def encode_text(features: np.ndarray, model: ModelParameters) -> np.ndarray:
     """Text feature vector (c,) -> unit-norm embedding (d,)."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (stack.concept_dim,):
+    if features.shape != (model.concept_dim,):
         raise ContractViolation(
-            f"text features shape {features.shape} does not match concept dim {stack.concept_dim}"
+            f"text features shape {features.shape} does not match concept dim {model.concept_dim}"
         )
-    y = stack.proj_text @ features
-    if stack.adapters_enabled:
-        y = stack.adapter_text @ y
+    y = model.proj_text @ features
+    if model.adapters_enabled:
+        y = model.adapter_text @ y
     return _normalize(y)
 
 
-def _encode_frame(features: np.ndarray, stack: EncoderStack) -> np.ndarray:
-    y = stack.proj_frame @ features
-    if stack.adapters_enabled:
-        y = stack.adapter_frame @ y
+def _encode_frame(features: np.ndarray, model: ModelParameters) -> np.ndarray:
+    y = model.proj_frame @ features
+    if model.adapters_enabled:
+        y = model.adapter_frame @ y
     return _normalize(y)
 
 
-def encode_frames(frames: np.ndarray, count: int, stack: EncoderStack) -> np.ndarray:
+def encode_frames(frames: np.ndarray, count: int, model: ModelParameters) -> np.ndarray:
     """Raw frames (T, c) -> (count, d) unit-norm embeddings of uniformly sampled frames."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != stack.concept_dim:
+    if frames.ndim != 2 or frames.shape[1] != model.concept_dim:
         raise ContractViolation(f"frame array shape {frames.shape} invalid")
     idx = sample_frame_indices(frames.shape[0], count)
-    return np.stack([_encode_frame(frames[i], stack) for i in idx])
+    return np.stack([_encode_frame(frames[i], model) for i in idx])
 
 
-def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
+def fuse(frames: np.ndarray, t: np.ndarray, model: ModelParameters) -> np.ndarray:
     """Pool frame embeddings (T', d) into one video embedding conditioned on t.
 
     w = softmax_i <Q t, K f_i> / sqrt(d); pooled = sum_i w_i (V f_i);
@@ -82,14 +84,14 @@ def fuse(frames: np.ndarray, t: np.ndarray, p: FusionParameters) -> np.ndarray:
     d = t.shape[0]
     if frames.ndim != 2 or frames.shape[1] != d:
         raise ContractViolation(f"frames shape {frames.shape} does not match text dim {d}")
-    q = p.query_map @ t
-    keys = frames @ p.key_map.T
+    q = model.fusion_query @ t
+    keys = frames @ model.fusion_key.T
     logits = keys @ q / np.sqrt(d)
     m = logits.max()
     e = np.exp(logits - m)
     w = e / e.sum()
-    pooled = (frames @ p.value_map.T).T @ w
-    return _normalize(p.output_map @ pooled)
+    pooled = (frames @ model.fusion_value.T).T @ w
+    return _normalize(model.fusion_out @ pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def frame_similarities(t: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return np.clip(dots / denom, -1.0, 1.0)
 
 
-def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
+def radius(similarities: np.ndarray, model: ModelParameters) -> np.ndarray:
     """Strictly positive radius vector (d,) from the frame-similarity vector.
 
     fixed-mean: exp(mean(S)) in every coordinate;
@@ -117,15 +119,15 @@ def radius(similarities: np.ndarray, params: RadiusParameters) -> np.ndarray:
     s = np.asarray(similarities, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ContractViolation("similarity vector must be non-empty and 1-d")
-    if params.variant == "fixed-mean":
-        return np.full(params.dim, np.exp(s.mean()))
-    if params.variant == "scalar":
-        return np.full(params.dim, np.exp(params.theta * s.mean()))
-    if s.size != params.weights.shape[0]:
+    if model.radius_variant == "fixed-mean":
+        return np.full(model.dim, np.exp(s.mean()))
+    if model.radius_variant == "scalar":
+        return np.full(model.dim, np.exp(model.radius_theta * s.mean()))
+    if s.size != model.radius_weights.shape[0]:
         raise ContractViolation(
-            f"similarity length {s.size} does not match radius weights rows {params.weights.shape[0]}"
+            f"similarity length {s.size} does not match radius weights rows {model.radius_weights.shape[0]}"
         )
-    return np.exp(s @ params.weights)
+    return np.exp(s @ model.radius_weights)
 
 
 def sample_text_mass(t: np.ndarray, r: np.ndarray, rng: SeededRng) -> np.ndarray:

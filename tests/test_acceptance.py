@@ -390,11 +390,11 @@ def test_criterion_10_analysis_reports(tmp_path):
     worst = 0.0
     for q in range(3):
         rows = radius_rows[q * queries : (q + 1) * queries]
-        t = encode_text(corpus.test_text[q], params.stack)
+        t = encode_text(corpus.test_text[q], params)
         for c, row in enumerate(rows):
-            frames = encode_frames(corpus.test_videos[c], params.frame_count, params.stack)
-            v = fuse(frames, t, params.fusion)
-            r = radius(frame_similarities(t, frames), params.radius)
+            frames = encode_frames(corpus.test_videos[c], params.frame_count, params)
+            v = fuse(frames, t, params)
+            r = radius(frame_similarities(t, frames), params)
             _, best = select_best_sample(t, r, v, cfg5, substream(0, EVAL_STREAM, q, c))
             worst = max(worst, abs(row.l1_radius - float(np.sum(np.abs(r)))),
                         abs(row.best_similarity - best))

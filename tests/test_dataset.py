@@ -3,6 +3,7 @@ embedding file format."""
 
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from textmass.core import ContractViolation, FormatError
 from textmass.dataset import (
+    EMBEDDING_MAGIC,
+    EMBEDDING_VERSION,
     PairRecord,
     SyntheticSpec,
     generate,
@@ -175,6 +178,24 @@ class TestEmbeddingFiles:
         assert read_embeddings(path) == []
         assert path.stat().st_size == 20
 
+    @pytest.mark.parametrize("rows, dim", [(0, 4), (3, 0), (0, 0)])
+    def test_items_without_values_are_a_format_error(self, tmp_path, rows, dim):
+        # a bare 20-byte header passes the length check whatever item count it claims
+        path = tmp_path / "hollow.tmeb"
+        path.write_bytes(struct.pack("<4sIIII", EMBEDDING_MAGIC, EMBEDDING_VERSION, 1000, rows, dim))
+        message = f"^embedding header at byte 8 declares 1000 items of {rows} x {dim} values$"
+        with pytest.raises(FormatError, match=message):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "item", [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))], ids=["vector", "rows", "width"]
+    )
+    def test_writing_an_item_without_values_is_refused(self, tmp_path, item):
+        path = tmp_path / "hollow.tmeb"
+        with pytest.raises(ContractViolation, match="at least one row and one value"):
+            write_embeddings(path, [item, item])
+        assert not path.exists()
+
     def test_write_read_write_is_byte_stable(self, tmp_path):
         first = tmp_path / "a.tmeb"
         second = tmp_path / "b.tmeb"
@@ -280,6 +301,36 @@ class TestCorpusDirectory:
             assert np.array_equal(
                 loaded.video, original.video.astype(np.float32).astype(np.float64)
             )
+
+    def test_one_frame_videos_round_trip(self, tmp_path):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=1, seed=4))
+        write_corpus(tmp_path / "corpus", records)
+        back = read_corpus(tmp_path / "corpus")
+        for original, loaded in zip(records, back):
+            assert loaded.text.shape == (6,) and loaded.video.shape == (1, 6)
+            assert np.array_equal(loaded.text, original.text.astype(np.float32).astype(np.float64))
+            assert np.array_equal(loaded.video, original.video.astype(np.float32).astype(np.float64))
+
+    def test_swapped_text_and_video_files_are_a_format_error(self, tmp_path):
+        # raw_frames == concept_dim: each file alone is a valid embedding file
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=6, seed=4))
+        target = tmp_path / "corpus"
+        write_corpus(target, records)
+        texts, videos = (target / "texts.tmeb").read_bytes(), (target / "videos.tmeb").read_bytes()
+        (target / "texts.tmeb").write_bytes(videos)
+        (target / "videos.tmeb").write_bytes(texts)
+        message = "texts.tmeb holds items of shape (6, 6) and videos.tmeb frames of width 6"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_corpus(target)
+
+    def test_text_and_frame_widths_must_agree(self, tmp_path):
+        records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))
+        target = tmp_path / "corpus"
+        write_corpus(target, records)
+        write_embeddings(target / "texts.tmeb", [r.text[:5] for r in records])
+        message = "texts.tmeb holds items of shape (5,) and videos.tmeb frames of width 6"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_corpus(target)
 
     def test_manifest_mismatch_detected(self, tmp_path):
         records = generate(SyntheticSpec(pairs=6, concept_dim=6, raw_frames=2, seed=4))

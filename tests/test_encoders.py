@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from textmass.core import ContractViolation, substream
-from textmass.encoders import init_encoder_stack, init_fusion, sample_frame_indices
+from textmass.core import ContractViolation
+from textmass.encoders import sample_frame_indices
+from textmass.model import init_model
 
 from oracle import encode_frames, encode_text, fuse
 
 
 def make_stack(d=8, c=5, seed=3):
-    return init_encoder_stack(d, c, substream(seed, 0))
+    return init_model(d, c, 6, seed=seed)
 
 
 def oracle_encode(features, proj, adapter):
@@ -79,18 +80,18 @@ class TestEncodeFrames:
 class TestFuse:
     def setup_method(self):
         self.stack = make_stack()
-        self.p = init_fusion(8)
+        self.p = self.stack
         rng = np.random.default_rng(4)
-        self.p.query_map = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.key_map = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.value_map = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.output_map = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
+        self.p.fusion_query = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
+        self.p.fusion_key = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
+        self.p.fusion_value = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
+        self.p.fusion_out = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
         self.frames = encode_frames(rng.normal(size=(6, 5)), 6, self.stack)
         self.t = encode_text(rng.normal(size=5), self.stack)
 
     def test_single_frame_ignores_attention(self):
         out = fuse(self.frames[:1], self.t, self.p)
-        expect = self.p.output_map @ (self.p.value_map @ self.frames[0])
+        expect = self.p.fusion_out @ (self.p.fusion_value @ self.frames[0])
         np.testing.assert_allclose(out, expect / np.linalg.norm(expect), atol=1e-12)
 
     def test_identical_frames_collapse(self):
@@ -102,12 +103,12 @@ class TestFuse:
     def test_matches_step_oracle(self):
         # independent step-by-step recomputation
         d = 8
-        q = self.p.query_map @ self.t
-        logits = np.array([q @ (self.p.key_map @ f) for f in self.frames]) / np.sqrt(d)
+        q = self.p.fusion_query @ self.t
+        logits = np.array([q @ (self.p.fusion_key @ f) for f in self.frames]) / np.sqrt(d)
         e = np.exp(logits - logits.max())
         w = e / e.sum()
-        pooled = sum(wi * (self.p.value_map @ f) for wi, f in zip(w, self.frames))
-        expect = self.p.output_map @ pooled
+        pooled = sum(wi * (self.p.fusion_value @ f) for wi, f in zip(w, self.frames))
+        expect = self.p.fusion_out @ pooled
         expect = expect / np.linalg.norm(expect)
         np.testing.assert_allclose(fuse(self.frames, self.t, self.p), expect, atol=1e-12)
 

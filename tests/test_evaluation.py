@@ -165,7 +165,7 @@ def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     pool = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
     for q, block in enumerate(pool.blocks):
-        t, fused = block[0], fuse_batch(block, pool.keys, params.fusion).fused[0]
+        t, fused = block[0], fuse_batch(block, pool.keys, params).fused[0]
         radius_grid = evaluation._query_radii(block, pool, params)
         for c in range(videos.shape[0]):
             if use_sampling:
@@ -193,11 +193,11 @@ class TestInferenceMatrix:
         cfg = SamplingConfig(trials=8)
         got = inference_similarity_matrix(texts, videos, params, cfg, True, seed=11)
         for q in range(4):
-            t = encode_text(texts[q], params.stack)
+            t = encode_text(texts[q], params)
             for c in range(4):
-                frames = encode_frames(videos[c], params.frame_count, params.stack)
-                v = fuse(frames, t, params.fusion)
-                r = radius(frame_similarities(t, frames), params.radius)
+                frames = encode_frames(videos[c], params.frame_count, params)
+                v = fuse(frames, t, params)
+                r = radius(frame_similarities(t, frames), params)
                 rng = substream(11, EVAL_STREAM, q, c)
                 _, best = select_best_sample(t, r, v, cfg, rng)
                 assert abs(got[q, c] - best) <= 1e-12
@@ -251,7 +251,7 @@ class TestInferenceMatrix:
         # exp(S @ W) overflows where the frame similarities sum above ~0.7;
         # here that turns 3 of the 64 pair scores (queries 1, 4 and 7) into NaN
         params = make_params(seed=16)
-        params.radius.weights[:] = 1000.0
+        params.radius_weights[:] = 1000.0
         texts, videos = make_pool(q=8, candidates=8, seed=16)
         cfg = SamplingConfig(trials=4)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -282,10 +282,10 @@ def radius_oracle(texts, videos, params):
     encode and radius functions."""
     l1 = np.empty((texts.shape[0], videos.shape[0]))
     for q in range(texts.shape[0]):
-        t = encode_text(texts[q], params.stack)
+        t = encode_text(texts[q], params)
         for c in range(videos.shape[0]):
-            frames = encode_frames(videos[c], params.frame_count, params.stack)
-            l1[q, c] = np.abs(radius(frame_similarities(t, frames), params.radius)).sum()
+            frames = encode_frames(videos[c], params.frame_count, params)
+            l1[q, c] = np.abs(radius(frame_similarities(t, frames), params)).sum()
     return l1
 
 
@@ -300,7 +300,7 @@ class TestRadiusReport:
 
     def test_scalar_zero_theta_identical_radii(self):
         params = make_params(variant="scalar", seed=9)
-        params.radius.theta = 0.0
+        params.radius_theta = 0.0
         texts, videos = make_pool(seed=9)
         sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 19)
         rows = pool_radius_report(texts, videos, params, sampled)

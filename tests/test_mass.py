@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,12 @@ from hypothesis import strategies as st
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng
 from textmass.mass import (
     RADIUS_VARIANTS,
-    RadiusParameters,
     SamplingConfig,
     cos_grid,
-    init_radius,
     radius_batch,
     select_best_sample,
 )
+from textmass.model import init_model
 
 from oracle import cosine_similarity, frame_similarities, radius, sample_text_mass, support_text
 
@@ -53,20 +54,28 @@ class TestCosGrid:
         assert np.array_equal(norms, rn)
 
 
+def radius_model(variant, dim, theta=0.0, weights=None):
+    """A model of width dim whose radius module is the variant with theta
+    and, for the linear variant, the (T', dim) weights."""
+    frames = 1 if weights is None else weights.shape[-2]
+    model = init_model(dim, 2, frames, radius_variant=variant)
+    return dataclasses.replace(model, radius_theta=theta, radius_weights=weights)
+
+
 class TestRadius:
     def test_linear_zero_weights_gives_ones(self):
-        params = init_radius("linear", dim=7, frame_count=4)
+        params = init_model(7, 2, 4, radius_variant="linear")
         np.testing.assert_array_equal(radius(np.array([0.3, -0.1, 0.9, 0.2]), params), 1.0)
 
     def test_scalar_analytic(self):
-        params = RadiusParameters(variant="scalar", dim=5, theta=1.0)
+        params = radius_model("scalar", 5, theta=1.0)
         r = radius(np.full(3, 0.5), params)
         np.testing.assert_allclose(r, np.exp(0.5), atol=1e-9)
 
     def test_linear_matches_matrix_oracle(self):
         rng = np.random.default_rng(8)
         w = rng.normal(size=(4, 6)) * 0.2
-        params = RadiusParameters(variant="linear", dim=6, weights=w)
+        params = radius_model("linear", 6, weights=w)
         s = rng.normal(size=4)
         np.testing.assert_allclose(radius(s, params), np.exp(s @ w), atol=1e-12)
 
@@ -75,9 +84,9 @@ class TestRadius:
         for _ in range(50):
             variant = rng.choice(["fixed-mean", "scalar", "linear"])
             w = rng.normal(size=(3, 4))
-            params = RadiusParameters(
-                variant=variant,
-                dim=4,
+            params = radius_model(
+                variant,
+                4,
                 theta=float(rng.normal()),
                 weights=w if variant == "linear" else None,
             )
@@ -86,18 +95,18 @@ class TestRadius:
     def test_fixed_mean_equals_scalar_theta_one(self):
         rng = np.random.default_rng(2)
         s = rng.uniform(-1, 1, size=6)
-        fixed = radius(s, RadiusParameters(variant="fixed-mean", dim=3))
-        scalar = radius(s, RadiusParameters(variant="scalar", dim=3, theta=1.0))
+        fixed = radius(s, radius_model("fixed-mean", 3))
+        scalar = radius(s, radius_model("scalar", 3, theta=1.0))
         assert np.array_equal(fixed, scalar)
 
     def test_linear_length_mismatch(self):
-        params = init_radius("linear", dim=4, frame_count=3)
+        params = init_model(4, 2, 3, radius_variant="linear")
         with pytest.raises(ContractViolation):
             radius(np.zeros(5), params)
 
     def test_unknown_variant(self):
         with pytest.raises(ContractViolation):
-            RadiusParameters(variant="cubic", dim=4)
+            init_model(4, 2, 3, radius_variant="cubic")
 
 
 def _radius_pool(seed, copies, n, frames, d):
@@ -127,12 +136,12 @@ class TestRadiusBatch:
         if variant == "fixed-mean":
             copies = None  # it has no parameter to copy
         texts, unit, theta, weights = _radius_pool(seed, copies, n, frames, d)
-        params = RadiusParameters(variant, d, theta, weights if variant == "linear" else None)
+        params = radius_model(variant, d, theta, weights if variant == "linear" else None)
         got = radius_batch(texts, unit, params).radius
         lead = () if copies is None else (copies,)
         assert got.shape == lead + (n, d)
         for c in range(copies or 1):
-            one = params if copies is None else RadiusParameters(
+            one = params if copies is None else radius_model(
                 variant, d, float(theta[c]), weights[c] if variant == "linear" else None
             )
             expect = np.stack([radius(frame_similarities(texts[i], unit[i]), one) for i in range(n)])
@@ -150,9 +159,41 @@ class TestRadiusBatch:
     def test_fixed_mean_equals_scalar_theta_one_bit_for_bit(self, copies, n, frames, d, seed):
         texts, unit, _, _ = _radius_pool(seed, copies, n, frames, d)
         theta = 1.0 if copies is None else np.ones(copies)
-        fixed = radius_batch(texts, unit, RadiusParameters("fixed-mean", d)).radius
-        scalar = radius_batch(texts, unit, RadiusParameters("scalar", d, theta)).radius
+        fixed = radius_batch(texts, unit, radius_model("fixed-mean", d)).radius
+        scalar = radius_batch(texts, unit, radius_model("scalar", d, theta)).radius
         assert np.array_equal(np.broadcast_to(fixed, scalar.shape), scalar)
+
+
+class TestRadiusBounds:
+    """Cosines lie in [-1, 1], so a fixed-mean radius lies in [1/e, e] and a
+    scalar one in [e^-|theta|, e^|theta|], up to a few ulps. The fixed-mean
+    floor keeps the noise norm of a unit text near sqrt(d) / e or above:
+    2.1 at d = 32."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        variant=st.sampled_from(["fixed-mean", "scalar"]),
+        theta=st.floats(-4.0, 4.0),
+        aligned=st.sampled_from([None, 1.0, -1.0]),
+        n=st.integers(1, 4),
+        frames=st.integers(1, 8),
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_radii_stay_inside_the_exponential_bounds(self, variant, theta, aligned, n, frames, d, seed):
+        model = init_model(d, 3, frames, radius_variant=variant, seed=seed)
+        model.radius_theta = theta
+        rng = np.random.default_rng(seed)
+        texts = rng.normal(size=(n, d))
+        unit = rng.normal(size=(n, frames, d))
+        if aligned is not None:  # every cosine at +-1, where the bounds are reached
+            unit = np.broadcast_to(aligned * texts[:, None, :], unit.shape).copy()
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        got = radius_batch(texts, unit, model).radius
+        bound = 1.0 if variant == "fixed-mean" else abs(theta)
+        ulps = 4 * np.finfo(np.float64).eps
+        assert np.all(got <= np.exp(bound) * (1 + ulps))
+        assert np.all(got >= np.exp(-bound) * (1 - ulps))
 
 
 class TestSampleTextMass:

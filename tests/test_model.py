@@ -1,12 +1,16 @@
 """The parameter layout: which arrays exist, which train, in what order,
 and how they are read and assigned."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from textmass.core import ContractViolation
 from textmass.model import (
     MODES,
+    PARAMETERS,
+    ModelParameters,
     all_array_names,
     get_param,
     init_model,
@@ -22,7 +26,7 @@ FUSION = ["fusion_query", "fusion_key", "fusion_value", "fusion_out"]
 
 def make_model(variant="linear", adapters=True, radius_trainable=True):
     params = init_model(8, 6, 3, radius_variant=variant, seed=0, adapters_enabled=adapters)
-    params.radius.trainable = radius_trainable
+    params.radius_trainable = radius_trainable
     return params
 
 
@@ -104,9 +108,9 @@ def test_groups_follow_the_table():
 
 def test_get_param_reads_the_owning_component():
     params = make_model()
-    assert np.array_equal(get_param(params, "proj_frame"), params.stack.proj_frame)
-    assert np.array_equal(get_param(params, "fusion_out"), params.fusion.output_map)
-    assert np.array_equal(get_param(params, "radius_weights"), params.radius.weights)
+    assert np.array_equal(get_param(params, "proj_frame"), params.proj_frame)
+    assert np.array_equal(get_param(params, "fusion_out"), params.fusion_out)
+    assert np.array_equal(get_param(params, "radius_weights"), params.radius_weights)
     assert get_param(params, "log_lambda").shape == ()
     assert float(get_param(params, "log_lambda")) == params.log_lambda
 
@@ -114,7 +118,7 @@ def test_get_param_reads_the_owning_component():
 def test_set_param_refuses_frozen_and_misshapen_values():
     params = make_model()
     with pytest.raises(ContractViolation, match="parameter 'proj_frame' is frozen"):
-        set_param(params, "proj_frame", params.stack.proj_frame)
+        set_param(params, "proj_frame", params.proj_frame)
     with pytest.raises(ContractViolation, match="shape mismatch assigning 'fusion_key'"):
         set_param(params, "fusion_key", np.eye(7))
 
@@ -123,8 +127,13 @@ def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
     params = make_model("scalar")
     frame = np.full((8, 6), 0.5)
     restore_param(params, "proj_frame", frame)
-    assert np.array_equal(params.stack.proj_frame, frame)
+    assert np.array_equal(params.proj_frame, frame)
     set_param(params, "radius_theta", np.array(0.25))
     set_param(params, "log_lambda", np.array(1.5))
-    assert type(params.radius.theta) is float and params.radius.theta == 0.25
+    assert type(params.radius_theta) is float and params.radius_theta == 0.25
     assert type(params.log_lambda) is float and params.log_lambda == 1.5
+
+
+def test_every_parameter_is_a_model_field_of_its_name_in_canonical_order():
+    fields = [f.name for f in dataclasses.fields(ModelParameters)]
+    assert fields[: len(PARAMETERS)] == list(PARAMETERS)

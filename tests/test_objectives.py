@@ -15,7 +15,6 @@ from textmass.encoders import sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE, cos_grid
 from textmass.model import (
     LAMBDA_MAX,
-    PARAMETERS,
     all_array_names,
     flatten_grads,
     flatten_params,
@@ -168,18 +167,18 @@ class TestForwardAgainstModuleOps:
 
     def test_text_embeddings(self):
         for i in range(3):
-            oracle = encode_text(self.batch.text[i], self.params.stack)
+            oracle = encode_text(self.batch.text[i], self.params)
             assert np.allclose(self.text_emb[i], oracle, atol=1e-12)
 
     def test_frame_embeddings(self):
         for i in range(3):
-            oracle = encode_frames(self.batch.videos[i], 3, self.params.stack)
+            oracle = encode_frames(self.batch.videos[i], 3, self.params)
             assert np.allclose(self.frame_emb[i], oracle, atol=1e-12)
 
     def test_fused_grid(self):
         for i in range(3):
             for j in range(3):
-                oracle = fuse(self.frame_emb[j], self.text_emb[i], self.params.fusion)
+                oracle = fuse(self.frame_emb[j], self.text_emb[i], self.params)
                 assert np.allclose(self.fused[i, j], oracle, atol=1e-12)
 
     def test_frame_similarities_and_radius(self):
@@ -187,7 +186,7 @@ class TestForwardAgainstModuleOps:
         for i in range(3):
             oracle = frame_similarities(self.text_emb[i], self.frame_emb[i])
             assert np.allclose(sims_f[i], oracle, atol=1e-12)
-            assert np.allclose(self.radius[i], radius(oracle, self.params.radius), atol=1e-12)
+            assert np.allclose(self.radius[i], radius(oracle, self.params), atol=1e-12)
 
     def test_shifted_text_is_reparameterized_sample(self):
         expected = self.text_emb + self.radius * self.eps[0]
@@ -327,8 +326,8 @@ class TestDegenerateSupport:
         # the video frames all equal to the text feature.
         params = make_model(d=8, c=8, frames=2)
         # identity projections make embeddings equal for equal raw features
-        params.stack.proj_text = np.eye(8)
-        params.stack.proj_frame = np.eye(8)
+        params.proj_text = np.eye(8)
+        params.proj_frame = np.eye(8)
         feat = substream(7, 7006).standard_normal(8)
         batch = PairBatch(text=feat[None, :], videos=np.stack([np.stack([feat, feat])]))
         eps = draw_noise(substream(7, 7007), 1, 1, 8)
@@ -461,7 +460,7 @@ class TestGradients:
 
     def test_frozen_radius_has_no_radius_entry(self):
         params = randomize(make_model(variant="scalar"), seed=34)
-        params.radius.trainable = False
+        params.radius_trainable = False
         batch = make_batch(3, 6, 5, seed=9)
         eps = draw_noise(substream(14, 7008), 1, 3, 8)
         names = trainable_names(params, "t-mass")
@@ -542,7 +541,7 @@ class TestParameterPlumbing:
         params = make_model(variant="scalar")
         theta = get_param(params, "radius_theta")
         assert theta.shape == ()
-        assert isinstance(params.radius.theta, float)
+        assert isinstance(params.radius_theta, float)
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +602,23 @@ def _ref_normalize(x):
 def reference_objective(batch, params, mode, alpha, eps, drop_mask):
     """(losses, per-sample l_s terms, grads) with one loop pass per sample."""
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
-    stack, fusion, rp = params.stack, params.fusion, params.radius
     d = params.dim
     n = batch.size
     idx = sample_frame_indices(batch.videos.shape[1], params.frame_count)
-    pt = batch.text @ stack.proj_text.T
-    pf = batch.videos[:, idx, :] @ stack.proj_frame.T
-    a_text = stack.adapter_text if stack.adapters_enabled else np.eye(d)
-    a_frame = stack.adapter_frame if stack.adapters_enabled else np.eye(d)
+    pt = batch.text @ params.proj_text.T
+    pf = batch.videos[:, idx, :] @ params.proj_frame.T
+    a_text = params.adapter_text if params.adapters_enabled else np.eye(d)
+    a_frame = params.adapter_frame if params.adapters_enabled else np.eye(d)
     text, text_back = _ref_normalize(pt @ a_text.T)
     frames, frame_back = _ref_normalize(pf @ a_frame.T)
 
-    q, k, v = text @ fusion.query_map.T, frames @ fusion.key_map.T, frames @ fusion.value_map.T
+    q, k, v = text @ params.fusion_query.T, frames @ params.fusion_key.T, frames @ params.fusion_value.T
     logits = np.einsum("id,jld->ijl", q, k) / np.sqrt(d)
     w = np.exp(logits - logits.max(axis=2, keepdims=True))
     w /= w.sum(axis=2, keepdims=True)
     pooled = np.einsum("ijl,jld->ijd", w, v)
     mask = np.ones_like(pooled) if drop_mask is None else drop_mask
-    fused, fused_back = _ref_normalize((pooled * mask) @ fusion.output_map.T)
+    fused, fused_back = _ref_normalize((pooled * mask) @ params.fusion_out.T)
     lam = min(np.exp(params.log_lambda), LAMBDA_MAX)
 
     d_text, d_frames, d_fused = np.zeros_like(text), np.zeros_like(frames), np.zeros_like(fused)
@@ -636,10 +634,10 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
     terms, l_sup = [], None
     if mode != "baseline":
         sims_f, nt, nf = _ref_cos_grid(text, frames)
-        if rp.variant == "linear":
-            r = np.exp(sims_f @ rp.weights)
+        if params.radius_variant == "linear":
+            r = np.exp(sims_f @ params.radius_weights)
         else:
-            scale = rp.theta if rp.variant == "scalar" else 1.0
+            scale = params.radius_theta if params.radius_variant == "scalar" else 1.0
             r = np.exp(scale * sims_f.mean(axis=1))[:, None] * np.ones(d)
         d_r = np.zeros_like(r)
         for eps_k in eps:
@@ -674,10 +672,10 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
         d_fused[vidx, vidx] += d_delta
         d_text[vidx] -= d_delta
 
-        if rp.variant == "linear":
+        if params.radius_variant == "linear":
             d_pre = d_r * r
             grads["radius_weights"] = sims_f.T @ d_pre
-            d_sims_f = d_pre @ rp.weights.T
+            d_sims_f = d_pre @ params.radius_weights.T
         else:
             expo = np.exp(scale * sims_f.mean(axis=1))
             grads["radius_theta"] = np.sum(sims_f.mean(axis=1) * expo * d_r.sum(axis=1))
@@ -689,7 +687,7 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
 
     d_pre_fused = fused_back(d_fused)
     grads["fusion_out"] = np.einsum("ijd,ije->de", d_pre_fused, pooled * mask)
-    d_pooled = (d_pre_fused @ fusion.output_map) * mask
+    d_pooled = (d_pre_fused @ params.fusion_out) * mask
     d_w = np.einsum("ijd,jld->ijl", d_pooled, v)
     d_v = np.einsum("ijl,ijd->jld", w, d_pooled)
     d_logits = w * (d_w - np.sum(w * d_w, axis=2, keepdims=True)) / np.sqrt(d)
@@ -698,8 +696,8 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
     grads["fusion_query"] = d_q.T @ text
     grads["fusion_key"] = np.einsum("jld,jle->de", d_k, frames)
     grads["fusion_value"] = np.einsum("jld,jle->de", d_v, frames)
-    d_text += d_q @ fusion.query_map
-    d_frames += d_k @ fusion.key_map + d_v @ fusion.value_map
+    d_text += d_q @ params.fusion_query
+    d_frames += d_k @ params.fusion_key + d_v @ params.fusion_value
     grads["adapter_text"] = text_back(d_text).T @ pt
     grads["adapter_frame"] = np.einsum("jld,jle->de", frame_back(d_frames), pf)
     grads["log_lambda"] = 0.0 if np.exp(params.log_lambda) > LAMBDA_MAX else d_lam * lam
@@ -722,11 +720,11 @@ def degenerate_first_pair(params, batch, drop_mask):
     value/output maps, one adapter for both towers, every frame of video 0
     equal to text 0, and dropout kept on the (0, 0) cell."""
     d = params.dim
-    params.stack.proj_text = np.eye(d)
-    params.stack.proj_frame = np.eye(d)
-    params.stack.adapter_frame = params.stack.adapter_text.copy()
-    params.fusion.value_map = np.eye(d)
-    params.fusion.output_map = np.eye(d)
+    params.proj_text = np.eye(d)
+    params.proj_frame = np.eye(d)
+    params.adapter_frame = params.adapter_text.copy()
+    params.fusion_value = np.eye(d)
+    params.fusion_out = np.eye(d)
     batch.videos[0] = batch.text[0]
     if drop_mask is not None:
         drop_mask[0, 0] = 1.0
@@ -835,7 +833,7 @@ class TestParameterCopies:
         d, n = 6, 4
         params = init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters)
         randomize(params, seed=seed)
-        params.radius.trainable = not frozen_radius
+        params.radius_trainable = not frozen_radius
         batch = make_batch(n, d, 5, seed=seed)
         mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
         if degenerate:
@@ -889,9 +887,7 @@ class TestParameterCopies:
         shared = parameter_copies(params, names, x0[:, :0])  # an empty span: every array is shared
         stacked = parameter_copies(params, names, x0)
         for name in names:  # every trainable array as a stack of one copy
-            slot = PARAMETERS[name]
-            owner = stacked if slot.owner is None else getattr(stacked, slot.owner)
-            setattr(owner, slot.attr, get_param(params, name)[None].copy())
+            setattr(stacked, name, get_param(params, name)[None].copy())
         for copies in (shared, stacked):
             blocked, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps)
             for field in LOSS_FIELDS:
@@ -907,8 +903,8 @@ class TestParameterCopies:
         copies = parameter_copies(params, names, span, x0.size - 1)
         assert copies.copies == 4 and params.copies is None
         assert copies.log_lambda.shape == (4,)
-        assert copies.fusion.output_map is params.fusion.output_map
-        assert copies.stack is not params.stack and copies.radius is not params.radius
+        assert copies.fusion_out is params.fusion_out
+        assert copies is not params
         for name, value in before.items():
             assert np.array_equal(get_param(params, name), value), name
         assert isinstance(params.log_lambda, float)
@@ -919,16 +915,13 @@ def _moved_copies(params, names, points):
     that some row moves, found by comparing every column with params, gets
     a copy axis."""
     k = points.shape[0]
-    parts = {owner: dataclasses.replace(getattr(params, owner)) for owner in ("stack", "fusion", "radius")}
-    copies = dataclasses.replace(params, copies=k, **parts)
+    copies = dataclasses.replace(params, copies=k)
     pos = 0
     for name in names:
         old = get_param(params, name)
         rows = points[:, pos : pos + old.size]
         if np.any(rows != old.ravel()):
-            slot = PARAMETERS[name]
-            owner = copies if slot.owner is None else getattr(copies, slot.owner)
-            setattr(owner, slot.attr, rows.reshape((k,) + old.shape))
+            setattr(copies, name, rows.reshape((k,) + old.shape))
         pos += old.size
     return copies
 
@@ -1078,14 +1071,14 @@ class TestOracleCatchesBrokenBackward:
         params = randomize(make_model(), seed=43)
         batch = make_batch(3, 6, 5, seed=13)
         eps = draw_noise(substream(18, 7008), 1, 3, 8)
-        target = params.fusion.output_map[2, 3]
+        target = params.fusion_out[2, 3]
         coordinate = _flat_offset(params, "t-mass", "fusion_out") + 2 * 8 + 3
         real = objectives.forward_batch
 
         def poisoned(batch, params, *args, **kwargs):
             breakdown, tape = real(batch, params, *args, **kwargs)
-            if params.copies is not None and params.fusion.output_map.ndim == 3:
-                breakdown.l_total[params.fusion.output_map[:, 2, 3] < target] = np.nan
+            if params.copies is not None and params.fusion_out.ndim == 3:
+                breakdown.l_total[params.fusion_out[:, 2, 3] < target] = np.nan
             return breakdown, tape
 
         monkeypatch.setattr(objectives, "forward_batch", poisoned)

@@ -1,5 +1,5 @@
 """Source hygiene: no import in src/textmass or tests goes unused, and no
-top-level function of src/textmass goes unreferenced. No linter ships with
+top-level function or class of src/textmass goes unreferenced. No linter ships with
 the project, so both checks read the modules with `ast`."""
 
 import ast
@@ -63,16 +63,16 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
-def unreferenced_functions(paths: list[Path]) -> list[str]:
-    """`module.function` of each top-level function that no module of paths
-    reads, imports or exports by name."""
+def unreferenced_definitions(paths: list[Path]) -> list[str]:
+    """`module.name` of each top-level function or class that no module of
+    paths reads, imports or exports by name."""
     trees = {path: _tree(path) for path in paths}
     referenced = set().union(*map(_referenced, trees.values()))
     return [
         f"{path.stem}.{node.name}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name not in referenced
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
     ]
 
 
@@ -82,7 +82,7 @@ def test_every_import_is_used(path):
 
 
 def test_every_top_level_function_is_referenced():
-    assert unreferenced_functions(MODULES) == []
+    assert unreferenced_definitions(MODULES) == []
 
 
 def test_checks_catch_what_they_look_for(tmp_path):
@@ -97,8 +97,13 @@ def test_checks_catch_what_they_look_for(tmp_path):
         "def orphan():\n"
         "    return used()\n"
         "def encode_text():\n"
-        "    pass\n",
+        "    pass\n"
+        "class Orphan:\n"
+        "    pass\n"
+        "class Used:\n"
+        "    pass\n"
+        "VALUE = Used()\n",
         encoding="utf-8",
     )
     assert unused_imports(module) == ["sample.py:2: os", "sample.py:4: dumps"]
-    assert unreferenced_functions([module]) == ["sample.orphan", "sample.encode_text"]
+    assert unreferenced_definitions([module]) == ["sample.orphan", "sample.encode_text", "sample.Orphan"]

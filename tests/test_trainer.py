@@ -393,7 +393,7 @@ class TestCheckpoint:
         assert np.array_equal(
             flatten_params(loaded.params, names), flatten_params(result.state.params, names)
         )
-        assert np.array_equal(loaded.params.stack.proj_text, result.state.params.stack.proj_text)
+        assert np.array_equal(loaded.params.proj_text, result.state.params.proj_text)
         for name in loaded.optimizer.first_moment:
             assert np.array_equal(
                 loaded.optimizer.first_moment[name], result.state.optimizer.first_moment[name]
@@ -456,7 +456,7 @@ class TestCheckpoint:
         text, videos = tiny_data()
         config = tiny_config()
         state = train(text, videos, config, stop_after_epochs=1).state
-        state.params.fusion.output_map[1, 2] = value
+        state.params.fusion_out[1, 2] = value
         path = tmp_path / "state.tmck"
         save_checkpoint(path, state, config)
         with pytest.raises(FormatError, match="parameter 'fusion_out'"):

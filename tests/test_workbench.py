@@ -381,7 +381,7 @@ class TestTrainEval:
         run = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(run)]) == 0
         state, tc = load_checkpoint(run / "checkpoint.tmck")
-        state.params.radius.weights[:] = 1000.0
+        state.params.radius_weights[:] = 1000.0
         save_checkpoint(tmp_path / "overflow.tmck", state, tc)
         eval_config = write_config(
             tmp_path, name="eval.txt", checkpoint=str(tmp_path / "overflow.tmck")
@@ -458,6 +458,19 @@ class TestCorpusFuzz:
                     assert np.all(np.isfinite(record.text)) and np.all(np.isfinite(record.video))
             config = write_config(scratch, name="train.txt", data=str(scratch))
             assert main(["train", "--config", str(config), "--out", str(scratch / "run")]) == expected
+
+
+def test_train_on_swapped_corpus_files_exits_two(tmp_path, capsys):
+    # as many raw frames as concept values: each file alone is a valid embedding file
+    data = tmp_path / "data"
+    write_corpus(data, generate(SyntheticSpec(pairs=10, concept_dim=TINY["concept_dim"],
+                                              raw_frames=TINY["concept_dim"], seed=4)))
+    texts, videos = (data / "texts.tmeb").read_bytes(), (data / "videos.tmeb").read_bytes()
+    (data / "texts.tmeb").write_bytes(videos)
+    (data / "videos.tmeb").write_bytes(texts)
+    config = write_config(tmp_path, data=str(data))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "texts.tmeb holds" in capsys.readouterr().err
 
 
 class TestGrids:
