@@ -9,10 +9,16 @@ artifact the package writes.
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
 which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
 independent substreams and identical (seed, stream) pairs replay bit-exactly.
+:func:`grid_uniforms` draws a whole grid of substreams without building their
+generators: it derives their PCG64 states in uint64 arrays and writes them
+straight into one generator's C struct, whose layout a once-per-process check
+guards.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 
 import numpy as np
@@ -150,8 +156,9 @@ def substream(seed: int, *parts: int) -> SeededRng:
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 LCG multiplier; tests/test_core.py checks stacked_uniforms
-# against SeededRng row by row, so a change on numpy's side fails there.
+# the PCG64 LCG multiplier; tests/test_core.py checks grid_uniforms against
+# SeededRng row by row, and _check_pcg64_layout checks one seeded state
+# against numpy's own, so a change on numpy's side fails there.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -160,12 +167,17 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_WORDS = 4
 _U32 = (1 << 32) - 1
-_U128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG64_MULT_HI = 2549297995355413924
+_PCG64_MULT_LO = 4865540595714422341
+
+# Rows whose PCG64 states grid_uniforms derives in one pass (whole queries,
+# at least one): bounds the transient hash arrays to about 0.6 MB.
+STATE_BLOCK_ROWS = 2048
 
 
-def _pcg64_states(seed: int, streams: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of SeededRng(seed, s) for every u64 stream s.
+def _pcg64_states(seed: int, streams: np.ndarray) -> np.ndarray:
+    """PCG64 state words of SeededRng(seed, s) for every u64 stream s: an
+    (n, 4) C-contiguous uint64 array of state lo, state hi, inc lo, inc hi.
 
     SeedSequence([seed, s]) splits each int into u32 words, low word first
     (0 as one zero word), and hashes them into a pool of 4 words; the seed
@@ -202,44 +214,113 @@ def _pcg64_states(seed: int, streams: np.ndarray) -> list[tuple[int, int]]:
         hash_const = (hash_const * _MULT_B) & _U32
         value = value * np.uint32(hash_const)
         words.append((value ^ (value >> 16)).astype(np.uint64))
-    w0, w1, w2, w3 = (words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4))
-
-    states = []
-    for a, b, c, d in zip(w0.tolist(), w1.tolist(), w2.tolist(), w3.tolist()):
-        inc = (((c << 64) | d) << 1 | 1) & _U128
-        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _U128, inc))
-    return states
+    return _pcg64_srandom(*(words[2 * k] | (words[2 * k + 1] << 32) for k in range(4)))
 
 
-def stacked_uniforms(
-    seed: int, parts: tuple[int, ...], count: int, width: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(count, width) uniforms whose row c is, bit for bit,
-    substream(seed, *parts, c).uniform(width).
+def _pcg64_srandom(state_hi, state_lo, seq_hi, seq_lo) -> np.ndarray:
+    """pcg64_srandom_r in uint64 limbs: from the u64 words of initstate and
+    initseq, inc = initseq << 1 | 1 and state = (inc + initstate) * MULT +
+    inc, mod 2**128, as (n, 4) words state lo, state hi, inc lo, inc hi.
+    A low-word sum wrapped exactly when it is below an addend; the low
+    product is formed from 32-bit halves, and the cross terms only reach
+    the high word."""
+    inc_lo = (seq_lo << 1) | 1
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    sum_lo = inc_lo + state_lo
+    sum_hi = inc_hi + state_hi + (sum_lo < inc_lo)
+    a_lo, a_hi = sum_lo & _U32, sum_lo >> 32
+    b_lo, b_hi = _PCG64_MULT_LO & _U32, _PCG64_MULT_LO >> 32
+    low, cross_a, cross_b = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (low >> 32) + (cross_a & _U32) + (cross_b & _U32)
+    prod_lo = (mid << 32) | (low & _U32)
+    prod_hi = a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+    prod_hi += sum_hi * _PCG64_MULT_LO + sum_lo * _PCG64_MULT_HI
+    out_lo = prod_lo + inc_lo
+    out_hi = prod_hi + inc_hi + (out_lo < inc_lo)
+    return np.stack([out_lo, out_hi, inc_lo, inc_hi], axis=1)
 
-    The stream keys and seed hashes of all rows are computed in one
-    vectorised pass, and every row is drawn on one reused generator set to
-    that row's PCG64 state, instead of building count generators. ``out``
-    must be a C-contiguous (count, width) float64 array.
+
+def _pcg64_address(bitgen: np.random.PCG64) -> int:
+    """Address of bitgen's pcg64_random_t {state, inc}: the pointer that
+    leads the pcg64_state struct at bitgen.ctypes.state_address."""
+    return ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+
+
+@functools.cache
+def _check_pcg64_layout() -> None:
+    """Check, once per process, that PCG64 state words written into the
+    generator's C struct are the state numpy itself would seed.
+
+    The struct layout is a numpy internal (on numpy 2.x with native 128-bit
+    integers: state lo, state hi, inc lo, inc hi). One state is set through
+    the public dict setter and read back through the pointer, and the words
+    of _pcg64_states are written through the pointer and read back through
+    the dict; both must agree with numpy's own seeding of the same stream.
+    Raises ContractViolation naming the numpy version otherwise."""
+    seed, stream = _U64, 0x0123456789ABCDEF
+    words = _pcg64_states(seed, np.array([stream], dtype=np.uint64))
+    want = np.random.PCG64(np.random.SeedSequence([seed, stream])).state
+    probe = np.random.PCG64(0)
+    address = _pcg64_address(probe)
+    probe.state = want
+    read = np.frombuffer(ctypes.string_at(address, 32), dtype=np.uint64)
+    probe.state = np.random.PCG64(0).state
+    ctypes.memmove(address, words.ctypes.data, 32)
+    if not np.array_equal(read, words[0]) or probe.state["state"] != want["state"]:
+        raise ContractViolation(
+            f"numpy {np.__version__}: PCG64 state words {words[0].tolist()} do not round-trip "
+            f"through the generator struct (it held {read.tolist()}); sampled inference cannot "
+            "seed its generators"
+        )
+
+
+def stacked_uniforms(gen: np.random.Generator, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill row i of out, bit for bit, with the uniforms a PCG64 at state
+    words states[i] draws, and return out.
+
+    Each row's four words go by one memmove straight into the C struct of
+    gen's PCG64, whose state they overwrite, and gen then draws the row; the
+    first call checks that struct's layout (_check_pcg64_layout). gen must
+    run on a PCG64, states must be C-contiguous (n, 4) uint64 words as
+    _pcg64_states gives them, and out a C-contiguous (n, width) float64
+    array.
     """
-    count, width = int(count), int(width)
-    if out is None:
-        out = np.empty((count, width))
-    if out.shape != (count, width) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractViolation(f"uniform buffer must be C-contiguous float64 ({count}, {width})")
-    keys = np.full(count, stream_key(*parts), dtype=np.uint64)
-    streams = _fold_part(keys, np.arange(count, dtype=np.uint64))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(out, _pcg64_states(int(seed) & _U64, streams)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    _check_pcg64_layout()
+    if type(gen.bit_generator) is not np.random.PCG64:
+        raise ContractViolation(f"stacked uniforms draw on a PCG64, not {type(gen.bit_generator).__name__}")
+    if out.ndim != 2 or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ContractViolation(f"uniform buffer must be C-contiguous float64 (n, width), got {out.shape}")
+    if states.shape != (len(out), 4) or states.dtype != np.uint64 or not states.flags.c_contiguous:
+        raise ContractViolation(f"state words must be C-contiguous uint64 ({len(out)}, 4)")
+    target = _pcg64_address(gen.bit_generator)
+    source = states.ctypes.data
+    for row in out:
+        ctypes.memmove(target, source, 32)
+        source += 32
         gen.random(out=row)
     return out
+
+
+def grid_uniforms(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, width: int):
+    """For q = 0, ..., q_count - 1 yield a (c_count, width) array whose row
+    c is, bit for bit, substream(seed, *parts, q, c).uniform(width).
+
+    Every yield is the same buffer, refilled: read or rewrite it before
+    taking the next. The states of a block of about STATE_BLOCK_ROWS rows
+    (whole queries, at least one) are derived in one vectorised pass by
+    _pcg64_states, and every query's rows are drawn on one reused generator
+    by stacked_uniforms."""
+    q_count, c_count, width = int(q_count), int(c_count), int(width)
+    out = np.empty((c_count, width))
+    gen = np.random.Generator(np.random.PCG64(0))
+    key = stream_key(*parts)
+    candidates = np.arange(c_count, dtype=np.uint64)
+    per_block = max(1, STATE_BLOCK_ROWS // max(c_count, 1))
+    for first in range(0, q_count, per_block):
+        queries = _fold_part(key, np.arange(first, min(first + per_block, q_count), dtype=np.uint64))
+        states = _pcg64_states(int(seed) & _U64, _fold_part(queries[:, None], candidates).ravel())
+        for q in range(queries.size):
+            yield stacked_uniforms(gen, states[q * c_count : (q + 1) * c_count], out)
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

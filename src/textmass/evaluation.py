@@ -6,11 +6,13 @@ its own radius. Scoring runs one query at a time over all of its candidates
 in one numpy pass. Without sampling a pair scores the clipped cosine of the
 text with the fused video. With sampling it scores the best cosine over M
 stochastic text samples, whose noise is drawn from a substream keyed by
-(seed, query id, candidate id); each query's draws are seeded in one
-vectorised pass (``core.stacked_uniforms``), stacked into one buffer and
-turned into pools together, bit for bit as the per-pair
-``select_best_sample`` would draw and score them. Ranks use strictly-greater
-counting with index tie-break.
+(seed, query id, candidate id). The generators of a block of queries are
+seeded in one vectorised pass (``core.grid_uniforms``): every PCG64 state is
+derived in uint64 limbs and written straight into one reused generator,
+which draws each query's rows into one buffer; the buffer is turned into
+pools together, bit for bit as the per-pair ``select_best_sample`` would
+draw and score them. Ranks use strictly-greater counting with index
+tie-break.
 Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
 give byte-identical files.
 """
@@ -18,10 +20,11 @@ give byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
-from .core import ContractViolation, atomic_write, box_muller, stacked_uniforms
+from .core import ContractViolation, atomic_write, box_muller, grid_uniforms
 # substream and select_best_sample are the per-pair reference that
 # _score_query batches; they stay bound here, unused, because the traced
 # benchmark (perfbench/worker.py) wraps these module attributes by name
@@ -102,28 +105,24 @@ def _score_query(
     fused: np.ndarray,
     radius_grid: np.ndarray | None,
     trials: int,
-    seed: int,
+    uniforms: np.ndarray | None,
     query_id: int,
-    scratch: np.ndarray | None,
 ) -> np.ndarray:
     """Per-sample scores (C, M) of one query against all of its candidates.
 
     Without a radius grid the pool is t alone and M is 1. With one,
-    candidate c's pool is t + R_c * eps on substream (seed, _STREAM_EVAL,
-    query_id, c): the uniforms of every candidate are drawn into scratch,
-    (C, 2*ceil(M*d/2)), by one stacked_uniforms call, turned into normals
-    and then into pools in place, so scratch may be reused across queries.
-    A pair's best of its first m samples is the max of row prefix [:m].
-    Raises ContractViolation if a pair has a non-finite score.
+    candidate c's pool is t + R_c * eps, where eps comes from row c of
+    uniforms, (C, 2*ceil(M*d/2)), drawn on substream (seed, _STREAM_EVAL,
+    query_id, c): the rows are turned into normals and then into pools in
+    place. A pair's best of its first m samples is the max of row prefix
+    [:m]. Raises ContractViolation if a pair has a non-finite score.
     """
     if radius_grid is None:
         scores = pool_similarities(t[None, None, :], fused)
     else:
         c_count, d = fused.shape
-        width = _uniform_width(trials, d)
-        scratch = stacked_uniforms(seed, (_STREAM_EVAL, query_id), c_count, width, scratch)
-        box_muller(scratch, out=scratch)
-        pool = scratch[:, : trials * d].reshape(c_count, trials, d)
+        box_muller(uniforms, out=uniforms)
+        pool = uniforms[:, : trials * d].reshape(c_count, trials, d)
         np.multiply(radius_grid[:, None, :], pool, out=pool)
         pool += t
         scores = pool_similarities(pool, fused)
@@ -155,14 +154,15 @@ def _best_of_prefixes(
     pool = _embed_pool(texts, videos, params)
     q_count, c_count = texts.shape[0], videos.shape[0]
     trials = max(trial_counts)
-    scratch = None
+    draws = repeat(None)
     if use_sampling:
-        scratch = np.empty((c_count, _uniform_width(trials, params.dim)))
+        width = _uniform_width(trials, params.dim)
+        draws = grid_uniforms(seed, (_STREAM_EVAL,), q_count, c_count, width)
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
-    for q, block in enumerate(pool.blocks):
+    for q, (block, uniforms) in enumerate(zip(pool.blocks, draws)):
         fused = fuse_batch(block, pool.keys, params).fused[0]
         radius_grid = _query_radii(block, pool, params) if use_sampling else None
-        scores = _score_query(block[0], fused, radius_grid, trials, seed, q, scratch)
+        scores = _score_query(block[0], fused, radius_grid, trials, uniforms, q)
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
     return mats
@@ -198,6 +198,8 @@ def nested_trial_matrices(
     A pair's pool for a smaller M is a prefix of its pool for the largest,
     and every sample is scored on its own row, so each matrix equals
     inference_similarity_matrix with sampling at that M bit for bit."""
+    if not trial_counts:
+        raise ContractViolation("nested trial matrices want at least one trial count")
     counts = tuple(SamplingConfig(trials=m).trials for m in trial_counts)
     return _best_of_prefixes(texts, videos, params, counts, True, seed)
 

@@ -17,6 +17,7 @@ both run the batched radius stage `radius_batch`; the per-vector `radius` of
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,6 +46,8 @@ class SamplingConfig:
     trials: int = 20
 
     def __post_init__(self):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ContractViolation(f"sampling trial count must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ContractViolation("sampling trial count must be >= 1")
 

@@ -10,9 +10,11 @@ of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
 `core.box_muller`, the cos/sin form it replaces; `generate` draws each
 corpus pair call by call, as `dataset.generate` did before it drew a pair's
 uniforms at once; and `unflatten_params` is the inverse of
-`model.flatten_params`. The encoder, fusion and radius oracles take the
-model (`model.ModelParameters`) and read its arrays by their checkpoint
-names. Nothing in `textmass` imports them.
+`model.flatten_params`. `pcg64_srandom` and `pcg64_words` derive a
+substream's PCG64 state with Python integers, the reference of
+`core._pcg64_srandom` and `core._pcg64_states`. The encoder, fusion and
+radius oracles take the model (`model.ModelParameters`) and read its arrays
+by their checkpoint names. Nothing in `textmass` imports them.
 """
 
 from __future__ import annotations
@@ -258,3 +260,30 @@ def generate(spec: SyntheticSpec) -> list[PairRecord]:
         split = "test" if pid >= test_start else "train"
         records.append(PairRecord(pair_id=pid, text=text, video=frames, split=split))
     return records
+
+
+# ---------------------------------------------------------------------------
+# PCG64 seeding
+
+_U64 = (1 << 64) - 1
+_U128 = (1 << 128) - 1
+PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def pcg64_srandom(initstate: int, initseq: int) -> tuple[int, int]:
+    """pcg64_srandom_r on 128-bit Python ints: the generator starts at state
+    0 with inc = initseq << 1 | 1, steps, adds initstate and steps again.
+    Returns (state, inc)."""
+    inc = ((initseq << 1) | 1) & _U128
+    state = (0 * PCG64_MULT + inc) & _U128
+    state = ((state + initstate) * PCG64_MULT + inc) & _U128
+    return state, inc
+
+
+def pcg64_words(seed: int, stream: int) -> list[int]:
+    """[state lo, state hi, inc lo, inc hi] of SeededRng(seed, stream)'s
+    PCG64: numpy's own SeedSequence words, seeded as numpy's PCG64 does
+    (initstate from words 0-1, initseq from words 2-3, high word first)."""
+    a, b, c, d = (int(w) for w in np.random.SeedSequence([seed, stream]).generate_state(4, np.uint64))
+    state, inc = pcg64_srandom((a << 64) | b, (c << 64) | d)
+    return [state & _U64, state >> 64, inc & _U64, inc >> 64]

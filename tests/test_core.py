@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textmass import core
 from textmass.core import (
     FD_BLOCK,
     ContractViolation,
@@ -10,12 +11,12 @@ from textmass.core import (
     SeededRng,
     box_muller,
     finite_diff_gradient,
-    stacked_uniforms,
+    grid_uniforms,
     stream_key,
     substream,
 )
 
-from oracle import box_muller_trig, cosine_similarity
+from oracle import box_muller_trig, cosine_similarity, pcg64_srandom, pcg64_words
 
 _U64 = 2**64 - 1
 
@@ -29,10 +30,24 @@ def _unmix(z: int) -> int:
     return z ^ (z >> 30) ^ (z >> 60)
 
 
-def part_for_stream(stream: int) -> int:
-    """The part p with stream_key(p, 0) == stream."""
+def part_for_stream(stream: int, zeros: int = 1) -> int:
+    """The part p with stream_key(p, *[0] * zeros) == stream."""
     golden = 0x9E3779B97F4A7C15
-    return (_unmix((_unmix(stream) - golden) & _U64) - golden) & _U64
+    for _ in range(zeros + 1):
+        stream = (_unmix(stream) - golden) & _U64
+    return stream
+
+
+def swap_state_words(monkeypatch, request):
+    """Derive every PCG64 state with its 128-bit words high half first, as
+    a numpy build whose struct differs from this one's would lay them out,
+    and make the next sampled call check the layout again."""
+    derive = core._pcg64_states
+    monkeypatch.setattr(
+        core, "_pcg64_states", lambda seed, streams: derive(seed, streams)[:, [1, 0, 3, 2]].copy()
+    )
+    core._check_pcg64_layout.cache_clear()
+    request.addfinalizer(core._check_pcg64_layout.cache_clear)
 
 
 finite_vectors = st.lists(
@@ -135,48 +150,136 @@ class TestSeededRng:
         assert np.array_equal(a, b)
 
 
+u64_words = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, _U64 - 1, _U64]), st.integers(0, _U64))
+# streams whose low u32 word is all ones, or that fit in that one word
+edge_streams = st.integers(0, 2**32 - 1).flatmap(
+    lambda hi: st.sampled_from([(hi << 32) | 0xFFFFFFFF, hi])
+)
+
+
+class TestPcg64States:
+    """The uint64-limb seeding against the Python-int derivation of
+    tests/oracle.py, carry edges included."""
+
+    @given(st.lists(st.tuples(u64_words, u64_words, u64_words, u64_words), min_size=1, max_size=8))
+    @example([(_U64, _U64, _U64, _U64), (0, 0, 0, 0), (0, _U64, 0, _U64), (_U64, 0, 2**63, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_limb_seeding_equals_big_ints(self, rows):
+        columns = [np.array(column, dtype=np.uint64) for column in zip(*rows)]
+        got = core._pcg64_srandom(*columns).tolist()
+        for (a, b, c, d), words in zip(rows, got):
+            state, inc = pcg64_srandom((a << 64) | b, (c << 64) | d)
+            assert words == [state & _U64, state >> 64, inc & _U64, inc >> 64]
+
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]), st.integers(0, _U64)),
+        streams=st.lists(st.one_of(edge_streams, st.integers(0, _U64)), min_size=1, max_size=8),
+    )
+    @example(seed=0, streams=[0, 2**32 - 1, _U64])
+    @example(seed=_U64, streams=[2**32 - 1, (2**32 - 1) << 32 | (2**32 - 1)])
+    @settings(max_examples=100, deadline=None)
+    def test_state_words_equal_oracle(self, seed, streams):
+        got = core._pcg64_states(seed, np.array(streams, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(streams), 4) and got.flags.c_contiguous
+        assert got.tolist() == [pcg64_words(seed, s) for s in streams]
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**32, 2**32 - 1), (_U64, _U64)])
+    def test_oracle_is_numpys_own_state(self, seed, stream):
+        lo, hi, inc_lo, inc_hi = pcg64_words(seed, stream)
+        state = SeededRng(seed, stream)._gen.bit_generator.state["state"]
+        assert state == {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
 class TestStackedUniforms:
-    """stacked_uniforms re-implements numpy's SeedSequence hash and PCG64
-    seeding, whose constants are numpy internals: these tests are the
-    guard that fails before any sampled score drifts."""
+    """grid_uniforms and stacked_uniforms re-implement numpy's SeedSequence
+    hash and PCG64 seeding, whose constants are numpy internals, and write
+    each state into numpy's PCG64 struct: these tests are the guard that
+    fails before any sampled score drifts."""
 
     @given(
         seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]), st.integers(0, _U64)),
         parts=st.lists(st.integers(0, _U64), max_size=3),
         low_stream=st.none() | st.integers(0, 2**32 - 1),
+        queries=st.integers(1, 3),
         count=st.integers(1, 5),
         width=st.integers(1, 700),
+        block_rows=st.sampled_from([1, 2, 3, 7, core.STATE_BLOCK_ROWS]),
     )
-    @example(seed=0, parts=[301, 0], low_stream=None, count=3, width=640)
-    @example(seed=0, parts=[], low_stream=0, count=2, width=7)
-    @example(seed=2**32, parts=[], low_stream=5, count=2, width=700)
-    @example(seed=2**32, parts=[], low_stream=2**32 - 1, count=1, width=1)
-    @example(seed=_U64, parts=[_U64], low_stream=None, count=4, width=699)
+    @example(seed=0, parts=[301], low_stream=None, queries=1, count=3, width=640, block_rows=2048)
+    @example(seed=0, parts=[], low_stream=0, queries=1, count=2, width=7, block_rows=2048)
+    @example(seed=2**32, parts=[], low_stream=5, queries=1, count=2, width=700, block_rows=2048)
+    @example(seed=2**32, parts=[], low_stream=2**32 - 1, queries=1, count=1, width=1, block_rows=2048)
+    @example(seed=_U64, parts=[_U64], low_stream=None, queries=1, count=4, width=699, block_rows=2048)
+    # blocks of 2 queries and a partial last block of 1; queries wider than a block
+    @example(seed=3, parts=[301], low_stream=None, queries=3, count=2, width=9, block_rows=4)
+    @example(seed=3, parts=[301], low_stream=None, queries=3, count=5, width=9, block_rows=3)
     @settings(max_examples=80, deadline=None)
-    def test_rows_equal_seeded_rng(self, seed, parts, low_stream, count, width):
+    def test_rows_equal_seeded_rng(self, seed, parts, low_stream, queries, count, width, block_rows):
         if low_stream is not None:
-            # row 0's stream id fits in one u32 word
-            parts = [part_for_stream(low_stream)]
-            assert stream_key(*parts, 0) == low_stream
-        got = stacked_uniforms(seed, tuple(parts), count, width)
-        assert got.shape == (count, width)
-        for c in range(count):
-            want = SeededRng(seed, stream_key(*parts, c)).uniform(width)
-            assert np.array_equal(got[c], want)
+            # row (0, 0)'s stream id fits in one u32 word
+            parts = [part_for_stream(low_stream, zeros=2)]
+            assert stream_key(*parts, 0, 0) == low_stream
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "STATE_BLOCK_ROWS", block_rows)
+            grid = [rows.copy() for rows in grid_uniforms(seed, tuple(parts), queries, count, width)]
+        assert len(grid) == queries
+        for q, rows in enumerate(grid):
+            assert rows.shape == (count, width)
+            for c in range(count):
+                want = SeededRng(seed, stream_key(*parts, q, c)).uniform(width)
+                assert np.array_equal(rows[c], want)
+
+    def test_grid_refills_one_buffer(self):
+        draws = grid_uniforms(4, (2,), 3, 3, 8)
+        first = next(draws)
+        assert next(draws) is first
+        assert np.array_equal(first[2], substream(4, 2, 1, 2).uniform(8))
+
+    @staticmethod
+    def states(count):
+        return core._pcg64_states(4, np.array([stream_key(2, c) for c in range(count)], dtype=np.uint64))
 
     def test_fills_and_returns_out(self):
         out = np.full((3, 8), np.nan)
-        assert stacked_uniforms(4, (2,), 3, 8, out) is out
+        gen = np.random.Generator(np.random.PCG64(0))
+        assert core.stacked_uniforms(gen, self.states(3), out) is out
         assert np.array_equal(out[2], substream(4, 2, 2).uniform(8))
 
     @pytest.mark.parametrize(
         "out",
-        [np.empty((3, 9)), np.empty((3, 8), dtype=np.float32), np.empty((8, 3)).T],
+        [np.empty((4, 8)), np.empty((3, 8), dtype=np.float32), np.empty((8, 3)).T],
         ids=["shape", "dtype", "strides"],
     )
     def test_bad_out_rejected(self, out):
+        gen = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ContractViolation):
-            stacked_uniforms(4, (2,), 3, 8, out)
+            core.stacked_uniforms(gen, self.states(3), out)
+
+    @pytest.mark.parametrize(
+        "bit_generator, states",
+        [
+            (np.random.PCG64DXSM, lambda s: s),
+            (np.random.PCG64, lambda s: s.astype(np.int64)),
+            (np.random.PCG64, lambda s: np.asfortranarray(s)),
+            (np.random.PCG64, lambda s: s[:, :2].copy()),
+        ],
+        ids=["generator", "dtype", "strides", "shape"],
+    )
+    def test_bad_generator_or_states_rejected(self, bit_generator, states):
+        gen = np.random.Generator(bit_generator(0))
+        with pytest.raises(ContractViolation):
+            core.stacked_uniforms(gen, states(self.states(3)), np.empty((3, 8)))
+
+
+class TestPcg64LayoutGuard:
+    def test_passes_on_this_build(self):
+        core._check_pcg64_layout.cache_clear()
+        core._check_pcg64_layout()
+
+    def test_swapped_words_refused(self, monkeypatch, request):
+        swap_state_words(monkeypatch, request)
+        with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
+            next(grid_uniforms(0, (301,), 2, 3, 8))
 
 
 class TestBoxMuller:

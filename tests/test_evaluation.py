@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from textmass import evaluation
+from textmass import core, evaluation
 from textmass.core import ContractViolation, substream
 from textmass.encoders import fuse_batch
 from textmass.mass import SamplingConfig, select_best_sample
@@ -25,6 +25,7 @@ from textmass.evaluation import (
 )
 
 from oracle import encode_frames, encode_text, frame_similarities, fuse, radius, unflatten_params
+from test_core import swap_state_words
 
 EVAL_STREAM = evaluation._STREAM_EVAL
 
@@ -144,12 +145,10 @@ class TestVideoToText:
         assert np.all(ranks == 1) and metrics.r1 == 100.0
 
 
-def _zero_uniforms(seed, parts, count, width, out):
+def _zero_uniforms(seed, parts, q_count, c_count, width):
     """All-zero uniforms, which Box-Muller maps to exactly-zero normals."""
-    if out is None:
-        out = np.empty((count, width))
-    out[:] = 0.0
-    return out
+    for _ in range(q_count):
+        yield np.zeros((c_count, width))
 
 
 class _ZeroNormals:
@@ -183,7 +182,7 @@ class TestInferenceMatrix:
         params = make_params()
         texts, videos = make_pool(seed=4)
         det = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), False, 7)
-        monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
+        monkeypatch.setattr(evaluation, "grid_uniforms", _zero_uniforms)
         stoch = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), True, 7)
         assert np.array_equal(det, stoch)
 
@@ -234,6 +233,34 @@ class TestInferenceMatrix:
         texts, videos = make_pool()
         with pytest.raises(ContractViolation):
             evaluation.nested_trial_matrices(texts, videos, params, (5, 0), 0)
+
+    def test_nested_trial_matrices_reject_no_trial_counts(self):
+        params = make_params()
+        texts, videos = make_pool()
+        with pytest.raises(ContractViolation, match="at least one trial count"):
+            evaluation.nested_trial_matrices(texts, videos, params, (), 0)
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_query_blocks_do_not_change_scores(self, monkeypatch, block_rows):
+        # 7 queries of 3 candidates against one block of all 7: one query
+        # per block, then blocks of 2 queries with a partial last block
+        params = make_params(seed=16)
+        texts, videos = make_pool(q=7, candidates=3, seed=16)
+        cfg = SamplingConfig(trials=4)
+        whole = inference_similarity_matrix(texts, videos, params, cfg, True, 5)
+        monkeypatch.setattr(core, "STATE_BLOCK_ROWS", block_rows)
+        assert np.array_equal(inference_similarity_matrix(texts, videos, params, cfg, True, 5), whole)
+
+    def test_swapped_state_words_refused(self, monkeypatch, request):
+        params = make_params()
+        texts, videos = make_pool()
+        det = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), False, 0)
+        swap_state_words(monkeypatch, request)
+        # the deterministic pass draws nothing, so it never reaches the check
+        again = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), False, 0)
+        assert np.array_equal(again, det)
+        with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
+            inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 0)
 
     @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
     @pytest.mark.parametrize("trials", [1, 5, 20])
@@ -359,7 +386,7 @@ class TestAlignmentReport:
         # R*eps = 0 collapses every sample to t; det and stoch columns agree
         params = make_params(seed=11)
         texts, videos = make_pool(q=4, candidates=4, seed=11)
-        monkeypatch.setattr(evaluation, "stacked_uniforms", _zero_uniforms)
+        monkeypatch.setattr(evaluation, "grid_uniforms", _zero_uniforms)
         rows = alignment_of(texts, videos, params, SamplingConfig(trials=3), 29)
         for row in rows:
             assert abs(row.max_irrelevant_sim_det - row.max_irrelevant_sim_stoch) <= 1e-9

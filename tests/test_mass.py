@@ -282,3 +282,19 @@ class TestSelectBestSample:
         a = select_best_sample(self.t, self.r, self.v, SamplingConfig(trials=8), SeededRng(4, 4))
         b = select_best_sample(self.t, self.r, self.v, SamplingConfig(trials=8), SeededRng(4, 4))
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+class TestSamplingConfig:
+    @pytest.mark.parametrize("trials", [1, 20, np.int64(5)])
+    def test_integer_trials_accepted(self, trials):
+        assert SamplingConfig(trials=trials).trials == trials
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True, False, "3", None], ids=repr)
+    def test_non_integer_trials_refused(self, trials):
+        with pytest.raises(ContractViolation, match="must be an integer"):
+            SamplingConfig(trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ContractViolation, match=">= 1"):
+            SamplingConfig(trials=trials)

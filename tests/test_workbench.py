@@ -27,6 +27,7 @@ from textmass.trainer import (
 )
 from textmass.workbench import RunConfig, TRIALS_GRID, main
 
+from test_core import swap_state_words
 from test_trainer import TRAINING_DEFAULT_TEXT, ConfigCodecSuite
 
 TINY = {
@@ -390,6 +391,18 @@ class TestTrainEval:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["eval", "--config", str(eval_config), "--out", str(out)]) == 1
         assert "pair scores are non-finite" in (out / "run.log").read_text()
+        assert not (out / "metrics.csv").exists()
+
+    def test_unseedable_generators_exit_one_and_are_logged(self, tmp_path, monkeypatch, request):
+        config = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+        eval_config = write_config(tmp_path, name="eval.txt", checkpoint=str(run / "checkpoint.tmck"))
+        swap_state_words(monkeypatch, request)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(eval_config), "--out", str(out)]) == 1
+        log = (out / "run.log").read_text().splitlines()
+        assert f"failed with exit code 1: numpy {np.__version__}: PCG64 state words" in log[-1]
         assert not (out / "metrics.csv").exists()
 
     def test_corrupt_checkpoint_is_format_error(self, tmp_path):
