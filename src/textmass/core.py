@@ -240,10 +240,12 @@ def _pcg64_srandom(state_hi, state_lo, seq_hi, seq_lo) -> np.ndarray:
     return np.stack([out_lo, out_hi, inc_lo, inc_hi], axis=1)
 
 
-def _pcg64_address(bitgen: np.random.PCG64) -> int:
-    """Address of bitgen's pcg64_random_t {state, inc}: the pointer that
-    leads the pcg64_state struct at bitgen.ctypes.state_address."""
-    return ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """A (4,) uint64 view of bitgen's pcg64_random_t {state, inc}, which the
+    pointer that leads the pcg64_state struct at bitgen.ctypes.state_address
+    points to. It is valid while bitgen lives; writing it reseeds bitgen."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
 
 
 @functools.cache
@@ -252,20 +254,21 @@ def _check_pcg64_layout() -> None:
     generator's C struct are the state numpy itself would seed.
 
     The struct layout is a numpy internal (on numpy 2.x with native 128-bit
-    integers: state lo, state hi, inc lo, inc hi). One state is set through
-    the public dict setter and read back through the pointer, and the words
-    of _pcg64_states are written through the pointer and read back through
-    the dict; both must agree with numpy's own seeding of the same stream.
-    Raises ContractViolation naming the numpy version otherwise."""
+    integers: state lo, state hi, inc lo, inc hi). It goes through the
+    view that stacked_uniforms writes (_state_words): one state is set
+    through the public dict setter and read back through the view, and the
+    words of _pcg64_states are written through the view and read back
+    through the dict; both must agree with numpy's own seeding of the same
+    stream. Raises ContractViolation naming the numpy version otherwise."""
     seed, stream = _U64, 0x0123456789ABCDEF
     words = _pcg64_states(seed, np.array([stream], dtype=np.uint64))
     want = np.random.PCG64(np.random.SeedSequence([seed, stream])).state
     probe = np.random.PCG64(0)
-    address = _pcg64_address(probe)
+    view = _state_words(probe)
     probe.state = want
-    read = np.frombuffer(ctypes.string_at(address, 32), dtype=np.uint64)
+    read = view.copy()
     probe.state = np.random.PCG64(0).state
-    ctypes.memmove(address, words.ctypes.data, 32)
+    view[...] = words[0]
     if not np.array_equal(read, words[0]) or probe.state["state"] != want["state"]:
         raise ContractViolation(
             f"numpy {np.__version__}: PCG64 state words {words[0].tolist()} do not round-trip "
@@ -278,8 +281,9 @@ def stacked_uniforms(gen: np.random.Generator, states: np.ndarray, out: np.ndarr
     """Fill row i of out, bit for bit, with the uniforms a PCG64 at state
     words states[i] draws, and return out.
 
-    Each row's four words go by one memmove straight into the C struct of
-    gen's PCG64, whose state they overwrite, and gen then draws the row; the
+    The C struct of gen's PCG64 is wrapped once per call as a numpy view of
+    its four state words (_state_words). Each row's words are assigned to
+    that view, which overwrites the state, and gen then draws the row; the
     first call checks that struct's layout (_check_pcg64_layout). gen must
     run on a PCG64, states must be C-contiguous (n, 4) uint64 words as
     _pcg64_states gives them, and out a C-contiguous (n, width) float64
@@ -292,12 +296,11 @@ def stacked_uniforms(gen: np.random.Generator, states: np.ndarray, out: np.ndarr
         raise ContractViolation(f"uniform buffer must be C-contiguous float64 (n, width), got {out.shape}")
     if states.shape != (len(out), 4) or states.dtype != np.uint64 or not states.flags.c_contiguous:
         raise ContractViolation(f"state words must be C-contiguous uint64 ({len(out)}, 4)")
-    target = _pcg64_address(gen.bit_generator)
-    source = states.ctypes.data
-    for row in out:
-        ctypes.memmove(target, source, 32)
-        source += 32
-        gen.random(out=row)
+    view = _state_words(gen.bit_generator)
+    draw = gen.random
+    for words, row in zip(states, out):
+        view[...] = words
+        draw(out=row)
     return out
 
 

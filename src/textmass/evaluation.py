@@ -1,18 +1,20 @@
 """Retrieval evaluation in both directions plus diagnostic reports.
 
-Inference runs training's encode, fuse and radius stages on one-query
-blocks: each (query, candidate) pair gets its own fused video embedding and
-its own radius. Scoring runs one query at a time over all of its candidates
-in one numpy pass. Without sampling a pair scores the clipped cosine of the
-text with the fused video. With sampling it scores the best cosine over M
-stochastic text samples, whose noise is drawn from a substream keyed by
-(seed, query id, candidate id). The generators of a block of queries are
-seeded in one vectorised pass (``core.grid_uniforms``): every PCG64 state is
-derived in uint64 limbs and written straight into one reused generator,
-which draws each query's rows into one buffer; the buffer is turned into
-pools together, bit for bit as the per-pair ``select_best_sample`` would
-draw and score them. Ranks use strictly-greater counting with index
-tie-break.
+Inference runs training's encode, fuse and radius stages on blocks of about
+QUERY_BLOCK_ROWS (query, candidate) rows: a block's texts are fused as a
+(k, 1, d) slice along fusion's copy axis, and go through the radius stage at
+once, so each pair gets its own fused video embedding and its own radius,
+bit for bit as a one-query call gives them. Scoring runs one query at a time
+over all of its candidates in one numpy pass. Without sampling a pair
+scores the clipped cosine of the text with the fused video. With sampling it
+scores the best cosine over M stochastic text samples, whose noise is drawn
+from a substream keyed by (seed, query id, candidate id). The generators of
+a block of queries are seeded in one vectorised pass (``core.grid_uniforms``):
+every PCG64 state is derived in uint64 limbs and written through a numpy view
+of one reused generator's state words, which draws each query's rows into one
+buffer; the buffer is turned into pools together, bit for bit as the
+per-pair ``select_best_sample`` would draw and score them. Ranks use
+strictly-greater counting with index tie-break.
 Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
 give byte-identical files.
 """
@@ -66,7 +68,7 @@ class AlignmentRow:
 
 
 # ---------------------------------------------------------------------------
-# one query at a time through training's stages
+# blocks of queries through training's stages
 
 
 @dataclass
@@ -86,13 +88,32 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
     return _Pool(blocks, frames, video_keys(frames, params))
 
 
-def _query_radii(block: np.ndarray, pool: _Pool, params: ModelParameters) -> np.ndarray:
-    """One query's (1, d) text block through the radius stage, broadcast
-    over the candidates: its radii (C, d). The sampled matrix and
-    pool_radius_report both take query q's radii from here, so the report
-    shows the radii its scores were drawn with."""
-    texts = np.broadcast_to(block, (pool.frames.shape[0], block.shape[1]))
-    return radius_batch(texts, pool.frames, params).radius
+# Rows (queries x candidates) of one block through fusion and the radius
+# stage (whole queries, at least one): bounds the block's transient arrays
+# to a few hundred kB at d = 32.
+QUERY_BLOCK_ROWS = 512
+
+
+def _query_stages(pool: _Pool, params: ModelParameters, with_radii: bool):
+    """For every query in order yield its text (d,), its fused videos (C, d)
+    and, with_radii, its radii (C, d), else None.
+
+    A block of about QUERY_BLOCK_ROWS rows is fused as one (k, 1, d) slice
+    of the text blocks, k along fusion's copy axis, and its texts go through
+    the radius stage at once, broadcast to (k, C, d): every row comes out
+    bit for bit as a one-query call gives it. The sampled matrix and
+    pool_radius_report both take their radii from here, so the report shows
+    the radii its scores were drawn with."""
+    q_count, c_count = pool.blocks.shape[0], pool.frames.shape[0]
+    per_block = max(1, QUERY_BLOCK_ROWS // max(c_count, 1))
+    for first in range(0, q_count, per_block):
+        blocks = pool.blocks[first : first + per_block]
+        fused = fuse_batch(blocks, pool.keys, params).fused[:, 0]
+        radii = repeat(None)
+        if with_radii:
+            texts = np.broadcast_to(blocks, (blocks.shape[0], c_count, blocks.shape[2]))
+            radii = radius_batch(texts, pool.frames, params).radius
+        yield from zip(blocks[:, 0], fused, radii)
 
 
 def _uniform_width(trials: int, dim: int) -> int:
@@ -143,8 +164,9 @@ def _best_of_prefixes(
     seed: int,
 ) -> dict[int, np.ndarray]:
     """(Q, C) best-of-m matrix for every m in trial_counts, one query's row
-    at a time, from one pass at the largest m. Without sampling every pool
-    is the text alone, so every matrix is the deterministic one."""
+    at a time over blocks of queries, from one pass at the largest m.
+    Without sampling every pool is the text alone, so every matrix is the
+    deterministic one."""
     texts = np.asarray(texts, dtype=np.float64)
     videos = np.asarray(videos, dtype=np.float64)
     if texts.ndim != 2 or videos.ndim != 3:
@@ -159,10 +181,9 @@ def _best_of_prefixes(
         width = _uniform_width(trials, params.dim)
         draws = grid_uniforms(seed, (_STREAM_EVAL,), q_count, c_count, width)
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
-    for q, (block, uniforms) in enumerate(zip(pool.blocks, draws)):
-        fused = fuse_batch(block, pool.keys, params).fused[0]
-        radius_grid = _query_radii(block, pool, params) if use_sampling else None
-        scores = _score_query(block[0], fused, radius_grid, trials, uniforms, q)
+    stages = _query_stages(pool, params, use_sampling)
+    for q, ((t, fused, radius_grid), uniforms) in enumerate(zip(stages, draws)):
+        scores = _score_query(t, fused, radius_grid, trials, uniforms, q)
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
     return mats
@@ -285,10 +306,10 @@ def pool_radius_report(
         raise ContractViolation("pool radius report wants an aligned text-video pool")
     if sampled.shape != (texts.shape[0], videos.shape[0]):
         raise ContractViolation("sampled matrix does not match the pool")
-    pool = _embed_pool(texts, videos, params)
+    stages = _query_stages(_embed_pool(texts, videos, params), params, True)
     rows = []
-    for q, block in enumerate(pool.blocks):
-        rows.extend(_radius_rows(q, _query_radii(block, pool, params), sampled[q]))
+    for q, (_, _, radius_grid) in enumerate(stages):
+        rows.extend(_radius_rows(q, radius_grid, sampled[q]))
     return rows
 
 
@@ -302,9 +323,12 @@ def _per_pair_ce(sims: np.ndarray, lam: float) -> np.ndarray:
 
 def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[AlignmentRow]:
     """The alignment report of an aligned pool from its deterministic and
-    best-of-M (Q, Q) inference matrices under logit scale lam."""
+    best-of-M (Q, Q) inference matrices under logit scale lam. Q must be at
+    least 2, so that every query has an irrelevant candidate."""
     if det.shape != stoch.shape or det.shape[0] != det.shape[1]:
         raise ContractViolation("alignment report wants an aligned text-video pool")
+    if det.shape[0] < 2:
+        raise ContractViolation(f"alignment report wants at least 2 aligned pairs, got {det.shape[0]}")
     ce_det = _per_pair_ce(det, lam)
     ce_stoch = _per_pair_ce(stoch, lam)
     off_diag = ~np.eye(det.shape[0], dtype=bool)

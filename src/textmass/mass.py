@@ -105,14 +105,18 @@ def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Clipped cosine of every pool sample with its target: (..., M, d) pool
     and (..., d) target give (..., M) scores.
 
-    Every reduction, ||v|| included, is a sum along the last axis of one
-    row, so a sample's score does not depend on how many pairs or samples
-    are stacked beside it: batched scoring equals per-pair scoring bit for
-    bit, and pools for smaller M are prefixes of pools for larger M.
+    The dots, the squared sample norms and the squared target norm are each
+    an unoptimized np.einsum, which sums every row along d on its own, in
+    one order whatever is stacked beside it. So a sample's score does not
+    depend on how many pairs or samples are stacked with it: batched scoring
+    equals per-pair scoring bit for bit, and pools for smaller M are
+    prefixes of pools for larger M. A BLAS product (np.matmul) gives no such
+    guarantee: its summation order changes with the stack's shape.
     """
-    v = v[..., None, :]
-    dots = np.sum(pool * v, axis=-1)
-    denom = np.sqrt(np.sum(pool * pool, axis=-1)) * np.sqrt(np.sum(v * v, axis=-1)) + NORM_GUARD
+    dots = np.einsum("...md,...d->...m", pool, v)
+    sample_sq = np.einsum("...md,...md->...m", pool, pool)
+    target_sq = np.einsum("...d,...d->...", v, v)[..., None]
+    denom = np.sqrt(sample_sq) * np.sqrt(target_sq) + NORM_GUARD
     return np.clip(dots / denom, -1.0, 1.0)
 
 

@@ -363,22 +363,23 @@ def _cmd_analyze(run: RunConfig, out: Path, log: RunLog) -> int:
     cfg = SamplingConfig(trials=run.trials)
 
     # one deterministic and one best-of-M pass over the test pool feed all
-    # three reports
+    # three reports; every row is formed before the first report is written,
+    # so a refused pool (fewer than 2 pairs) leaves none
     pool = (corpus.test_text, corpus.test_videos, params, cfg)
     det = inference_similarity_matrix(*pool, False, run.seed)
     stoch = inference_similarity_matrix(*pool, True, run.seed)
     scored = stoch if _sampling_for(run, tc.mode) else det
-    write_csv_rows(out / "metrics.csv", RetrievalMetrics, list(_pool_metrics(scored)))
-    radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
-    write_csv_rows(out / "radius_report.csv", RadiusRow, radius_rows)
     alignment = alignment_rows(det, stoch, params.logit_scale())
+    radius_rows = pool_radius_report(corpus.test_text, corpus.test_videos, params, stoch)
+    write_csv_rows(out / "metrics.csv", RetrievalMetrics, list(_pool_metrics(scored)))
+    write_csv_rows(out / "radius_report.csv", RadiusRow, radius_rows)
     write_csv_rows(out / "alignment_report.csv", AlignmentRow, alignment)
 
     # qualitative observations, logged rather than gated
     queries = det.shape[0]
     l1 = np.array([r.l1_radius for r in radius_rows]).reshape(queries, queries)
     others = np.where(np.eye(queries, dtype=bool), np.inf, l1).min(axis=1)
-    smallest = int(np.count_nonzero(np.diagonal(l1) < others)) if queries > 1 else 0
+    smallest = int(np.count_nonzero(np.diagonal(l1) < others))
     log.note(
         f"relevant candidate carries the smallest radius mass for {smallest}/{queries} "
         f"queries ({100.0 * smallest / queries:.1f}%)"

@@ -10,7 +10,7 @@ import pytest
 from textmass import core, evaluation
 from textmass.core import ContractViolation, substream
 from textmass.encoders import fuse_batch
-from textmass.mass import SamplingConfig, select_best_sample
+from textmass.mass import SamplingConfig, radius_batch, select_best_sample
 from textmass.model import flatten_params, init_model, trainable_names
 from textmass.evaluation import (
     AlignmentRow,
@@ -163,9 +163,7 @@ def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     pair, on the same embeddings, fused videos and radii inference uses."""
     pool = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
-    for q, block in enumerate(pool.blocks):
-        t, fused = block[0], fuse_batch(block, pool.keys, params).fused[0]
-        radius_grid = evaluation._query_radii(block, pool, params)
+    for q, (t, fused, radius_grid) in enumerate(evaluation._query_stages(pool, params, True)):
         for c in range(videos.shape[0]):
             if use_sampling:
                 rng = substream(seed, EVAL_STREAM, q, c)
@@ -250,6 +248,46 @@ class TestInferenceMatrix:
         whole = inference_similarity_matrix(texts, videos, params, cfg, True, 5)
         monkeypatch.setattr(core, "STATE_BLOCK_ROWS", block_rows)
         assert np.array_equal(inference_similarity_matrix(texts, videos, params, cfg, True, 5), whole)
+
+    @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
+    @pytest.mark.parametrize("block_queries", [1, 3, 7])
+    def test_fusion_blocks_do_not_change_scores(self, monkeypatch, variant, block_queries):
+        # an aligned pool of 7 queries in blocks of 1, 3 (a ragged last
+        # block of 1) and 7 queries against blocks of one query
+        params = make_params(variant=variant, seed=17)
+        texts, videos = make_pool(q=7, candidates=7, seed=17)
+        cfg = SamplingConfig(trials=4)
+
+        def passes():
+            mats = [inference_similarity_matrix(texts, videos, params, cfg, s, 5) for s in (False, True)]
+            rows = pool_radius_report(texts, videos, params, mats[1])
+            return mats + [np.array([r.l1_radius for r in rows])]
+
+        monkeypatch.setattr(evaluation, "QUERY_BLOCK_ROWS", 1)
+        single = passes()
+        monkeypatch.setattr(evaluation, "QUERY_BLOCK_ROWS", 7 * block_queries)
+        for got, want in zip(passes(), single):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block_rows, calls", [(1, 7), (3, 7), (9, 3), (12, 2), (21, 1), (512, 1)])
+    @pytest.mark.parametrize("use_sampling", [False, True])
+    def test_one_fusion_call_per_query_block(self, monkeypatch, block_rows, calls, use_sampling):
+        # 7 queries of 3 candidates: a block holds max(1, rows // 3) queries
+        params = make_params(seed=18)
+        texts, videos = make_pool(q=7, candidates=3, seed=18)
+        shapes = []
+
+        def counted(blocks, *args):
+            shapes.append(blocks.shape)
+            return fuse_batch(blocks, *args)
+
+        monkeypatch.setattr(evaluation, "fuse_batch", counted)
+        monkeypatch.setattr(evaluation, "QUERY_BLOCK_ROWS", block_rows)
+        inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), use_sampling, 0)
+        per_block = max(1, block_rows // 3)
+        assert len(shapes) == calls == -(-7 // per_block)
+        assert [s[0] for s in shapes] == [min(per_block, 7 - k * per_block) for k in range(calls)]
+        assert all(s[1:] == (1, params.dim) for s in shapes)
 
     def test_swapped_state_words_refused(self, monkeypatch, request):
         params = make_params()
@@ -363,7 +401,18 @@ class TestRadiusReport:
         l1 = radius_oracle(texts, videos, params)
         assert [(r.query_id, r.candidate_id) for r in rows] == [(q, c) for q in range(5) for c in range(5)]
         assert np.array_equal(np.array([r.best_similarity for r in rows]).reshape(5, 5), want)
-        assert np.abs(np.array([r.l1_radius for r in rows]).reshape(5, 5) - l1).max() <= 1e-9
+        got_l1 = np.array([r.l1_radius for r in rows]).reshape(5, 5)
+        assert np.abs(got_l1 - l1).max() <= 1e-9
+        # bit for bit the radii per_pair_scores drew with, and those of a
+        # one-query pass through the radius stage
+        pool = evaluation._embed_pool(texts, videos, params)
+        drawn = np.stack([r for _, _, r in evaluation._query_stages(pool, params, True)])
+        alone = np.stack([
+            radius_batch(np.broadcast_to(block, (5, params.dim)), pool.frames, params).radius
+            for block in pool.blocks
+        ])
+        assert np.array_equal(drawn, alone)
+        assert np.array_equal(got_l1, np.abs(drawn).sum(axis=-1))
 
     def test_pool_report_wants_an_aligned_pool(self):
         params = make_params()
@@ -411,6 +460,12 @@ class TestAlignmentReport:
                 np.log(np.exp(lam * det[q]).sum()) - lam * det[q, q]
             )
             assert abs(row.ce_det - expected_ce) <= 1e-9
+
+    def test_one_pair_pool_is_refused(self):
+        # a lone query has no irrelevant candidate to take a maximum over
+        with pytest.raises(ContractViolation, match="at least 2 aligned pairs, got 1"):
+            alignment_rows(np.ones((1, 1)), np.ones((1, 1)), 10.0)
+        assert len(alignment_rows(np.eye(2), np.eye(2), 10.0)) == 2
 
     def test_requires_aligned_pool(self):
         with pytest.raises(ContractViolation):

@@ -10,6 +10,7 @@ from textmass.mass import (
     RADIUS_VARIANTS,
     SamplingConfig,
     cos_grid,
+    pool_similarities,
     radius_batch,
     select_best_sample,
 )
@@ -243,6 +244,35 @@ class TestSupportText:
         t = np.array([0.1, 0.2])
         with pytest.raises(DegenerateGeometryError):
             support_text(t, t + 1e-12, np.ones(2))
+
+
+class TestPoolSimilarities:
+    """Inference scores every pool at once and relies on each sample's score
+    being independent of the samples and pairs stacked beside it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 7, 8, 31, 32, 33, 128]),
+        trials=st.integers(1, 25),
+        prefix=st.integers(1, 25),
+        candidates=st.integers(1, 40),
+        spare=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_score_is_the_same_full_prefix_or_alone(self, d, trials, prefix, candidates, spare, seed):
+        # the pool is a row-strided view of a wider buffer, as inference
+        # forms it from each pair's uniforms
+        rng = np.random.default_rng(seed)
+        buffer = rng.normal(size=(candidates, trials * d + spare))
+        pool = buffer[:, : trials * d].reshape(candidates, trials, d)
+        targets = rng.normal(size=(candidates, d))
+        full = pool_similarities(pool, targets)
+        assert full.shape == (candidates, trials)
+        prefix = min(prefix, trials)
+        assert np.array_equal(pool_similarities(pool[:, :prefix], targets), full[:, :prefix])
+        for c in range(candidates):
+            alone = pool_similarities(np.ascontiguousarray(pool[c]), targets[c].copy())
+            assert np.array_equal(alone, full[c])
 
 
 class TestSelectBestSample:

@@ -621,6 +621,19 @@ class TestAnalyze:
         assert last.endswith(f"failed with exit code 1: {message}")
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "run.log"]
 
+    def test_one_pair_test_pool_exits_one_before_any_report(self, tmp_path, capsys):
+        # 9 pairs leave 1 test pair: a query with no irrelevant candidate
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, pairs=9)), "--out", str(run)]) == 0
+        config = write_config(tmp_path, name="analyze.txt", pairs=9, checkpoint=str(run / "checkpoint.tmck"))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+        message = "alignment report wants at least 2 aligned pairs, got 1"
+        assert message in capsys.readouterr().err
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"failed with exit code 1: {message}")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "run.log"]
+
     @pytest.mark.parametrize("sampling", ["true", "false"])
     def test_one_pass_per_mode_gives_the_per_report_bytes(self, tmp_path, monkeypatch, sampling):
         config = write_config(tmp_path, sampling=sampling)
