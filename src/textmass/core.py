@@ -9,10 +9,10 @@ artifact the package writes.
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
 which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
 independent substreams and identical (seed, stream) pairs replay bit-exactly.
-:func:`grid_uniforms` draws a whole grid of substreams without building their
-generators: it derives their PCG64 states in uint64 arrays and writes them
-straight into one generator's C struct, whose layout a once-per-process check
-guards.
+:func:`grid_normals` draws the normals of a whole grid of substreams without
+building their generators: it derives their PCG64 states in uint64 arrays and
+writes them straight into one generator's C struct, whose layout a
+once-per-process check guards.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def substream(seed: int, *parts: int) -> SeededRng:
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 LCG multiplier; tests/test_core.py checks grid_uniforms against
+# the PCG64 LCG multiplier; tests/test_core.py checks grid_normals against
 # SeededRng row by row, and _check_pcg64_layout checks one seeded state
 # against numpy's own, so a change on numpy's side fails there.
 _INIT_A = 0x43B0D7E5
@@ -170,7 +170,7 @@ _U32 = (1 << 32) - 1
 _PCG64_MULT_HI = 2549297995355413924
 _PCG64_MULT_LO = 4865540595714422341
 
-# Rows whose PCG64 states grid_uniforms derives in one pass (whole queries,
+# Rows whose PCG64 states grid_normals derives in one pass (whole queries,
 # at least one): bounds the transient hash arrays to about 0.6 MB.
 STATE_BLOCK_ROWS = 2048
 
@@ -255,7 +255,7 @@ def _check_pcg64_layout() -> None:
 
     The struct layout is a numpy internal (on numpy 2.x with native 128-bit
     integers: state lo, state hi, inc lo, inc hi). It goes through the
-    view that stacked_uniforms writes (_state_words): one state is set
+    view that grid_normals writes (_state_words): one state is set
     through the public dict setter and read back through the view, and the
     words of _pcg64_states are written through the view and read back
     through the dict; both must agree with numpy's own seeding of the same
@@ -277,53 +277,37 @@ def _check_pcg64_layout() -> None:
         )
 
 
-def stacked_uniforms(gen: np.random.Generator, states: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill row i of out, bit for bit, with the uniforms a PCG64 at state
-    words states[i] draws, and return out.
+def grid_normals(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, n: int):
+    """For q = 0, ..., q_count - 1 yield a (c_count, n) array whose row c
+    is, bit for bit, substream(seed, *parts, q, c).standard_normal(n).
 
-    The C struct of gen's PCG64 is wrapped once per call as a numpy view of
-    its four state words (_state_words). Each row's words are assigned to
-    that view, which overwrites the state, and gen then draws the row; the
-    first call checks that struct's layout (_check_pcg64_layout). gen must
-    run on a PCG64, states must be C-contiguous (n, 4) uint64 words as
-    _pcg64_states gives them, and out a C-contiguous (n, width) float64
-    array.
-    """
-    _check_pcg64_layout()
-    if type(gen.bit_generator) is not np.random.PCG64:
-        raise ContractViolation(f"stacked uniforms draw on a PCG64, not {type(gen.bit_generator).__name__}")
-    if out.ndim != 2 or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ContractViolation(f"uniform buffer must be C-contiguous float64 (n, width), got {out.shape}")
-    if states.shape != (len(out), 4) or states.dtype != np.uint64 or not states.flags.c_contiguous:
-        raise ContractViolation(f"state words must be C-contiguous uint64 ({len(out)}, 4)")
-    view = _state_words(gen.bit_generator)
-    draw = gen.random
-    for words, row in zip(states, out):
-        view[...] = words
-        draw(out=row)
-    return out
-
-
-def grid_uniforms(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, width: int):
-    """For q = 0, ..., q_count - 1 yield a (c_count, width) array whose row
-    c is, bit for bit, substream(seed, *parts, q, c).uniform(width).
-
-    Every yield is the same buffer, refilled: read or rewrite it before
+    Every yield views the same buffer, refilled: read or rewrite it before
     taking the next. The states of a block of about STATE_BLOCK_ROWS rows
     (whole queries, at least one) are derived in one vectorised pass by
-    _pcg64_states, and every query's rows are drawn on one reused generator
-    by stacked_uniforms."""
-    q_count, c_count, width = int(q_count), int(c_count), int(width)
-    out = np.empty((c_count, width))
-    gen = np.random.Generator(np.random.PCG64(0))
+    _pcg64_states. One generator draws every row: each row's words are
+    assigned to a numpy view of its state (_state_words), whose layout the
+    first call checks (_check_pcg64_layout), and the row's 2 * ceil(n / 2)
+    uniforms are drawn into the buffer, which box_muller turns into normals
+    in place. Raises ContractViolation if n < 1.
+    """
+    q_count, c_count, n = int(q_count), int(c_count), int(n)
+    if n < 1:
+        raise ContractViolation(f"sample count must be >= 1, got {n}")
+    _check_pcg64_layout()
+    out = np.empty((c_count, 2 * ((n + 1) // 2)))
+    bitgen = np.random.PCG64(0)
+    view, draw = _state_words(bitgen), np.random.Generator(bitgen).random
     key = stream_key(*parts)
     candidates = np.arange(c_count, dtype=np.uint64)
     per_block = max(1, STATE_BLOCK_ROWS // max(c_count, 1))
     for first in range(0, q_count, per_block):
         queries = _fold_part(key, np.arange(first, min(first + per_block, q_count), dtype=np.uint64))
         states = _pcg64_states(int(seed) & _U64, _fold_part(queries[:, None], candidates).ravel())
-        for q in range(queries.size):
-            yield stacked_uniforms(gen, states[q * c_count : (q + 1) * c_count], out)
+        for query_states in states.reshape(queries.size, c_count, 4):
+            for words, row in zip(query_states, out):
+                view[...] = words
+                draw(out=row)
+            yield box_muller(out, out=out)[:, :n]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

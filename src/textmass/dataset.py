@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("coverage", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolation(f"{name} = {getattr(self, name)!r} is not finite")
         if self.pairs < 2:
             raise ContractViolation("need at least two pairs")
         if self.concept_dim < 2:
@@ -162,7 +166,10 @@ def split_arrays(records: list[PairRecord]) -> CorpusArrays:
 
 def write_embeddings(path, items: list) -> None:
     """Write homogeneous vectors or per-item row sets as single-precision
-    row-major data behind a fixed header, atomically."""
+    row-major data behind a fixed header, atomically. An item with a value
+    that is not finite in single precision (NaN, or beyond float32 range)
+    is a ContractViolation naming the item: read_embeddings would refuse
+    it."""
     arrays = [np.asarray(item, dtype=np.float64) for item in items]
     if not arrays:
         atomic_write(path, _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, 0, 0, 0))
@@ -181,8 +188,12 @@ def write_embeddings(path, items: list) -> None:
         if arr.shape != (rows, dim):
             raise ContractViolation("embedding items must share one shape")
     parts = [_HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, len(shaped), rows, dim)]
-    for arr in shaped:
-        parts.append(arr.astype("<f4").tobytes(order="C"))
+    for index, arr in enumerate(shaped):
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            single = arr.astype("<f4")
+        if not np.isfinite(single).all():
+            raise ContractViolation(f"embedding item {index} holds a value that is not finite in float32")
+        parts.append(single.tobytes(order="C"))
     atomic_write(path, b"".join(parts))
 
 

@@ -8,13 +8,10 @@ bit for bit as a one-query call gives them. Scoring runs one query at a time
 over all of its candidates in one numpy pass. Without sampling a pair
 scores the clipped cosine of the text with the fused video. With sampling it
 scores the best cosine over M stochastic text samples, whose noise is drawn
-from a substream keyed by (seed, query id, candidate id). The generators of
-a block of queries are seeded in one vectorised pass (``core.grid_uniforms``):
-every PCG64 state is derived in uint64 limbs and written through a numpy view
-of one reused generator's state words, which draws each query's rows into one
-buffer; the buffer is turned into pools together, bit for bit as the
-per-pair ``select_best_sample`` would draw and score them. Ranks use
-strictly-greater counting with index tie-break.
+from a substream keyed by (seed, query id, candidate id). ``core.grid_normals``
+gives each query's normals, one row per candidate, and they are turned into
+pools in place, bit for bit as the per-pair ``select_best_sample`` would draw
+and score them. Ranks use strictly-greater counting with index tie-break.
 Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
 give byte-identical files.
 """
@@ -26,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ContractViolation, atomic_write, box_muller, grid_uniforms
+from .core import ContractViolation, atomic_write, grid_normals
 # substream and select_best_sample are the per-pair reference that
 # _score_query batches; they stay bound here, unused, because the traced
 # benchmark (perfbench/worker.py) wraps these module attributes by name
@@ -116,34 +113,28 @@ def _query_stages(pool: _Pool, params: ModelParameters, with_radii: bool):
         yield from zip(blocks[:, 0], fused, radii)
 
 
-def _uniform_width(trials: int, dim: int) -> int:
-    """Uniforms one pair's pool consumes: 2 * ceil(M * d / 2)."""
-    return 2 * ((trials * dim + 1) // 2)
-
-
 def _score_query(
     t: np.ndarray,
     fused: np.ndarray,
     radius_grid: np.ndarray | None,
     trials: int,
-    uniforms: np.ndarray | None,
+    normals: np.ndarray | None,
     query_id: int,
 ) -> np.ndarray:
     """Per-sample scores (C, M) of one query against all of its candidates.
 
     Without a radius grid the pool is t alone and M is 1. With one,
-    candidate c's pool is t + R_c * eps, where eps comes from row c of
-    uniforms, (C, 2*ceil(M*d/2)), drawn on substream (seed, _STREAM_EVAL,
-    query_id, c): the rows are turned into normals and then into pools in
-    place. A pair's best of its first m samples is the max of row prefix
-    [:m]. Raises ContractViolation if a pair has a non-finite score.
+    candidate c's pool is t + R_c * eps, where eps is row c of normals,
+    (C, M*d), drawn on substream (seed, _STREAM_EVAL, query_id, c): the rows
+    are turned into pools in place. A pair's best of its first m samples is
+    the max of row prefix [:m]. Raises ContractViolation if a pair has a
+    non-finite score.
     """
     if radius_grid is None:
         scores = pool_similarities(t[None, None, :], fused)
     else:
         c_count, d = fused.shape
-        box_muller(uniforms, out=uniforms)
-        pool = uniforms[:, : trials * d].reshape(c_count, trials, d)
+        pool = normals.reshape(c_count, trials, d)
         np.multiply(radius_grid[:, None, :], pool, out=pool)
         pool += t
         scores = pool_similarities(pool, fused)
@@ -178,12 +169,11 @@ def _best_of_prefixes(
     trials = max(trial_counts)
     draws = repeat(None)
     if use_sampling:
-        width = _uniform_width(trials, params.dim)
-        draws = grid_uniforms(seed, (_STREAM_EVAL,), q_count, c_count, width)
+        draws = grid_normals(seed, (_STREAM_EVAL,), q_count, c_count, trials * params.dim)
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
     stages = _query_stages(pool, params, use_sampling)
-    for q, ((t, fused, radius_grid), uniforms) in enumerate(zip(stages, draws)):
-        scores = _score_query(t, fused, radius_grid, trials, uniforms, q)
+    for q, ((t, fused, radius_grid), normals) in enumerate(zip(stages, draws)):
+        scores = _score_query(t, fused, radius_grid, trials, normals, q)
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
     return mats

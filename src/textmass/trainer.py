@@ -415,7 +415,10 @@ def _unpack_array_table(reader: _Reader) -> dict:
     count = reader.u32("array count")
     entries = {}
     for _ in range(count):
+        entry_at = reader.pos
         name = reader.text(reader.u32("name length"), "name")
+        if name in entries:
+            raise FormatError(f"array {name!r} at byte {entry_at} repeats an earlier entry")
         rank_at = reader.pos
         ndim = reader.u32("rank")
         shape = tuple(reader.u32("dimension") for _ in range(ndim))

@@ -11,7 +11,7 @@ from textmass.core import (
     SeededRng,
     box_muller,
     finite_diff_gradient,
-    grid_uniforms,
+    grid_normals,
     stream_key,
     substream,
 )
@@ -190,11 +190,11 @@ class TestPcg64States:
         assert state == {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
 
 
-class TestStackedUniforms:
-    """grid_uniforms and stacked_uniforms re-implement numpy's SeedSequence
-    hash and PCG64 seeding, whose constants are numpy internals, and write
-    each state into numpy's PCG64 struct: these tests are the guard that
-    fails before any sampled score drifts."""
+class TestGridNormals:
+    """grid_normals re-implements numpy's SeedSequence hash and PCG64
+    seeding, whose constants are numpy internals, and writes each state
+    into numpy's PCG64 struct: these tests are the guard that fails before
+    any sampled score drifts."""
 
     @given(
         seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]), st.integers(0, _U64)),
@@ -202,73 +202,44 @@ class TestStackedUniforms:
         low_stream=st.none() | st.integers(0, 2**32 - 1),
         queries=st.integers(1, 3),
         count=st.integers(1, 5),
-        width=st.integers(1, 700),
+        n=st.integers(1, 700),
         block_rows=st.sampled_from([1, 2, 3, 7, core.STATE_BLOCK_ROWS]),
     )
-    @example(seed=0, parts=[301], low_stream=None, queries=1, count=3, width=640, block_rows=2048)
-    @example(seed=0, parts=[], low_stream=0, queries=1, count=2, width=7, block_rows=2048)
-    @example(seed=2**32, parts=[], low_stream=5, queries=1, count=2, width=700, block_rows=2048)
-    @example(seed=2**32, parts=[], low_stream=2**32 - 1, queries=1, count=1, width=1, block_rows=2048)
-    @example(seed=_U64, parts=[_U64], low_stream=None, queries=1, count=4, width=699, block_rows=2048)
+    @example(seed=0, parts=[301], low_stream=None, queries=1, count=3, n=640, block_rows=2048)
+    @example(seed=0, parts=[], low_stream=0, queries=1, count=2, n=7, block_rows=2048)
+    @example(seed=2**32, parts=[], low_stream=5, queries=1, count=2, n=700, block_rows=2048)
+    @example(seed=2**32, parts=[], low_stream=2**32 - 1, queries=1, count=1, n=1, block_rows=2048)
+    @example(seed=_U64, parts=[_U64], low_stream=None, queries=1, count=4, n=699, block_rows=2048)
     # blocks of 2 queries and a partial last block of 1; queries wider than a block
-    @example(seed=3, parts=[301], low_stream=None, queries=3, count=2, width=9, block_rows=4)
-    @example(seed=3, parts=[301], low_stream=None, queries=3, count=5, width=9, block_rows=3)
+    @example(seed=3, parts=[301], low_stream=None, queries=3, count=2, n=9, block_rows=4)
+    @example(seed=3, parts=[301], low_stream=None, queries=3, count=5, n=9, block_rows=3)
     @settings(max_examples=80, deadline=None)
-    def test_rows_equal_seeded_rng(self, seed, parts, low_stream, queries, count, width, block_rows):
+    def test_rows_equal_seeded_rng(self, seed, parts, low_stream, queries, count, n, block_rows):
         if low_stream is not None:
             # row (0, 0)'s stream id fits in one u32 word
             parts = [part_for_stream(low_stream, zeros=2)]
             assert stream_key(*parts, 0, 0) == low_stream
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "STATE_BLOCK_ROWS", block_rows)
-            grid = [rows.copy() for rows in grid_uniforms(seed, tuple(parts), queries, count, width)]
+            grid = [rows.copy() for rows in grid_normals(seed, tuple(parts), queries, count, n)]
         assert len(grid) == queries
         for q, rows in enumerate(grid):
-            assert rows.shape == (count, width)
+            assert rows.shape == (count, n)
             for c in range(count):
-                want = SeededRng(seed, stream_key(*parts, q, c)).uniform(width)
+                want = SeededRng(seed, stream_key(*parts, q, c)).standard_normal(n)
                 assert np.array_equal(rows[c], want)
 
     def test_grid_refills_one_buffer(self):
-        draws = grid_uniforms(4, (2,), 3, 3, 8)
+        draws = grid_normals(4, (2,), 3, 3, 7)
         first = next(draws)
-        assert next(draws) is first
-        assert np.array_equal(first[2], substream(4, 2, 1, 2).uniform(8))
+        second = next(draws)
+        assert second.base is first.base
+        assert np.array_equal(first[2], substream(4, 2, 1, 2).standard_normal(7))
 
-    @staticmethod
-    def states(count):
-        return core._pcg64_states(4, np.array([stream_key(2, c) for c in range(count)], dtype=np.uint64))
-
-    def test_fills_and_returns_out(self):
-        out = np.full((3, 8), np.nan)
-        gen = np.random.Generator(np.random.PCG64(0))
-        assert core.stacked_uniforms(gen, self.states(3), out) is out
-        assert np.array_equal(out[2], substream(4, 2, 2).uniform(8))
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty((4, 8)), np.empty((3, 8), dtype=np.float32), np.empty((8, 3)).T],
-        ids=["shape", "dtype", "strides"],
-    )
-    def test_bad_out_rejected(self, out):
-        gen = np.random.Generator(np.random.PCG64(0))
-        with pytest.raises(ContractViolation):
-            core.stacked_uniforms(gen, self.states(3), out)
-
-    @pytest.mark.parametrize(
-        "bit_generator, states",
-        [
-            (np.random.PCG64DXSM, lambda s: s),
-            (np.random.PCG64, lambda s: s.astype(np.int64)),
-            (np.random.PCG64, lambda s: np.asfortranarray(s)),
-            (np.random.PCG64, lambda s: s[:, :2].copy()),
-        ],
-        ids=["generator", "dtype", "strides", "shape"],
-    )
-    def test_bad_generator_or_states_rejected(self, bit_generator, states):
-        gen = np.random.Generator(bit_generator(0))
-        with pytest.raises(ContractViolation):
-            core.stacked_uniforms(gen, states(self.states(3)), np.empty((3, 8)))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_draw_refused(self, n):
+        with pytest.raises(ContractViolation, match="sample count"):
+            next(grid_normals(4, (2,), 1, 3, n))
 
 
 class TestPcg64LayoutGuard:
@@ -279,7 +250,7 @@ class TestPcg64LayoutGuard:
     def test_swapped_words_refused(self, monkeypatch, request):
         swap_state_words(monkeypatch, request)
         with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
-            next(grid_uniforms(0, (301,), 2, 3, 8))
+            next(grid_normals(0, (301,), 2, 3, 8))
 
 
 class TestBoxMuller:

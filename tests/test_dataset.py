@@ -154,6 +154,12 @@ class TestGenerate:
         with pytest.raises(ContractViolation):
             SyntheticSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["coverage", "noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_fields_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match=f"{field} = .* is not finite"):
+            SyntheticSpec(**{field: value})
+
 
 class TestEmbeddingFiles:
     def test_round_trip_single_precision(self, tmp_path):
@@ -194,6 +200,15 @@ class TestEmbeddingFiles:
         path = tmp_path / "hollow.tmeb"
         with pytest.raises(ContractViolation, match="at least one row and one value"):
             write_embeddings(path, [item, item])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), 1e39], ids=["nan", "beyond-float32"])
+    def test_writing_a_value_it_cannot_read_back_is_refused(self, tmp_path, value):
+        path = tmp_path / "bad.tmeb"
+        items = [np.zeros((2, 3)), np.zeros((2, 3))]
+        items[1][1, 2] = value
+        with pytest.raises(ContractViolation, match="embedding item 1 holds"):
+            write_embeddings(path, items)
         assert not path.exists()
 
     def test_write_read_write_is_byte_stable(self, tmp_path):

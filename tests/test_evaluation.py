@@ -145,10 +145,10 @@ class TestVideoToText:
         assert np.all(ranks == 1) and metrics.r1 == 100.0
 
 
-def _zero_uniforms(seed, parts, q_count, c_count, width):
-    """All-zero uniforms, which Box-Muller maps to exactly-zero normals."""
+def _zero_normals(seed, parts, q_count, c_count, n):
+    """All-zero normals in place of grid_normals: every pool is t."""
     for _ in range(q_count):
-        yield np.zeros((c_count, width))
+        yield np.zeros((c_count, n))
 
 
 class _ZeroNormals:
@@ -180,7 +180,7 @@ class TestInferenceMatrix:
         params = make_params()
         texts, videos = make_pool(seed=4)
         det = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), False, 7)
-        monkeypatch.setattr(evaluation, "grid_uniforms", _zero_uniforms)
+        monkeypatch.setattr(evaluation, "grid_normals", _zero_normals)
         stoch = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=1), True, 7)
         assert np.array_equal(det, stoch)
 
@@ -435,7 +435,7 @@ class TestAlignmentReport:
         # R*eps = 0 collapses every sample to t; det and stoch columns agree
         params = make_params(seed=11)
         texts, videos = make_pool(q=4, candidates=4, seed=11)
-        monkeypatch.setattr(evaluation, "grid_uniforms", _zero_uniforms)
+        monkeypatch.setattr(evaluation, "grid_normals", _zero_normals)
         rows = alignment_of(texts, videos, params, SamplingConfig(trials=3), 29)
         for row in rows:
             assert abs(row.max_irrelevant_sim_det - row.max_irrelevant_sim_stoch) <= 1e-9

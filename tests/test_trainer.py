@@ -686,6 +686,24 @@ class TestCorruptCheckpoint:
         with pytest.raises(FormatError, match=f"rank 65 of 'proj_text' at byte {rank_at}"):
             load_checkpoint(path)
 
+    def test_repeated_array_name_is_format_error(self, small_checkpoint, tmp_path):
+        # the parameter table lists fusion_out twice, the copy right after
+        # the original, and its count says so
+        blob = small_checkpoint.read_bytes()
+        name = b"fusion_out"
+        entry_at = blob.index(len(name).to_bytes(4, "little") + name)
+        rank_at = entry_at + 4 + len(name)
+        (ndim,) = struct.unpack_from("<I", blob, rank_at)
+        dims = struct.unpack_from(f"<{ndim}I", blob, rank_at + 4)
+        entry_end = rank_at + 4 + 4 * ndim + 8 * int(np.prod(dims))
+        (count,) = struct.unpack_from("<I", blob, 8)  # after the magic and version
+        corrupt = blob[:8] + struct.pack("<I", count + 1) + blob[12:entry_end]
+        corrupt += blob[entry_at:entry_end] + blob[entry_end:]
+        path = tmp_path / "bad.tmck"
+        path.write_bytes(corrupt)
+        with pytest.raises(FormatError, match=f"'fusion_out' at byte {entry_end} repeats"):
+            load_checkpoint(path)
+
 
 class TestSpecEdgeCases:
     def test_schedule_reaches_zero_at_total(self):
