@@ -13,7 +13,6 @@ from .dataset import SyntheticSpec, generate, split_arrays
 from .evaluation import inference_similarity_matrix, rank_metrics
 from .mass import SamplingConfig
 from .trainer import TrainingConfig, TrainingDivergence, train
-from .workbench import RunConfig
 
 __version__ = "0.1.0"
 
@@ -33,3 +32,13 @@ __all__ = [
     "split_arrays",
     "train",
 ]
+
+
+def __getattr__(name: str):
+    """RunConfig lives with the command line (workbench), which is loaded
+    only when it is asked for, so `import textmass` stays without it."""
+    if name == "RunConfig":
+        from .workbench import RunConfig
+
+        return RunConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,10 +9,11 @@ artifact the package writes.
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
 which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
 independent substreams and identical (seed, stream) pairs replay bit-exactly.
-:func:`grid_normals` draws the normals of a whole grid of substreams without
+:func:`stream_uniforms` draws the uniforms of a whole run of substreams without
 building their generators: it derives their PCG64 states in uint64 arrays and
 writes them straight into one generator's C struct, whose layout a
-once-per-process check guards.
+once-per-process check guards. Sampled inference takes its normals from it
+through :func:`grid_normals`, and corpus generation its pairs' rows.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _check_pcg64_layout() -> None:
 
     The struct layout is a numpy internal (on numpy 2.x with native 128-bit
     integers: state lo, state hi, inc lo, inc hi). It goes through the
-    view that grid_normals writes (_state_words): one state is set
+    view that stream_uniforms writes (_state_words): one state is set
     through the public dict setter and read back through the view, and the
     words of _pcg64_states are written through the view and read back
     through the dict; both must agree with numpy's own seeding of the same
@@ -272,9 +273,32 @@ def _check_pcg64_layout() -> None:
     if not np.array_equal(read, words[0]) or probe.state["state"] != want["state"]:
         raise ContractViolation(
             f"numpy {np.__version__}: PCG64 state words {words[0].tolist()} do not round-trip "
-            f"through the generator struct (it held {read.tolist()}); sampled inference cannot "
-            "seed its generators"
+            f"through the generator struct (it held {read.tolist()}); substream rows cannot be "
+            "drawn, so neither sampled inference nor corpus generation can run"
         )
+
+
+def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarray):
+    """Yield out's leading rows, refilled len(out) rows at a time: row r of
+    the whole run is SeededRng(seed, stream_key(*parts, *index)).uniform(
+    out.shape[1]) bit for bit, index the r-th entry (C order) of the
+    broadcast of the integer arrays ids. All states are derived in one pass
+    (_pcg64_states); one generator draws every row, its state words assigned
+    through a numpy view (_state_words) whose layout the first call checks
+    (_check_pcg64_layout)."""
+    _check_pcg64_layout()
+    streams = stream_key(*parts)
+    for part in ids:
+        streams = _fold_part(streams, np.asarray(part, dtype=np.uint64))
+    states = _pcg64_states(int(seed) & _U64, np.ravel(streams))
+    bitgen = np.random.PCG64(0)
+    view, draw = _state_words(bitgen), np.random.Generator(bitgen).random
+    for first in range(0, len(states), max(len(out), 1)):
+        block = states[first : first + len(out)]
+        for words, row in zip(block, out):
+            view[...] = words
+            draw(out=row)
+        yield out[: len(block)]
 
 
 def grid_normals(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, n: int):
@@ -283,31 +307,20 @@ def grid_normals(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, 
 
     Every yield views the same buffer, refilled: read or rewrite it before
     taking the next. The states of a block of about STATE_BLOCK_ROWS rows
-    (whole queries, at least one) are derived in one vectorised pass by
-    _pcg64_states. One generator draws every row: each row's words are
-    assigned to a numpy view of its state (_state_words), whose layout the
-    first call checks (_check_pcg64_layout), and the row's 2 * ceil(n / 2)
-    uniforms are drawn into the buffer, which box_muller turns into normals
-    in place. Raises ContractViolation if n < 1.
+    (whole queries, at least one) are derived in one pass of
+    stream_uniforms, which draws each row's 2 * ceil(n / 2) uniforms into
+    the buffer; box_muller turns them into normals in place. Raises
+    ContractViolation if n < 1.
     """
     q_count, c_count, n = int(q_count), int(c_count), int(n)
     if n < 1:
         raise ContractViolation(f"sample count must be >= 1, got {n}")
-    _check_pcg64_layout()
     out = np.empty((c_count, 2 * ((n + 1) // 2)))
-    bitgen = np.random.PCG64(0)
-    view, draw = _state_words(bitgen), np.random.Generator(bitgen).random
-    key = stream_key(*parts)
-    candidates = np.arange(c_count, dtype=np.uint64)
     per_block = max(1, STATE_BLOCK_ROWS // max(c_count, 1))
     for first in range(0, q_count, per_block):
-        queries = _fold_part(key, np.arange(first, min(first + per_block, q_count), dtype=np.uint64))
-        states = _pcg64_states(int(seed) & _U64, _fold_part(queries[:, None], candidates).ravel())
-        for query_states in states.reshape(queries.size, c_count, 4):
-            for words, row in zip(query_states, out):
-                view[...] = words
-                draw(out=row)
-            yield box_muller(out, out=out)[:, :n]
+        queries = np.arange(first, min(first + per_block, q_count))
+        for rows in stream_uniforms(seed, parts, (queries[:, None], np.arange(c_count)), out):
+            yield box_muller(rows, out=rows)[:, :n]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

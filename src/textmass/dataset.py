@@ -5,7 +5,8 @@ redundant, noisy views of z (plus distractor concepts drawn from a shared
 pool), while the text keeps only the largest-magnitude fraction of z's
 coordinates. The coverage dial makes texts strictly less informative than
 their videos, which is the premise the stochastic text mass is meant to
-absorb.
+absorb. Blocks of pairs are built as arrays from one row of uniforms per
+pair (core.stream_uniforms), bit for bit as one pair at a time would be.
 
 Embedding files ("TMEB") hold single-precision row-major matrices with a
 fixed 20-byte header; a dataset directory is two such files plus a manifest
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, box_muller, substream
+from .core import ContractViolation, FormatError, atomic_write, box_muller, stream_uniforms, substream
 
 TEST_FRACTION = 0.2
 DISTRACTOR_POOL_FACTOR = 4
@@ -87,17 +88,25 @@ class PairRecord:
     split: str
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
+# Pairs whose frames and texts generate builds in one pass: bounds the
+# transient arrays to a few hundred kB at the bench spec.
+PAIR_BLOCK_ROWS = 32
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x scaled in place to unit rows; np.sqrt(np.vecdot(row, row)) is
+    np.linalg.norm(row), a BLAS dot, bit for bit."""
+    norms = np.sqrt(np.vecdot(x, x))
+    if np.any(norms <= 1e-12):
         raise ContractViolation("cannot normalize a zero vector")
-    return v / norm
+    x /= norms[..., None]
+    return x
 
 
 def generate(spec: SyntheticSpec) -> list[PairRecord]:
     """Deterministic pair list; the last TEST_FRACTION of ids is the test
     split."""
-    c = spec.concept_dim
+    c, frame_count = spec.concept_dim, spec.raw_frames
     count = spec.mask_count
     pool = None
     if spec.distractors > 0:
@@ -107,30 +116,33 @@ def generate(spec: SyntheticSpec) -> list[PairRecord]:
         pool = pool / np.linalg.norm(pool, axis=1)[:, None]
 
     # A pair's stream holds z's normals, then per frame its distractor
-    # uniforms and its noise normals; one draw gives them all.
+    # uniforms and its noise normals; one row gives them all. A block of
+    # pairs is built in place in the arrays that the records view.
     wz = 2 * ((c + 1) // 2)
     wd = 2 * spec.distractors
     wn = wz if spec.noise_sigma > 0.0 else 0
-    test_start = spec.pairs - int(spec.pairs * TEST_FRACTION)
-    records = []
-    for pid in range(spec.pairs):
-        u = substream(spec.seed, _STREAM_PAIR, pid).uniform(wz + spec.raw_frames * (wd + wn))
-        z = _unit(box_muller(u[:wz])[:c])
-        per_frame = u[wz:].reshape(spec.raw_frames, wd + wn)
-        frames = np.broadcast_to(z, (spec.raw_frames, c))
+    texts = np.zeros((spec.pairs, c))
+    videos = np.empty((spec.pairs, frame_count, c))
+    buffer = np.empty((min(PAIR_BLOCK_ROWS, spec.pairs), wz + frame_count * (wd + wn)))
+    rows = stream_uniforms(spec.seed, (_STREAM_PAIR,), (np.arange(spec.pairs),), buffer)
+    for first, u in zip(range(0, spec.pairs, len(buffer)), rows):
+        z = _unit_rows(box_muller(u[:, :wz])[:, :c])
+        per_frame = u[:, wz:].reshape(len(u), frame_count, wd + wn)
+        frames = videos[first : first + len(u)]
+        frames[...] = z[:, None, :]
         if wd:
-            idx = (per_frame[:, 0:wd:2] * pool.shape[0]).astype(np.int64)
-            frames = frames + (per_frame[:, 1:wd:2, None] * pool[idx]).sum(axis=1)
+            idx = (per_frame[..., 0:wd:2] * pool.shape[0]).astype(np.int64)
+            frames += (per_frame[..., 1:wd:2, None] * pool[idx]).sum(axis=2)
         if wn:
-            frames = frames + spec.noise_sigma * box_muller(per_frame[:, wd:])[:, :c]
-        frames = np.stack([_unit(frame) for frame in frames])
-        keep = np.argsort(-np.abs(z), kind="stable")[:count]
-        text = np.zeros(c)
-        text[keep] = z[keep]
-        text = _unit(text)
-        split = "test" if pid >= test_start else "train"
-        records.append(PairRecord(pair_id=pid, text=text, video=frames, split=split))
-    return records
+            frames += spec.noise_sigma * box_muller(per_frame[..., wd:])[..., :c]
+        _unit_rows(frames)
+        keep = np.argsort(-np.abs(z), axis=1, kind="stable")[:, :count]
+        text = texts[first : first + len(u)]
+        np.put_along_axis(text, keep, np.take_along_axis(z, keep, axis=1), axis=1)
+        _unit_rows(text)
+    test_start = spec.pairs - int(spec.pairs * TEST_FRACTION)
+    splits = ["train"] * test_start + ["test"] * (spec.pairs - test_start)
+    return list(map(PairRecord, range(spec.pairs), texts, videos, splits))
 
 
 @dataclass

@@ -91,9 +91,9 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
 QUERY_BLOCK_ROWS = 512
 
 
-def _query_stages(pool: _Pool, params: ModelParameters, with_radii: bool):
-    """For every query in order yield its text (d,), its fused videos (C, d)
-    and, with_radii, its radii (C, d), else None.
+def _query_stages(pool: _Pool, params: ModelParameters, with_fused: bool, with_radii: bool):
+    """For every query in order yield its text (d,), and its fused videos
+    (C, d) if with_fused and its radii (C, d) if with_radii, else None.
 
     A block of about QUERY_BLOCK_ROWS rows is fused as one (k, 1, d) slice
     of the text blocks, k along fusion's copy axis, and its texts go through
@@ -105,8 +105,9 @@ def _query_stages(pool: _Pool, params: ModelParameters, with_radii: bool):
     per_block = max(1, QUERY_BLOCK_ROWS // max(c_count, 1))
     for first in range(0, q_count, per_block):
         blocks = pool.blocks[first : first + per_block]
-        fused = fuse_batch(blocks, pool.keys, params).fused[:, 0]
-        radii = repeat(None)
+        fused = radii = repeat(None)
+        if with_fused:
+            fused = fuse_batch(blocks, pool.keys, params).fused[:, 0]
         if with_radii:
             texts = np.broadcast_to(blocks, (blocks.shape[0], c_count, blocks.shape[2]))
             radii = radius_batch(texts, pool.frames, params).radius
@@ -171,7 +172,7 @@ def _best_of_prefixes(
     if use_sampling:
         draws = grid_normals(seed, (_STREAM_EVAL,), q_count, c_count, trials * params.dim)
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
-    stages = _query_stages(pool, params, use_sampling)
+    stages = _query_stages(pool, params, True, use_sampling)
     for q, ((t, fused, radius_grid), normals) in enumerate(zip(stages, draws)):
         scores = _score_query(t, fused, radius_grid, trials, normals, q)
         for m, sims in mats.items():
@@ -296,7 +297,7 @@ def pool_radius_report(
         raise ContractViolation("pool radius report wants an aligned text-video pool")
     if sampled.shape != (texts.shape[0], videos.shape[0]):
         raise ContractViolation("sampled matrix does not match the pool")
-    stages = _query_stages(_embed_pool(texts, videos, params), params, True)
+    stages = _query_stages(_embed_pool(texts, videos, params), params, False, True)
     rows = []
     for q, (_, _, radius_grid) in enumerate(stages):
         rows.extend(_radius_rows(q, radius_grid, sampled[q]))

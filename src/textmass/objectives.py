@@ -55,7 +55,7 @@ DEFAULT_ALPHA = 1.2
 
 # gradient_check: the oracle's step, the relative tolerance, and the
 # absolute tolerance that replaces it below the small-gradient threshold
-CHECK_STEP = 1e-4
+CHECK_STEP = 1e-5
 CHECK_REL_TOL = 1e-4
 CHECK_ABS_TOL = 1e-6
 CHECK_SMALL_GRAD = 1e-3

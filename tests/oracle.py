@@ -7,9 +7,10 @@ stage in the plainest numpy, independently of the batched code in
 of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
 `objectives.forward_batch` stacks; `cosine_similarity` of `mass.cos_grid`;
 `symmetric_ce` of `objectives._ce_terms`; `box_muller_trig` bounds
-`core.box_muller`, the cos/sin form it replaces; `generate` draws each
-corpus pair call by call, as `dataset.generate` did before it drew a pair's
-uniforms at once; and `unflatten_params` is the inverse of
+`core.box_muller`, the cos/sin form it replaces; `generate` builds each
+corpus pair call by call, normalising with `np.linalg.norm`, the reference
+of `dataset.generate`, which draws every pair's row of uniforms at once and
+builds blocks of pairs as arrays; and `unflatten_params` is the inverse of
 `model.flatten_params`. `pcg64_srandom` and `pcg64_words` derive a
 substream's PCG64 state with Python integers, the reference of
 `core._pcg64_srandom` and `core._pcg64_states`. The encoder, fusion and
@@ -29,7 +30,6 @@ from textmass.dataset import (
     TEST_FRACTION,
     PairRecord,
     SyntheticSpec,
-    _unit,
 )
 from textmass.encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE
@@ -224,6 +224,13 @@ def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray
 
 # ---------------------------------------------------------------------------
 # dataset
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    if norm <= 1e-12:
+        raise ContractViolation("cannot normalize a zero vector")
+    return v / norm
 
 
 def generate(spec: SyntheticSpec) -> list[PairRecord]:

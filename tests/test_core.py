@@ -13,8 +13,10 @@ from textmass.core import (
     finite_diff_gradient,
     grid_normals,
     stream_key,
+    stream_uniforms,
     substream,
 )
+from textmass.dataset import SyntheticSpec, generate
 
 from oracle import box_muller_trig, cosine_similarity, pcg64_srandom, pcg64_words
 
@@ -242,6 +244,34 @@ class TestGridNormals:
             next(grid_normals(4, (2,), 1, 3, n))
 
 
+class TestStreamUniforms:
+    @given(
+        seed=st.integers(0, _U64),
+        parts=st.lists(st.integers(0, _U64), max_size=2),
+        count=st.integers(1, 9),
+        out_rows=st.integers(1, 4),
+        n=st.integers(1, 40),
+    )
+    # runs of 4 rows and a ragged last run of 1; one run that ends exactly
+    @example(seed=0, parts=[402], count=9, out_rows=4, n=336)
+    @example(seed=7, parts=[], count=4, out_rows=4, n=1)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_seeded_rng(self, seed, parts, count, out_rows, n):
+        out = np.empty((out_rows, n))
+        ids = (np.arange(count),)  # int64 ids, as generate passes them
+        runs = [rows.copy() for rows in stream_uniforms(seed, tuple(parts), ids, out)]
+        assert [len(rows) for rows in runs] == [min(out_rows, count - k) for k in range(0, count, out_rows)]
+        for i, row in enumerate(np.concatenate(runs)):
+            assert np.array_equal(row, SeededRng(seed, stream_key(*parts, i)).uniform(n))
+
+    def test_ids_broadcast_in_c_order(self):
+        out = np.empty((2, 5))
+        ids = (np.arange(3, dtype=np.uint64)[:, None], np.arange(2, dtype=np.uint64))
+        rows = np.concatenate([r.copy() for r in stream_uniforms(9, (301,), ids, out)])
+        for k, (q, c) in enumerate((q, c) for q in range(3) for c in range(2)):
+            assert np.array_equal(rows[k], SeededRng(9, stream_key(301, q, c)).uniform(5))
+
+
 class TestPcg64LayoutGuard:
     def test_passes_on_this_build(self):
         core._check_pcg64_layout.cache_clear()
@@ -251,6 +281,11 @@ class TestPcg64LayoutGuard:
         swap_state_words(monkeypatch, request)
         with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
             next(grid_normals(0, (301,), 2, 3, 8))
+
+    def test_corpus_generation_refused(self, monkeypatch, request):
+        swap_state_words(monkeypatch, request)
+        with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
+            generate(SyntheticSpec(pairs=4, concept_dim=4, raw_frames=2))
 
 
 class TestBoxMuller:

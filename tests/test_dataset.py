@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textmass import dataset
 from textmass.core import ContractViolation, FormatError
 from textmass.dataset import (
     EMBEDDING_MAGIC,
@@ -118,17 +119,22 @@ class TestGenerate:
         noise_sigma=st.sampled_from([0.0, 0.1, 0.7]),
         raw_frames=st.integers(1, 4),
         seed=st.integers(0, 2**32),
+        pairs=st.integers(2, 11),
+        block_rows=st.sampled_from([1, 3, 4, dataset.PAIR_BLOCK_ROWS]),
     )
-    @example(concept_dim=16, distractors=2, noise_sigma=0.1, raw_frames=16, seed=0)
-    @example(concept_dim=7, distractors=3, noise_sigma=0.1, raw_frames=3, seed=1)
-    @example(concept_dim=5, distractors=0, noise_sigma=0.1, raw_frames=2, seed=2)
-    @example(concept_dim=6, distractors=2, noise_sigma=0.0, raw_frames=4, seed=3)
+    @example(concept_dim=16, distractors=2, noise_sigma=0.1, raw_frames=16, seed=0, pairs=5, block_rows=32)
+    @example(concept_dim=7, distractors=3, noise_sigma=0.1, raw_frames=3, seed=1, pairs=5, block_rows=32)
+    @example(concept_dim=5, distractors=0, noise_sigma=0.1, raw_frames=2, seed=2, pairs=5, block_rows=32)
+    @example(concept_dim=6, distractors=2, noise_sigma=0.0, raw_frames=4, seed=3, pairs=5, block_rows=32)
+    # blocks of 4 pairs and a ragged last block of 3; blocks of 3 that end exactly
+    @example(concept_dim=7, distractors=2, noise_sigma=0.1, raw_frames=3, seed=4, pairs=11, block_rows=4)
+    @example(concept_dim=6, distractors=1, noise_sigma=0.7, raw_frames=2, seed=5, pairs=9, block_rows=3)
     @settings(max_examples=40, deadline=None)
     def test_one_draw_per_pair_equals_per_call_draws(
-        self, concept_dim, distractors, noise_sigma, raw_frames, seed
+        self, concept_dim, distractors, noise_sigma, raw_frames, seed, pairs, block_rows
     ):
         spec = SyntheticSpec(
-            pairs=5,
+            pairs=pairs,
             concept_dim=concept_dim,
             raw_frames=raw_frames,
             coverage=0.5,
@@ -136,7 +142,10 @@ class TestGenerate:
             distractors=distractors,
             seed=seed,
         )
-        got, want = generate(spec), generate_per_call(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "PAIR_BLOCK_ROWS", block_rows)
+            got = generate(spec)
+        want = generate_per_call(spec)
         assert [(r.pair_id, r.split) for r in got] == [(r.pair_id, r.split) for r in want]
         for a, b in zip(got, want):
             assert a.text.tobytes() == b.text.tobytes()

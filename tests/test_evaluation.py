@@ -163,7 +163,7 @@ def per_pair_scores(texts, videos, params, cfg, use_sampling, seed):
     pair, on the same embeddings, fused videos and radii inference uses."""
     pool = evaluation._embed_pool(texts, videos, params)
     sims = np.empty((texts.shape[0], videos.shape[0]))
-    for q, (t, fused, radius_grid) in enumerate(evaluation._query_stages(pool, params, True)):
+    for q, (t, fused, radius_grid) in enumerate(evaluation._query_stages(pool, params, True, True)):
         for c in range(videos.shape[0]):
             if use_sampling:
                 rng = substream(seed, EVAL_STREAM, q, c)
@@ -237,6 +237,13 @@ class TestInferenceMatrix:
         texts, videos = make_pool()
         with pytest.raises(ContractViolation, match="at least one trial count"):
             evaluation.nested_trial_matrices(texts, videos, params, (), 0)
+
+    @pytest.mark.parametrize("use_sampling", [False, True])
+    def test_an_empty_candidate_pool_gives_empty_rows(self, use_sampling):
+        texts, videos = make_pool(q=3, candidates=1)
+        videos = videos[:0]
+        sims = inference_similarity_matrix(texts, videos, make_params(), SamplingConfig(2), use_sampling, 0)
+        assert sims.shape == (3, 0)
 
     @pytest.mark.parametrize("block_rows", [1, 7])
     def test_query_blocks_do_not_change_scores(self, monkeypatch, block_rows):
@@ -406,13 +413,31 @@ class TestRadiusReport:
         # bit for bit the radii per_pair_scores drew with, and those of a
         # one-query pass through the radius stage
         pool = evaluation._embed_pool(texts, videos, params)
-        drawn = np.stack([r for _, _, r in evaluation._query_stages(pool, params, True)])
+        drawn = np.stack([r for _, _, r in evaluation._query_stages(pool, params, False, True)])
         alone = np.stack([
             radius_batch(np.broadcast_to(block, (5, params.dim)), pool.frames, params).radius
             for block in pool.blocks
         ])
         assert np.array_equal(drawn, alone)
         assert np.array_equal(got_l1, np.abs(drawn).sum(axis=-1))
+
+    @pytest.mark.parametrize("variant", ["fixed-mean", "scalar", "linear"])
+    def test_report_makes_no_fuse_call(self, monkeypatch, variant):
+        # the radii stay those the sampled matrix was drawn with, bit for bit
+        params = make_params(variant=variant, seed=24)
+        texts, videos = make_pool(q=5, candidates=5, seed=24)
+        cfg = SamplingConfig(trials=3)
+        sims = inference_similarity_matrix(texts, videos, params, cfg, True, 43)
+        pool = evaluation._embed_pool(texts, videos, params)
+        drawn = np.stack([r for _, _, r in evaluation._query_stages(pool, params, True, True)])
+        calls = []
+        real = evaluation.fuse_batch
+        monkeypatch.setattr(evaluation, "fuse_batch", lambda *args: calls.append(args) or real(*args))
+        rows = pool_radius_report(texts, videos, params, sims)
+        assert calls == []
+        assert np.array_equal(np.array([r.l1_radius for r in rows]).reshape(5, 5), np.abs(drawn).sum(axis=-1))
+        inference_similarity_matrix(texts, videos, params, cfg, True, 43)
+        assert calls  # the counter sees inference's fuse calls
 
     def test_pool_report_wants_an_aligned_pool(self):
         params = make_params()

@@ -709,6 +709,23 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
     return losses, terms, {name: np.asarray(grads[name]) for name in names}
 
 
+def in_extended_precision(batch, params, eps, drop_mask):
+    """reference_objective's inputs as np.longdouble copies. Where a gradient
+    entry sums to near zero, a float64 reference's own roundoff can exceed
+    assert_close's bounds by itself (seed 347 below); in extended precision
+    the reference carries next to none, so the bounds measure the batched
+    pass's error. Where longdouble is float64, this is the float64 reference."""
+
+    def wide(x):
+        return None if x is None else np.asarray(x, dtype=np.longdouble)
+
+    wide_batch = copy.copy(batch)
+    wide_batch.text, wide_batch.videos = wide(batch.text), wide(batch.videos)
+    wide_params = dataclasses.replace(
+        params, **{name: wide(get_param(params, name)) for name in all_array_names(params)})
+    return wide_batch, wide_params, wide(eps), wide(drop_mask)
+
+
 def assert_close(actual, expected, what):
     err = np.abs(np.asarray(actual, dtype=np.float64) - expected)
     ok = (err <= 1e-14) | (err <= 1e-12 * np.abs(expected))
@@ -741,6 +758,9 @@ class TestBatchedMatchesPerSampleReference:
         degenerate=st.booleans(),
         seed=st.integers(0, 2**16),
     )
+    # fusion_query[5, 1], -3.98e-3: a float64 reference is 2e-14 off, the batched pass 3e-15
+    @example(samples=3, variant="fixed-mean", mode="ablation-ce-plus-s", adapters=False, dropout=True,
+             degenerate=False, seed=347)
     def test_losses_and_gradients(self, samples, variant, mode, adapters, dropout, degenerate, seed):
         d, n = 6, 4
         params = init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters)
@@ -753,7 +773,8 @@ class TestBatchedMatchesPerSampleReference:
 
         breakdown, tape = forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
         grads = backward_batch(tape)
-        losses, terms, ref_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
+        wide_batch, wide_params, wide_eps, wide_mask = in_extended_precision(batch, params, eps, mask)
+        losses, terms, ref_grads = reference_objective(wide_batch, wide_params, mode, 1.2, wide_eps, wide_mask)
 
         if degenerate and mode != "baseline":
             assert list(np.flatnonzero(tape.support.keep)) == list(range(1, n))
@@ -926,9 +947,10 @@ def _moved_copies(params, names, points):
     return copies
 
 
-def _full_stack_gradient(params, names, batch, mode, alpha, eps, mask, block, h=1e-4):
-    """Reference numeric gradient: each block a (2b, n) stack of flat points
-    x +- h e_i, scored as _moved_copies."""
+def _full_stack_gradient(params, names, batch, mode, alpha, eps, mask, block):
+    """Reference numeric gradient at gradient_check's step h: each block a
+    (2b, n) stack of flat points x +- h e_i, scored as _moved_copies."""
+    h = objectives.CHECK_STEP
     x = flatten_params(params, names)
     grad = np.zeros(x.size)
     for start in range(0, x.size, block):
@@ -971,7 +993,7 @@ class TestSpanOracleMatchesTheFullStack:
         block=st.sampled_from([core.FD_BLOCK, 7, 13, 19, 64]),
         seed=st.integers(0, 2**16),
     )
-    # fusion_value[31]'s gradient, 1.146e-3, fails rel_tol by a hair at the parent too
+    # fusion_value[31]'s gradient, 1.146e-3, failed rel_tol by a hair at a step of 1e-4
     @example(variant="scalar", mode="t-mass", adapters=True, dropout=False, block=32, seed=2**16)
     def test_numeric_gradient_equals_the_full_stack_formula(self, variant, mode, adapters, dropout, block, seed):
         # d = 6: adapters and fusion maps hold 36 values and linear radius
@@ -984,8 +1006,7 @@ class TestSpanOracleMatchesTheFullStack:
         names = trainable_names(params, mode)
         numeric, result = _numeric_gradient(params, batch, mode, 1.2, eps, mask, block)
         assert np.array_equal(numeric, _full_stack_gradient(params, names, batch, mode, 1.2, eps, mask, block))
-        # random draws may sit on the rel_tol / small_grad seam, so the
-        # verdict is pinned to the numeric gradient, not to passing
+        assert result.passed, result.failures[:5]
         analytic = flatten_grads(backward_batch(forward_batch(batch, params, mode, 1.2, eps=eps,
                                                               drop_mask=mask)[1]), names)
         reference = gradient_check(params, batch, mode, 1.2, eps, drop_mask=mask)

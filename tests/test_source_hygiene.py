@@ -65,14 +65,18 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 def unreferenced_definitions(paths: list[Path]) -> list[str]:
     """`module.name` of each top-level function or class that no module of
-    paths reads, imports or exports by name."""
+    paths reads, imports or exports by name. A dunder name, such as a
+    module `__getattr__`, is a hook the interpreter calls, so it counts as
+    referenced."""
     trees = {path: _tree(path) for path in paths}
     referenced = set().union(*map(_referenced, trees.values()))
     return [
         f"{path.stem}.{node.name}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in referenced
+        and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
 
 
@@ -102,8 +106,14 @@ def test_checks_catch_what_they_look_for(tmp_path):
         "    pass\n"
         "class Used:\n"
         "    pass\n"
-        "VALUE = Used()\n",
+        "VALUE = Used()\n"
+        "def __getattr__(name):\n"
+        "    raise AttributeError(name)\n"
+        "def __orphan():\n"
+        "    pass\n",
         encoding="utf-8",
     )
     assert unused_imports(module) == ["sample.py:2: os", "sample.py:4: dumps"]
-    assert unreferenced_definitions([module]) == ["sample.orphan", "sample.encode_text", "sample.Orphan"]
+    assert unreferenced_definitions([module]) == [
+        "sample.orphan", "sample.encode_text", "sample.Orphan", "sample.__orphan"
+    ]

@@ -214,6 +214,21 @@ class TestDispatch:
         assert done.stderr == ""
         assert "usage:" in done.stdout
 
+    def test_import_textmass_leaves_the_command_line_unloaded(self):
+        src = str(Path(workbench.__file__).resolve().parents[1])
+        code = (
+            "import sys, textmass\n"
+            "assert 'textmass.workbench' not in sys.modules, 'import textmass loaded the CLI'\n"
+            "from textmass import RunConfig\n"
+            "assert textmass.RunConfig is RunConfig is sys.modules['textmass.workbench'].RunConfig\n"
+            "assert not hasattr(textmass, 'NoSuchName')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize(
         "extra, flags",
         [({"alpha": "nan"}, []), ({"lr_head": "inf"}, []), ({"weight_decay": -0.5}, []),
