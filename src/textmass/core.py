@@ -354,16 +354,15 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     grad = np.zeros(x.size)
     for start in range(0, x.size, FD_BLOCK):
         b = min(FD_BLOCK, x.size - start)
-        span = np.tile(flat[start : start + b], (2, b, 1))
+        span = np.repeat(flat[None, start : start + b], 2 * b, axis=0)
         diagonal = np.arange(b)
-        span[0, diagonal, diagonal] += h
-        span[1, diagonal, diagonal] -= h
-        values = np.asarray(f(start, span.reshape(2 * b, b)), dtype=np.float64)
+        span[diagonal, diagonal] += h
+        span[diagonal + b, diagonal] -= h
+        values = np.asarray(f(start, span), dtype=np.float64)
         if values.shape != (2 * b,):
             raise ContractViolation(f"callback gave {values.shape} values for {2 * b} points")
-        fp, fm = values[:b], values[b:]
-        bad = ~(np.isfinite(fp) & np.isfinite(fm))
-        if np.any(bad):
+        if not np.isfinite(values).all():
+            bad = ~np.isfinite(values).reshape(2, b).all(axis=0)
             raise OracleFailure(f"non-finite evaluation at coordinate {start + np.flatnonzero(bad)[0]}")
-        grad[start : start + b] = (fp - fm) / (2.0 * h)
+        grad[start : start + b] = (values[:b] - values[b:]) / (2.0 * h)
     return grad.reshape(x.shape)

@@ -13,7 +13,10 @@ inference alike and return what their backward (in objectives) replays;
 `encode_text`, `encode_frames` and `fuse` in `tests/oracle.py` are their
 per-vector oracle. A trainable map may be a (k, d, d) stack of parameter
 copies (model.parameter_copies); every output it reaches then gains a
-leading copy axis of length k.
+leading copy axis of length k. Without copies every product is the stacked
+`x @ p.T` that inference's per-query bits rest on; with copies (gradient
+checks) `_product` and `_pooled` fold the copies into a few whole GEMMs
+instead of one small product per copy and row.
 """
 
 from __future__ import annotations
@@ -40,13 +43,26 @@ def sample_frame_indices(total: int, count: int) -> np.ndarray:
 # batched stages
 
 
-def _transposed(p: np.ndarray, rank: int) -> np.ndarray:
-    """p.T as the right operand of x @ p.T, x of `rank` axes without
-    copies; a (k, d, d) stack of copies is shaped (k, 1, .., 1, d, d) so
-    that its copies lead the product whether or not x has copies too."""
+def _product(x: np.ndarray, p: np.ndarray, rank: int, copies: int | None) -> np.ndarray:
+    """x @ p.T for an input x of `rank` axes and a map p (o, i); with k
+    copies either may lead with a copy axis of length k, which the result
+    leads with. Copies run as whole GEMMs: a shared map as one over every
+    row, copies of the map alone as one against the k maps side by side,
+    copies on both sides as one per copy."""
+    if copies is None:
+        return x @ p.T
+    i = x.shape[-1]
     if p.ndim == 2:
-        return p.T
-    return p.reshape(p.shape[:1] + (1,) * (rank - 2) + p.shape[1:]).swapaxes(-1, -2)
+        return (x.reshape(-1, i) @ p.T).reshape(x.shape[:-1] + p.shape[:1])
+    k, o = p.shape[:2]
+    if x.ndim == rank:
+        # the maps as the left operand: with x on the left, OpenBLAS gave a
+        # copy other bits than its own product at some widths; the result is
+        # made C-contiguous, as matmul's is, since reductions over it sum in
+        # memory order
+        out = (p.reshape(k * o, i) @ x.reshape(-1, i).T).reshape(k, o, -1)
+        return np.ascontiguousarray(out.swapaxes(1, 2)).reshape((k,) + x.shape[:-1] + (o,))
+    return np.matmul(x.reshape(k, -1, i), p.swapaxes(1, 2)).reshape(x.shape[:-1] + (o,))
 
 
 @dataclass
@@ -64,7 +80,7 @@ def encode_batch(x: np.ndarray, model: ModelParameters, tower: str) -> Encoded:
     embeddings (..., d): texts (n, c) and frames (n, T', c) alike."""
     projected = x @ getattr(model, f"proj_{tower}").T
     if model.adapters_enabled:
-        pre = projected @ _transposed(getattr(model, f"adapter_{tower}"), projected.ndim)
+        pre = _product(projected, getattr(model, f"adapter_{tower}"), projected.ndim, model.copies)
     else:
         pre = projected
     norms = row_norms(pre)
@@ -87,7 +103,21 @@ class VideoKeys:
 
 
 def video_keys(frames: np.ndarray, model: ModelParameters) -> VideoKeys:
-    return VideoKeys(frames @ _transposed(model.fusion_key, 3), frames @ _transposed(model.fusion_value, 3))
+    copies = model.copies
+    return VideoKeys(_product(frames, model.fusion_key, 3, copies), _product(frames, model.fusion_value, 3, copies))
+
+
+def _pooled(weights: np.ndarray, values: np.ndarray, copies: int | None) -> np.ndarray:
+    """pooled[i, j] = weights[i, j] @ values[j] for weights (m, n, T') and
+    values (n, T', d), either with an optional copy axis: one product per
+    video j, and per copy too unless only the weights have copies, which
+    then fill the rows of one product per video."""
+    if copies is None or weights.ndim == 3 or values.ndim == 4:
+        return np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2))
+    m, n, frames = weights.shape[-3:]
+    rows = weights.transpose(2, 0, 1, 3).reshape(n, copies * m, frames)
+    out = np.matmul(rows, values).reshape(n, copies, m, values.shape[-1])
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3))
 
 
 @dataclass
@@ -112,19 +142,19 @@ def fuse_batch(
     mask on the pooled grid. Texts, keys and maps may carry copies."""
     m, d = texts.shape[-2:]
     n, frames = kv.keys.shape[-3:-1]
-    queries = texts @ _transposed(model.fusion_query, 2)
-    keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d)).swapaxes(-1, -2)
-    logits = queries @ keys
+    copies = model.copies
+    queries = _product(texts, model.fusion_query, 2, copies)
+    keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d))
+    logits = _product(queries, keys, 2, copies)
     logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = shifted / shifted.sum(axis=-1, keepdims=True)
-    # pooled[i, j] = weights[i, j] @ values[j]: one product per video j
-    pooled = np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), kv.values).swapaxes(-3, -2))
+    pooled = _pooled(weights, kv.values, copies)
     if drop_mask is not None:
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")
         pooled = pooled * drop_mask
-    pre = pooled @ _transposed(model.fusion_out, 3)
+    pre = _product(pooled, model.fusion_out, 3, copies)
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")

@@ -13,7 +13,7 @@ neither.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -198,13 +198,14 @@ def parameter_copies(
     overlapped coordinates taken from the span; every other array is params'
     own, shared. params itself is never written."""
     k, width = span.shape
-    copies = dataclasses.replace(params, copies=k)
+    copies = copy.copy(params)
+    copies.copies = k
     pos = 0
     for n in names:
         old = get_param(params, n)
         lo, hi = max(offset, pos), min(offset + width, pos + old.size)
         if lo < hi:
-            rows = np.tile(old.ravel(), (k, 1))
+            rows = np.repeat(old.reshape(1, -1), k, axis=0)
             rows[:, lo - pos : hi - pos] = span[:, lo - offset : hi - offset]
             setattr(copies, n, rows.reshape((k,) + old.shape))
         pos += old.size

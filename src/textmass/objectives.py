@@ -340,7 +340,9 @@ def forward_batch(
 
 def _per_copy(value, lead: tuple):
     """A loss as a float, or as a (k,) array of one value per copy."""
-    return float(value) if lead == () else np.broadcast_to(value, lead).copy()
+    if lead == ():
+        return float(value)
+    return value if value.shape == lead else np.full(lead, value)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,16 +204,36 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -
 
 @dataclass
 class OptimizerState:
-    step: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    """AdamW's step count and moments. Each moment is one flat vector over
+    the trainable arrays in optimizer order, and first_moment and
+    second_moment view it array by array under their names. runs holds the
+    (slice, group, decayed) spans of the flat vector that share a learning-
+    rate group and weight decay."""
+
+    step: int
+    first: np.ndarray
+    second: np.ndarray
+    first_moment: dict
+    second_moment: dict
+    runs: list
 
 
 def init_optimizer(params: ModelParameters, mode: str) -> OptimizerState:
-    state = OptimizerState()
-    for name in trainable_names(params, mode):
-        state.first_moment[name] = np.zeros_like(get_param(params, name))
-        state.second_moment[name] = np.zeros_like(get_param(params, name))
+    """Zero moments over the mode's trainable arrays."""
+    names = trainable_names(params, mode)
+    shapes = [get_param(params, name).shape for name in names]
+    sizes = [math.prod(shape) for shape in shapes]
+    state = OptimizerState(0, np.zeros(sum(sizes)), np.zeros(sum(sizes)), {}, {}, [])
+    start = 0
+    for name, shape, size in zip(names, shapes, sizes):
+        part = slice(start, start + size)
+        state.first_moment[name] = state.first[part].reshape(shape)
+        state.second_moment[name] = state.second[part].reshape(shape)
+        kind = (parameter_group(name), name != "log_lambda")
+        if state.runs and state.runs[-1][1:] == kind:
+            part = slice(state.runs.pop()[0].start, part.stop)
+        state.runs.append((part,) + kind)
+        start += size
     return state
 
 
@@ -227,15 +247,13 @@ def adamw_step(
     """One decoupled-weight-decay Adam update; decay skips the logit scale.
 
     The update runs once over the trainable arrays concatenated in the
-    optimizer's order, with a learning rate and a decay per element, and
-    then writes each array back. A non-finite gradient is refused, naming
-    its array, before anything is written."""
+    optimizer's order, with a learning rate and a decay per element, updates
+    the flat moments in place, and then writes each array back. A non-finite
+    gradient is refused, naming its array, before anything is written."""
     names = list(state.first_moment)
-    shapes = [state.first_moment[name].shape for name in names]
-    sizes = [state.first_moment[name].size for name in names]
-    ends = np.cumsum(sizes)
     g = flatten_grads(grads, names)
     if not np.all(np.isfinite(g)):
+        ends = np.cumsum([moment.size for moment in state.first_moment.values()])
         bad = int(np.searchsorted(ends, np.argmin(np.isfinite(g)), side="right"))
         raise TrainingDivergence(
             f"non-finite gradient for {names[bad]!r} at optimizer step {state.step + 1}"
@@ -244,18 +262,22 @@ def adamw_step(
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    lr = np.repeat([lr_by_group[parameter_group(name)] for name in names], sizes)
-    decay = np.repeat([0.0 if name == "log_lambda" else weight_decay for name in names], sizes)
-    m = ADAM_BETA1 * flatten_grads(state.first_moment, names) + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * flatten_grads(state.second_moment, names) + (1.0 - ADAM_BETA2) * g * g
+    lr, decay = np.empty(g.size), np.empty(g.size)
+    for part, group, decayed in state.runs:
+        lr[part] = lr_by_group[group]
+        decay[part] = weight_decay if decayed else 0.0
+    m, v = state.first, state.second
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
     update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     p = flatten_params(params, names)
     p = p - lr * update - lr * decay * p
-    for name, shape, end, size in zip(names, shapes, ends, sizes):
-        part = slice(end - size, end)
-        state.first_moment[name] = m[part].reshape(shape)
-        state.second_moment[name] = v[part].reshape(shape)
-        set_param(params, name, p[part].reshape(shape))
+    end = 0
+    for name, moment in state.first_moment.items():
+        end += moment.size
+        set_param(params, name, p[end - moment.size : end].reshape(moment.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -520,5 +542,5 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     shapes = {f"{tag}.{name}": zeros.shape for name, zeros in first.items() for tag in "mv"}
     stored = _checked_entries(opt_entries, shapes, "optimizer entry")
     for name in first:
-        first[name], second[name] = stored[f"m.{name}"], stored[f"v.{name}"]
+        first[name][...], second[name][...] = stored[f"m.{name}"], stored[f"v.{name}"]
     return TrainState(params=params, optimizer=optimizer, global_step=global_step), config

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from textmass.core import ContractViolation
-from textmass.encoders import sample_frame_indices
+from textmass.core import FD_BLOCK, ContractViolation
+from textmass.encoders import _pooled, _product, sample_frame_indices
 from textmass.model import init_model
 
 from oracle import encode_frames, encode_text, fuse
@@ -137,3 +137,58 @@ class TestReproducibility:
         assert np.array_equal(a.proj_text, b.proj_text)
         assert np.array_equal(a.proj_frame, b.proj_frame)
         assert np.array_equal(a.adapter_text, np.eye(8))
+
+
+# the copy count of one gradient_check block: the +h and -h points of FD_BLOCK coordinates
+ORACLE_COPIES = 2 * FD_BLOCK
+
+
+def assert_matches(got, want):
+    """Equal up to roundoff of the summation order, relative to the largest entry."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+class TestProducts:
+    """`_product` and `_pooled` against one plain product per copy."""
+
+    @pytest.mark.parametrize("lead", [(5,), (4, 3)])  # texts (m, d) and frames (n, T', d)
+    @pytest.mark.parametrize("side", ["map", "input", "both"])
+    def test_copies_equal_one_product_per_copy(self, lead, side):
+        rng = np.random.default_rng(21)
+        k, d = ORACLE_COPIES, 6
+        x = rng.standard_normal(((k,) if side != "map" else ()) + lead + (d,))
+        p = rng.standard_normal(((k,) if side != "input" else ()) + (d + 1, d))
+        got = _product(x, p, len(lead) + 1, k)
+        want = np.stack([(x[c] if side != "map" else x) @ (p[c] if side != "input" else p).T for c in range(k)])
+        assert_matches(got, want)
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("side", ["weights", "values", "both"])
+    def test_pooled_copies_equal_one_product_per_copy_and_video(self, side):
+        rng = np.random.default_rng(22)
+        k, m, n, frames, d = ORACLE_COPIES, 4, 3, 5, 6
+        weights = rng.random(((k,) if side != "values" else ()) + (m, n, frames))
+        values = rng.standard_normal(((k,) if side != "weights" else ()) + (n, frames, d))
+        got = _pooled(weights, values, k)
+        w = np.broadcast_to(weights, (k, m, n, frames))
+        v = np.broadcast_to(values, (k, n, frames, d))
+        want = np.array([[[w[c, i, j] @ v[c, j] for j in range(n)] for i in range(m)] for c in range(k)])
+        assert_matches(got, want)
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("queries", [1, 7])
+    def test_without_copies_the_stacked_product_is_untouched(self, queries):
+        # inference's block shapes: texts (k, 1, d) against shared maps, keys
+        # (n * T', d) and values (n, T', d); its per-query bits rest on them
+        rng = np.random.default_rng(23)
+        d, n, frames = 8, 5, 3
+        texts = rng.standard_normal((queries, 1, d))
+        p = rng.standard_normal((d, d))
+        keys = rng.standard_normal((n * frames, d))
+        assert np.array_equal(_product(texts, p, 2, None), texts @ p.T)
+        assert np.array_equal(_product(texts, keys, 2, None), texts @ keys.T)
+        weights = rng.random((queries, 1, n, frames))
+        values = rng.standard_normal((n, frames, d))
+        stacked = np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2)
+        assert np.array_equal(_pooled(weights, values, None), stacked)

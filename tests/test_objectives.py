@@ -844,7 +844,7 @@ class TestParameterCopies:
         dropout=st.booleans(),
         frozen_radius=st.booleans(),
         degenerate=st.booleans(),
-        copies=st.integers(1, 5),
+        copies=st.integers(1, 5) | st.just(2 * core.FD_BLOCK),  # 2 * FD_BLOCK: a gradient_check block
         moved=st.integers(1, 2**8 - 1),
         seed=st.integers(0, 2**16),
     )
@@ -880,6 +880,30 @@ class TestParameterCopies:
         assert_copies_match(blocked, one_at_a_time(params, names, points, batch, mode, eps, mask), copies)
         with pytest.raises(ContractViolation):
             backward_batch(tape)
+
+    # Each map alone, then every array. The products meet copies on the map
+    # alone (each map's own product), on the input alone (every product
+    # after adapter_text's or adapter_frame's) and on both (every array).
+    # Attention weights with copies meet shared values (fusion_query,
+    # fusion_key), shared weights meet copied values (fusion_value).
+    @pytest.mark.parametrize(
+        "first, last",
+        [(name, name) for name in ("adapter_text", "adapter_frame", "fusion_query", "fusion_key", "fusion_value",
+                                   "fusion_out")]
+        + [("radius_weights", "log_lambda"), ("adapter_text", "log_lambda")],
+    )
+    def test_a_gradient_check_block_equals_one_at_a_time(self, first, last):
+        k, d, n = 2 * core.FD_BLOCK, 6, 4
+        params = randomize(init_model(d, d, 3, "linear", seed=9), seed=9)
+        batch = make_batch(n, d, 5, seed=9)
+        eps = draw_noise(substream(9, 7011), 2, n, d)
+        names = trainable_names(params, "t-mass")
+        bounds = np.cumsum([0] + [get_param(params, name).size for name in names])
+        lo, hi = bounds[names.index(first)], bounds[names.index(last) + 1]
+        points = np.tile(flatten_params(params, names), (k, 1))
+        points[:, lo:hi] += 1e-3 * substream(9, 7012).standard_normal(k * (hi - lo)).reshape(k, hi - lo)
+        blocked, _ = forward_batch(batch, parameter_copies(params, names, points[:, lo:hi], lo), "t-mass", 1.2, eps=eps)
+        assert_copies_match(blocked, one_at_a_time(params, names, points, batch, "t-mass", eps, None), k)
 
     def test_copies_that_disagree_on_the_support_set(self):
         d, n = 6, 4
