@@ -19,7 +19,10 @@ through :func:`grid_normals`, and corpus generation its pairs' rows.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
+import math
+import numbers
 import os
 
 import numpy as np
@@ -44,6 +47,36 @@ class FormatError(IOError):
 
 class OracleFailure(RuntimeError):
     """A verification oracle could not be evaluated (non-finite function value)."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_field_types(config) -> None:
+    """Refuse, naming the key, a config dataclass field whose value is not of
+    its default's type: a bool field wants a bool, an int field an integer
+    that is not a bool, a float field a finite float or an integer a float
+    holds exactly, a tuple field a tuple or list of integers, and any other
+    field its default's type."""
+    for f in dataclasses.fields(config):
+        value, default = getattr(config, f.name), f.default
+        if isinstance(default, bool):
+            ok, want = isinstance(value, bool), "a bool"
+        elif isinstance(default, int):
+            ok, want = _is_integer(value), "an integer"
+        elif isinstance(default, float):
+            ok = isinstance(value, float) or _is_integer(value) and abs(value) <= 2**53
+            want = "a float or an integer of at most 2**53"
+        elif isinstance(default, tuple):
+            ok = isinstance(value, (tuple, list)) and all(map(_is_integer, value))
+            want = "a list of integers"
+        else:
+            ok, want = isinstance(value, type(default)), f"a {type(default).__name__}"
+        if not ok:
+            raise ContractViolation(f"config value {f.name} = {value!r} must be {want}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractViolation(f"config value {f.name} = {value!r} is not finite")
 
 
 def stream_key(*parts: int) -> int:

@@ -17,14 +17,21 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, box_muller, stream_uniforms, substream
+from .core import (
+    ContractViolation,
+    FormatError,
+    atomic_write,
+    box_muller,
+    check_field_types,
+    stream_uniforms,
+    substream,
+)
 
 TEST_FRACTION = 0.2
 DISTRACTOR_POOL_FACTOR = 4
@@ -54,9 +61,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("coverage", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractViolation(f"{name} = {getattr(self, name)!r} is not finite")
+        check_field_types(self)
         if self.pairs < 2:
             raise ContractViolation("need at least two pairs")
         if self.concept_dim < 2:

@@ -15,7 +15,7 @@ per-vector oracle. A trainable map may be a (k, d, d) stack of parameter
 copies (model.parameter_copies); every output it reaches then gains a
 leading copy axis of length k. Without copies every product is the stacked
 `x @ p.T` that inference's per-query bits rest on; with copies (gradient
-checks) `_product` and `_pooled` fold the copies into a few whole GEMMs
+checks) `_product` folds the copies of a map into a few whole GEMMs
 instead of one small product per copy and row.
 """
 
@@ -107,17 +107,11 @@ def video_keys(frames: np.ndarray, model: ModelParameters) -> VideoKeys:
     return VideoKeys(_product(frames, model.fusion_key, 3, copies), _product(frames, model.fusion_value, 3, copies))
 
 
-def _pooled(weights: np.ndarray, values: np.ndarray, copies: int | None) -> np.ndarray:
+def _pooled(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """pooled[i, j] = weights[i, j] @ values[j] for weights (m, n, T') and
     values (n, T', d), either with an optional copy axis: one product per
-    video j, and per copy too unless only the weights have copies, which
-    then fill the rows of one product per video."""
-    if copies is None or weights.ndim == 3 or values.ndim == 4:
-        return np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2))
-    m, n, frames = weights.shape[-3:]
-    rows = weights.transpose(2, 0, 1, 3).reshape(n, copies * m, frames)
-    out = np.matmul(rows, values).reshape(n, copies, m, values.shape[-1])
-    return np.ascontiguousarray(out.transpose(1, 2, 0, 3))
+    video j (and per copy)."""
+    return np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2))
 
 
 @dataclass
@@ -149,7 +143,7 @@ def fuse_batch(
     logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = shifted / shifted.sum(axis=-1, keepdims=True)
-    pooled = _pooled(weights, kv.values, copies)
+    pooled = _pooled(weights, kv.values)
     if drop_mask is not None:
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")

@@ -17,7 +17,6 @@ both run the batched radius stage `radius_batch`; the per-vector `radius` of
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,6 +26,7 @@ from .core import (
     NORM_GUARD,
     ContractViolation,
     SeededRng,
+    check_field_types,
     row_norms,
 )
 
@@ -46,8 +46,7 @@ class SamplingConfig:
     trials: int = 20
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
-            raise ContractViolation(f"sampling trial count must be an integer, got {self.trials!r}")
+        check_field_types(self)
         if self.trials < 1:
             raise ContractViolation("sampling trial count must be >= 1")
 

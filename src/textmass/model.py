@@ -8,7 +8,7 @@ the optimizer, gradient containers, flattening for finite-difference
 checks, and checkpoint serialization. Two parameter groups exist:
 "backbone-adapter" (the encoder adapters, trained at the lower rate) and
 "head" (fusion, radius, logit scale); the frozen projections belong to
-neither.
+neither. Once built, a model's arrays change through `restore_param` alone.
 """
 
 from __future__ import annotations
@@ -127,12 +127,6 @@ PARAMETERS = {
 }
 
 
-def _slot(name: str) -> Slot:
-    if name not in PARAMETERS:
-        raise ContractViolation(f"unknown parameter {name!r}")
-    return PARAMETERS[name]
-
-
 def all_array_names(params: ModelParameters) -> list[str]:
     """Every parameter array including frozen ones, for serialization."""
     return [n for n, s in PARAMETERS.items() if s.variant in (None, params.radius_variant)]
@@ -157,31 +151,18 @@ def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
     ]
 
 
-def parameter_group(name: str) -> str | None:
-    """Optimizer group of a parameter; None for a frozen one."""
-    return _slot(name).group
-
-
 def get_param(params: ModelParameters, name: str) -> np.ndarray:
     """Parameter value as a float64 array (shape () for scalars)."""
-    _slot(name)
     return np.asarray(getattr(params, name), dtype=np.float64)
 
 
 def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
-    """Assign any parameter, frozen ones included, as when a model is
-    rebuilt from stored arrays; a scalar is stored as a float."""
+    """Assign an array of params' shape, frozen or not: the one writer, for
+    AdamW's step and checkpoint loading; a scalar is stored as a float."""
     value = np.asarray(value, dtype=np.float64)
     if value.shape != get_param(params, name).shape:
         raise ContractViolation(f"shape mismatch assigning {name!r}")
     setattr(params, name, float(value) if value.ndim == 0 else value)
-
-
-def set_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
-    """Assign a trainable parameter; a frozen one is refused."""
-    if _slot(name).group is None:
-        raise ContractViolation(f"parameter {name!r} is frozen")
-    restore_param(params, name, value)
 
 
 def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:

@@ -17,22 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, substream
+from .core import ContractViolation, FormatError, atomic_write, check_field_types, substream
 from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
+    PARAMETERS,
     ModelParameters,
     all_array_names,
     flatten_grads,
     flatten_params,
     get_param,
     init_model,
-    parameter_group,
     restore_param,
-    set_param,
     trainable_names,
 )
 from .objectives import (
+    DEFAULT_ALPHA,
     PairBatch,
     backward_batch,
     draw_noise,
@@ -70,7 +70,7 @@ class TrainingConfig:
     theta_init: float = 0.0
     adapters_enabled: bool = True
     mode: str = "t-mass"
-    alpha: float = 1.2
+    alpha: float = DEFAULT_ALPHA
     batch_size: int = 32
     epochs: int = 5
     lr_head: float = 1e-5
@@ -83,11 +83,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            _check_text_value(f.name, value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ContractViolation(f"config value {f.name} = {value!r} is not finite")
+            _check_text_value(f.name, getattr(self, f.name))
         for key in ("alpha", "lr_head", "lr_adapter", "weight_decay"):
             if getattr(self, key) < 0:
                 raise ContractViolation(f"config value {key} = {getattr(self, key)!r} is negative")
@@ -99,8 +97,8 @@ class TrainingConfig:
             raise ContractViolation("warmup fraction must lie in [0, 1]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractViolation("dropout rate must lie in [0, 1)")
-        if self.seed < 0:
-            raise ContractViolation("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ContractViolation("seed must lie in [0, 2**64), the range a checkpoint stores")
         if self.dim < 1 or self.concept_dim < 1 or self.frame_count < 1 or self.trials < 1:
             raise ContractViolation("model sizes and trial count must be positive")
         if self.radius_variant not in RADIUS_VARIANTS:
@@ -108,11 +106,11 @@ class TrainingConfig:
 
 
 def _check_text_value(key: str, value) -> None:
-    """Config text is one `key = value` line per key and cuts a value at its
-    first `#`, so a str value holding `#` or a line break would not read
-    back as written."""
-    if isinstance(value, str) and any(ch in value for ch in "#\n\r"):
-        raise ContractViolation(f"config value {key} = {value!r} holds '#' or a line break")
+    """Config text is one `key = value` line per key, cuts a value at its
+    first `#` and strips it, so a str value holding `#` or a line break, or
+    with space at either end, would not read back as written."""
+    if isinstance(value, str) and (any(ch in value for ch in "#\n\r") or value != value.strip()):
+        raise ContractViolation(f"config value {key} = {value!r} would not read back as written")
 
 
 def _parse_value(raw: str, default):
@@ -131,14 +129,17 @@ def _parse_value(raw: str, default):
 
 def config_to_text(config) -> str:
     """Flat `key = value` lines of a flat config dataclass, sorted by key;
-    parse_config_text inverts."""
+    parse_config_text inverts. A float key's value is written as a float,
+    as it reads back, even when it was given as an int."""
     lines = []
-    for key in sorted(f.name for f in dataclasses.fields(config)):
-        value = getattr(config, key)
+    for f in sorted(dataclasses.fields(config), key=lambda f: f.name):
+        key, value = f.name, getattr(config, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
+        elif isinstance(f.default, float):
+            value = float(value)
         _check_text_value(key, value)
         lines.append(f"{key} = {value}\n")
     return "".join(lines)
@@ -229,7 +230,7 @@ def init_optimizer(params: ModelParameters, mode: str) -> OptimizerState:
         part = slice(start, start + size)
         state.first_moment[name] = state.first[part].reshape(shape)
         state.second_moment[name] = state.second[part].reshape(shape)
-        kind = (parameter_group(name), name != "log_lambda")
+        kind = (PARAMETERS[name].group, name != "log_lambda")
         if state.runs and state.runs[-1][1:] == kind:
             part = slice(state.runs.pop()[0].start, part.stop)
         state.runs.append((part,) + kind)
@@ -277,7 +278,7 @@ def adamw_step(
     end = 0
     for name, moment in state.first_moment.items():
         end += moment.size
-        set_param(params, name, p[end - moment.size : end].reshape(moment.shape))
+        restore_param(params, name, p[end - moment.size : end].reshape(moment.shape))
 
 
 # ---------------------------------------------------------------------------

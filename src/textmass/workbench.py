@@ -75,14 +75,14 @@ class RunConfig(TrainingConfig):
     keys (what a checkpoint stores), synthetic corpus keys, and
     orchestration keys (seed list for grids, sampling toggle, input paths)."""
 
-    # synthetic corpus (mirrors SyntheticSpec; data_seed keeps the corpus
-    # fixed while training seeds vary)
-    pairs: int = 640
-    raw_frames: int = 16
-    coverage: float = 0.4
-    noise_sigma: float = 0.1
-    distractors: int = 2
-    data_seed: int = 0
+    # synthetic corpus (SyntheticSpec's keys and defaults; data_seed keeps
+    # the corpus fixed while training seeds vary)
+    pairs: int = SyntheticSpec.pairs
+    raw_frames: int = SyntheticSpec.raw_frames
+    coverage: float = SyntheticSpec.coverage
+    noise_sigma: float = SyntheticSpec.noise_sigma
+    distractors: int = SyntheticSpec.distractors
+    data_seed: int = SyntheticSpec.seed
     # orchestration
     seeds: tuple = (0, 1, 2)
     sampling: bool = True
@@ -94,8 +94,8 @@ class RunConfig(TrainingConfig):
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ContractViolation("seeds must list at least one seed")
-        if any(s < 0 for s in self.seeds):
-            raise ContractViolation("seeds must be nonnegative")
+        if any(not 0 <= s < 2**64 for s in self.seeds):
+            raise ContractViolation("seeds must lie in [0, 2**64)")
         # constructing the spec runs its validation
         self.synthetic_spec()
 

@@ -163,6 +163,13 @@ class TestGenerate:
         with pytest.raises(ContractViolation):
             SyntheticSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("pairs", 40.5), ("distractors", True), ("coverage", "0.4"), ("seed", 1.0)]
+    )
+    def test_fields_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match=f"config value {field} = .* must be"):
+            SyntheticSpec(**{field: value})
+
     @pytest.mark.parametrize("field", ["coverage", "noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_float_fields_rejected(self, field, value):

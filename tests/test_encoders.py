@@ -170,7 +170,7 @@ class TestProducts:
         k, m, n, frames, d = ORACLE_COPIES, 4, 3, 5, 6
         weights = rng.random(((k,) if side != "values" else ()) + (m, n, frames))
         values = rng.standard_normal(((k,) if side != "weights" else ()) + (n, frames, d))
-        got = _pooled(weights, values, k)
+        got = _pooled(weights, values)
         w = np.broadcast_to(weights, (k, m, n, frames))
         v = np.broadcast_to(values, (k, n, frames, d))
         want = np.array([[[w[c, i, j] @ v[c, j] for j in range(n)] for i in range(m)] for c in range(k)])
@@ -191,4 +191,4 @@ class TestProducts:
         weights = rng.random((queries, 1, n, frames))
         values = rng.standard_normal((n, frames, d))
         stacked = np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2)
-        assert np.array_equal(_pooled(weights, values, None), stacked)
+        assert np.array_equal(_pooled(weights, values), stacked)

@@ -14,9 +14,7 @@ from textmass.model import (
     all_array_names,
     get_param,
     init_model,
-    parameter_group,
     restore_param,
-    set_param,
     trainable_names,
 )
 
@@ -89,15 +87,15 @@ def test_unknown_mode_and_name_are_refused():
     params = make_model()
     with pytest.raises(ContractViolation, match="unknown training mode"):
         trainable_names(params, "t-mas")
-    for call in (lambda: get_param(params, "radius"), lambda: set_param(params, "radius", 0.0),
-                 lambda: restore_param(params, "radius", 0.0), lambda: parameter_group("radius")):
-        with pytest.raises(ContractViolation, match="unknown parameter 'radius'"):
+    # an unknown array name is no model field
+    for call in (lambda: get_param(params, "radius"), lambda: restore_param(params, "radius", 0.0)):
+        with pytest.raises(AttributeError, match="'radius'"):
             call()
 
 
 def test_groups_follow_the_table():
     params = make_model()
-    groups = {name: parameter_group(name) for name in all_array_names(params)}
+    groups = {name: PARAMETERS[name].group for name in all_array_names(params)}
     assert groups == {
         "proj_text": None, "proj_frame": None,
         "adapter_text": "backbone-adapter", "adapter_frame": "backbone-adapter",
@@ -115,12 +113,12 @@ def test_get_param_reads_the_owning_component():
     assert float(get_param(params, "log_lambda")) == params.log_lambda
 
 
-def test_set_param_refuses_frozen_and_misshapen_values():
+def test_restore_param_refuses_misshapen_values():
     params = make_model()
-    with pytest.raises(ContractViolation, match="parameter 'proj_frame' is frozen"):
-        set_param(params, "proj_frame", params.proj_frame)
     with pytest.raises(ContractViolation, match="shape mismatch assigning 'fusion_key'"):
-        set_param(params, "fusion_key", np.eye(7))
+        restore_param(params, "fusion_key", np.eye(7))
+    with pytest.raises(ContractViolation, match="shape mismatch assigning 'log_lambda'"):
+        restore_param(params, "log_lambda", np.ones(1))
 
 
 def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
@@ -128,8 +126,8 @@ def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
     frame = np.full((8, 6), 0.5)
     restore_param(params, "proj_frame", frame)
     assert np.array_equal(params.proj_frame, frame)
-    set_param(params, "radius_theta", np.array(0.25))
-    set_param(params, "log_lambda", np.array(1.5))
+    restore_param(params, "radius_theta", np.array(0.25))
+    restore_param(params, "log_lambda", np.array(1.5))
     assert type(params.radius_theta) is float and params.radius_theta == 0.25
     assert type(params.log_lambda) is float and params.log_lambda == 1.5
 

@@ -530,13 +530,6 @@ class TestParameterPlumbing:
         unflatten_params(params, names, flat * 2.0)
         assert np.array_equal(flatten_params(params, names), flat * 2.0)
 
-    def test_frozen_projections_reject_assignment(self):
-        from textmass.model import set_param
-
-        params = make_model()
-        with pytest.raises(ContractViolation):
-            set_param(params, "proj_text", np.eye(8, 6))
-
     def test_scalar_params_round_trip_as_zero_d(self):
         params = make_model(variant="scalar")
         theta = get_param(params, "radius_theta")
@@ -726,9 +719,15 @@ def in_extended_precision(batch, params, eps, drop_mask):
     return wide_batch, wide_params, wide(eps), wide(drop_mask)
 
 
-def assert_close(actual, expected, what):
+def assert_close(actual, expected, what, float64_ref=None):
+    """Within 1e-14 absolute or 1e-12 relative of expected, or, given the
+    float64 reference of an extended-precision expected, no farther from it
+    than 4x that reference's own error: where float64 cannot meet the fixed
+    bounds (seed 13511 below), the batched pass is held to float64's best."""
     err = np.abs(np.asarray(actual, dtype=np.float64) - expected)
     ok = (err <= 1e-14) | (err <= 1e-12 * np.abs(expected))
+    if float64_ref is not None:
+        ok |= err <= 4 * np.abs(np.asarray(float64_ref, dtype=np.float64) - expected)
     assert np.all(ok), f"{what}: worst error {err.max():.3e}"
 
 
@@ -761,6 +760,10 @@ class TestBatchedMatchesPerSampleReference:
     # fusion_query[5, 1], -3.98e-3: a float64 reference is 2e-14 off, the batched pass 3e-15
     @example(samples=3, variant="fixed-mean", mode="ablation-ce-plus-s", adapters=False, dropout=True,
              degenerate=False, seed=347)
+    # adapter_frame[2, 5], -7.34e-3 in an array reaching 6.77: the float64
+    # reference is 3.51e-14 off, the batched pass 3.38e-14, past the fixed bounds
+    @example(samples=3, variant="linear", mode="ablation-ce-plus-s", adapters=True, dropout=True,
+             degenerate=False, seed=13511)
     def test_losses_and_gradients(self, samples, variant, mode, adapters, dropout, degenerate, seed):
         d, n = 6, 4
         params = init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters)
@@ -775,6 +778,7 @@ class TestBatchedMatchesPerSampleReference:
         grads = backward_batch(tape)
         wide_batch, wide_params, wide_eps, wide_mask = in_extended_precision(batch, params, eps, mask)
         losses, terms, ref_grads = reference_objective(wide_batch, wide_params, mode, 1.2, wide_eps, wide_mask)
+        f64_losses, _, f64_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
 
         if degenerate and mode != "baseline":
             assert list(np.flatnonzero(tape.support.keep)) == list(range(1, n))
@@ -782,10 +786,10 @@ class TestBatchedMatchesPerSampleReference:
             if ref is None:
                 assert getattr(breakdown, key) is None
             else:
-                assert_close(getattr(breakdown, key), ref, key)
+                assert_close(getattr(breakdown, key), ref, key, f64_losses[key])
         assert list(grads) == list(ref_grads)
         for name, ref in ref_grads.items():
-            assert_close(grads[name], ref, name)
+            assert_close(grads[name], ref, name, f64_grads[name])
 
         if mode != "baseline":
             first = max(1, samples // 2)

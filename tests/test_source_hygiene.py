@@ -1,8 +1,10 @@
 """Source hygiene: no import in src/textmass or tests goes unused, and no
-top-level function or class of src/textmass goes unreferenced. No linter ships with
-the project, so both checks read the modules with `ast`."""
+top-level function, class or ALL_CAPS constant of src/textmass goes
+unreferenced. No linter ships with the project, so both checks read the
+modules with `ast`."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -63,20 +65,36 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The name a top-level function or class defines, or the ALL_CAPS
+    names (a leading underscore allowed) a top-level assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id)
+    ]
+
+
 def unreferenced_definitions(paths: list[Path]) -> list[str]:
-    """`module.name` of each top-level function or class that no module of
-    paths reads, imports or exports by name. A dunder name, such as a
-    module `__getattr__`, is a hook the interpreter calls, so it counts as
-    referenced."""
+    """`module.name` of each top-level function, class or ALL_CAPS constant
+    that no module of paths reads, imports or exports by name. A dunder
+    name, such as a module `__getattr__`, is a hook the interpreter calls,
+    so it counts as referenced."""
     trees = {path: _tree(path) for path in paths}
     referenced = set().union(*map(_referenced, trees.values()))
     return [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in referenced
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        for name in _defined_names(node)
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -96,8 +114,12 @@ def test_checks_catch_what_they_look_for(tmp_path):
         "import os\n"
         "import sys  # noqa: F401\n"
         "from json import dumps, loads\n"
+        "LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "_LOW, _HIGH = 0, 1\n"
+        "lower = 5\n"
         "def used():\n"
-        "    return loads('1')\n"
+        "    return loads('1') + LIMIT + _LOW\n"
         "def orphan():\n"
         "    return used()\n"
         "def encode_text():\n"
@@ -115,5 +137,6 @@ def test_checks_catch_what_they_look_for(tmp_path):
     )
     assert unused_imports(module) == ["sample.py:2: os", "sample.py:4: dumps"]
     assert unreferenced_definitions([module]) == [
-        "sample.orphan", "sample.encode_text", "sample.Orphan", "sample.__orphan"
+        "sample._SPARE", "sample._HIGH", "sample.orphan", "sample.encode_text", "sample.Orphan",
+        "sample.VALUE", "sample.__orphan",
     ]

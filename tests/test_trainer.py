@@ -5,20 +5,24 @@ codec, and checkpoint corruption."""
 import dataclasses
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from textmass import core, trainer
 from textmass.core import ContractViolation, FormatError, substream
+from textmass.mass import RADIUS_VARIANTS
 from textmass.model import (
+    MODES,
+    PARAMETERS,
     all_array_names,
     flatten_params,
     get_param,
-    parameter_group,
-    set_param,
+    restore_param,
     trainable_names,
 )
 from textmass.trainer import (
@@ -26,6 +30,7 @@ from textmass.trainer import (
     ADAM_BETA2,
     ADAM_EPS,
     TrainingConfig,
+    TrainState,
     adamw_step,
     config_to_text,
     init_model_from_config,
@@ -105,10 +110,10 @@ def per_name_adamw(params, grads, state, lr_by_group, weight_decay):
         m = state.first_moment[name] = ADAM_BETA1 * state.first_moment[name] + (1.0 - ADAM_BETA1) * g
         v = state.second_moment[name] = ADAM_BETA2 * state.second_moment[name] + (1.0 - ADAM_BETA2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        lr = lr_by_group[parameter_group(name)]
+        lr = lr_by_group[PARAMETERS[name].group]
         p = get_param(params, name)
         decay = 0.0 if name == "log_lambda" else weight_decay
-        set_param(params, name, p - lr * update - lr * decay * p)
+        restore_param(params, name, p - lr * update - lr * decay * p)
 
 
 class TestAdamW:
@@ -173,6 +178,19 @@ class TestAdamW:
         assert np.all(np.abs(get_param(params, "fusion_query")) < 1.0 + 1e-12)
         assert not np.allclose(get_param(params, "fusion_query"), np.eye(8))
 
+    @pytest.mark.parametrize("adapters", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant", RADIUS_VARIANTS)
+    def test_a_step_rebinds_exactly_the_trainable_fields(self, variant, mode, adapters):
+        config = tiny_config(radius_variant=variant, mode=mode, adapters_enabled=adapters)
+        params = init_model_from_config(config)
+        state = init_optimizer(params, mode)
+        before = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        grads = {n: np.ones_like(m) for n, m in state.first_moment.items()}
+        adamw_step(params, grads, state, {"head": 1e-2, "backbone-adapter": 1e-3}, 0.1)
+        rebound = {name for name, value in before.items() if getattr(params, name) is not value}
+        assert rebound == set(trainable_names(params, mode))
+
     @settings(max_examples=40, deadline=None)
     @given(
         variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
@@ -228,6 +246,20 @@ class TestTrainLoop:
             flatten_params(a.state.params, names), flatten_params(b.state.params, names)
         )
         assert [x.l_total for x in a.step_losses] == [x.l_total for x in b.step_losses]
+
+    @pytest.mark.parametrize("adapters", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_training_never_writes_a_frozen_array(self, mode, adapters):
+        # the projections, and every array the mode does not train, keep
+        # init's bits
+        text, videos = tiny_data()
+        config = tiny_config(mode=mode, adapters_enabled=adapters, dropout_rate=0.2)
+        fresh = init_model_from_config(config)
+        params = train(text, videos, config).state.params
+        untrained = [n for n in all_array_names(fresh) if n not in trainable_names(fresh, mode)]
+        assert {"proj_text", "proj_frame"} <= set(untrained)
+        for name in untrained:
+            assert get_param(params, name).tobytes() == get_param(fresh, name).tobytes(), name
 
     def test_baseline_mode_runs_without_noise(self):
         text, videos = tiny_data()
@@ -361,6 +393,21 @@ class ConfigCodecSuite:
         with pytest.raises(ContractViolation, match=f"config value {key} = "):
             self.parse(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("adapters_enabled", 1), ("seed", True), ("dim", 32.0), ("epochs", 1.5), ("batch_size", 8.0),
+         ("alpha", True), ("lr_head", "0.1"), ("theta_init", 2**53 + 1), ("mode", None)],
+    )
+    def test_values_of_the_wrong_type_name_the_key(self, key, value):
+        with pytest.raises(ContractViolation, match=f"config value {key} = {re.escape(repr(value))} must be"):
+            self.config_type(**{key: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stored_range_rejected(self, seed):
+        # the checkpoint stores the seed as a u64
+        with pytest.raises(ContractViolation, match="seed must lie in"):
+            self.config_type(seed=seed)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ContractViolation, match="mode"):
             self.parse("mode = nonsense\n")
@@ -375,6 +422,50 @@ class ConfigCodecSuite:
 class TestConfigText(ConfigCodecSuite):
     config_type = TrainingConfig
     default_text = TRAINING_DEFAULT_TEXT
+
+
+def config_values():
+    """Every TrainingConfig field drawn as its default's type (an int or a
+    float for a float field), at sizes a checkpoint's model can hold."""
+    by_type = {
+        bool: st.booleans(),
+        int: st.integers(1, 3),
+        float: st.integers(0, 1) | st.floats(0.0, 1.0),
+    }
+    wide = st.floats(min_value=0.0, allow_infinity=False) | st.integers(min_value=0)
+    special = {
+        "mode": st.sampled_from(MODES),
+        "radius_variant": st.sampled_from(RADIUS_VARIANTS),
+        "epochs": st.integers(0, 3),
+        "seed": st.integers(0, 2**64 - 1),
+        "theta_init": st.floats(allow_nan=False, allow_infinity=False),
+        "alpha": wide,
+        "lr_head": wide,
+    }
+    return st.fixed_dictionaries({
+        f.name: special.get(f.name, by_type.get(type(f.default)))
+        for f in dataclasses.fields(TrainingConfig)
+    })
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(values=config_values())
+    def test_every_config_that_constructs_round_trips(self, values):
+        try:
+            config = TrainingConfig(**values)
+        except ContractViolation:
+            assume(False)
+        text = config_to_text(config)
+        assert parse_config_text(text) == config
+        params = init_model_from_config(config)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.tmck"
+            save_checkpoint(path, TrainState(params, init_optimizer(params, config.mode)), config)
+            _, loaded = load_checkpoint(path)
+        assert loaded == config
+        # a float key given as an int is written as the float it reads back as
+        assert config_to_text(loaded) == text
 
 
 class TestCheckpoint:

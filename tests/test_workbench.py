@@ -150,24 +150,33 @@ class TestRunConfigText(ConfigCodecSuite):
         assert (out / "config.txt").read_text(encoding="utf-8") == TINY_TEXT
 
     def test_synthetic_spec_takes_the_corpus_keys(self):
-        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-        for f in dataclasses.fields(SyntheticSpec):
-            if f.name != "seed":
-                assert defaults[f.name] == f.default, f.name
+        assert RunConfig().synthetic_spec() == SyntheticSpec()
         spec = RunConfig(pairs=64, concept_dim=8, noise_sigma=0.3, data_seed=7, seed=3)
         assert spec.synthetic_spec() == SyntheticSpec(
             pairs=64, concept_dim=8, noise_sigma=0.3, seed=7
         )
+
+    @pytest.mark.parametrize("seeds", [(1.5, 2.9), (True,), "0,1", (0, None)], ids=repr)
+    def test_seeds_that_are_not_integers_are_refused(self, seeds):
+        with pytest.raises(ContractViolation, match="config value seeds = .* must be a list of integers"):
+            RunConfig(seeds=seeds)
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
             RunConfig(seeds=())
         with pytest.raises(ContractViolation):
             RunConfig(seeds=(0, -1))
+        with pytest.raises(ContractViolation, match="seeds must lie in"):
+            RunConfig(seeds=(0, 2**64))
         with pytest.raises(ContractViolation):
             RunConfig(radius_variant="cubic")
         with pytest.raises(ContractViolation):
             RunConfig(coverage=0.0)
+
+    def test_path_with_space_at_an_end_rejected(self):
+        # "data =  corpus " would parse back as "corpus"
+        with pytest.raises(ContractViolation, match="data"):
+            RunConfig(data=" corpus ")
 
     @pytest.mark.parametrize("char", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
     def test_path_that_would_not_read_back_rejected(self, char):
