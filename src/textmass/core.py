@@ -372,13 +372,12 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
 
     The oracle walks the flat coordinates of x in blocks of FD_BLOCK (the
     last may hold fewer). For a block of b coordinates from flat index start
-    it calls f(start, span), where span is the (2b, b) stack of what the
-    block's 2b points hold at those coordinates: x[start:start+b] with +h
-    on the diagonal of rows 0..b-1 and -h on the diagonal of rows b..2b-1.
-    Every other coordinate of every point is x's own. f gives the 2b
-    values, so one coordinate is the b = 1 case of the same call. f must be
-    deterministic; every value is checked for finiteness. This routine stays
-    independent of any analytic backward pass it verifies.
+    it calls f(points), where points is the (2b, x.size) stack of the
+    block's 2b points, each a whole flat copy of x: row i adds +h and row
+    b + i adds -h at coordinate start + i. f gives the 2b values, so one
+    coordinate is the b = 1 case of the same call. f must be deterministic;
+    every value is checked for finiteness. This routine stays independent
+    of any analytic backward pass it verifies.
     """
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
@@ -387,11 +386,11 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     grad = np.zeros(x.size)
     for start in range(0, x.size, FD_BLOCK):
         b = min(FD_BLOCK, x.size - start)
-        span = np.repeat(flat[None, start : start + b], 2 * b, axis=0)
+        points = np.repeat(flat[None], 2 * b, axis=0)
         diagonal = np.arange(b)
-        span[diagonal, diagonal] += h
-        span[diagonal + b, diagonal] -= h
-        values = np.asarray(f(start, span), dtype=np.float64)
+        points[diagonal, start + diagonal] += h
+        points[diagonal + b, start + diagonal] -= h
+        values = np.asarray(f(points), dtype=np.float64)
         if values.shape != (2 * b,):
             raise ContractViolation(f"callback gave {values.shape} values for {2 * b} points")
         if not np.isfinite(values).all():

@@ -74,8 +74,8 @@ class SyntheticSpec:
             raise ContractViolation("noise sigma must be nonnegative")
         if self.distractors < 0:
             raise ContractViolation("distractor count must be nonnegative")
-        if self.seed < 0:
-            raise ContractViolation("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ContractViolation("seed must lie in [0, 2**64)")
 
     @property
     def mask_count(self) -> int:
@@ -256,10 +256,10 @@ def _read_items(path) -> np.ndarray:
 def write_corpus(directory, records: list[PairRecord]) -> None:
     """Write the records as texts.tmeb, videos.tmeb and manifest.csv, each
     file atomically."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     if not records:
         raise ContractViolation("refusing to write an empty corpus")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     write_embeddings(directory / "texts.tmeb", [r.text for r in records])
     write_embeddings(directory / "videos.tmeb", [r.video for r in records])
     dim = records[0].text.shape[0]

@@ -11,12 +11,12 @@ The batched stages `encode_batch` and `fuse_batch` take the model and read
 its proj_*, adapter_* and fusion_* arrays by name. They run in training and
 inference alike and return what their backward (in objectives) replays;
 `encode_text`, `encode_frames` and `fuse` in `tests/oracle.py` are their
-per-vector oracle. A trainable map may be a (k, d, d) stack of parameter
-copies (model.parameter_copies); every output it reaches then gains a
-leading copy axis of length k. Without copies every product is the stacked
-`x @ p.T` that inference's per-query bits rest on; with copies (gradient
-checks) `_product` folds the copies of a map into a few whole GEMMs
-instead of one small product per copy and row.
+per-vector oracle. One trainable array may be a (k, ...) stack of
+parameter copies (model.parameter_copies); every output it reaches then
+gains a leading copy axis of length k. Without copies every product is the
+stacked `x @ p.T` that inference's per-query bits rest on; with copies
+(gradient checks) `_product` runs each product as one whole GEMM instead
+of one small product per copy and row.
 """
 
 from __future__ import annotations
@@ -43,26 +43,24 @@ def sample_frame_indices(total: int, count: int) -> np.ndarray:
 # batched stages
 
 
-def _product(x: np.ndarray, p: np.ndarray, rank: int, copies: int | None) -> np.ndarray:
-    """x @ p.T for an input x of `rank` axes and a map p (o, i); with k
-    copies either may lead with a copy axis of length k, which the result
-    leads with. Copies run as whole GEMMs: a shared map as one over every
-    row, copies of the map alone as one against the k maps side by side,
-    copies on both sides as one per copy."""
+def _product(x: np.ndarray, p: np.ndarray, copies: int | None) -> np.ndarray:
+    """x @ p.T for an input x (..., i) and a map p (o, i). With k copies, x
+    or p (never both: a copy set holds one array) may lead with a copy axis
+    of length k, which the result leads with, and the product runs as one
+    whole GEMM: a shared map over every row of x, or the k maps side by
+    side against the rows of a shared x."""
     if copies is None:
         return x @ p.T
     i = x.shape[-1]
     if p.ndim == 2:
         return (x.reshape(-1, i) @ p.T).reshape(x.shape[:-1] + p.shape[:1])
+    # the maps as the left operand: with x on the left, OpenBLAS gave a copy
+    # other bits than its own product at some widths; the result is made
+    # C-contiguous, as matmul's is, since reductions over it sum in memory
+    # order
     k, o = p.shape[:2]
-    if x.ndim == rank:
-        # the maps as the left operand: with x on the left, OpenBLAS gave a
-        # copy other bits than its own product at some widths; the result is
-        # made C-contiguous, as matmul's is, since reductions over it sum in
-        # memory order
-        out = (p.reshape(k * o, i) @ x.reshape(-1, i).T).reshape(k, o, -1)
-        return np.ascontiguousarray(out.swapaxes(1, 2)).reshape((k,) + x.shape[:-1] + (o,))
-    return np.matmul(x.reshape(k, -1, i), p.swapaxes(1, 2)).reshape(x.shape[:-1] + (o,))
+    out = (p.reshape(k * o, i) @ x.reshape(-1, i).T).reshape(k, o, -1)
+    return np.ascontiguousarray(out.swapaxes(1, 2)).reshape((k,) + x.shape[:-1] + (o,))
 
 
 @dataclass
@@ -80,7 +78,7 @@ def encode_batch(x: np.ndarray, model: ModelParameters, tower: str) -> Encoded:
     embeddings (..., d): texts (n, c) and frames (n, T', c) alike."""
     projected = x @ getattr(model, f"proj_{tower}").T
     if model.adapters_enabled:
-        pre = _product(projected, getattr(model, f"adapter_{tower}"), projected.ndim, model.copies)
+        pre = _product(projected, getattr(model, f"adapter_{tower}"), model.copies)
     else:
         pre = projected
     norms = row_norms(pre)
@@ -104,7 +102,7 @@ class VideoKeys:
 
 def video_keys(frames: np.ndarray, model: ModelParameters) -> VideoKeys:
     copies = model.copies
-    return VideoKeys(_product(frames, model.fusion_key, 3, copies), _product(frames, model.fusion_value, 3, copies))
+    return VideoKeys(_product(frames, model.fusion_key, copies), _product(frames, model.fusion_value, copies))
 
 
 def _pooled(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -137,9 +135,9 @@ def fuse_batch(
     m, d = texts.shape[-2:]
     n, frames = kv.keys.shape[-3:-1]
     copies = model.copies
-    queries = _product(texts, model.fusion_query, 2, copies)
+    queries = _product(texts, model.fusion_query, copies)
     keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d))
-    logits = _product(queries, keys, 2, copies)
+    logits = _product(queries, keys, copies)
     logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
     shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = shifted / shifted.sum(axis=-1, keepdims=True)
@@ -148,7 +146,7 @@ def fuse_batch(
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")
         pooled = pooled * drop_mask
-    pre = _product(pooled, model.fusion_out, 3, copies)
+    pre = _product(pooled, model.fusion_out, copies)
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")

@@ -4,7 +4,7 @@ ModelParameters holds every parameter array as a field named by its
 checkpoint name, beside the settings that fix which arrays exist and train.
 The PARAMETERS table gives each name its optimizer group and, for a radius
 array, the one variant that holds it; its order is the canonical order of
-the optimizer, gradient containers, flattening for finite-difference
+the optimizer, gradient containers, flat vectors, finite-difference
 checks, and checkpoint serialization. Two parameter groups exist:
 "backbone-adapter" (the encoder adapters, trained at the lower rate) and
 "head" (fusion, radius, logit scale); the frozen projections belong to
@@ -111,7 +111,7 @@ class Slot(NamedTuple):
 _ADAPTER, _HEAD = "backbone-adapter", "head"
 
 # Every parameter array, in the canonical order of the optimizer, gradient
-# containers, flat vectors and checkpoints.
+# containers, flat vectors, finite-difference checks and checkpoints.
 PARAMETERS = {
     "proj_text": Slot(None),
     "proj_frame": Slot(None),
@@ -169,29 +169,16 @@ def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
     return np.concatenate([get_param(params, n).ravel() for n in names]) if names else np.zeros(0)
 
 
-def parameter_copies(
-    params: ModelParameters, names: list[str], span: np.ndarray, offset: int = 0
-) -> ModelParameters:
-    """A model beside params for k parameter vectors over names that differ
-    from params' flat vector (flatten_params order) only at the coordinates
-    [offset, offset + w), which the (k, w) span holds. Each named array the
-    span overlaps becomes the (k, *shape) stack of its values with the
-    overlapped coordinates taken from the span; every other array is params'
-    own, shared. params itself is never written."""
-    k, width = span.shape
+def parameter_copies(params: ModelParameters, name: str, points: np.ndarray) -> ModelParameters:
+    """A model beside params whose array `name` is the (k, *shape) stack of
+    the k flat copies of it that the (k, size) points hold; every other
+    array is params' own, shared. params itself is never written."""
+    old = get_param(params, name)
+    if points.ndim != 2 or points.shape[1] != old.size:
+        raise ContractViolation(f"copies of {name!r} want {old.size} values each, got {points.shape}")
     copies = copy.copy(params)
-    copies.copies = k
-    pos = 0
-    for n in names:
-        old = get_param(params, n)
-        lo, hi = max(offset, pos), min(offset + width, pos + old.size)
-        if lo < hi:
-            rows = np.repeat(old.reshape(1, -1), k, axis=0)
-            rows[:, lo - pos : hi - pos] = span[:, lo - offset : hi - offset]
-            setattr(copies, n, rows.reshape((k,) + old.shape))
-        pos += old.size
-    if offset < 0 or offset + width > pos:
-        raise ContractViolation("parameter span reaches outside the flat parameter vector")
+    copies.copies = len(points)
+    setattr(copies, name, points.reshape((len(points),) + old.shape))
     return copies
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, SeededRng, row_norms
+from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, OracleFailure, SeededRng, row_norms
 from .encoders import (
     Encoded,
     Fused,
@@ -44,8 +44,6 @@ from .model import (
     LAMBDA_MAX,
     MODES,
     ModelParameters,
-    flatten_grads,
-    flatten_params,
     get_param,
     parameter_copies,
     trainable_names,
@@ -500,44 +498,44 @@ def gradient_check(
 ) -> GradientCheckResult:
     """Compare the hand-written backward pass against central differences.
 
-    Every trainable parameter for the mode is flattened into one vector;
-    noise and dropout are held fixed so the loss is deterministic in the
-    parameters. Each block of the oracle's points is evaluated as parameter
-    copies of the arrays its span overlaps, beside params, in one forward
-    pass, so params is never written. Entries with |gradient| below
-    CHECK_SMALL_GRAD must agree within CHECK_ABS_TOL, everything else within
-    CHECK_REL_TOL relative error.
+    Noise and dropout are held fixed so the loss is deterministic in the
+    parameters. The oracle walks the trainable arrays for the mode one at a
+    time; each block of its points is evaluated as parameter copies of that
+    one array, beside params, in one forward pass, so params is never
+    written. Entries with |gradient| below CHECK_SMALL_GRAD must agree
+    within CHECK_ABS_TOL, everything else within CHECK_REL_TOL relative
+    error. A failure names the array and the coordinate within it.
     """
     # looked up at call time, so that a probe rebinding core.finite_diff_gradient sees it
     from .core import finite_diff_gradient
 
-    names = trainable_names(params, mode)
     _, tape = forward_batch(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
-    analytic = flatten_grads(backward_batch(tape), names)
+    grads = backward_batch(tape)
+    abs_errs, rel_errs, failures = [], [], []
+    for name in trainable_names(params, mode):
 
-    def losses_at(start: int, span: np.ndarray) -> np.ndarray:
-        copies = parameter_copies(params, names, span, start)
-        breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
-        return breakdown.l_total
+        def losses_at(points: np.ndarray) -> np.ndarray:
+            copies = parameter_copies(params, name, points)
+            breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
+            return breakdown.l_total
 
-    numeric = finite_diff_gradient(losses_at, flatten_params(params, names), h=CHECK_STEP)
-
-    sizes = [get_param(params, name).size for name in names]
-    bounds = np.cumsum([0] + sizes)
-    abs_err = np.abs(analytic - numeric)
-    magnitude = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel_err = abs_err / np.maximum(magnitude, 1e-300)
-    ok = np.where(magnitude < CHECK_SMALL_GRAD, abs_err <= CHECK_ABS_TOL, rel_err <= CHECK_REL_TOL)
-    failures = []
-    for i in np.flatnonzero(~ok):
-        k = int(np.searchsorted(bounds, i, side="right")) - 1
-        failures.append(f"{names[k]}[{i - bounds[k]}]: analytic={analytic[i]:.3e} numeric={numeric[i]:.3e}")
-    large = magnitude >= CHECK_SMALL_GRAD
-    worst_rel = float(rel_err[large].max()) if np.any(large) else 0.0
+        try:
+            numeric = finite_diff_gradient(losses_at, get_param(params, name), h=CHECK_STEP).ravel()
+        except OracleFailure as exc:
+            raise OracleFailure(f"{exc} of {name!r}") from None
+        analytic = np.asarray(grads[name]).ravel()
+        abs_err = np.abs(analytic - numeric)
+        magnitude = np.maximum(np.abs(analytic), np.abs(numeric))
+        rel_err = abs_err / np.maximum(magnitude, 1e-300)
+        ok = np.where(magnitude < CHECK_SMALL_GRAD, abs_err <= CHECK_ABS_TOL, rel_err <= CHECK_REL_TOL)
+        failures += [f"{name}[{i}]: analytic={analytic[i]:.3e} numeric={numeric[i]:.3e}" for i in np.flatnonzero(~ok)]
+        abs_errs.append(abs_err)
+        rel_errs.append(rel_err[magnitude >= CHECK_SMALL_GRAD])
+    abs_err = np.concatenate(abs_errs)
     return GradientCheckResult(
-        passed=bool(np.all(ok)),
-        worst_rel=worst_rel,
-        worst_abs=float(abs_err.max()) if abs_err.size else 0.0,
-        checked=int(analytic.size),
+        passed=not failures,
+        worst_rel=float(np.concatenate(rel_errs).max(initial=0.0)),
+        worst_abs=float(abs_err.max(initial=0.0)),
+        checked=abs_err.size,
         failures=failures,
     )

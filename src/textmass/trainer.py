@@ -107,9 +107,10 @@ class TrainingConfig:
 
 def _check_text_value(key: str, value) -> None:
     """Config text is one `key = value` line per key, cuts a value at its
-    first `#` and strips it, so a str value holding `#` or a line break, or
-    with space at either end, would not read back as written."""
-    if isinstance(value, str) and (any(ch in value for ch in "#\n\r") or value != value.strip()):
+    first `#` and strips it, so a str value holding `#` or any line break
+    `str.splitlines` splits at, or with space at either end, would not read
+    back as written."""
+    if isinstance(value, str) and ("#" in value or len(value.splitlines()) > 1 or value != value.strip()):
         raise ContractViolation(f"config value {key} = {value!r} would not read back as written")
 
 
@@ -147,11 +148,12 @@ def config_to_text(config) -> str:
 
 def parse_config_text(text: str, base: TrainingConfig = TrainingConfig()) -> TrainingConfig:
     """Parse `key = value` lines (# comments, blank lines allowed) on top of
-    base and build a config of base's type. Unknown keys and malformed
-    values raise ContractViolation naming the line."""
+    base and build a config of base's type. Unknown or repeated keys and
+    malformed values raise ContractViolation naming the line."""
     fields = dataclasses.fields(base)
     defaults = {f.name: f.default for f in fields}
     values = {f.name: getattr(base, f.name) for f in fields}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -162,6 +164,9 @@ def parse_config_text(text: str, base: TrainingConfig = TrainingConfig()) -> Tra
         key, raw = key.strip(), raw.strip()
         if key not in values:
             raise ContractViolation(f"config line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ContractViolation(f"config line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(raw, defaults[key])
         except ValueError:

@@ -373,17 +373,14 @@ class TestBoxMullerTangent:
 
 
 def _on_points(f, x):
-    """A span callback for finite_diff_gradient at x that rebuilds each
-    block's full points, a (2b, *x.shape) stack, from (start, span) and
-    hands them to f; it records every call's start, span and points."""
-    flat = np.asarray(x, dtype=np.float64).ravel()
+    """A callback for finite_diff_gradient at x that hands f each block's
+    points, a (2b, x.size) stack, as a (2b, *x.shape) stack; it records a
+    copy of every call's points."""
     calls = []
 
-    def callback(start, span):
-        points = np.tile(flat, (len(span), 1))
-        points[:, start : start + span.shape[1]] = span
-        calls.append((start, span.copy(), points))
-        return f(points.reshape((len(span),) + np.shape(x)))
+    def callback(points):
+        calls.append(points.copy())
+        return f(points.reshape((len(points),) + np.shape(x)))
 
     return callback, calls
 
@@ -432,30 +429,32 @@ class TestFiniteDiffGradient:
 
     def test_bad_step_rejected(self):
         with pytest.raises(ContractViolation):
-            finite_diff_gradient(lambda start, span: np.zeros(len(span)), np.zeros(2), h=0.0)
+            finite_diff_gradient(lambda points: np.zeros(len(points)), np.zeros(2), h=0.0)
 
     def test_callback_must_give_one_value_per_point(self):
         with pytest.raises(ContractViolation):
-            finite_diff_gradient(lambda start, span: np.zeros(1), np.zeros(3))
+            finite_diff_gradient(lambda points: np.zeros(1), np.zeros(3))
 
     def test_single_coordinate_is_one_call_of_two_points(self):
         g, calls = _fd(_cubic, np.array([0.5]), h=1e-4)
-        assert [(start, span.shape) for start, span, _ in calls] == [(0, (2, 1))]
-        span = calls[0][1]
-        assert span[0, 0] == 0.5 + 1e-4 and span[1, 0] == 0.5 - 1e-4
+        assert [points.shape for points in calls] == [(2, 1)]
+        points = calls[0]
+        assert points[0, 0] == 0.5 + 1e-4 and points[1, 0] == 0.5 - 1e-4
         assert abs(g[0] - 0.75) <= 1e-7
 
     def test_ragged_last_block_matches_per_coordinate_differences(self):
         n = 2 * FD_BLOCK + 3
         x = substream(3, 7100).standard_normal(n)
         g, calls = _fd(_cubic, x, h=1e-4)
-        assert [(start, span.shape) for start, span, _ in calls] == [
-            (0, (2 * FD_BLOCK, FD_BLOCK)), (FD_BLOCK, (2 * FD_BLOCK, FD_BLOCK)), (2 * FD_BLOCK, (6, 3))
-        ]
+        assert [points.shape for points in calls] == [(2 * FD_BLOCK, n), (2 * FD_BLOCK, n), (6, n)]
+        # each block moves its own coordinates and no others
+        moved = [np.flatnonzero((c != x).any(axis=0)) for c in calls]
+        assert [list(m) for m in moved] == [list(range(0, FD_BLOCK)), list(range(FD_BLOCK, 2 * FD_BLOCK)),
+                                            list(range(2 * FD_BLOCK, n))]
         # the points are x +- h e_i built one coordinate at a time, and each
         # partial is their difference quotient, bit for bit
         points = np.concatenate([np.concatenate([c[: len(c) // 2], c[len(c) // 2 :]], axis=1)
-                                 for _, _, c in calls]).reshape(n, 2, n)
+                                 for c in calls]).reshape(n, 2, n)
         expected = np.empty(n)
         for i in range(n):
             xp, xm = x.copy(), x.copy()

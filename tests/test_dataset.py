@@ -163,6 +163,15 @@ class TestGenerate:
         with pytest.raises(ContractViolation):
             SyntheticSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_the_generated_range_rejected(self, seed):
+        # the streams fold the seed to 64 bits: 2**64 would generate seed 0's corpus
+        with pytest.raises(ContractViolation, match=r"^seed must lie in \[0, 2\*\*64\)$"):
+            SyntheticSpec(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert SyntheticSpec(seed=2**64 - 1).seed == 2**64 - 1
+
     @pytest.mark.parametrize(
         "field, value", [("pairs", 40.5), ("distractors", True), ("coverage", "0.4"), ("seed", 1.0)]
     )
@@ -309,6 +318,12 @@ class TestCorpusDirectory:
         assert {p.name: p.read_bytes() for p in target.iterdir()} == {
             name: whole[name] for name in CORPUS_FILES[:failing]
         }
+
+    def test_empty_corpus_refused_before_any_directory_is_made(self, tmp_path):
+        target = tmp_path / "corpus" / "nested"
+        with pytest.raises(ContractViolation, match="empty corpus"):
+            write_corpus(target, [])
+        assert not (tmp_path / "corpus").exists()
 
     def test_failed_empty_embedding_write_leaves_no_file(self, tmp_path, monkeypatch):
         def failing_fsync(fd):

@@ -360,6 +360,21 @@ class ConfigCodecSuite:
         with pytest.raises(ContractViolation, match="line 2: unknown key 'warp_factor'"):
             self.parse("seed = 1\nwarp_factor = 9\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ContractViolation, match="^config line 3: key 'seed' repeats line 1$"):
+            self.parse("seed = 1\nalpha = 0.5\nseed = 2\n")
+
+    # every break str.splitlines splits at; parse_config_text reads lines with it
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_value_holding_a_line_break_rejected(self, sep):
+        assert len(f"a{sep}b".splitlines()) == 2
+        with pytest.raises(ContractViolation, match="config value mode = .* would not read back as written"):
+            self.config_type(mode=f"t-mass{sep}x")
+        config = self.config_type()
+        config.mode = f"t-{sep}mass"
+        with pytest.raises(ContractViolation, match="config value mode = .* would not read back as written"):
+            config_to_text(config)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ContractViolation, match="line 1"):
             self.parse("just words")
@@ -378,7 +393,7 @@ class ConfigCodecSuite:
         assert "epochs" in numeric and "alpha" in numeric
         for key in numeric:
             with pytest.raises(ContractViolation, match=f"line 2: bad value 'x1' for {key}"):
-                self.parse(f"seed = 1\n{key} = x1\n")
+                self.parse(f"mode = t-mass\n{key} = x1\n")
         with pytest.raises(ContractViolation, match="epochs"):
             self.parse("epochs = 2.5\n")
 
@@ -753,8 +768,9 @@ class TestCorruptCheckpoint:
             (b"radius_variant = linear\n", b"radius_variant = cubicc\n"),
             (b"alpha = 1.2\n", b"alpha = nan\n"),
             (b"weight_decay = 0.1\n", b"weight_decay = -.1\n"),
+            (b"mode = t-mass\n", b"epochs = 1   \n"),
         ],
-        ids=["non-numeric", "not-utf8", "unknown-variant", "non-finite", "negative"],
+        ids=["non-numeric", "not-utf8", "unknown-variant", "non-finite", "negative", "repeated-key"],
     )
     def test_bad_config_text_names_its_offset(self, small_checkpoint, tmp_path, line, bad):
         blob = small_checkpoint.read_bytes()

@@ -168,6 +168,8 @@ class TestRunConfigText(ConfigCodecSuite):
             RunConfig(seeds=(0, -1))
         with pytest.raises(ContractViolation, match="seeds must lie in"):
             RunConfig(seeds=(0, 2**64))
+        with pytest.raises(ContractViolation, match=r"^seed must lie in \[0, 2\*\*64\)$"):
+            RunConfig(data_seed=2**64)
         with pytest.raises(ContractViolation):
             RunConfig(radius_variant="cubic")
         with pytest.raises(ContractViolation):
