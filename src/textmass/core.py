@@ -356,10 +356,34 @@ def grid_normals(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, 
             yield box_muller(rows, out=rows)[:, :n]
 
 
+def row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sums along the last axis of a, or dots of a and b (broadcast against
+    each other) along it: the one kernel of every last-axis sum and dot of
+    the batched stages, an unoptimized np.einsum. It sums each row on its
+    own, in one order whatever is stacked beside it, so a row's sum, dot or
+    norm has the same bits alone as in a stack or behind a copy axis. Its
+    roundoff differs from np.add.reduce's by about an ulp of the summed
+    magnitudes; a reduce along a short last axis runs its inner loop once
+    per row, which on the stages' axes of 4 to 32 costs a few times more."""
+    if b is None:
+        return np.einsum("...i->...", a)
+    return np.einsum("...i,...i->...", a, b)
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis: `np.linalg.norm(x, axis=-1)` bit
-    for bit, without its per-call dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    """Euclidean norms along the last axis, through `row_sums`."""
+    return np.sqrt(row_sums(x, x))
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Largest entry along the last axis, `np.max(x, axis=-1)` bit for bit
+    (NaN propagates): a running np.maximum over the last axis' slices. A
+    reduce along a short last axis runs numpy's inner loop once per row;
+    each slice here is one whole-array call."""
+    out = x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        np.maximum(out, x[..., i], out=out)
+    return out
 
 
 # Coordinates whose +h and -h points one call of the oracle's callback
@@ -380,8 +404,8 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     of any analytic backward pass it verifies.
     """
     x = np.asarray(x, dtype=np.float64)
-    if h <= 0:
-        raise ContractViolation(f"step size must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ContractViolation(f"step size must be positive and finite, got {h}")
     flat = x.ravel()
     grad = np.zeros(x.size)
     for start in range(0, x.size, FD_BLOCK):

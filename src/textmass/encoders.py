@@ -16,7 +16,10 @@ parameter copies (model.parameter_copies); every output it reaches then
 gains a leading copy axis of length k. Without copies every product is the
 stacked `x @ p.T` that inference's per-query bits rest on; with copies
 (gradient checks) `_product` runs each product as one whole GEMM instead
-of one small product per copy and row.
+of one small product per copy and row. `fuse_batch` ends in `fuse_output`,
+its output projection, which a gradient check re-runs alone for copies of
+fusion_out. Last-axis sums and norms go through `core.row_sums`, and the
+attention's shift is `core.row_max`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, row_norms
+from .core import ContractViolation, row_max, row_norms, row_sums
 from .model import ModelParameters
 
 # An embedding whose pre-normalization length falls below this is rejected.
@@ -139,15 +142,25 @@ def fuse_batch(
     keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d))
     logits = _product(queries, keys, copies)
     logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = shifted / shifted.sum(axis=-1, keepdims=True)
+    shifted = np.exp(logits - row_max(logits)[..., None])
+    weights = shifted / row_sums(shifted)[..., None]
     pooled = _pooled(weights, kv.values)
     if drop_mask is not None:
         if drop_mask.shape != (m, n, d):
             raise ContractViolation("dropout mask shape mismatch")
         pooled = pooled * drop_mask
-    pre = _product(pooled, model.fusion_out, copies)
+    return fuse_output(queries, weights, drop_mask, pooled, model)
+
+
+def fuse_output(
+    queries: np.ndarray, weights: np.ndarray, mask: np.ndarray | None, pooled: np.ndarray, model: ModelParameters
+) -> Fused:
+    """The output projection that ends `fuse_batch`: the pooled grid through
+    fusion_out to unit fused embeddings, with the attention's queries,
+    weights and mask as its record. Copies of fusion_out alone re-run only
+    this (objectives.forward_batch)."""
+    pre = _product(pooled, model.fusion_out, model.copies)
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
-    return Fused(queries, weights, drop_mask, pooled, norms, pre / norms[..., None])
+    return Fused(queries, weights, mask, pooled, norms, pre / norms[..., None])

@@ -28,6 +28,7 @@ from .core import (
     SeededRng,
     check_field_types,
     row_norms,
+    row_sums,
 )
 
 if TYPE_CHECKING:  # model.py imports RADIUS_VARIANTS from here
@@ -105,16 +106,16 @@ def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:
     and (..., d) target give (..., M) scores.
 
     The dots, the squared sample norms and the squared target norm are each
-    an unoptimized np.einsum, which sums every row along d on its own, in
-    one order whatever is stacked beside it. So a sample's score does not
-    depend on how many pairs or samples are stacked with it: batched scoring
-    equals per-pair scoring bit for bit, and pools for smaller M are
-    prefixes of pools for larger M. A BLAS product (np.matmul) gives no such
-    guarantee: its summation order changes with the stack's shape.
+    a `row_sums` dot, which sums every row along d on its own, in one order
+    whatever is stacked beside it. So a sample's score does not depend on
+    how many pairs or samples are stacked with it: batched scoring equals
+    per-pair scoring bit for bit, and pools for smaller M are prefixes of
+    pools for larger M. A BLAS product (np.matmul) gives no such guarantee:
+    its summation order changes with the stack's shape.
     """
-    dots = np.einsum("...md,...d->...m", pool, v)
-    sample_sq = np.einsum("...md,...md->...m", pool, pool)
-    target_sq = np.einsum("...d,...d->...", v, v)[..., None]
+    dots = row_sums(pool, v[..., None, :])
+    sample_sq = row_sums(pool, pool)
+    target_sq = row_sums(v, v)[..., None]
     denom = np.sqrt(sample_sq) * np.sqrt(target_sq) + NORM_GUARD
     return np.clip(dots / denom, -1.0, 1.0)
 

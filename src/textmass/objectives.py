@@ -18,9 +18,12 @@ text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
 entry (i, j) is video j pooled under text i's attention. The deterministic
 texts, the S noise samples and the support texts of a batch form one
 (S + 2, N, d) stack scored by one CE pass, and every contraction over the
-grid is a (batched) matmul. The encode, fuse and radius stages are the batched
-functions of `encoders` and `mass` that inference runs too; each stage's
-backward lives here.
+grid is a (batched) matmul, and every last-axis sum or dot is `core.row_sums`.
+The encode, fuse and radius stages are the batched functions of `encoders`
+and `mass` that inference runs too; each stage's backward lives here.
+`gradient_check` scores its finite-difference points as parameter copies
+and hands each block its copy-free tape, so that only the stages a copy
+reaches run again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DegenerateGeometryError, NORM_GUARD, OracleFailure, SeededRng, row_norms
+from .core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, SeededRng, row_norms, row_sums
 from .encoders import (
     Encoded,
     Fused,
@@ -37,6 +40,7 @@ from .encoders import (
     encode_batch,
     encode_video_batch,
     fuse_batch,
+    fuse_output,
     video_keys,
 )
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map
@@ -138,20 +142,22 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     shift = logits.max(axis=(-2, -1), keepdims=True)
     exp = np.exp(logits - shift)
     if keep is None:
-        row_sum, col_sum = exp.sum(axis=-1), exp.sum(axis=-2)
+        row_sum, col_sum = row_sums(exp), row_sums(exp.swapaxes(-1, -2))
     else:
         exp *= keep[..., :, None] & keep[..., None, :]
         # a masked row or column sums to 1: its softmax is 0 and its log 0
-        row_sum, col_sum = exp.sum(axis=-1) + ~keep, exp.sum(axis=-2) + ~keep
+        row_sum, col_sum = row_sums(exp) + ~keep, row_sums(exp.swapaxes(-1, -2)) + ~keep
     p_row = exp / row_sum[..., None]
     p_col = exp / col_sum[..., None, :]
     diag = np.diagonal(logits, axis1=-2, axis2=-1) - shift[..., 0]
     row_terms = np.log(row_sum) - diag
     col_terms = np.log(col_sum) - diag
     if keep is None:
-        return np.mean(row_terms, axis=-1), np.mean(col_terms, axis=-1), p_row, p_col
-    count = keep.sum(axis=-1)
-    return np.sum(row_terms * keep, axis=-1) / count, np.sum(col_terms * keep, axis=-1) / count, p_row, p_col
+        count = sims.shape[-1]
+    else:
+        count = np.count_nonzero(keep, axis=-1)
+        row_terms, col_terms = row_terms * keep, col_terms * keep
+    return row_sums(row_terms) / count, row_sums(col_terms) / count, p_row, p_col
 
 
 def _ce_backward(sims, lam: float, p_row, p_col, upstream: np.ndarray, keep: np.ndarray | None):
@@ -163,17 +169,18 @@ def _ce_backward(sims, lam: float, p_row, p_col, upstream: np.ndarray, keep: np.
     respect to the unclamped scale value.
     """
     idx = np.arange(sims.shape[-1])
-    n = sims.shape[-1] if keep is None else keep.sum(axis=-1)
+    n = sims.shape[-1] if keep is None else np.count_nonzero(keep, axis=-1)
     p_sum = p_row + p_col
     d_sims = (upstream * lam / (2.0 * n))[..., None, None] * p_sum
     on_diag = (upstream * lam / n)[..., None]
+    diag = np.diagonal(sims, axis1=-2, axis2=-1)
     if keep is None:
         d_sims[..., idx, idx] -= on_diag
-        trace = np.trace(sims, axis1=-2, axis2=-1)
     else:
         d_sims[..., idx, idx] -= on_diag * keep
-        trace = np.sum(np.diagonal(sims, axis1=-2, axis2=-1) * keep, axis=-1)
-    d_lam = (np.sum(p_sum * sims, axis=(-2, -1)) - 2.0 * trace) * upstream / (2.0 * n)
+        diag = diag * keep
+    flat = sims.shape[:-2] + (-1,)
+    d_lam = (row_sums(p_sum.reshape(flat), sims.reshape(flat)) - 2.0 * row_sums(diag)) * upstream / (2.0 * n)
     return d_sims, d_lam
 
 
@@ -188,7 +195,7 @@ def _cos_grid_backward(d_sims, rows, stack, sims, norms):
     out anyway."""
     lead = d_sims / (norms + NORM_GUARD)[..., None]
     d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
-    d_rows -= rows * (np.sum(lead * sims, axis=-1) / norms)[..., None]
+    d_rows -= rows * (row_sums(lead, sims) / norms)[..., None]
     d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
     return d_rows, d_stack
 
@@ -209,7 +216,7 @@ class CETerm:
 
 def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
     """Backward of x -> x / ||x|| along the last axis, given the unit output."""
-    inner = np.sum(unit * d_unit, axis=-1, keepdims=True)
+    inner = row_sums(unit, d_unit)[..., None]
     return (d_unit - unit * inner) / norms[..., None]
 
 
@@ -257,6 +264,7 @@ def forward_batch(
     alpha: float = DEFAULT_ALPHA,
     eps: np.ndarray | None = None,
     drop_mask: np.ndarray | None = None,
+    reuse: BatchTape | None = None,
 ) -> tuple[LossBreakdown, BatchTape]:
     """One batch through encoders, fusion, radius, sampling, and losses.
 
@@ -266,11 +274,17 @@ def forward_batch(
     1 / keep-probability), applied to the pooled fusion grid.
     With k parameter copies (model.parameter_copies) every loss is a (k,)
     array whose entry c equals the loss of copy c alone.
+    reuse: gradient_check's copy-free tape of the same batch, mode, alpha,
+    eps and drop_mask. An encode, keys, fusion or radius stage then takes
+    its record from it when its inputs are the tape's records and every
+    array it reads is the very object in the tape's params, as every array
+    of parameter_copies but the copied one is; copies of fusion_out alone
+    re-run only the fusion's output projection.
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
-    if alpha < 0:
-        raise ContractViolation("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ContractViolation(f"alpha must be finite and nonnegative, got {alpha}")
     n = batch.size
     if n < 1:
         raise ContractViolation("empty batch")
@@ -278,11 +292,21 @@ def forward_batch(
     if batch.text.shape[1] != params.concept_dim:
         raise ContractViolation("batch feature width does not match model")
 
-    text = encode_batch(batch.text, params, "text")
-    frames = encode_video_batch(batch.videos, params)
-    keys = video_keys(frames.emb, params)
+    def shared(*names: str) -> bool:
+        return reuse is not None and all(getattr(params, k) is getattr(reuse.params, k) for k in names)
+
+    text = reuse.text if shared("proj_text", "adapter_text") else encode_batch(batch.text, params, "text")
+    frames = reuse.frames if shared("proj_frame", "adapter_frame") else encode_video_batch(batch.videos, params)
+    if shared("fusion_key", "fusion_value") and frames is reuse.frames:
+        keys = reuse.keys
+    else:
+        keys = video_keys(frames.emb, params)
     # text-conditioned fusion over the full (text, video) grid
-    fusion = fuse_batch(text.emb, keys, params, drop_mask)
+    if shared("fusion_query") and text is reuse.text and keys is reuse.keys:
+        f = reuse.fusion
+        fusion = f if shared("fusion_out") else fuse_output(f.queries, f.weights, f.mask, f.pooled, params)
+    else:
+        fusion = fuse_batch(text.emb, keys, params, drop_mask)
     fused = fusion.fused
     lam = params.logit_scale()
     lead = () if params.copies is None else (params.copies,)
@@ -295,7 +319,10 @@ def forward_batch(
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim != 3 or eps.shape[1:] != (n, d):
             raise ContractViolation(f"noise must be (samples, {n}, {d}), got {eps.shape}")
-        radii = radius_batch(text.emb, frames.emb, params)
+        if shared("radius_theta", "radius_weights") and text is reuse.text and frames is reuse.frames:
+            radii = reuse.radii
+        else:
+            radii = radius_batch(text.emb, frames.emb, params)
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
         dist = row_norms(delta)
         kept = dist > DEGENERATE_DISTANCE
@@ -323,7 +350,7 @@ def forward_batch(
     l_t2v, l_v2t, l_ce = t2v[..., 0], v2t[..., 0], per_matrix[..., 0]
     l_s = l_sup = None
     if mode != "baseline":
-        l_s = np.mean(per_matrix[..., 1:-1], axis=-1)
+        l_s = row_sums(per_matrix[..., 1:-1]) / len(eps)
         l_sup = per_matrix[..., -1]
 
     w_ce, w_s, w_sup = mode_weights(mode, alpha)
@@ -394,7 +421,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_radius = (tape.eps * d_rows[1:-1]).sum(axis=0) + sup.direction * d_sup
         # support row: t + direction * R with direction = (v - t) / ||v - t||
         d_dir = radii.radius * d_sup
-        inner = np.sum(sup.direction * d_dir, axis=1, keepdims=True)
+        inner = row_sums(sup.direction, d_dir)[:, None]
         d_delta = (d_dir - sup.direction * inner) / sup.dist[:, None]
         d_fused[np.arange(n), np.arange(n)] += d_delta
         d_text -= d_delta
@@ -424,7 +451,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     d_pooled_j = d_pooled.transpose(1, 0, 2)
     d_w = np.matmul(d_pooled_j, kv.values.transpose(0, 2, 1)).transpose(1, 0, 2)
     d_v = np.matmul(f.weights.transpose(1, 2, 0), d_pooled_j)
-    inner_w = np.sum(f.weights * d_w, axis=2, keepdims=True)
+    inner_w = row_sums(f.weights, d_w)[..., None]
     d_logits = (f.weights * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
     d_q = (d_logits @ kv.keys.reshape(n * frames, d)) * scale
@@ -464,6 +491,8 @@ def dropout_grid_mask(rng: SeededRng, n: int, d: int, rate: float) -> np.ndarray
     An (i, j) cell whose d uniforms all fall below the rate is kept whole
     instead of dropped whole, since a zero fused vector has no direction;
     every other cell is masked entry by entry as drawn."""
+    if not np.isfinite(rate):
+        raise ContractViolation(f"dropout rate must be finite, got {rate}")
     if rate <= 0.0:
         return None
     if rate >= 1.0:
@@ -502,7 +531,8 @@ def gradient_check(
     parameters. The oracle walks the trainable arrays for the mode one at a
     time; each block of its points is evaluated as parameter copies of that
     one array, beside params, in one forward pass, so params is never
-    written. Entries with |gradient| below CHECK_SMALL_GRAD must agree
+    written. Each block's pass reuses the copy-free pass's stage records
+    that its copies do not reach (forward_batch's reuse). Entries with |gradient| below CHECK_SMALL_GRAD must agree
     within CHECK_ABS_TOL, everything else within CHECK_REL_TOL relative
     error. A failure names the array and the coordinate within it.
     """
@@ -516,7 +546,7 @@ def gradient_check(
 
         def losses_at(points: np.ndarray) -> np.ndarray:
             copies = parameter_copies(params, name, points)
-            breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask)
+            breakdown, _ = forward_batch(batch, copies, mode, alpha, eps=eps, drop_mask=drop_mask, reuse=tape)
             return breakdown.l_total
 
         try:

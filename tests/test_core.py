@@ -12,6 +12,9 @@ from textmass.core import (
     box_muller,
     finite_diff_gradient,
     grid_normals,
+    row_max,
+    row_norms,
+    row_sums,
     stream_key,
     stream_uniforms,
     substream,
@@ -397,6 +400,59 @@ def _cubic(points):
     return np.sum(np.arange(1, points.shape[1] + 1) * points**3, axis=1)
 
 
+class TestRowKernels:
+    """row_sums, and row_norms through it, sum each row on its own; row_max
+    is np.max along the last axis."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(1, 130),
+        rows=st.integers(1, 64),
+        copies=st.sampled_from([0, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_row_has_the_same_bits_alone_or_stacked(self, width, rows, copies, seed):
+        rng = substream(seed, 7101)
+        lead = (copies,) if copies else ()
+        a, b = rng.standard_normal(2 * max(copies, 1) * 64 * width).reshape((2,) + lead + (64, width))
+        stacked = row_sums(a), row_sums(a, b), row_norms(a)
+        for c in np.ndindex(*lead):
+            for i in range(rows):
+                alone = row_sums(a[c][i]), row_sums(a[c][i], b[c][i]), row_norms(a[c][i])
+                for got, full in zip(alone, stacked):
+                    assert got.tobytes() == full[c][i].tobytes()
+            # the first rows as a stack of their own
+            for got, full in zip((row_sums(a[c][:rows]), row_sums(a[c][:rows], b[c][:rows])), stacked):
+                assert np.array_equal(got, full[c][:rows])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 16, 17, 32, 33, 64, 128])
+    def test_within_a_few_ulp_of_add_reduce(self, width):
+        rng = substream(width, 7102)
+        a, b = rng.standard_normal(2 * 500 * width).reshape(2, 500, width)
+        eps = np.finfo(np.float64).eps
+        # sums and dots: within 4 ulp of the summed magnitudes, whatever cancels
+        for got, terms in ((row_sums(a), a), (row_sums(a, b), a * b)):
+            reference = np.add.reduce(terms, axis=-1)
+            assert np.all(np.abs(got - reference) <= 4 * eps * np.add.reduce(np.abs(terms), axis=-1))
+        # norms: within 4 ulp of np.linalg.norm
+        reference = np.linalg.norm(a, axis=-1)
+        assert np.all(np.abs(row_norms(a) - reference) <= 4 * np.spacing(reference))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]), min_size=1),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_max_equals_np_max_bit_for_bit(self, shape, values, seed):
+        # entries from a few values, so that rows hold ties, signed zeros, infinities and NaN
+        rng = np.random.default_rng(seed)
+        x = rng.choice(np.array(values), size=tuple(shape))
+        assert row_max(x).tobytes() == np.max(x, axis=-1).tobytes()
+        y = rng.standard_normal(tuple(shape))
+        assert row_max(y).tobytes() == np.max(y, axis=-1).tobytes()
+
+
 class TestFiniteDiffGradient:
     def test_quadratic(self):
         g, _ = _fd(lambda xs: xs[:, 0] ** 2, np.array([3.0]))
@@ -430,6 +486,12 @@ class TestFiniteDiffGradient:
     def test_bad_step_rejected(self):
         with pytest.raises(ContractViolation):
             finite_diff_gradient(lambda points: np.zeros(len(points)), np.zeros(2), h=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_a_non_finite_step_is_refused_by_name(self, h):
+        # a NaN step used to be misreported as a non-finite evaluation at coordinate 0
+        with pytest.raises(ContractViolation, match=f"^step size must be positive and finite, got {h}$"):
+            finite_diff_gradient(lambda points: np.zeros(len(points)), np.zeros(2), h=h)
 
     def test_callback_must_give_one_value_per_point(self):
         with pytest.raises(ContractViolation):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textmass import core, objectives
+from textmass import core, encoders, objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE, cos_grid
@@ -283,6 +283,18 @@ class TestModeArithmetic:
         with pytest.raises(ContractViolation, match="noise must be"):
             forward_batch(batch, params, "t-mass", 1.2, eps=eps[0])
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0])
+    def test_a_non_finite_or_negative_alpha_is_refused_by_name(self, alpha):
+        # a NaN alpha used to give a NaN loss, and an infinite one an infinite loss
+        params = make_model()
+        batch = make_batch(3, 6, 5)
+        eps = draw_noise(substream(9, 7004), 1, 3, 8)
+        message = f"^alpha must be finite and nonnegative, got {alpha}$"
+        with pytest.raises(ContractViolation, match=message):
+            forward_batch(batch, params, "t-mass", alpha, eps=eps)
+        with pytest.raises(ContractViolation, match=message):
+            gradient_check(params, batch, "t-mass", alpha, eps)
+
 
 class TestNoiseHelpers:
     def test_draw_noise_prefix_nesting(self):
@@ -319,6 +331,12 @@ class TestNoiseHelpers:
         assert dropout_grid_mask(substream(6, 7005), 4, 8, 0.0) is None
         with pytest.raises(ContractViolation):
             dropout_grid_mask(substream(6, 7005), 4, 8, 1.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_rate_is_refused_by_name(self, rate):
+        # a NaN rate used to give an all-NaN mask, and -inf no mask at all
+        with pytest.raises(ContractViolation, match=f"^dropout rate must be finite, got {rate}$"):
+            dropout_grid_mask(substream(6, 7005), 4, 8, rate)
 
 
 class TestDegenerateSupport:
@@ -1098,6 +1116,111 @@ class TestSpanOracleMatchesTheFullStack:
         assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
         for name in names:
             assert moved[name] == list(range(get_param(params, name).size)), name
+
+
+def _gradient_check_trace(params, batch, mode, eps, mask, full):
+    """Each array's numeric gradient and each block's copy losses in one
+    gradient_check, with the check's result; full drops the copy-free tape
+    that gradient_check hands forward_batch, so every block recomputes
+    every stage."""
+    grads, losses, reused = [], [], []
+    real_fd, real_forward = core.finite_diff_gradient, objectives.forward_batch
+
+    def recording_fd(*args, **kwargs):
+        grads.append(real_fd(*args, **kwargs))
+        return grads[-1]
+
+    def recording_forward(*args, reuse=None, **kwargs):
+        reused.append(reuse is not None)
+        breakdown, tape = real_forward(*args, reuse=None if full else reuse, **kwargs)
+        losses.append(breakdown.l_total)
+        return breakdown, tape
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "finite_diff_gradient", recording_fd)
+        mp.setattr(objectives, "forward_batch", recording_forward)
+        result = gradient_check(params, batch, mode, 1.2, eps, drop_mask=mask)
+    # the copy-free forward, then one call per block, each handed its tape
+    assert reused == [False] + [True] * (len(reused) - 1) and len(reused) > 1
+    return grads, losses, result
+
+
+class TestStageReuse:
+    """gradient_check hands each block its copy-free tape; a stage that no
+    copy reaches takes its record from it instead of running again."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(["linear", "scalar", "fixed-mean"]),
+        mode=st.sampled_from(["t-mass", "ablation-ce-plus-s", "baseline"]),
+        adapters=st.booleans(),
+        frozen_radius=st.booleans(),
+        dropout=st.booleans(),
+        degenerate=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reused_stages_equal_a_full_recompute_bit_for_bit(
+        self, variant, mode, adapters, frozen_radius, dropout, degenerate, seed
+    ):
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, variant, seed=seed, adapters_enabled=adapters), seed=seed)
+        params.radius_trainable = not frozen_radius
+        batch = make_batch(n, d, 5, seed=seed)
+        mask = dropout_grid_mask(substream(seed, 7010), n, d, 0.3) if dropout else None
+        if degenerate:
+            degenerate_first_pair(params, batch, mask)
+        eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), 2, n, d)
+        grads, losses, result = _gradient_check_trace(params, batch, mode, eps, mask, full=False)
+        full_grads, full_losses, full_result = _gradient_check_trace(params, batch, mode, eps, mask, full=True)
+        assert len(grads) == len(full_grads) == len(trainable_names(params, mode))
+        for got, want in zip(grads, full_grads):
+            assert np.array_equal(got, want)
+        assert len(losses) == len(full_losses)
+        for got, want in zip(losses, full_losses):
+            assert np.array_equal(got, want)
+        assert result == full_result
+
+    @pytest.mark.parametrize("variant", ["linear", "scalar"])
+    def test_only_stages_that_copies_reach_run_again(self, monkeypatch, variant):
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, variant, seed=8), seed=8)
+        batch = make_batch(n, d, 5, seed=8)
+        eps = draw_noise(substream(8, 7011), 2, n, d)
+
+        # whether a stage call has an input with a copy axis: a (k, ...)
+        # array, or a parameter array it reads as a stack of copies
+        def copies_of(model, *names):
+            return any(np.ndim(getattr(model, name)) > np.ndim(getattr(params, name)) for name in names)
+
+        carries = {
+            "encode_batch": lambda x, model, tower: copies_of(model, f"adapter_{tower}"),
+            "video_keys": lambda frames, model: frames.ndim == 4 or copies_of(model, "fusion_key", "fusion_value"),
+            "fuse_batch": lambda texts, kv, model, mask: (
+                texts.ndim == 3 or kv.keys.ndim == 4 or kv.values.ndim == 4 or copies_of(model, "fusion_query")
+            ),
+            "radius_batch": lambda texts, frames, model: (
+                texts.ndim == 3 or frames.ndim == 4 or copies_of(model, "radius_theta", "radius_weights")
+            ),
+        }
+        calls = []
+
+        def guarded(name, real):
+            def stage(*args):
+                calls.append((name, carries[name](*args)))
+                return real(*args)
+
+            return stage
+
+        # encode_video_batch looks encode_batch up in encoders
+        for module, name in [(encoders, "encode_batch"), (objectives, "encode_batch"), (objectives, "video_keys"),
+                             (objectives, "fuse_batch"), (objectives, "radius_batch")]:
+            monkeypatch.setattr(module, name, guarded(name, getattr(module, name)))
+        assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
+        first = [name for name, _ in calls[:5]]
+        assert sorted(first) == sorted(["encode_batch", "encode_batch", "video_keys", "fuse_batch", "radius_batch"])
+        assert not any(carried for _, carried in calls[:5])
+        assert all(carried for _, carried in calls[5:]), [c for c in calls[5:] if not c[1]]
+        assert {name for name, _ in calls[5:]} == set(carries)
 
 
 class TestOracleCatchesBrokenBackward:

@@ -1,7 +1,8 @@
-"""Source hygiene: no import in src/textmass or tests goes unused, and no
+"""Source hygiene: no import in src/textmass or tests goes unused, no
 top-level function, class or ALL_CAPS constant of src/textmass goes
-unreferenced. No linter ships with the project, so both checks read the
-modules with `ast`."""
+unreferenced, and the batched stages sum and dot along the last axis
+through `core.row_sums` alone. No linter ships with the project, so the
+checks read the modules with `ast`."""
 
 import ast
 import re
@@ -95,6 +96,73 @@ def unreferenced_definitions(paths: list[Path]) -> list[str]:
         for node in tree.body
         for name in _defined_names(node)
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+# The modules of the batched stages, whose last-axis sums and dots go
+# through core.row_sums: its bits do not depend on what is stacked beside a
+# row, and numpy's reduce is slow along their short last axes.
+STAGE_MODULES = [SRC / name for name in ("encoders.py", "mass.py", "objectives.py")]
+# calls that are a sum or dot kernel of their own, whatever their axes
+_OTHER_KERNELS = {"einsum", "dot", "inner", "vdot", "tensordot", "trace"}
+
+
+def _is_last_axis(node: ast.expr) -> bool:
+    """Whether an axis argument is -1, alone or in a tuple."""
+    items = node.elts if isinstance(node, ast.Tuple) else [node]
+    return any(isinstance(item, ast.UnaryOp) and isinstance(item.op, ast.USub)
+               and isinstance(item.operand, ast.Constant) and item.operand.value == 1 for item in items)
+
+
+def _dotted(node: ast.expr) -> str:
+    """`a.b.c` of an attribute chain on a name, or "" for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
+def last_axis_reductions(path: Path) -> list[str]:
+    """`line: call` of each last-axis sum or dot that bypasses
+    core.row_sums: a sum, mean or np.add.reduce given axis -1 (positionally,
+    by keyword, or in a tuple of axes), and any einsum, dot, inner, vdot,
+    tensordot, trace or linalg.norm call."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        name, dotted = node.func.attr, _dotted(node.func)
+        axes = list(node.args) + [k.value for k in node.keywords if k.arg == "axis"]
+        summed = name in ("sum", "mean") or dotted.endswith("add.reduce")
+        if summed and any(map(_is_last_axis, axes)) or name in _OTHER_KERNELS or dotted.endswith("linalg.norm"):
+            found.append(f"{path.name}:{node.lineno}: {dotted or name}")
+    return found
+
+
+@pytest.mark.parametrize("path", STAGE_MODULES, ids=[p.name for p in STAGE_MODULES])
+def test_last_axis_sums_go_through_the_core_kernel(path):
+    assert last_axis_reductions(path) == []
+
+
+def test_the_kernel_check_catches_what_it_looks_for(tmp_path):
+    module = tmp_path / "stage.py"
+    module.write_text(
+        "import numpy as np\n"
+        "def stage(x, y):\n"
+        "    a = x.sum(axis=-1)\n"
+        "    b = np.sum(x * y, -1, keepdims=True)\n"
+        "    c = np.mean(x, axis=(-2, -1))\n"
+        "    d = np.add.reduce(x, axis=-1)\n"
+        "    e = np.einsum('ij,ij->i', x, y)\n"
+        "    f = np.linalg.norm(x)\n"
+        "    g = np.trace(x)\n"
+        "    return x.sum(axis=0) + x.max(axis=-1) + np.sum(x) + x.mean(-2) + row_sums(x, y)\n",
+        encoding="utf-8",
+    )
+    assert last_axis_reductions(module) == [
+        "stage.py:3: x.sum", "stage.py:4: np.sum", "stage.py:5: np.mean", "stage.py:6: np.add.reduce",
+        "stage.py:7: np.einsum", "stage.py:8: np.linalg.norm", "stage.py:9: np.trace",
     ]
 
 
