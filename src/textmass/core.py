@@ -79,6 +79,21 @@ def check_field_types(config) -> None:
             raise ContractViolation(f"config value {f.name} = {value!r} is not finite")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer in [0, 2**64), as a checkpoint stores it."""
+    if not _is_integer(seed):
+        raise ContractViolation(f"seed {seed!r} must be an integer")
+    if not 0 <= seed < 2**64:
+        raise ContractViolation("seed must lie in [0, 2**64)")
+
+
+def check_finite(name: str, values) -> None:
+    """Refuse, naming them, values that hold a NaN or an infinity."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ContractViolation(f"{name}: {bad} of {np.size(values)} values are non-finite")
+
+
 def stream_key(*parts: int) -> int:
     """Fold integer ids into a single 64-bit stream id (splitmix64 per part).
 

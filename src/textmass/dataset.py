@@ -29,6 +29,7 @@ from .core import (
     atomic_write,
     box_muller,
     check_field_types,
+    check_seed,
     stream_uniforms,
     substream,
 )
@@ -74,8 +75,7 @@ class SyntheticSpec:
             raise ContractViolation("noise sigma must be nonnegative")
         if self.distractors < 0:
             raise ContractViolation("distractor count must be nonnegative")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation("seed must lie in [0, 2**64)")
+        check_seed(self.seed)
 
     @property
     def mask_count(self) -> int:

@@ -1,19 +1,18 @@
 """Retrieval evaluation in both directions plus diagnostic reports.
 
 Inference runs training's encode, fuse and radius stages on blocks of about
-QUERY_BLOCK_ROWS (query, candidate) rows: a block's texts are fused as a
-(k, 1, d) slice along fusion's copy axis, and go through the radius stage at
-once, so each pair gets its own fused video embedding and its own radius,
-bit for bit as a one-query call gives them. Scoring runs one query at a time
-over all of its candidates in one numpy pass. Without sampling a pair
-scores the clipped cosine of the text with the fused video. With sampling it
-scores the best cosine over M stochastic text samples, whose noise is drawn
-from a substream keyed by (seed, query id, candidate id). ``core.grid_normals``
-gives each query's normals, one row per candidate, and they are turned into
-pools in place, bit for bit as the per-pair ``select_best_sample`` would draw
-and score them. Ranks use strictly-greater counting with index tie-break.
-Reports are emitted as UTF-8 CSV with 6-decimal numbers so identical seeds
-give byte-identical files.
+QUERY_BLOCK_ROWS (query, candidate) rows, so each pair gets its own fused
+video embedding and its own radius, bit for bit as a one-query call gives
+them, and refuses non-finite features and seeds outside [0, 2**64). Scoring
+runs one query at a time over all of its candidates in one numpy pass.
+Without sampling a pair scores the clipped cosine of the text with the fused
+video. With sampling it scores the best cosine over M text-mass samples:
+``core.grid_normals`` draws each query's normals, one row per candidate on
+the substream (seed, query id, candidate id), and ``mass.text_mass`` turns
+the rows into pools in place, bit for bit as the per-pair
+``select_best_sample`` draws and scores them. Ranks use strictly-greater
+counting with index tie-break. Reports are emitted as UTF-8 CSV with
+6-decimal numbers so identical seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ContractViolation, atomic_write, grid_normals
-# substream and select_best_sample are the per-pair reference that
-# _score_query batches; they stay bound here, unused, because the traced
-# benchmark (perfbench/worker.py) wraps these module attributes by name
-from .core import substream  # noqa: F401
+from .core import ContractViolation, atomic_write, check_finite, check_seed, grid_normals
 from .encoders import VideoKeys, encode_batch, encode_video_batch, fuse_batch, video_keys
-from .mass import SamplingConfig, pool_similarities, radius_batch, select_best_sample  # noqa: F401
+from .mass import SamplingConfig, pool_similarities, radius_batch, text_mass
 from .model import ModelParameters
+# the per-pair reference that _score_query batches stays bound here, unused,
+# because the traced benchmark (perfbench/worker.py) wraps it by name
+from .core import substream  # noqa: F401
+from .mass import select_best_sample  # noqa: F401
 
 # substream purpose for per-pair inference sampling
 _STREAM_EVAL = 301
@@ -80,6 +79,15 @@ class _Pool:
 
 
 def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) -> _Pool:
+    """Texts (Q, c) and videos (C, T, c) encoded once; other shapes and non-finite features are refused."""
+    texts = np.asarray(texts, dtype=np.float64)
+    videos = np.asarray(videos, dtype=np.float64)
+    if texts.ndim != 2 or videos.ndim != 3:
+        raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
+    if texts.shape[1] != videos.shape[2]:
+        raise ContractViolation("text and frame feature widths disagree")
+    check_finite("text features", texts)
+    check_finite("video features", videos)
     blocks = encode_batch(texts[:, None, :], params, "text").emb
     frames = encode_video_batch(videos, params).emb
     return _Pool(blocks, frames, video_keys(frames, params))
@@ -125,25 +133,19 @@ def _score_query(
     """Per-sample scores (C, M) of one query against all of its candidates.
 
     Without a radius grid the pool is t alone and M is 1. With one,
-    candidate c's pool is t + R_c * eps, where eps is row c of normals,
-    (C, M*d), drawn on substream (seed, _STREAM_EVAL, query_id, c): the rows
-    are turned into pools in place. A pair's best of its first m samples is
-    the max of row prefix [:m]. Raises ContractViolation if a pair has a
-    non-finite score.
+    candidate c's pool is text_mass(t, R_c, eps), formed in place in row c
+    of normals (C, M*d), drawn on substream (seed, _STREAM_EVAL, query_id, c).
+    A pair's best of its first m samples is the max of row prefix [:m].
+    Raises ContractViolation if a pair has a non-finite score.
     """
     if radius_grid is None:
         scores = pool_similarities(t[None, None, :], fused)
     else:
-        c_count, d = fused.shape
-        pool = normals.reshape(c_count, trials, d)
-        np.multiply(radius_grid[:, None, :], pool, out=pool)
-        pool += t
-        scores = pool_similarities(pool, fused)
+        pool = normals.reshape(fused.shape[0], trials, fused.shape[1])
+        scores = pool_similarities(text_mass(t, radius_grid[:, None, :], pool, out=pool), fused)
     bad = int(np.count_nonzero(~np.isfinite(scores).all(axis=-1)))
     if bad:
-        raise ContractViolation(
-            f"query {query_id}: {bad} of {scores.shape[0]} pair scores are non-finite"
-        )
+        raise ContractViolation(f"query {query_id}: {bad} of {scores.shape[0]} pair scores are non-finite")
     return scores
 
 
@@ -159,14 +161,9 @@ def _best_of_prefixes(
     at a time over blocks of queries, from one pass at the largest m.
     Without sampling every pool is the text alone, so every matrix is the
     deterministic one."""
-    texts = np.asarray(texts, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
-    if texts.ndim != 2 or videos.ndim != 3:
-        raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
-    if texts.shape[1] != videos.shape[2]:
-        raise ContractViolation("text and frame feature widths disagree")
+    check_seed(seed)
     pool = _embed_pool(texts, videos, params)
-    q_count, c_count = texts.shape[0], videos.shape[0]
+    q_count, c_count = pool.blocks.shape[0], pool.frames.shape[0]
     trials = max(trial_counts)
     draws = repeat(None)
     if use_sampling:
@@ -232,10 +229,10 @@ def rank_metrics(
     sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] < 1 or sims.shape[1] < 1:
         raise ContractViolation("similarity matrix must be non-empty and 2-D")
-    bad = int(np.count_nonzero(~np.isfinite(sims)))
-    if bad:
-        raise ContractViolation(f"{bad} of {sims.size} similarity scores are non-finite")
-    relevant = np.asarray(relevant_index, dtype=np.int64)
+    check_finite("similarity scores", sims)
+    relevant = np.asarray(relevant_index)
+    if relevant.dtype.kind not in "iu":
+        raise ContractViolation(f"relevant indices must be integers, got {relevant.dtype} values")
     if relevant.shape != (sims.shape[0],):
         raise ContractViolation("one relevant index per query row")
     if np.any(relevant < 0) or np.any(relevant >= sims.shape[1]):
@@ -270,19 +267,6 @@ def video_to_text_metrics(sims: np.ndarray, relevant_index: np.ndarray) -> Retri
 # diagnostic reports
 
 
-def _radius_rows(query_id: int, radius_grid: np.ndarray, best: np.ndarray) -> list[RadiusRow]:
-    return [
-        RadiusRow(
-            query_id=query_id,
-            candidate_id=c,
-            relevant=(c == query_id),
-            l1_radius=float(np.abs(radius_grid[c]).sum()),
-            best_similarity=float(best[c]),
-        )
-        for c in range(radius_grid.shape[0])
-    ]
-
-
 def pool_radius_report(
     texts: np.ndarray, videos: np.ndarray, params: ModelParameters, sampled: np.ndarray
 ) -> list[RadiusRow]:
@@ -291,17 +275,18 @@ def pool_radius_report(
     from inference's radius stage; each best-of-M similarity is taken from
     sampled, the pool's (Q, C) inference matrix with sampling, instead of
     scoring the pairs again."""
-    texts = np.asarray(texts, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
-    if texts.shape[0] != videos.shape[0]:
+    pool = _embed_pool(texts, videos, params)
+    if pool.blocks.shape[0] != pool.frames.shape[0]:
         raise ContractViolation("pool radius report wants an aligned text-video pool")
-    if sampled.shape != (texts.shape[0], videos.shape[0]):
+    if sampled.shape != (pool.blocks.shape[0], pool.frames.shape[0]):
         raise ContractViolation("sampled matrix does not match the pool")
-    stages = _query_stages(_embed_pool(texts, videos, params), params, False, True)
-    rows = []
-    for q, (_, _, radius_grid) in enumerate(stages):
-        rows.extend(_radius_rows(q, radius_grid, sampled[q]))
-    return rows
+    check_finite("sampled scores", sampled)
+    return [
+        RadiusRow(query_id=q, candidate_id=c, relevant=(c == q), l1_radius=float(np.abs(radius_grid[c]).sum()),
+                  best_similarity=float(sampled[q, c]))
+        for q, (_, _, radius_grid) in enumerate(_query_stages(pool, params, False, True))
+        for c in range(radius_grid.shape[0])
+    ]
 
 
 def _per_pair_ce(sims: np.ndarray, lam: float) -> np.ndarray:
@@ -320,6 +305,9 @@ def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[Align
         raise ContractViolation("alignment report wants an aligned text-video pool")
     if det.shape[0] < 2:
         raise ContractViolation(f"alignment report wants at least 2 aligned pairs, got {det.shape[0]}")
+    check_finite("logit scale", lam)
+    check_finite("deterministic scores", det)
+    check_finite("sampled scores", stoch)
     ce_det = _per_pair_ce(det, lam)
     ce_stoch = _per_pair_ce(stoch, lam)
     off_diag = ~np.eye(det.shape[0], dtype=bool)

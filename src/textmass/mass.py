@@ -7,12 +7,12 @@ cosine similarities between t and the candidate video's frame embeddings,
 through one of three variants (fixed mean, learnable scalar, linear map).
 Every variant is R = exp(S @ W) for the (T', d) map W of `radius_map`: the
 model's radius_weights, or 1/T' (fixed mean) or radius_theta/T' (scalar) in
-every entry.
-The support vector t_sup marks the point of the mass surface along the
-direction from t toward the fused video embedding; inference draws M samples
-per pair and keeps the one most similar to the video. Training and inference
-both run the batched radius stage `radius_batch`; the per-vector `radius` of
-`tests/oracle.py` is its oracle.
+every entry. The support vector t_sup marks the point of the mass surface
+along the direction from t toward the fused video embedding; inference draws
+M samples per pair and keeps the one most similar to the video. Training and
+inference run the batched radius stage `radius_batch` and form every mass
+sample and support row with `text_mass`; their per-vector oracles are
+`radius`, `sample_text_mass` and `support_text` in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -120,6 +120,14 @@ def pool_similarities(pool: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip(dots / denom, -1.0, 1.0)
 
 
+def text_mass(t: np.ndarray, radius: np.ndarray, eps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Text-mass samples R * eps + t, broadcast; a support row when eps is
+    the unit direction toward the video. out may be eps itself."""
+    out = np.multiply(radius, eps, out=out)
+    out += t
+    return out
+
+
 def select_best_sample(
     t: np.ndarray,
     r: np.ndarray,
@@ -133,12 +141,8 @@ def select_best_sample(
     d-blocks, so pools for smaller M are prefixes of pools for larger M on
     the same substream. Ties break toward the lowest trial index.
     """
-    t = np.asarray(t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    d = t.shape[0]
-    eps = rng.standard_normal(cfg.trials * d).reshape(cfg.trials, d)
-    samples = t[None, :] + r[None, :] * eps
+    t, r, v = (np.asarray(a, dtype=np.float64) for a in (t, r, v))
+    samples = text_mass(t, r, rng.standard_normal(cfg.trials * t.size).reshape(cfg.trials, -1))
     sims = pool_similarities(samples, v)
     best = int(np.argmax(sims))  # argmax returns the first maximal index
     return samples[best], float(sims[best])

@@ -16,9 +16,10 @@ l_ce on the deterministic embeddings is always computed and reported for
 diagnostics; in "t-mass" mode it receives no gradient. Video embeddings are
 text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
 entry (i, j) is video j pooled under text i's attention. The deterministic
-texts, the S noise samples and the support texts of a batch form one
-(S + 2, N, d) stack scored by one CE pass, and every contraction over the
-grid is a (batched) matmul, and every last-axis sum or dot is `core.row_sums`.
+texts, the S noise samples and the support texts of a batch, the last two
+formed by `mass.text_mass` as inference's pools are, make one (S + 2, N, d)
+stack scored by one CE pass; every contraction over the grid is a (batched)
+matmul, and every last-axis sum or dot is `core.row_sums`.
 The encode, fuse and radius stages are the batched functions of `encoders`
 and `mass` that inference runs too; each stage's backward lives here.
 `gradient_check` scores its finite-difference points as parameter copies
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, SeededRng, row_norms, row_sums
+from .core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, SeededRng, check_finite,
+                   row_norms, row_sums)
 from .encoders import (
     Encoded,
     Fused,
@@ -43,7 +45,7 @@ from .encoders import (
     fuse_output,
     video_keys,
 )
-from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map
+from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map, text_mass
 from .model import (
     LAMBDA_MAX,
     MODES,
@@ -65,7 +67,7 @@ CHECK_SMALL_GRAD = 1e-3
 
 @dataclass
 class PairBatch:
-    """Raw features for N aligned text-video pairs.
+    """Raw features for N aligned text-video pairs, every value finite.
 
     text: (N, c) raw text features.
     videos: (N, T, c) raw per-frame features; T raw frames per video.
@@ -80,9 +82,11 @@ class PairBatch:
         if self.text.ndim != 2 or self.videos.ndim != 3:
             raise ContractViolation("batch wants text (N, c) and videos (N, T, c)")
         if self.text.shape[0] != self.videos.shape[0]:
-            raise ContractViolation("text and video counts disagree")
+            raise ContractViolation(f"text and video counts disagree: {len(self.text)} texts, {len(self.videos)} videos")
         if self.text.shape[1] != self.videos.shape[2]:
             raise ContractViolation("text and frame feature widths disagree")
+        check_finite("text features", self.text)
+        check_finite("video features", self.videos)
 
     @property
     def size(self) -> int:
@@ -335,11 +339,11 @@ def forward_batch(
             keep = np.ones(kept.shape[:-1] + (len(eps) + 2, n), dtype=bool)
             keep[..., -1, :] = kept
         support = Support(kept, delta / dist[..., None], dist)
-        support_rows = text.emb + support.direction * radii.radius
+        support_rows = text_mass(text.emb, radii.radius, support.direction)
         # one (S + 2, N, d) stack: t, the S samples t + R * eps_s, the support rows
         rows = np.empty(support_rows.shape[:-2] + (len(eps) + 2, n, d))
         rows[..., 0, :, :] = text.emb
-        rows[..., 1:-1, :, :] = text.emb[..., None, :, :] + radii.radius[..., None, :, :] * eps
+        text_mass(text.emb[..., None, :, :], radii.radius[..., None, :, :], eps, out=rows[..., 1:-1, :, :])
         rows[..., -1, :, :] = support_rows
 
     sims, norms = cos_grid(rows, fused)

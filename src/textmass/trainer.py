@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, check_field_types, substream
+from .core import ContractViolation, FormatError, atomic_write, check_field_types, check_seed, substream
 from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
@@ -97,8 +97,7 @@ class TrainingConfig:
             raise ContractViolation("warmup fraction must lie in [0, 1]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractViolation("dropout rate must lie in [0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation("seed must lie in [0, 2**64), the range a checkpoint stores")
+        check_seed(self.seed)
         if self.dim < 1 or self.concept_dim < 1 or self.frame_count < 1 or self.trials < 1:
             raise ContractViolation("model sizes and trial count must be positive")
         if self.radius_variant not in RADIUS_VARIANTS:
@@ -321,16 +320,14 @@ def train(
     stop_after_epochs: int | None = None,
     epoch_callback=None,
 ) -> TrainResult:
-    """Run the configured objective over the pair arrays.
+    """Run the configured objective over the pair arrays, refusing unequal
+    text and video counts and non-finite features before the first step.
 
     The schedule always spans config.epochs; stop_after_epochs ends the loop
     early (for checkpoint-resume flows) without changing it. Resume picks up
-    at the epoch boundary implied by the saved global step.
-    """
-    text = np.asarray(text, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
-    pair_count = text.shape[0]
-    per_epoch = steps_per_epoch(pair_count, config.batch_size)
+    at the epoch boundary implied by the saved global step."""
+    pairs = PairBatch(text, videos)
+    per_epoch = steps_per_epoch(pairs.size, config.batch_size)
     total_steps = per_epoch * config.epochs
     last_epoch = config.epochs if stop_after_epochs is None else stop_after_epochs
     if not 0 <= last_epoch <= config.epochs:
@@ -349,11 +346,11 @@ def train(
     step_losses = []
     epoch_means = []
     for epoch in range(start_epoch, last_epoch):
-        order = substream(config.seed, _STREAM_SHUFFLE, epoch).permutation(pair_count)
+        order = substream(config.seed, _STREAM_SHUFFLE, epoch).permutation(pairs.size)
         epoch_total = 0.0
         for b in range(per_epoch):
             rows = order[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = PairBatch(text=text[rows], videos=videos[rows])
+            batch = PairBatch(text=pairs.text[rows], videos=pairs.videos[rows])
             eps = None
             if config.mode != "baseline":
                 eps = draw_noise(
@@ -404,11 +401,8 @@ def _pack_array_table(entries: dict) -> bytes:
     for name, value in entries.items():
         arr = np.asarray(value, dtype=np.float64)
         encoded = name.encode("utf-8")
-        out.append(struct.pack("<I", len(encoded)))
-        out.append(encoded)
-        out.append(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            out.append(struct.pack("<I", dim))
+        # name length, name, rank, dimensions, data
+        out += [struct.pack("<I", len(encoded)), encoded, struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)]
         out.append(arr.astype("<f8").tobytes())
     return b"".join(out)
 

@@ -24,13 +24,14 @@ from textmass.evaluation import (
     rank_metrics,
     write_csv_rows,
 )
-from textmass.mass import RADIUS_VARIANTS, SamplingConfig, select_best_sample
+from textmass.mass import RADIUS_VARIANTS, SamplingConfig, select_best_sample, text_mass
 from textmass.objectives import (
     MODES,
     DegenerateGeometryError,
     LAMBDA_MAX,
     PairBatch,
     draw_noise,
+    forward_batch,
     gradient_check,
 )
 from textmass.trainer import (
@@ -48,8 +49,6 @@ from oracle import (
     frame_similarities,
     fuse,
     radius,
-    sample_text_mass,
-    support_text,
     symmetric_ce,
 )
 
@@ -168,48 +167,67 @@ def test_criterion_02_closed_form_loss():
           f"{expected:.9f}, N=1 loss exactly 0, monotone at lambda 1/5/20")
 
 
-def test_criterion_03_reparameterization_statistics():
-    """Sampled mass has mean t and std R per component at 1e5 draws."""
-    n = 100_000
-    d = 16
-    worst_mean = 0.0
-    worst_std = 0.0
+def reparameterization_check(sampler, n: int = 100_000, d: int = 16):
+    """Criterion 3's moment check of a text-mass sampler(t, r, eps) on its
+    three configs, each with one whole draw of n * d normals: every
+    coordinate's sample mean must lie within 5 R / sqrt(n) of t and its std
+    within 2 % of R. Returns (passed, worst mean error as a fraction of its
+    bound, worst std error as a fraction of R)."""
+    passed, worst_mean, worst_std = True, 0.0, 0.0
     for k in range(3):
         cfg_rng = substream(11_000 + k, 1)
         t = cfg_rng.standard_normal(d)
         r = 0.2 + 2.0 * cfg_rng.uniform(d)
-        draw_rng = substream(11_000 + k, 2)
-        samples = np.stack([sample_text_mass(t, r, draw_rng) for _ in range(n)])
+        samples = sampler(t, r, substream(11_000 + k, 2).standard_normal(n * d).reshape(n, d))
         mean_err = np.abs(samples.mean(axis=0) - t)
         mean_bound = 5.0 * r / math.sqrt(n)
-        assert np.all(mean_err <= mean_bound)
         std_err = np.abs(samples.std(axis=0) - r)
-        assert np.all(std_err <= 0.02 * r)
+        passed = passed and bool(np.all(mean_err <= mean_bound) and np.all(std_err <= 0.02 * r))
         worst_mean = max(worst_mean, float(np.max(mean_err / mean_bound)))
         worst_std = max(worst_std, float(np.max(std_err / r)))
-    print(f"criterion 3: PASS. 3 configs x {n} draws, worst mean error "
+    return passed, worst_mean, worst_std
+
+
+def test_criterion_03_reparameterization_statistics():
+    """Sampled mass has mean t and std R per component at 1e5 draws."""
+    passed, worst_mean, worst_std = reparameterization_check(text_mass)
+    assert passed
+    print(f"criterion 3: PASS. 3 configs x 100000 draws, worst mean error "
           f"{worst_mean:.2f} of bound, worst std error {100 * worst_std:.2f}% of R")
 
 
 def test_criterion_04_support_geometry():
-    """Support vector sits on the mass surface along the text-to-video ray."""
-    d = 16
+    """Support vector sits on the mass surface along the text-to-video ray:
+    training's support rows, from forward_batch's tape, over 100 pairs."""
+    n, d, frames = 4, 16, 4
     worst = 0.0
-    for k in range(100):
+    for k in range(25):
+        variant = RADIUS_VARIANTS[k % 3]
+        params = init_model_from_config(TrainingConfig(
+            dim=d, concept_dim=8, frame_count=frames, radius_variant=variant, theta_init=0.7, seed=k))
         rng = substream(12_000 + k, 1)
-        t = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        r = 0.1 + np.abs(rng.standard_normal(d))
-        t_sup = support_text(t, v, r)
-        lhs = (t_sup - t) / r
-        rhs = (v - t) / np.linalg.norm(v - t)
+        if variant == "linear":
+            params.radius_weights = 0.5 * rng.standard_normal(frames * d).reshape(frames, d)
+        batch = PairBatch(text=rng.standard_normal(n * 8).reshape(n, 8),
+                          videos=rng.standard_normal(n * 6 * 8).reshape(n, 6, 8))
+        eps = draw_noise(substream(12_000 + k, 2), 1, n, d)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        assert tape.support.keep.all()
+        t, r = tape.text.emb, tape.radii.radius
+        v = tape.fusion.fused[np.arange(n), np.arange(n)]
+        lhs = (tape.ce.rows[-1] - t) / r
+        rhs = (v - t) / np.linalg.norm(v - t, axis=1, keepdims=True)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst <= 1e-9
-    t = substream(12_100, 1).standard_normal(d)
+    # every pair degenerate: identity projections and frames equal to the text
+    params = init_model_from_config(TrainingConfig(dim=d, concept_dim=d, frame_count=2))
+    params.proj_text = params.proj_frame = np.eye(d)
+    feat = substream(12_100, 1).standard_normal(d)
+    batch = PairBatch(text=feat[None, :], videos=np.stack([feat, feat])[None])
     with pytest.raises(DegenerateGeometryError):
-        support_text(t, t.copy(), np.ones(d))
-    print(f"criterion 4: PASS. 100 instances, worst direction error {worst:.3e}, "
-          f"degenerate v = t raises DegenerateGeometryError")
+        forward_batch(batch, params, "t-mass", 1.2, eps=draw_noise(substream(12_100, 2), 1, 1, d))
+    print(f"criterion 4: PASS. 100 pairs, worst direction error {worst:.3e}, "
+          f"an all-degenerate batch raises DegenerateGeometryError")
 
 
 def test_criterion_05_metric_oracle():

@@ -112,6 +112,14 @@ class TestRankMetrics:
         with pytest.raises(ContractViolation):
             rank_metrics(np.eye(3), np.array([0, 1]))
 
+    # fractions used to be truncated ([0.5, 1.7, 2.2] ranked as [0, 1, 2]) and bools taken as 0/1
+    @pytest.mark.parametrize("relevant", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0], np.array([False, True, False])],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_relevant_indices_that_are_not_integers_are_refused(self, relevant):
+        with pytest.raises(ContractViolation, match="relevant indices must be integers"):
+            rank_metrics(np.eye(3), relevant)
+        assert rank_metrics(np.eye(3), [0, 1, 2])[1].r1 == 100.0
+
     def test_even_pool_median_averages_central_values(self):
         # ranks 1, 2, 3, 4 by planting q competitors above each diagonal
         sims = np.zeros((4, 4))
@@ -349,6 +357,47 @@ class TestInferenceMatrix:
             )
 
 
+class TestInferenceInputs:
+    """Inference refuses non-finite features and seeds that are not integers
+    in [0, 2**64) before it scores anything."""
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    @pytest.mark.parametrize("where", ["text features", "video features"])
+    def test_non_finite_features_are_refused(self, where, sampling):
+        params = make_params()
+        texts, videos = make_pool()
+        (texts if where == "text features" else videos).flat[7] = np.inf
+        with pytest.raises(ContractViolation, match=f"^{where}: 1 of"):
+            inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), sampling, 0)
+
+    def test_a_nan_frame_is_refused_by_the_radius_report(self):
+        # it used to give nan l1_radius rows without an error
+        params = make_params()
+        texts, videos = make_pool()
+        sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 0)
+        videos[2, 3, 1] = np.nan
+        with pytest.raises(ContractViolation, match="^video features: 1 of 120 values are non-finite$"):
+            pool_radius_report(texts, videos, params, sampled)
+
+    # 1.5 used to score as 1, -1 as 2**64 - 1 and 2**64 as 0
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64], ids=repr)
+    def test_seeds_outside_the_integers_below_2_64_are_refused(self, seed):
+        params = make_params()
+        texts, videos = make_pool()
+        with pytest.raises(ContractViolation, match="^seed "):
+            inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, seed)
+        with pytest.raises(ContractViolation, match="^seed "):
+            evaluation.nested_trial_matrices(texts, videos, params, (1, 2), seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)], ids=repr)
+    def test_every_integer_seed_below_2_64_is_accepted(self, seed):
+        params = make_params()
+        texts, videos = make_pool()
+        got = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, seed)
+        assert np.array_equal(got, inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2),
+                                                               True, int(seed)))
+
+
 def radius_oracle(texts, videos, params):
     """L1 radius mass of every (query, candidate) pair from the per-vector
     encode and radius functions."""
@@ -497,6 +546,19 @@ class TestAlignmentReport:
             alignment_rows(np.zeros((3, 4)), np.zeros((3, 4)), 10.0)
         with pytest.raises(ContractViolation):
             alignment_rows(np.zeros((3, 3)), np.zeros((4, 4)), 10.0)
+
+    # a NaN scale used to put ce = nan into the report
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_a_non_finite_scale_is_refused(self, lam):
+        with pytest.raises(ContractViolation, match="^logit scale: 1 of 1 values are non-finite$"):
+            alignment_rows(np.eye(3), np.eye(3), lam)
+
+    @pytest.mark.parametrize("which", ["deterministic", "sampled"])
+    def test_a_non_finite_score_is_refused(self, which):
+        det, stoch = np.eye(3), np.eye(3)
+        (det if which == "deterministic" else stoch)[1, 2] = np.nan
+        with pytest.raises(ContractViolation, match=f"^{which} scores: 1 of 9 values are non-finite$"):
+            alignment_rows(det, stoch, 10.0)
 
 
 class TestCsvWriters:

@@ -13,10 +13,12 @@ from textmass.mass import (
     pool_similarities,
     radius_batch,
     select_best_sample,
+    text_mass,
 )
 from textmass.model import init_model
 
 from oracle import cosine_similarity, frame_similarities, radius, sample_text_mass, support_text
+from test_acceptance import reparameterization_check
 
 
 class TestFrameSimilarities:
@@ -218,6 +220,32 @@ class TestSampleTextMass:
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
             sample_text_mass(np.zeros(3), np.ones(4), SeededRng(0, 0))
+
+
+class TestTextMass:
+    def test_broadcasts_and_writes_in_place(self):
+        rng = np.random.default_rng(8)
+        t, r, eps = rng.normal(size=5), np.exp(rng.normal(size=(3, 1, 5))), rng.normal(size=(3, 4, 5))
+        want = t + r * eps
+        assert np.array_equal(text_mass(t, r, eps), want)
+        assert text_mass(t, r, eps, out=eps) is eps and np.array_equal(eps, want)
+
+    def test_equals_the_per_vector_oracles_bit_for_bit(self):
+        rng = SeededRng(5, 1)
+        t, v, r = rng.standard_normal(7), rng.standard_normal(7), np.exp(rng.standard_normal(7))
+        eps = SeededRng(5, 2).standard_normal(7)
+        assert np.array_equal(text_mass(t, r, eps), sample_text_mass(t, r, SeededRng(5, 2)))
+        direction = (v - t) / np.linalg.norm(v - t)
+        assert np.array_equal(text_mass(t, r, direction), support_text(t, v, r))
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [lambda t, r, eps: text_mass(t, r * r, eps), lambda t, r, eps: text_mass(t, r, np.sqrt(2.0) * eps)],
+        ids=["radius-twice", "noise-times-sqrt-2"],
+    )
+    def test_criterion_3_fails_a_sampler_with_the_wrong_scale(self, sampler):
+        passed, _, worst_std = reparameterization_check(sampler)
+        assert not passed and worst_std > 0.02
 
 
 class TestSupportText:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from textmass import core, encoders, objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import sample_frame_indices
-from textmass.mass import DEGENERATE_DISTANCE, cos_grid
+from textmass.mass import DEGENERATE_DISTANCE, cos_grid, text_mass
 from textmass.model import (
     LAMBDA_MAX,
     all_array_names,
@@ -213,6 +213,37 @@ class TestForwardAgainstModuleOps:
         assert abs(self.breakdown.l_v2t - l_v2t) <= 1e-12
 
 
+class TestTextMassWiring:
+    """forward_batch forms its sample rows t + R * eps and its support rows
+    t + R * direction through mass.text_mass, bit for bit, with and without
+    parameter copies."""
+
+    @pytest.mark.parametrize("copied", [None, "adapter_text", "fusion_out", "radius_weights", "radius_theta"])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_rows_are_text_mass_of_the_tape(self, copied, degenerate):
+        d, n, k = 6, 4, 3
+        params = init_model(d, d, 3, "scalar" if copied == "radius_theta" else "linear", seed=21)
+        randomize(params, seed=21)
+        batch = make_batch(n, d, 5, seed=21)
+        if degenerate:
+            degenerate_first_pair(params, batch, None)
+        eps = draw_noise(substream(21, 7011), 2, n, d)
+        if copied is not None:
+            x0 = get_param(params, copied).ravel()
+            points = x0 + 1e-2 * substream(21, 7012).standard_normal(k * x0.size).reshape(k, x0.size)
+            params = parameter_copies(params, copied, points)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        t, r, rows = tape.text.emb, tape.radii.radius, tape.ce.rows
+        assert rows.shape == (() if copied is None else (k,)) + (4, n, d)
+        assert not np.any(r == 1.0)
+        if degenerate and copied is None:
+            assert list(np.flatnonzero(tape.support.keep)) == [1, 2, 3]
+        samples = text_mass(t[..., None, :, :], r[..., None, :, :], eps)
+        support = text_mass(t, r, tape.support.direction)
+        assert np.array_equal(rows[..., 1:-1, :, :], np.broadcast_to(samples, rows[..., 1:-1, :, :].shape))
+        assert np.array_equal(rows[..., -1, :, :], np.broadcast_to(support, rows[..., -1, :, :].shape))
+
+
 class TestModeArithmetic:
     def test_weights(self):
         assert mode_weights("t-mass", 1.2) == (0.0, 1.0, 1.2)
@@ -294,6 +325,22 @@ class TestModeArithmetic:
             forward_batch(batch, params, "t-mass", alpha, eps=eps)
         with pytest.raises(ContractViolation, match=message):
             gradient_check(params, batch, "t-mass", alpha, eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["text", "video"])
+    def test_a_non_finite_feature_is_refused_by_the_batch(self, where, bad):
+        # a NaN text feature used to give NaN losses from forward_batch, and
+        # gradient_check blamed coordinate 0 of 'adapter_text'
+        batch = make_batch(3, 6, 5)
+        text, videos = batch.text.copy(), batch.videos.copy()
+        (text if where == "text" else videos).flat[4] = bad
+        with pytest.raises(ContractViolation, match=f"^{where} features: 1 of"):
+            PairBatch(text=text, videos=videos)
+
+    def test_unequal_counts_are_refused_with_both_counts(self):
+        batch = make_batch(3, 6, 5)
+        with pytest.raises(ContractViolation, match="^text and video counts disagree: 3 texts, 2 videos$"):
+            PairBatch(text=batch.text, videos=batch.videos[:2])
 
 
 class TestNoiseHelpers:

@@ -288,6 +288,26 @@ class TestTrainLoop:
         )
         assert straight.state.optimizer.step == resumed.state.optimizer.step
 
+    # extra videos used to be ignored, too few died with an IndexError, and a
+    # NaN was reported as every pair being degenerate
+    @pytest.mark.parametrize(
+        "texts, videos, plant, match",
+        [(12, 14, None, "^text and video counts disagree: 12 texts, 14 videos$"),
+         (12, 9, None, "^text and video counts disagree: 12 texts, 9 videos$"),
+         (12, 12, "text", "^text features: 1 of 72 values are non-finite$"),
+         (12, 12, "video", "^video features: 1 of 360 values are non-finite$")],
+        ids=["more-videos", "fewer-videos", "nan-text", "inf-frame"],
+    )
+    def test_inputs_are_checked_up_front(self, texts, videos, plant, match):
+        text, frames = tiny_data(pairs=14)
+        text, frames = text[:texts], frames[:videos]
+        if plant == "text":
+            text[5, 2] = np.nan
+        if plant == "video":
+            frames[3, 1, 4] = -np.inf
+        with pytest.raises(ContractViolation, match=match):
+            train(text, frames, tiny_config())
+
     def test_resume_rejects_mid_epoch_state(self):
         text, videos = tiny_data()
         config = tiny_config()
