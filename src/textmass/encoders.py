@@ -78,7 +78,13 @@ class Encoded:
 
 def encode_batch(x: np.ndarray, model: ModelParameters, tower: str) -> Encoded:
     """Raw features (..., c) through the "text" or "frame" tower to unit
-    embeddings (..., d): texts (n, c) and frames (n, T', c) alike."""
+    embeddings (..., d): texts (n, c) and frames (n, T', c) alike. This is
+    the one place raw features meet the model, so it alone refuses a width
+    c other than the model's concept_dim."""
+    if x.shape[-1] != model.concept_dim:
+        raise ContractViolation(
+            f"{tower} features have width {x.shape[-1]} but the model's concept_dim is {model.concept_dim}"
+        )
     projected = x @ getattr(model, f"proj_{tower}").T
     if model.adapters_enabled:
         pre = _product(projected, getattr(model, f"adapter_{tower}"), model.copies)

@@ -84,8 +84,6 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
     videos = np.asarray(videos, dtype=np.float64)
     if texts.ndim != 2 or videos.ndim != 3:
         raise ContractViolation("inference wants texts (Q, c) and videos (C, T, c)")
-    if texts.shape[1] != videos.shape[2]:
-        raise ContractViolation("text and frame feature widths disagree")
     check_finite("text features", texts)
     check_finite("video features", videos)
     blocks = encode_batch(texts[:, None, :], params, "text").emb
@@ -276,6 +274,7 @@ def pool_radius_report(
     sampled, the pool's (Q, C) inference matrix with sampling, instead of
     scoring the pairs again."""
     pool = _embed_pool(texts, videos, params)
+    sampled = np.asarray(sampled, dtype=np.float64)
     if pool.blocks.shape[0] != pool.frames.shape[0]:
         raise ContractViolation("pool radius report wants an aligned text-video pool")
     if sampled.shape != (pool.blocks.shape[0], pool.frames.shape[0]):
@@ -301,7 +300,9 @@ def alignment_rows(det: np.ndarray, stoch: np.ndarray, lam: float) -> list[Align
     """The alignment report of an aligned pool from its deterministic and
     best-of-M (Q, Q) inference matrices under logit scale lam. Q must be at
     least 2, so that every query has an irrelevant candidate."""
-    if det.shape != stoch.shape or det.shape[0] != det.shape[1]:
+    det = np.asarray(det, dtype=np.float64)
+    stoch = np.asarray(stoch, dtype=np.float64)
+    if det.ndim != 2 or det.shape != stoch.shape or det.shape[0] != det.shape[1]:
         raise ContractViolation("alignment report wants an aligned text-video pool")
     if det.shape[0] < 2:
         raise ContractViolation(f"alignment report wants at least 2 aligned pairs, got {det.shape[0]}")

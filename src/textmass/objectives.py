@@ -83,8 +83,6 @@ class PairBatch:
             raise ContractViolation("batch wants text (N, c) and videos (N, T, c)")
         if self.text.shape[0] != self.videos.shape[0]:
             raise ContractViolation(f"text and video counts disagree: {len(self.text)} texts, {len(self.videos)} videos")
-        if self.text.shape[1] != self.videos.shape[2]:
-            raise ContractViolation("text and frame feature widths disagree")
         check_finite("text features", self.text)
         check_finite("video features", self.videos)
 
@@ -293,8 +291,6 @@ def forward_batch(
     if n < 1:
         raise ContractViolation("empty batch")
     d = params.dim
-    if batch.text.shape[1] != params.concept_dim:
-        raise ContractViolation("batch feature width does not match model")
 
     def shared(*names: str) -> bool:
         return reuse is not None and all(getattr(params, k) is getattr(reuse.params, k) for k in names)
@@ -424,9 +420,7 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_sup = d_rows[-1]
         d_radius = (tape.eps * d_rows[1:-1]).sum(axis=0) + sup.direction * d_sup
         # support row: t + direction * R with direction = (v - t) / ||v - t||
-        d_dir = radii.radius * d_sup
-        inner = row_sums(sup.direction, d_dir)[:, None]
-        d_delta = (d_dir - sup.direction * inner) / sup.dist[:, None]
+        d_delta = _normalize_backward(sup.direction, sup.dist, radii.radius * d_sup)
         d_fused[np.arange(n), np.arange(n)] += d_delta
         d_text -= d_delta
 

@@ -162,6 +162,8 @@ class TestGenerate:
             SyntheticSpec(coverage=0.0)
         with pytest.raises(ContractViolation):
             SyntheticSpec(noise_sigma=-0.1)
+        with pytest.raises(ContractViolation, match="^distractor count must be nonnegative$"):
+            SyntheticSpec(distractors=-1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_the_generated_range_rejected(self, seed):
@@ -225,6 +227,12 @@ class TestEmbeddingFiles:
         path = tmp_path / "hollow.tmeb"
         with pytest.raises(ContractViolation, match="at least one row and one value"):
             write_embeddings(path, [item, item])
+        assert not path.exists()
+
+    def test_writing_an_item_of_more_than_two_axes_is_refused(self, tmp_path):
+        path = tmp_path / "cube.tmeb"
+        with pytest.raises(ContractViolation, match="^embedding items must be vectors or row sets$"):
+            write_embeddings(path, [np.zeros((2, 3)), np.zeros((2, 3, 1))])
         assert not path.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), 1e39], ids=["nan", "beyond-float32"])

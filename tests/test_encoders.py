@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textmass.core import FD_BLOCK, ContractViolation
-from textmass.encoders import _pooled, _product, sample_frame_indices
+from textmass.encoders import _pooled, _product, encode_batch, fuse_batch, sample_frame_indices, video_keys
 from textmass.model import init_model
 
 from oracle import encode_frames, encode_text, fuse
@@ -53,6 +53,21 @@ class TestEncodeText:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             encode_text(np.ones(4), make_stack())
+
+
+class TestEncodeBatch:
+    # the one check of a feature width against the model: a width-4 text
+    # used to reach numpy's matmul and die with its ValueError
+    @pytest.mark.parametrize("tower, shape", [("text", (3, 4)), ("frame", (3, 2, 7))])
+    def test_another_width_is_refused_naming_the_tower_and_both_widths(self, tower, shape):
+        message = f"^{tower} features have width {shape[-1]} but the model's concept_dim is 5$"
+        with pytest.raises(ContractViolation, match=message):
+            encode_batch(np.ones(shape), make_stack(), tower)
+
+    @pytest.mark.parametrize("tower", ["text", "frame"])
+    def test_all_zero_features_are_refused(self, tower):
+        with pytest.raises(ContractViolation, match=f"^{tower} embedding collapsed to zero norm$"):
+            encode_batch(np.zeros((3, 5)), make_stack(), tower)
 
 
 class TestEncodeFrames:
@@ -128,6 +143,17 @@ class TestFuse:
             fuse(self.frames[perm], self.t, self.p),
             atol=1e-12,
         )
+
+
+class TestFuseBatch:
+    def test_a_mis_shaped_drop_mask_is_refused(self):
+        stack = make_stack()
+        rng = np.random.default_rng(4)
+        texts = encode_batch(rng.normal(size=(3, 5)), stack, "text").emb
+        keys = video_keys(encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb, stack)
+        assert fuse_batch(texts, keys, stack, np.ones((3, 2, 8))).fused.shape == (3, 2, 8)
+        with pytest.raises(ContractViolation, match="^dropout mask shape mismatch$"):
+            fuse_batch(texts, keys, stack, np.ones((2, 3, 8)))
 
 
 class TestReproducibility:

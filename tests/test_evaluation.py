@@ -106,6 +106,11 @@ class TestRankMetrics:
         with pytest.raises(ContractViolation, match="non-finite"):
             video_to_text_metrics(sims, np.arange(4))
 
+    @pytest.mark.parametrize("sims", [np.ones(4), np.ones((1, 2, 2)), np.ones((0, 3))], ids=["1-D", "3-D", "empty"])
+    def test_a_matrix_that_is_not_2_d_and_non_empty_is_refused(self, sims):
+        with pytest.raises(ContractViolation, match="^similarity matrix must be non-empty and 2-D$"):
+            rank_metrics(sims, np.zeros(1, dtype=np.int64))
+
     def test_relevant_index_validation(self):
         with pytest.raises(ContractViolation):
             rank_metrics(np.eye(3), np.array([0, 1, 3]))
@@ -379,6 +384,31 @@ class TestInferenceInputs:
         with pytest.raises(ContractViolation, match="^video features: 1 of 120 values are non-finite$"):
             pool_radius_report(texts, videos, params, sampled)
 
+    @pytest.mark.parametrize("texts_shape, videos_shape", [((4,), (4, 5, 6)), ((4, 6), (4, 30))],
+                             ids=["1-D texts", "2-D videos"])
+    def test_other_ranks_are_refused(self, texts_shape, videos_shape):
+        message = r"^inference wants texts \(Q, c\) and videos \(C, T, c\)$"
+        with pytest.raises(ContractViolation, match=message):
+            inference_similarity_matrix(np.ones(texts_shape), np.ones(videos_shape), make_params(),
+                                        SamplingConfig(trials=2), False, 0)
+
+    # numpy's matmul used to refuse these with a ValueError; the encode stage
+    # now refuses them on every path
+    @pytest.mark.parametrize("tower, text_width, frame_width", [("text", 5, 5), ("text", 7, 6), ("frame", 6, 4)])
+    def test_features_of_another_width_are_refused_on_every_path(self, tower, text_width, frame_width):
+        params = make_params()
+        texts, _ = make_pool(c_dim=text_width)
+        _, videos = make_pool(c_dim=frame_width)
+        width = text_width if tower == "text" else frame_width
+        message = f"^{tower} features have width {width} but the model's concept_dim is 6$"
+        for sampling in (False, True):
+            with pytest.raises(ContractViolation, match=message):
+                inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), sampling, 0)
+        with pytest.raises(ContractViolation, match=message):
+            evaluation.nested_trial_matrices(texts, videos, params, (1, 2), 0)
+        with pytest.raises(ContractViolation, match=message):
+            pool_radius_report(texts, videos, params, np.zeros((4, 4)))
+
     # 1.5 used to score as 1, -1 as 2**64 - 1 and 2**64 as 0
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64], ids=repr)
     def test_seeds_outside_the_integers_below_2_64_are_refused(self, seed):
@@ -488,6 +518,20 @@ class TestRadiusReport:
         inference_similarity_matrix(texts, videos, params, cfg, True, 43)
         assert calls  # the counter sees inference's fuse calls
 
+    def test_sampled_of_another_shape_is_refused(self):
+        params = make_params()
+        texts, videos = make_pool()
+        with pytest.raises(ContractViolation, match="^sampled matrix does not match the pool$"):
+            pool_radius_report(texts, videos, params, np.zeros((4, 3)))
+
+    def test_sampled_may_be_nested_lists(self):
+        # a list used to die with AttributeError: 'list' object has no attribute 'shape'
+        params = make_params()
+        texts, videos = make_pool()
+        sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(2), True, 0)
+        rows = pool_radius_report(texts, videos, params, sampled.tolist())
+        assert rows == pool_radius_report(texts, videos, params, sampled)
+
     def test_pool_report_wants_an_aligned_pool(self):
         params = make_params()
         texts, videos = make_pool(q=5, candidates=3)
@@ -546,6 +590,16 @@ class TestAlignmentReport:
             alignment_rows(np.zeros((3, 4)), np.zeros((3, 4)), 10.0)
         with pytest.raises(ContractViolation):
             alignment_rows(np.zeros((3, 3)), np.zeros((4, 4)), 10.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3, 3)], ids=["1-D", "3-D"])
+    def test_matrices_of_another_rank_are_refused(self, shape):
+        with pytest.raises(ContractViolation, match="^alignment report wants an aligned text-video pool$"):
+            alignment_rows(np.zeros(shape), np.zeros(shape), 10.0)
+
+    def test_matrices_may_be_nested_lists(self):
+        # a list used to die with AttributeError: 'list' object has no attribute 'shape'
+        rows = alignment_rows([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 10.0)
+        assert rows == alignment_rows(np.eye(2), np.eye(2), 10.0)
 
     # a NaN scale used to put ce = nan into the report
     @pytest.mark.parametrize("lam", [np.nan, np.inf])

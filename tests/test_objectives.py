@@ -342,8 +342,46 @@ class TestModeArithmetic:
         with pytest.raises(ContractViolation, match="^text and video counts disagree: 3 texts, 2 videos$"):
             PairBatch(text=batch.text, videos=batch.videos[:2])
 
+    @pytest.mark.parametrize("text_shape, video_shape", [((3, 6, 1), (3, 5, 6)), ((3, 6), (3, 30))],
+                             ids=["3-D text", "2-D videos"])
+    def test_a_batch_of_other_ranks_is_refused(self, text_shape, video_shape):
+        with pytest.raises(ContractViolation, match=r"^batch wants text \(N, c\) and videos \(N, T, c\)$"):
+            PairBatch(text=np.ones(text_shape), videos=np.ones(video_shape))
+
+    def test_an_empty_batch_is_refused(self):
+        batch = PairBatch(text=np.zeros((0, 6)), videos=np.zeros((0, 5, 6)))
+        with pytest.raises(ContractViolation, match="^empty batch$"):
+            forward_batch(batch, make_model(), "baseline", 1.0)
+
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(ContractViolation, match="^unknown training mode 'mass'$"):
+            forward_batch(make_batch(3, 6, 5), make_model(), "mass", 1.0)
+
+    # the encode stage is the one check of a width against the model; a
+    # text width that disagrees with the frames' is refused there too
+    @pytest.mark.parametrize("mode", ["baseline", "t-mass"])
+    @pytest.mark.parametrize("tower, text_width, frame_width", [("text", 5, 5), ("text", 7, 6), ("frame", 6, 4)])
+    def test_features_of_another_width_are_refused_by_the_encode_stage(
+        self, tower, text_width, frame_width, mode
+    ):
+        text = make_batch(3, text_width, 5).text
+        videos = make_batch(3, frame_width, 5).videos
+        batch = PairBatch(text=text, videos=videos)
+        eps = None if mode == "baseline" else draw_noise(substream(9, 7004), 1, 3, 8)
+        width = text_width if tower == "text" else frame_width
+        message = f"^{tower} features have width {width} but the model's concept_dim is 6$"
+        with pytest.raises(ContractViolation, match=message):
+            forward_batch(batch, make_model(), mode, 1.0, eps=eps)
+        with pytest.raises(ContractViolation, match=message):
+            gradient_check(make_model(), batch, mode, 1.0, eps)
+
 
 class TestNoiseHelpers:
+    @pytest.mark.parametrize("sizes", [(0, 3, 8), (2, 0, 8), (2, 3, 0)], ids=["samples", "pairs", "dim"])
+    def test_draw_noise_refuses_a_zero_size(self, sizes):
+        with pytest.raises(ContractViolation, match="^noise draw wants positive sizes$"):
+            draw_noise(substream(5, 7005), *sizes)
+
     def test_draw_noise_prefix_nesting(self):
         wide = draw_noise(substream(5, 7005), 4, 3, 8)
         narrow = draw_noise(substream(5, 7005), 2, 3, 8)

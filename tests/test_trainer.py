@@ -308,6 +308,26 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation, match=match):
             train(text, frames, tiny_config())
 
+    # the encode stage refuses the first batch, before any parameter update
+    @pytest.mark.parametrize("tower, text_width, frame_width", [("text", 5, 5), ("frame", 6, 7)])
+    def test_features_of_another_width_are_refused_before_the_first_step(
+        self, monkeypatch, tower, text_width, frame_width
+    ):
+        text, _ = tiny_data(c=text_width)
+        _, videos = tiny_data(c=frame_width)
+        steps = []
+        monkeypatch.setattr(trainer, "adamw_step", lambda *args: steps.append(args))
+        width = text_width if tower == "text" else frame_width
+        message = f"^{tower} features have width {width} but the model's concept_dim is 6$"
+        with pytest.raises(ContractViolation, match=message):
+            train(text, videos, tiny_config())
+        assert steps == []
+
+    def test_a_stop_epoch_past_the_run_is_refused(self):
+        text, videos = tiny_data()
+        with pytest.raises(ContractViolation, match="^stop epoch outside the configured run$"):
+            train(text, videos, tiny_config(epochs=2), stop_after_epochs=3)
+
     def test_resume_rejects_mid_epoch_state(self):
         text, videos = tiny_data()
         config = tiny_config()
@@ -446,6 +466,12 @@ class ConfigCodecSuite:
     def test_invalid_values_rejected(self):
         with pytest.raises(ContractViolation, match="mode"):
             self.parse("mode = nonsense\n")
+        with pytest.raises(ContractViolation, match="^batch size and train samples must be positive$"):
+            self.config_type(batch_size=0)
+        with pytest.raises(ContractViolation, match=r"^warmup fraction must lie in \[0, 1\]$"):
+            self.config_type(warmup_fraction=1.5)
+        with pytest.raises(ContractViolation, match="^model sizes and trial count must be positive$"):
+            self.config_type(trials=0)
         with pytest.raises(ContractViolation, match="dropout"):
             self.parse("dropout_rate = 1.0\n")
         with pytest.raises(ContractViolation, match="radius variant"):
@@ -653,8 +679,9 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.tmck", "over.tmck"]
 
 
-def write_raw_checkpoint(path, arrays, opt, config, global_step):
-    """A version-1 checkpoint holding exactly the given array tables."""
+def write_raw_checkpoint(path, arrays, opt, config, global_step, seed=None):
+    """A version-1 checkpoint holding exactly the given array tables; its
+    seed record is the config's unless seed is given."""
     config_blob = config_to_text(config).encode("utf-8")
     path.write_bytes(b"".join([
         trainer.CHECKPOINT_MAGIC,
@@ -663,7 +690,7 @@ def write_raw_checkpoint(path, arrays, opt, config, global_step):
         trainer._pack_array_table(opt),
         struct.pack("<I", len(config_blob)),
         config_blob,
-        struct.pack("<QQ", config.seed, global_step),
+        struct.pack("<QQ", config.seed if seed is None else seed, global_step),
     ]))
 
 
@@ -710,6 +737,27 @@ class TestCheckpointLayout:
         assert opt["step"] == step
         write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step + 1)
         with pytest.raises(FormatError, match=f"optimizer step {step} differs from global step {step + 1}"):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_a_seed_record_other_than_the_config_seed(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step, seed=config.seed + 1)
+        with pytest.raises(FormatError, match="^seed record disagrees with config$"):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    def test_missing_optimizer_step(self, tmp_path, tables):
+        arrays, opt, config, step = tables
+        del opt["step"]
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match="^checkpoint missing optimizer step$"):
+            load_checkpoint(tmp_path / "bad.tmck")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_optimizer_step(self, tmp_path, tables, value):
+        arrays, opt, config, step = tables
+        opt["step"] = np.float64(value)
+        write_raw_checkpoint(tmp_path / "bad.tmck", arrays, opt, config, step)
+        with pytest.raises(FormatError, match="^checkpoint optimizer step is not a finite scalar$"):
             load_checkpoint(tmp_path / "bad.tmck")
 
     def test_missing_parameter(self, tmp_path, tables):

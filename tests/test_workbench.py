@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textmass import evaluation, workbench
+from textmass import evaluation, objectives, workbench
 from textmass.core import ContractViolation, FormatError
 from textmass.dataset import SyntheticSpec, generate, item_offset, read_corpus, split_arrays, write_corpus
 from textmass.mass import SamplingConfig
@@ -389,6 +389,21 @@ class TestTrainEval:
     def test_eval_matches_train_final_metrics_of_a_baseline_checkpoint(self, tmp_path):
         self.check_scoring_matches_train(tmp_path, "baseline")
 
+    # epochs = 0 encodes nothing until the final test pool, which is scored
+    # before the checkpoint is written
+    @pytest.mark.parametrize("epochs", [1, 0])
+    def test_a_corpus_of_another_width_exits_one_before_any_artifact(self, tmp_path, capsys, epochs):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        config = write_config(tmp_path, name="wide.txt", data=str(corpus), concept_dim=8, epochs=epochs)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        message = "text features have width 6 but the model's concept_dim is 8"
+        assert message in capsys.readouterr().err
+        last = (out / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"failed with exit code 1: {message}")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "run.log"]
+
     def test_eval_requires_checkpoint(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 1
@@ -641,11 +656,32 @@ class TestAnalyze:
         )
         out = tmp_path / command
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
-        message = "checkpoint expects concept width 6 but the corpus has width 8"
+        message = "text features have width 8 but the model's concept_dim is 6"
         assert message in capsys.readouterr().err
         last = (out / "run.log").read_text().splitlines()[-1]
         assert last.endswith(f"failed with exit code 1: {message}")
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "run.log"]
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_a_data_corpus_is_scored_at_the_checkpoint_width_whatever_the_config_says(self, tmp_path, command):
+        # the config used to be refused: concept_dim 16 but the corpus has width 6
+        corpus = tmp_path / "corpus"
+        assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(corpus)]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(run)]) == 0
+        keys = {**TINY, "data": corpus, "checkpoint": run / "checkpoint.tmck"}
+        unset = tmp_path / "unset.txt"
+        unset.write_text("".join(f"{k} = {v}\n" for k, v in keys.items() if k != "concept_dim"), encoding="utf-8")
+        assert parse_config_text(unset.read_text(encoding="utf-8"), RunConfig()).concept_dim == 16
+        outs = {}
+        for name, config in (("unset", unset), ("set", write_config(tmp_path, name="set.txt", **keys))):
+            outs[name] = tmp_path / f"{command}-{name}"
+            assert main([command, "--config", str(config), "--out", str(outs[name])]) == 0
+        files = sorted(p.name for p in outs["set"].iterdir())
+        assert files == sorted(p.name for p in outs["unset"].iterdir())
+        assert "metrics.csv" in files
+        for name in set(files) - {"config.txt", "run.log"}:
+            assert (outs["unset"] / name).read_bytes() == (outs["set"] / name).read_bytes(), name
 
     def test_one_pair_test_pool_exits_one_before_any_report(self, tmp_path, capsys):
         # 9 pairs leave 1 test pair: a query with no irrelevant candidate
@@ -733,6 +769,29 @@ class TestGradcheck:
         capsys.readouterr()
         assert (out / "config.txt").exists()
         assert "max relative error" in (out / "run.log").read_text()
+
+    def test_a_failing_check_exits_one_and_prints_each_failure(self, tmp_path, capsys, monkeypatch):
+        backward = objectives.backward_batch
+
+        def doubled_fusion_out(tape):
+            grads = backward(tape)
+            grads["fusion_out"] = 2.0 * grads["fusion_out"]
+            return grads
+
+        results = []
+
+        def recorded(*args):
+            results.append(objectives.gradient_check(*args))
+            return results[-1]
+
+        monkeypatch.setattr(objectives, "backward_batch", doubled_fusion_out)
+        monkeypatch.setattr(workbench, "gradient_check", recorded)
+        assert main(["gradcheck", "--config", str(write_config(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert "max relative error" in captured.out
+        failures = results[0].failures
+        assert failures and all(f.startswith("fusion_out[") for f in failures)
+        assert captured.err.splitlines() == [f"gradcheck failure: {f}" for f in failures]
 
     def test_baseline_mode_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
