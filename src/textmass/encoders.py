@@ -4,8 +4,9 @@ The encoder towers are frozen random linear projections (a desk-scale stand-in
 for large pretrained backbones) followed by optional trainable adapters that
 start at identity, with L2 normalization on every output embedding. Fusion is
 single-head scaled-dot-product attention pooling over frame embeddings,
-conditioned on the text embedding, with an output projection. Training
-dropout is applied to the batched fusion grid (objectives.dropout_grid_mask).
+conditioned on the text embedding, with an output projection that runs once
+on a video set's values (`video_keys`). Training dropout is applied to the
+projected fusion grid (objectives.dropout_grid_mask).
 
 The batched stages `encode_batch` and `fuse_batch` take the model and read
 its proj_*, adapter_* and fusion_* arrays by name. They run in training and
@@ -16,10 +17,9 @@ parameter copies (model.parameter_copies); every output it reaches then
 gains a leading copy axis of length k. Without copies every product is the
 stacked `x @ p.T` that inference's per-query bits rest on; with copies
 (gradient checks) `_product` runs each product as one whole GEMM instead
-of one small product per copy and row. `fuse_batch` ends in `fuse_output`,
-its output projection, which a gradient check re-runs alone for copies of
-fusion_out. Last-axis sums and norms go through `core.row_sums`, and the
-attention's shift is `core.row_max`.
+of one small product per copy and row. For copies of fusion_out a gradient
+check re-runs only `project_values` and `fuse_output`. Last-axis sums and
+norms go through `core.row_sums`, and the attention's shift is `core.row_max`.
 """
 
 from __future__ import annotations
@@ -103,15 +103,20 @@ def encode_video_batch(videos: np.ndarray, model: ModelParameters) -> Encoded:
 
 @dataclass
 class VideoKeys:
-    """Key and value projections (n, T', d) of a video set's frames."""
+    """Key, value and output projections (n, T', d) of a video set's frames; outputs = values @ fusion_out.T."""
 
     keys: np.ndarray
     values: np.ndarray
+    outputs: np.ndarray
 
 
 def video_keys(frames: np.ndarray, model: ModelParameters) -> VideoKeys:
-    copies = model.copies
-    return VideoKeys(_product(frames, model.fusion_key, copies), _product(frames, model.fusion_value, copies))
+    values = _product(frames, model.fusion_value, model.copies)
+    return VideoKeys(_product(frames, model.fusion_key, model.copies), values, project_values(values, model))
+
+
+def project_values(values: np.ndarray, model: ModelParameters) -> np.ndarray:
+    return _product(values, model.fusion_out, model.copies)
 
 
 def _pooled(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -124,13 +129,12 @@ def _pooled(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 @dataclass
 class Fused:
     """An (m, n) fusion grid: queries (m, d), attention weights (m, n, T'),
-    the dropout mask or None, the pooled grid after the mask, and the
-    lengths before normalization of the unit fused embeddings (m, n, d)."""
+    the dropout mask on the projected grid or None, and the lengths before
+    normalization of the unit fused embeddings (m, n, d)."""
 
     queries: np.ndarray
     weights: np.ndarray
     mask: np.ndarray | None
-    pooled: np.ndarray
     norms: np.ndarray
     fused: np.ndarray
 
@@ -140,33 +144,29 @@ def fuse_batch(
 ) -> Fused:
     """`fuse` of every video j under every text i of an (m, d) block, as
     (batched) matmuls; drop_mask is an optional (m, n, d) inverted-dropout
-    mask on the pooled grid. Texts, keys and maps may carry copies."""
+    mask on the projected grid. Texts, keys and maps may carry copies."""
     m, d = texts.shape[-2:]
     n, frames = kv.keys.shape[-3:-1]
     copies = model.copies
+    if drop_mask is not None and drop_mask.shape != (m, n, d):
+        raise ContractViolation("dropout mask shape mismatch")
     queries = _product(texts, model.fusion_query, copies)
     keys = kv.keys.reshape(kv.keys.shape[:-3] + (n * frames, d))
     logits = _product(queries, keys, copies)
     logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
     shifted = np.exp(logits - row_max(logits)[..., None])
     weights = shifted / row_sums(shifted)[..., None]
-    pooled = _pooled(weights, kv.values)
-    if drop_mask is not None:
-        if drop_mask.shape != (m, n, d):
-            raise ContractViolation("dropout mask shape mismatch")
-        pooled = pooled * drop_mask
-    return fuse_output(queries, weights, drop_mask, pooled, model)
+    return fuse_output(queries, weights, drop_mask, kv.outputs)
 
 
-def fuse_output(
-    queries: np.ndarray, weights: np.ndarray, mask: np.ndarray | None, pooled: np.ndarray, model: ModelParameters
-) -> Fused:
-    """The output projection that ends `fuse_batch`: the pooled grid through
-    fusion_out to unit fused embeddings, with the attention's queries,
-    weights and mask as its record. Copies of fusion_out alone re-run only
-    this (objectives.forward_batch)."""
-    pre = _product(pooled, model.fusion_out, model.copies)
+def fuse_output(queries: np.ndarray, weights: np.ndarray, mask: np.ndarray | None, outputs: np.ndarray) -> Fused:
+    """What ends `fuse_batch`: the projected values pooled under the attention
+    weights and masked, to unit fused embeddings, with the attention's
+    queries, weights and mask as its record."""
+    pre = _pooled(weights, outputs)
+    if mask is not None:
+        pre *= mask
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
-    return Fused(queries, weights, mask, pooled, norms, pre / norms[..., None])
+    return Fused(queries, weights, mask, norms, pre / norms[..., None])

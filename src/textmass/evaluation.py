@@ -71,7 +71,7 @@ class AlignmentRow:
 class _Pool:
     """A pool encoded once: texts as one-text blocks (Q, 1, d), each its own
     (1, c) product whatever Q is, and frames (C, T', d) with their fusion
-    keys."""
+    keys, values and projected values, which every query block pools."""
 
     blocks: np.ndarray
     frames: np.ndarray

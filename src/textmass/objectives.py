@@ -35,16 +35,8 @@ import numpy as np
 
 from .core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, SeededRng, check_finite,
                    row_norms, row_sums)
-from .encoders import (
-    Encoded,
-    Fused,
-    VideoKeys,
-    encode_batch,
-    encode_video_batch,
-    fuse_batch,
-    fuse_output,
-    video_keys,
-)
+from .encoders import (Encoded, Fused, VideoKeys, encode_batch, encode_video_batch, fuse_batch, fuse_output,
+                       project_values, video_keys)
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map, text_mass
 from .model import (
     LAMBDA_MAX,
@@ -273,7 +265,7 @@ def forward_batch(
     eps: (samples, N, d) standard-normal draws; required outside baseline
     mode. Multiple sample slices average their stochastic CE terms.
     drop_mask: optional (N, N, d) inverted-dropout mask (zeros and
-    1 / keep-probability), applied to the pooled fusion grid.
+    1 / keep-probability), applied to the projected fusion grid.
     With k parameter copies (model.parameter_copies) every loss is a (k,)
     array whose entry c equals the loss of copy c alone.
     reuse: gradient_check's copy-free tape of the same batch, mode, alpha,
@@ -281,7 +273,7 @@ def forward_batch(
     its record from it when its inputs are the tape's records and every
     array it reads is the very object in the tape's params, as every array
     of parameter_copies but the copied one is; copies of fusion_out alone
-    re-run only the fusion's output projection.
+    re-run only the values' output projection and its pooling.
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
@@ -299,12 +291,14 @@ def forward_batch(
     frames = reuse.frames if shared("proj_frame", "adapter_frame") else encode_video_batch(batch.videos, params)
     if shared("fusion_key", "fusion_value") and frames is reuse.frames:
         keys = reuse.keys
+        if not shared("fusion_out"):
+            keys = VideoKeys(keys.keys, keys.values, project_values(keys.values, params))
     else:
         keys = video_keys(frames.emb, params)
     # text-conditioned fusion over the full (text, video) grid
-    if shared("fusion_query") and text is reuse.text and keys is reuse.keys:
+    if shared("fusion_query") and text is reuse.text and keys.keys is reuse.keys.keys:
         f = reuse.fusion
-        fusion = f if shared("fusion_out") else fuse_output(f.queries, f.weights, f.mask, f.pooled, params)
+        fusion = f if keys is reuse.keys else fuse_output(f.queries, f.weights, f.mask, keys.outputs)
     else:
         fusion = fuse_batch(text.emb, keys, params, drop_mask)
     fused = fusion.fused
@@ -438,17 +432,17 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_text += d_rows[0]
         d_frames += d_stack
 
-    # fusion grid backward: every contraction is a (batched) matmul
+    # fusion grid backward: every contraction is a (batched) matmul, and fusion_out projected the values
     f, kv = tape.fusion, tape.keys
     d_pre_fused = _normalize_backward(fused, f.norms, d_fused)
-    grads["fusion_out"] += d_pre_fused.reshape(-1, d).T @ f.pooled.reshape(-1, d)
-    d_pooled = d_pre_fused @ params.fusion_out
     if f.mask is not None:
-        d_pooled = d_pooled * f.mask
-    # per video j: d_w[:, j] = d_pooled[:, j] @ v_j.T and d_v[j] = w[:, j].T @ d_pooled[:, j]
-    d_pooled_j = d_pooled.transpose(1, 0, 2)
-    d_w = np.matmul(d_pooled_j, kv.values.transpose(0, 2, 1)).transpose(1, 0, 2)
-    d_v = np.matmul(f.weights.transpose(1, 2, 0), d_pooled_j)
+        d_pre_fused *= f.mask
+    # per video j: d_w[:, j] = d_pre[:, j] @ outputs[j].T and d_outputs[j] = w[:, j].T @ d_pre[:, j]
+    d_pre_j = d_pre_fused.transpose(1, 0, 2)
+    d_w = np.matmul(d_pre_j, kv.outputs.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_outputs = np.matmul(f.weights.transpose(1, 2, 0), d_pre_j).reshape(n * frames, d)
+    grads["fusion_out"] += d_outputs.T @ kv.values.reshape(n * frames, d)
+    d_v = d_outputs @ params.fusion_out
     inner_w = row_sums(f.weights, d_w)[..., None]
     d_logits = (f.weights * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
@@ -459,7 +453,6 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     frame_rows = frame_emb.reshape(n * frames, d)
     grads["fusion_key"] += d_k.T @ frame_rows
     d_frames += (d_k @ params.fusion_key).reshape(n, frames, d)
-    d_v = d_v.reshape(n * frames, d)
     grads["fusion_value"] += d_v.T @ frame_rows
     d_frames += (d_v @ params.fusion_value).reshape(n, frames, d)
 
@@ -484,7 +477,7 @@ def draw_noise(rng: SeededRng, samples: int, n: int, d: int) -> np.ndarray:
 
 
 def dropout_grid_mask(rng: SeededRng, n: int, d: int, rate: float) -> np.ndarray | None:
-    """Inverted-dropout mask for the pooled (N, N, d) fusion grid.
+    """Inverted-dropout mask for the projected (N, N, d) fusion grid.
 
     An (i, j) cell whose d uniforms all fall below the rate is kept whole
     instead of dropped whole, since a zero fused vector has no direction;

@@ -155,6 +155,29 @@ class TestFuseBatch:
         with pytest.raises(ContractViolation, match="^dropout mask shape mismatch$"):
             fuse_batch(texts, keys, stack, np.ones((2, 3, 8)))
 
+    def test_a_fused_vector_of_zero_norm_is_refused(self):
+        stack = make_stack()
+        stack.fusion_out = np.zeros((8, 8))
+        rng = np.random.default_rng(6)
+        texts = encode_batch(rng.normal(size=(2, 5)), stack, "text").emb
+        keys = video_keys(encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb, stack)
+        with pytest.raises(ContractViolation, match="^fused video embedding collapsed to zero norm$"):
+            fuse_batch(texts, keys, stack)
+
+    def test_outputs_are_the_projected_values_and_the_grid_matches_the_oracle(self):
+        stack = make_stack()
+        rng = np.random.default_rng(5)
+        for name in ("fusion_query", "fusion_key", "fusion_value", "fusion_out"):
+            setattr(stack, name, rng.normal(size=(8, 8)) * 0.3 + np.eye(8))
+        texts = encode_batch(rng.normal(size=(3, 5)), stack, "text").emb
+        frames = encode_batch(rng.normal(size=(4, 6, 5)), stack, "frame").emb
+        kv = video_keys(frames, stack)
+        assert np.array_equal(kv.outputs, np.stack([v @ stack.fusion_out.T for v in kv.values]))
+        fused = fuse_batch(texts, kv, stack).fused
+        for i in range(3):
+            for j in range(4):
+                np.testing.assert_allclose(fused[i, j], fuse(frames[j], texts[i], stack), atol=1e-12)
+
 
 class TestReproducibility:
     def test_stack_init_reproducible(self):

@@ -716,7 +716,7 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
     w /= w.sum(axis=2, keepdims=True)
     pooled = np.einsum("ijl,jld->ijd", w, v)
     mask = np.ones_like(pooled) if drop_mask is None else drop_mask
-    fused, fused_back = _ref_normalize((pooled * mask) @ params.fusion_out.T)
+    fused, fused_back = _ref_normalize((pooled @ params.fusion_out.T) * mask)
     lam = min(np.exp(params.log_lambda), LAMBDA_MAX)
 
     d_text, d_frames, d_fused = np.zeros_like(text), np.zeros_like(frames), np.zeros_like(fused)
@@ -783,9 +783,9 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
         d_text += d_rows
         d_frames += d_stack
 
-    d_pre_fused = fused_back(d_fused)
-    grads["fusion_out"] = np.einsum("ijd,ije->de", d_pre_fused, pooled * mask)
-    d_pooled = (d_pre_fused @ params.fusion_out) * mask
+    d_pre_fused = fused_back(d_fused) * mask
+    grads["fusion_out"] = np.einsum("ijd,ije->de", d_pre_fused, pooled)
+    d_pooled = d_pre_fused @ params.fusion_out
     d_w = np.einsum("ijd,jld->ijl", d_pooled, v)
     d_v = np.einsum("ijl,ijd->jld", w, d_pooled)
     d_logits = w * (d_w - np.sum(w * d_w, axis=2, keepdims=True)) / np.sqrt(d)
@@ -1265,6 +1265,24 @@ class TestStageReuse:
             assert np.array_equal(got, want)
         assert result == full_result
 
+    # copies of fusion_out re-run only the values' projection and its pooling
+    # under the tape's weights, and the mask still falls on the projected grid
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_copies_of_fusion_out_equal_their_own_copy_free_passes(self, dropout):
+        k, d, n = 2 * core.FD_BLOCK, 6, 4
+        params = randomize(init_model(d, d, 3, "linear", seed=12), seed=12)
+        batch = make_batch(n, d, 5, seed=12)
+        mask = dropout_grid_mask(substream(12, 7010), n, d, 0.3) if dropout else None
+        eps = draw_noise(substream(12, 7011), 2, n, d)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps, drop_mask=mask)
+        x0 = params.fusion_out.ravel()
+        points = np.tile(x0, (k, 1)) + 1e-3 * substream(12, 7012).standard_normal(k * x0.size).reshape(k, x0.size)
+        copies = parameter_copies(params, "fusion_out", points)
+        blocked, reused = forward_batch(batch, copies, "t-mass", 1.2, eps=eps, drop_mask=mask, reuse=tape)
+        assert reused.fusion.weights is tape.fusion.weights and reused.keys.values is tape.keys.values
+        assert reused.keys.outputs.shape == (k,) + tape.keys.outputs.shape
+        assert_copies_match(blocked, one_at_a_time(params, "fusion_out", points, batch, "t-mass", eps, mask), k)
+
     @pytest.mark.parametrize("variant", ["linear", "scalar"])
     def test_only_stages_that_copies_reach_run_again(self, monkeypatch, variant):
         d, n = 6, 4
@@ -1280,8 +1298,9 @@ class TestStageReuse:
         carries = {
             "encode_batch": lambda x, model, tower: copies_of(model, f"adapter_{tower}"),
             "video_keys": lambda frames, model: frames.ndim == 4 or copies_of(model, "fusion_key", "fusion_value"),
+            "project_values": lambda values, model: values.ndim == 4 or copies_of(model, "fusion_out"),
             "fuse_batch": lambda texts, kv, model, mask: (
-                texts.ndim == 3 or kv.keys.ndim == 4 or kv.values.ndim == 4 or copies_of(model, "fusion_query")
+                texts.ndim == 3 or kv.keys.ndim == 4 or kv.outputs.ndim == 4 or copies_of(model, "fusion_query")
             ),
             "radius_batch": lambda texts, frames, model: (
                 texts.ndim == 3 or frames.ndim == 4 or copies_of(model, "radius_theta", "radius_weights")
@@ -1296,9 +1315,10 @@ class TestStageReuse:
 
             return stage
 
-        # encode_video_batch looks encode_batch up in encoders
+        # encode_video_batch looks encode_batch up in encoders; project_values
+        # is guarded where forward_batch runs it alone, for copies of fusion_out
         for module, name in [(encoders, "encode_batch"), (objectives, "encode_batch"), (objectives, "video_keys"),
-                             (objectives, "fuse_batch"), (objectives, "radius_batch")]:
+                             (objectives, "project_values"), (objectives, "fuse_batch"), (objectives, "radius_batch")]:
             monkeypatch.setattr(module, name, guarded(name, getattr(module, name)))
         assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
         first = [name for name, _ in calls[:5]]
