@@ -1,6 +1,6 @@
 """Retrieval evaluation in both directions plus diagnostic reports.
 
-Inference runs training's encode, fuse and radius stages on blocks of about
+Inference runs training's encode, fusion and radius stages on blocks of about
 QUERY_BLOCK_ROWS (query, candidate) rows, so each pair gets its own fused
 video embedding and its own radius, bit for bit as a one-query call gives
 them, and refuses non-finite features and seeds outside [0, 2**64). Scoring
@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .core import ContractViolation, atomic_write, check_finite, check_seed, grid_normals
-from .encoders import VideoKeys, encode_batch, encode_video_batch, fuse_batch, video_keys
+from .encoders import attend, encode_batch, encode_video_batch, fuse_output, project
 from .mass import SamplingConfig, pool_similarities, radius_batch, text_mass
 from .model import ModelParameters
 # the per-pair reference that _score_query batches stays bound here, unused,
@@ -71,11 +71,12 @@ class AlignmentRow:
 class _Pool:
     """A pool encoded once: texts as one-text blocks (Q, 1, d), each its own
     (1, c) product whatever Q is, and frames (C, T', d) with their fusion
-    keys, values and projected values, which every query block pools."""
+    keys and projected values (outputs), which every query block pools."""
 
     blocks: np.ndarray
     frames: np.ndarray
-    keys: VideoKeys
+    keys: np.ndarray
+    outputs: np.ndarray
 
 
 def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) -> _Pool:
@@ -88,7 +89,8 @@ def _embed_pool(texts: np.ndarray, videos: np.ndarray, params: ModelParameters) 
     check_finite("video features", videos)
     blocks = encode_batch(texts[:, None, :], params, "text").emb
     frames = encode_video_batch(videos, params).emb
-    return _Pool(blocks, frames, video_keys(frames, params))
+    outputs = project(project(frames, params, "fusion_value"), params, "fusion_out")
+    return _Pool(blocks, frames, project(frames, params, "fusion_key"), outputs)
 
 
 # Rows (queries x candidates) of one block through fusion and the radius
@@ -113,7 +115,7 @@ def _query_stages(pool: _Pool, params: ModelParameters, with_fused: bool, with_r
         blocks = pool.blocks[first : first + per_block]
         fused = radii = repeat(None)
         if with_fused:
-            fused = fuse_batch(blocks, pool.keys, params).fused[:, 0]
+            fused = fuse_output(attend(blocks, pool.keys, params).weights, None, pool.outputs).fused[:, 0]
         if with_radii:
             texts = np.broadcast_to(blocks, (blocks.shape[0], c_count, blocks.shape[2]))
             radii = radius_batch(texts, pool.frames, params).radius

@@ -57,7 +57,7 @@ def cos_grid(rows: np.ndarray, stack: np.ndarray):
 
     rows: (S, m, d), S samples of m rows; stack: (m, n, d) of unit vectors.
     The dots divide by the row norms alone, so the stack must already be
-    unit length, as `fuse_batch` and `encode_batch` leave their outputs.
+    unit length, as `fuse_output` and `encode_batch` leave their outputs.
     Returns (sims, row_norms) shaped (S, m, n) and (S, m). Values are not
     clamped; callers stay inside (-1, 1) up to roundoff. Either side may
     lead with a copy axis, which the results then lead with too.

@@ -20,10 +20,11 @@ texts, the S noise samples and the support texts of a batch, the last two
 formed by `mass.text_mass` as inference's pools are, make one (S + 2, N, d)
 stack scored by one CE pass; every contraction over the grid is a (batched)
 matmul, and every last-axis sum or dot is `core.row_sums`.
-The encode, fuse and radius stages are the batched functions of `encoders`
-and `mass` that inference runs too; each stage's backward lives here.
-`gradient_check` scores its finite-difference points as parameter copies
-and hands each block its copy-free tape, so that only the stages a copy
+The encode, projection, attention, fusion and radius stages are the batched
+functions of `encoders` and `mass` that inference runs too; each stage's
+backward lives here. `gradient_check` scores its finite-difference points as
+parameter copies and hands each block its copy-free tape; a stage takes the
+tape's record when all it reads is the tape's own, so only the stages a copy
 reaches run again.
 """
 
@@ -35,8 +36,7 @@ import numpy as np
 
 from .core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, SeededRng, check_finite,
                    row_norms, row_sums)
-from .encoders import (Encoded, Fused, VideoKeys, encode_batch, encode_video_batch, fuse_batch, fuse_output,
-                       project_values, video_keys)
+from .encoders import Attention, Encoded, Fused, attend, encode_batch, encode_video_batch, fuse_output, project
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map, text_mass
 from .model import (
     LAMBDA_MAX,
@@ -243,7 +243,10 @@ class BatchTape:
     alpha: float
     text: Encoded
     frames: Encoded
-    keys: VideoKeys
+    keys: np.ndarray
+    values: np.ndarray
+    outputs: np.ndarray
+    attention: Attention
     fusion: Fused
     ce: CETerm
     eps: np.ndarray | None
@@ -269,11 +272,11 @@ def forward_batch(
     With k parameter copies (model.parameter_copies) every loss is a (k,)
     array whose entry c equals the loss of copy c alone.
     reuse: gradient_check's copy-free tape of the same batch, mode, alpha,
-    eps and drop_mask. An encode, keys, fusion or radius stage then takes
-    its record from it when its inputs are the tape's records and every
-    array it reads is the very object in the tape's params, as every array
-    of parameter_copies but the copied one is; copies of fusion_out alone
-    re-run only the values' output projection and its pooling.
+    eps and drop_mask. Each stage (text, frames, keys, values, outputs,
+    attention, fusion, radii) then takes the tape's record when every stage
+    record and parameter array it reads is the tape's own object, as every
+    array of parameter_copies but the copied one is; so only the stages
+    that a copy reaches run again.
     """
     if mode not in MODES:
         raise ContractViolation(f"unknown training mode {mode!r}")
@@ -284,23 +287,26 @@ def forward_batch(
         raise ContractViolation("empty batch")
     d = params.dim
 
-    def shared(*names: str) -> bool:
-        return reuse is not None and all(getattr(params, k) is getattr(reuse.params, k) for k in names)
+    records = {}
 
-    text = reuse.text if shared("proj_text", "adapter_text") else encode_batch(batch.text, params, "text")
-    frames = reuse.frames if shared("proj_frame", "adapter_frame") else encode_video_batch(batch.videos, params)
-    if shared("fusion_key", "fusion_value") and frames is reuse.frames:
-        keys = reuse.keys
-        if not shared("fusion_out"):
-            keys = VideoKeys(keys.keys, keys.values, project_values(keys.values, params))
-    else:
-        keys = video_keys(frames.emb, params)
+    def stage(name: str, run, *reads: str):
+        """Stage `name`'s record: the tape's when every stage record and
+        parameter array it reads is the tape's own object, else run()."""
+        fresh = reuse is None or any(
+            records[r] is not getattr(reuse, r) if r in records else getattr(params, r) is not getattr(reuse.params, r)
+            for r in reads
+        )
+        records[name] = run() if fresh else getattr(reuse, name)
+        return records[name]
+
+    text = stage("text", lambda: encode_batch(batch.text, params, "text"), "proj_text", "adapter_text")
+    frames = stage("frames", lambda: encode_video_batch(batch.videos, params), "proj_frame", "adapter_frame")
+    keys = stage("keys", lambda: project(frames.emb, params, "fusion_key"), "frames", "fusion_key")
+    values = stage("values", lambda: project(frames.emb, params, "fusion_value"), "frames", "fusion_value")
+    outputs = stage("outputs", lambda: project(values, params, "fusion_out"), "values", "fusion_out")
     # text-conditioned fusion over the full (text, video) grid
-    if shared("fusion_query") and text is reuse.text and keys.keys is reuse.keys.keys:
-        f = reuse.fusion
-        fusion = f if keys is reuse.keys else fuse_output(f.queries, f.weights, f.mask, keys.outputs)
-    else:
-        fusion = fuse_batch(text.emb, keys, params, drop_mask)
+    attention = stage("attention", lambda: attend(text.emb, keys, params), "text", "keys", "fusion_query")
+    fusion = stage("fusion", lambda: fuse_output(attention.weights, drop_mask, outputs), "attention", "outputs")
     fused = fusion.fused
     lam = params.logit_scale()
     lead = () if params.copies is None else (params.copies,)
@@ -313,10 +319,8 @@ def forward_batch(
         eps = np.asarray(eps, dtype=np.float64)
         if eps.ndim != 3 or eps.shape[1:] != (n, d):
             raise ContractViolation(f"noise must be (samples, {n}, {d}), got {eps.shape}")
-        if shared("radius_theta", "radius_weights") and text is reuse.text and frames is reuse.frames:
-            radii = reuse.radii
-        else:
-            radii = radius_batch(text.emb, frames.emb, params)
+        radii = stage("radii", lambda: radius_batch(text.emb, frames.emb, params),
+                      "text", "frames", "radius_theta", "radius_weights")
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
         dist = row_norms(delta)
         kept = dist > DEGENERATE_DISTANCE
@@ -339,7 +343,8 @@ def forward_batch(
     sims, norms = cos_grid(rows, fused)
     t2v, v2t, p_row, p_col = _ce_terms(sims, lam, keep)
     ce = CETerm(rows, sims, norms, p_row, p_col, keep)
-    tape = BatchTape(params, mode, float(alpha), text, frames, keys, fusion, ce, eps, radii, support)
+    tape = BatchTape(params, mode, float(alpha), text, frames, keys, values, outputs, attention, fusion, ce, eps,
+                     radii, support)
     per_matrix = 0.5 * (t2v + v2t)
     l_t2v, l_v2t, l_ce = t2v[..., 0], v2t[..., 0], per_matrix[..., 0]
     l_s = l_sup = None
@@ -433,21 +438,21 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_frames += d_stack
 
     # fusion grid backward: every contraction is a (batched) matmul, and fusion_out projected the values
-    f, kv = tape.fusion, tape.keys
+    f, att = tape.fusion, tape.attention
     d_pre_fused = _normalize_backward(fused, f.norms, d_fused)
     if f.mask is not None:
         d_pre_fused *= f.mask
     # per video j: d_w[:, j] = d_pre[:, j] @ outputs[j].T and d_outputs[j] = w[:, j].T @ d_pre[:, j]
     d_pre_j = d_pre_fused.transpose(1, 0, 2)
-    d_w = np.matmul(d_pre_j, kv.outputs.transpose(0, 2, 1)).transpose(1, 0, 2)
-    d_outputs = np.matmul(f.weights.transpose(1, 2, 0), d_pre_j).reshape(n * frames, d)
-    grads["fusion_out"] += d_outputs.T @ kv.values.reshape(n * frames, d)
+    d_w = np.matmul(d_pre_j, tape.outputs.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_outputs = np.matmul(att.weights.transpose(1, 2, 0), d_pre_j).reshape(n * frames, d)
+    grads["fusion_out"] += d_outputs.T @ tape.values.reshape(n * frames, d)
     d_v = d_outputs @ params.fusion_out
-    inner_w = row_sums(f.weights, d_w)[..., None]
-    d_logits = (f.weights * (d_w - inner_w)).reshape(n, n * frames)
+    inner_w = row_sums(att.weights, d_w)[..., None]
+    d_logits = (att.weights * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
-    d_q = (d_logits @ kv.keys.reshape(n * frames, d)) * scale
-    d_k = (d_logits.T @ f.queries) * scale
+    d_q = (d_logits @ tape.keys.reshape(n * frames, d)) * scale
+    d_k = (d_logits.T @ att.queries) * scale
     grads["fusion_query"] += d_q.T @ text_emb
     d_text += d_q @ params.fusion_query
     frame_rows = frame_emb.reshape(n * frames, d)

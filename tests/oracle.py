@@ -3,19 +3,20 @@
 Each function takes one vector (or one matrix) at a time and states its
 stage in the plainest numpy, independently of the batched code in
 `textmass`: `encode_text`, `encode_frames` and `fuse` are the oracle of
-`encoders.encode_batch` and `fuse_batch`; `frame_similarities` and `radius`
-of `mass.radius_batch`; `sample_text_mass` and `support_text` of the rows
-`objectives.forward_batch` stacks; `cosine_similarity` of `mass.cos_grid`;
-`symmetric_ce` of `objectives._ce_terms`; `box_muller_trig` bounds
-`core.box_muller`, the cos/sin form it replaces; `generate` builds each
-corpus pair call by call, normalising with `np.linalg.norm`, the reference
-of `dataset.generate`, which draws every pair's row of uniforms at once and
-builds blocks of pairs as arrays; and `unflatten_params` is the inverse of
-`model.flatten_params`. `pcg64_srandom` and `pcg64_words` derive a
-substream's PCG64 state with Python integers, the reference of
-`core._pcg64_srandom` and `core._pcg64_states`. The encoder, fusion and
-radius oracles take the model (`model.ModelParameters`) and read its arrays
-by their checkpoint names. Nothing in `textmass` imports them.
+`encoders.encode_batch`, `project`, `attend` and `fuse_output`;
+`frame_similarities` and `radius` of `mass.radius_batch`; `sample_text_mass`
+and `support_text` of the rows `objectives.forward_batch` stacks;
+`cosine_similarity` of `mass.cos_grid`; `symmetric_ce` of
+`objectives._ce_terms`; `box_muller_trig` bounds `core.box_muller`, the
+cos/sin form it replaces; `generate` builds each corpus pair call by call,
+normalising with `np.linalg.norm`, the reference of `dataset.generate`,
+which draws every pair's row of uniforms at once and builds blocks of pairs
+as arrays; and `unflatten_params` is the inverse of `model.flatten_params`.
+`pcg64_srandom` and `pcg64_words` derive a substream's PCG64 state with
+Python integers, the reference of `core._pcg64_srandom` and
+`core._pcg64_states`. The encoder, fusion and radius oracles take the model
+(`model.ModelParameters`) and read its arrays by their checkpoint names.
+Nothing in `textmass` imports them.
 """
 
 from __future__ import annotations

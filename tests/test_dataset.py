@@ -64,6 +64,11 @@ class TestGenerate:
         for r in generate(spec):
             assert int(np.count_nonzero(r.text)) == 8
 
+    def test_a_zero_row_cannot_be_normalized(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(ContractViolation, match="^cannot normalize a zero vector$"):
+            dataset._unit_rows(rows)
+
     def test_coverage_too_small_rejected(self):
         with pytest.raises(ContractViolation):
             generate(SyntheticSpec(pairs=4, concept_dim=16, raw_frames=2, coverage=0.05))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textmass.core import FD_BLOCK, ContractViolation
-from textmass.encoders import _pooled, _product, encode_batch, fuse_batch, sample_frame_indices, video_keys
+from textmass.encoders import _pooled, _product, attend, encode_batch, fuse_output, project, sample_frame_indices
 from textmass.model import init_model
 
 from oracle import encode_frames, encode_text, fuse
@@ -150,19 +150,23 @@ class TestFuseBatch:
         stack = make_stack()
         rng = np.random.default_rng(4)
         texts = encode_batch(rng.normal(size=(3, 5)), stack, "text").emb
-        keys = video_keys(encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb, stack)
-        assert fuse_batch(texts, keys, stack, np.ones((3, 2, 8))).fused.shape == (3, 2, 8)
+        frames = encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb
+        weights = attend(texts, project(frames, stack, "fusion_key"), stack).weights
+        outputs = project(project(frames, stack, "fusion_value"), stack, "fusion_out")
+        assert fuse_output(weights, np.ones((3, 2, 8)), outputs).fused.shape == (3, 2, 8)
         with pytest.raises(ContractViolation, match="^dropout mask shape mismatch$"):
-            fuse_batch(texts, keys, stack, np.ones((2, 3, 8)))
+            fuse_output(weights, np.ones((2, 3, 8)), outputs)
 
     def test_a_fused_vector_of_zero_norm_is_refused(self):
         stack = make_stack()
         stack.fusion_out = np.zeros((8, 8))
         rng = np.random.default_rng(6)
         texts = encode_batch(rng.normal(size=(2, 5)), stack, "text").emb
-        keys = video_keys(encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb, stack)
+        frames = encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb
+        weights = attend(texts, project(frames, stack, "fusion_key"), stack).weights
+        outputs = project(project(frames, stack, "fusion_value"), stack, "fusion_out")
         with pytest.raises(ContractViolation, match="^fused video embedding collapsed to zero norm$"):
-            fuse_batch(texts, keys, stack)
+            fuse_output(weights, None, outputs)
 
     def test_outputs_are_the_projected_values_and_the_grid_matches_the_oracle(self):
         stack = make_stack()
@@ -171,9 +175,11 @@ class TestFuseBatch:
             setattr(stack, name, rng.normal(size=(8, 8)) * 0.3 + np.eye(8))
         texts = encode_batch(rng.normal(size=(3, 5)), stack, "text").emb
         frames = encode_batch(rng.normal(size=(4, 6, 5)), stack, "frame").emb
-        kv = video_keys(frames, stack)
-        assert np.array_equal(kv.outputs, np.stack([v @ stack.fusion_out.T for v in kv.values]))
-        fused = fuse_batch(texts, kv, stack).fused
+        values = project(frames, stack, "fusion_value")
+        outputs = project(values, stack, "fusion_out")
+        assert np.array_equal(outputs, np.stack([v @ stack.fusion_out.T for v in values]))
+        weights = attend(texts, project(frames, stack, "fusion_key"), stack).weights
+        fused = fuse_output(weights, None, outputs).fused
         for i in range(3):
             for j in range(4):
                 np.testing.assert_allclose(fused[i, j], fuse(frames[j], texts[i], stack), atol=1e-12)
@@ -209,7 +215,7 @@ class TestProducts:
         k, d = ORACLE_COPIES, 6
         x = rng.standard_normal(((k,) if side == "input" else ()) + lead + (d,))
         p = rng.standard_normal(((k,) if side == "map" else ()) + (d + 1, d))
-        got = _product(x, p, k)
+        got = _product(x, p, side == "input")
         want = np.stack([(x[c] if side == "input" else x) @ (p[c] if side == "map" else p).T for c in range(k)])
         assert_matches(got, want)
         assert got.flags.c_contiguous
@@ -237,8 +243,8 @@ class TestProducts:
         texts = rng.standard_normal((queries, 1, d))
         p = rng.standard_normal((d, d))
         keys = rng.standard_normal((n * frames, d))
-        assert np.array_equal(_product(texts, p, None), texts @ p.T)
-        assert np.array_equal(_product(texts, keys, None), texts @ keys.T)
+        assert np.array_equal(_product(texts, p, False), texts @ p.T)
+        assert np.array_equal(_product(texts, keys, False), texts @ keys.T)
         weights = rng.random((queries, 1, n, frames))
         values = rng.standard_normal((n, frames, d))
         stacked = np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2)

@@ -9,7 +9,7 @@ import pytest
 
 from textmass import core, evaluation
 from textmass.core import ContractViolation, substream
-from textmass.encoders import fuse_batch
+from textmass.encoders import attend
 from textmass.mass import SamplingConfig, radius_batch, select_best_sample
 from textmass.model import flatten_params, init_model, trainable_names
 from textmass.evaluation import (
@@ -299,9 +299,9 @@ class TestInferenceMatrix:
 
         def counted(blocks, *args):
             shapes.append(blocks.shape)
-            return fuse_batch(blocks, *args)
+            return attend(blocks, *args)
 
-        monkeypatch.setattr(evaluation, "fuse_batch", counted)
+        monkeypatch.setattr(evaluation, "attend", counted)
         monkeypatch.setattr(evaluation, "QUERY_BLOCK_ROWS", block_rows)
         inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), use_sampling, 0)
         per_block = max(1, block_rows // 3)
@@ -510,8 +510,9 @@ class TestRadiusReport:
         pool = evaluation._embed_pool(texts, videos, params)
         drawn = np.stack([r for _, _, r in evaluation._query_stages(pool, params, True, True)])
         calls = []
-        real = evaluation.fuse_batch
-        monkeypatch.setattr(evaluation, "fuse_batch", lambda *args: calls.append(args) or real(*args))
+        for name in ("attend", "fuse_output"):
+            real = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name, lambda *args, real=real: calls.append(args) or real(*args))
         rows = pool_radius_report(texts, videos, params, sims)
         assert calls == []
         assert np.array_equal(np.array([r.l1_radius for r in rows]).reshape(5, 5), np.abs(drawn).sum(axis=-1))

@@ -135,3 +135,11 @@ def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
 def test_every_parameter_is_a_model_field_of_its_name_in_canonical_order():
     fields = [f.name for f in dataclasses.fields(ModelParameters)]
     assert fields[: len(PARAMETERS)] == list(PARAMETERS)
+
+
+def test_a_linear_model_without_radius_weights_is_refused():
+    scalar = make_model("scalar")
+    assert scalar.radius_weights is None
+    fields = {f.name: getattr(scalar, f.name) for f in dataclasses.fields(ModelParameters)}
+    with pytest.raises(ContractViolation, match="^linear radius variant requires a weight matrix$"):
+        ModelParameters(**{**fields, "radius_variant": "linear"})

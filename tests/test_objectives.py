@@ -1265,8 +1265,31 @@ class TestStageReuse:
             assert np.array_equal(got, want)
         assert result == full_result
 
-    # copies of fusion_out re-run only the values' projection and its pooling
-    # under the tape's weights, and the mask still falls on the projected grid
+    # shapes where OpenBLAS rounds one flattened GEMM of a 3-D input other
+    # than the stacked x @ p.T: a stage whose inputs carry no copies runs the
+    # stacked product, as the copy-free pass does, so each array's block of
+    # copies scores the same bits with the tape as with every stage run again
+    @pytest.mark.parametrize("d, n, frames", [(32, 8, 8), (32, 32, 3), (6, 4, 1), (32, 4, 1)])
+    @pytest.mark.parametrize("variant", ["linear", "scalar"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reuse_equals_a_full_recompute_where_flat_and_stacked_products_round_apart(self, d, n, frames, variant,
+                                                                                       seed):
+        params = randomize(init_model(d, d, frames, variant, seed=seed), seed=seed)
+        batch = make_batch(n, d, max(frames, 5), seed=seed)
+        eps = draw_noise(substream(seed, 7011), 2, n, d)
+        _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+        rng = substream(seed, 7012)
+        for name in trainable_names(params, "t-mass"):
+            x0 = np.ravel(get_param(params, name))
+            points = x0 + 1e-3 * rng.standard_normal(2 * core.FD_BLOCK * x0.size).reshape(-1, x0.size)
+            copies = parameter_copies(params, name, points)
+            reused, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps, reuse=tape)
+            full, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps)
+            for term in dataclasses.fields(full):
+                assert np.array_equal(getattr(reused, term.name), getattr(full, term.name)), (name, term.name)
+
+    # copies of fusion_out re-run only the output projection and its pooling
+    # under the tape's attention, and the mask still falls on the projected grid
     @pytest.mark.parametrize("dropout", [False, True])
     def test_copies_of_fusion_out_equal_their_own_copy_free_passes(self, dropout):
         k, d, n = 2 * core.FD_BLOCK, 6, 4
@@ -1279,8 +1302,8 @@ class TestStageReuse:
         points = np.tile(x0, (k, 1)) + 1e-3 * substream(12, 7012).standard_normal(k * x0.size).reshape(k, x0.size)
         copies = parameter_copies(params, "fusion_out", points)
         blocked, reused = forward_batch(batch, copies, "t-mass", 1.2, eps=eps, drop_mask=mask, reuse=tape)
-        assert reused.fusion.weights is tape.fusion.weights and reused.keys.values is tape.keys.values
-        assert reused.keys.outputs.shape == (k,) + tape.keys.outputs.shape
+        assert reused.attention is tape.attention and reused.values is tape.values
+        assert reused.outputs.shape == (k,) + tape.outputs.shape
         assert_copies_match(blocked, one_at_a_time(params, "fusion_out", points, batch, "t-mass", eps, mask), k)
 
     @pytest.mark.parametrize("variant", ["linear", "scalar"])
@@ -1295,37 +1318,67 @@ class TestStageReuse:
         def copies_of(model, *names):
             return any(np.ndim(getattr(model, name)) > np.ndim(getattr(params, name)) for name in names)
 
-        carries = {
-            "encode_batch": lambda x, model, tower: copies_of(model, f"adapter_{tower}"),
-            "video_keys": lambda frames, model: frames.ndim == 4 or copies_of(model, "fusion_key", "fusion_value"),
-            "project_values": lambda values, model: values.ndim == 4 or copies_of(model, "fusion_out"),
-            "fuse_batch": lambda texts, kv, model, mask: (
-                texts.ndim == 3 or kv.keys.ndim == 4 or kv.outputs.ndim == 4 or copies_of(model, "fusion_query")
+        # each stage call's label (a projection is named by its map) and whether it carries copies
+        stages = {
+            "encode_batch": lambda x, model, tower: (tower, copies_of(model, f"adapter_{tower}")),
+            "project": lambda x, model, name: (name, x.ndim == 4 or copies_of(model, name)),
+            "attend": lambda texts, keys, model: (
+                "attend", texts.ndim == 3 or keys.ndim == 4 or copies_of(model, "fusion_query")
             ),
+            "fuse_output": lambda weights, mask, outputs: ("fuse_output", weights.ndim == 4 or outputs.ndim == 4),
             "radius_batch": lambda texts, frames, model: (
-                texts.ndim == 3 or frames.ndim == 4 or copies_of(model, "radius_theta", "radius_weights")
+                "radius_batch",
+                texts.ndim == 3 or frames.ndim == 4 or copies_of(model, "radius_theta", "radius_weights"),
             ),
         }
+        block = [None]  # the array whose copies the running pass carries; None: the copy-free pass
         calls = []
 
         def guarded(name, real):
             def stage(*args):
-                calls.append((name, carries[name](*args)))
+                calls.append((block[0], *stages[name](*args)))
                 return real(*args)
 
             return stage
 
-        # encode_video_batch looks encode_batch up in encoders; project_values
-        # is guarded where forward_batch runs it alone, for copies of fusion_out
-        for module, name in [(encoders, "encode_batch"), (objectives, "encode_batch"), (objectives, "video_keys"),
-                             (objectives, "project_values"), (objectives, "fuse_batch"), (objectives, "radius_batch")]:
-            monkeypatch.setattr(module, name, guarded(name, getattr(module, name)))
+        def copying(model, name, points):
+            block[0] = name
+            return parameter_copies(model, name, points)
+
+        # encode_video_batch looks encode_batch up in encoders
+        monkeypatch.setattr(encoders, "encode_batch", guarded("encode_batch", encoders.encode_batch))
+        for name in stages:
+            monkeypatch.setattr(objectives, name, guarded(name, getattr(objectives, name)))
+        monkeypatch.setattr(objectives, "parameter_copies", copying)
         assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
-        first = [name for name, _ in calls[:5]]
-        assert sorted(first) == sorted(["encode_batch", "encode_batch", "video_keys", "fuse_batch", "radius_batch"])
-        assert not any(carried for _, carried in calls[:5])
-        assert all(carried for _, carried in calls[5:]), [c for c in calls[5:] if not c[1]]
-        assert {name for name, _ in calls[5:]} == set(carries)
+
+        def run_under(array):
+            return sorted(label for copied, label, _ in calls if copied == array)
+
+        everything = ["attend", "frame", "fuse_output", "fusion_key", "fusion_out", "fusion_value", "radius_batch",
+                      "text"]
+        assert run_under(None) == everything
+        assert not any(carried for copied, _, carried in calls if copied is None)
+        copy_calls = [call for call in calls if call[0] is not None]
+        assert all(carried for _, _, carried in copy_calls), [call for call in copy_calls if not call[2]]
+        assert {label for _, label, _ in copy_calls} == set(everything)
+        # the stages each array's copies reach: copies of fusion_key run neither
+        # the value nor the output projection, and copies of fusion_value run
+        # neither the key projection nor the attention
+        radius = {"radius_batch"}
+        reach = {
+            "adapter_text": {"text", "attend", "fuse_output"} | radius,
+            "adapter_frame": {"frame", "fusion_key", "fusion_value", "fusion_out", "attend", "fuse_output"} | radius,
+            "fusion_query": {"attend", "fuse_output"},
+            "fusion_key": {"fusion_key", "attend", "fuse_output"},
+            "fusion_value": {"fusion_value", "fusion_out", "fuse_output"},
+            "fusion_out": {"fusion_out", "fuse_output"},
+            "radius_theta": radius,
+            "radius_weights": radius,
+            "log_lambda": set(),
+        }
+        for array in trainable_names(params, "t-mass"):
+            assert set(run_under(array)) == reach[array], array
 
 
 class TestOracleCatchesBrokenBackward:
