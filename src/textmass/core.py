@@ -13,7 +13,9 @@ independent substreams and identical (seed, stream) pairs replay bit-exactly.
 building their generators: it derives their PCG64 states in uint64 arrays and
 writes them straight into one generator's C struct, whose layout a
 once-per-process check guards. Sampled inference takes its normals from it
-through :func:`grid_normals`, and corpus generation its pairs' rows.
+through :func:`grid_normals`, and corpus generation its pairs' rows;
+:func:`stream_rngs` reseeds one :class:`SeededRng` from the same derivation,
+which is how the training loop reaches each step's noise and dropout streams.
 """
 
 from __future__ import annotations
@@ -322,8 +324,22 @@ def _check_pcg64_layout() -> None:
         raise ContractViolation(
             f"numpy {np.__version__}: PCG64 state words {words[0].tolist()} do not round-trip "
             f"through the generator struct (it held {read.tolist()}); substream rows cannot be "
-            "drawn, so neither sampled inference nor corpus generation can run"
+            "drawn, so training noise and dropout, sampled inference and corpus generation cannot run"
         )
+
+
+def _stream_states(seed: int, parts: tuple[int, ...], ids: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(streams, states): the u64 ids stream_key(*parts, *index) of every
+    index, in C order, of the broadcast of the integer arrays ids, and their
+    PCG64 state words from one _pcg64_states pass. The first call checks
+    the struct layout that the words are written through
+    (_check_pcg64_layout)."""
+    _check_pcg64_layout()
+    streams = stream_key(*parts)
+    for part in ids:
+        streams = _fold_part(streams, np.asarray(part, dtype=np.uint64))
+    streams = np.ravel(streams)
+    return streams, _pcg64_states(int(seed) & _U64, streams)
 
 
 def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarray):
@@ -331,14 +347,9 @@ def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarr
     the whole run is SeededRng(seed, stream_key(*parts, *index)).uniform(
     out.shape[1]) bit for bit, index the r-th entry (C order) of the
     broadcast of the integer arrays ids. All states are derived in one pass
-    (_pcg64_states); one generator draws every row, its state words assigned
-    through a numpy view (_state_words) whose layout the first call checks
-    (_check_pcg64_layout)."""
-    _check_pcg64_layout()
-    streams = stream_key(*parts)
-    for part in ids:
-        streams = _fold_part(streams, np.asarray(part, dtype=np.uint64))
-    states = _pcg64_states(int(seed) & _U64, np.ravel(streams))
+    (_stream_states); one generator draws every row, its state words
+    assigned through a numpy view (_state_words)."""
+    _, states = _stream_states(seed, parts, ids)
     bitgen = np.random.PCG64(0)
     view, draw = _state_words(bitgen), np.random.Generator(bitgen).random
     for first in range(0, len(states), max(len(out), 1)):
@@ -347,6 +358,22 @@ def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarr
             view[...] = words
             draw(out=row)
         yield out[: len(block)]
+
+
+def stream_rngs(seed: int, parts: tuple[int, ...], ids):
+    """For each entry of the integer array ids, in C order, yield a
+    SeededRng that draws, bit for bit, what substream(seed, *parts, id)
+    draws. Every yield is the same generator, reseeded in place: use it up
+    before taking the next. Its states come from one _stream_states pass
+    and are written through _state_words, so no SeedSequence is built per
+    id."""
+    streams, states = _stream_states(seed, parts, (ids,))
+    rng = SeededRng(seed)
+    view = _state_words(rng._gen.bit_generator)
+    for stream, words in zip(streams, states):
+        view[...] = words
+        rng.stream = int(stream)
+        yield rng
 
 
 def grid_normals(seed: int, parts: tuple[int, ...], q_count: int, c_count: int, n: int):

@@ -18,8 +18,9 @@ text-conditioned, so each batch fuses an (N, N) grid of candidate embeddings:
 entry (i, j) is video j pooled under text i's attention. The deterministic
 texts, the S noise samples and the support texts of a batch, the last two
 formed by `mass.text_mass` as inference's pools are, make one (S + 2, N, d)
-stack scored by one CE pass; every contraction over the grid is a (batched)
-matmul, and every last-axis sum or dot is `core.row_sums`.
+stack scored by one CE pass, whose backward reads one softmax table; every
+contraction over the grid is a (batched) matmul, and every last-axis sum or
+dot is `core.row_sums`.
 The encode, projection, attention, fusion and radius stages are the batched
 functions of `encoders` and `mass` that inference runs too; each stage's
 backward lives here. `gradient_check` scores its finite-difference points as
@@ -117,10 +118,11 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     scale per copy of a (k, M, N, N) stack.
 
     Each matrix is shifted once, by its largest logit, and its row and
-    column softmaxes share one exponential. That is exact for cosines:
-    every logit lies within LAMBDA_MAX of 0, so no term falls below
-    exp(-2 * LAMBDA_MAX). Its oracle, `symmetric_ce` in `tests/oracle.py`,
-    takes any matrix and keeps a shift per row and per column.
+    column softmaxes share one exponential, taken in place of the shifted
+    logits. That is exact for cosines: every logit lies within LAMBDA_MAX
+    of 0, so no term falls below exp(-2 * LAMBDA_MAX). Its oracle,
+    `symmetric_ce` in `tests/oracle.py`, takes any matrix and keeps a shift
+    per row and per column.
 
     keep: None, or a boolean mask of the pairs each matrix scores, shaped
     (..., N) to broadcast against the stack's (..., N) matrix axes. A
@@ -128,22 +130,21 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     are zeroed, masked rows and columns get a unit sum, and the terms
     average over the kept pairs.
 
-    Returns (l_t2v, l_v2t, p_row, p_col): the terms have the leading shape
-    (0-d for one matrix) and p_row / p_col are the softmax tables reused by
-    the backward pass.
+    Returns (l_t2v, l_v2t, p_sum): the terms have the leading shape (0-d
+    for one matrix), and p_sum = exp * (1 / row_sum + 1 / col_sum) is the
+    one table the backward pass reads, the row softmax plus the column
+    softmax of each matrix (0 off a kept block).
     """
     logits = (lam if isinstance(lam, float) else lam[:, None, None, None]) * sims
-    shift = logits.max(axis=(-2, -1), keepdims=True)
-    exp = np.exp(logits - shift)
+    logits -= logits.max(axis=(-2, -1), keepdims=True)
+    diag = np.diagonal(logits, axis1=-2, axis2=-1).copy()
+    exp = np.exp(logits, out=logits)
     if keep is None:
         row_sum, col_sum = row_sums(exp), row_sums(exp.swapaxes(-1, -2))
     else:
         exp *= keep[..., :, None] & keep[..., None, :]
         # a masked row or column sums to 1: its softmax is 0 and its log 0
         row_sum, col_sum = row_sums(exp) + ~keep, row_sums(exp.swapaxes(-1, -2)) + ~keep
-    p_row = exp / row_sum[..., None]
-    p_col = exp / col_sum[..., None, :]
-    diag = np.diagonal(logits, axis1=-2, axis2=-1) - shift[..., 0]
     row_terms = np.log(row_sum) - diag
     col_terms = np.log(col_sum) - diag
     if keep is None:
@@ -151,43 +152,47 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     else:
         count = np.count_nonzero(keep, axis=-1)
         row_terms, col_terms = row_terms * keep, col_terms * keep
-    return row_sums(row_terms) / count, row_sums(col_terms) / count, p_row, p_col
+    exp *= 1.0 / row_sum[..., None] + 1.0 / col_sum[..., None, :]
+    return row_sums(row_terms) / count, row_sums(col_terms) / count, exp
 
 
-def _ce_backward(sims, lam: float, p_row, p_col, upstream: np.ndarray, keep: np.ndarray | None):
+def _ce_backward(sims, lam: float, p_sum, norms, upstream: np.ndarray, keep: np.ndarray | None):
     """Gradients of sum_m upstream[m] * l_ce[m], where l_ce = (l_t2v +
-    l_v2t) / 2, over the matrices m of an (M, N, N) stack; keep is the mask
-    `_ce_terms` scored the stack under.
+    l_v2t) / 2, over the matrices m of an (M, N, N) stack whose rows have
+    the norms (M, N); p_sum is `_ce_terms`' table and keep the mask it
+    scored the stack under.
 
-    Returns (d_sims, d_lam); d_lam is (M,), one derivative per matrix with
-    respect to the unclamped scale value.
+    Returns (lead, d_lam). lead is the cosine gradient divided by each
+    row's norm, what `_cos_grid_backward` contracts: one broadcast folds
+    each matrix's upstream * lam / (2n) and each row's 1 / norm into the
+    table, and the diagonal loses twice that scale. d_lam is (M,), one
+    derivative per matrix with respect to the unclamped scale value.
     """
     idx = np.arange(sims.shape[-1])
     n = sims.shape[-1] if keep is None else np.count_nonzero(keep, axis=-1)
-    p_sum = p_row + p_col
-    d_sims = (upstream * lam / (2.0 * n))[..., None, None] * p_sum
-    on_diag = (upstream * lam / n)[..., None]
+    scale = (upstream * lam / (2.0 * n))[..., None] / (norms + NORM_GUARD)
+    lead = p_sum * scale[..., None]
     diag = np.diagonal(sims, axis1=-2, axis2=-1)
     if keep is None:
-        d_sims[..., idx, idx] -= on_diag
+        lead[..., idx, idx] -= scale + scale
     else:
-        d_sims[..., idx, idx] -= on_diag * keep
+        lead[..., idx, idx] -= (scale + scale) * keep
         diag = diag * keep
     flat = sims.shape[:-2] + (-1,)
     d_lam = (row_sums(p_sum.reshape(flat), sims.reshape(flat)) - 2.0 * row_sums(diag)) * upstream / (2.0 * n)
-    return d_sims, d_lam
+    return lead, d_lam
 
 
 # ---------------------------------------------------------------------------
 # cosine grids under the symmetric CE
 
 
-def _cos_grid_backward(d_sims, rows, stack, sims, norms):
-    """Backward of `mass.cos_grid`; returns d_rows (S, m, d) and d_stack
-    (m, n, d) summed over the samples. The stack is unit length, so d_stack
-    leaves out the radial part that its normalisation's backward projects
-    out anyway."""
-    lead = d_sims / (norms + NORM_GUARD)[..., None]
+def _cos_grid_backward(lead, rows, stack, sims, norms):
+    """Backward of `mass.cos_grid` from lead (S, m, n), the cosine gradient
+    already divided by each row's norm; returns d_rows (S, m, d) and
+    d_stack (m, n, d) summed over the samples. The stack is unit length, so
+    d_stack leaves out the radial part that its normalisation's backward
+    projects out anyway."""
     d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
     d_rows -= rows * (row_sums(lead, sims) / norms)[..., None]
     d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
@@ -197,14 +202,14 @@ def _cos_grid_backward(d_sims, rows, stack, sims, norms):
 @dataclass
 class CETerm:
     """The symmetric-CE stack: rows (M, N, d) scored against the fused grid,
-    their cosines (M, N, N) and norms (M, N), `_ce_terms`' softmaxes, and
-    the mask they were scored under (None when every pair is kept)."""
+    their cosines (M, N, N) and norms (M, N), `_ce_terms`' one softmax
+    table p_sum (M, N, N), and the mask they were scored under (None when
+    every pair is kept)."""
 
     rows: np.ndarray
     sims: np.ndarray
     row_norms: np.ndarray
-    p_row: np.ndarray
-    p_col: np.ndarray
+    p_sum: np.ndarray
     keep: np.ndarray | None
 
 
@@ -341,8 +346,8 @@ def forward_batch(
         rows[..., -1, :, :] = support_rows
 
     sims, norms = cos_grid(rows, fused)
-    t2v, v2t, p_row, p_col = _ce_terms(sims, lam, keep)
-    ce = CETerm(rows, sims, norms, p_row, p_col, keep)
+    t2v, v2t, p_sum = _ce_terms(sims, lam, keep)
+    ce = CETerm(rows, sims, norms, p_sum, keep)
     tape = BatchTape(params, mode, float(alpha), text, frames, keys, values, outputs, attention, fusion, ce, eps,
                      radii, support)
     per_matrix = 0.5 * (t2v + v2t)
@@ -384,15 +389,16 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     """Gradients of l_total with respect to every trainable parameter.
 
     Returns a dict keyed by the canonical trainable names for the taped
-    mode. A term whose mode weight is zero enters the CE backward with a
-    zero upstream weight, so it contributes zeros.
+    mode, in that order; each gradient is written once, as its block of
+    the backward forms it. A term whose mode weight is zero enters the CE
+    backward with a zero upstream weight, so it contributes zeros.
     """
     params = tape.params
     if params.copies is not None:
         raise ContractViolation("backward_batch wants a tape without parameter copies")
     w_ce, w_s, w_sup = mode_weights(tape.mode, tape.alpha)
     names = trainable_names(params, tape.mode)
-    grads = {name: np.zeros_like(get_param(params, name)) for name in names}
+    grads = {}
     lam = params.logit_scale()
 
     text_emb = tape.text.emb
@@ -409,8 +415,8 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         samples = tape.eps.shape[0]
         weights += [w_s / samples] * samples + [w_sup]
     ce = tape.ce
-    d_sims, d_lam = _ce_backward(ce.sims, lam, ce.p_row, ce.p_col, np.array(weights), ce.keep)
-    d_rows, d_fused = _cos_grid_backward(d_sims, ce.rows, fused, ce.sims, ce.row_norms)
+    lead, d_lam = _ce_backward(ce.sims, lam, ce.p_sum, ce.row_norms, np.array(weights), ce.keep)
+    d_rows, d_fused = _cos_grid_backward(lead, ce.rows, fused, ce.sims, ce.row_norms)
     # every row of the stack is t plus a shift
     d_text = d_rows.sum(axis=0)
 
@@ -426,14 +432,13 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         # R = exp(S @ W), W the radius map; theta enters W as theta / T'
         d_pre = d_radius * radii.radius
         d_map = radii.sims.T @ d_pre
-        if "radius_weights" in grads:
-            grads["radius_weights"] += d_map
-        if "radius_theta" in grads:
-            grads["radius_theta"] += np.sum(d_map) / frames
-        d_sims_f = d_pre @ radius_map(params, frames).T
-        d_rows, d_stack = _cos_grid_backward(
-            d_sims_f[None], text_emb[None], frame_emb, radii.sims[None], radii.text_norms[None]
-        )
+        if "radius_weights" in names:
+            grads["radius_weights"] = d_map
+        if "radius_theta" in names:
+            grads["radius_theta"] = np.sum(d_map) / frames
+        lead_f = (d_pre @ radius_map(params, frames).T) / (radii.text_norms + NORM_GUARD)[:, None]
+        d_rows, d_stack = _cos_grid_backward(lead_f[None], text_emb[None], frame_emb, radii.sims[None],
+                                             radii.text_norms[None])
         d_text += d_rows[0]
         d_frames += d_stack
 
@@ -446,27 +451,27 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     d_pre_j = d_pre_fused.transpose(1, 0, 2)
     d_w = np.matmul(d_pre_j, tape.outputs.transpose(0, 2, 1)).transpose(1, 0, 2)
     d_outputs = np.matmul(att.weights.transpose(1, 2, 0), d_pre_j).reshape(n * frames, d)
-    grads["fusion_out"] += d_outputs.T @ tape.values.reshape(n * frames, d)
+    grads["fusion_out"] = d_outputs.T @ tape.values.reshape(n * frames, d)
     d_v = d_outputs @ params.fusion_out
     inner_w = row_sums(att.weights, d_w)[..., None]
     d_logits = (att.weights * (d_w - inner_w)).reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
     d_q = (d_logits @ tape.keys.reshape(n * frames, d)) * scale
     d_k = (d_logits.T @ att.queries) * scale
-    grads["fusion_query"] += d_q.T @ text_emb
+    grads["fusion_query"] = d_q.T @ text_emb
     d_text += d_q @ params.fusion_query
     frame_rows = frame_emb.reshape(n * frames, d)
-    grads["fusion_key"] += d_k.T @ frame_rows
+    grads["fusion_key"] = d_k.T @ frame_rows
     d_frames += (d_k @ params.fusion_key).reshape(n, frames, d)
-    grads["fusion_value"] += d_v.T @ frame_rows
+    grads["fusion_value"] = d_v.T @ frame_rows
     d_frames += (d_v @ params.fusion_value).reshape(n, frames, d)
 
     if params.adapters_enabled:
-        grads["adapter_frame"] += _adapter_backward(tape.frames, d_frames)
-        grads["adapter_text"] += _adapter_backward(tape.text, d_text)
-    if not np.exp(params.log_lambda) > LAMBDA_MAX:  # no gradient through the clamp
-        grads["log_lambda"] = grads["log_lambda"] + np.sum(d_lam) * lam
-    return grads
+        grads["adapter_frame"] = _adapter_backward(tape.frames, d_frames)
+        grads["adapter_text"] = _adapter_backward(tape.text, d_text)
+    # no gradient through the clamp
+    grads["log_lambda"] = 0.0 if np.exp(params.log_lambda) > LAMBDA_MAX else np.sum(d_lam) * lam
+    return {name: grads[name] for name in names}
 
 
 # ---------------------------------------------------------------------------

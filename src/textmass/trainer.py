@@ -3,7 +3,9 @@ parameter groups, and bit-exact checkpoint resume.
 
 All randomness is drawn from substreams keyed by purpose and position
 (shuffles by epoch, noise and dropout by global step), so a resumed run
-replays exactly the draws the straight run would have made. The checkpoint
+replays exactly the draws the straight run would have made. The noise and
+dropout streams of an epoch's steps are seeded in one pass
+(core.stream_rngs), with the bits of one substream per step. The checkpoint
 format stores every parameter array, the optimizer moments, the flat config
 text, and the (seed, global step) pair that fixes the stream positions.
 """
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, FormatError, atomic_write, check_field_types, check_seed, substream
+from .core import (ContractViolation, FormatError, atomic_write, check_field_types, check_seed, stream_rngs,
+                   substream)
 from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
@@ -325,7 +328,14 @@ def train(
 
     The schedule always spans config.epochs; stop_after_epochs ends the loop
     early (for checkpoint-resume flows) without changing it. Resume picks up
-    at the epoch boundary implied by the saved global step."""
+    at the epoch boundary implied by the saved global step.
+
+    Step s draws its noise with draw_noise and its dropout mask with
+    dropout_grid_mask from substream(config.seed, purpose, s), bit for bit;
+    the states of an epoch's streams are derived in one core.stream_rngs
+    pass, which reseeds one generator per step, so the streams' memory
+    does not grow with the run. The dropout stream is drawn only when
+    dropout_rate > 0, and the noise stream only outside baseline mode."""
     pairs = PairBatch(text, videos)
     per_epoch = steps_per_epoch(pairs.size, config.batch_size)
     total_steps = per_epoch * config.epochs
@@ -347,26 +357,18 @@ def train(
     epoch_means = []
     for epoch in range(start_epoch, last_epoch):
         order = substream(config.seed, _STREAM_SHUFFLE, epoch).permutation(pairs.size)
+        steps = np.arange(epoch * per_epoch, (epoch + 1) * per_epoch)
+        noise = stream_rngs(config.seed, (_STREAM_NOISE,), steps) if config.mode != "baseline" else None
+        dropout = stream_rngs(config.seed, (_STREAM_DROPOUT,), steps) if config.dropout_rate > 0.0 else None
         epoch_total = 0.0
         for b in range(per_epoch):
             rows = order[b * config.batch_size : (b + 1) * config.batch_size]
             batch = PairBatch(text=pairs.text[rows], videos=pairs.videos[rows])
-            eps = None
-            if config.mode != "baseline":
-                eps = draw_noise(
-                    substream(config.seed, _STREAM_NOISE, state.global_step),
-                    config.train_samples,
-                    batch.size,
-                    config.dim,
-                )
-            mask = None
-            if config.dropout_rate > 0.0:
-                mask = dropout_grid_mask(
-                    substream(config.seed, _STREAM_DROPOUT, state.global_step),
-                    batch.size,
-                    config.dim,
-                    config.dropout_rate,
-                )
+            eps = mask = None
+            if noise is not None:
+                eps = draw_noise(next(noise), config.train_samples, batch.size, config.dim)
+            if dropout is not None:
+                mask = dropout_grid_mask(next(dropout), batch.size, config.dim, config.dropout_rate)
             breakdown, cache = forward_batch(
                 batch, state.params, config.mode, config.alpha, eps=eps, drop_mask=mask
             )

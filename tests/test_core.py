@@ -16,6 +16,7 @@ from textmass.core import (
     row_norms,
     row_sums,
     stream_key,
+    stream_rngs,
     stream_uniforms,
     substream,
 )
@@ -273,6 +274,33 @@ class TestStreamUniforms:
         rows = np.concatenate([r.copy() for r in stream_uniforms(9, (301,), ids, out)])
         for k, (q, c) in enumerate((q, c) for q in range(3) for c in range(2)):
             assert np.array_equal(rows[k], SeededRng(9, stream_key(301, q, c)).uniform(5))
+
+
+class TestStreamRngs:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        parts=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=2),
+        ids=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=5),
+        n=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_rng_draws_what_its_substream_draws(self, seed, parts, ids, n):
+        got = [
+            (rng.stream, rng.uniform(n), rng.standard_normal(n), rng.permutation(n))
+            for rng in stream_rngs(seed, tuple(parts), np.array(ids))
+        ]
+        assert len(got) == len(ids)
+        for i, (stream, uniform, normal, order) in zip(ids, got):
+            want = substream(seed, *parts, i)
+            assert stream == want.stream
+            assert uniform.tobytes() == want.uniform(n).tobytes()
+            assert normal.tobytes() == want.standard_normal(n).tobytes()
+            assert np.array_equal(order, want.permutation(n))
+
+    def test_training_noise_is_refused_on_a_swapped_layout(self, monkeypatch, request):
+        swap_state_words(monkeypatch, request)
+        with pytest.raises(ContractViolation, match=f"numpy {np.__version__}"):
+            next(stream_rngs(0, (202,), np.arange(3)))
 
 
 class TestPcg64LayoutGuard:

@@ -328,6 +328,57 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation, match="^stop epoch outside the configured run$"):
             train(text, videos, tiny_config(epochs=2), stop_after_epochs=3)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_every_step_draws_its_own_substream_straight_and_resumed(self, monkeypatch, rate):
+        # the per-epoch stream pass must give each global step exactly the
+        # noise and mask of substream(seed, purpose, step), in a straight
+        # 2-epoch run and in one resumed after epoch 1
+        text, videos = tiny_data()
+        config = tiny_config(epochs=2, train_samples=3, dropout_rate=rate)
+        taken = []
+        real_forward = trainer.forward_batch
+
+        def recording(batch, params, mode, alpha, eps=None, drop_mask=None):
+            taken.append((eps, drop_mask))
+            return real_forward(batch, params, mode, alpha, eps=eps, drop_mask=drop_mask)
+
+        monkeypatch.setattr(trainer, "forward_batch", recording)
+        train(text, videos, config)
+        straight, taken[:] = list(taken), []
+        partial = train(text, videos, config, stop_after_epochs=1)
+        train(text, videos, config, resume=partial.state)
+        n = config.batch_size
+        for run in (straight, taken):
+            assert len(run) == 4
+            for step, (eps, mask) in enumerate(run):
+                want = trainer.draw_noise(substream(config.seed, trainer._STREAM_NOISE, step), 3, n, config.dim)
+                assert eps.tobytes() == want.tobytes(), step
+                if rate:
+                    want = trainer.dropout_grid_mask(
+                        substream(config.seed, trainer._STREAM_DROPOUT, step), n, config.dim, rate)
+                    assert mask.tobytes() == want.tobytes(), step
+                else:
+                    assert mask is None
+
+    @pytest.mark.parametrize("mode, rate, purposes", [
+        ("baseline", 0.0, []),
+        ("baseline", 0.2, [trainer._STREAM_DROPOUT]),
+        ("t-mass", 0.0, [trainer._STREAM_NOISE]),
+        ("t-mass", 0.2, [trainer._STREAM_NOISE, trainer._STREAM_DROPOUT]),
+    ])
+    def test_streams_are_seeded_once_per_epoch_and_only_when_drawn(self, monkeypatch, mode, rate, purposes):
+        text, videos = tiny_data()
+        passes = []
+        real = trainer.stream_rngs
+
+        def recording(seed, parts, ids):
+            passes.append((parts, list(ids)))
+            return real(seed, parts, ids)
+
+        monkeypatch.setattr(trainer, "stream_rngs", recording)
+        train(text, videos, tiny_config(mode=mode, dropout_rate=rate, epochs=2))
+        assert passes == [((purpose,), steps) for steps in ([0, 1], [2, 3]) for purpose in purposes]
+
     def test_resume_rejects_mid_epoch_state(self):
         text, videos = tiny_data()
         config = tiny_config()

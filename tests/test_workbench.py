@@ -4,6 +4,7 @@ round trips, and byte-level determinism."""
 import dataclasses
 import functools
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import textmass
 from textmass import evaluation, objectives, workbench
 from textmass.core import ContractViolation, FormatError
 from textmass.dataset import SyntheticSpec, generate, item_offset, read_corpus, split_arrays, write_corpus
@@ -240,6 +242,32 @@ class TestDispatch:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_the_lazy_run_config_is_the_command_lines(self):
+        assert textmass.RunConfig is workbench.RunConfig
+        with pytest.raises(AttributeError, match="has no attribute 'NoSuchName'"):
+            textmass.NoSuchName
+
+    # runpy warns that it re-runs textmass.workbench, which is already imported
+    @pytest.mark.filterwarnings("ignore:'textmass.workbench' found in sys.modules:RuntimeWarning")
+    @pytest.mark.parametrize("module", ["textmass", "textmass.workbench"])
+    @pytest.mark.parametrize("command", [[], ["gradcheck"]], ids=["no-subcommand", "gradcheck"])
+    def test_python_dash_m_exits_with_mains_code(self, tmp_path, monkeypatch, capsys, module, command):
+        argv = command + (["--config", str(write_config(tmp_path))] if command else [])
+        want = main(argv)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module(module, run_name="__main__")
+        assert done.value.code == want == (0 if command else 1)
+
+    def test_a_failure_whose_log_cannot_be_written_still_exits_and_reports(self, capsys):
+        class Unwritable:
+            def note(self, message):
+                raise OSError("log volume is read-only")
+
+        assert workbench._fail(Unwritable(), 2, OSError("disk full")) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+
     @pytest.mark.parametrize(
         "extra, flags",
         [({"alpha": "nan"}, []), ({"lr_head": "inf"}, []), ({"weight_decay": -0.5}, []),
@@ -290,6 +318,12 @@ class TestTrainEval:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 2
         last = (out / "run.log").read_text().splitlines()[-1]
         assert "failed with exit code 2: manifest row 1: " in last and message in last
+
+    def test_trailing_pairs_dropped_by_the_batch_size_are_logged(self, tmp_path):
+        # 45 pairs split 36 / 9; batches of 8 leave 4 train pairs per epoch
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path, pairs=45)), "--out", str(out)]) == 0
+        assert "dropping 4 trailing pairs per epoch (batch size 8)" in (out / "run.log").read_text()
 
     def test_repeated_pair_id_exits_two_and_is_logged(self, tmp_path):
         corpus = tmp_path / "corpus"
