@@ -8,13 +8,13 @@ the optimizer, gradient containers, flat vectors, finite-difference
 checks, and checkpoint serialization. Two parameter groups exist:
 "backbone-adapter" (the encoder adapters, trained at the lower rate) and
 "head" (fusion, radius, logit scale); the frozen projections belong to
-neither. Once built, a model's arrays change through `restore_param` alone.
+neither. A model's arrays are views of its one buffer, which AdamW steps.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,10 @@ class ModelParameters:
     """Every array under its PARAMETERS name: frozen (d, c) projections,
     (d, d) adapters and fusion maps, the scalar variant's theta, the linear
     variant's (T', d) weights (None for the others) and the logit scale's
-    log; then the settings that fix which of them exist and train."""
+    log; then the settings that fix which of them exist and train. The
+    arrays of all_array_names are packed, in order, into one float64 (or
+    wider) buffer, `flat`, and each field is bound to its view, a scalar to
+    a 0-d one; `spans` maps each name to its slice of flat."""
 
     proj_text: np.ndarray
     proj_frame: np.ndarray
@@ -60,6 +63,19 @@ class ModelParameters:
             raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
         if self.radius_variant == "linear" and self.radius_weights is None:
             raise ContractViolation("linear radius variant requires a weight matrix")
+        values = [np.asarray(getattr(self, name)) for name in all_array_names(self)]
+        bounds = np.cumsum([0] + [value.size for value in values]).tolist()
+        self.spans = dict(zip(all_array_names(self), map(slice, bounds, bounds[1:])))
+        self.flat = np.concatenate([value.ravel() for value in values], dtype=np.result_type(np.float64, *values))
+        for name in self.spans:
+            setattr(self, name, self.view(self.flat, name))
+
+    def __deepcopy__(self, memo):  # a buffer of its own, its fields views of it
+        return replace(self)
+
+    def view(self, vector: np.ndarray, name: str) -> np.ndarray:
+        """Array `name`'s part of a vector laid out like flat, in its shape."""
+        return vector[self.spans[name]].reshape(np.shape(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -157,12 +173,12 @@ def get_param(params: ModelParameters, name: str) -> np.ndarray:
 
 
 def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
-    """Assign an array of params' shape, frozen or not: the one writer, for
-    AdamW's step and checkpoint loading; a scalar is stored as a float."""
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != get_param(params, name).shape:
+    """Write an array of params' shape, frozen or not, into its view of
+    params.flat: for checkpoint loading and a config's theta_init."""
+    target = getattr(params, name)
+    if np.shape(value) != np.shape(target):
         raise ContractViolation(f"shape mismatch assigning {name!r}")
-    setattr(params, name, float(value) if value.ndim == 0 else value)
+    target[...] = value
 
 
 def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
@@ -180,7 +196,3 @@ def parameter_copies(params: ModelParameters, name: str, points: np.ndarray) -> 
     copies.copies = len(points)
     setattr(copies, name, points.reshape((len(points),) + old.shape))
     return copies
-
-
-def flatten_grads(grads: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
-    return np.concatenate([np.asarray(grads[n]).ravel() for n in names]) if names else np.zeros(0)

@@ -27,8 +27,6 @@ from .model import (
     PARAMETERS,
     ModelParameters,
     all_array_names,
-    flatten_grads,
-    flatten_params,
     get_param,
     init_model,
     restore_param,
@@ -42,6 +40,8 @@ from .objectives import (
     dropout_grid_mask,
     forward_batch,
 )
+# unused here: held for perfbench/worker.py, which reads model.flatten_params
+from .model import flatten_params  # noqa: F401
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -186,7 +186,7 @@ def init_model_from_config(config: TrainingConfig) -> ModelParameters:
         adapters_enabled=config.adapters_enabled,
     )
     if config.radius_variant == "scalar":
-        params.radius_theta = float(config.theta_init)
+        restore_param(params, "radius_theta", config.theta_init)
     params.radius_trainable = config.radius_trainable
     return params
 
@@ -212,36 +212,29 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -
 
 @dataclass
 class OptimizerState:
-    """AdamW's step count and moments. Each moment is one flat vector over
-    the trainable arrays in optimizer order, and first_moment and
-    second_moment view it array by array under their names. runs holds the
-    (slice, group, decayed) spans of the flat vector that share a learning-
-    rate group and weight decay."""
+    """AdamW's step count and moments, laid out like the model's flat
+    buffer; the entries the mode does not train stay 0. names lists the
+    trained arrays in optimizer order, and runs the (slice, group, decayed)
+    spans of the buffer that share a learning rate and weight decay. grad
+    and work are scratch of that layout: a step allocates no float temporary."""
 
     step: int
+    names: list
+    runs: list
     first: np.ndarray
     second: np.ndarray
-    first_moment: dict
-    second_moment: dict
-    runs: list
+    grad: np.ndarray
+    work: np.ndarray
 
 
 def init_optimizer(params: ModelParameters, mode: str) -> OptimizerState:
     """Zero moments over the mode's trainable arrays."""
-    names = trainable_names(params, mode)
-    shapes = [get_param(params, name).shape for name in names]
-    sizes = [math.prod(shape) for shape in shapes]
-    state = OptimizerState(0, np.zeros(sum(sizes)), np.zeros(sum(sizes)), {}, {}, [])
-    start = 0
-    for name, shape, size in zip(names, shapes, sizes):
-        part = slice(start, start + size)
-        state.first_moment[name] = state.first[part].reshape(shape)
-        state.second_moment[name] = state.second[part].reshape(shape)
-        kind = (PARAMETERS[name].group, name != "log_lambda")
-        if state.runs and state.runs[-1][1:] == kind:
+    state = OptimizerState(0, trainable_names(params, mode), [], *(np.zeros(params.flat.size) for _ in range(4)))
+    for name in state.names:
+        part, kind = params.spans[name], (PARAMETERS[name].group, name != "log_lambda")
+        if state.runs and state.runs[-1][1:] == kind and state.runs[-1][0].stop == part.start:
             part = slice(state.runs.pop()[0].start, part.stop)
         state.runs.append((part,) + kind)
-        start += size
     return state
 
 
@@ -254,38 +247,32 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update; decay skips the logit scale.
 
-    The update runs once over the trainable arrays concatenated in the
-    optimizer's order, with a learning rate and a decay per element, updates
-    the flat moments in place, and then writes each array back. A non-finite
-    gradient is refused, naming its array, before anything is written."""
-    names = list(state.first_moment)
-    g = flatten_grads(grads, names)
-    if not np.all(np.isfinite(g)):
-        ends = np.cumsum([moment.size for moment in state.first_moment.values()])
-        bad = int(np.searchsorted(ends, np.argmin(np.isfinite(g)), side="right"))
-        raise TrainingDivergence(
-            f"non-finite gradient for {names[bad]!r} at optimizer step {state.step + 1}"
-        )
+    The gradients are copied into state.grad, and a non-finite one is
+    refused, naming its array, before anything is written. The moments are
+    updated in place over the span the runs cover (state.grad stays 0 in its
+    gaps, so their moments do too), and then each run of params.flat."""
+    for name in state.names:
+        params.view(state.grad, name)[...] = grads[name]
+    span = slice(state.runs[0][0].start, state.runs[-1][0].stop)
+    if not np.isfinite(state.grad[span]).all():
+        bad = next(name for name in state.names if not np.isfinite(grads[name]).all())
+        raise TrainingDivergence(f"non-finite gradient for {bad!r} at optimizer step {state.step + 1}")
     state.step += 1
-    t = state.step
-    bias1 = 1.0 - ADAM_BETA1**t
-    bias2 = 1.0 - ADAM_BETA2**t
-    lr, decay = np.empty(g.size), np.empty(g.size)
-    for part, group, decayed in state.runs:
-        lr[part] = lr_by_group[group]
-        decay[part] = weight_decay if decayed else 0.0
-    m, v = state.first, state.second
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
+    g, w, m, v = (x[span] for x in (state.grad, state.work, state.first, state.second))
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, g = (m / bias1) / (sqrt(v / bias2) + eps)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=w)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    p = flatten_params(params, names)
-    p = p - lr * update - lr * decay * p
-    end = 0
-    for name, moment in state.first_moment.items():
-        end += moment.size
-        restore_param(params, name, p[end - moment.size : end].reshape(moment.shape))
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=w), g, out=w)
+    np.add(np.sqrt(np.divide(v, bias2, out=w), out=w), ADAM_EPS, out=w)
+    np.divide(np.divide(m, bias1, out=g), w, out=g)
+    for part, group, decayed in state.runs:  # p = p - lr g - lr decay p
+        lr, p = lr_by_group[group], params.flat[part]
+        np.multiply(p, lr * (weight_decay if decayed else 0.0), out=state.work[part])
+        p -= np.multiply(state.grad[part], lr, out=state.grad[part])
+        p -= state.work[part]
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +444,11 @@ def _unpack_array_table(reader: _Reader) -> dict:
 def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
     """Write state and config to path atomically: a reader sees the old
     file or the complete new one, never a partial write."""
-    params = state.params
+    params, optimizer = state.params, state.optimizer
     arrays = {name: get_param(params, name) for name in all_array_names(params)}
-    moments = (("m", state.optimizer.first_moment), ("v", state.optimizer.second_moment))
-    opt = {f"{tag}.{name}": value for tag, table in moments for name, value in table.items()}
-    opt["step"] = np.float64(state.optimizer.step)
+    opt = {f"{tag}.{name}": params.view(moment, name)
+           for tag, moment in (("m", optimizer.first), ("v", optimizer.second)) for name in optimizer.names}
+    opt["step"] = np.float64(optimizer.step)
     config_blob = config_to_text(config).encode("utf-8")
     blob = b"".join(
         [
@@ -540,9 +527,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     if step != global_step:
         raise FormatError(f"checkpoint optimizer step {int(step)} differs from global step {global_step}")
     optimizer.step = int(step)
-    first, second = optimizer.first_moment, optimizer.second_moment
-    shapes = {f"{tag}.{name}": zeros.shape for name, zeros in first.items() for tag in "mv"}
-    stored = _checked_entries(opt_entries, shapes, "optimizer entry")
-    for name in first:
-        first[name][...], second[name][...] = stored[f"m.{name}"], stored[f"v.{name}"]
+    moments = {"m": optimizer.first, "v": optimizer.second}
+    shapes = {f"{tag}.{name}": shapes[name] for name in optimizer.names for tag in moments}
+    for key, stored in _checked_entries(opt_entries, shapes, "optimizer entry").items():
+        params.view(moments[key[0]], key[2:])[...] = stored
     return TrainState(params=params, optimizer=optimizer, global_step=global_step), config

@@ -1,12 +1,14 @@
 """The parameter layout: which arrays exist, which train, in what order,
 and how they are read and assigned."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 from textmass.core import ContractViolation
+from textmass.mass import RADIUS_VARIANTS
 from textmass.model import (
     MODES,
     PARAMETERS,
@@ -121,15 +123,57 @@ def test_restore_param_refuses_misshapen_values():
         restore_param(params, "log_lambda", np.ones(1))
 
 
-def test_restore_param_assigns_frozen_arrays_and_stores_scalars_as_float():
+def test_restore_param_writes_frozen_arrays_and_scalars_into_their_views():
     params = make_model("scalar")
     frame = np.full((8, 6), 0.5)
     restore_param(params, "proj_frame", frame)
     assert np.array_equal(params.proj_frame, frame)
     restore_param(params, "radius_theta", np.array(0.25))
     restore_param(params, "log_lambda", np.array(1.5))
-    assert type(params.radius_theta) is float and params.radius_theta == 0.25
-    assert type(params.log_lambda) is float and params.log_lambda == 1.5
+    assert params.radius_theta.shape == () and params.radius_theta == 0.25
+    assert params.log_lambda.shape == () and params.log_lambda == 1.5
+    for name, value in [("proj_frame", frame), ("radius_theta", 0.25), ("log_lambda", 1.5)]:
+        assert np.array_equal(params.flat[params.spans[name]], np.ravel(value)), name
+        assert np.shares_memory(getattr(params, name), params.flat), name
+
+
+def assert_views_of_flat(params):
+    """Every array of params is a view of params.flat holding its span, and
+    the spans tile flat in canonical order."""
+    names = all_array_names(params)
+    assert list(params.spans) == names
+    bounds = [0] + [params.spans[name].stop for name in names]
+    assert [params.spans[name].start for name in names] == bounds[:-1] and bounds[-1] == params.flat.size
+    for name in names:
+        value = getattr(params, name)
+        assert np.shares_memory(value, params.flat), name
+        assert np.array_equal(params.flat[params.spans[name]], np.ravel(value)), name
+
+
+@pytest.mark.parametrize("variant", RADIUS_VARIANTS)
+def test_init_model_binds_every_array_to_a_view_of_flat(variant):
+    params = make_model(variant)
+    assert_views_of_flat(params)
+    assert params.flat.dtype == np.float64
+    assert params.log_lambda.shape == ()
+
+
+def test_replace_packs_a_buffer_of_its_own():
+    params = make_model("scalar")
+    moved = dataclasses.replace(params, radius_theta=0.5, fusion_out=2.0 * params.fusion_out)
+    assert_views_of_flat(moved)
+    assert not np.shares_memory(moved.flat, params.flat)
+    assert moved.radius_theta == 0.5 and params.radius_theta == 0.0
+    assert np.array_equal(moved.fusion_out, 2.0 * params.fusion_out)
+
+
+def test_a_deep_copy_packs_a_buffer_of_its_own():
+    params = make_model("linear")
+    twin = copy.deepcopy(params)
+    assert_views_of_flat(twin)
+    assert not np.shares_memory(twin.flat, params.flat)
+    restore_param(twin, "log_lambda", 2.0)
+    assert twin.log_lambda == 2.0 and params.log_lambda != 2.0
 
 
 def test_every_parameter_is_a_model_field_of_its_name_in_canonical_order():

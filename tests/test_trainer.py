@@ -6,6 +6,7 @@ import dataclasses
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,8 @@ from textmass.trainer import (
     steps_per_epoch,
     train,
 )
+
+from test_model import assert_views_of_flat
 
 
 def tiny_config(**overrides):
@@ -99,9 +102,29 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def moments(params, state):
+    """The optimizer's first and second moments by array name, each read
+    through params.spans."""
+    return [{name: params.view(moment, name) for name in state.names} for moment in (state.first, state.second)]
+
+
+@dataclasses.dataclass
+class PerNameState:
+    """per_name_adamw's step count and its moments, one array per name."""
+
+    step: int
+    first_moment: dict
+    second_moment: dict
+
+
+def per_name_state(params, mode):
+    zeros = {name: np.zeros_like(get_param(params, name)) for name in trainable_names(params, mode)}
+    return PerNameState(0, dict(zeros), dict(zeros))
+
+
 def per_name_adamw(params, grads, state, lr_by_group, weight_decay):
-    """The update one array at a time: the reference for adamw_step's one
-    pass over the concatenated vector."""
+    """The update one array at a time, with moments of its own: the
+    reference for adamw_step's in-place pass over the flat buffer."""
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1**state.step
     bias2 = 1.0 - ADAM_BETA2**state.step
@@ -145,10 +168,10 @@ class TestAdamW:
         state = init_optimizer(params, config.mode)
         name = "radius_theta"
         g1, g2 = 0.7, -0.2
-        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.first_moment}
+        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.names}
         lrs = {"head": 0.05, "backbone-adapter": 0.0}
 
-        theta0 = get_param(params, name)
+        theta0 = float(get_param(params, name))
         step1 = dict(zeros)
         step1[name] = np.asarray(g1)
         adamw_step(params, step1, state, lrs, weight_decay=0.0)
@@ -169,8 +192,8 @@ class TestAdamW:
         config = tiny_config()
         params = init_model_from_config(config)
         state = init_optimizer(params, config.mode)
-        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.first_moment}
-        before = params.log_lambda
+        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.names}
+        before = float(params.log_lambda)
         adamw_step(params, zeros, state, {"head": 1.0, "backbone-adapter": 1.0}, weight_decay=0.5)
         # zero gradient plus skipped decay leaves the scale untouched
         assert params.log_lambda == before
@@ -181,15 +204,56 @@ class TestAdamW:
     @pytest.mark.parametrize("adapters", [True, False])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("variant", RADIUS_VARIANTS)
-    def test_a_step_rebinds_exactly_the_trainable_fields(self, variant, mode, adapters):
+    def test_a_step_changes_exactly_the_trainable_arrays(self, variant, mode, adapters):
         config = tiny_config(radius_variant=variant, mode=mode, adapters_enabled=adapters)
         params = init_model_from_config(config)
         state = init_optimizer(params, mode)
-        before = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
-        grads = {n: np.ones_like(m) for n, m in state.first_moment.items()}
+        fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        before = {name: get_param(params, name).copy() for name in all_array_names(params)}
+        grads = {n: np.ones_like(get_param(params, n)) for n in state.names}
         adamw_step(params, grads, state, {"head": 1e-2, "backbone-adapter": 1e-3}, 0.1)
-        rebound = {name for name, value in before.items() if getattr(params, name) is not value}
-        assert rebound == set(trainable_names(params, mode))
+        changed = {name for name, value in before.items() if not np.array_equal(get_param(params, name), value)}
+        assert changed == set(trainable_names(params, mode))
+        # in place: no field is rebound
+        assert all(getattr(params, name) is value for name, value in fields.items())
+
+    @pytest.mark.parametrize("dim", [32, 128])
+    def test_a_step_allocates_no_temporary_of_the_trainable_size(self, dim):
+        # the bench widths; a full-size temporary is a fresh mmap at d = 128
+        config = tiny_config(dim=dim, concept_dim=16, frame_count=8)
+        params = init_model_from_config(config)
+        state = init_optimizer(params, config.mode)
+        rng = substream(dim, 8005)
+        grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in moments(params, state)[0].items()}
+        lrs = {"head": 1e-2, "backbone-adapter": 1e-3}
+        adamw_step(params, grads, state, lrs, 0.1)  # warm-up
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, state, lrs, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trainable_bytes = 8 * sum(get_param(params, n).size for n in state.names)
+        assert peak < trainable_bytes / 2, (peak, trainable_bytes)
+
+    @pytest.mark.parametrize("mode, radius_trainable", [("baseline", True), ("t-mass", False)])
+    def test_an_untrained_array_between_runs_keeps_zero_moments(self, mode, radius_trainable):
+        # radius_weights lies between fusion_out and log_lambda, inside the
+        # span the moments are updated over
+        config = tiny_config(mode=mode, radius_trainable=radius_trainable)
+        params, ref = init_model_from_config(config), init_model_from_config(config)
+        state, ref_state = init_optimizer(params, mode), per_name_state(ref, mode)
+        assert "radius_weights" not in state.names
+        rng = substream(7, 8006)
+        lrs = {"head": 1e-2, "backbone-adapter": 1e-3}
+        for _ in range(3):
+            grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in ref_state.first_moment.items()}
+            adamw_step(params, grads, state, lrs, 0.1)
+            per_name_adamw(ref, grads, ref_state, lrs, 0.1)
+        gap = params.spans["radius_weights"]
+        for vector in (state.first, state.second, state.grad):
+            assert not vector[gap].any()
+        assert np.array_equal(params.flat, ref.flat)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -206,21 +270,23 @@ class TestAdamW:
     ):
         config = tiny_config(radius_variant=variant, adapters_enabled=adapters)
         flat, ref = (init_model_from_config(config) for _ in range(2))
-        flat_state, ref_state = init_optimizer(flat, config.mode), init_optimizer(ref, config.mode)
+        flat_state, ref_state = init_optimizer(flat, config.mode), per_name_state(ref, config.mode)
         rng = substream(seed, 8004)
         for step in range(steps):
             grads = {n: rng.standard_normal(m.size).reshape(m.shape)
-                     for n, m in flat_state.first_moment.items()}
+                     for n, m in ref_state.first_moment.items()}
             lrs = {"head": lr_head / (step + 1), "backbone-adapter": lr_adapter}
             adamw_step(flat, grads, flat_state, lrs, weight_decay)
             per_name_adamw(ref, grads, ref_state, lrs, weight_decay)
         assert flat_state.step == ref_state.step == steps
         for name in all_array_names(ref):
             assert np.array_equal(get_param(flat, name), get_param(ref, name)), name
+        first, second = moments(flat, flat_state)
+        assert list(first) == list(ref_state.first_moment)
         for name in ref_state.first_moment:
-            assert np.array_equal(flat_state.first_moment[name], ref_state.first_moment[name]), name
-            assert np.array_equal(flat_state.second_moment[name], ref_state.second_moment[name]), name
-        assert isinstance(flat.log_lambda, float)
+            assert np.array_equal(first[name], ref_state.first_moment[name]), name
+            assert np.array_equal(second[name], ref_state.second_moment[name]), name
+        assert flat.log_lambda.shape == () and np.shares_memory(flat.log_lambda, flat.flat)
 
 
 class TestTrainLoop:
@@ -273,6 +339,18 @@ class TestTrainLoop:
         )
         result = train(text, videos, config)
         assert result.epoch_means[-1] < result.epoch_means[0]
+
+    def test_training_and_resume_keep_every_array_a_view_of_flat(self):
+        text, videos = tiny_data()
+        config = tiny_config(radius_variant="scalar", theta_init=0.3)
+        fresh = init_model_from_config(config)
+        assert_views_of_flat(fresh)
+        assert fresh.radius_theta == 0.3
+        partial = train(text, videos, config, stop_after_epochs=1)
+        assert_views_of_flat(partial.state.params)
+        resumed = train(text, videos, config, resume=partial.state)
+        assert resumed.state.params is partial.state.params
+        assert_views_of_flat(resumed.state.params)
 
     def test_resume_matches_straight_run(self):
         text, videos = tiny_data(pairs=18, seed=43)
@@ -597,13 +675,11 @@ class TestCheckpoint:
             flatten_params(loaded.params, names), flatten_params(result.state.params, names)
         )
         assert np.array_equal(loaded.params.proj_text, result.state.params.proj_text)
-        for name in loaded.optimizer.first_moment:
-            assert np.array_equal(
-                loaded.optimizer.first_moment[name], result.state.optimizer.first_moment[name]
-            )
-            assert np.array_equal(
-                loaded.optimizer.second_moment[name], result.state.optimizer.second_moment[name]
-            )
+        loaded_moments = moments(loaded.params, loaded.optimizer)
+        for table, saved in zip(loaded_moments, moments(result.state.params, result.state.optimizer)):
+            assert list(table) == list(saved)
+            for name in table:
+                assert np.array_equal(table[name], saved[name]), name
 
     def test_resume_from_disk_matches_straight_run(self, tmp_path):
         text, videos = tiny_data(pairs=18, seed=44)
@@ -670,7 +746,7 @@ class TestCheckpoint:
         text, videos = tiny_data()
         config = tiny_config()
         state = train(text, videos, config, stop_after_epochs=1).state
-        state.optimizer.second_moment["fusion_key"][0, 0] = value
+        state.params.view(state.optimizer.second, "fusion_key")[0, 0] = value
         path = tmp_path / "state.tmck"
         save_checkpoint(path, state, config)
         with pytest.raises(FormatError, match="optimizer entry 'v.fusion_key'"):
@@ -755,15 +831,17 @@ class TestCheckpointLayout:
         path = tmp_path / "state.tmck"
         save_checkpoint(path, state, config)
         loaded, _ = load_checkpoint(path)
+        assert_views_of_flat(loaded.params)
         names = all_array_names(state.params)
         assert all_array_names(loaded.params) == names
         assert "proj_frame" in names
         for name in names:
             assert np.array_equal(get_param(loaded.params, name), get_param(state.params, name)), name
-        assert list(loaded.optimizer.first_moment) == trainable_names(state.params, config.mode)
-        for name, moment in state.optimizer.first_moment.items():
-            assert np.array_equal(loaded.optimizer.first_moment[name], moment), name
-            assert np.array_equal(loaded.optimizer.second_moment[name], state.optimizer.second_moment[name])
+        assert loaded.optimizer.names == trainable_names(state.params, config.mode)
+        (first, second), (loaded_first, loaded_second) = (moments(s.params, s.optimizer) for s in (state, loaded))
+        for name, moment in first.items():
+            assert np.array_equal(loaded_first[name], moment), name
+            assert np.array_equal(loaded_second[name], second[name])
         save_checkpoint(tmp_path / "again.tmck", loaded, config)
         assert (tmp_path / "again.tmck").read_bytes() == path.read_bytes()
 
@@ -774,8 +852,9 @@ class TestCheckpointLayout:
         config = tiny_config()
         state = train(text, videos, config, stop_after_epochs=1).state
         arrays = {name: get_param(state.params, name) for name in all_array_names(state.params)}
-        opt = {f"m.{n}": m for n, m in state.optimizer.first_moment.items()}
-        opt.update({f"v.{n}": v for n, v in state.optimizer.second_moment.items()})
+        first, second = moments(state.params, state.optimizer)
+        opt = {f"m.{n}": m for n, m in first.items()}
+        opt.update({f"v.{n}": v for n, v in second.items()})
         opt["step"] = np.float64(state.optimizer.step)
         return arrays, opt, config, state.global_step
 
@@ -958,19 +1037,18 @@ class TestSpecEdgeCases:
             params = init_model_from_config(config)
             state = init_optimizer(params, config.mode)
             rng = substream(42, 8003)
-            grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in state.first_moment.items()}
+            grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in moments(params, state)[0].items()}
             adamw_step(params, grads, state, lrs, 0.1)
             arrays = all_array_names(params)
             before = {n: get_param(params, n).copy() for n in arrays}
-            moments = [{n: m.copy() for n, m in table.items()}
-                       for table in (state.first_moment, state.second_moment)]
+            saved_moments = [{n: m.copy() for n, m in table.items()} for table in moments(params, state)]
             grads[name].flat[entry] = bad
             with pytest.raises(TrainingDivergence, match=f"^non-finite gradient for '{name}' at optimizer step 2$"):
                 adamw_step(params, grads, state, lrs, 0.1)
             assert state.step == 1
             for n in arrays:
                 assert np.array_equal(get_param(params, n), before[n]), n
-            for table, saved in zip((state.first_moment, state.second_moment), moments):
+            for table, saved in zip(moments(params, state), saved_moments):
                 assert list(table) == list(saved)
                 for n, m in saved.items():
                     assert np.array_equal(table[n], m), n

@@ -4,10 +4,10 @@
 
 Each argument is a `src` directory holding a `textmass` package, for example
 a clean checkout of the parent commit and this checkout's own `src`. Both
-trees are imported into this process, each with its own `textmass` modules,
-and each side builds its workloads from this checkout's `perfbench/worker.py`
-(read, never changed), so both sides run the same operations at the same
-seed. A round times, on each side:
+trees are imported into this process (tools/trees.py), each with its own
+`textmass` modules, and each side builds its workloads from this checkout's
+`perfbench/worker.py` (read, never changed), so both sides run the same
+operations at the same seed. A round times, on each side:
 
 - train: the bench `train` operation (train, save and reload a checkpoint)
 - det, m20: one deterministic and one best-of-20 `retrieve` pass
@@ -33,17 +33,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
-import pkgutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
+from trees import load_textmass, load_worker  # noqa: E402
+
 WORKLOADS = ("train", "retrieve", "gradcheck")
 # the workload seed, perfbench's --seed: the bench corpus and gradcheck fixture
 SEED = 0
@@ -54,8 +51,8 @@ class Side:
 
     def __init__(self, name: str, src: Path, workloads: tuple[str, ...], workdir: Path):
         self.name = name
-        self.modules = _load_textmass(src)
-        self.worker = _load_worker(name)
+        self.modules = load_textmass(src)
+        self.worker = load_worker(name)
         self.built = {}
         for workload in workloads:
             kind = self.worker.WORKLOADS[workload]
@@ -82,40 +79,6 @@ class Side:
                 raise SystemExit(f"{self.name} {workload} operation {i}: {problems}")
             digests.append(built.digest(out))
         return seconds, "|".join(digests)
-
-
-def _textmass_names() -> list[str]:
-    return [name for name in sys.modules if name == "textmass" or name.startswith("textmass.")]
-
-
-def _load_textmass(src: Path) -> dict:
-    """Import every module of src/textmass afresh and return them by name."""
-    for name in _textmass_names():
-        del sys.modules[name]
-    sys.path.insert(0, str(src))
-    try:
-        package = importlib.import_module("textmass")
-        for info in pkgutil.iter_modules(package.__path__):
-            if info.name != "__main__":
-                importlib.import_module(f"textmass.{info.name}")
-    finally:
-        sys.path.remove(str(src))
-    if not Path(package.__file__).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"textmass imported from {package.__file__}, not {src}")
-    return {name: sys.modules[name] for name in _textmass_names()}
-
-
-def _load_worker(name: str):
-    """perfbench/worker.py as a module of its own, bound to the textmass now in sys.modules."""
-    spec = importlib.util.spec_from_file_location(f"ab_worker_{name}", PERFBENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec.loader.exec_module(worker)
-    finally:
-        sys.path[:] = saved
-    return worker
 
 
 def operations(side: Side, workload: str) -> list[tuple[str, list[int]]]:
