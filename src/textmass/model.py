@@ -8,7 +8,8 @@ the optimizer, gradient containers, flat vectors, finite-difference
 checks, and checkpoint serialization. Two parameter groups exist:
 "backbone-adapter" (the encoder adapters, trained at the lower rate) and
 "head" (fusion, radius, logit scale); the frozen projections belong to
-neither. A model's arrays are views of its one buffer, which AdamW steps.
+neither. A model's arrays are views of its one buffer, which AdamW steps:
+code reads an array as its field and writes one through restore_param.
 """
 
 from __future__ import annotations
@@ -167,11 +168,6 @@ def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
     ]
 
 
-def get_param(params: ModelParameters, name: str) -> np.ndarray:
-    """Parameter value as a float64 array (shape () for scalars)."""
-    return np.asarray(getattr(params, name), dtype=np.float64)
-
-
 def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
     """Write an array of params' shape, frozen or not, into its view of
     params.flat: for checkpoint loading and a config's theta_init."""
@@ -182,14 +178,14 @@ def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None
 
 
 def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
-    return np.concatenate([get_param(params, n).ravel() for n in names]) if names else np.zeros(0)
+    return np.concatenate([getattr(params, n).ravel() for n in names]) if names else np.zeros(0)
 
 
 def parameter_copies(params: ModelParameters, name: str, points: np.ndarray) -> ModelParameters:
     """A model beside params whose array `name` is the (k, *shape) stack of
     the k flat copies of it that the (k, size) points hold; every other
     array is params' own, shared. params itself is never written."""
-    old = get_param(params, name)
+    old = getattr(params, name)
     if points.ndim != 2 or points.shape[1] != old.size:
         raise ContractViolation(f"copies of {name!r} want {old.size} values each, got {points.shape}")
     copies = copy.copy(params)

@@ -39,14 +39,7 @@ from .core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, Oracl
                    row_norms, row_sums)
 from .encoders import Attention, Encoded, Fused, attend, encode_batch, encode_video_batch, fuse_output, project
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map, text_mass
-from .model import (
-    LAMBDA_MAX,
-    MODES,
-    ModelParameters,
-    get_param,
-    parameter_copies,
-    trainable_names,
-)
+from .model import LAMBDA_MAX, MODES, ModelParameters, parameter_copies, trainable_names
 
 DEFAULT_ALPHA = 1.2
 
@@ -551,7 +544,7 @@ def gradient_check(
             return breakdown.l_total
 
         try:
-            numeric = finite_diff_gradient(losses_at, get_param(params, name), h=CHECK_STEP).ravel()
+            numeric = finite_diff_gradient(losses_at, getattr(params, name), h=CHECK_STEP).ravel()
         except OracleFailure as exc:
             raise OracleFailure(f"{exc} of {name!r}") from None
         analytic = np.asarray(grads[name]).ravel()

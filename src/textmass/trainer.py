@@ -7,7 +7,8 @@ replays exactly the draws the straight run would have made. The noise and
 dropout streams of an epoch's steps are seeded in one pass
 (core.stream_rngs), with the bits of one substream per step. The checkpoint
 format stores every parameter array, the optimizer moments, the flat config
-text, and the (seed, global step) pair that fixes the stream positions.
+text, and the (seed, step) pair that fixes the stream positions; the
+optimizer's step count is the global step.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import (
     PARAMETERS,
     ModelParameters,
     all_array_names,
-    get_param,
     init_model,
     restore_param,
     trainable_names,
@@ -212,7 +212,8 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -
 
 @dataclass
 class OptimizerState:
-    """AdamW's step count and moments, laid out like the model's flat
+    """AdamW's step count, which is the run's global step (the steps
+    taken so far), and its moments, laid out like the model's flat
     buffer; the entries the mode does not train stay 0. names lists the
     trained arrays in optimizer order, and runs the (slice, group, decayed)
     spans of the buffer that share a learning rate and weight decay. grad
@@ -281,9 +282,10 @@ def adamw_step(
 
 @dataclass
 class TrainState:
+    """The model and its optimizer; optimizer.step counts the steps taken."""
+
     params: ModelParameters
     optimizer: OptimizerState
-    global_step: int = 0
 
 
 @dataclass
@@ -315,7 +317,7 @@ def train(
 
     The schedule always spans config.epochs; stop_after_epochs ends the loop
     early (for checkpoint-resume flows) without changing it. Resume picks up
-    at the epoch boundary implied by the saved global step.
+    at the epoch boundary implied by the saved optimizer step.
 
     Step s draws its noise with draw_noise and its dropout mask with
     dropout_grid_mask from substream(config.seed, purpose, s), bit for bit;
@@ -335,9 +337,9 @@ def train(
         state = TrainState(params=fresh, optimizer=init_optimizer(fresh, config.mode))
     else:
         state = resume
-        if state.global_step % per_epoch != 0:
+        if state.optimizer.step % per_epoch != 0:
             raise ContractViolation("resume only lands on epoch boundaries")
-    start_epoch = state.global_step // per_epoch
+    start_epoch = state.optimizer.step // per_epoch
 
     lr_pairs = {"head": config.lr_head, "backbone-adapter": config.lr_adapter}
     step_losses = []
@@ -361,13 +363,12 @@ def train(
             )
             if not np.isfinite(breakdown.l_total):
                 raise TrainingDivergence(
-                    f"non-finite loss at step {state.global_step}: {breakdown}"
+                    f"non-finite loss at step {state.optimizer.step}: {breakdown}"
                 )
             grads = backward_batch(cache)
-            scale = lr_at(state.global_step, total_steps, 1.0, config.warmup_fraction)
+            scale = lr_at(state.optimizer.step, total_steps, 1.0, config.warmup_fraction)
             lrs = {group: base * scale for group, base in lr_pairs.items()}
             adamw_step(state.params, grads, state.optimizer, lrs, config.weight_decay)
-            state.global_step += 1
             step_losses.append(breakdown)
             epoch_total += breakdown.l_total
         epoch_means.append(epoch_total / per_epoch)
@@ -381,8 +382,9 @@ def train(
 #
 # magic "TMCK", u32 version, then three length-prefixed sections: a named
 # array table for parameters, one for optimizer state (m.<name>, v.<name>,
-# and a scalar "step"), the config text, and finally two u64 words
-# (seed, global step) that pin every derived random stream.
+# and a scalar "step"), the config text, and finally two u64 words (seed,
+# the optimizer's step again) that pin every derived random stream. _tables
+# names every array entry.
 
 
 def _pack_array_table(entries: dict) -> bytes:
@@ -435,53 +437,57 @@ def _unpack_array_table(reader: _Reader) -> dict:
         shape = tuple(reader.u32("dimension") for _ in range(ndim))
         data = reader.take(8 * math.prod(shape), f"data for {name}")
         try:
-            entries[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            entries[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
         except ValueError:
             raise FormatError(f"rank {ndim} of {name!r} at byte {rank_at} is out of range") from None
     return entries
 
 
+def _tables(params: ModelParameters, optimizer: OptimizerState) -> tuple[dict, dict]:
+    """The checkpoint's two array tables, in file order: each parameter
+    array's view of params.flat by name, then the views of the moments
+    (m.<name>, then v.<name>) of the arrays the optimizer trains."""
+    arrays = {name: getattr(params, name) for name in all_array_names(params)}
+    moments = {f"{tag}.{name}": params.view(moment, name)
+               for tag, moment in (("m", optimizer.first), ("v", optimizer.second)) for name in optimizer.names}
+    return arrays, moments
+
+
 def save_checkpoint(path, state: TrainState, config: TrainingConfig) -> None:
     """Write state and config to path atomically: a reader sees the old
     file or the complete new one, never a partial write."""
-    params, optimizer = state.params, state.optimizer
-    arrays = {name: get_param(params, name) for name in all_array_names(params)}
-    opt = {f"{tag}.{name}": params.view(moment, name)
-           for tag, moment in (("m", optimizer.first), ("v", optimizer.second)) for name in optimizer.names}
-    opt["step"] = np.float64(optimizer.step)
+    arrays, moments = _tables(state.params, state.optimizer)
+    step = state.optimizer.step
     config_blob = config_to_text(config).encode("utf-8")
     blob = b"".join(
         [
             CHECKPOINT_MAGIC,
             struct.pack("<I", CHECKPOINT_VERSION),
             _pack_array_table(arrays),
-            _pack_array_table(opt),
+            _pack_array_table({**moments, "step": np.float64(step)}),
             struct.pack("<I", len(config_blob)),
             config_blob,
-            struct.pack("<Q", config.seed),
-            struct.pack("<Q", state.global_step),
+            struct.pack("<QQ", config.seed, step),
         ]
     )
     atomic_write(path, blob)
 
 
-def _checked_entries(entries: dict, shapes: dict, what: str) -> dict:
-    """The stored arrays named in shapes, in its order, each present, of
-    its expected shape and finite; no other name may be stored. what names
-    the kind of entry in the FormatError."""
-    checked = {}
-    for key, shape in shapes.items():
+def _checked_entries(entries: dict, views: dict, what: str) -> None:
+    """Write each stored array named in views, in its order, into its view;
+    each must be present, of its view's shape and finite, and no other name
+    may be stored. what names the kind of entry in the FormatError."""
+    for key, view in views.items():
         if key not in entries:
             raise FormatError(f"checkpoint missing {what} {key!r}")
         stored = entries.pop(key)
-        if stored.shape != shape:
+        if stored.shape != view.shape:
             raise FormatError(f"shape mismatch for {key!r}")
         if not np.all(np.isfinite(stored)):
             raise FormatError(f"{what} {key!r} holds non-finite values")
-        checked[key] = stored
+        view[...] = stored
     if entries:
         raise FormatError(f"checkpoint has unknown {what} {sorted(entries)[0]!r}")
-    return checked
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
@@ -512,11 +518,9 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
         raise FormatError("seed record disagrees with config")
 
     params = init_model_from_config(config)
-    shapes = {name: get_param(params, name).shape for name in all_array_names(params)}
-    for name, stored in _checked_entries(arrays, shapes, "parameter").items():
-        restore_param(params, name, stored)
-
     optimizer = init_optimizer(params, config.mode)
+    array_views, moment_views = _tables(params, optimizer)
+    _checked_entries(arrays, array_views, "parameter")
     if "step" not in opt_entries:
         raise FormatError("checkpoint missing optimizer step")
     step = opt_entries.pop("step")
@@ -527,8 +531,5 @@ def load_checkpoint(path) -> tuple[TrainState, TrainingConfig]:
     if step != global_step:
         raise FormatError(f"checkpoint optimizer step {int(step)} differs from global step {global_step}")
     optimizer.step = int(step)
-    moments = {"m": optimizer.first, "v": optimizer.second}
-    shapes = {f"{tag}.{name}": shapes[name] for name in optimizer.names for tag in moments}
-    for key, stored in _checked_entries(opt_entries, shapes, "optimizer entry").items():
-        params.view(moments[key[0]], key[2:])[...] = stored
-    return TrainState(params=params, optimizer=optimizer, global_step=global_step), config
+    _checked_entries(opt_entries, moment_views, "optimizer entry")
+    return TrainState(params=params, optimizer=optimizer), config

@@ -326,7 +326,7 @@ def _cmd_eval(run: RunConfig, out: Path, log: RunLog) -> int:
     t2v, v2t = _test_metrics(corpus, state.params, use_sampling, run.trials, run.seed)
     write_csv_rows(out / "metrics.csv", RetrievalMetrics, [t2v, v2t])
     log.note(
-        f"evaluated {run.checkpoint} at step {state.global_step}: test r1 {t2v.r1:.2f} "
+        f"evaluated {run.checkpoint} at step {state.optimizer.step}: test r1 {t2v.r1:.2f} "
         f"(sampling={'on' if use_sampling else 'off'}, trials={run.trials})"
     )
     return 0

@@ -34,7 +34,7 @@ from textmass.dataset import (
 )
 from textmass.encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE
-from textmass.model import LAMBDA_MAX, ModelParameters, get_param, restore_param
+from textmass.model import LAMBDA_MAX, ModelParameters, restore_param
 
 # ---------------------------------------------------------------------------
 # encoders
@@ -216,7 +216,7 @@ def symmetric_ce(sims: np.ndarray, log_lambda: float) -> tuple[float, float, flo
 def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray) -> None:
     pos = 0
     for n in names:
-        old = get_param(params, n)
+        old = getattr(params, n)
         restore_param(params, n, flat[pos : pos + old.size].reshape(old.shape))
         pos += old.size
     if pos != flat.size:

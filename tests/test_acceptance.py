@@ -25,6 +25,7 @@ from textmass.evaluation import (
     write_csv_rows,
 )
 from textmass.mass import RADIUS_VARIANTS, SamplingConfig, select_best_sample, text_mass
+from textmass.model import restore_param
 from textmass.objectives import (
     MODES,
     DegenerateGeometryError,
@@ -207,7 +208,7 @@ def test_criterion_04_support_geometry():
             dim=d, concept_dim=8, frame_count=frames, radius_variant=variant, theta_init=0.7, seed=k))
         rng = substream(12_000 + k, 1)
         if variant == "linear":
-            params.radius_weights = 0.5 * rng.standard_normal(frames * d).reshape(frames, d)
+            restore_param(params, "radius_weights", 0.5 * rng.standard_normal(frames * d).reshape(frames, d))
         batch = PairBatch(text=rng.standard_normal(n * 8).reshape(n, 8),
                           videos=rng.standard_normal(n * 6 * 8).reshape(n, 6, 8))
         eps = draw_noise(substream(12_000 + k, 2), 1, n, d)
@@ -221,7 +222,8 @@ def test_criterion_04_support_geometry():
     assert worst <= 1e-9
     # every pair degenerate: identity projections and frames equal to the text
     params = init_model_from_config(TrainingConfig(dim=d, concept_dim=d, frame_count=2))
-    params.proj_text = params.proj_frame = np.eye(d)
+    restore_param(params, "proj_text", np.eye(d))
+    restore_param(params, "proj_frame", np.eye(d))
     feat = substream(12_100, 1).standard_normal(d)
     batch = PairBatch(text=feat[None, :], videos=np.stack([feat, feat])[None])
     with pytest.raises(DegenerateGeometryError):

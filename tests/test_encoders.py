@@ -3,7 +3,7 @@ import pytest
 
 from textmass.core import FD_BLOCK, ContractViolation
 from textmass.encoders import _pooled, _product, attend, encode_batch, fuse_output, project, sample_frame_indices
-from textmass.model import init_model
+from textmass.model import init_model, restore_param
 
 from oracle import encode_frames, encode_text, fuse
 
@@ -97,10 +97,8 @@ class TestFuse:
         self.stack = make_stack()
         self.p = self.stack
         rng = np.random.default_rng(4)
-        self.p.fusion_query = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.fusion_key = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.fusion_value = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
-        self.p.fusion_out = rng.normal(size=(8, 8)) * 0.3 + np.eye(8)
+        for name in ("fusion_query", "fusion_key", "fusion_value", "fusion_out"):
+            restore_param(self.p, name, rng.normal(size=(8, 8)) * 0.3 + np.eye(8))
         self.frames = encode_frames(rng.normal(size=(6, 5)), 6, self.stack)
         self.t = encode_text(rng.normal(size=5), self.stack)
 
@@ -159,7 +157,7 @@ class TestFuseBatch:
 
     def test_a_fused_vector_of_zero_norm_is_refused(self):
         stack = make_stack()
-        stack.fusion_out = np.zeros((8, 8))
+        restore_param(stack, "fusion_out", np.zeros((8, 8)))
         rng = np.random.default_rng(6)
         texts = encode_batch(rng.normal(size=(2, 5)), stack, "text").emb
         frames = encode_batch(rng.normal(size=(2, 4, 5)), stack, "frame").emb
@@ -172,7 +170,7 @@ class TestFuseBatch:
         stack = make_stack()
         rng = np.random.default_rng(5)
         for name in ("fusion_query", "fusion_key", "fusion_value", "fusion_out"):
-            setattr(stack, name, rng.normal(size=(8, 8)) * 0.3 + np.eye(8))
+            restore_param(stack, name, rng.normal(size=(8, 8)) * 0.3 + np.eye(8))
         texts = encode_batch(rng.normal(size=(3, 5)), stack, "text").emb
         frames = encode_batch(rng.normal(size=(4, 6, 5)), stack, "frame").emb
         values = project(frames, stack, "fusion_value")

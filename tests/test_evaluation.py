@@ -11,7 +11,7 @@ from textmass import core, evaluation
 from textmass.core import ContractViolation, substream
 from textmass.encoders import attend
 from textmass.mass import SamplingConfig, radius_batch, select_best_sample
-from textmass.model import flatten_params, init_model, trainable_names
+from textmass.model import flatten_params, init_model, restore_param, trainable_names
 from textmass.evaluation import (
     AlignmentRow,
     RadiusRow,
@@ -451,7 +451,7 @@ class TestRadiusReport:
 
     def test_scalar_zero_theta_identical_radii(self):
         params = make_params(variant="scalar", seed=9)
-        params.radius_theta = 0.0
+        restore_param(params, "radius_theta", 0.0)
         texts, videos = make_pool(seed=9)
         sampled = inference_similarity_matrix(texts, videos, params, SamplingConfig(trials=2), True, 19)
         rows = pool_radius_report(texts, videos, params, sampled)

@@ -15,7 +15,7 @@ from textmass.mass import (
     select_best_sample,
     text_mass,
 )
-from textmass.model import init_model
+from textmass.model import init_model, restore_param
 
 from oracle import cosine_similarity, frame_similarities, radius, sample_text_mass, support_text
 from test_acceptance import reparameterization_check
@@ -186,7 +186,8 @@ class TestRadiusBounds:
     )
     def test_radii_stay_inside_the_exponential_bounds(self, variant, theta, aligned, n, frames, d, seed):
         model = init_model(d, 3, frames, radius_variant=variant, seed=seed)
-        model.radius_theta = theta
+        if variant == "scalar":  # a fixed-mean model holds no theta
+            restore_param(model, "radius_theta", theta)
         rng = np.random.default_rng(seed)
         texts = rng.normal(size=(n, d))
         unit = rng.normal(size=(n, frames, d))

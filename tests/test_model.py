@@ -14,7 +14,6 @@ from textmass.model import (
     PARAMETERS,
     ModelParameters,
     all_array_names,
-    get_param,
     init_model,
     restore_param,
     trainable_names,
@@ -90,9 +89,8 @@ def test_unknown_mode_and_name_are_refused():
     with pytest.raises(ContractViolation, match="unknown training mode"):
         trainable_names(params, "t-mas")
     # an unknown array name is no model field
-    for call in (lambda: get_param(params, "radius"), lambda: restore_param(params, "radius", 0.0)):
-        with pytest.raises(AttributeError, match="'radius'"):
-            call()
+    with pytest.raises(AttributeError, match="'radius'"):
+        restore_param(params, "radius", 0.0)
 
 
 def test_groups_follow_the_table():
@@ -104,15 +102,6 @@ def test_groups_follow_the_table():
         "fusion_query": "head", "fusion_key": "head", "fusion_value": "head",
         "fusion_out": "head", "radius_weights": "head", "log_lambda": "head",
     }
-
-
-def test_get_param_reads_the_owning_component():
-    params = make_model()
-    assert np.array_equal(get_param(params, "proj_frame"), params.proj_frame)
-    assert np.array_equal(get_param(params, "fusion_out"), params.fusion_out)
-    assert np.array_equal(get_param(params, "radius_weights"), params.radius_weights)
-    assert get_param(params, "log_lambda").shape == ()
-    assert float(get_param(params, "log_lambda")) == params.log_lambda
 
 
 def test_restore_param_refuses_misshapen_values():

@@ -17,7 +17,6 @@ from textmass.model import (
     LAMBDA_MAX,
     all_array_names,
     flatten_params,
-    get_param,
     init_model,
     parameter_copies,
     restore_param,
@@ -228,7 +227,7 @@ class TestTextMassWiring:
             degenerate_first_pair(params, batch, None)
         eps = draw_noise(substream(21, 7011), 2, n, d)
         if copied is not None:
-            x0 = get_param(params, copied).ravel()
+            x0 = getattr(params, copied).ravel()
             points = x0 + 1e-2 * substream(21, 7012).standard_normal(k * x0.size).reshape(k, x0.size)
             params = parameter_copies(params, copied, points)
         _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
@@ -429,8 +428,8 @@ class TestDegenerateSupport:
         # the video frames all equal to the text feature.
         params = make_model(d=8, c=8, frames=2)
         # identity projections make embeddings equal for equal raw features
-        params.proj_text = np.eye(8)
-        params.proj_frame = np.eye(8)
+        restore_param(params, "proj_text", np.eye(8))
+        restore_param(params, "proj_frame", np.eye(8))
         feat = substream(7, 7006).standard_normal(8)
         batch = PairBatch(text=feat[None, :], videos=np.stack([np.stack([feat, feat])]))
         eps = draw_noise(substream(7, 7007), 1, 1, 8)
@@ -458,7 +457,7 @@ class TestUnitStacks:
         rng = substream(seed, 7012)
         # each array that reaches the fused grid, as its own copy set
         for name in [n for n in trainable_names(params, mode) if n.startswith(("adapter", "fusion"))]:
-            x0 = get_param(params, name).ravel()
+            x0 = getattr(params, name).ravel()
             points = np.tile(x0, (copies, 1))
             points[1:] += 1e-2 * rng.standard_normal((copies - 1) * x0.size).reshape(copies - 1, -1)
             _, tape = forward_batch(
@@ -574,7 +573,7 @@ class TestGradients:
 
     def test_clamped_scale_kills_scale_gradient(self):
         params = randomize(make_model(), seed=35)
-        params.log_lambda = float(np.log(500.0))
+        restore_param(params, "log_lambda", np.log(500.0))
         batch = make_batch(3, 6, 5, seed=10)
         eps = draw_noise(substream(15, 7008), 1, 3, 8)
         _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
@@ -636,8 +635,6 @@ class TestParameterPlumbing:
 
     def test_scalar_params_round_trip_as_zero_d(self):
         params = make_model(variant="scalar")
-        theta = get_param(params, "radius_theta")
-        assert theta.shape == ()
         assert params.radius_theta.shape == () and np.shares_memory(params.radius_theta, params.flat)
 
 
@@ -819,7 +816,7 @@ def in_extended_precision(batch, params, eps, drop_mask):
     wide_batch = copy.copy(batch)
     wide_batch.text, wide_batch.videos = wide(batch.text), wide(batch.videos)
     wide_params = dataclasses.replace(
-        params, **{name: wide(get_param(params, name)) for name in all_array_names(params)})
+        params, **{name: wide(getattr(params, name)) for name in all_array_names(params)})
     return wide_batch, wide_params, wide(eps), wide(drop_mask)
 
 
@@ -839,12 +836,9 @@ def degenerate_first_pair(params, batch, drop_mask):
     """Make pair 0's fused video equal its text: identity projections and
     value/output maps, one adapter for both towers, every frame of video 0
     equal to text 0, and dropout kept on the (0, 0) cell."""
-    d = params.dim
-    params.proj_text = np.eye(d)
-    params.proj_frame = np.eye(d)
-    params.adapter_frame = params.adapter_text.copy()
-    params.fusion_value = np.eye(d)
-    params.fusion_out = np.eye(d)
+    for name in ("proj_text", "proj_frame", "fusion_value", "fusion_out"):
+        restore_param(params, name, np.eye(params.dim))
+    restore_param(params, "adapter_frame", params.adapter_text)
     batch.videos[0] = batch.text[0]
     if drop_mask is not None:
         drop_mask[0, 0] = 1.0
@@ -925,7 +919,7 @@ def one_at_a_time(params, name, points, batch, mode, eps, mask):
     out = []
     for row in points:
         single = copy.deepcopy(params)
-        restore_param(single, name, row.reshape(get_param(params, name).shape))
+        restore_param(single, name, row.reshape(getattr(params, name).shape))
         out.append(forward_batch(batch, single, mode, 1.2, eps=eps, drop_mask=mask))
     return out
 
@@ -970,7 +964,7 @@ class TestParameterCopies:
         eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)
         names = trainable_names(params, mode)
         name = names[moved % len(names)]
-        x0 = get_param(params, name).ravel()
+        x0 = getattr(params, name).ravel()
         # copy 0 stays at x0 (with a degenerate pair 0, the others may not be)
         points = np.tile(x0, (copies, 1))
         if copies > 1:
@@ -1003,7 +997,7 @@ class TestParameterCopies:
         names = trainable_names(params, "t-mass")
         rng = substream(9, 7012)
         for name in names[names.index(first) : names.index(last) + 1]:
-            x0 = get_param(params, name).ravel()
+            x0 = getattr(params, name).ravel()
             points = np.tile(x0, (k, 1)) + 1e-3 * rng.standard_normal(k * x0.size).reshape(k, x0.size)
             blocked, _ = forward_batch(batch, parameter_copies(params, name, points), "t-mass", 1.2, eps=eps)
             assert_copies_match(blocked, one_at_a_time(params, name, points, batch, "t-mass", eps, None), k)
@@ -1029,7 +1023,7 @@ class TestParameterCopies:
         plain, _ = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
         shared = dataclasses.replace(params, copies=1)  # one copy of no array: every array is shared
         # each trainable array as a stack of one copy
-        stacked = [parameter_copies(params, name, get_param(params, name).reshape(1, -1))
+        stacked = [parameter_copies(params, name, getattr(params, name).reshape(1, -1))
                    for name in trainable_names(params, "t-mass")]
         for copies in [shared] + stacked:
             blocked, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps)
@@ -1038,7 +1032,7 @@ class TestParameterCopies:
 
     def test_copies_share_unmoved_arrays_and_leave_params_alone(self):
         params = randomize(make_model(), seed=42)
-        before = {name: get_param(params, name).copy() for name in all_array_names(params)}
+        before = {name: getattr(params, name).copy() for name in all_array_names(params)}
         points = params.log_lambda + np.arange(4.0)[:, None]
         copies = parameter_copies(params, "log_lambda", points)
         assert copies.copies == 4 and params.copies is None
@@ -1046,25 +1040,25 @@ class TestParameterCopies:
         assert copies.fusion_out is params.fusion_out
         assert copies is not params
         for name, value in before.items():
-            assert np.array_equal(get_param(params, name), value), name
+            assert np.array_equal(getattr(params, name), value), name
         assert params.log_lambda.shape == () and np.shares_memory(params.log_lambda, params.flat)
 
     @pytest.mark.parametrize("variant", ["linear", "scalar"])
     def test_copies_hold_exactly_the_named_array(self, variant):
         params = randomize(init_model(6, 6, 3, variant, seed=5), seed=5)
         for name in trainable_names(params, "t-mass"):
-            x0 = get_param(params, name)
+            x0 = getattr(params, name)
             points = x0.ravel() + 1e-3 * substream(5, 7013).standard_normal(4 * x0.size).reshape(4, -1)
             copies = parameter_copies(params, name, points)
             assert copies.copies == 4 and params.copies is None
             for other in all_array_names(params):
-                value = get_param(copies, other)
+                value = getattr(copies, other)
                 if other == name:
                     assert np.array_equal(value, points.reshape((4,) + x0.shape)), name
                 elif value.ndim:  # every other array is params' own object
                     assert getattr(copies, other) is getattr(params, other), (name, other)
                 else:
-                    assert value == get_param(params, other), (name, other)
+                    assert value == getattr(params, other), (name, other)
 
     @pytest.mark.parametrize("shape", [(2, 35), (2, 37), (36,), (2, 6, 6)])
     def test_points_of_another_width_are_refused(self, shape):
@@ -1078,15 +1072,14 @@ def _moved_copies(params, names, points):
     that some row moves, found by comparing every column with params, gets
     a copy axis."""
     k = points.shape[0]
-    copies = dataclasses.replace(params, copies=k)
-    pos = 0
+    stacks, pos = {}, 0
     for name in names:
-        old = get_param(params, name)
+        old = getattr(params, name)
         rows = points[:, pos : pos + old.size]
         if np.any(rows != old.ravel()):
-            setattr(copies, name, rows.reshape((k,) + old.shape))
+            stacks[name] = rows.reshape((k,) + old.shape)
         pos += old.size
-    return copies
+    return dataclasses.replace(params, copies=k, **stacks)
 
 
 def _full_stack_gradient(params, names, batch, mode, alpha, eps, mask, block):
@@ -1096,7 +1089,7 @@ def _full_stack_gradient(params, names, batch, mode, alpha, eps, mask, block):
     h = objectives.CHECK_STEP
     x = flatten_params(params, names)
     grad = np.zeros(x.size)
-    bounds = np.cumsum([0] + [get_param(params, name).size for name in names])
+    bounds = np.cumsum([0] + [getattr(params, name).size for name in names])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for start in range(lo, hi, block):
             coords = np.arange(start, min(start + block, hi))
@@ -1169,7 +1162,7 @@ class TestSpanOracleMatchesTheFullStack:
         eps = draw_noise(substream(2, 7011), 1, 4, 16)
         names = trainable_names(params, "t-mass")
         assert names[-2:] == ["radius_weights", "log_lambda"]
-        assert get_param(params, "radius_weights").size == 64
+        assert params.radius_weights.size == 64
         for block in (core.FD_BLOCK, 24):  # 24: radius_weights ends in a ragged block of 16
             numeric, result = _numeric_gradient(params, batch, "t-mass", 1.2, eps, None, block)
             assert result.passed, result.failures[:5]
@@ -1187,10 +1180,10 @@ class TestSpanOracleMatchesTheFullStack:
 
         def recording(model, name, points):
             copies = real(model, name, points)
-            widened = [a for a in all_array_names(params) if get_param(copies, a).ndim > get_param(params, a).ndim]
+            widened = [a for a in all_array_names(params) if getattr(copies, a).ndim > getattr(params, a).ndim]
             assert widened == [name]
             # each row moves exactly one coordinate of the array
-            rows, cols = np.nonzero(points != get_param(params, name).ravel())
+            rows, cols = np.nonzero(points != getattr(params, name).ravel())
             assert np.array_equal(rows, np.arange(len(points)))
             moved[name].extend(cols[: len(points) // 2])
             assert np.array_equal(cols[: len(points) // 2], cols[len(points) // 2 :])
@@ -1199,7 +1192,7 @@ class TestSpanOracleMatchesTheFullStack:
         monkeypatch.setattr(objectives, "parameter_copies", recording)
         assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
         for name in names:
-            assert moved[name] == list(range(get_param(params, name).size)), name
+            assert moved[name] == list(range(getattr(params, name).size)), name
 
 
 def _gradient_check_trace(params, batch, mode, eps, mask, full):
@@ -1279,7 +1272,7 @@ class TestStageReuse:
         _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
         rng = substream(seed, 7012)
         for name in trainable_names(params, "t-mass"):
-            x0 = np.ravel(get_param(params, name))
+            x0 = np.ravel(getattr(params, name))
             points = x0 + 1e-3 * rng.standard_normal(2 * core.FD_BLOCK * x0.size).reshape(-1, x0.size)
             copies = parameter_copies(params, name, points)
             reused, _ = forward_batch(batch, copies, "t-mass", 1.2, eps=eps, reuse=tape)
@@ -1443,7 +1436,7 @@ class TestGradientCheckLeavesParamsAlone:
             gradient_check(params, batch, "t-mass", 1.2, eps)
         assert len(blocks) == 2
         for name in all_array_names(params):
-            assert np.array_equal(get_param(params, name), get_param(before, name)), name
+            assert np.array_equal(getattr(params, name), getattr(before, name)), name
         assert params.copies is None and params.log_lambda.shape == ()
         assert np.shares_memory(params.log_lambda, params.flat)
 
@@ -1452,7 +1445,7 @@ class TestGradientCheckLeavesParamsAlone:
         batch = make_batch(3, 6, 5, seed=15)
         eps = draw_noise(substream(20, 7008), 1, 3, 8)
         names = all_array_names(params)
-        arrays = {name: get_param(params, name) for name in names}
+        arrays = {name: getattr(params, name) for name in names}
         real = objectives.forward_batch
         buffers = []
 
@@ -1460,7 +1453,7 @@ class TestGradientCheckLeavesParamsAlone:
             if model.copies is not None:
                 buffers.extend(
                     value for name in names
-                    if np.ndim(value := get_param(model, name)) > np.ndim(arrays[name])
+                    if np.ndim(value := getattr(model, name)) > np.ndim(arrays[name])
                 )
             return real(batch, model, *args, **kwargs)
 
@@ -1468,6 +1461,6 @@ class TestGradientCheckLeavesParamsAlone:
         assert gradient_check(params, batch, "t-mass", 1.2, eps).passed
         assert buffers
         for name in names:
-            now = get_param(params, name)
+            now = getattr(params, name)
             assert np.array_equal(now, arrays[name]), name
             assert not any(np.shares_memory(now, buffer) for buffer in buffers), name

@@ -1,14 +1,16 @@
 """Source hygiene: no import in src/textmass or tests goes unused, no
 top-level function, class or ALL_CAPS constant of src/textmass goes
-unreferenced, and the batched stages sum and dot along the last axis
-through `core.row_sums` alone. No linter ships with the project, so the
-checks read the modules with `ast`."""
+unreferenced, the batched stages sum and dot along the last axis through
+`core.row_sums` alone, and no test rebinds a model's parameter field. No
+linter ships with the project, so the checks read the modules with `ast`."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from textmass.model import PARAMETERS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "textmass"
 MODULES = sorted(SRC.glob("*.py"))
@@ -207,4 +209,47 @@ def test_checks_catch_what_they_look_for(tmp_path):
     assert unreferenced_definitions([module]) == [
         "sample._SPARE", "sample._HIGH", "sample.orphan", "sample.encode_text", "sample.Orphan",
         "sample.VALUE", "sample.__orphan",
+    ]
+
+
+def parameter_rebindings(path: Path) -> list[str]:
+    """`line: target` of each assignment to an attribute named in
+    PARAMETERS (a rebound field is no longer a view of the model's flat
+    buffer, so AdamW and checkpoints would miss it) and of each builtin
+    setattr call, which could do the same; monkeypatch.setattr is an
+    attribute call, not the builtin."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in PARAMETERS:
+            found.append((node.lineno, node.col_offset, _dotted(node) or node.attr))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr":
+            found.append((node.lineno, node.col_offset, "setattr"))
+    return [f"{path.name}:{line}: {what}" for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_tests_write_parameters_through_their_views(path):
+    assert parameter_rebindings(path) == []
+
+
+def test_the_rebinding_check_catches_what_it_looks_for(tmp_path):
+    module = tmp_path / "sample_test.py"
+    module.write_text(
+        "def test(params, monkeypatch, np):\n"
+        "    params.proj_text = np.eye(4)\n"
+        "    params.proj_frame = params.fusion_out = np.eye(4)\n"
+        "    params.log_lambda += 1.0\n"
+        "    setattr(params, 'radius_theta', 0.5)\n"
+        "    a, params.adapter_text = 1, np.eye(4)\n"
+        "    params.fusion_key[0, 0] = 1.0\n"
+        "    params.radius_trainable = False\n"
+        "    params.view(params.flat, 'fusion_value')[...] = 0.0\n"
+        "    monkeypatch.setattr(params, 'radius_weights', None)\n"
+        "    return params.proj_text\n",
+        encoding="utf-8",
+    )
+    assert parameter_rebindings(module) == [
+        "sample_test.py:2: params.proj_text", "sample_test.py:3: params.proj_frame",
+        "sample_test.py:3: params.fusion_out", "sample_test.py:4: params.log_lambda",
+        "sample_test.py:5: setattr", "sample_test.py:6: params.adapter_text",
     ]

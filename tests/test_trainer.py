@@ -22,7 +22,6 @@ from textmass.model import (
     PARAMETERS,
     all_array_names,
     flatten_params,
-    get_param,
     restore_param,
     trainable_names,
 )
@@ -118,7 +117,7 @@ class PerNameState:
 
 
 def per_name_state(params, mode):
-    zeros = {name: np.zeros_like(get_param(params, name)) for name in trainable_names(params, mode)}
+    zeros = {name: np.zeros_like(getattr(params, name)) for name in trainable_names(params, mode)}
     return PerNameState(0, dict(zeros), dict(zeros))
 
 
@@ -134,7 +133,7 @@ def per_name_adamw(params, grads, state, lr_by_group, weight_decay):
         v = state.second_moment[name] = ADAM_BETA2 * state.second_moment[name] + (1.0 - ADAM_BETA2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         lr = lr_by_group[PARAMETERS[name].group]
-        p = get_param(params, name)
+        p = getattr(params, name)
         decay = 0.0 if name == "log_lambda" else weight_decay
         restore_param(params, name, p - lr * update - lr * decay * p)
 
@@ -146,8 +145,8 @@ class TestAdamW:
         names = trainable_names(params, config.mode)
         state = init_optimizer(params, config.mode)
         rng = substream(41, 8002)
-        grads = {n: rng.standard_normal(get_param(params, n).size).reshape(get_param(params, n).shape) for n in names}
-        before = {n: get_param(params, n).copy() for n in names}
+        grads = {n: rng.standard_normal(getattr(params, n).size).reshape(getattr(params, n).shape) for n in names}
+        before = {n: getattr(params, n).copy() for n in names}
         lrs = {"head": 1e-2, "backbone-adapter": 1e-3}
         adamw_step(params, grads, state, lrs, weight_decay=0.1)
 
@@ -160,7 +159,7 @@ class TestAdamW:
             lr = lrs["backbone-adapter" if name.startswith("adapter_") else "head"]
             decay = 0.0 if name == "log_lambda" else 0.1
             expected = before[name] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS) - lr * decay * before[name]
-            assert np.allclose(get_param(params, name), expected, atol=1e-15), name
+            assert np.allclose(getattr(params, name), expected, atol=1e-15), name
 
     def test_two_steps_accumulate_moments(self):
         config = tiny_config(radius_variant="scalar")
@@ -168,10 +167,10 @@ class TestAdamW:
         state = init_optimizer(params, config.mode)
         name = "radius_theta"
         g1, g2 = 0.7, -0.2
-        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.names}
+        zeros = {n: np.zeros_like(getattr(params, n)) for n in state.names}
         lrs = {"head": 0.05, "backbone-adapter": 0.0}
 
-        theta0 = float(get_param(params, name))
+        theta0 = float(getattr(params, name))
         step1 = dict(zeros)
         step1[name] = np.asarray(g1)
         adamw_step(params, step1, state, lrs, weight_decay=0.0)
@@ -185,21 +184,21 @@ class TestAdamW:
         m2 = ADAM_BETA1 * m1 + (1 - ADAM_BETA1) * g2
         v2 = ADAM_BETA2 * v1 + (1 - ADAM_BETA2) * g2 * g2
         t2 = t1 - 0.05 * (m2 / (1 - ADAM_BETA1**2)) / (np.sqrt(v2 / (1 - ADAM_BETA2**2)) + ADAM_EPS)
-        assert abs(float(get_param(params, name)) - t2) <= 1e-15
+        assert abs(float(getattr(params, name)) - t2) <= 1e-15
         assert state.step == 2
 
     def test_logit_scale_skips_weight_decay(self):
         config = tiny_config()
         params = init_model_from_config(config)
         state = init_optimizer(params, config.mode)
-        zeros = {n: np.zeros_like(get_param(params, n)) for n in state.names}
+        zeros = {n: np.zeros_like(getattr(params, n)) for n in state.names}
         before = float(params.log_lambda)
         adamw_step(params, zeros, state, {"head": 1.0, "backbone-adapter": 1.0}, weight_decay=0.5)
         # zero gradient plus skipped decay leaves the scale untouched
         assert params.log_lambda == before
         # every other head parameter shrank
-        assert np.all(np.abs(get_param(params, "fusion_query")) < 1.0 + 1e-12)
-        assert not np.allclose(get_param(params, "fusion_query"), np.eye(8))
+        assert np.all(np.abs(params.fusion_query) < 1.0 + 1e-12)
+        assert not np.allclose(params.fusion_query, np.eye(8))
 
     @pytest.mark.parametrize("adapters", [True, False])
     @pytest.mark.parametrize("mode", MODES)
@@ -209,10 +208,10 @@ class TestAdamW:
         params = init_model_from_config(config)
         state = init_optimizer(params, mode)
         fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
-        before = {name: get_param(params, name).copy() for name in all_array_names(params)}
-        grads = {n: np.ones_like(get_param(params, n)) for n in state.names}
+        before = {name: getattr(params, name).copy() for name in all_array_names(params)}
+        grads = {n: np.ones_like(getattr(params, n)) for n in state.names}
         adamw_step(params, grads, state, {"head": 1e-2, "backbone-adapter": 1e-3}, 0.1)
-        changed = {name for name, value in before.items() if not np.array_equal(get_param(params, name), value)}
+        changed = {name for name, value in before.items() if not np.array_equal(getattr(params, name), value)}
         assert changed == set(trainable_names(params, mode))
         # in place: no field is rebound
         assert all(getattr(params, name) is value for name, value in fields.items())
@@ -233,7 +232,7 @@ class TestAdamW:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        trainable_bytes = 8 * sum(get_param(params, n).size for n in state.names)
+        trainable_bytes = 8 * sum(getattr(params, n).size for n in state.names)
         assert peak < trainable_bytes / 2, (peak, trainable_bytes)
 
     @pytest.mark.parametrize("mode, radius_trainable", [("baseline", True), ("t-mass", False)])
@@ -280,7 +279,7 @@ class TestAdamW:
             per_name_adamw(ref, grads, ref_state, lrs, weight_decay)
         assert flat_state.step == ref_state.step == steps
         for name in all_array_names(ref):
-            assert np.array_equal(get_param(flat, name), get_param(ref, name)), name
+            assert np.array_equal(getattr(flat, name), getattr(ref, name)), name
         first, second = moments(flat, flat_state)
         assert list(first) == list(ref_state.first_moment)
         for name in ref_state.first_moment:
@@ -300,7 +299,7 @@ class TestTrainLoop:
         result = train(text, videos, tiny_config())
         assert len(result.step_losses) == 2 * 2
         assert len(result.epoch_means) == 2
-        assert result.state.global_step == 4
+        assert result.state.optimizer.step == 4
 
     def test_training_is_bit_deterministic(self):
         text, videos = tiny_data()
@@ -325,7 +324,7 @@ class TestTrainLoop:
         untrained = [n for n in all_array_names(fresh) if n not in trainable_names(fresh, mode)]
         assert {"proj_text", "proj_frame"} <= set(untrained)
         for name in untrained:
-            assert get_param(params, name).tobytes() == get_param(fresh, name).tobytes(), name
+            assert getattr(params, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     def test_baseline_mode_runs_without_noise(self):
         text, videos = tiny_data()
@@ -461,7 +460,7 @@ class TestTrainLoop:
         text, videos = tiny_data()
         config = tiny_config()
         partial = train(text, videos, config, stop_after_epochs=1)
-        partial.state.global_step += 1
+        partial.state.optimizer.step += 1
         with pytest.raises(ContractViolation):
             train(text, videos, config, resume=partial.state)
 
@@ -668,8 +667,13 @@ class TestCheckpoint:
         loaded, loaded_config = load_checkpoint(path)
 
         assert loaded_config == config
-        assert loaded.global_step == result.state.global_step
         assert loaded.optimizer.step == result.state.optimizer.step
+        # the trailing u64 repeats the optimizer table's step entry
+        reader = trainer._Reader(path.read_bytes())
+        reader.take(8, "magic and version")
+        trainer._unpack_array_table(reader)
+        assert trainer._unpack_array_table(reader)["step"] == result.state.optimizer.step
+        assert struct.unpack("<Q", reader.blob[-8:])[0] == result.state.optimizer.step
         names = trainable_names(result.state.params, config.mode)
         assert np.array_equal(
             flatten_params(loaded.params, names), flatten_params(result.state.params, names)
@@ -753,15 +757,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("step", [-1.0, 0.5], ids=["negative", "fractional"])
-    def test_impossible_optimizer_step_rejected(self, tmp_path, step):
-        text, videos = tiny_data()
-        config = tiny_config()
-        state = train(text, videos, config, stop_after_epochs=1).state
-        state.optimizer.step = step
-        path = tmp_path / "state.tmck"
-        save_checkpoint(path, state, config)
+    def test_impossible_optimizer_step_rejected(self, tmp_path, tables, step):
+        # save_checkpoint cannot write such a step into the trailing u64
+        arrays, opt, config, global_step = tables
+        opt["step"] = np.float64(step)
+        write_raw_checkpoint(tmp_path / "state.tmck", arrays, opt, config, global_step)
         with pytest.raises(FormatError, match="optimizer step .* is not a count"):
-            load_checkpoint(path)
+            load_checkpoint(tmp_path / "state.tmck")
 
     @pytest.mark.parametrize("existing", [True, False], ids=["over-old", "fresh"])
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
@@ -806,6 +808,21 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.tmck", "over.tmck"]
 
 
+@pytest.fixture
+def tables():
+    """The parameter and optimizer tables of a trained linear model, its
+    config and its step."""
+    text, videos = tiny_data()
+    config = tiny_config()
+    state = train(text, videos, config, stop_after_epochs=1).state
+    arrays = {name: getattr(state.params, name) for name in all_array_names(state.params)}
+    first, second = moments(state.params, state.optimizer)
+    opt = {f"m.{n}": m for n, m in first.items()}
+    opt.update({f"v.{n}": v for n, v in second.items()})
+    opt["step"] = np.float64(state.optimizer.step)
+    return arrays, opt, config, state.optimizer.step
+
+
 def write_raw_checkpoint(path, arrays, opt, config, global_step, seed=None):
     """A version-1 checkpoint holding exactly the given array tables; its
     seed record is the config's unless seed is given."""
@@ -836,7 +853,7 @@ class TestCheckpointLayout:
         assert all_array_names(loaded.params) == names
         assert "proj_frame" in names
         for name in names:
-            assert np.array_equal(get_param(loaded.params, name), get_param(state.params, name)), name
+            assert np.array_equal(getattr(loaded.params, name), getattr(state.params, name)), name
         assert loaded.optimizer.names == trainable_names(state.params, config.mode)
         (first, second), (loaded_first, loaded_second) = (moments(s.params, s.optimizer) for s in (state, loaded))
         for name, moment in first.items():
@@ -844,19 +861,6 @@ class TestCheckpointLayout:
             assert np.array_equal(loaded_second[name], second[name])
         save_checkpoint(tmp_path / "again.tmck", loaded, config)
         assert (tmp_path / "again.tmck").read_bytes() == path.read_bytes()
-
-    @pytest.fixture
-    def tables(self):
-        """The parameter and optimizer tables of a trained linear model."""
-        text, videos = tiny_data()
-        config = tiny_config()
-        state = train(text, videos, config, stop_after_epochs=1).state
-        arrays = {name: get_param(state.params, name) for name in all_array_names(state.params)}
-        first, second = moments(state.params, state.optimizer)
-        opt = {f"m.{n}": m for n, m in first.items()}
-        opt.update({f"v.{n}": v for n, v in second.items()})
-        opt["step"] = np.float64(state.optimizer.step)
-        return arrays, opt, config, state.global_step
 
     def test_untouched_tables_load(self, tmp_path, tables):
         write_raw_checkpoint(tmp_path / "ok.tmck", *tables)
@@ -1019,7 +1023,7 @@ class TestSpecEdgeCases:
         config = tiny_config(epochs=0)
         result = train(text, videos, config)
         assert result.step_losses == [] and result.epoch_means == []
-        assert result.state.global_step == 0
+        assert result.state.optimizer.step == 0
         fresh = init_model_from_config(config)
         names = trainable_names(fresh, config.mode)
         assert np.array_equal(
@@ -1040,14 +1044,14 @@ class TestSpecEdgeCases:
             grads = {n: rng.standard_normal(m.size).reshape(m.shape) for n, m in moments(params, state)[0].items()}
             adamw_step(params, grads, state, lrs, 0.1)
             arrays = all_array_names(params)
-            before = {n: get_param(params, n).copy() for n in arrays}
+            before = {n: getattr(params, n).copy() for n in arrays}
             saved_moments = [{n: m.copy() for n, m in table.items()} for table in moments(params, state)]
             grads[name].flat[entry] = bad
             with pytest.raises(TrainingDivergence, match=f"^non-finite gradient for '{name}' at optimizer step 2$"):
                 adamw_step(params, grads, state, lrs, 0.1)
             assert state.step == 1
             for n in arrays:
-                assert np.array_equal(get_param(params, n), before[n]), n
+                assert np.array_equal(getattr(params, n), before[n]), n
             for table, saved in zip(moments(params, state), saved_moments):
                 assert list(table) == list(saved)
                 for n, m in saved.items():

@@ -13,10 +13,15 @@ operations at the same seed. A round times, on each side:
 - det, m20: one deterministic and one best-of-20 `retrieve` pass
 - gradcheck: one cycle of criterion 1's 22 gradient checks
 
-alternating which side runs first from round to round. The report gives,
-per operation, both sides' median seconds, the parent-over-change ratio
-(above 1 means the change is faster), the rounds each side was faster in,
-and whether both sides gave the same output (the worker's digest).
+alternating which side runs first from round to round. The tree loaded
+first can run faster or slower than the other by a few per cent on the same
+code, so half the rounds run with the parent tree loaded first and half,
+after both trees are loaded again, with the change tree loaded first; each
+half starts with a warm-up round that is not counted. The report gives,
+per operation, both sides' median seconds over all rounds, the
+parent-over-change ratio (above 1 means the change is faster) over all
+rounds and over each half, the rounds each side was faster in, and whether
+both sides gave the same output (the worker's digest).
 
 Separate processes read differences of a few per cent as noise: code layout
 and interpreter start move whole runs. Interleaving in one process times
@@ -91,7 +96,8 @@ def operations(side: Side, workload: str) -> list[tuple[str, list[int]]]:
 
 
 def measure(sides: list[Side], workloads: tuple[str, ...], rounds: int) -> dict:
-    """label -> (per-side lists of seconds, whether every output matched)."""
+    """label -> (per-side lists of seconds, whether every output matched);
+    sides is [parent, change], in either load order."""
     times, same = {}, {}
     for r in range(-1, rounds):  # round -1 warms both sides up and is not counted
         order = sides if r % 2 == 0 else sides[::-1]
@@ -107,21 +113,49 @@ def measure(sides: list[Side], workloads: tuple[str, ...], rounds: int) -> dict:
     return {label: (times[label], same[label]) for label in times}
 
 
-def report(results: dict, parent: Path, change: Path, rounds: int) -> str:
+# the load orders of the two halves: which tree's textmass is imported first
+ORDERS = (("parent", "change"), ("change", "parent"))
+
+
+def measure_both_orders(trees: dict, workloads: tuple[str, ...], rounds: int, workdir: Path) -> list[dict]:
+    """measure's results for each load order of ORDERS, the first half
+    taking the odd round; a half of no rounds gives {}."""
+    halves = []
+    for names, count in zip(ORDERS, ((rounds + 1) // 2, rounds // 2)):
+        if count == 0:
+            halves.append({})
+            continue
+        folder = workdir / f"{names[0]}-first"
+        folder.mkdir()
+        sides = {name: Side(name, trees[name], workloads, folder) for name in names}
+        halves.append(measure([sides["parent"], sides["change"]], workloads, count))
+    return halves
+
+
+def _ratio(times: dict) -> str:
+    return f"{statistics.median(times['parent']) / statistics.median(times['change']):.3f}"
+
+
+def report(halves: list[dict], parent: Path, change: Path, rounds: int) -> str:
     lines = [
         f"in-process interleaved A/B, {rounds} rounds, one BLAS thread, wall-clock",
         f"parent: {parent}",
         f"change: {change}",
-        f"{'operation':10s} {'parent_s':>10s} {'change_s':>10s} {'parent/change':>14s} "
-        f"{'parent_wins':>12s} {'change_wins':>12s} {'same_output':>12s}",
+        f"parent_first, change_first: parent/change over the {(rounds + 1) // 2} and {rounds // 2} rounds "
+        "with that tree loaded first",
+        f"{'operation':10s} {'parent_s':>10s} {'change_s':>10s} {'parent/change':>14s} {'parent_first':>13s} "
+        f"{'change_first':>13s} {'parent_wins':>12s} {'change_wins':>12s} {'same_output':>12s}",
     ]
-    for label, (times, same) in results.items():
-        a, b = times["parent"], times["change"]
+    for label in halves[0]:
+        parts = [half.get(label) for half in halves]
+        a, b = ([t for times, _ in filter(None, parts) for t in times[side]] for side in ("parent", "change"))
         med_a, med_b = statistics.median(a), statistics.median(b)
         wins_a = sum(x < y for x, y in zip(a, b))
         wins_b = sum(y < x for x, y in zip(a, b))
-        lines.append(f"{label:10s} {med_a:10.4f} {med_b:10.4f} {med_a / med_b:14.3f} "
-                     f"{wins_a:12d} {wins_b:12d} {'yes' if same else 'no':>12s}")
+        same = all(matched for _, matched in filter(None, parts))
+        by_order = ["-" if part is None else _ratio(part[0]) for part in parts]
+        lines.append(f"{label:10s} {med_a:10.4f} {med_b:10.4f} {med_a / med_b:14.3f} {by_order[0]:>13s} "
+                     f"{by_order[1]:>13s} {wins_a:12d} {wins_b:12d} {'yes' if same else 'no':>12s}")
     return "\n".join(lines)
 
 
@@ -140,10 +174,9 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [Side(name, src, workloads, Path(tmp))
-                 for name, src in (("parent", args.parent), ("change", args.change))]
-        results = measure(sides, workloads, args.rounds)
-    print(report(results, args.parent, args.change, args.rounds))
+        halves = measure_both_orders({"parent": args.parent, "change": args.change}, workloads, args.rounds,
+                                     Path(tmp))
+    print(report(halves, args.parent, args.change, args.rounds))
     return 0
 
 
