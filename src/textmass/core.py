@@ -7,7 +7,7 @@ passes. The one file writer, :func:`atomic_write`, is shared by every
 artifact the package writes.
 
 All accumulation is double precision. Randomness flows through :class:`SeededRng`,
-which couples a 64-bit seed with a 64-bit stream id; distinct stream ids give
+seeded from a 64-bit seed and a 64-bit stream id; distinct stream ids give
 independent substreams and identical (seed, stream) pairs replay bit-exactly.
 :func:`stream_uniforms` draws the uniforms of a whole run of substreams without
 building their generators: it derives their PCG64 states in uint64 arrays and
@@ -120,7 +120,8 @@ def _fold_part(h, p):
 class SeededRng:
     """Seeded random source with independent, replayable substreams.
 
-    A (seed, stream) pair fully determines the sample sequence. Gaussian
+    A (seed, stream) pair fully determines the sample sequence; only the
+    PCG64 state it seeds is kept, not the pair itself. Gaussian
     variates are produced by :func:`box_muller` on the underlying uniform
     stream (interleaved r cos a, r sin a halves), so that a draw of n values
     is always a prefix of a longer draw from the same state. Each call to
@@ -128,10 +129,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _U64
-        self.stream = int(stream) & _U64
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream]))
+            np.random.PCG64(np.random.SeedSequence([int(seed) & _U64, int(stream) & _U64]))
         )
 
     def uniform(self, n: int) -> np.ndarray:
@@ -328,18 +327,16 @@ def _check_pcg64_layout() -> None:
         )
 
 
-def _stream_states(seed: int, parts: tuple[int, ...], ids: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(streams, states): the u64 ids stream_key(*parts, *index) of every
-    index, in C order, of the broadcast of the integer arrays ids, and their
-    PCG64 state words from one _pcg64_states pass. The first call checks
-    the struct layout that the words are written through
-    (_check_pcg64_layout)."""
+def _stream_states(seed: int, parts: tuple[int, ...], ids: tuple) -> np.ndarray:
+    """The PCG64 state words, from one _pcg64_states pass, of the streams
+    stream_key(*parts, *index) of every index, in C order, of the broadcast
+    of the integer arrays ids. The first call checks the struct layout that
+    the words are written through (_check_pcg64_layout)."""
     _check_pcg64_layout()
     streams = stream_key(*parts)
     for part in ids:
         streams = _fold_part(streams, np.asarray(part, dtype=np.uint64))
-    streams = np.ravel(streams)
-    return streams, _pcg64_states(int(seed) & _U64, streams)
+    return _pcg64_states(int(seed) & _U64, np.ravel(streams))
 
 
 def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarray):
@@ -349,7 +346,7 @@ def stream_uniforms(seed: int, parts: tuple[int, ...], ids: tuple, out: np.ndarr
     broadcast of the integer arrays ids. All states are derived in one pass
     (_stream_states); one generator draws every row, its state words
     assigned through a numpy view (_state_words)."""
-    _, states = _stream_states(seed, parts, ids)
+    states = _stream_states(seed, parts, ids)
     bitgen = np.random.PCG64(0)
     view, draw = _state_words(bitgen), np.random.Generator(bitgen).random
     for first in range(0, len(states), max(len(out), 1)):
@@ -365,14 +362,12 @@ def stream_rngs(seed: int, parts: tuple[int, ...], ids):
     SeededRng that draws, bit for bit, what substream(seed, *parts, id)
     draws. Every yield is the same generator, reseeded in place: use it up
     before taking the next. Its states come from one _stream_states pass
-    and are written through _state_words, so no SeedSequence is built per
-    id."""
-    streams, states = _stream_states(seed, parts, (ids,))
+    and are written through _state_words, so per id no SeedSequence is
+    built and nothing else is written."""
     rng = SeededRng(seed)
     view = _state_words(rng._gen.bit_generator)
-    for stream, words in zip(streams, states):
+    for words in _stream_states(seed, parts, (ids,)):
         view[...] = words
-        rng.stream = int(stream)
         yield rng
 
 

@@ -152,14 +152,12 @@ def generate(spec: SyntheticSpec) -> list[PairRecord]:
 
 @dataclass
 class CorpusArrays:
-    """Stacked per-split views over a record list."""
+    """Each split's texts and videos stacked, in record order."""
 
     train_text: np.ndarray
     train_videos: np.ndarray
     test_text: np.ndarray
     test_videos: np.ndarray
-    train_ids: list
-    test_ids: list
 
 
 def split_arrays(records: list[PairRecord]) -> CorpusArrays:
@@ -172,8 +170,6 @@ def split_arrays(records: list[PairRecord]) -> CorpusArrays:
         train_videos=np.stack([r.video for r in train]),
         test_text=np.stack([r.text for r in test]),
         test_videos=np.stack([r.video for r in test]),
-        train_ids=[r.pair_id for r in train],
-        test_ids=[r.pair_id for r in test],
     )
 
 

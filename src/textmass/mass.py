@@ -4,10 +4,11 @@ A text embedding t is widened into a mass of valid representations
 t_s = t + R * eps, where eps is standard-normal noise and the radius vector R
 sets the per-coordinate scale. R is similarity-aware: it is derived from the
 cosine similarities between t and the candidate video's frame embeddings,
-through one of three variants (fixed mean, learnable scalar, linear map).
-Every variant is R = exp(S @ W) for the (T', d) map W of `radius_map`: the
-model's radius_weights, or 1/T' (fixed mean) or radius_theta/T' (scalar) in
-every entry. The support vector t_sup marks the point of the mass surface
+through one of three variants (fixed mean, learnable scalar, linear map);
+model.py names them and the arrays each holds. Every variant is
+R = exp(S @ W) for the (T', d) map W of `radius_map`: the model's
+radius_weights, or 1/T' (fixed mean) or radius_theta/T' (scalar) in every
+entry. The support vector t_sup marks the point of the mass surface
 along the direction from t toward the fused video embedding; inference draws
 M samples per pair and keeps the one most similar to the video. Training and
 inference run the batched radius stage `radius_batch` and form every mass
@@ -18,7 +19,6 @@ sample and support row with `text_mass`; their per-vector oracles are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .core import (
     row_norms,
     row_sums,
 )
-
-if TYPE_CHECKING:  # model.py imports RADIUS_VARIANTS from here
-    from .model import ModelParameters
-
-RADIUS_VARIANTS = ("fixed-mean", "scalar", "linear")
+from .model import ModelParameters
+# unused here: held for perfbench/worker.py, which imports RADIUS_VARIANTS from mass
+from .model import RADIUS_VARIANTS  # noqa: F401
 
 # Distance below which v and t are treated as coincident (no support direction).
 DEGENERATE_DISTANCE = 1e-9

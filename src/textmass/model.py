@@ -2,14 +2,15 @@
 
 ModelParameters holds every parameter array as a field named by its
 checkpoint name, beside the settings that fix which arrays exist and train.
-The PARAMETERS table gives each name its optimizer group and, for a radius
-array, the one variant that holds it; its order is the canonical order of
-the optimizer, gradient containers, flat vectors, finite-difference
-checks, and checkpoint serialization. Two parameter groups exist:
-"backbone-adapter" (the encoder adapters, trained at the lower rate) and
-"head" (fusion, radius, logit scale); the frozen projections belong to
-neither. A model's arrays are views of its one buffer, which AdamW steps:
-code reads an array as its field and writes one through restore_param.
+RADIUS_VARIANTS names the radius module's variants, and the PARAMETERS
+table gives each name its optimizer group and, for a radius array, the one
+variant that holds it; its order is the canonical order of the optimizer,
+gradient containers, flat vectors, finite-difference checks, and checkpoint
+serialization. Two parameter groups exist: "backbone-adapter" (the encoder
+adapters, trained at the lower rate) and "head" (fusion, radius, logit
+scale); the frozen projections belong to neither. A model's arrays are
+views of its one buffer, which AdamW steps: code reads an array as its
+field and writes one through restore_param.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ContractViolation, substream
-from .mass import RADIUS_VARIANTS
 
 MODES = ("t-mass", "baseline", "ablation-ce-plus-s")
+RADIUS_VARIANTS = ("fixed-mean", "scalar", "linear")
 
 LOG_LAMBDA_INIT = float(np.log(1.0 / 0.07))
 LAMBDA_MAX = 100.0
@@ -35,12 +36,12 @@ _STREAM_INIT_ENCODERS = 101
 @dataclass
 class ModelParameters:
     """Every array under its PARAMETERS name: frozen (d, c) projections,
-    (d, d) adapters and fusion maps, the scalar variant's theta, the linear
-    variant's (T', d) weights (None for the others) and the logit scale's
-    log; then the settings that fix which of them exist and train. The
-    arrays of all_array_names are packed, in order, into one float64 (or
-    wider) buffer, `flat`, and each field is bound to its view, a scalar to
-    a 0-d one; `spans` maps each name to its slice of flat."""
+    (d, d) adapters and fusion maps, the scalar variant's theta and the
+    linear variant's (T', d) weights (each None in the other variants) and
+    the logit scale's log; then the settings that fix which of them exist
+    and train. The arrays of all_array_names are packed, in order, into one
+    float64 (or wider) buffer, `flat`, and each field is bound to its view,
+    a scalar to a 0-d one; `spans` maps each name to its slice of flat."""
 
     proj_text: np.ndarray
     proj_frame: np.ndarray
@@ -50,7 +51,7 @@ class ModelParameters:
     fusion_key: np.ndarray
     fusion_value: np.ndarray
     fusion_out: np.ndarray
-    radius_theta: float | np.ndarray
+    radius_theta: float | np.ndarray | None
     radius_weights: np.ndarray | None
     log_lambda: float | np.ndarray
     radius_variant: str
@@ -64,6 +65,8 @@ class ModelParameters:
             raise ContractViolation(f"unknown radius variant {self.radius_variant!r}")
         if self.radius_variant == "linear" and self.radius_weights is None:
             raise ContractViolation("linear radius variant requires a weight matrix")
+        if self.radius_variant == "scalar" and self.radius_theta is None:
+            raise ContractViolation("scalar radius variant requires a theta")
         values = [np.asarray(getattr(self, name)) for name in all_array_names(self)]
         bounds = np.cumsum([0] + [value.size for value in values]).tolist()
         self.spans = dict(zip(all_array_names(self), map(slice, bounds, bounds[1:])))
@@ -111,7 +114,7 @@ def init_model(
         proj_text=proj_text,
         proj_frame=proj_frame,
         **{name: np.eye(d) for name in maps},
-        radius_theta=0.0,
+        radius_theta=0.0 if radius_variant == "scalar" else None,
         radius_weights=np.zeros((frame_count, d)) if radius_variant == "linear" else None,
         log_lambda=LOG_LAMBDA_INIT,
         radius_variant=radius_variant,
@@ -170,7 +173,11 @@ def trainable_names(params: ModelParameters, mode: str = "t-mass") -> list[str]:
 
 def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None:
     """Write an array of params' shape, frozen or not, into its view of
-    params.flat: for checkpoint loading and a config's theta_init."""
+    params.flat: for checkpoint loading and a config's theta_init. A name
+    outside params.spans, such as a radius array of another variant, is
+    refused."""
+    if name not in params.spans:
+        raise ContractViolation(f"a {params.radius_variant} model holds no array {name!r}")
     target = getattr(params, name)
     if np.shape(value) != np.shape(target):
         raise ContractViolation(f"shape mismatch assigning {name!r}")

@@ -22,10 +22,10 @@ import numpy as np
 
 from .core import (ContractViolation, FormatError, atomic_write, check_field_types, check_seed, stream_rngs,
                    substream)
-from .mass import RADIUS_VARIANTS
 from .model import (
     MODES,
     PARAMETERS,
+    RADIUS_VARIANTS,
     ModelParameters,
     all_array_names,
     init_model,
@@ -195,19 +195,19 @@ def init_model_from_config(config: TrainingConfig) -> ModelParameters:
 # learning-rate schedule and AdamW
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float) -> float:
-    """Linear warmup to base_lr, then cosine decay reaching zero at
-    total_steps."""
+def lr_at(step: int, total_steps: int, warmup_fraction: float) -> float:
+    """The factor each group's base rate is scaled by at step: a linear
+    warmup from 0 to 1, then a cosine decay reaching 0 at total_steps."""
     if total_steps < 1:
         raise ContractViolation("schedule needs at least one step")
     if not 0 <= step <= total_steps:
         raise ContractViolation("step outside the schedule range")
     warmup_steps = int(warmup_fraction * total_steps)
     if step < warmup_steps:
-        return base_lr * step / warmup_steps
+        return step / warmup_steps
     span = max(1, total_steps - warmup_steps)
     progress = (step - warmup_steps) / span
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
+    return 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
 @dataclass
@@ -366,7 +366,7 @@ def train(
                     f"non-finite loss at step {state.optimizer.step}: {breakdown}"
                 )
             grads = backward_batch(cache)
-            scale = lr_at(state.optimizer.step, total_steps, 1.0, config.warmup_fraction)
+            scale = lr_at(state.optimizer.step, total_steps, config.warmup_fraction)
             lrs = {group: base * scale for group, base in lr_pairs.items()}
             adamw_step(state.params, grads, state.optimizer, lrs, config.weight_decay)
             step_losses.append(breakdown)

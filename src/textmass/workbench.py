@@ -165,9 +165,14 @@ def _pool_metrics(sims: np.ndarray) -> tuple[RetrievalMetrics, RetrievalMetrics]
     return t2v, video_to_text_metrics(sims, relevant)
 
 
-def _median_metrics(cells: list[RetrievalMetrics]) -> RetrievalMetrics:
-    medians = {name: float(np.median([getattr(m, name) for m in cells])) for name in _SCORES}
-    return RetrievalMetrics(direction="text-to-video", **medians)
+def _grid_table(cells: dict[str, list[RetrievalMetrics]], seeds) -> list[tuple[str, str, RetrievalMetrics]]:
+    """A grid runner's rows from each label's metrics, one per seed: every
+    label's seed rows in order, then one median row per label."""
+    rows = [(label, str(seed), m) for label, column in cells.items() for seed, m in zip(seeds, column)]
+    for label, column in cells.items():
+        medians = {name: float(np.median([getattr(m, name) for m in column])) for name in _SCORES}
+        rows.append((label, "median", RetrievalMetrics(direction="text-to-video", **medians)))
+    return rows
 
 
 def _sampling_for(run: RunConfig, mode: str) -> bool:
@@ -189,14 +194,13 @@ def ablation_matrix(
     """Train and evaluate one configuration per grid cell per seed; returns
     seed rows in grid order followed by per-configuration median rows."""
     base = run.training_config()
-    rows = []
-    medians = []
+    cells = {}
     for label, overrides in grid:
         merged = dict(overrides)
         if "mode" not in merged:
             # radius cells compare variants under the stochastic objective
             merged["mode"] = run.mode if run.mode != "baseline" else "t-mass"
-        cells = []
+        cells[label] = []
         for seed in run.seeds:
             tc = dataclasses.replace(base, seed=seed, **merged)
             params = train(corpus.train_text, corpus.train_videos, tc).state.params
@@ -211,10 +215,8 @@ def ablation_matrix(
                 )
             else:
                 log.note(f"{label} seed {seed}: mode={tc.mode} r1={t2v.r1:.2f} {sampling}")
-            rows.append((label, str(seed), t2v))
-            cells.append(t2v)
-        medians.append((label, "median", _median_metrics(cells)))
-    return rows + medians
+            cells[label].append(t2v)
+    return _grid_table(cells, run.seeds)
 
 
 RADIUS_GRID = (
@@ -258,11 +260,7 @@ def trials_sweep(
             t2v, _ = _pool_metrics(nested[m])
             by_label[f"trials-{m}"].append(t2v)
         log.note(f"seed {seed}: evaluated trial grid off,{','.join(map(str, TRIALS_GRID))}")
-    rows = []
-    for label in labels:
-        for seed, m in zip(run.seeds, by_label[label]):
-            rows.append((label, str(seed), m))
-    return rows + [(label, "median", _median_metrics(by_label[label])) for label in labels]
+    return _grid_table(by_label, run.seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ class TestGenerate:
         arrays = split_arrays(records)
         assert arrays.train_text.shape[0] == 512
         assert arrays.test_text.shape[0] == 128
-        assert arrays.test_ids == list(range(512, 640))
+        # the test rows are records 512-639, in order
+        assert np.array_equal(arrays.test_text, np.stack([r.text for r in records[512:]]))
+        assert np.array_equal(arrays.test_videos, np.stack([r.video for r in records[512:]]))
 
     def test_text_is_masked_latent(self):
         spec = SyntheticSpec(

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from textmass.core import ContractViolation
-from textmass.mass import RADIUS_VARIANTS
 from textmass.model import (
     MODES,
     PARAMETERS,
+    RADIUS_VARIANTS,
     ModelParameters,
     all_array_names,
     init_model,
@@ -88,9 +88,22 @@ def test_unknown_mode_and_name_are_refused():
     params = make_model()
     with pytest.raises(ContractViolation, match="unknown training mode"):
         trainable_names(params, "t-mas")
-    # an unknown array name is no model field
-    with pytest.raises(AttributeError, match="'radius'"):
+    with pytest.raises(ContractViolation, match="^a linear model holds no array 'radius'$"):
         restore_param(params, "radius", 0.0)
+
+
+@pytest.mark.parametrize(
+    "variant, name",
+    [("linear", "radius_theta"), ("fixed-mean", "radius_theta"),
+     ("scalar", "radius_weights"), ("fixed-mean", "radius_weights")],
+)
+def test_restore_param_refuses_a_radius_array_the_variant_does_not_hold(variant, name):
+    params = make_model(variant)
+    before = params.flat.copy()
+    with pytest.raises(ContractViolation, match=f"^a {variant} model holds no array '{name}'$"):
+        restore_param(params, name, np.zeros(np.shape(getattr(params, name))))
+    assert params.flat.tobytes() == before.tobytes()
+    assert getattr(params, name) is None
 
 
 def test_groups_follow_the_table():
@@ -176,3 +189,10 @@ def test_a_linear_model_without_radius_weights_is_refused():
     fields = {f.name: getattr(scalar, f.name) for f in dataclasses.fields(ModelParameters)}
     with pytest.raises(ContractViolation, match="^linear radius variant requires a weight matrix$"):
         ModelParameters(**{**fields, "radius_variant": "linear"})
+
+
+def test_a_scalar_model_without_radius_theta_is_refused():
+    linear = make_model("linear")
+    assert linear.radius_theta is None
+    with pytest.raises(ContractViolation, match="^scalar radius variant requires a theta$"):
+        dataclasses.replace(linear, radius_variant="scalar", radius_weights=None)

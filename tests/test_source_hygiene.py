@@ -1,8 +1,10 @@
 """Source hygiene: no import in src/textmass or tests goes unused, no
 top-level function, class or ALL_CAPS constant of src/textmass goes
 unreferenced, the batched stages sum and dot along the last axis through
-`core.row_sums` alone, and no test rebinds a model's parameter field. No
-linter ships with the project, so the checks read the modules with `ast`."""
+`core.row_sums` alone, no test rebinds a model's parameter field, and the
+modules import each other in layers: none hides a cycle behind
+TYPE_CHECKING, and model.py imports from core alone. No linter ships with
+the project, so the checks read the modules with `ast`."""
 
 import ast
 import re
@@ -253,3 +255,60 @@ def test_the_rebinding_check_catches_what_it_looks_for(tmp_path):
         "sample_test.py:3: params.fusion_out", "sample_test.py:4: params.log_lambda",
         "sample_test.py:5: setattr", "sample_test.py:6: params.adapter_text",
     ]
+
+
+def layering_faults(path: Path) -> list[str]:
+    """`line: what` of each TYPE_CHECKING import or test, which hides an
+    import cycle from the interpreter, and, in a module named model.py,
+    of each import of a textmass module other than core: the model table
+    sits below every stage that reads it."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        # an imported name, a bare name or an attribute
+        named = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+        if named == "TYPE_CHECKING":
+            found.append((node.lineno, "TYPE_CHECKING"))
+        if path.name != "model.py":
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if (node.level or module.startswith("textmass")) and module not in (".core", "textmass.core"):
+                found.append((node.lineno, f"from {module} import"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.startswith("textmass") and a.name != "textmass.core"]
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_modules_import_in_layers(path):
+    assert layering_faults(path) == []
+
+
+def test_the_layering_check_catches_what_it_looks_for(tmp_path):
+    module = tmp_path / "model.py"
+    module.write_text(
+        "import typing\n"
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "import textmass.mass\n"
+        "from .core import substream\n"
+        "from textmass.core import stream_key\n"
+        "from .mass import RADIUS_VARIANTS\n"
+        "from . import dataset\n"
+        "from textmass.trainer import train\n"
+        "if TYPE_CHECKING:\n"
+        "    pass\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert layering_faults(module) == [
+        "model.py:2: TYPE_CHECKING", "model.py:4: import textmass.mass", "model.py:7: from .mass import",
+        "model.py:8: from . import", "model.py:9: from textmass.trainer import",
+        "model.py:10: TYPE_CHECKING", "model.py:12: TYPE_CHECKING",
+    ]
+    stage = tmp_path / "stage.py"
+    stage.write_text(module.read_text(encoding="utf-8"), encoding="utf-8")
+    assert layering_faults(stage) == ["stage.py:2: TYPE_CHECKING", "stage.py:10: TYPE_CHECKING",
+                                      "stage.py:12: TYPE_CHECKING"]

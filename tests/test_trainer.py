@@ -76,28 +76,28 @@ def tiny_data(pairs=12, c=6, t_raw=5, seed=40):
 
 class TestSchedule:
     def test_warmup_is_linear_from_zero(self):
-        assert lr_at(0, 100, 2.0, 0.1) == 0.0
-        assert abs(lr_at(5, 100, 2.0, 0.1) - 1.0) <= 1e-12
-        assert abs(lr_at(10, 100, 2.0, 0.1) - 2.0) <= 1e-12
+        assert 2.0 * lr_at(0, 100, 0.1) == 0.0
+        assert abs(2.0 * lr_at(5, 100, 0.1) - 1.0) <= 1e-12
+        assert abs(2.0 * lr_at(10, 100, 0.1) - 2.0) <= 1e-12
 
     def test_cosine_decay_midpoint_and_tail(self):
         # past warmup (10 steps) the rate follows 0.5 * (1 + cos(pi * p))
-        assert abs(lr_at(55, 100, 2.0, 0.1) - 1.0) <= 1e-12
-        assert lr_at(99, 100, 2.0, 0.1) < lr_at(60, 100, 2.0, 0.1) < lr_at(11, 100, 2.0, 0.1)
+        assert abs(2.0 * lr_at(55, 100, 0.1) - 1.0) <= 1e-12
+        assert 2.0 * lr_at(99, 100, 0.1) < 2.0 * lr_at(60, 100, 0.1) < 2.0 * lr_at(11, 100, 0.1)
 
     def test_no_warmup(self):
-        assert lr_at(0, 10, 1.0, 0.0) == 1.0
+        assert lr_at(0, 10, 0.0) == 1.0
 
     def test_bounds(self):
         with pytest.raises(ContractViolation):
-            lr_at(11, 10, 1.0, 0.1)
+            lr_at(11, 10, 0.1)
         with pytest.raises(ContractViolation):
-            lr_at(-1, 10, 1.0, 0.1)
+            lr_at(-1, 10, 0.1)
         with pytest.raises(ContractViolation):
-            lr_at(0, 0, 1.0, 0.1)
+            lr_at(0, 0, 0.1)
 
     def test_monotone_decay_after_warmup(self):
-        values = [lr_at(s, 50, 1.0, 0.2) for s in range(10, 50)]
+        values = [lr_at(s, 50, 0.2) for s in range(10, 50)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -1016,7 +1016,7 @@ class TestCorruptCheckpoint:
 
 class TestSpecEdgeCases:
     def test_schedule_reaches_zero_at_total(self):
-        assert abs(lr_at(100, 100, 2.0, 0.1)) <= 1e-12
+        assert abs(2.0 * lr_at(100, 100, 0.1)) <= 1e-12
 
     def test_zero_epochs_returns_initial_state(self):
         text, videos = tiny_data()

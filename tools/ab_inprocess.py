@@ -25,8 +25,14 @@ both sides gave the same output (the worker's digest).
 
 Separate processes read differences of a few per cent as noise: code layout
 and interpreter start move whole runs. Interleaving in one process times
-both trees under the same machine state. BLAS and OpenMP run one thread, as
-in the benchmark. Timing is wall-clock on whatever machine runs it.
+both trees under the same machine state, but that does not make a gap of a
+few per cent a verdict: on a shared 2-core VM one 20-round run did not
+resolve a gradcheck gap under about 8 %, and its per-order ratios spread
+wider than that with the same tree on both sides, so agreeing parent_first
+and change_first columns are no verdict either. Run the parent against
+itself as a control (PARENT_SRC PARENT_SRC) and read a change's ratios
+against the control's spread. BLAS and OpenMP run one thread, as in the
+benchmark. Timing is wall-clock on whatever machine runs it.
 """
 
 from __future__ import annotations
