@@ -90,9 +90,10 @@ def check_seed(seed) -> None:
 
 
 def check_finite(name: str, values) -> None:
-    """Refuse, naming them, values that hold a NaN or an infinity."""
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
+    """Refuse, naming them, values that hold a NaN or an infinity; the
+    count is taken only on failure."""
+    if not np.isfinite(values).all():
+        bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ContractViolation(f"{name}: {bad} of {np.size(values)} values are non-finite")
 
 
@@ -142,7 +143,8 @@ class SeededRng:
         n = int(n)
         if n < 1:
             raise ContractViolation(f"sample count must be >= 1, got {n}")
-        return box_muller(self._gen.random(2 * ((n + 1) // 2)))[:n]
+        u = self._gen.random(2 * ((n + 1) // 2))
+        return box_muller(u, out=u)[:n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n uniforms."""

@@ -93,7 +93,8 @@ def encode_batch(x: np.ndarray, model: ModelParameters, tower: str) -> Encoded:
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation(f"{tower} embedding collapsed to zero norm")
-    return Encoded(projected, norms, pre / norms[..., None])
+    # the adapter's product is this call's own, so it is normalised in place
+    return Encoded(projected, norms, np.divide(pre, norms[..., None], out=None if pre is projected else pre))
 
 
 def encode_video_batch(videos: np.ndarray, model: ModelParameters) -> Encoded:
@@ -111,8 +112,12 @@ def project(x: np.ndarray, model: ModelParameters, name: str) -> np.ndarray:
 def _pooled(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """pooled[i, j] = weights[i, j] @ values[j] for weights (m, n, T') and
     values (n, T', d), either with an optional copy axis: one product per
-    video j (and per copy)."""
-    return np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2))
+    video j (and per copy), each written through `out=` straight into its
+    rows of the C-contiguous (m, n, d) result."""
+    m, n = weights.shape[-3:-1]
+    out = np.empty(np.broadcast_shapes(weights.shape[:-3], values.shape[:-3]) + (m, n, values.shape[-1]))
+    np.matmul(weights.swapaxes(-3, -2), values, out=out.swapaxes(-3, -2))
+    return out
 
 
 @dataclass
@@ -132,9 +137,13 @@ def attend(texts: np.ndarray, keys: np.ndarray, model: ModelParameters) -> Atten
     queries = _product(texts, model.fusion_query, model.copies is not None and texts.ndim == 3)
     flat = keys.reshape(keys.shape[:-3] + (n * frames, d))
     logits = _product(queries, flat, model.copies is not None and queries.ndim == 3)
-    logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
-    shifted = np.exp(logits - row_max(logits)[..., None])
-    return Attention(queries, shifted / row_sums(shifted)[..., None])
+    # the softmax runs in place on the fresh logits
+    logits = logits.reshape(logits.shape[:-1] + (n, frames))
+    logits /= np.sqrt(d)
+    logits -= row_max(logits)[..., None]
+    np.exp(logits, out=logits)
+    logits /= row_sums(logits)[..., None]
+    return Attention(queries, logits)
 
 
 @dataclass
@@ -160,4 +169,5 @@ def fuse_output(weights: np.ndarray, mask: np.ndarray | None, outputs: np.ndarra
     norms = row_norms(pre)
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ContractViolation("fused video embedding collapsed to zero norm")
-    return Fused(mask, norms, pre / norms[..., None])
+    pre /= norms[..., None]
+    return Fused(mask, norms, pre)

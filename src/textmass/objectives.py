@@ -76,6 +76,13 @@ class PairBatch:
     def size(self) -> int:
         return self.text.shape[0]
 
+    def rows(self, idx: np.ndarray) -> PairBatch:
+        """The pairs at idx, as a batch of these already-checked values:
+        nothing is converted or scanned again."""
+        batch = object.__new__(PairBatch)
+        batch.text, batch.videos = self.text[idx], self.videos[idx]
+        return batch
+
 
 @dataclass
 class LossBreakdown:
@@ -181,15 +188,16 @@ def _ce_backward(sims, lam: float, p_sum, norms, upstream: np.ndarray, keep: np.
 
 
 def _cos_grid_backward(lead, rows, stack, sims, norms):
-    """Backward of `mass.cos_grid` from lead (S, m, n), the cosine gradient
-    already divided by each row's norm; returns d_rows (S, m, d) and
-    d_stack (m, n, d) summed over the samples. The stack is unit length, so
-    d_stack leaves out the radial part that its normalisation's backward
-    projects out anyway."""
-    d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
+    """Backward of `mass.cos_grid` to its rows from lead (S, m, n), the
+    cosine gradient already divided by each row's norm: d_rows (S, m, d),
+    C-contiguous, each row i's (S, d) block written by its product's out=.
+    The stack's gradient, summed over the samples, is lead^T @ rows per row
+    i; the caller forms it, leaving out the radial part that the unit
+    stack's normalisation backward projects out anyway."""
+    d_rows = np.empty(rows.shape)
+    np.matmul(lead.transpose(1, 0, 2), stack, out=d_rows.transpose(1, 0, 2))
     d_rows -= rows * (row_sums(lead, sims) / norms)[..., None]
-    d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
-    return d_rows, d_stack
+    return d_rows
 
 
 @dataclass
@@ -207,9 +215,11 @@ class CETerm:
 
 
 def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
-    """Backward of x -> x / ||x|| along the last axis, given the unit output."""
-    inner = row_sums(unit, d_unit)[..., None]
-    return (d_unit - unit * inner) / norms[..., None]
+    """Backward of x -> x / ||x|| along the last axis, given the unit
+    output; it is written over d_unit, which it returns."""
+    d_unit -= unit * row_sums(unit, d_unit)[..., None]
+    d_unit /= norms[..., None]
+    return d_unit
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +419,9 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         weights += [w_s / samples] * samples + [w_sup]
     ce = tape.ce
     lead, d_lam = _ce_backward(ce.sims, lam, ce.p_sum, ce.row_norms, np.array(weights), ce.keep)
-    d_rows, d_fused = _cos_grid_backward(lead, ce.rows, fused, ce.sims, ce.row_norms)
+    d_rows = _cos_grid_backward(lead, ce.rows, fused, ce.sims, ce.row_norms)
+    # the fused grid's gradient, summed over the stack: lead^T @ rows per text i
+    d_fused = np.matmul(lead.transpose(1, 2, 0), ce.rows.transpose(1, 0, 2))
     # every row of the stack is t plus a shift
     d_text = d_rows.sum(axis=0)
 
@@ -430,10 +442,10 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         if "radius_theta" in names:
             grads["radius_theta"] = np.sum(d_map) / frames
         lead_f = (d_pre @ radius_map(params, frames).T) / (radii.text_norms + NORM_GUARD)[:, None]
-        d_rows, d_stack = _cos_grid_backward(lead_f[None], text_emb[None], frame_emb, radii.sims[None],
-                                             radii.text_norms[None])
-        d_text += d_rows[0]
-        d_frames += d_stack
+        d_text += _cos_grid_backward(lead_f[None], text_emb[None], frame_emb, radii.sims[None],
+                                     radii.text_norms[None])[0]
+        # one sample: the stack's gradient is each pair's outer product
+        d_frames += lead_f[:, :, None] * text_emb[:, None, :]
 
     # fusion grid backward: every contraction is a (batched) matmul, and fusion_out projected the values
     f, att = tape.fusion, tape.attention
@@ -442,15 +454,20 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
         d_pre_fused *= f.mask
     # per video j: d_w[:, j] = d_pre[:, j] @ outputs[j].T and d_outputs[j] = w[:, j].T @ d_pre[:, j]
     d_pre_j = d_pre_fused.transpose(1, 0, 2)
-    d_w = np.matmul(d_pre_j, tape.outputs.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_w = np.empty(att.weights.shape)
+    np.matmul(d_pre_j, tape.outputs.transpose(0, 2, 1), out=d_w.transpose(1, 0, 2))
     d_outputs = np.matmul(att.weights.transpose(1, 2, 0), d_pre_j).reshape(n * frames, d)
     grads["fusion_out"] = d_outputs.T @ tape.values.reshape(n * frames, d)
     d_v = d_outputs @ params.fusion_out
-    inner_w = row_sums(att.weights, d_w)[..., None]
-    d_logits = (att.weights * (d_w - inner_w)).reshape(n, n * frames)
+    # the softmax backward runs in place on d_w: d_logits = w * (d_w - <w, d_w>)
+    d_w -= row_sums(att.weights, d_w)[..., None]
+    d_w *= att.weights
+    d_logits = d_w.reshape(n, n * frames)
     scale = 1.0 / np.sqrt(d)
-    d_q = (d_logits @ tape.keys.reshape(n * frames, d)) * scale
-    d_k = (d_logits.T @ att.queries) * scale
+    d_q = d_logits @ tape.keys.reshape(n * frames, d)
+    d_q *= scale
+    d_k = d_logits.T @ att.queries
+    d_k *= scale
     grads["fusion_query"] = d_q.T @ text_emb
     d_text += d_q @ params.fusion_query
     frame_rows = frame_emb.reshape(n * frames, d)

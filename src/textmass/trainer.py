@@ -351,8 +351,7 @@ def train(
         dropout = stream_rngs(config.seed, (_STREAM_DROPOUT,), steps) if config.dropout_rate > 0.0 else None
         epoch_total = 0.0
         for b in range(per_epoch):
-            rows = order[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = PairBatch(text=pairs.text[rows], videos=pairs.videos[rows])
+            batch = pairs.rows(order[b * config.batch_size : (b + 1) * config.batch_size])
             eps = mask = None
             if noise is not None:
                 eps = draw_noise(next(noise), config.train_samples, batch.size, config.dim)

@@ -16,14 +16,21 @@ as arrays; and `unflatten_params` is the inverse of `model.flatten_params`.
 Python integers, the reference of `core._pcg64_srandom` and
 `core._pcg64_states`. The encoder, fusion and radius oracles take the model
 (`model.ModelParameters`) and read its arrays by their checkpoint names.
-Nothing in `textmass` imports them.
+The layout references (`cos_grid_strided`, `pooled_copied`,
+`cos_grid_backward_strided`, `normalize_backward_fresh`, `attend_fresh`,
+`fuse_output_fresh`) are the batched kernels as they were before each grid
+array was written once by its product's `out=`: the same products into
+matmul's own layout, then a copy or a strided read, and fresh arrays for
+every elementwise step; `tests/test_layouts.py` holds the kernels to their
+bits. Nothing in `textmass` imports them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng, substream
+from textmass.core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, SeededRng, row_max, row_norms,
+                           row_sums, substream)
 from textmass.dataset import (
     _STREAM_PAIR,
     _STREAM_POOL,
@@ -32,7 +39,7 @@ from textmass.dataset import (
     PairRecord,
     SyntheticSpec,
 )
-from textmass.encoders import ZERO_NORM_THRESHOLD, sample_frame_indices
+from textmass.encoders import ZERO_NORM_THRESHOLD, _product, sample_frame_indices
 from textmass.mass import DEGENERATE_DISTANCE
 from textmass.model import LAMBDA_MAX, ModelParameters, restore_param
 
@@ -221,6 +228,64 @@ def unflatten_params(params: ModelParameters, names: list[str], flat: np.ndarray
         pos += old.size
     if pos != flat.size:
         raise ContractViolation("flat parameter vector length mismatch")
+
+
+# ---------------------------------------------------------------------------
+# layout references
+
+
+def cos_grid_strided(rows: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`mass.cos_grid` with its dots in matmul's own (..., m, n, S) layout,
+    read through a transposed view by a fresh divide."""
+    lead = range(rows.ndim - 3)
+    dots = np.matmul(stack, rows.transpose(*lead, -2, -1, -3))
+    dots = dots.transpose(*range(dots.ndim - 3), -1, -3, -2)
+    norms = row_norms(rows)
+    return dots / (norms[..., None] + NORM_GUARD), norms
+
+
+def pooled_copied(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`encoders._pooled` as matmul's (..., n, m, d) result copied into the
+    (..., m, n, d) layout."""
+    return np.ascontiguousarray(np.matmul(weights.swapaxes(-3, -2), values).swapaxes(-3, -2))
+
+
+def cos_grid_backward_strided(lead, rows, stack, sims, norms) -> tuple[np.ndarray, np.ndarray]:
+    """`objectives._cos_grid_backward` with d_rows a transposed view of
+    matmul's (m, S, d) result, and the stack's gradient as one GEMM per row
+    (one-term products when S = 1)."""
+    d_rows = np.matmul(lead.transpose(1, 0, 2), stack).transpose(1, 0, 2)
+    d_rows -= rows * (row_sums(lead, sims) / norms)[..., None]
+    d_stack = np.matmul(lead.transpose(1, 2, 0), rows.transpose(1, 0, 2))
+    return d_rows, d_stack
+
+
+def normalize_backward_fresh(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
+    """`objectives._normalize_backward` into fresh arrays, d_unit unwritten."""
+    inner = row_sums(unit, d_unit)[..., None]
+    return (d_unit - unit * inner) / norms[..., None]
+
+
+def attend_fresh(texts: np.ndarray, keys: np.ndarray, model: ModelParameters) -> tuple[np.ndarray, np.ndarray]:
+    """`encoders.attend`'s (queries, weights), each softmax step into a
+    fresh array."""
+    n, frames, d = keys.shape[-3:]
+    queries = _product(texts, model.fusion_query, model.copies is not None and texts.ndim == 3)
+    flat = keys.reshape(keys.shape[:-3] + (n * frames, d))
+    logits = _product(queries, flat, model.copies is not None and queries.ndim == 3)
+    logits = logits.reshape(logits.shape[:-1] + (n, frames)) / np.sqrt(d)
+    shifted = np.exp(logits - row_max(logits)[..., None])
+    return queries, shifted / row_sums(shifted)[..., None]
+
+
+def fuse_output_fresh(weights: np.ndarray, mask: np.ndarray | None, outputs: np.ndarray):
+    """`encoders.fuse_output`'s (norms, fused) from `pooled_copied`, the
+    unit vectors a fresh divide."""
+    pre = pooled_copied(weights, outputs)
+    if mask is not None:
+        pre *= mask
+    norms = row_norms(pre)
+    return norms, pre / norms[..., None]
 
 
 # ---------------------------------------------------------------------------

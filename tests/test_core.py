@@ -10,6 +10,7 @@ from textmass.core import (
     OracleFailure,
     SeededRng,
     box_muller,
+    check_finite,
     finite_diff_gradient,
     grid_normals,
     row_max,
@@ -149,6 +150,12 @@ class TestSeededRng:
         keys = {stream_key(a, b) for a in range(20) for b in range(20)}
         assert len(keys) == 400
         assert stream_key(1, 2) != stream_key(2, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 64])
+    def test_standard_normal_is_box_muller_of_its_uniforms(self, n):
+        # Box-Muller runs in place on the fresh uniforms
+        want = box_muller(SeededRng(8, 4).uniform(2 * ((n + 1) // 2)))[:n]
+        assert SeededRng(8, 4).standard_normal(n).tobytes() == want.tobytes()
 
     def test_substream_helper(self):
         a = substream(11, 4, 5).standard_normal(8)
@@ -425,6 +432,20 @@ def _fd(f, x, h=1e-4):
 def _cubic(points):
     """sum_i c_i x_i^3 per point, c_i = i + 1."""
     return np.sum(np.arange(1, points.shape[1] + 1) * points**3, axis=1)
+
+
+class TestCheckFinite:
+    def test_finite_values_pass(self):
+        check_finite("scores", np.arange(12.0).reshape(3, 4))
+        check_finite("scale", 2.5)
+
+    @pytest.mark.parametrize("bad, count", [([np.nan], 1), ([np.inf], 1), ([-np.inf, np.nan], 2)],
+                             ids=["nan", "inf", "both"])
+    def test_the_message_counts_the_non_finite_values(self, bad, count):
+        values = np.ones((2, 5))
+        values.flat[[3, 8][: len(bad)]] = bad
+        with pytest.raises(ContractViolation, match=f"^scores: {count} of 10 values are non-finite$"):
+            check_finite("scores", values)
 
 
 class TestRowKernels:

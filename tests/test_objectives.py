@@ -335,6 +335,19 @@ class TestModeArithmetic:
         with pytest.raises(ContractViolation, match=f"^{where} features: 1 of"):
             PairBatch(text=text, videos=videos)
 
+    def test_rows_equal_a_freshly_checked_batch(self):
+        # the training loop's per-step batch: rows of a checked batch, not scanned again
+        batch = make_batch(7, 6, 5)
+        idx = np.array([4, 0, 6, 2])
+        rows = batch.rows(idx)
+        fresh = PairBatch(text=batch.text[idx], videos=batch.videos[idx])
+        assert type(rows) is PairBatch and rows.size == 4
+        for field in ("text", "videos"):
+            got, want = getattr(rows, field), getattr(fresh, field)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, getattr(batch, field))
+
     def test_unequal_counts_are_refused_with_both_counts(self):
         batch = make_batch(3, 6, 5)
         with pytest.raises(ContractViolation, match="^text and video counts disagree: 3 texts, 2 videos$"):

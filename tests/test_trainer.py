@@ -375,15 +375,19 @@ class TestTrainLoop:
          (12, 12, "video", "^video features: 1 of 360 values are non-finite$")],
         ids=["more-videos", "fewer-videos", "nan-text", "inf-frame"],
     )
-    def test_inputs_are_checked_up_front(self, texts, videos, plant, match):
+    def test_inputs_are_checked_up_front(self, monkeypatch, texts, videos, plant, match):
         text, frames = tiny_data(pairs=14)
         text, frames = text[:texts], frames[:videos]
         if plant == "text":
             text[5, 2] = np.nan
         if plant == "video":
             frames[3, 1, 4] = -np.inf
+        # refused before step 1: each step's batch is rows of these checked arrays
+        steps = []
+        monkeypatch.setattr(trainer, "forward_batch", lambda *args, **kwargs: steps.append(args))
         with pytest.raises(ContractViolation, match=match):
             train(text, frames, tiny_config())
+        assert steps == []
 
     # the encode stage refuses the first batch, before any parameter update
     @pytest.mark.parametrize("tower, text_width, frame_width", [("text", 5, 5), ("frame", 6, 7)])
