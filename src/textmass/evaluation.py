@@ -26,7 +26,7 @@ from .core import ContractViolation, atomic_write, check_finite, check_seed, gri
 from .encoders import attend, encode_batch, encode_video_batch, fuse_output, project
 from .mass import SamplingConfig, pool_similarities, radius_batch, text_mass
 from .model import ModelParameters
-# the per-pair reference that _score_query batches stays bound here, unused,
+# the per-pair reference that _best_of_prefixes batches stays bound here, unused,
 # because the traced benchmark (perfbench/worker.py) wraps it by name
 from .core import substream  # noqa: F401
 from .mass import select_best_sample  # noqa: F401
@@ -122,33 +122,6 @@ def _query_stages(pool: _Pool, params: ModelParameters, with_fused: bool, with_r
         yield from zip(blocks[:, 0], fused, radii)
 
 
-def _score_query(
-    t: np.ndarray,
-    fused: np.ndarray,
-    radius_grid: np.ndarray | None,
-    trials: int,
-    normals: np.ndarray | None,
-    query_id: int,
-) -> np.ndarray:
-    """Per-sample scores (C, M) of one query against all of its candidates.
-
-    Without a radius grid the pool is t alone and M is 1. With one,
-    candidate c's pool is text_mass(t, R_c, eps), formed in place in row c
-    of normals (C, M*d), drawn on substream (seed, _STREAM_EVAL, query_id, c).
-    A pair's best of its first m samples is the max of row prefix [:m].
-    Raises ContractViolation if a pair has a non-finite score.
-    """
-    if radius_grid is None:
-        scores = pool_similarities(t[None, None, :], fused)
-    else:
-        pool = normals.reshape(fused.shape[0], trials, fused.shape[1])
-        scores = pool_similarities(text_mass(t, radius_grid[:, None, :], pool, out=pool), fused)
-    bad = int(np.count_nonzero(~np.isfinite(scores).all(axis=-1)))
-    if bad:
-        raise ContractViolation(f"query {query_id}: {bad} of {scores.shape[0]} pair scores are non-finite")
-    return scores
-
-
 def _best_of_prefixes(
     texts: np.ndarray,
     videos: np.ndarray,
@@ -160,7 +133,11 @@ def _best_of_prefixes(
     """(Q, C) best-of-m matrix for every m in trial_counts, one query's row
     at a time over blocks of queries, from one pass at the largest m.
     Without sampling every pool is the text alone, so every matrix is the
-    deterministic one."""
+    deterministic one. With sampling, candidate c's pool is text_mass(t,
+    R_c, eps), formed in place in row c of the query's normals (C, M*d),
+    drawn on substream (seed, _STREAM_EVAL, query id, c); a pair's best of
+    its first m samples is the max of its row's prefix [:m]. Raises
+    ContractViolation if a pair has a non-finite score."""
     check_seed(seed)
     pool = _embed_pool(texts, videos, params)
     q_count, c_count = pool.blocks.shape[0], pool.frames.shape[0]
@@ -171,7 +148,14 @@ def _best_of_prefixes(
     mats = {m: np.empty((q_count, c_count)) for m in trial_counts}
     stages = _query_stages(pool, params, True, use_sampling)
     for q, ((t, fused, radius_grid), normals) in enumerate(zip(stages, draws)):
-        scores = _score_query(t, fused, radius_grid, trials, normals, q)
+        samples = t[None, None, :]
+        if use_sampling:
+            samples = normals.reshape(c_count, trials, params.dim)
+            text_mass(t, radius_grid[:, None, :], samples, out=samples)
+        scores = pool_similarities(samples, fused)
+        bad = int(np.count_nonzero(~np.isfinite(scores).all(axis=-1)))
+        if bad:
+            raise ContractViolation(f"query {q}: {bad} of {c_count} pair scores are non-finite")
         for m, sims in mats.items():
             sims[q] = scores[:, :m].max(axis=-1)
     return mats

@@ -60,15 +60,12 @@ def cos_grid(rows: np.ndarray, stack: np.ndarray):
     clamped; callers stay inside (-1, 1) up to roundoff. Either side may
     lead with a copy axis, which the results then lead with too.
     """
-    # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample,
-    # written through out= as the (n, S) transpose of its block of the
-    # C-contiguous (S, m, n) result, so BLAS forms C^T = B^T A^T
+    # (m, n, d) @ (m, d, S): one BLAS product per row i covers every sample
     lead = range(rows.ndim - 3)
-    sims = np.empty(np.broadcast_shapes(rows.shape[:-3], stack.shape[:-3]) + rows.shape[-3:-1] + stack.shape[-2:-1])
-    np.matmul(stack, rows.transpose(*lead, -2, -1, -3), out=sims.transpose(*range(sims.ndim - 3), -2, -1, -3))
+    dots = np.matmul(stack, rows.transpose(*lead, -2, -1, -3))
+    dots = dots.transpose(*range(dots.ndim - 3), -1, -3, -2)
     norms = row_norms(rows)
-    sims /= norms[..., None] + NORM_GUARD
-    return sims, norms
+    return dots / (norms[..., None] + NORM_GUARD), norms
 
 
 @dataclass

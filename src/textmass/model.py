@@ -175,7 +175,10 @@ def restore_param(params: ModelParameters, name: str, value: np.ndarray) -> None
     """Write an array of params' shape, frozen or not, into its view of
     params.flat: for checkpoint loading and a config's theta_init. A name
     outside params.spans, such as a radius array of another variant, is
-    refused."""
+    refused, and so is a parameter-copies model, which shares its
+    original's buffer."""
+    if params.copies is not None:
+        raise ContractViolation(f"a model of {params.copies} parameter copies is never written")
     if name not in params.spans:
         raise ContractViolation(f"a {params.radius_variant} model holds no array {name!r}")
     target = getattr(params, name)
@@ -191,7 +194,8 @@ def flatten_params(params: ModelParameters, names: list[str]) -> np.ndarray:
 def parameter_copies(params: ModelParameters, name: str, points: np.ndarray) -> ModelParameters:
     """A model beside params whose array `name` is the (k, *shape) stack of
     the k flat copies of it that the (k, size) points hold; every other
-    array is params' own, shared. params itself is never written."""
+    array is params' own, shared, and so is params.flat: restore_param and
+    adamw_step refuse the copies model, so params itself is never written."""
     old = getattr(params, name)
     if points.ndim != 2 or points.shape[1] != old.size:
         raise ContractViolation(f"copies of {name!r} want {old.size} values each, got {points.shape}")

@@ -39,7 +39,7 @@ from .core import (NORM_GUARD, ContractViolation, DegenerateGeometryError, Oracl
                    row_norms, row_sums)
 from .encoders import Attention, Encoded, Fused, attend, encode_batch, encode_video_batch, fuse_output, project
 from .mass import DEGENERATE_DISTANCE, Radii, cos_grid, radius_batch, radius_map, text_mass
-from .model import LAMBDA_MAX, MODES, ModelParameters, parameter_copies, trainable_names
+from .model import LAMBDA_MAX, ModelParameters, parameter_copies, trainable_names
 
 DEFAULT_ALPHA = 1.2
 
@@ -286,8 +286,7 @@ def forward_batch(
     array of parameter_copies but the copied one is; so only the stages
     that a copy reaches run again.
     """
-    if mode not in MODES:
-        raise ContractViolation(f"unknown training mode {mode!r}")
+    w_ce, w_s, w_sup = mode_weights(mode, alpha)
     if not 0 <= alpha < np.inf:
         raise ContractViolation(f"alpha must be finite and nonnegative, got {alpha}")
     n = batch.size
@@ -355,17 +354,12 @@ def forward_batch(
                      radii, support)
     per_matrix = 0.5 * (t2v + v2t)
     l_t2v, l_v2t, l_ce = t2v[..., 0], v2t[..., 0], per_matrix[..., 0]
+    l_total = w_ce * l_ce
     l_s = l_sup = None
     if mode != "baseline":
         l_s = row_sums(per_matrix[..., 1:-1]) / len(eps)
         l_sup = per_matrix[..., -1]
-
-    w_ce, w_s, w_sup = mode_weights(mode, alpha)
-    l_total = w_ce * l_ce
-    if l_s is not None:
-        l_total = l_total + w_s * l_s
-    if l_sup is not None:
-        l_total = l_total + w_sup * l_sup
+        l_total = l_total + w_s * l_s + w_sup * l_sup
     terms = [l_t2v, l_v2t, l_ce, l_s, l_sup, l_total]
     return LossBreakdown(*(None if t is None else _per_copy(t, lead) for t in terms)), tape
 

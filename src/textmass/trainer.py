@@ -251,7 +251,10 @@ def adamw_step(
     The gradients are copied into state.grad, and a non-finite one is
     refused, naming its array, before anything is written. The moments are
     updated in place over the span the runs cover (state.grad stays 0 in its
-    gaps, so their moments do too), and then each run of params.flat."""
+    gaps, so their moments do too), and then each run of params.flat. A
+    parameter-copies model, which shares its original's buffer, is refused."""
+    if params.copies is not None:
+        raise ContractViolation(f"a model of {params.copies} parameter copies is never stepped")
     for name in state.names:
         params.view(state.grad, name)[...] = grads[name]
     span = slice(state.runs[0][0].start, state.runs[-1][0].stop)

@@ -25,9 +25,8 @@ from textmass.evaluation import (
     write_csv_rows,
 )
 from textmass.mass import RADIUS_VARIANTS, SamplingConfig, select_best_sample, text_mass
-from textmass.model import restore_param
+from textmass.model import MODES, restore_param
 from textmass.objectives import (
-    MODES,
     DegenerateGeometryError,
     LAMBDA_MAX,
     PairBatch,

@@ -3,6 +3,7 @@ and by a copy of it, is identical, and a last-bit change planted in the copy
 is named. It runs in child processes, because the tool pins the BLAS thread
 variables before numpy loads."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,8 @@ def test_a_copy_matches_and_a_planted_last_bit_change_is_named(tmp_path):
     shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
     code, lines = bits(src, copy)
     assert lines[0].startswith("textmass bits (quick): python ") and "OPENBLAS_NUM_THREADS=1" in lines[0]
+    # the OpenBLAS kernel as the library names it, or "unknown"
+    assert re.search(r", kernel (\w+), cpu ", lines[0])
     assert code == 0 and lines[-1] == "5 of 5 artifacts identical"
     assert any(line.split() == ["identical", "cli.train/checkpoint.tmck"] for line in lines)
 

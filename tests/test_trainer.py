@@ -22,6 +22,7 @@ from textmass.model import (
     PARAMETERS,
     all_array_names,
     flatten_params,
+    parameter_copies,
     restore_param,
     trainable_names,
 )
@@ -215,6 +216,24 @@ class TestAdamW:
         assert changed == set(trainable_names(params, mode))
         # in place: no field is rebound
         assert all(getattr(params, name) is value for name, value in fields.items())
+
+    def test_a_parameter_copies_model_is_never_written(self):
+        # the copies model shares params.flat; copies of a frozen array leave
+        # every trainable array at its original's shape, so either writer
+        # would reach the original's bytes if it let the copies through
+        config = tiny_config()
+        params = init_model_from_config(config)
+        state = init_optimizer(params, config.mode)
+        copies = parameter_copies(params, "proj_text", np.tile(params.proj_text.ravel(), (2, 1)))
+        assert copies.flat is params.flat
+        before = params.flat.copy()
+        with pytest.raises(ContractViolation, match="^a model of 2 parameter copies is never written$"):
+            restore_param(copies, "fusion_out", np.ones_like(params.fusion_out))
+        grads = {n: np.ones_like(getattr(params, n)) for n in state.names}
+        with pytest.raises(ContractViolation, match="^a model of 2 parameter copies is never stepped$"):
+            adamw_step(copies, grads, state, {"head": 1e-2, "backbone-adapter": 1e-3}, 0.1)
+        assert params.flat.tobytes() == before.tobytes()
+        assert state.step == 0 and not state.grad.any() and not state.first.any()
 
     @pytest.mark.parametrize("dim", [32, 128])
     def test_a_step_allocates_no_temporary_of_the_trainable_size(self, dim):

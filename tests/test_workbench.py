@@ -611,14 +611,22 @@ class TestGrids:
 
     def test_sweep_trials_scores_nested_m_once(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
-        trials = []
-        score_query = evaluation._score_query
+        trials, widths = [], []
+        query_stages, grid_normals = evaluation._query_stages, evaluation.grid_normals
 
-        def counting(t, fused, radius_grid, m, *rest):
-            trials.append(0 if radius_grid is None else m)
-            return score_query(t, fused, radius_grid, m, *rest)
+        def drawing(seed, parts, queries, candidates, width):
+            widths.append(width)
+            return grid_normals(seed, parts, queries, candidates, width)
 
-        monkeypatch.setattr(evaluation, "_score_query", counting)
+        def counting(pool, params, with_fused, with_radii):
+            # each query of a scoring pass, which fuses: 0 when deterministic, else its M
+            for query in query_stages(pool, params, with_fused, with_radii):
+                if with_fused:
+                    trials.append(widths[-1] // params.dim if with_radii else 0)
+                yield query
+
+        monkeypatch.setattr(evaluation, "grid_normals", drawing)
+        monkeypatch.setattr(evaluation, "_query_stages", counting)
         once = tmp_path / "once"
         assert main(["sweep-trials", "--config", str(config), "--out", str(once)]) == 0
         # 2 seeds x 8 test queries: one deterministic and one best-of-20 pass
@@ -740,13 +748,16 @@ class TestAnalyze:
             tmp_path, name="analyze.txt", checkpoint=str(checkpoint), sampling=sampling
         )
         scored = []
-        score_query = evaluation._score_query
+        query_stages = evaluation._query_stages
 
-        def counting(t, fused, radius_grid, *rest):
-            scored.append(radius_grid is not None)
-            return score_query(t, fused, radius_grid, *rest)
+        def counting(pool, params, with_fused, with_radii):
+            # each query of a scoring pass, which fuses: sampled or not
+            for query in query_stages(pool, params, with_fused, with_radii):
+                if with_fused:
+                    scored.append(with_radii)
+                yield query
 
-        monkeypatch.setattr(evaluation, "_score_query", counting)
+        monkeypatch.setattr(evaluation, "_query_stages", counting)
         out = tmp_path / "analysis"
         assert main(["analyze", "--config", str(analyze_config), "--out", str(out)]) == 0
         # 8 test queries: one deterministic and one sampled pass

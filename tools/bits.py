@@ -33,7 +33,8 @@ bench operations. CLI runs are child processes with the tree on PYTHONPATH,
 each tree's under the same relative paths, so that their config.txt files
 compare. BLAS and OpenMP run one thread, here and in the children. The
 report starts with what else can change bits: the Python and numpy
-versions, the BLAS numpy names, the CPU model and the thread variables.
+versions, the BLAS numpy names, the OpenBLAS kernel it runs (which
+OPENBLAS_CORETYPE overrides), the CPU model and the thread variables.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -105,6 +107,19 @@ def _of_values(kind: str, values, figures: str = "") -> Artifact:
     return Artifact(_sha(values.tobytes()), kind, values, figures)
 
 
+def blas_kernel() -> str:
+    """The kernel that the scipy-openblas library numpy loads runs, as the
+    library names it, or "unknown" when no such library is found."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def settings() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = "unknown"
@@ -115,7 +130,7 @@ def settings() -> str:
         pass
     threads = " ".join(f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS)
     return (f"python {platform.python_version()}, numpy {np.__version__}, "
-            f"blas {blas.get('name')} {blas.get('version')}, cpu {cpu}, {threads}")
+            f"blas {blas.get('name')} {blas.get('version')}, kernel {blas_kernel()}, cpu {cpu}, {threads}")
 
 
 class Collector:
