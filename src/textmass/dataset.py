@@ -71,6 +71,8 @@ class SyntheticSpec:
             raise ContractViolation("need at least one raw frame")
         if not 0.0 < self.coverage <= 1.0:
             raise ContractViolation("coverage must lie in (0, 1]")
+        if self.mask_count < 1:
+            raise ContractViolation("coverage keeps no text coordinates")
         if self.noise_sigma < 0.0:
             raise ContractViolation("noise sigma must be nonnegative")
         if self.distractors < 0:
@@ -79,10 +81,7 @@ class SyntheticSpec:
 
     @property
     def mask_count(self) -> int:
-        count = int(self.coverage * self.concept_dim)
-        if count < 1:
-            raise ContractViolation("coverage keeps no text coordinates")
-        return count
+        return int(self.coverage * self.concept_dim)
 
 
 @dataclass
@@ -99,8 +98,10 @@ PAIR_BLOCK_ROWS = 32
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """x scaled in place to unit rows; np.sqrt(np.vecdot(row, row)) is
-    np.linalg.norm(row), a BLAS dot, bit for bit."""
+    """x scaled in place to unit rows. np.sqrt(np.vecdot(row, row)) runs
+    the BLAS dot of np.linalg.norm(row); OpenBLAS's Prescott dot rounds by
+    the row's 16-byte alignment, so there it can differ from the norm of
+    an aligned copy."""
     norms = np.sqrt(np.vecdot(x, x))
     if np.any(norms <= 1e-12):
         raise ContractViolation("cannot normalize a zero vector")

@@ -112,7 +112,7 @@ def mode_weights(mode: str, alpha: float) -> tuple[float, float, float]:
 # symmetric cross-entropy
 
 
-def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None):
+def _ce_terms(sims: np.ndarray, lam: float | np.ndarray):
     """Row and column InfoNCE terms for each matrix of a (..., N, N) stack
     of cosines; rows are texts, columns videos. lam is a scale, or a (k,)
     scale per copy of a (k, M, N, N) stack.
@@ -124,43 +124,27 @@ def _ce_terms(sims: np.ndarray, lam: float | np.ndarray, keep: np.ndarray | None
     `symmetric_ce` in `tests/oracle.py`, takes any matrix and keeps a shift
     per row and per column.
 
-    keep: None, or a boolean mask of the pairs each matrix scores, shaped
-    (..., N) to broadcast against the stack's (..., N) matrix axes. A
-    matrix is then scored on its kept block alone: the exponentials off it
-    are zeroed, masked rows and columns get a unit sum, and the terms
-    average over the kept pairs.
-
     Returns (l_t2v, l_v2t, p_sum): the terms have the leading shape (0-d
     for one matrix), and p_sum = exp * (1 / row_sum + 1 / col_sum) is the
     one table the backward pass reads, the row softmax plus the column
-    softmax of each matrix (0 off a kept block).
+    softmax of each matrix.
     """
     logits = (lam if isinstance(lam, float) else lam[:, None, None, None]) * sims
     logits -= logits.max(axis=(-2, -1), keepdims=True)
     diag = np.diagonal(logits, axis1=-2, axis2=-1).copy()
     exp = np.exp(logits, out=logits)
-    if keep is None:
-        row_sum, col_sum = row_sums(exp), row_sums(exp.swapaxes(-1, -2))
-    else:
-        exp *= keep[..., :, None] & keep[..., None, :]
-        # a masked row or column sums to 1: its softmax is 0 and its log 0
-        row_sum, col_sum = row_sums(exp) + ~keep, row_sums(exp.swapaxes(-1, -2)) + ~keep
+    row_sum, col_sum = row_sums(exp), row_sums(exp.swapaxes(-1, -2))
     row_terms = np.log(row_sum) - diag
     col_terms = np.log(col_sum) - diag
-    if keep is None:
-        count = sims.shape[-1]
-    else:
-        count = np.count_nonzero(keep, axis=-1)
-        row_terms, col_terms = row_terms * keep, col_terms * keep
+    n = sims.shape[-1]
     exp *= 1.0 / row_sum[..., None] + 1.0 / col_sum[..., None, :]
-    return row_sums(row_terms) / count, row_sums(col_terms) / count, exp
+    return row_sums(row_terms) / n, row_sums(col_terms) / n, exp
 
 
-def _ce_backward(sims, lam: float, p_sum, norms, upstream: np.ndarray, keep: np.ndarray | None):
+def _ce_backward(sims, lam: float, p_sum, norms, upstream: np.ndarray):
     """Gradients of sum_m upstream[m] * l_ce[m], where l_ce = (l_t2v +
     l_v2t) / 2, over the matrices m of an (M, N, N) stack whose rows have
-    the norms (M, N); p_sum is `_ce_terms`' table and keep the mask it
-    scored the stack under.
+    the norms (M, N); p_sum is `_ce_terms`' table.
 
     Returns (lead, d_lam). lead is the cosine gradient divided by each
     row's norm, what `_cos_grid_backward` contracts: one broadcast folds
@@ -168,16 +152,12 @@ def _ce_backward(sims, lam: float, p_sum, norms, upstream: np.ndarray, keep: np.
     table, and the diagonal loses twice that scale. d_lam is (M,), one
     derivative per matrix with respect to the unclamped scale value.
     """
-    idx = np.arange(sims.shape[-1])
-    n = sims.shape[-1] if keep is None else np.count_nonzero(keep, axis=-1)
+    n = sims.shape[-1]
+    idx = np.arange(n)
     scale = (upstream * lam / (2.0 * n))[..., None] / (norms + NORM_GUARD)
     lead = p_sum * scale[..., None]
+    lead[..., idx, idx] -= scale + scale
     diag = np.diagonal(sims, axis1=-2, axis2=-1)
-    if keep is None:
-        lead[..., idx, idx] -= scale + scale
-    else:
-        lead[..., idx, idx] -= (scale + scale) * keep
-        diag = diag * keep
     flat = sims.shape[:-2] + (-1,)
     d_lam = (row_sums(p_sum.reshape(flat), sims.reshape(flat)) - 2.0 * row_sums(diag)) * upstream / (2.0 * n)
     return lead, d_lam
@@ -204,14 +184,14 @@ def _cos_grid_backward(lead, rows, stack, sims, norms):
 class CETerm:
     """The symmetric-CE stack: rows (M, N, d) scored against the fused grid,
     their cosines (M, N, N) and norms (M, N), `_ce_terms`' one softmax
-    table p_sum (M, N, N), and the mask they were scored under (None when
-    every pair is kept)."""
+    table p_sum (M, N, N), and the mode's weight on each matrix (M,): w_ce
+    for t, w_s / S for each sample and w_sup for the support rows."""
 
     rows: np.ndarray
     sims: np.ndarray
     row_norms: np.ndarray
     p_sum: np.ndarray
-    keep: np.ndarray | None
+    weights: np.ndarray
 
 
 def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
@@ -229,10 +209,9 @@ def _normalize_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray)
 @dataclass
 class Support:
     """Support rows t + direction * R with direction = (v - t) / dist for
-    each pair; keep marks the pairs with a direction, and a degenerate pair
-    (||v - t|| at most DEGENERATE_DISTANCE) has direction 0 and dist 1."""
+    each pair; forward_batch refuses a pair with no direction (||v - t|| at
+    most DEGENERATE_DISTANCE)."""
 
-    keep: np.ndarray
     direction: np.ndarray
     dist: np.ndarray
 
@@ -248,7 +227,6 @@ class BatchTape:
 
     params: ModelParameters
     mode: str
-    alpha: float
     text: Encoded
     frames: Encoded
     keys: np.ndarray
@@ -274,7 +252,9 @@ def forward_batch(
     """One batch through encoders, fusion, radius, sampling, and losses.
 
     eps: (samples, N, d) standard-normal draws; required outside baseline
-    mode. Multiple sample slices average their stochastic CE terms.
+    mode. Multiple sample slices average their stochastic CE terms. A pair
+    with ||v - t|| at most DEGENERATE_DISTANCE has no support direction, so
+    outside baseline mode it refuses the batch, naming the first such pair.
     drop_mask: optional (N, N, d) inverted-dropout mask (zeros and
     1 / keep-probability), applied to the projected fusion grid.
     With k parameter copies (model.parameter_copies) every loss is a (k,)
@@ -319,7 +299,8 @@ def forward_batch(
     lead = () if params.copies is None else (params.copies,)
 
     rows = text.emb[..., None, :, :]
-    radii = support = keep = None
+    weights = [w_ce]
+    radii = support = None
     if mode != "baseline":
         if eps is None:
             raise ContractViolation("stochastic modes need noise draws")
@@ -330,16 +311,12 @@ def forward_batch(
                       "text", "frames", "radius_theta", "radius_weights")
         delta = fused[..., np.arange(n), np.arange(n), :] - text.emb
         dist = row_norms(delta)
-        kept = dist > DEGENERATE_DISTANCE
-        if not kept.any(axis=-1).all():
-            raise DegenerateGeometryError("every pair has video == text embedding")
-        if not kept.all():
-            # a degenerate pair has direction 0 and dist 1, and is masked out of the support CE
-            dist = np.where(kept, dist, 1.0)
-            delta = delta * kept[..., None]
-            keep = np.ones(kept.shape[:-1] + (len(eps) + 2, n), dtype=bool)
-            keep[..., -1, :] = kept
-        support = Support(kept, delta / dist[..., None], dist)
+        if (dist <= DEGENERATE_DISTANCE).any():
+            first = tuple(np.argwhere(dist <= DEGENERATE_DISTANCE)[0])
+            where = f"pair {first[-1]}" if len(first) == 1 else f"copy {first[0]} pair {first[1]}"
+            raise DegenerateGeometryError(f"{where} has no support direction: ||v - t|| = {dist[first]:.3e}")
+        support = Support(delta / dist[..., None], dist)
+        weights += [w_s / len(eps)] * len(eps) + [w_sup]
         support_rows = text_mass(text.emb, radii.radius, support.direction)
         # one (S + 2, N, d) stack: t, the S samples t + R * eps_s, the support rows
         rows = np.empty(support_rows.shape[:-2] + (len(eps) + 2, n, d))
@@ -348,10 +325,9 @@ def forward_batch(
         rows[..., -1, :, :] = support_rows
 
     sims, norms = cos_grid(rows, fused)
-    t2v, v2t, p_sum = _ce_terms(sims, lam, keep)
-    ce = CETerm(rows, sims, norms, p_sum, keep)
-    tape = BatchTape(params, mode, float(alpha), text, frames, keys, values, outputs, attention, fusion, ce, eps,
-                     radii, support)
+    t2v, v2t, p_sum = _ce_terms(sims, lam)
+    ce = CETerm(rows, sims, norms, p_sum, np.array(weights))
+    tape = BatchTape(params, mode, text, frames, keys, values, outputs, attention, fusion, ce, eps, radii, support)
     per_matrix = 0.5 * (t2v + v2t)
     l_t2v, l_v2t, l_ce = t2v[..., 0], v2t[..., 0], per_matrix[..., 0]
     l_total = w_ce * l_ce
@@ -393,7 +369,6 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     params = tape.params
     if params.copies is not None:
         raise ContractViolation("backward_batch wants a tape without parameter copies")
-    w_ce, w_s, w_sup = mode_weights(tape.mode, tape.alpha)
     names = trainable_names(params, tape.mode)
     grads = {}
     lam = params.logit_scale()
@@ -406,13 +381,8 @@ def backward_batch(tape: BatchTape) -> dict[str, np.ndarray]:
     frames = frame_emb.shape[1]
     d_frames = np.zeros_like(frame_emb)
 
-    # one weight per CE matrix: t, then the S samples and the support rows
-    weights = [w_ce]
-    if radii is not None:
-        samples = tape.eps.shape[0]
-        weights += [w_s / samples] * samples + [w_sup]
     ce = tape.ce
-    lead, d_lam = _ce_backward(ce.sims, lam, ce.p_sum, ce.row_norms, np.array(weights), ce.keep)
+    lead, d_lam = _ce_backward(ce.sims, lam, ce.p_sum, ce.row_norms, ce.weights)
     d_rows = _cos_grid_backward(lead, ce.rows, fused, ce.sims, ce.row_norms)
     # the fused grid's gradient, summed over the stack: lead^T @ rows per text i
     d_fused = np.matmul(lead.transpose(1, 2, 0), ce.rows.transpose(1, 0, 2))

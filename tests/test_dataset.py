@@ -69,9 +69,9 @@ class TestGenerate:
         with pytest.raises(ContractViolation, match="^cannot normalize a zero vector$"):
             dataset._unit_rows(rows)
 
-    def test_coverage_too_small_rejected(self):
-        with pytest.raises(ContractViolation):
-            generate(SyntheticSpec(pairs=4, concept_dim=16, raw_frames=2, coverage=0.05))
+    def test_coverage_too_small_rejected_when_the_spec_is_built(self):
+        with pytest.raises(ContractViolation, match="^coverage keeps no text coordinates$"):
+            SyntheticSpec(pairs=4, concept_dim=16, raw_frames=2, coverage=0.05)
 
     def test_split_sizes(self):
         records = generate(SyntheticSpec(pairs=640, concept_dim=4, raw_frames=1, distractors=0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from textmass import core, encoders, objectives
 from textmass.core import NORM_GUARD, ContractViolation, DegenerateGeometryError, OracleFailure, substream
 from textmass.encoders import sample_frame_indices
-from textmass.mass import DEGENERATE_DISTANCE, cos_grid, text_mass
+from textmass.mass import cos_grid, text_mass
 from textmass.model import (
     LAMBDA_MAX,
     all_array_names,
@@ -118,7 +118,7 @@ class TestSymmetricCE:
         sims = np.array([[0.0, 10.0], [-10.0, 0.0]])
         assert symmetric_ce(sims, np.log(100.0)) == (500.0, 500.0, 500.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            l_t2v, _, _ = objectives._ce_terms(sims, 100.0, None)
+            l_t2v, _, _ = objectives._ce_terms(sims, 100.0)
         assert l_t2v == -np.inf
 
     @settings(max_examples=200, deadline=None)
@@ -140,7 +140,7 @@ class TestSymmetricCE:
         rows += align * stack[np.arange(n), np.arange(n)]
         sims, _ = cos_grid(rows, stack)
         lam = min(np.exp(log_lambda), LAMBDA_MAX)
-        l_t2v, l_v2t, _ = objectives._ce_terms(sims, float(lam), None)
+        l_t2v, l_v2t, _ = objectives._ce_terms(sims, float(lam))
         for k in range(samples):
             ref_t2v, ref_v2t, _ = symmetric_ce(sims[k], log_lambda)
             # a loss below 1 is a difference of logits of up to LAMBDA_MAX,
@@ -192,7 +192,7 @@ class TestForwardAgainstModuleOps:
         assert np.array_equal(self.tape.ce.rows[1], expected)
 
     def test_support_rows(self):
-        for i in np.flatnonzero(self.tape.support.keep):
+        for i in range(3):
             oracle = support_text(self.text_emb[i], self.fused[i, i], self.radius[i])
             assert np.allclose(self.tape.ce.rows[-1, i], oracle, atol=1e-12)
 
@@ -230,12 +230,15 @@ class TestTextMassWiring:
             x0 = getattr(params, copied).ravel()
             points = x0 + 1e-2 * substream(21, 7012).standard_normal(k * x0.size).reshape(k, x0.size)
             params = parameter_copies(params, copied, points)
+        # copies of a radius map leave pair 0 degenerate; copies of adapter_text or fusion_out move it off
+        if degenerate and copied in (None, "radius_weights", "radius_theta"):
+            with pytest.raises(DegenerateGeometryError, match="^pair 0 has no support direction"):
+                forward_batch(batch, params, "t-mass", 1.2, eps=eps)
+            return
         _, tape = forward_batch(batch, params, "t-mass", 1.2, eps=eps)
         t, r, rows = tape.text.emb, tape.radii.radius, tape.ce.rows
         assert rows.shape == (() if copied is None else (k,)) + (4, n, d)
         assert not np.any(r == 1.0)
-        if degenerate and copied is None:
-            assert list(np.flatnonzero(tape.support.keep)) == [1, 2, 3]
         samples = text_mass(t[..., None, :, :], r[..., None, :, :], eps)
         support = text_mass(t, r, tape.support.direction)
         assert np.array_equal(rows[..., 1:-1, :, :], np.broadcast_to(samples, rows[..., 1:-1, :, :].shape))
@@ -449,6 +452,27 @@ class TestDegenerateSupport:
         with pytest.raises(DegenerateGeometryError):
             forward_batch(batch, params, "t-mass", 1.2, eps=eps)
 
+    @pytest.mark.parametrize("copied", [None, "fusion_query"])
+    @pytest.mark.parametrize("mode", ["t-mass", "ablation-ce-plus-s", "baseline"])
+    def test_one_degenerate_pair_is_refused_by_name_outside_baseline(self, mode, copied):
+        d, n = 6, 4
+        params = randomize(init_model(d, d, 3, "linear", seed=8), seed=8)
+        batch = make_batch(n, d, 5, seed=8)
+        degenerate_first_pair(params, batch, None)
+        if copied is not None:
+            # attention only reweighs video 0's equal frames: every copy keeps pair 0 degenerate
+            x0 = getattr(params, copied).ravel()
+            points = x0 + 1e-2 * substream(8, 7012).standard_normal(3 * x0.size).reshape(3, x0.size)
+            params = parameter_copies(params, copied, points)
+        if mode == "baseline":
+            breakdown, _ = forward_batch(batch, params, mode, 1.2)
+            assert np.all(np.isfinite(breakdown.l_total))
+            return
+        eps = draw_noise(substream(8, 7011), 2, n, d)
+        where = "pair 0" if copied is None else "copy 0 pair 0"
+        with pytest.raises(DegenerateGeometryError, match=rf"^{where} has no support direction: \|\|v - t\|\| = "):
+            forward_batch(batch, params, mode, 1.2, eps=eps)
+
 
 class TestUnitStacks:
     """cos_grid divides by the row norms alone, so every stack it scores
@@ -479,61 +503,6 @@ class TestUnitStacks:
             assert tape.fusion.fused.shape == (copies, n, n, d), name
             for unit in (tape.fusion.fused, tape.frames.emb):
                 assert np.all(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= 1e-14), name
-
-
-
-class TestMaskedCE:
-    """`_ce_terms` under a keep mask scores each matrix on its kept block."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        copies=st.sampled_from([0, 3]),
-        samples=st.sampled_from([1, 4]),
-        n=st.integers(2, 10),
-        d=st.integers(2, 8),
-        log_lambda=st.floats(-3.0, np.log(1000.0)),
-        seed=st.integers(0, 2**16),
-    )
-    def test_masked_terms_equal_the_oracle_on_the_kept_block(self, copies, samples, n, d, log_lambda, seed):
-        rng = substream(seed, 7014)
-        lead = (copies,) if copies else ()
-        stack = rng.standard_normal(n * n * d).reshape(n, n, d)
-        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
-        rows = rng.standard_normal(max(copies, 1) * samples * n * d).reshape(lead + (samples, n, d))
-        sims, _ = cos_grid(rows, stack)
-        # one mask row per copy, broadcast over the matrices; each keeps pair 0
-        keep = rng.uniform(max(copies, 1) * n).reshape(lead + (1, n)) < 0.6
-        keep[..., 0] = True
-        lam = min(np.exp(log_lambda), LAMBDA_MAX)
-        scale = float(lam) if not copies else np.full(copies, lam)
-        l_t2v, l_v2t, p_sum = objectives._ce_terms(sims, scale, keep)
-        for c in np.ndindex(*lead):
-            kept = np.flatnonzero(keep[c][0])
-            off = np.ones((n, n), dtype=bool)
-            off[np.ix_(kept, kept)] = False
-            for k in range(samples):
-                ref_t2v, ref_v2t, _ = symmetric_ce(sims[c][k][np.ix_(kept, kept)], log_lambda)
-                for got, ref in ((l_t2v[c][k], ref_t2v), (l_v2t[c][k], ref_v2t)):
-                    assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), (got, ref)
-                assert np.all(p_sum[c][k][off] == 0.0)
-
-    def test_an_all_true_mask_equals_no_mask_bit_for_bit(self):
-        rng = substream(5, 7015)
-        n, d, samples = 12, 6, 4
-        stack = rng.standard_normal(n * n * d).reshape(n, n, d)
-        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
-        rows = rng.standard_normal(samples * n * d).reshape(samples, n, d)
-        sims, norms = cos_grid(rows, stack)
-        upstream = np.array([0.0, 0.25, 0.25, 1.2])
-        keep = np.ones((samples, n), dtype=bool)
-        plain = objectives._ce_terms(sims, 7.5, None)
-        masked = objectives._ce_terms(sims, 7.5, keep)
-        for got, want in zip(masked, plain):
-            assert np.array_equal(got, want)
-        plain_back = objectives._ce_backward(sims, 7.5, plain[2], norms, upstream, None)
-        masked_back = objectives._ce_backward(sims, 7.5, masked[2], norms, upstream, keep)
-        for got, want in zip(masked_back, plain_back):
-            assert np.array_equal(got, want)
 
 
 GRAD_CONFIGS = [
@@ -759,25 +728,22 @@ def reference_objective(batch, params, mode, alpha, eps, drop_mask):
             d_fused += d_stack
             d_lam += up * g_lam
 
-        vidx = np.flatnonzero(np.linalg.norm(fused[np.arange(n), np.arange(n)] - text, axis=1)
-                              > DEGENERATE_DISTANCE)
-        delta = fused[vidx, vidx] - text[vidx]
+        diag = np.arange(n)
+        delta = fused[diag, diag] - text
         dist = np.linalg.norm(delta, axis=1)
         direction = delta / dist[:, None]
-        rows = text[vidx] + direction * r[vidx]
-        sub = fused[np.ix_(vidx, vidx)]
-        sims, rn, sn = _ref_cos_grid(rows, sub)
+        rows = text + direction * r
+        sims, rn, sn = _ref_cos_grid(rows, fused)
         l_sup, g_sims, g_lam = _ref_ce(sims, lam)
-        d_rows, d_stack = _ref_cos_grid_backward(w_sup * g_sims, rows, sub, sims, rn, sn)
+        d_rows, d_stack = _ref_cos_grid_backward(w_sup * g_sims, rows, fused, sims, rn, sn)
         d_lam += w_sup * g_lam
-        for a, i in enumerate(vidx):
-            d_fused[i, vidx] += d_stack[a]
-        d_text[vidx] += d_rows
-        d_r[vidx] += direction * d_rows
-        d_dir = r[vidx] * d_rows
+        d_fused += d_stack
+        d_text += d_rows
+        d_r += direction * d_rows
+        d_dir = r * d_rows
         d_delta = (d_dir - direction * np.sum(direction * d_dir, axis=1, keepdims=True)) / dist[:, None]
-        d_fused[vidx, vidx] += d_delta
-        d_text[vidx] -= d_delta
+        d_fused[diag, diag] += d_delta
+        d_text -= d_delta
 
         if params.radius_variant == "linear":
             d_pre = d_r * r
@@ -884,6 +850,10 @@ class TestBatchedMatchesPerSampleReference:
         if degenerate:
             degenerate_first_pair(params, batch, mask)
         eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), samples, n, d)
+        if degenerate and mode != "baseline":
+            with pytest.raises(DegenerateGeometryError, match="^pair 0 has no support direction"):
+                forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
+            return
 
         breakdown, tape = forward_batch(batch, params, mode, 1.2, eps=eps, drop_mask=mask)
         grads = backward_batch(tape)
@@ -891,8 +861,6 @@ class TestBatchedMatchesPerSampleReference:
         losses, terms, ref_grads = reference_objective(wide_batch, wide_params, mode, 1.2, wide_eps, wide_mask)
         f64_losses, _, f64_grads = reference_objective(batch, params, mode, 1.2, eps, mask)
 
-        if degenerate and mode != "baseline":
-            assert list(np.flatnonzero(tape.support.keep)) == list(range(1, n))
         for key, ref in losses.items():
             if ref is None:
                 assert getattr(breakdown, key) is None
@@ -982,6 +950,11 @@ class TestParameterCopies:
         points = np.tile(x0, (copies, 1))
         if copies > 1:
             points[1:] += 1e-3 * substream(seed, 7012).standard_normal((copies - 1) * x0.size).reshape(-1, x0.size)
+        # a copy axis reaches the refusal only through a copy that reaches the text or the fused grid
+        if degenerate and mode != "baseline":
+            with pytest.raises(DegenerateGeometryError, match="^(copy 0 )?pair 0 has no support direction"):
+                forward_batch(batch, parameter_copies(params, name, points), mode, 1.2, eps=eps, drop_mask=mask)
+            return
         blocked, tape = forward_batch(
             batch, parameter_copies(params, name, points), mode, 1.2, eps=eps, drop_mask=mask
         )
@@ -1015,19 +988,20 @@ class TestParameterCopies:
             blocked, _ = forward_batch(batch, parameter_copies(params, name, points), "t-mass", 1.2, eps=eps)
             assert_copies_match(blocked, one_at_a_time(params, name, points, batch, "t-mass", eps, None), k)
 
-    def test_copies_that_disagree_on_the_support_set(self):
+    @pytest.mark.parametrize("mode", ["t-mass", "ablation-ce-plus-s"])
+    def test_a_block_with_one_degenerate_copy_is_refused_by_copy_and_pair(self, mode):
         d, n = 6, 4
         params = randomize(init_model(d, d, 3, "linear", seed=4), seed=4)
         batch = make_batch(n, d, 5, seed=4)
         degenerate_first_pair(params, batch, None)
         eps = draw_noise(substream(4, 7011), 4, n, d)
         points = np.tile(params.fusion_out.ravel(), (3, 1))
-        points[1, 0] += 1e-2  # moves fused video 0 off text 0
+        points[0, 0] += 1e-2  # moves fused video 0 off text 0
         points[2, 1] -= 1e-2
-        singles = one_at_a_time(params, "fusion_out", points, batch, "t-mass", eps, None)
-        assert [list(np.flatnonzero(tape.support.keep)) for _, tape in singles] == [[1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
-        blocked, _ = forward_batch(batch, parameter_copies(params, "fusion_out", points), "t-mass", 1.2, eps=eps)
-        assert_copies_match(blocked, singles, 3)
+        # copies 0 and 2 alone are scored; copy 1 keeps pair 0 degenerate
+        one_at_a_time(params, "fusion_out", points[[0, 2]], batch, mode, eps, None)
+        with pytest.raises(DegenerateGeometryError, match="^copy 1 pair 0 has no support direction"):
+            forward_batch(batch, parameter_copies(params, "fusion_out", points), mode, 1.2, eps=eps)
 
     def test_one_copy_equals_the_plain_forward_bit_for_bit(self):
         params = randomize(make_model(variant="scalar"), seed=41)
@@ -1260,6 +1234,10 @@ class TestStageReuse:
         if degenerate:
             degenerate_first_pair(params, batch, mask)
         eps = None if mode == "baseline" else draw_noise(substream(seed, 7011), 2, n, d)
+        if degenerate and mode != "baseline":
+            with pytest.raises(DegenerateGeometryError, match="^pair 0 has no support direction"):
+                gradient_check(params, batch, mode, 1.2, eps, drop_mask=mask)
+            return
         grads, losses, result = _gradient_check_trace(params, batch, mode, eps, mask, full=False)
         full_grads, full_losses, full_result = _gradient_check_trace(params, batch, mode, eps, mask, full=True)
         assert len(grads) == len(full_grads) == len(trainable_names(params, mode))

@@ -176,6 +176,8 @@ class TestRunConfigText(ConfigCodecSuite):
             RunConfig(radius_variant="cubic")
         with pytest.raises(ContractViolation):
             RunConfig(coverage=0.0)
+        with pytest.raises(ContractViolation, match="^coverage keeps no text coordinates$"):
+            RunConfig(coverage=0.05)
 
     def test_path_with_space_at_an_end_rejected(self):
         # "data =  corpus " would parse back as "corpus"
@@ -281,6 +283,14 @@ class TestDispatch:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config), *flags, "--out", str(out)]) == 1
         assert "error: config value " in capsys.readouterr().err
+        assert not out.exists()
+
+    # a coverage that keeps no text coordinate used to be refused inside generate, after the run dir was made
+    def test_a_coverage_that_keeps_no_text_coordinate_exits_one_without_a_run_dir(self, tmp_path, capsys):
+        config = write_config(tmp_path, coverage=0.05, concept_dim=16)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("error: coverage keeps no text coordinates\n")
         assert not out.exists()
 
     def test_existing_run_dir_refused(self, tmp_path):
